@@ -1,295 +1,238 @@
 // Example / CLI: the full-stack crash-recovery sweeps.
 //
-// For each IO stack, run many randomized api::Vfs workloads (with
-// unlink/rename namespace churn), cut power at random simulated instants,
-// recover the durable image through fs::Recovery, remount a fresh stack
-// over the recovered state, and verify the stack's crash-consistency
-// contract (chk::run_crash_sweep):
+// Each row of the sweep table is one chk::SweepSpec (DESIGN.md §6.7): a
+// workload flavour over one or more volumes, run at many randomized power
+// cuts. Every point recovers the durable image through fs::Recovery,
+// remounts a fresh stack over it and verifies each volume's trace against
+// the one crash oracle:
 //
-//   * EXT4-DR / BFS-DR : an fsync that returned implies durable data,
+//   * EXT4-DR / BFS-DR : a returned fsync/fdatasync implies durable data,
 //   * every stack      : per-file epoch-prefix ordering of synced writes
 //                        + recovered-namespace consistency (durable
 //                        renames/unlinks stick, nothing fabricated),
-//   * OptFS            : osync delayed durability (prefix now, everything
-//                        after the device quiesces),
+//   * OptFS / BFS-OD   : delayed durability (prefix now, everything after
+//                        the device quiesces),
 //   * EXT4-OD          : mounted nobarrier on an orderless device — it
-//                        *claims* the EXT4-DR contract and the sweep is
+//                        *claims* the EXT4-DR contract and every flavour is
 //                        expected to catch it violating (Fig 1).
 //
-// The concurrent sweep (chk::run_concurrent_crash_sweep) runs the same
-// per-kind verdicts with N writer coroutines sharing files through
-// independent fds — the cross-writer contract of DESIGN.md §9; a final
-// sweep cuts power on a heterogeneous two-volume node (BFS-DR + EXT4-DR
-// behind one Vfs mount table) and verifies each volume's contract
-// independently.
+// Flavours: single (one writer per volume, §6), conc (writers sharing
+// files through independent fds, §9), ring (linked chains through
+// api::Ring, §10) and fault (single plus a seed-derived device fault
+// plan, §11.3), at one and four block-layer queues; a two-volume node
+// (BFS-DR + EXT4-DR behind one Vfs mount table); and the swallowed-EIO
+// negative control, which the fault oracle must catch.
 //
-// The ring sweep (chk::run_ring_crash_sweep) drives the same writers
-// through api::Ring batched submissions with IOSQE_IO_LINK-style chains
-// (write -> barrier -> write) and adds the linked-chain contract of
-// DESIGN.md §10 on top of the concurrent verdicts.
+// Usage:
+//   crash_consistency [--smoke | --parallel-smoke | --points N] [--jobs N]
+//   crash_consistency --repro <spec>
 //
-// The fault sweep (chk::run_fault_crash_sweep) installs a seed-derived
-// flash::FaultPlan on the device (transient/hard/torn faults), composes it
-// with the power cut and verifies the fault-mode oracle of DESIGN.md §11:
-// acked durability survives faults, torn journal writes never replay as
-// committed, degraded (errors=remount-ro) volumes recover read-consistent.
-// A deliberate negative control re-runs a short sweep with
-// BlockLayer::set_swallow_io_errors_for_test — the sweep must catch the
-// injected bug deterministically.
+// --smoke runs 120 points per row (the CI scale: EXT4-OD's first failing
+// points are deterministic well inside it); --parallel-smoke runs a short
+// all-flavour table (the CI TSan leg's target). --jobs N fans points
+// across host threads (default: BIO_SWEEP_JOBS, else hardware
+// concurrency); results are bit-identical at any jobs value (§13).
 //
-// Reproducing a failed point: every sweep failure prints its seed, crash
-// instant, point index and an exact `--repro` spec; `--repro <spec>`
-// replays just that case with full violation output. Specs:
-//   --repro <stack>:<base_seed>:<point>        single-writer sweep point
-//   --repro conc:<stack>:<base_seed>:<point>   concurrent sweep point
-//   --repro ring:<stack>:<base_seed>:<point>   ring sweep point
-//   --repro fault:<stack>:<plan-seed>:<point>  fault-injection sweep point
-//   --repro node:<base_seed>:<point>           multi-volume sweep point
-// Every form takes an optional `q<N>` segment after the stack (after
-// `node` for the multi-volume form) carrying the block layer's nr_queues —
-// multi-queue sweep failures print it and replay with the same queue
-// count: conc:BFS-DR:q4:<base>:<point>, node:q4:<base>:<point>. Malformed
-// specs (unknown prefix/stack, non-numeric or empty fields, wrong arity,
-// bad queue counts like q0 or qx) are rejected with a usage message and
-// exit code 2.
-// The CLI replays with DEFAULT sweep options (which is what the CLI
-// sweeps run); a failure from a library sweep with custom options must be
-// replayed through run_crash_check / run_concurrent_crash_check using the
-// same options and the seed/crash pair from CrashSweepResult::failures.
-//
-// Parallelism: sweeps fan their points across host threads
-// (sim::HostPool). `--jobs N` picks the thread count (default: the
-// BIO_SWEEP_JOBS env var, else hardware concurrency; `--jobs 1` forces the
-// legacy serial path). Results are bit-identical at any jobs value —
-// deterministic seed partitioning plus canonical-order merging, DESIGN.md
-// §13. `--parallel-smoke` runs a short all-flavour parallel sweep (the CI
-// TSan leg's target).
+// Every failure prints a `--repro` spec,
+//   [conc:|ring:|fault:]<stack>[,<stack>...][:q<N>]:<base>:<point>
+// (a stack list is a node), which replays just that point with full
+// violation output: exit 0 if it is clean, 1 if it violates, 2 if the
+// spec is malformed. Unknown flags and malformed counts exit 2 too.
 //
 // Build: cmake --build build && ./build/examples/crash_consistency
 // CI:    ./build/examples/crash_consistency --smoke --jobs 8
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "chk/crash_check.h"
 #include "sim/host_pool.h"
 
 using namespace bio;
+using chk::Flavour;
+using core::StackKind;
 
 namespace {
 
-bool parse_kind(const std::string& name, core::StackKind& out) {
-  for (core::StackKind k :
-       {core::StackKind::kExt4DR, core::StackKind::kExt4OD,
-        core::StackKind::kBfsDR, core::StackKind::kBfsOD,
-        core::StackKind::kOptFs}) {
-    if (name == core::to_string(k)) {
-      out = k;
-      return true;
+constexpr StackKind kStacks[] = {StackKind::kExt4DR, StackKind::kBfsDR,
+                                 StackKind::kBfsOD, StackKind::kOptFs,
+                                 StackKind::kExt4OD};
+
+/// One sweep of the table. A `control` row injects a bug its oracle must
+/// catch; otherwise only EXT4-OD volumes are expected to violate.
+struct Row {
+  chk::SweepSpec spec;
+  int points = 0;
+  bool control = false;
+};
+
+std::vector<Row> smoke_table(int points) {
+  std::vector<Row> rows;
+  const std::pair<Flavour, std::uint32_t> sections[] = {
+      {Flavour::kSingle, 1}, {Flavour::kConc, 1},  {Flavour::kRing, 1},
+      {Flavour::kFault, 1},  {Flavour::kConc, 4},  {Flavour::kFault, 4}};
+  for (const auto& [flavour, queues] : sections)
+    for (StackKind kind : kStacks)
+      rows.push_back(
+          {{.flavour = flavour, .volumes = {kind}, .nr_queues = queues},
+           points});
+  rows.push_back({{.flavour = Flavour::kFault,
+                   .volumes = {StackKind::kExt4DR},
+                   .swallow_io_errors = true},
+                  20,
+                  true});
+  rows.push_back({{.volumes = {StackKind::kBfsDR, StackKind::kExt4DR}},
+                  points});
+  return rows;
+}
+
+/// Every flavour's parallel driver once, sized so the race surface is
+/// exercised without a full smoke's wall clock.
+std::vector<Row> parallel_table() {
+  constexpr int n = 24;
+  return {
+      {{.flavour = Flavour::kSingle, .volumes = {StackKind::kBfsDR}}, n},
+      {{.flavour = Flavour::kConc, .volumes = {StackKind::kExt4DR}}, n},
+      {{.flavour = Flavour::kRing, .volumes = {StackKind::kBfsOD}}, n},
+      {{.flavour = Flavour::kFault, .volumes = {StackKind::kOptFs}}, n},
+      {{.flavour = Flavour::kFault,
+        .volumes = {StackKind::kExt4DR},
+        .swallow_io_errors = true},
+       20,
+       true},
+      {{.volumes = {StackKind::kBfsDR, StackKind::kExt4DR}}, n},
+      {{.flavour = Flavour::kConc,
+        .volumes = {StackKind::kBfsDR},
+        .nr_queues = 4},
+       n},
+      {{.flavour = Flavour::kFault,
+        .volumes = {StackKind::kBfsOD},
+        .nr_queues = 4},
+       n},
+  };
+}
+
+const char* flavour_name(Flavour f) {
+  switch (f) {
+    case Flavour::kSingle: return "single";
+    case Flavour::kFault: return "fault";
+    case Flavour::kConc: return "conc";
+    case Flavour::kRing: return "ring";
+  }
+  return "?";
+}
+
+/// Runs every row and prints one line per (row, volume); returns whether
+/// every volume met its expectation.
+bool run_table(const std::vector<Row>& rows, int jobs) {
+  std::printf(
+      "sweep             | volume     | points | failed | quiesced | acked pgs "
+      "| order wrs | ns facts | syncs | chains | faults | degraded | "
+      "verdict\n");
+  bool ok = true;
+  for (const Row& row : rows) {
+    const chk::CrashSweepResult r =
+        chk::run_sweep(row.spec, row.points, 1, jobs);
+    const std::string sweep =
+        std::string(flavour_name(row.spec.flavour)) + " q" +
+        std::to_string(row.spec.nr_queues) +
+        (row.control ? " +control" : "");
+    for (std::size_t v = 0; v < r.volumes.size(); ++v) {
+      const chk::CrashSweepResult& rv = r.volumes[v];
+      const StackKind kind = row.spec.volumes[v];
+      const bool expect_broken = row.control || kind == StackKind::kExt4OD;
+      const bool met = expect_broken != rv.ok();
+      ok = ok && met;
+      const std::string volume =
+          (r.volumes.size() > 1 ? "v" + std::to_string(v) + " " : "") +
+          core::to_string(kind);
+      std::printf(
+          "%-17s | %-10s | %6d | %6d | %8d | %9llu | %9llu | %8llu | %5llu "
+          "| %6llu | %6llu | %8d | %s\n",
+          sweep.c_str(), volume.c_str(), rv.points, rv.failed_points,
+          rv.quiesced_points, (unsigned long long)rv.acked_pages_checked,
+          (unsigned long long)rv.order_writes_checked,
+          (unsigned long long)rv.namespace_facts_checked,
+          (unsigned long long)rv.syncs_recorded,
+          (unsigned long long)rv.chain_facts_checked,
+          (unsigned long long)rv.faults_injected, rv.degraded_points,
+          met ? (expect_broken ? "BROKEN (expected)" : "ok")
+              : (expect_broken ? "UNEXPECTEDLY CLEAN (checker too weak?)"
+                               : "VIOLATED"));
     }
+    for (const std::string& s : r.sample_violations)
+      std::printf("        ! %s\n", s.c_str());
   }
-  return false;
+  return ok;
 }
 
-void print_violations(const std::vector<std::string>& violations) {
-  for (const std::string& v : violations) std::printf("  ! %s\n", v.c_str());
-  if (violations.empty()) std::printf("  (no violations — case is clean)\n");
-}
-
-/// Strict decimal parse: the whole field must be digits (no sign, no
-/// trailing junk, not empty). A silent atoi-style zero would "replay" a
-/// different case than the one that failed.
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty() || s.size() > 19) return false;
-  out = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    out = out * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return true;
-}
-
-/// Strict `q<N>` queue-count field: 'q' + decimal, N in [1, 64]. q0 (a
-/// block layer needs at least one queue) and junk like "qx" are malformed.
-bool parse_queues(const std::string& s, std::uint32_t& out) {
-  std::uint64_t v = 0;
-  if (s.size() < 2 || s[0] != 'q' || !parse_u64(s.substr(1), v)) return false;
-  if (v < 1 || v > 64) return false;
-  out = static_cast<std::uint32_t>(v);
-  return true;
-}
-
-/// Replays one sweep point from a `--repro` spec; returns the process exit
-/// code (0 = the case is clean now, 2 = malformed spec).
-int run_repro(const std::string& spec) {
-  // Split on ':' — [conc|ring|fault:]<stack>[:q<N>]:<base>:<point> or
-  // node[:q<N>]:<base>:<point>.
-  std::vector<std::string> parts;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const std::size_t next = spec.find(':', pos);
-    parts.push_back(spec.substr(pos, next - pos));
-    if (next == std::string::npos) break;
-    pos = next + 1;
-  }
-  auto fail = [&] {
+/// Replays one sweep point from a `--repro` spec: 0 = clean, 1 = violated,
+/// 2 = malformed.
+int run_repro(const char* text) {
+  const std::optional<chk::Repro> r = chk::parse_repro(text);
+  if (!r) {
     std::fprintf(stderr,
                  "bad --repro spec '%s'\nusage: --repro "
-                 "<stack>[:q<N>]:<base>:<point>"
-                 " | conc:<stack>[:q<N>]:<base>:<point>"
-                 " | ring:<stack>[:q<N>]:<base>:<point>"
-                 " | fault:<stack>[:q<N>]:<plan-seed>:<point>"
-                 " | node[:q<N>]:<base>:<point>\n"
-                 "       (stack: EXT4-DR EXT4-OD BFS-DR BFS-OD OptFS; "
-                 "base/point: decimal; qN: block-layer queues in [1, 64])\n",
-                 spec.c_str());
+                 "[conc:|ring:|fault:]<stack>[,<stack>...][:q<N>]:<base>:"
+                 "<point>\n       (stack: EXT4-DR EXT4-OD BFS-DR BFS-OD "
+                 "OptFS, a list replays a node;\n        base/point: "
+                 "decimal, point <= 1000000; qN: block-layer queues in "
+                 "[1, 64])\n",
+                 text);
     return 2;
-  };
-  if (parts.size() < 3 || parts.size() > 5) return fail();
-  const bool conc = parts[0] == "conc";
-  const bool ring = parts[0] == "ring";
-  const bool fault = parts[0] == "fault";
-  const bool node = parts[0] == "node";
-  const bool prefixed = conc || ring || fault;
-
-  // Consume the form tag and stack name, then the optional q<N> segment;
-  // exactly <base>:<point> must remain.
-  std::size_t idx = 0;
-  core::StackKind kind{};
-  if (node) {
-    idx = 1;
-  } else {
-    if (prefixed) idx = 1;
-    if (idx >= parts.size() || !parse_kind(parts[idx], kind)) return fail();
-    ++idx;
   }
-  std::uint32_t nr_queues = 1;
-  if (parts.size() - idx == 3) {
-    if (!parse_queues(parts[idx], nr_queues)) return fail();
-    ++idx;
+  const std::uint64_t seed =
+      r->base_seed + static_cast<std::uint64_t>(r->point);
+  const sim::SimTime crash_at = chk::sweep_crash_at(r->base_seed, r->point);
+  std::printf("replaying %s: seed=%llu crash=%lluns\n",
+              chk::to_repro(*r).c_str(), (unsigned long long)seed,
+              (unsigned long long)crash_at);
+  bool ok = true;
+  const std::vector<chk::CrashCheckResult> vols =
+      chk::run_check(r->spec, seed, crash_at);
+  for (std::size_t v = 0; v < vols.size(); ++v) {
+    const chk::CrashCheckResult& c = vols[v];
+    std::printf(
+        "volume %zu (%s): quiesced=%d files=%u txns replayed=%u "
+        "discarded=%u clean=%d wraps=%llu faults=%llu retries=%llu "
+        "io-failures=%llu syncs-failed=%u degraded=%d\n",
+        v, core::to_string(r->spec.volumes[v]), (int)c.quiesced,
+        c.files_recovered, c.txns_replayed, c.txns_discarded,
+        (int)c.recovery_clean, (unsigned long long)c.journal_wraps,
+        (unsigned long long)c.faults_injected,
+        (unsigned long long)c.io_retries, (unsigned long long)c.io_failures,
+        c.syncs_failed, (int)c.volume_degraded);
+    for (const std::string& s : c.violations) std::printf("  ! %s\n", s.c_str());
+    if (c.ok()) std::printf("  (no violations — case is clean)\n");
+    ok = ok && c.ok();
   }
-  if (parts.size() - idx != 2) return fail();
-
-  std::uint64_t base = 0;
-  std::uint64_t point_u = 0;
-  if (!parse_u64(parts[idx], base) || !parse_u64(parts[idx + 1], point_u) ||
-      point_u > 1'000'000) {
-    return fail();
-  }
-  const int point = static_cast<int>(point_u);
-  const std::uint64_t seed = base + point_u;
-  const sim::SimTime crash_at = chk::sweep_crash_at(base, point);
-
-  if (node) {
-    const std::vector<core::StackKind> kinds = {core::StackKind::kBfsDR,
-                                                core::StackKind::kExt4DR};
-    chk::CrashCheckOptions opt;
-    opt.nr_queues = nr_queues;
-    std::printf("replaying node point %d: seed=%llu crash=%lluns queues=%u\n",
-                point, (unsigned long long)seed, (unsigned long long)crash_at,
-                nr_queues);
-    const chk::MultiVolumeCrashResult r =
-        chk::run_multi_volume_crash_check(kinds, seed, crash_at, opt);
-    for (std::size_t v = 0; v < r.volumes.size(); ++v) {
-      std::printf("volume %zu (%s):\n", v, core::to_string(kinds[v]));
-      print_violations(r.volumes[v].violations);
-    }
-    return r.ok() ? 0 : 1;
-  }
-
-  std::printf("replaying %s%s point %d: seed=%llu crash=%lluns queues=%u\n",
-              conc    ? "concurrent "
-              : ring  ? "ring "
-              : fault ? "fault "
-                      : "",
-              core::to_string(kind), point, (unsigned long long)seed,
-              (unsigned long long)crash_at, nr_queues);
-  chk::ConcurrentCrashOptions conc_opt;
-  conc_opt.nr_queues = nr_queues;
-  chk::RingCrashOptions ring_opt;
-  ring_opt.nr_queues = nr_queues;
-  chk::FaultCrashOptions fault_opt;
-  fault_opt.wl.nr_queues = nr_queues;
-  chk::CrashCheckOptions plain_opt;
-  plain_opt.nr_queues = nr_queues;
-  const chk::CrashCheckResult r =
-      conc ? chk::run_concurrent_crash_check(kind, seed, crash_at, conc_opt)
-      : ring  ? chk::run_ring_crash_check(kind, seed, crash_at, ring_opt)
-      : fault ? chk::run_fault_crash_check(kind, seed, crash_at, fault_opt)
-              : chk::run_crash_check(kind, seed, crash_at, plain_opt);
-  std::printf(
-      "  quiesced=%d files=%u txns replayed=%u discarded=%u clean=%d "
-      "wraps=%llu\n",
-      (int)r.quiesced, r.files_recovered, r.txns_replayed, r.txns_discarded,
-      (int)r.recovery_clean, (unsigned long long)r.journal_wraps);
-  if (fault)
-    std::printf("  faults=%llu retries=%llu io-failures=%llu syncs-failed=%u "
-                "degraded=%d\n",
-                (unsigned long long)r.faults_injected,
-                (unsigned long long)r.io_retries,
-                (unsigned long long)r.io_failures, r.syncs_failed,
-                (int)r.volume_degraded);
-  print_violations(r.violations);
-  return r.ok() ? 0 : 1;
+  return ok ? 0 : 1;
 }
 
-/// The CI TSan leg's target: a short sweep through every flavour's
-/// parallel driver (single-writer, concurrent, ring, fault — including the
-/// swallowed-EIO negative control — and the multi-volume node), sized so
-/// the race surface is fully exercised without a full smoke's wall clock.
-/// Verdict-only: the full contract expectations (EXT4-OD must break, ...)
-/// are --smoke's job; here a flavour fails only if a clean stack violates.
-int run_parallel_smoke(int jobs) {
-  const int n = 24;  // points per flavour; > any sane jobs value
-  const auto t0 = std::chrono::steady_clock::now();
-  bool ok = true;
+/// Strict count: decimal digits only, in [1, max].
+bool parse_count(const char* s, int max, int& out) {
+  const char* end = s + std::strlen(s);
+  unsigned long v = 0;
+  const auto [p, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc() || p != end || v < 1 ||
+      v > static_cast<unsigned long>(max))
+    return false;
+  out = static_cast<int>(v);
+  return true;
+}
 
-  const chk::CrashSweepResult sw =
-      chk::run_crash_sweep(core::StackKind::kBfsDR, n, 1, {}, jobs);
-  ok = ok && sw.ok();
-  const chk::CrashSweepResult conc =
-      chk::run_concurrent_crash_sweep(core::StackKind::kExt4DR, n, 1, {}, jobs);
-  ok = ok && conc.ok();
-  const chk::CrashSweepResult ring =
-      chk::run_ring_crash_sweep(core::StackKind::kBfsOD, n, 1, {}, jobs);
-  ok = ok && ring.ok();
-  const chk::CrashSweepResult fault =
-      chk::run_fault_crash_sweep(core::StackKind::kOptFs, n, 1, {}, jobs);
-  ok = ok && fault.ok();
-  chk::FaultCrashOptions swallow;
-  swallow.swallow_io_errors = true;
-  const chk::CrashSweepResult neg = chk::run_fault_crash_sweep(
-      core::StackKind::kExt4DR, 20, 1, swallow, jobs);
-  ok = ok && neg.failed_points > 0;  // the injected bug must be caught
-  const chk::MultiVolumeSweepResult mv = chk::run_multi_volume_crash_sweep(
-      {core::StackKind::kBfsDR, core::StackKind::kExt4DR}, n, 1, {}, jobs);
-  ok = ok && mv.ok();
-  // Multi-queue flavours: same race surface plus the cross-queue epoch
-  // fence (nr_queues=4 over the checker's 2-channel device).
-  chk::ConcurrentCrashOptions conc4;
-  conc4.nr_queues = 4;
-  const chk::CrashSweepResult conc_mq = chk::run_concurrent_crash_sweep(
-      core::StackKind::kBfsDR, n, 1, conc4, jobs);
-  ok = ok && conc_mq.ok();
-  chk::FaultCrashOptions fault4;
-  fault4.wl.nr_queues = 4;
-  const chk::CrashSweepResult fault_mq = chk::run_fault_crash_sweep(
-      core::StackKind::kBfsOD, n, 1, fault4, jobs);
-  ok = ok && fault_mq.ok();
-
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  std::printf(
-      "parallel smoke: jobs=%d points/flavour=%d wall=%.1fs "
-      "(sweep %d, conc %d, ring %d, fault %d, neg-control %d, node %d, "
-      "conc-q4 %d, fault-q4 %d failed points) -> %s\n",
-      bio::sim::resolve_host_jobs(jobs), n, secs, sw.failed_points,
-      conc.failed_points, ring.failed_points, fault.failed_points,
-      neg.failed_points, mv.failed_points, conc_mq.failed_points,
-      fault_mq.failed_points, ok ? "ok" : "FAILED");
-  return ok ? 0 : 1;
+int usage(const char* bad) {
+  std::fprintf(stderr,
+               "bad argument '%s'\nusage: crash_consistency [--smoke | "
+               "--parallel-smoke | --points N] [--jobs N]\n"
+               "       crash_consistency --repro <spec>\n"
+               "       (N: decimal; points in [1, 1000000], jobs in [1, %d])\n",
+               bad, sim::kMaxHostJobs);
+  return 2;
 }
 
 }  // namespace
@@ -298,273 +241,48 @@ int main(int argc, char** argv) {
   int points = 200;
   int jobs = 0;  // 0 = BIO_SWEEP_JOBS env, else hardware concurrency
   bool parallel_smoke = false;
+  const char* repro = nullptr;
   for (int i = 1; i < argc; ++i) {
-    // Smoke stays large enough that the EXT4-OD expected-failure check is
-    // deterministic (the first violating sweep seed is in the 90s).
-    if (std::strcmp(argv[i], "--smoke") == 0) points = 120;
-    if (std::strcmp(argv[i], "--parallel-smoke") == 0) parallel_smoke = true;
-    if (std::strcmp(argv[i], "--points") == 0 && i + 1 < argc)
-      points = std::atoi(argv[++i]);
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      // Same strictness as --repro: a silently mis-parsed jobs count would
-      // run a different configuration than the one asked for.
-      std::uint64_t j = 0;
-      if (!parse_u64(argv[i + 1], j) || j < 1 ||
-          j > static_cast<std::uint64_t>(bio::sim::kMaxHostJobs)) {
-        std::fprintf(stderr,
-                     "bad --jobs '%s' (want a decimal in [1, %d])\n",
-                     argv[i + 1], bio::sim::kMaxHostJobs);
-        return 2;
-      }
-      jobs = static_cast<int>(j);
+    const char* arg = argv[i];
+    const char* val = i + 1 < argc ? argv[i + 1] : nullptr;
+    if (std::strcmp(arg, "--smoke") == 0) {
+      points = 120;
+    } else if (std::strcmp(arg, "--parallel-smoke") == 0) {
+      parallel_smoke = true;
+    } else if (std::strcmp(arg, "--points") == 0) {
+      if (val == nullptr || !parse_count(val, 1'000'000, points))
+        return usage(val != nullptr ? val : arg);
       ++i;
-    }
-    if (std::strcmp(argv[i], "--repro") == 0 && i + 1 < argc)
-      return run_repro(argv[i + 1]);
-  }
-  if (parallel_smoke) return run_parallel_smoke(jobs);
-  const auto sweep_t0 = std::chrono::steady_clock::now();
-
-  const core::StackKind kinds[] = {
-      core::StackKind::kExt4DR, core::StackKind::kBfsDR,
-      core::StackKind::kBfsOD, core::StackKind::kOptFs,
-      core::StackKind::kExt4OD};
-
-  std::printf("crash-recovery sweep: %d crash points per stack, jobs=%d\n\n",
-              points, bio::sim::resolve_host_jobs(jobs));
-  std::printf(
-      "stack   | points | failed | quiesced | acked pgs | order wrs | wraps "
-      "| verdict\n");
-  std::printf(
-      "--------+--------+--------+----------+-----------+-----------+-------"
-      "+--------\n");
-
-  // The nobarrier stack's violations cluster in narrow windows (data acked
-  // while still in the device cache), so a small random sweep can miss
-  // them. When it does, hunt deliberately: several seeds, crash points
-  // stepped densely through the active workload.
-  auto hunt_legacy_violation = [] {
-    for (std::uint64_t seed = 1; seed <= 50; ++seed)
-      for (bio::sim::SimTime t = 2'000'000; t <= 30'000'000; t += 1'500'000)
-        if (!chk::run_crash_check(core::StackKind::kExt4OD, seed, t, {}).ok())
-          return true;
-    return false;
-  };
-
-  bool ok = true;
-  for (core::StackKind kind : kinds) {
-    const bool expect_violations = kind == core::StackKind::kExt4OD;
-    chk::CrashSweepResult r = chk::run_crash_sweep(kind, points, 1, {}, jobs);
-    if (expect_violations && r.ok() && hunt_legacy_violation())
-      r.failed_points = 1;  // found by the directed hunt
-    const bool stack_ok = expect_violations ? !r.ok() : r.ok();
-    ok = ok && stack_ok;
-    std::printf("%-7s | %6d | %6d | %8d | %9llu | %9llu | %5llu | %s\n",
-                core::to_string(kind), r.points, r.failed_points,
-                r.quiesced_points,
-                static_cast<unsigned long long>(r.acked_pages_checked),
-                static_cast<unsigned long long>(r.order_writes_checked),
-                static_cast<unsigned long long>(r.journal_wraps),
-                stack_ok
-                    ? (expect_violations ? "BROKEN (as the paper predicts)"
-                                         : "ok")
-                    : (expect_violations
-                           ? "UNEXPECTEDLY CLEAN (checker too weak?)"
-                           : "VIOLATED"));
-    if (!stack_ok || expect_violations)
-      for (const std::string& v : r.sample_violations)
-        std::printf("        ! %s\n", v.c_str());
-  }
-
-  // ---- concurrent multi-writer sweep (DESIGN.md §9) ------------------------
-  std::printf(
-      "\nconcurrent sweep: %d crash points per stack, %u writers over "
-      "shared fds\n",
-      points, chk::ConcurrentCrashOptions{}.wl.writers);
-  std::printf(
-      "stack   | failed | acked pgs | order wrs | syncs | fd-cyc | "
-      "close-in-sync | verdict\n");
-  for (core::StackKind kind : kinds) {
-    const bool expect_violations = kind == core::StackKind::kExt4OD;
-    const chk::CrashSweepResult r =
-        chk::run_concurrent_crash_sweep(kind, points, 1, {}, jobs);
-    const bool stack_ok = expect_violations ? !r.ok() : r.ok();
-    ok = ok && stack_ok;
-    std::printf(
-        "%-7s | %6d | %9llu | %9llu | %5llu | %6llu | %13llu | %s\n",
-        core::to_string(kind), r.failed_points,
-        static_cast<unsigned long long>(r.acked_pages_checked),
-        static_cast<unsigned long long>(r.order_writes_checked),
-        static_cast<unsigned long long>(r.syncs_recorded),
-        static_cast<unsigned long long>(r.fd_cycles),
-        static_cast<unsigned long long>(r.closes_during_sync),
-        stack_ok ? (expect_violations ? "BROKEN (as the paper predicts)"
-                                      : "ok")
-                 : (expect_violations
-                        ? "UNEXPECTEDLY CLEAN (checker too weak?)"
-                        : "VIOLATED"));
-    if (!stack_ok || expect_violations)
-      for (const std::string& v : r.sample_violations)
-        std::printf("        ! %s\n", v.c_str());
-  }
-
-  // ---- ring-driven concurrent sweep (DESIGN.md §10) ------------------------
-  std::printf(
-      "\nring sweep: %d crash points per stack, %u writers batching linked "
-      "chains\n",
-      points, chk::RingCrashOptions{}.wl.writers);
-  std::printf(
-      "stack   | failed | chain facts | acked pgs | order wrs | syncs | "
-      "fd-cyc | verdict\n");
-  for (core::StackKind kind : kinds) {
-    const bool expect_violations = kind == core::StackKind::kExt4OD;
-    const chk::CrashSweepResult r =
-        chk::run_ring_crash_sweep(kind, points, 1, {}, jobs);
-    const bool stack_ok = expect_violations ? !r.ok() : r.ok();
-    ok = ok && stack_ok;
-    std::printf(
-        "%-7s | %6d | %11llu | %9llu | %9llu | %5llu | %6llu | %s\n",
-        core::to_string(kind), r.failed_points,
-        static_cast<unsigned long long>(r.chain_facts_checked),
-        static_cast<unsigned long long>(r.acked_pages_checked),
-        static_cast<unsigned long long>(r.order_writes_checked),
-        static_cast<unsigned long long>(r.syncs_recorded),
-        static_cast<unsigned long long>(r.fd_cycles),
-        stack_ok ? (expect_violations ? "BROKEN (as the paper predicts)"
-                                      : "ok")
-                 : (expect_violations
-                        ? "UNEXPECTEDLY CLEAN (checker too weak?)"
-                        : "VIOLATED"));
-    if (!stack_ok || expect_violations)
-      for (const std::string& v : r.sample_violations)
-        std::printf("        ! %s\n", v.c_str());
-  }
-
-  // ---- fault-injection sweep (DESIGN.md §11) -------------------------------
-  std::printf(
-      "\nfault-injection sweep: %d crash points per stack, seed-derived "
-      "device fault plans\n",
-      points);
-  std::printf(
-      "stack   | failed | faults | retries | io-fail | eio/erofs | degraded "
-      "| verdict\n");
-  for (core::StackKind kind : kinds) {
-    const bool expect_violations = kind == core::StackKind::kExt4OD;
-    const chk::CrashSweepResult r =
-        chk::run_fault_crash_sweep(kind, points, 1, {}, jobs);
-    const bool stack_ok = expect_violations ? !r.ok() : r.ok();
-    ok = ok && stack_ok;
-    std::printf(
-        "%-7s | %6d | %6llu | %7llu | %7llu | %9llu | %8d | %s\n",
-        core::to_string(kind), r.failed_points,
-        (unsigned long long)r.faults_injected,
-        (unsigned long long)r.io_retries,
-        (unsigned long long)r.io_failures,
-        (unsigned long long)r.syncs_failed, r.degraded_points,
-        stack_ok ? (expect_violations ? "BROKEN (as the paper predicts)"
-                                      : "ok")
-                 : (expect_violations
-                        ? "UNEXPECTEDLY CLEAN (checker too weak?)"
-                        : "VIOLATED"));
-    if (!stack_ok || expect_violations)
-      for (const std::string& v : r.sample_violations)
-        std::printf("        ! %s\n", v.c_str());
-  }
-
-  // ---- multi-queue sweeps: nr_queues=4 (DESIGN.md §14) ---------------------
-  // The concurrent + fault flavours again, with four block-layer software
-  // queues over the checker's 2-channel device: writer contexts spread
-  // across queues, so the cross-queue epoch fence is on every barrier's
-  // path. The clean stacks must stay clean; the nobarrier stack must stay
-  // deterministically broken (queue count does not change what the device
-  // promises).
-  {
-    std::printf(
-        "\nmulti-queue sweeps: nr_queues=4, %d crash points per stack "
-        "(concurrent + fault flavours)\n",
-        points);
-    std::printf(
-        "stack   | conc failed | fault failed | acked pgs | order wrs | "
-        "verdict\n");
-    chk::ConcurrentCrashOptions conc_opt;
-    conc_opt.nr_queues = 4;
-    chk::FaultCrashOptions fault_opt;
-    fault_opt.wl.nr_queues = 4;
-    for (core::StackKind kind : kinds) {
-      const bool expect_violations = kind == core::StackKind::kExt4OD;
-      const chk::CrashSweepResult rc =
-          chk::run_concurrent_crash_sweep(kind, points, 1, conc_opt, jobs);
-      const chk::CrashSweepResult rf =
-          chk::run_fault_crash_sweep(kind, points, 1, fault_opt, jobs);
-      const bool stack_ok = expect_violations ? !rc.ok() && !rf.ok()
-                                              : rc.ok() && rf.ok();
-      ok = ok && stack_ok;
-      std::printf(
-          "%-7s | %11d | %12d | %9llu | %9llu | %s\n", core::to_string(kind),
-          rc.failed_points, rf.failed_points,
-          static_cast<unsigned long long>(rc.acked_pages_checked),
-          static_cast<unsigned long long>(rc.order_writes_checked),
-          stack_ok ? (expect_violations ? "BROKEN (as the paper predicts)"
-                                        : "ok")
-                   : (expect_violations
-                          ? "UNEXPECTEDLY CLEAN (checker too weak?)"
-                          : "VIOLATED"));
-      if (!stack_ok)
-        for (const chk::CrashSweepResult* r : {&rc, &rf})
-          for (const std::string& v : r->sample_violations)
-            std::printf("        ! %s\n", v.c_str());
+    } else if (std::strcmp(arg, "--jobs") == 0) {
+      if (val == nullptr || !parse_count(val, sim::kMaxHostJobs, jobs))
+        return usage(val != nullptr ? val : arg);
+      ++i;
+    } else if (std::strcmp(arg, "--repro") == 0 && val != nullptr) {
+      repro = val;
+      ++i;
+    } else {
+      return usage(arg);
     }
   }
+  if (repro != nullptr) return run_repro(repro);
 
-  // Negative control: complete failed IOs as successes (the injected bug)
-  // and the same sweep seeds must now catch acked data never landing.
-  {
-    chk::FaultCrashOptions swallow;
-    swallow.swallow_io_errors = true;
-    const chk::CrashSweepResult r = chk::run_fault_crash_sweep(
-        core::StackKind::kExt4DR, 20, 1, swallow, jobs);
-    const bool caught = r.failed_points > 0;
-    ok = ok && caught;
-    std::printf("negative control (swallowed EIO, EXT4-DR, 20 points): %s\n",
-                caught ? "detected (oracle is load-bearing)"
-                       : "NOT DETECTED (checker too weak?)");
-  }
-
-  // ---- multi-volume node: two independent journals, one power cut ----------
-  const std::vector<core::StackKind> node_kinds = {core::StackKind::kBfsDR,
-                                                   core::StackKind::kExt4DR};
-  std::printf("\nmulti-volume node sweep: %d crash points, volumes:", points);
-  for (core::StackKind k : node_kinds)
-    std::printf(" %s", core::to_string(k));
-  std::printf("\n");
-  const chk::MultiVolumeSweepResult mv =
-      chk::run_multi_volume_crash_sweep(node_kinds, points, 1, {}, jobs);
-  for (std::size_t v = 0; v < mv.volumes.size(); ++v) {
-    const chk::CrashSweepResult& r = mv.volumes[v];
-    std::printf(
-        "  v%zu %-7s | failed %d | acked pgs %llu | order wrs %llu | "
-        "ns facts %llu | %s\n",
-        v, core::to_string(node_kinds[v]), r.failed_points,
-        static_cast<unsigned long long>(r.acked_pages_checked),
-        static_cast<unsigned long long>(r.order_writes_checked),
-        static_cast<unsigned long long>(r.namespace_facts_checked),
-        r.ok() ? "ok" : "VIOLATED");
-  }
-  ok = ok && mv.ok();
-  for (const std::string& v : mv.sample_violations)
-    std::printf("        ! %s\n", v.c_str());
-
-  const double sweep_secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    sweep_t0)
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::vector<Row> rows =
+      parallel_smoke ? parallel_table() : smoke_table(points);
+  std::printf("crash-recovery sweeps: %zu rows, jobs=%d\n\n", rows.size(),
+              sim::resolve_host_jobs(jobs));
+  const bool ok = run_table(rows, jobs);
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  std::printf("\ntotal sweep wall time: %.1fs (jobs=%d)\n", sweep_secs,
-              bio::sim::resolve_host_jobs(jobs));
-  std::printf(
-      "\nThe four barrier/durability stacks keep their guarantees across "
-      "every\npower cut — single-writer and concurrent, per volume, even "
-      "several\nheterogeneous volumes to a node; the legacy nobarrier stack "
-      "demonstrably\ndoes not, which is the problem the barrier-enabled IO "
-      "stack exists to fix.\n");
+  std::printf("\ntotal sweep wall time: %.1fs (jobs=%d) -> %s\n", secs,
+              sim::resolve_host_jobs(jobs), ok ? "ok" : "FAILED");
+  if (ok && !parallel_smoke)
+    std::printf(
+        "\nThe four barrier/durability stacks keep their guarantees across "
+        "every\npower cut — single-writer and concurrent, per volume, even "
+        "several\nheterogeneous volumes to a node; the legacy nobarrier "
+        "stack demonstrably\ndoes not, which is the problem the "
+        "barrier-enabled IO stack exists to fix.\n");
   return ok ? 0 : 1;
 }

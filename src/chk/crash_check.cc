@@ -7,12 +7,15 @@
 #include <memory>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 
 #include "api/vfs.h"
 #include "flash/fault.h"
 #include "fs/recovery.h"
 #include "sim/host_pool.h"
 #include "sim/rng.h"
+#include "wl/concurrent_writers.h"
+#include "wl/ring_workload.h"
 
 namespace bio::chk {
 namespace {
@@ -20,31 +23,18 @@ namespace {
 using namespace bio::sim::literals;
 using core::StackKind;
 using flash::Lba;
-using flash::Version;
 
-/// What the stack's API contract promises (the checker verifies exactly
-/// this; EXT4-OD *claims* the EXT4-DR contract and is expected to break it).
-struct Guarantees {
-  /// durability_point()/sync_file() returned => covered data is on media.
-  bool durable_acks = false;
-};
+// The single-writer workload's shape: files it churns, default op count,
+// and the extent reserved per file (4 KiB pages).
+constexpr std::uint32_t kSingleFiles = 4;
+constexpr int kSingleOps = 60;
+constexpr std::uint32_t kSingleExtentBlocks = 64;
+// Fault plans: faults drawn per plan, spread log-uniformly over roughly the
+// device write-command count of a fault-free single-writer run (~70).
+constexpr std::uint32_t kMaxFaults = 4;
+constexpr std::uint64_t kExpectedWriteOps = 80;
 
-Guarantees guarantees_of(StackKind kind) {
-  switch (kind) {
-    case StackKind::kExt4DR:
-    case StackKind::kExt4OD:  // claimed, not kept — the paper's motivation
-    case StackKind::kBfsDR:
-      return {.durable_acks = true};
-    case StackKind::kBfsOD:
-    case StackKind::kOptFs:
-      return {.durable_acks = false};  // ordering only until quiescence
-  }
-  return {};
-}
-
-core::StackConfig checker_config(StackKind kind, std::uint32_t journal_blocks,
-                                 std::uint32_t extent_blocks,
-                                 std::uint32_t nr_queues) {
+core::StackConfig checker_config(StackKind kind, const SweepSpec& spec) {
   flash::DeviceProfile dev;
   dev.name = "chk";
   dev.geometry = flash::Geometry{.channels = 2,
@@ -63,201 +53,177 @@ core::StackConfig checker_config(StackKind kind, std::uint32_t journal_blocks,
   dev.plp_flush_latency = 15_us;
   dev.read_hit_latency = 5_us;
   core::StackConfig cfg = core::StackConfig::make(kind, dev);
-  if (journal_blocks != 0) cfg.fs.journal_blocks = journal_blocks;
+  if (spec.journal_blocks != 0) cfg.fs.journal_blocks = spec.journal_blocks;
   cfg.fs.max_inodes = 64;
-  cfg.fs.default_extent_blocks = extent_blocks;
+  const bool single_writer =
+      spec.flavour == Flavour::kSingle || spec.flavour == Flavour::kFault;
+  cfg.fs.default_extent_blocks =
+      single_writer ? kSingleExtentBlocks : wl::kWriterExtentBlocks;
   cfg.fs.writeback_high_watermark = 1u << 20;  // pdflush off: explicit syncs
-  cfg.blk.nr_queues = nr_queues;
+  cfg.blk.nr_queues = spec.nr_queues;
   return cfg;
 }
 
-core::StackConfig checker_config(StackKind kind,
-                                 const CrashCheckOptions& opt) {
-  return checker_config(kind, opt.journal_blocks, opt.extent_blocks,
-                        opt.nr_queues);
+// ---- the per-kind contract table ---------------------------------------------
+//
+// What each concrete syscall promises on each stack kind — the *claimed*
+// contract (EXT4-OD claims the same acks as EXT4-DR and is expected to
+// break them).
+
+/// Every sync syscall is an order point on its file.
+bool call_orders(api::Syscall c) { return c != api::Syscall::kNone; }
+
+/// Data covered by the call is on media when it returns.
+bool call_acks_data(StackKind kind, api::Syscall c) {
+  if (kind == StackKind::kOptFs) return c == api::Syscall::kDsync;
+  return c == api::Syscall::kFsync || c == api::Syscall::kFdatasync;
 }
 
-/// One buffered write as the oracle remembers it.
-struct PageWrite {
-  Lba lba = 0;
-  Version version = 0;
-  /// The file's ordering epoch at write time (order/durability/full-sync
-  /// points bump it): if any write of a later epoch survives, every write
-  /// of an earlier epoch must have survived.
-  std::uint64_t epoch = 0;
-};
+/// i_size as of the call's start is durable when it returns (fdatasync
+/// journals size changes — the metadata needed to retrieve the data).
+bool call_acks_size(StackKind kind, api::Syscall c) {
+  if (kind == StackKind::kOptFs) return false;  // metadata stays delayed
+  return c == api::Syscall::kFsync || c == api::Syscall::kFdatasync;
+}
 
-struct FileOracle {
-  /// Volume-relative name history: [0] is the create name, back() the
-  /// current one; rename() appends. Recovery may legitimately surface any
-  /// name at/after the last durably-synced index, and nothing else.
-  std::vector<std::string> rel_names;
-  api::File handle;
-  fs::Inode* inode = nullptr;
-  std::uint64_t epoch = 0;
-  /// Latest write per page.
-  std::map<std::uint32_t, PageWrite> pages;
-  /// Every write, epoch-tagged (order-prefix checking).
-  std::vector<PageWrite> writes;
-  /// Writes with index < synced_upto were covered by some sync point and
-  /// must be durable once the device quiesces.
-  std::size_t synced_upto = 0;
-  /// Snapshot of `pages` at the last durability-guaranteed sync return.
-  std::map<std::uint32_t, PageWrite> acked;
-  bool has_acks = false;
-  /// sync_file() returned: the file (and this size) must survive.
-  bool full_synced = false;
-  std::uint32_t full_synced_size = 0;
-  /// Name index as of the last returned sync_file(): that sync committed
-  /// every rename before it, so older names are durably gone.
-  std::size_t synced_name_idx = 0;
-  /// The name was unlink()ed (the open handle keeps the file writable).
-  bool unlinked = false;
-  /// sync_file() returned after the unlink: the removal is committed.
-  bool synced_after_unlink = false;
+/// Namespace ops (rename/unlink) completed before the call are durable
+/// when it returns.
+bool call_acks_name(StackKind kind, api::Syscall c) {
+  if (kind == StackKind::kOptFs) return false;
+  return c == api::Syscall::kFsync;
+}
 
-  const std::string& rel_name() const { return rel_names.back(); }
-};
+/// The call commits the inode's metadata transaction whenever it is dirty;
+/// quiescence then makes that commit durable on every stack — the gate for
+/// delayed namespace/size facts on the ordering-only stacks.
+bool call_commits_meta(api::Syscall c) {
+  return c == api::Syscall::kFsync || c == api::Syscall::kFbarrier ||
+         c == api::Syscall::kOsync || c == api::Syscall::kDsync;
+}
 
-struct Oracle {
-  std::vector<FileOracle> files;
-  bool finished = false;
-  std::uint32_t renames = 0;
-  std::uint32_t unlinks = 0;
-  /// Sync syscalls that returned kIo/kRoFs (fault-tolerant runs only).
-  std::uint32_t syncs_failed = 0;
-  /// The workload observed EROFS — the volume degraded read-only and the
-  /// writer stopped mutating (reads would still work).
-  bool stopped_rofs = false;
-};
+// ---- the single-writer workload ------------------------------------------------
 
-/// The randomized workload, running against one volume of the node through
-/// the shared Vfs. `prefix` is the mount prefix ("" on a single-volume
-/// root mount, "/v0/" on a mounted volume).
+/// One writer over kSingleFiles files through api::File handles, recorded
+/// into `trace` as writer 0 with logical ticks: every write between a tick
+/// taken before and after it, every returned sync as the Syscall its
+/// file's policy resolved the intent to. Its single stream of ops is
+/// totally ordered, so the trace oracle's cross-writer facts reduce to the
+/// per-file epoch prefix. `prefix` is the mount prefix ("" on a root
+/// mount, "/v0/" on a node volume). Fault-tolerant runs accept EIO (the
+/// sync's commit died, or a data writeback was lost — errseq) and EROFS
+/// (the volume degraded read-only; the writer then stops mutating);
+/// fault-free runs keep the hard must() contract.
 sim::Task workload(core::Volume& vol, api::Vfs& vfs, std::string prefix,
-                   Oracle& oracle, const CrashCheckOptions& opt,
-                   const Guarantees& g, std::uint64_t seed,
-                   bool fault_tolerant = false) {
+                   wl::ConcurrentTrace& trace, int ops, std::uint64_t seed,
+                   bool fault_tolerant) {
   sim::Rng rng(seed);
-  // Fault-tolerant runs accept EIO (the sync's commit died, or a data
-  // writeback was lost — errseq) and EROFS (volume degraded read-only);
-  // durability facts are recorded only for syscalls that returned kOk.
-  // Fault-free runs keep the hard must() contract.
-  auto sync_ok = [&oracle, fault_tolerant](api::Status st) {
+  bool stopped_rofs = false;
+  auto sync_ok = [&](api::Status st) {
     if (st.ok()) return true;
     BIO_CHECK_MSG(fault_tolerant,
                   "checker workload: sync failed on a fault-free run");
-    ++oracle.syncs_failed;
-    if (st.error() == api::Errno::kRoFs) oracle.stopped_rofs = true;
+    ++trace.syncs_failed;
+    if (st.error() == api::Errno::kRoFs) stopped_rofs = true;
     return false;
   };
-  oracle.files.resize(static_cast<std::size_t>(opt.files));
-  for (int i = 0; i < opt.files; ++i) {
-    FileOracle& f = oracle.files[static_cast<std::size_t>(i)];
-    f.rel_names.push_back("f" + std::to_string(i));
-    api::OpenOptions oo;
-    oo.create = true;
-    oo.extent_blocks = opt.extent_blocks;
-    api::Result<api::File> r = co_await vfs.open(prefix + f.rel_name(), oo);
-    BIO_CHECK_MSG(r.ok(), "checker workload: open failed");
-    f.handle = r.value();
-    f.inode = vol.fs().lookup(f.rel_name());
-    BIO_CHECK(f.inode != nullptr);
-  }
-  // Settle the creates so every later crash point has the namespace.
-  {
-    FileOracle& f0 = oracle.files.front();
-    if (sync_ok(co_await f0.handle.sync_file())) {
-      for (FileOracle& f : oracle.files) {
-        ++f.epoch;
-        if (g.durable_acks) {
-          f.full_synced = true;
-          f.full_synced_size = f.inode->size_blocks;
-          f.has_acks = true;
-        }
-        f.synced_upto = f.writes.size();
-      }
-    }
-  }
-
-  auto record_write = [&](FileOracle& f, std::uint32_t page,
-                          std::uint32_t n) {
+  auto begin_sync = [&](const wl::FileTrace& f, api::SyncIntent intent) {
+    wl::TraceSync s;
+    s.call = vfs.policy_of(f.anchor.fd()).value().resolve(intent);
+    s.settled_size_at_start = f.settled_size;
+    s.name_idx_at_start = f.rel_names.size() - 1;
+    s.unlinked_at_start = f.unlinked;
+    s.start_tick = trace.next_tick();
+    return s;
+  };
+  auto record_write = [&](wl::FileTrace& f, std::uint64_t start_tick,
+                          std::uint32_t page, std::uint32_t n) {
+    const std::uint64_t done = trace.next_tick();
     for (std::uint32_t p = page; p < page + n; ++p) {
       const fs::PageCache::PageState* st =
           vol.fs().page_cache().find(f.inode->ino, p);
       BIO_CHECK(st != nullptr);
-      const PageWrite w{f.inode->lba_of_page(p), st->version, f.epoch};
-      f.pages[p] = w;
-      f.writes.push_back(w);
+      f.writes.push_back(wl::TraceWrite{f.inode->lba_of_page(p), st->version,
+                                        p, start_tick, done, 0});
     }
+    f.settled_size = std::max(f.settled_size, page + n);
+    ++trace.ops_done;
   };
 
-  for (int i = 0; i < opt.ops; ++i) {
-    if (oracle.stopped_rofs) break;  // degraded read-only: stop mutating
-    FileOracle& f = oracle.files[static_cast<std::size_t>(
-        rng.uniform(0, opt.files - 1))];
+  trace.writers_total = 1;
+  trace.files.resize(kSingleFiles);
+  for (std::uint32_t i = 0; i < kSingleFiles; ++i) {
+    wl::FileTrace& f = trace.files[i];
+    f.rel_names.push_back("f" + std::to_string(i));
+    api::OpenOptions oo;
+    oo.create = true;
+    oo.extent_blocks = kSingleExtentBlocks;
+    api::Result<api::File> r = co_await vfs.open(prefix + f.rel_name(), oo);
+    BIO_CHECK_MSG(r.ok(), "checker workload: open failed");
+    f.anchor = r.value();
+    f.inode = vol.fs().lookup(f.rel_name());
+    BIO_CHECK(f.inode != nullptr);
+  }
+  // Settle the creates so every later crash point has the namespace; the
+  // one sync commits every create, so it is a fact on every file.
+  {
+    wl::FileTrace& f0 = trace.files.front();
+    wl::TraceSync s = begin_sync(f0, api::SyncIntent::kFullSync);
+    if (sync_ok(co_await f0.anchor.sync_file())) {
+      s.done_tick = trace.next_tick();
+      for (wl::FileTrace& f : trace.files) {
+        f.syncs.push_back(s);
+        ++trace.syncs_done;
+      }
+    }
+  }
+
+  for (int i = 0; i < ops; ++i) {
+    if (stopped_rofs) break;  // degraded read-only: stop mutating
+    wl::FileTrace& f = trace.files[static_cast<std::size_t>(
+        rng.uniform(0, kSingleFiles - 1))];
     const int dice = static_cast<int>(rng.uniform(0, 99));
     if (dice < 48) {
       const std::uint32_t n = static_cast<std::uint32_t>(rng.uniform(1, 3));
       const std::uint32_t page = static_cast<std::uint32_t>(
-          rng.uniform(0, opt.extent_blocks - n));
-      api::Result<std::uint32_t> r = co_await f.handle.pwrite(page, n);
+          rng.uniform(0, kSingleExtentBlocks - n));
+      const std::uint64_t t0 = trace.next_tick();
+      api::Result<std::uint32_t> r = co_await f.anchor.pwrite(page, n);
       if (r.ok())
-        record_write(f, page, r.value());
+        record_write(f, t0, page, r.value());
       else if (r.error() == api::Errno::kRoFs)
-        oracle.stopped_rofs = true;
+        stopped_rofs = true;
     } else if (dice < 58) {
-      const std::uint32_t room = opt.extent_blocks - f.inode->size_blocks;
+      const std::uint32_t room = kSingleExtentBlocks - f.inode->size_blocks;
       if (room > 0) {
         const std::uint32_t n = std::min<std::uint32_t>(
             room, static_cast<std::uint32_t>(rng.uniform(1, 2)));
         const std::uint32_t at = f.inode->size_blocks;
-        api::Result<std::uint32_t> r = co_await f.handle.append(n);
+        const std::uint64_t t0 = trace.next_tick();
+        api::Result<std::uint32_t> r = co_await f.anchor.append(n);
         if (r.ok())
-          record_write(f, at, r.value());
+          record_write(f, t0, at, r.value());
         else if (r.error() == api::Errno::kRoFs)
-          oracle.stopped_rofs = true;
-      }
-    } else if (dice < 72) {
-      if (sync_ok(co_await f.handle.order_point())) {
-        ++f.epoch;
-        f.synced_upto = f.writes.size();
-      }
-    } else if (dice < 84) {
-      if (sync_ok(co_await f.handle.durability_point())) {
-        ++f.epoch;
-        f.synced_upto = f.writes.size();
-        if (g.durable_acks) {
-          f.acked = f.pages;
-          f.has_acks = true;
-        }
+          stopped_rofs = true;
       }
     } else if (dice < 93) {
-      if (sync_ok(co_await f.handle.sync_file())) {
-        ++f.epoch;
-        f.synced_upto = f.writes.size();
-        f.synced_name_idx = f.rel_names.size() - 1;
-        if (f.unlinked) {
-          f.synced_after_unlink = true;
-        } else {
-          f.full_synced = true;
-          f.full_synced_size = f.inode->size_blocks;
-        }
-        if (g.durable_acks) {
-          f.acked = f.pages;
-          f.has_acks = true;
-        }
+      const api::SyncIntent intent = dice < 72   ? api::SyncIntent::kOrder
+                                     : dice < 84 ? api::SyncIntent::kDurability
+                                                 : api::SyncIntent::kFullSync;
+      wl::TraceSync s = begin_sync(f, intent);
+      if (sync_ok(co_await f.anchor.sync(intent))) {
+        s.done_tick = trace.next_tick();
+        f.syncs.push_back(std::move(s));
+        ++trace.syncs_done;
       }
     } else if (dice < 97) {
       // Namespace churn: rename — mostly to a fresh name, sometimes a
       // POSIX replace-rename onto another live file's name (the displaced
       // file becomes nameless in the same transaction).
       if (!f.unlinked) {
-        FileOracle* victim = nullptr;
-        if (rng.chance(0.3) &&
-            oracle.unlinks < static_cast<std::uint32_t>(opt.files) / 2) {
-          FileOracle& v = oracle.files[static_cast<std::size_t>(
-              rng.uniform(0, opt.files - 1))];
+        wl::FileTrace* victim = nullptr;
+        if (rng.chance(0.3) && trace.unlinks < kSingleFiles / 2) {
+          wl::FileTrace& v = trace.files[static_cast<std::size_t>(
+              rng.uniform(0, kSingleFiles - 1))];
           if (&v != &f && !v.unlinked) victim = &v;
         }
         const std::string next =
@@ -269,34 +235,29 @@ sim::Task workload(core::Volume& vol, api::Vfs& vfs, std::string prefix,
             co_await vfs.rename(prefix + f.rel_name(), prefix + next);
         if (st.ok()) {
           f.rel_names.push_back(next);
-          ++oracle.renames;
+          ++trace.renames;
           if (victim != nullptr) {
             victim->unlinked = true;
-            victim->full_synced = false;
-            ++oracle.unlinks;
+            ++trace.unlinks;
           }
         } else {
           BIO_CHECK_MSG(fault_tolerant && st.error() == api::Errno::kRoFs,
                         "checker workload: rename failed unexpectedly");
-          oracle.stopped_rofs = true;
+          stopped_rofs = true;
         }
       }
     } else {
       // Namespace churn: unlink; the open handle keeps the file writable
       // (and its extent alive) for the rest of the run.
-      if (!f.unlinked &&
-          oracle.unlinks < static_cast<std::uint32_t>(opt.files) / 2) {
+      if (!f.unlinked && trace.unlinks < kSingleFiles / 2) {
         const api::Status st = co_await vfs.unlink(prefix + f.rel_name());
         if (st.ok()) {
           f.unlinked = true;
-          // The earlier "fsynced => exists" fact is void: any later commit
-          // (group commit included) may durably remove the name.
-          f.full_synced = false;
-          ++oracle.unlinks;
+          ++trace.unlinks;
         } else {
           BIO_CHECK_MSG(fault_tolerant && st.error() == api::Errno::kRoFs,
                         "checker workload: unlink failed unexpectedly");
-          oracle.stopped_rofs = true;
+          stopped_rofs = true;
         }
       }
     }
@@ -305,12 +266,16 @@ sim::Task workload(core::Volume& vol, api::Vfs& vfs, std::string prefix,
     if (rng.chance(0.08))
       co_await vol.sim().delay(rng.uniform(2'000, 6'000) * 1_us);
   }
-  oracle.finished = true;
+  ++trace.writers_finished;
 }
 
-std::string describe(const PageWrite& w) {
+// ---- the oracle ----------------------------------------------------------------
+
+std::string describe(const wl::TraceWrite& w) {
   std::ostringstream os;
-  os << "lba=" << w.lba << " v=" << w.version << " epoch=" << w.epoch;
+  os << "lba=" << w.lba << " v=" << w.version << " page=" << w.page
+     << " writer=" << w.writer << " [" << w.start_tick << "," << w.done_tick
+     << "]";
   return os.str();
 }
 
@@ -318,7 +283,7 @@ std::string describe(const PageWrite& w) {
 /// block's versions actually ended up (image, FTL mapping, transfer
 /// history, log prefix). This is how the checker's findings get root-caused
 /// down the stack.
-void debug_dump_write(const char* what, const PageWrite& w,
+void debug_dump_write(const char* what, const wl::TraceWrite& w,
                       const flash::StorageDevice::DurableImage& image,
                       core::Volume& vol) {
   if (std::getenv("BIO_CHK_DEBUG") == nullptr) return;
@@ -339,16 +304,8 @@ void debug_dump_write(const char* what, const PageWrite& w,
                vol.device().cache().dirty_count());
 }
 
-/// A workload file as the shared namespace checks see it: its name history
-/// and its inode — the common shape of FileOracle and wl::FileTrace.
-struct NamespaceView {
-  const std::vector<std::string>* names = nullptr;
-  const fs::Inode* inode = nullptr;
-};
-
-/// Captures the durable image, recovers it from the volume's own journal
-/// and fills the recovery facts of `res` — the boilerplate every verify
-/// flavour shares.
+/// Captures the durable image and recovers it from the volume's own
+/// journal, filling the recovery facts of `res`.
 struct Recovered {
   flash::StorageDevice::DurableImage image;
   fs::RecoveryReport report;
@@ -380,11 +337,12 @@ Recovered recover_volume(CrashCheckResult& res, core::Volume& vol) {
 /// names, extents inside the volume's data region, each recovered file over
 /// an extent some workload file owns and under a name that extent actually
 /// carried. Returns the recovered files indexed by extent base (the stable
-/// file identity: handles stay open all run, so no extent ever recycles).
+/// file identity: anchor fds stay open all run, so no extent ever
+/// recycles).
 std::unordered_map<Lba, const fs::RecoveryReport::RecoveredFile*>
 check_recovered_namespace(CrashCheckResult& res, core::Volume& vol,
                           const fs::RecoveryReport& report,
-                          const std::vector<NamespaceView>& views) {
+                          const wl::ConcurrentTrace& trace) {
   auto violation = [&res](const std::string& what) {
     res.violations.push_back(what);
   };
@@ -412,10 +370,10 @@ check_recovered_namespace(CrashCheckResult& res, core::Volume& vol,
       violation("namespace: extent of " + rf.name +
                 " also recovered as " + pos->second->name +
                 " — one file under two names");
-    const NamespaceView* owner = nullptr;
-    for (const NamespaceView& v : views)
-      if (v.inode != nullptr && v.inode->extent_base == rf.extent_base) {
-        owner = &v;
+    const wl::FileTrace* owner = nullptr;
+    for (const wl::FileTrace& f : trace.files)
+      if (f.inode != nullptr && f.inode->extent_base == rf.extent_base) {
+        owner = &f;
         break;
       }
     if (owner == nullptr) {
@@ -423,327 +381,214 @@ check_recovered_namespace(CrashCheckResult& res, core::Volume& vol,
                 " maps to no extent the workload created");
       continue;
     }
-    if (std::find(owner->names->begin(), owner->names->end(), rf.name) ==
-        owner->names->end())
+    if (std::find(owner->rel_names.begin(), owner->rel_names.end(),
+                  rf.name) == owner->rel_names.end())
       violation("namespace: " + rf.name +
                 " recovered over an extent that never carried that name");
   }
   return by_extent;
 }
 
-/// Captures the volume's durable image at the cut instant, recovers it
-/// from the volume's own journal (and nothing else), and verifies the
-/// volume's contract against its oracle. Fills `res`; returns the report
-/// for the remount phase.
+/// Verifies one volume's trace against its recovered image; fills `res`
+/// and returns the report for the remount phase. Only strictly-ordered
+/// pairs count: a sync covers writes that *completed* before it *started*
+/// and constrains writes that *started* after it *returned* — operations
+/// racing the sync on either side are promised nothing. Fault mode drops
+/// the ordering facts (2 and 7b: a bounded retry legally re-lands a
+/// transiently failed write after later writes) and requires a live
+/// journal and a clean page cache for quiescence (an aborted journal never
+/// commits its failed transaction; a hard-faulted writeback redirties its
+/// page).
 fs::RecoveryReport verify_volume(CrashCheckResult& res, core::Volume& vol,
-                                 const Oracle& oracle, const Guarantees& g) {
-  res.workload_finished = oracle.finished;
-  res.quiesced = oracle.finished &&
-                 vol.device().cache().dirty_count() == 0 &&
-                 vol.device().queue_depth() == 0;
-  res.renames_done = oracle.renames;
-  res.unlinks_done = oracle.unlinks;
-
-  Recovered rec = recover_volume(res, vol);
-  fs::RecoveryReport& report = rec.report;
-  const flash::StorageDevice::DurableImage& image = rec.image;
-
-  auto violation = [&res](const std::string& what) {
-    res.violations.push_back(what);
-  };
-
-  auto present = [&report](const PageWrite& w) {
-    auto it = report.data.find(w.lba);
-    return it != report.data.end() && it->second >= w.version;
-  };
-
-  std::vector<NamespaceView> views;
-  views.reserve(oracle.files.size());
-  for (const FileOracle& f : oracle.files)
-    views.push_back({&f.rel_names, f.inode});
-  const std::unordered_map<Lba, const fs::RecoveryReport::RecoveredFile*>
-      by_extent = check_recovered_namespace(res, vol, report, views);
-
-  const bool facts_apply_base = res.quiesced;
-  for (const FileOracle& f : oracle.files) {
-    const bool facts_apply = g.durable_acks || facts_apply_base;
-    const fs::RecoveryReport::RecoveredFile* rf = nullptr;
-    if (f.inode != nullptr) {
-      auto it = by_extent.find(f.inode->extent_base);
-      if (it != by_extent.end()) rf = it->second;
-    }
-    // 1. Acknowledged durability: every page covered by a returned
-    //    durability_point()/sync_file() must have survived.
-    if (g.durable_acks && f.has_acks) {
-      for (const auto& [page, w] : f.acked) {
-        ++res.acked_pages_checked;
-        if (!present(w)) {
-          violation(f.rel_name() + " page " + std::to_string(page) + " (" +
-                    describe(w) + ") was acked durable but did not survive");
-          debug_dump_write("acked", w, image, vol);
-        }
-      }
-    }
-    // 2. Epoch prefix ordering: a surviving write of epoch e proves every
-    //    write of epochs < e survived.
-    std::uint64_t max_present_epoch = 0;
-    bool any_present = false;
-    for (const PageWrite& w : f.writes)
-      if (present(w)) {
-        max_present_epoch = std::max(max_present_epoch, w.epoch);
-        any_present = true;
-      }
-    for (const PageWrite& w : f.writes) {
-      ++res.order_writes_checked;
-      if (any_present && w.epoch < max_present_epoch && !present(w)) {
-        violation(f.rel_name() + " write (" + describe(w) +
-                  ") lost although epoch " +
-                  std::to_string(max_present_epoch) +
-                  " survived — ordering broken");
-        debug_dump_write("order", w, image, vol);
-      }
-    }
-    // 3. Delayed durability: once the device has quiesced, everything any
-    //    sync point ever covered must be on media (OptFS's osync contract;
-    //    trivially implied by durable_acks elsewhere).
-    if (res.quiesced) {
-      for (std::size_t i = 0; i < f.synced_upto; ++i) {
-        const PageWrite& w = f.writes[i];
-        if (!present(w))
-          violation(f.rel_name() + " write (" + describe(w) +
-                    ") not durable after quiescence");
-      }
-    }
-    // 4. Namespace existence: a (still-named) file whose sync_file()
-    //    returned must be recovered with at least the synced size. Without
-    //    durable acks this only holds after quiescence.
-    if (f.full_synced && facts_apply) {
-      ++res.namespace_facts_checked;
-      if (rf == nullptr)
-        violation(f.rel_name() +
-                  " was fsynced but does not exist after recovery");
-      else if (rf->size_blocks < f.full_synced_size)
-        violation(f.rel_name() + " recovered with size " +
-                  std::to_string(rf->size_blocks) + " < synced size " +
-                  std::to_string(f.full_synced_size));
-    }
-    // 5. Rename durability: sync_file() committed every rename before it,
-    //    so the file may only recover under the synced name or a newer
-    //    one (a later rename may have ridden a group commit).
-    if (facts_apply && f.synced_name_idx > 0 && rf != nullptr) {
-      ++res.namespace_facts_checked;
-      const auto it = std::find(f.rel_names.begin(), f.rel_names.end(),
-                                rf->name);
-      if (it != f.rel_names.end() &&
-          static_cast<std::size_t>(it - f.rel_names.begin()) <
-              f.synced_name_idx)
-        violation("namespace: " + rf->name +
-                  " recovered although the rename to " +
-                  f.rel_names[f.synced_name_idx] + " was durably synced");
-    }
-    // 6. Unlink durability: a sync_file() that returned after the unlink
-    //    committed the removal — the file must not reappear.
-    if (facts_apply && f.synced_after_unlink) {
-      ++res.namespace_facts_checked;
-      if (rf != nullptr)
-        violation("namespace: " + rf->name +
-                  " recovered although its unlink was durably synced");
-    }
-  }
-  return report;
-}
-
-/// Fault-mode verification: the power-cut oracle restricted to the facts
-/// that survive device faults (see run_fault_crash_check in the header).
-/// The epoch-prefix ordering checks are deliberately absent — a bounded
-/// retry legally re-lands a transiently failed write after later writes —
-/// and every durability fact was recorded only when its sync returned kOk.
-fs::RecoveryReport verify_fault_volume(CrashCheckResult& res,
-                                       core::Volume& vol,
-                                       const Oracle& oracle,
-                                       const Guarantees& g) {
-  res.workload_finished = oracle.finished;
+                                 const wl::ConcurrentTrace& trace,
+                                 StackKind kind, bool fault) {
+  res.workload_finished = trace.finished();
   res.volume_degraded = vol.fs().degraded();
-  res.syncs_failed = oracle.syncs_failed;
-  // Quiescence additionally requires a live journal and a clean page
-  // cache: an aborted journal never durably commits the writes its failed
-  // transaction covered, and a hard-faulted writeback redirties its page —
-  // fs-level dirt the workload may never have resubmitted.
-  res.quiesced = oracle.finished && !res.volume_degraded &&
+  res.quiesced = trace.finished() &&
                  vol.device().cache().dirty_count() == 0 &&
                  vol.device().queue_depth() == 0 &&
-                 vol.fs().page_cache().dirty_count() == 0;
-  res.renames_done = oracle.renames;
-  res.unlinks_done = oracle.unlinks;
+                 (!fault || (!res.volume_degraded &&
+                             vol.fs().page_cache().dirty_count() == 0));
+  res.renames_done = trace.renames;
+  res.unlinks_done = trace.unlinks;
+  res.fd_cycles = trace.fd_cycles;
+  res.closes_during_sync = trace.closes_during_sync;
+  res.syncs_failed = trace.syncs_failed;
+  const bool ordering = !fault;
 
   Recovered rec = recover_volume(res, vol);
   fs::RecoveryReport& report = rec.report;
-  const flash::StorageDevice::DurableImage& image = rec.image;
 
   auto violation = [&res](const std::string& what) {
     res.violations.push_back(what);
   };
-  auto present = [&report](const PageWrite& w) {
+  auto present = [&report](const wl::TraceWrite& w) {
     auto it = report.data.find(w.lba);
     return it != report.data.end() && it->second >= w.version;
   };
+  auto dump = [&](const char* what, const wl::TraceWrite& w) {
+    debug_dump_write(what, w, rec.image, vol);
+  };
 
-  std::vector<NamespaceView> views;
-  views.reserve(oracle.files.size());
-  for (const FileOracle& f : oracle.files)
-    views.push_back({&f.rel_names, f.inode});
   const std::unordered_map<Lba, const fs::RecoveryReport::RecoveredFile*>
-      by_extent = check_recovered_namespace(res, vol, report, views);
+      by_extent = check_recovered_namespace(res, vol, report, trace);
 
-  for (const FileOracle& f : oracle.files) {
-    const bool facts_apply = g.durable_acks || res.quiesced;
+  constexpr std::uint64_t kNever = ~std::uint64_t{0};
+  for (const wl::FileTrace& f : trace.files) {
+    res.syncs_recorded += static_cast<std::uint32_t>(f.syncs.size());
     const fs::RecoveryReport::RecoveredFile* rf = nullptr;
     if (f.inode != nullptr) {
       auto it = by_extent.find(f.inode->extent_base);
       if (it != by_extent.end()) rf = it->second;
     }
-    // 1. Acked durability survives faults: a kOk durable-ack return means
-    //    the covered data is on media even when earlier IOs failed and
-    //    were retried — and even when the journal aborted afterwards (the
-    //    ack's transaction had already durably retired).
-    if (g.durable_acks && f.has_acks) {
-      for (const auto& [page, w] : f.acked) {
+
+    // Aggregate the returned syncs' promises.
+    std::uint64_t max_ack_start = 0;
+    std::uint32_t size_floor = 0;
+    std::size_t name_idx_floor = 0;
+    bool any_exist_fact = false;
+    bool unlink_committed = false;
+    for (const wl::TraceSync& s : f.syncs) {
+      if (call_acks_data(kind, s.call))
+        max_ack_start = std::max(max_ack_start, s.start_tick);
+      if (call_acks_size(kind, s.call) ||
+          (res.quiesced && call_orders(s.call)))
+        size_floor = std::max(size_floor, s.settled_size_at_start);
+      if (call_acks_name(kind, s.call) ||
+          (res.quiesced && call_commits_meta(s.call))) {
+        name_idx_floor = std::max(name_idx_floor, s.name_idx_at_start);
+        if (s.unlinked_at_start)
+          unlink_committed = true;
+        else
+          any_exist_fact = true;
+      }
+    }
+
+    // 1. Acked durability across writers and fds: a write (any writer)
+    //    that completed before a durable-ack sync (any fd of the file)
+    //    started must have survived.
+    for (const wl::TraceWrite& w : f.writes) {
+      if (w.done_tick < max_ack_start) {
         ++res.acked_pages_checked;
         if (!present(w)) {
-          violation(f.rel_name() + " page " + std::to_string(page) + " (" +
-                    describe(w) +
-                    ") was acked durable (kOk under faults) but did not "
-                    "survive");
-          debug_dump_write("fault-acked", w, image, vol);
+          violation(f.rel_name() + " write (" + describe(w) +
+                    ") was acked durable but did not survive");
+          dump("acked", w);
         }
       }
     }
-    // 2. Delayed durability at quiescence (live journal only): everything
-    //    a kOk sync ever covered must be on media.
-    if (res.quiesced) {
-      for (std::size_t i = 0; i < f.synced_upto; ++i) {
-        const PageWrite& w = f.writes[i];
-        if (!present(w))
-          violation(f.rel_name() + " write (" + describe(w) +
-                    ") not durable after quiescence");
+
+    // 2. Epoch prefix (ordering): if any write that started after a
+    //    returned order point survives, every write that completed before
+    //    that order point started must have survived. ready_at(w) is the
+    //    earliest return among order points that started after w
+    //    completed; a surviving write with a later start proves w.
+    // 3. Delayed durability: once the device quiesced, every write some
+    //    returned sync covered must be on media.
+    std::uint64_t max_surviving_start = 0;
+    for (const wl::TraceWrite& w : f.writes)
+      if (present(w))
+        max_surviving_start = std::max(max_surviving_start, w.start_tick);
+    for (const wl::TraceWrite& w : f.writes) {
+      std::uint64_t ready_at = kNever;
+      for (const wl::TraceSync& s : f.syncs)
+        if (call_orders(s.call) && s.start_tick > w.done_tick)
+          ready_at = std::min(ready_at, s.done_tick);
+      if (ordering) ++res.order_writes_checked;
+      if (present(w)) continue;
+      if (ordering && ready_at < max_surviving_start) {
+        violation(f.rel_name() + " write (" + describe(w) +
+                  ") lost although a later write survived past the order "
+                  "point covering it — ordering broken");
+        dump("order", w);
+      } else if (res.quiesced && ready_at != kNever) {
+        violation(f.rel_name() + " write (" + describe(w) +
+                  ") not durable after quiescence");
+        dump("quiesce", w);
       }
     }
-    // 3. Namespace facts, exactly as in the fault-free oracle — they were
-    //    only recorded on kOk returns.
-    if (f.full_synced && facts_apply) {
+
+    // 4. Existence + size floor: a never-unlinked file with a durable
+    //    full-sync fact must exist, with at least the size the syncs
+    //    settled.
+    if (!f.unlinked && any_exist_fact) {
       ++res.namespace_facts_checked;
       if (rf == nullptr)
         violation(f.rel_name() +
-                  " was fsynced but does not exist after recovery");
-      else if (rf->size_blocks < f.full_synced_size)
+                  " was durably synced but does not exist after recovery");
+    }
+    if (rf != nullptr && size_floor > 0) {
+      ++res.namespace_facts_checked;
+      if (rf->size_blocks < size_floor)
         violation(f.rel_name() + " recovered with size " +
                   std::to_string(rf->size_blocks) + " < synced size " +
-                  std::to_string(f.full_synced_size));
+                  std::to_string(size_floor));
     }
-    if (facts_apply && f.synced_name_idx > 0 && rf != nullptr) {
+
+    // 5. Rename durability: once a sync committed the rename history up
+    //    to name_idx_floor, only that or a newer name may recover.
+    if (name_idx_floor > 0 && rf != nullptr) {
       ++res.namespace_facts_checked;
-      const auto it = std::find(f.rel_names.begin(), f.rel_names.end(),
-                                rf->name);
+      const auto it =
+          std::find(f.rel_names.begin(), f.rel_names.end(), rf->name);
       if (it != f.rel_names.end() &&
           static_cast<std::size_t>(it - f.rel_names.begin()) <
-              f.synced_name_idx)
+              name_idx_floor)
         violation("namespace: " + rf->name +
                   " recovered although the rename to " +
-                  f.rel_names[f.synced_name_idx] + " was durably synced");
+                  f.rel_names[name_idx_floor] + " was durably synced");
     }
-    if (facts_apply && f.synced_after_unlink) {
+
+    // 6. Unlink durability: a sync that started after the unlink
+    //    completed committed the removal.
+    if (unlink_committed) {
       ++res.namespace_facts_checked;
       if (rf != nullptr)
         violation("namespace: " + rf->name +
                   " recovered although its unlink was durably synced");
     }
-  }
-  return report;
-}
 
-/// Sweep crash-instant stream: mostly mid-workload cuts, with a slice of
-/// late cuts exercising the quiesced (delayed-durability) contract. One
-/// generator shared by both sweep flavours so they always test the same
-/// crash-point population.
-class CrashPointGen {
- public:
-  explicit CrashPointGen(std::uint64_t base_seed)
-      : rng_(base_seed * 7919 + 17) {}
-
-  sim::SimTime next() {
-    return rng_.chance(0.2) ? rng_.uniform(60'000, 300'000) * 1_us
-                            : rng_.uniform(100, 60'000) * 1_us;
-  }
-
- private:
-  sim::Rng rng_;
-};
-
-/// The `q<N>` --repro segment carrying the block layer's queue count.
-/// Empty at the single-queue default, so pre-multi-queue specs stay valid
-/// and single-queue failures replay with the exact strings they always had.
-std::string repro_queue_segment(std::uint32_t nr_queues) {
-  return nr_queues == 1 ? std::string() : ":q" + std::to_string(nr_queues);
-}
-
-/// Records a failed point in both human-readable and machine-replayable
-/// form. `repro` is the examples/crash_consistency --repro spec prefix
-/// ("EXT4-DR", "conc:EXT4-DR:q4", "node"); every failure line ends with the
-/// exact flag that replays just that case.
-void note_failure(CrashSweepResult& sweep, const std::string& repro,
-                  const char* kind_tag, int point, std::uint64_t base_seed,
-                  const CrashCheckResult& r) {
-  if (sweep.failures.size() < 32)
-    sweep.failures.push_back(
-        {point, r.seed, r.crash_at, r.violations.front()});
-  if (sweep.sample_violations.size() < 8) {
-    std::ostringstream os;
-    os << kind_tag << " seed=" << r.seed << " crash=" << r.crash_at
-       << "ns point=" << point << ": " << r.violations.front()
-       << " (replay: --repro " << repro << ":" << base_seed << ":" << point
-       << ")";
-    sweep.sample_violations.push_back(os.str());
-  }
-}
-
-/// Shared sweep driver, parallel-safe by construction: one serial
-/// CrashPointGen pass precomputes every point's crash instant (the exact
-/// draw order of the legacy loop), a sim::HostPool runs the points across
-/// up to `jobs` host threads — each point builds its own core::Stack and
-/// derives its seed from its index alone — and the results fold into the
-/// aggregate in canonical point order. accumulate() and note_failure()
-/// therefore see the identical sequence at any jobs value, making a
-/// parallel sweep bit-identical to a serial one (counters, first-32
-/// failure coordinates, first-8 --repro sample strings).
-template <typename CheckFn>
-CrashSweepResult sweep_points(int points, std::uint64_t base_seed, int jobs,
-                              const std::string& repro, const char* kind_tag,
-                              const CheckFn& check) {
-  CrashSweepResult sweep;
-  if (points <= 0) return sweep;
-  CrashPointGen gen(base_seed);
-  std::vector<sim::SimTime> crash_at(static_cast<std::size_t>(points));
-  for (sim::SimTime& t : crash_at) t = gen.next();
-
-  std::vector<CrashCheckResult> results(static_cast<std::size_t>(points));
-  const sim::HostPool pool(jobs);
-  // iolint: detached-owner(for_each_index joins its workers before
-  // returning; the capture cannot outlive this frame)
-  pool.for_each_index(points, [&](int i) {
-    const auto idx = static_cast<std::size_t>(i);
-    results[idx] =
-        check(base_seed + static_cast<std::uint64_t>(i), crash_at[idx]);
-  });
-
-  for (int i = 0; i < points; ++i) {
-    const CrashCheckResult& res = results[static_cast<std::size_t>(i)];
-    sweep.accumulate(res);
-    if (!res.ok()) {
-      ++sweep.failed_points;
-      note_failure(sweep, repro, kind_tag, i, base_seed, res);
+    // 7. Linked-chain contract (api::Ring workloads; the vectors are empty
+    //    on direct-Vfs traces). chain_covered/chain_successors come from
+    //    the chain's SUBMISSION structure, not observed timing, so a ring
+    //    that ignores its link flags still produces these claims — and the
+    //    reordering it allowed shows up as violations here even when the
+    //    tick-based rules above (which adapt to actual behaviour) say
+    //    nothing.
+    for (const wl::TraceSync& s : f.syncs) {
+      if (s.chain_covered.empty()) continue;
+      const bool acks = call_acks_data(kind, s.call);
+      bool successor_present = false;
+      for (const std::size_t si : s.chain_successors)
+        if (present(f.writes[si])) successor_present = true;
+      for (const std::size_t ci : s.chain_covered) {
+        const wl::TraceWrite& w = f.writes[ci];
+        ++res.chain_facts_checked;
+        if (present(w)) continue;
+        if (acks) {
+          // (a) The chain's sync returned, so every write linked before
+          //     it was acked durable.
+          violation(f.rel_name() + " chain write (" + describe(w) +
+                    ") linked before a returned " +
+                    "durable sync did not survive");
+          dump("chain-acked", w);
+        } else if (ordering && successor_present) {
+          // (b) A write linked after the sync reached media, so the link
+          //     order says every write linked before it must have too.
+          violation(f.rel_name() + " chain write (" + describe(w) +
+                    ") lost although a write linked after its chain's "
+                    "sync survived — linked-chain ordering broken");
+          dump("chain-order", w);
+        } else if (res.quiesced && call_orders(s.call)) {
+          // (c) Delayed durability: the chain's returned sync covered it.
+          violation(f.rel_name() + " chain write (" + describe(w) +
+                    ") not durable after quiescence");
+          dump("chain-quiesce", w);
+        }
+      }
     }
   }
-  return sweep;
+  return report;
 }
 
 /// Remount-phase verification: the recovered image must yield a fully
@@ -779,68 +624,211 @@ sim::Task remount_verify(api::Vfs& vfs, std::string prefix,
   must(h.close());
 }
 
-}  // namespace
+// ---- sweeps --------------------------------------------------------------------
 
-CrashCheckResult run_crash_check(StackKind kind, std::uint64_t seed,
-                                 sim::SimTime crash_at,
-                                 const CrashCheckOptions& opt) {
-  CrashCheckResult res;
-  res.seed = seed;
-  res.crash_at = crash_at;
-  const Guarantees g = guarantees_of(kind);
-  const core::StackConfig cfg = checker_config(kind, opt);
+/// Sweep crash-instant stream: mostly mid-workload cuts, with a slice of
+/// late cuts exercising the quiesced (delayed-durability) contract. One
+/// generator for every flavour so they all test the same crash-point
+/// population.
+class CrashPointGen {
+ public:
+  explicit CrashPointGen(std::uint64_t base_seed)
+      : rng_(base_seed * 7919 + 17) {}
 
-  auto stack = std::make_unique<core::Stack>(cfg);
-  stack->start();
-  api::Vfs vfs(*stack);
-  Oracle oracle;
-  // iolint: detached-owner(run_until() below drives the task; the power
-  // cut discards any survivor before stack/vfs/oracle leave scope)
-  stack->sim().spawn(
-      "chk:wl", workload(stack->volume(0), vfs, "", oracle, opt, g, seed));
-  stack->sim().run_until(crash_at);  // power cut
-
-  const fs::RecoveryReport report =
-      verify_volume(res, stack->volume(0), oracle, g);
-
-  // ---- remount a fresh stack over the recovered image --------------------
-  if (opt.remount) {
-    auto stack2 = std::make_unique<core::Stack>(cfg);
-    stack2->fs().mount(report);
-    stack2->start();
-    api::Vfs vfs2(*stack2);
-    std::string err;
-    // iolint: detached-owner(run() below drains the verifier before
-    // vfs2/report/err leave scope)
-    stack2->sim().spawn("chk:verify",
-                        remount_verify(vfs2, "", report, err));
-    stack2->sim().run();
-    if (!err.empty()) res.violations.push_back("remount: " + err);
+  sim::SimTime next() {
+    return rng_.chance(0.2) ? rng_.uniform(60'000, 300'000) * 1_us
+                            : rng_.uniform(100, 60'000) * 1_us;
   }
 
-  return res;
+ private:
+  sim::Rng rng_;
+};
+
+/// Folds one volume's result at one point into an aggregate (`points` and
+/// failure accounting stay with the caller).
+void fold(CrashSweepResult& s, const CrashCheckResult& r) {
+  if (r.quiesced) ++s.quiesced_points;
+  if (r.volume_degraded) ++s.degraded_points;
+  s.faults_injected += r.faults_injected;
+  s.io_retries += r.io_retries;
+  s.io_failures += r.io_failures;
+  s.syncs_failed += r.syncs_failed;
+  s.acked_pages_checked += r.acked_pages_checked;
+  s.order_writes_checked += r.order_writes_checked;
+  s.namespace_facts_checked += r.namespace_facts_checked;
+  s.renames_done += r.renames_done;
+  s.unlinks_done += r.unlinks_done;
+  s.journal_wraps += r.journal_wraps;
+  s.journal_stalls += r.journal_stalls;
+  s.files_recovered += r.files_recovered;
+  s.syncs_recorded += r.syncs_recorded;
+  s.fd_cycles += r.fd_cycles;
+  s.closes_during_sync += r.closes_during_sync;
+  s.chain_facts_checked += r.chain_facts_checked;
 }
 
-void CrashSweepResult::accumulate(const CrashCheckResult& r) {
-  ++points;
-  if (r.quiesced) ++quiesced_points;
-  faults_injected += r.faults_injected;
-  io_retries += r.io_retries;
-  io_failures += r.io_failures;
-  syncs_failed += r.syncs_failed;
-  if (r.volume_degraded) ++degraded_points;
-  acked_pages_checked += r.acked_pages_checked;
-  order_writes_checked += r.order_writes_checked;
-  namespace_facts_checked += r.namespace_facts_checked;
-  renames_done += r.renames_done;
-  unlinks_done += r.unlinks_done;
-  journal_wraps += r.journal_wraps;
-  journal_stalls += r.journal_stalls;
-  files_recovered += r.files_recovered;
-  syncs_recorded += r.syncs_recorded;
-  fd_cycles += r.fd_cycles;
-  closes_during_sync += r.closes_during_sync;
-  chain_facts_checked += r.chain_facts_checked;
+/// Records a failed (point, volume) in both human-readable and
+/// machine-replayable form; every sample line ends with the exact
+/// `--repro` spec that replays it.
+void note_failure(CrashSweepResult& sweep, const SweepSpec& spec,
+                  std::uint64_t base_seed, int point, std::size_t volume,
+                  const CrashCheckResult& r) {
+  if (sweep.failures.size() < 32)
+    sweep.failures.push_back(
+        {point, volume, r.seed, r.crash_at, r.violations.front()});
+  if (sweep.sample_violations.size() < 8) {
+    std::ostringstream os;
+    os << core::to_string(spec.volumes[volume]);
+    if (spec.volumes.size() > 1) os << "@v" << volume;
+    os << " seed=" << r.seed << " crash=" << r.crash_at
+       << "ns point=" << point << ": " << r.violations.front()
+       << " (replay: --repro " << to_repro({spec, base_seed, point}) << ")";
+    sweep.sample_violations.push_back(os.str());
+  }
+}
+
+/// Strict decimal parse: the whole field must be digits (no sign, no
+/// trailing junk, not empty). A silent atoi-style zero would "replay" a
+/// different case than the one that failed.
+bool parse_u64(std::string_view s, std::uint64_t& out) {
+  if (s.empty() || s.size() > 19) return false;
+  out = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') return false;
+    out = out * 10 + static_cast<std::uint64_t>(c - '0');
+  }
+  return true;
+}
+
+std::vector<std::string_view> split(std::string_view s, char sep) {
+  std::vector<std::string_view> parts;
+  for (;;) {
+    const std::size_t at = s.find(sep);
+    parts.push_back(s.substr(0, at));
+    if (at == std::string_view::npos) return parts;
+    s.remove_prefix(at + 1);
+  }
+}
+
+constexpr std::pair<Flavour, std::string_view> kPrefixes[] = {
+    {Flavour::kFault, "fault"},
+    {Flavour::kConc, "conc"},
+    {Flavour::kRing, "ring"},
+};
+
+}  // namespace
+
+std::vector<CrashCheckResult> run_check(const SweepSpec& spec,
+                                        std::uint64_t seed,
+                                        sim::SimTime crash_at) {
+  BIO_CHECK_MSG(!spec.volumes.empty(), "crash check with zero volumes");
+  const std::size_t n = spec.volumes.size();
+  const bool node = n > 1;
+  const bool fault = spec.flavour == Flavour::kFault;
+  auto make_stack = [&] {
+    if (!node)
+      return std::make_unique<core::Stack>(
+          checker_config(spec.volumes[0], spec));
+    std::vector<core::StackConfig> bases;
+    for (StackKind kind : spec.volumes)
+      bases.push_back(checker_config(kind, spec));
+    return std::make_unique<core::Stack>(core::NodeConfig::from(bases));
+  };
+  auto prefix_of = [node](std::size_t i) {
+    return node ? "/v" + std::to_string(i) + "/" : std::string();
+  };
+  // Distinct per-volume streams on a node; the point seed itself on a
+  // single volume.
+  auto seed_of = [node, seed](std::size_t i) {
+    return node ? seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)) : seed;
+  };
+
+  // Traces and fault plans outlive the stack: writer frames destroyed at
+  // simulator teardown may still name their trace, and each device holds
+  // a raw pointer to its plan.
+  std::vector<wl::ConcurrentTrace> traces(n);
+  std::vector<flash::FaultPlan> plans;
+  plans.reserve(n);
+  auto stack = make_stack();
+  if (fault) {
+    // Installed before start(), so the per-class op ordinals each plan
+    // matches are deterministic for a given (spec, seed).
+    for (std::size_t i = 0; i < n; ++i) {
+      plans.push_back(flash::FaultPlan::random(seed_of(i), kExpectedWriteOps,
+                                               kMaxFaults));
+      stack->volume(i).device().install_fault_plan(&plans.back());
+      if (spec.swallow_io_errors)
+        stack->volume(i).blk().set_swallow_io_errors_for_test(true);
+    }
+  }
+  stack->start();
+  api::Vfs vfs(*stack);
+  for (std::size_t i = 0; i < n; ++i) {
+    core::Volume& vol = stack->volume(i);
+    switch (spec.flavour) {
+      case Flavour::kSingle:
+      case Flavour::kFault:
+        // iolint: detached-owner(run_until() below drives the task; the
+        // power cut discards any survivor before stack/vfs/traces leave
+        // scope)
+        stack->sim().spawn("chk:wl" + prefix_of(i),
+                           workload(vol, vfs, prefix_of(i), traces[i],
+                                    spec.ops != 0 ? spec.ops : kSingleOps,
+                                    seed_of(i), fault));
+        break;
+      case Flavour::kConc: {
+        wl::ConcurrentWritersParams params;
+        if (spec.writers != 0) params.writers = spec.writers;
+        if (spec.ops != 0)
+          params.ops_per_writer = static_cast<std::uint32_t>(spec.ops);
+        wl::spawn_concurrent_writers(vol, vfs, prefix_of(i), params,
+                                     seed_of(i), traces[i]);
+        break;
+      }
+      case Flavour::kRing:
+        wl::spawn_ring_writers(vol, vfs, prefix_of(i), seed_of(i),
+                               spec.ignore_links, traces[i]);
+        break;
+    }
+  }
+  stack->sim().run_until(crash_at);  // one power cut hits every volume
+
+  std::vector<CrashCheckResult> results(n);
+  std::vector<fs::RecoveryReport> reports;
+  reports.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    CrashCheckResult& r = results[i];
+    core::Volume& vol = stack->volume(i);
+    r.seed = seed;
+    r.crash_at = crash_at;
+    if (fault) r.faults_injected = plans[i].stats().total();
+    r.io_retries = vol.blk().stats().io_retries;
+    r.io_failures = vol.blk().stats().io_failures;
+    reports.push_back(
+        verify_volume(r, vol, traces[i], spec.volumes[i], fault));
+  }
+
+  // ---- remount a fresh (fault-free) node over the recovered images --------
+  // Every volume — even one a journal abort degraded (errors=remount-ro) —
+  // must recover read-consistent from its last durable commit and come
+  // back fully usable.
+  auto stack2 = make_stack();
+  for (std::size_t i = 0; i < n; ++i)
+    stack2->volume(i).fs().mount(reports[i]);
+  stack2->start();
+  api::Vfs vfs2(*stack2);
+  std::vector<std::string> errs(n);
+  for (std::size_t i = 0; i < n; ++i)
+    // iolint: detached-owner(run() below drains every verifier before
+    // vfs2/reports/errs leave scope)
+    stack2->sim().spawn("chk:verify" + prefix_of(i),
+                        remount_verify(vfs2, prefix_of(i), reports[i],
+                                       errs[i]));
+  stack2->sim().run();
+  for (std::size_t i = 0; i < n; ++i)
+    if (!errs[i].empty())
+      results[i].violations.push_back("remount: " + errs[i]);
+  return results;
 }
 
 sim::SimTime sweep_crash_at(std::uint64_t base_seed, int point) {
@@ -850,569 +838,102 @@ sim::SimTime sweep_crash_at(std::uint64_t base_seed, int point) {
   return t;
 }
 
-CrashSweepResult run_crash_sweep(StackKind kind, int points,
-                                 std::uint64_t base_seed,
-                                 const CrashCheckOptions& opt, int jobs) {
-  return sweep_points(points, base_seed, jobs,
-                      core::to_string(kind) +
-                          repro_queue_segment(opt.nr_queues),
-                      core::to_string(kind),
-                      [kind, &opt](std::uint64_t seed, sim::SimTime crash_at) {
-                        return run_crash_check(kind, seed, crash_at, opt);
-                      });
-}
-
-// ---- fault-injection crash sweep --------------------------------------------
-
-CrashCheckResult run_fault_crash_check(StackKind kind, std::uint64_t seed,
-                                       sim::SimTime crash_at,
-                                       const FaultCrashOptions& opt) {
-  CrashCheckResult res;
-  res.seed = seed;
-  res.crash_at = crash_at;
-  const Guarantees g = guarantees_of(kind);
-  const core::StackConfig cfg = checker_config(kind, opt.wl);
-
-  // The plan outlives the stack (the device holds a raw pointer) and is
-  // installed before start(), so the per-class op ordinals it matches are
-  // deterministic for a given (kind, seed, options).
-  flash::FaultPlan plan =
-      flash::FaultPlan::random(seed, opt.expected_write_ops, opt.max_faults);
-  auto stack = std::make_unique<core::Stack>(cfg);
-  stack->device().install_fault_plan(&plan);
-  if (opt.swallow_io_errors)
-    stack->blk().set_swallow_io_errors_for_test(true);
-  stack->start();
-  api::Vfs vfs(*stack);
-  Oracle oracle;
-  // iolint: detached-owner(run_until() below drives the task; the power
-  // cut discards any survivor before stack/vfs/oracle leave scope)
-  stack->sim().spawn("chk:wl",
-                     workload(stack->volume(0), vfs, "", oracle, opt.wl, g,
-                              seed, /*fault_tolerant=*/true));
-  stack->sim().run_until(crash_at);  // power cut
-
-  res.faults_injected = plan.stats().total();
-  res.io_retries = stack->blk().stats().io_retries;
-  res.io_failures = stack->blk().stats().io_failures;
-
-  const fs::RecoveryReport report =
-      verify_fault_volume(res, stack->volume(0), oracle, g);
-
-  // ---- remount a fresh (fault-free) stack over the recovered image -------
-  // This is the errors=remount-ro repair path: even a volume the journal
-  // abort degraded must recover read-consistent from its last durable
-  // commit and come back fully usable.
-  if (opt.wl.remount) {
-    auto stack2 = std::make_unique<core::Stack>(cfg);
-    stack2->fs().mount(report);
-    stack2->start();
-    api::Vfs vfs2(*stack2);
-    std::string err;
-    // iolint: detached-owner(run() below drains the verifier before
-    // vfs2/report/err leave scope)
-    stack2->sim().spawn("chk:verify", remount_verify(vfs2, "", report, err));
-    stack2->sim().run();
-    if (!err.empty()) res.violations.push_back("remount: " + err);
-  }
-  return res;
-}
-
-CrashSweepResult run_fault_crash_sweep(StackKind kind, int points,
-                                       std::uint64_t base_seed,
-                                       const FaultCrashOptions& opt,
-                                       int jobs) {
-  return sweep_points(
-      points, base_seed, jobs,
-      std::string("fault:") + core::to_string(kind) +
-          repro_queue_segment(opt.wl.nr_queues),
-      core::to_string(kind),
-      [kind, &opt](std::uint64_t seed, sim::SimTime crash_at) {
-        return run_fault_crash_check(kind, seed, crash_at, opt);
-      });
-}
-
-// ---- multi-volume node ------------------------------------------------------
-
-MultiVolumeCrashResult run_multi_volume_crash_check(
-    const std::vector<StackKind>& kinds, std::uint64_t seed,
-    sim::SimTime crash_at, const CrashCheckOptions& opt) {
-  BIO_CHECK_MSG(!kinds.empty(), "multi-volume check with zero volumes");
-  MultiVolumeCrashResult res;
-  res.seed = seed;
-  res.crash_at = crash_at;
-
-  auto make_node_cfg = [&]() {
-    std::vector<core::StackConfig> bases;
-    for (StackKind kind : kinds) bases.push_back(checker_config(kind, opt));
-    return core::NodeConfig::from(bases);
-  };
-  auto prefix_of = [](std::size_t i) {
-    return "/v" + std::to_string(i) + "/";
-  };
-
-  auto node = std::make_unique<core::Stack>(make_node_cfg());
-  node->start();
-  api::Vfs vfs(*node);
-  std::vector<Oracle> oracles(kinds.size());
-  std::vector<Guarantees> gs(kinds.size());
-  for (std::size_t i = 0; i < kinds.size(); ++i) {
-    gs[i] = guarantees_of(kinds[i]);
-    // Distinct per-volume streams derived from the point seed.
-    const std::uint64_t vseed =
-        seed ^ (0x9e3779b97f4a7c15ULL * (i + 1));
-    // iolint: detached-owner(run_until() below drives every volume's task;
-    // the power cut discards survivors before node/vfs/oracles leave scope)
-    node->sim().spawn("chk:wl:v" + std::to_string(i),
-                      workload(node->volume(i), vfs, prefix_of(i),
-                               oracles[i], opt, gs[i], vseed));
-  }
-  node->sim().run_until(crash_at);  // one power cut hits every volume
-
-  std::vector<fs::RecoveryReport> reports;
-  reports.reserve(kinds.size());
-  for (std::size_t i = 0; i < kinds.size(); ++i) {
-    CrashCheckResult r;
-    r.seed = seed;
-    r.crash_at = crash_at;
-    reports.push_back(verify_volume(r, node->volume(i), oracles[i], gs[i]));
-    res.volumes.push_back(std::move(r));
-  }
-
-  // ---- remount a fresh node over the recovered images --------------------
-  if (opt.remount) {
-    auto node2 = std::make_unique<core::Stack>(make_node_cfg());
-    for (std::size_t i = 0; i < kinds.size(); ++i)
-      node2->volume(i).fs().mount(reports[i]);
-    node2->start();
-    api::Vfs vfs2(*node2);
-    std::vector<std::string> errs(kinds.size());
-    for (std::size_t i = 0; i < kinds.size(); ++i)
-      // iolint: detached-owner(run() below drains every verifier before
-      // vfs2/reports/errs leave scope)
-      node2->sim().spawn(
-          "chk:verify:v" + std::to_string(i),
-          remount_verify(vfs2, prefix_of(i), reports[i], errs[i]));
-    node2->sim().run();
-    for (std::size_t i = 0; i < kinds.size(); ++i)
-      if (!errs[i].empty())
-        res.volumes[i].violations.push_back("remount: " + errs[i]);
-  }
-  return res;
-}
-
-// ---- concurrent multi-writer checker ---------------------------------------
-
-namespace {
-
-// Syscall-semantics classification per stack kind — the *claimed* contract
-// (EXT4-OD claims the same acks as EXT4-DR and is expected to break them).
-
-/// Every sync syscall is an order point on its file.
-bool call_orders(api::Syscall c) { return c != api::Syscall::kNone; }
-
-/// Data covered by the call is on media when it returns.
-bool call_acks_data(StackKind kind, api::Syscall c) {
-  if (kind == StackKind::kOptFs) return c == api::Syscall::kDsync;
-  return c == api::Syscall::kFsync || c == api::Syscall::kFdatasync;
-}
-
-/// i_size as of the call's start is durable when it returns (fdatasync
-/// journals size changes — the metadata needed to retrieve the data).
-bool call_acks_size(StackKind kind, api::Syscall c) {
-  if (kind == StackKind::kOptFs) return false;  // metadata stays delayed
-  return c == api::Syscall::kFsync || c == api::Syscall::kFdatasync;
-}
-
-/// Namespace ops (rename/unlink) completed before the call are durable
-/// when it returns.
-bool call_acks_name(StackKind kind, api::Syscall c) {
-  if (kind == StackKind::kOptFs) return false;
-  return c == api::Syscall::kFsync;
-}
-
-/// The call commits the inode's metadata transaction whenever it is dirty;
-/// quiescence then makes that commit durable on every stack — the gate for
-/// delayed namespace/size facts on the ordering-only stacks.
-bool call_commits_meta(api::Syscall c) {
-  return c == api::Syscall::kFsync || c == api::Syscall::kFbarrier ||
-         c == api::Syscall::kOsync || c == api::Syscall::kDsync;
-}
-
-std::string describe(const wl::TraceWrite& w) {
-  std::ostringstream os;
-  os << "lba=" << w.lba << " v=" << w.version << " page=" << w.page
-     << " writer=" << w.writer << " [" << w.start_tick << "," << w.done_tick
-     << "]";
-  return os.str();
-}
-
-/// Verifies the merged cross-writer contract of one volume against its
-/// ConcurrentTrace; fills `res` and returns the report for remount.
-fs::RecoveryReport verify_concurrent_volume(CrashCheckResult& res,
-                                            core::Volume& vol,
-                                            const wl::ConcurrentTrace& trace,
-                                            StackKind kind) {
-  res.workload_finished = trace.finished();
-  res.quiesced = trace.finished() &&
-                 vol.device().cache().dirty_count() == 0 &&
-                 vol.device().queue_depth() == 0;
-  res.renames_done = trace.renames;
-  res.unlinks_done = trace.unlinks;
-  res.fd_cycles = trace.fd_cycles;
-  res.closes_during_sync = trace.closes_during_sync;
-
-  Recovered rec = recover_volume(res, vol);
-  fs::RecoveryReport& report = rec.report;
-
-  auto violation = [&res](const std::string& what) {
-    res.violations.push_back(what);
-  };
-  auto present = [&report](const wl::TraceWrite& w) {
-    auto it = report.data.find(w.lba);
-    return it != report.data.end() && it->second >= w.version;
-  };
-  auto dump = [&](const char* what, const wl::TraceWrite& w) {
-    debug_dump_write(what, PageWrite{w.lba, w.version, 0}, rec.image, vol);
-  };
-
-  std::vector<NamespaceView> views;
-  views.reserve(trace.files.size());
-  for (const wl::FileTrace& f : trace.files)
-    views.push_back({&f.rel_names, f.inode});
-  const std::unordered_map<Lba, const fs::RecoveryReport::RecoveredFile*>
-      by_extent = check_recovered_namespace(res, vol, report, views);
-
-  constexpr std::uint64_t kNever = ~std::uint64_t{0};
-  for (const wl::FileTrace& f : trace.files) {
-    res.syncs_recorded += static_cast<std::uint32_t>(f.syncs.size());
-    const fs::RecoveryReport::RecoveredFile* rf = nullptr;
-    if (f.inode != nullptr) {
-      auto it = by_extent.find(f.inode->extent_base);
-      if (it != by_extent.end()) rf = it->second;
-    }
-
-    // Aggregate the returned syncs' promises. Only strictly-ordered pairs
-    // count: a sync covers writes that *completed* before it *started*, and
-    // constrains writes that *started* after it *returned* — operations
-    // racing the sync on either side are promised nothing.
-    std::uint64_t max_ack_start = 0;
-    std::uint32_t size_floor = 0;
-    std::size_t name_idx_floor = 0;
-    bool any_exist_fact = false;
-    bool unlink_committed = false;
-    for (const wl::TraceSync& s : f.syncs) {
-      if (call_acks_data(kind, s.call))
-        max_ack_start = std::max(max_ack_start, s.start_tick);
-      if (call_acks_size(kind, s.call) ||
-          (res.quiesced && call_orders(s.call)))
-        size_floor = std::max(size_floor, s.settled_size_at_start);
-      if (call_acks_name(kind, s.call) ||
-          (res.quiesced && call_commits_meta(s.call))) {
-        name_idx_floor = std::max(name_idx_floor, s.name_idx_at_start);
-        if (s.unlinked_at_start)
-          unlink_committed = true;
-        else
-          any_exist_fact = true;
-      }
-    }
-
-    // 1. Acked durability across writers and fds: a write (any writer)
-    //    that completed before a durable-ack sync (any fd of the file)
-    //    started must have survived.
-    for (const wl::TraceWrite& w : f.writes) {
-      if (w.done_tick < max_ack_start) {
-        ++res.acked_pages_checked;
-        if (!present(w)) {
-          violation(f.rel_name() + " write (" + describe(w) +
-                    ") was acked durable but did not survive");
-          dump("conc-acked", w);
-          if (std::getenv("BIO_CHK_DEBUG") != nullptr)
-            for (const wl::TraceSync& s : f.syncs)
-              std::fprintf(stderr,
-                           "  sync call=%d writer=%u [%llu,%llu] acks=%d\n",
-                           int(s.call), s.writer,
-                           (unsigned long long)s.start_tick,
-                           (unsigned long long)s.done_tick,
-                           int(call_acks_data(kind, s.call)));
-        }
-      }
-    }
-
-    // 2. Cross-writer epoch prefix: if any write that started after a
-    //    returned order point survives, every write that completed before
-    //    that order point started must have survived. ready_at(w) is the
-    //    earliest return among order points that started after w
-    //    completed; a surviving write with a later start proves w.
-    // 3. Delayed durability: once the device quiesced, every write some
-    //    returned sync covered must be on media.
-    std::uint64_t max_surviving_start = 0;
-    for (const wl::TraceWrite& w : f.writes)
-      if (present(w))
-        max_surviving_start = std::max(max_surviving_start, w.start_tick);
-    for (const wl::TraceWrite& w : f.writes) {
-      ++res.order_writes_checked;
-      std::uint64_t ready_at = kNever;
-      for (const wl::TraceSync& s : f.syncs)
-        if (call_orders(s.call) && s.start_tick > w.done_tick)
-          ready_at = std::min(ready_at, s.done_tick);
-      if (present(w)) continue;
-      if (ready_at < max_surviving_start) {
-        violation(f.rel_name() + " write (" + describe(w) +
-                  ") lost although a later write survived past the order "
-                  "point covering it — cross-writer ordering broken");
-        dump("conc-order", w);
-      } else if (res.quiesced && ready_at != kNever) {
-        violation(f.rel_name() + " write (" + describe(w) +
-                  ") not durable after quiescence");
-        dump("conc-quiesce", w);
-      }
-    }
-
-    // 4. Existence + size floor: a never-unlinked file with a durable
-    //    full-sync fact must exist, with at least the size the syncs
-    //    settled.
-    if (!f.unlinked && any_exist_fact) {
-      ++res.namespace_facts_checked;
-      if (rf == nullptr)
-        violation(f.rel_name() +
-                  " was durably synced but does not exist after recovery");
-    }
-    if (rf != nullptr && size_floor > 0) {
-      ++res.namespace_facts_checked;
-      if (rf->size_blocks < size_floor)
-        violation(f.rel_name() + " recovered with size " +
-                  std::to_string(rf->size_blocks) + " < synced size " +
-                  std::to_string(size_floor));
-    }
-
-    // 5. Rename durability under contention: once a sync committed the
-    //    rename history up to name_idx_floor, only that or a newer name
-    //    may recover.
-    if (name_idx_floor > 0 && rf != nullptr) {
-      ++res.namespace_facts_checked;
-      const auto it =
-          std::find(f.rel_names.begin(), f.rel_names.end(), rf->name);
-      if (it != f.rel_names.end() &&
-          static_cast<std::size_t>(it - f.rel_names.begin()) <
-              name_idx_floor)
-        violation("namespace: " + rf->name +
-                  " recovered although the rename to " +
-                  f.rel_names[name_idx_floor] + " was durably synced");
-    }
-
-    // 6. Unlink durability: a sync that returned after the unlink
-    //    completed committed the removal.
-    if (unlink_committed) {
-      ++res.namespace_facts_checked;
-      if (rf != nullptr)
-        violation("namespace: " + rf->name +
-                  " recovered although its unlink was durably synced");
-    }
-
-    // 7. Linked-chain contract (api::Ring workloads; the vectors are empty
-    //    on direct-Vfs traces). chain_covered/chain_successors come from
-    //    the chain's SUBMISSION structure, not observed timing, so a ring
-    //    that ignores its link flags still produces these claims — and the
-    //    reordering it allowed shows up as violations here even when the
-    //    tick-based rules above (which adapt to actual behaviour) say
-    //    nothing.
-    for (const wl::TraceSync& s : f.syncs) {
-      if (s.chain_covered.empty()) continue;
-      const bool acks = call_acks_data(kind, s.call);
-      bool successor_present = false;
-      for (const std::size_t si : s.chain_successors)
-        if (present(f.writes[si])) successor_present = true;
-      for (const std::size_t ci : s.chain_covered) {
-        const wl::TraceWrite& w = f.writes[ci];
-        ++res.chain_facts_checked;
-        if (present(w)) continue;
-        if (acks) {
-          // (a) The chain's sync returned, so every write linked before
-          //     it was acked durable.
-          violation(f.rel_name() + " chain write (" + describe(w) +
-                    ") linked before a returned " +
-                    "durable sync did not survive");
-          dump("chain-acked", w);
-        } else if (successor_present) {
-          // (b) A write linked after the sync reached media, so the link
-          //     order says every write linked before it must have too.
-          violation(f.rel_name() + " chain write (" + describe(w) +
-                    ") lost although a write linked after its chain's "
-                    "sync survived — linked-chain ordering broken");
-          dump("chain-order", w);
-        } else if (res.quiesced && call_orders(s.call)) {
-          // (c) Delayed durability: the chain's returned sync covered it.
-          violation(f.rel_name() + " chain write (" + describe(w) +
-                    ") not durable after quiescence");
-          dump("chain-quiesce", w);
-        }
-      }
-    }
-  }
-  return report;
-}
-
-}  // namespace
-
-CrashCheckResult run_concurrent_crash_check(StackKind kind,
-                                            std::uint64_t seed,
-                                            sim::SimTime crash_at,
-                                            const ConcurrentCrashOptions& opt) {
-  CrashCheckResult res;
-  res.seed = seed;
-  res.crash_at = crash_at;
-  const core::StackConfig cfg = checker_config(
-      kind, opt.journal_blocks, opt.wl.extent_blocks, opt.nr_queues);
-
-  // The trace outlives the stack: suspended writer frames destroyed at
-  // simulator teardown may still name it (they never touch it then, but
-  // the ordering keeps the invariant obvious).
-  wl::ConcurrentTrace trace;
-  auto stack = std::make_unique<core::Stack>(cfg);
-  stack->start();
-  api::Vfs vfs(*stack);
-  wl::ConcurrentWritersParams params = opt.wl;
-  params.seed = seed;
-  wl::spawn_concurrent_writers(stack->volume(0), vfs, "", params, trace);
-  stack->sim().run_until(crash_at);  // power cut
-
-  const fs::RecoveryReport report =
-      verify_concurrent_volume(res, stack->volume(0), trace, kind);
-
-  if (opt.remount) {
-    auto stack2 = std::make_unique<core::Stack>(cfg);
-    stack2->fs().mount(report);
-    stack2->start();
-    api::Vfs vfs2(*stack2);
-    std::string err;
-    // iolint: detached-owner(run() below drains the verifier before
-    // vfs2/report/err leave scope)
-    stack2->sim().spawn("chk:verify", remount_verify(vfs2, "", report, err));
-    stack2->sim().run();
-    if (!err.empty()) res.violations.push_back("remount: " + err);
-  }
-  return res;
-}
-
-CrashSweepResult run_concurrent_crash_sweep(StackKind kind, int points,
-                                            std::uint64_t base_seed,
-                                            const ConcurrentCrashOptions& opt,
-                                            int jobs) {
-  return sweep_points(
-      points, base_seed, jobs,
-      std::string("conc:") + core::to_string(kind) +
-          repro_queue_segment(opt.nr_queues),
-      core::to_string(kind),
-      [kind, &opt](std::uint64_t seed, sim::SimTime crash_at) {
-        return run_concurrent_crash_check(kind, seed, crash_at, opt);
-      });
-}
-
-// ---- ring-driven concurrent checker ----------------------------------------
-
-CrashCheckResult run_ring_crash_check(StackKind kind, std::uint64_t seed,
-                                      sim::SimTime crash_at,
-                                      const RingCrashOptions& opt) {
-  CrashCheckResult res;
-  res.seed = seed;
-  res.crash_at = crash_at;
-  const core::StackConfig cfg = checker_config(
-      kind, opt.journal_blocks, opt.wl.extent_blocks, opt.nr_queues);
-
-  // The trace outlives the stack, exactly as in the direct concurrent
-  // check: ring drivers and writer frames destroyed at simulator teardown
-  // may still name it.
-  wl::ConcurrentTrace trace;
-  auto stack = std::make_unique<core::Stack>(cfg);
-  stack->start();
-  api::Vfs vfs(*stack);
-  wl::RingWorkloadParams params = opt.wl;
-  params.seed = seed;
-  wl::spawn_ring_writers(stack->volume(0), vfs, "", params, trace);
-  stack->sim().run_until(crash_at);  // power cut
-
-  const fs::RecoveryReport report =
-      verify_concurrent_volume(res, stack->volume(0), trace, kind);
-
-  if (opt.remount) {
-    auto stack2 = std::make_unique<core::Stack>(cfg);
-    stack2->fs().mount(report);
-    stack2->start();
-    api::Vfs vfs2(*stack2);
-    std::string err;
-    // iolint: detached-owner(run() below drains the verifier before
-    // vfs2/report/err leave scope)
-    stack2->sim().spawn("chk:verify", remount_verify(vfs2, "", report, err));
-    stack2->sim().run();
-    if (!err.empty()) res.violations.push_back("remount: " + err);
-  }
-  return res;
-}
-
-CrashSweepResult run_ring_crash_sweep(StackKind kind, int points,
-                                      std::uint64_t base_seed,
-                                      const RingCrashOptions& opt, int jobs) {
-  return sweep_points(
-      points, base_seed, jobs,
-      std::string("ring:") + core::to_string(kind) +
-          repro_queue_segment(opt.nr_queues),
-      core::to_string(kind),
-      [kind, &opt](std::uint64_t seed, sim::SimTime crash_at) {
-        return run_ring_crash_check(kind, seed, crash_at, opt);
-      });
-}
-
-MultiVolumeSweepResult run_multi_volume_crash_sweep(
-    const std::vector<StackKind>& kinds, int points, std::uint64_t base_seed,
-    const CrashCheckOptions& opt, int jobs) {
-  MultiVolumeSweepResult sweep;
-  sweep.volumes.resize(kinds.size());
+CrashSweepResult run_sweep(const SweepSpec& spec, int points,
+                           std::uint64_t base_seed, int jobs) {
+  CrashSweepResult sweep;
+  sweep.volumes.resize(spec.volumes.size());
   if (points <= 0) return sweep;
-  // Same shape as sweep_points, with the per-volume merge inline: serial
-  // instant precompute, parallel point execution, canonical-order fold.
+  // Parallel-safe by construction: one serial CrashPointGen pass
+  // precomputes every point's crash instant, a sim::HostPool runs the
+  // points across up to `jobs` host threads — each point builds its own
+  // core::Stack and derives its seed from its index alone — and the
+  // results fold in canonical point order, so fold() and note_failure()
+  // see the identical sequence at any jobs value.
   CrashPointGen gen(base_seed);
-  std::vector<sim::SimTime> crash_ats(static_cast<std::size_t>(points));
-  for (sim::SimTime& t : crash_ats) t = gen.next();
+  std::vector<sim::SimTime> crash_at(static_cast<std::size_t>(points));
+  for (sim::SimTime& t : crash_at) t = gen.next();
 
-  std::vector<MultiVolumeCrashResult> results(
+  std::vector<std::vector<CrashCheckResult>> results(
       static_cast<std::size_t>(points));
-  const sim::HostPool hpool(jobs);
+  const sim::HostPool pool(jobs);
   // iolint: detached-owner(for_each_index joins its workers before
   // returning; the capture cannot outlive this frame)
-  hpool.for_each_index(points, [&](int p) {
-    const auto idx = static_cast<std::size_t>(p);
-    results[idx] = run_multi_volume_crash_check(
-        kinds, base_seed + static_cast<std::uint64_t>(p), crash_ats[idx],
-        opt);
+  pool.for_each_index(points, [&](int i) {
+    const auto idx = static_cast<std::size_t>(i);
+    results[idx] = run_check(spec, base_seed + static_cast<std::uint64_t>(i),
+                             crash_at[idx]);
   });
 
+  sweep.points = points;
+  for (CrashSweepResult& v : sweep.volumes) v.points = points;
   for (int i = 0; i < points; ++i) {
-    const MultiVolumeCrashResult& res = results[static_cast<std::size_t>(i)];
-    ++sweep.points;
     bool failed = false;
-    for (std::size_t v = 0; v < kinds.size(); ++v) {
-      const CrashCheckResult& r = res.volumes[v];
-      CrashSweepResult& agg = sweep.volumes[v];
-      agg.accumulate(r);
-      if (!r.ok()) {
-        ++agg.failed_points;
-        failed = true;
-        const std::string tag =
-            std::string(core::to_string(kinds[v])) + "@v" + std::to_string(v);
-        if (sweep.sample_violations.size() < 8) {
-          std::ostringstream os;
-          os << tag << " seed=" << r.seed << " crash=" << r.crash_at
-             << "ns point=" << i << ": " << r.violations.front()
-             << " (replay: --repro node" << repro_queue_segment(opt.nr_queues)
-             << ":" << base_seed << ":" << i << ")";
-          sweep.sample_violations.push_back(os.str());
-        }
-      }
+    for (std::size_t v = 0; v < spec.volumes.size(); ++v) {
+      const CrashCheckResult& r = results[static_cast<std::size_t>(i)][v];
+      fold(sweep, r);
+      fold(sweep.volumes[v], r);
+      if (r.ok()) continue;
+      failed = true;
+      ++sweep.volumes[v].failed_points;
+      note_failure(sweep, spec, base_seed, i, v, r);
     }
     if (failed) ++sweep.failed_points;
   }
   return sweep;
+}
+
+// ---- the --repro grammar -------------------------------------------------------
+
+std::string to_repro(const Repro& r) {
+  std::string out;
+  for (const auto& [flavour, tag] : kPrefixes)
+    if (r.spec.flavour == flavour) out = std::string(tag) + ":";
+  for (std::size_t i = 0; i < r.spec.volumes.size(); ++i)
+    out += (i == 0 ? "" : ",") + std::string(core::to_string(r.spec.volumes[i]));
+  if (r.spec.nr_queues != 1) out += ":q" + std::to_string(r.spec.nr_queues);
+  return out + ":" + std::to_string(r.base_seed) + ":" +
+         std::to_string(r.point);
+}
+
+std::optional<Repro> parse_repro(std::string_view text) {
+  const std::vector<std::string_view> parts = split(text, ':');
+  if (parts.size() < 3 || parts.size() > 5) return std::nullopt;
+  Repro r;
+  std::size_t idx = 0;
+  for (const auto& [flavour, tag] : kPrefixes)
+    if (parts[0] == tag) {
+      r.spec.flavour = flavour;
+      idx = 1;
+    }
+  // The stack list: known names only, no empty entries.
+  for (std::string_view name : split(parts[idx], ',')) {
+    bool known = false;
+    for (StackKind k : {StackKind::kExt4DR, StackKind::kExt4OD,
+                        StackKind::kBfsDR, StackKind::kBfsOD,
+                        StackKind::kOptFs})
+      if (name == core::to_string(k)) {
+        r.spec.volumes.push_back(k);
+        known = true;
+      }
+    if (!known) return std::nullopt;
+  }
+  ++idx;
+  // Optional q<N> segment: N in [1, 64] (a block layer needs a queue).
+  if (parts.size() - idx == 3) {
+    std::uint64_t q = 0;
+    const std::string_view seg = parts[idx];
+    if (seg.size() < 2 || seg[0] != 'q' || !parse_u64(seg.substr(1), q) ||
+        q < 1 || q > 64)
+      return std::nullopt;
+    r.spec.nr_queues = static_cast<std::uint32_t>(q);
+    ++idx;
+  }
+  std::uint64_t point = 0;
+  if (parts.size() - idx != 2 || !parse_u64(parts[idx], r.base_seed) ||
+      !parse_u64(parts[idx + 1], point) || point > 1'000'000)
+    return std::nullopt;
+  r.point = static_cast<int>(point);
+  return r;
 }
 
 }  // namespace bio::chk

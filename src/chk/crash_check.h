@@ -3,7 +3,7 @@
 // Runs a randomized api::Vfs workload on a freshly assembled IO stack,
 // cuts power at a chosen simulated instant, recovers the durable image
 // through fs::Recovery, remounts a *fresh* stack over the recovered state,
-// and verifies the stack's crash-consistency contract:
+// and verifies the stack's crash-consistency contract (DESIGN.md §6.7):
 //
 //   stack   | verified guarantees
 //   --------+-----------------------------------------------------------
@@ -18,51 +18,73 @@
 //           | violating (the paper's Fig 1 motivation)
 //
 // plus, on every stack with a working journal, that recovery never has to
-// replay a stale log copy (RecoveryReport::clean()), and — since the
+// replay a stale log copy (RecoveryReport::clean()), and — since every
 // workload churns the namespace with unlink()/rename() — that the
 // recovered namespace is consistent: no duplicate or fabricated names, a
 // durably-renamed file only ever recovers under the new (or a newer) name,
 // a durably-unlinked file never reappears.
 //
-// run_crash_sweep() repeats this over many (seed, crash instant) points;
-// run_multi_volume_crash_check() runs the same oracle per volume of a
-// heterogeneous multi-volume node (one shared simulator, one api::Vfs
-// mount table, N independent journals) and verifies each volume's
-// contract independently — one volume's recovery reads only its own
-// journal. tests/crash_recovery_test.cc drives >= 200 points per stack
-// and examples/crash_consistency.cpp is the CLI for both sweeps.
+// Every workload flavour records one wl::ConcurrentTrace per volume and
+// one oracle verifies it. A SweepSpec names the flavour, the volumes and
+// the stack shape; run_check() runs one (seed, crash instant) point of it
+// and run_sweep() many. A spec plus a point index round-trips through one
+// `--repro` grammar (to_repro/parse_repro), which is what
+// examples/crash_consistency replays.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/stack.h"
 #include "sim/time.h"
-#include "wl/concurrent_writers.h"
-#include "wl/ring_workload.h"
 
 namespace bio::chk {
 
-struct CrashCheckOptions {
-  /// Files the workload churns.
-  int files = 4;
-  /// Random operations after setup.
-  int ops = 60;
-  /// Journal size for the scenario (small values force wraps). 0 = stack
-  /// default.
-  std::uint32_t journal_blocks = 256;
-  /// Extent reserved per file (4 KiB pages).
-  std::uint32_t extent_blocks = 64;
-  /// Software submission queues in the block layer (blk-mq). Sweeps run at
-  /// 1 (classic, bit-identical) and 4 (cross-queue epoch fence exercised);
-  /// the value rides in the --repro spec as a `q<N>` segment so multi-queue
-  /// failures replay exactly.
-  std::uint32_t nr_queues = 1;
-  /// Remount a fresh stack over the recovered image and verify it works.
-  bool remount = true;
+/// The workload a sweep drives; each records into the same trace oracle.
+enum class Flavour : std::uint8_t {
+  /// One writer per volume through api::File handles (the §6 sweep).
+  kSingle,
+  /// kSingle plus a seed-derived flash::FaultPlan per volume (§11.3): the
+  /// oracle drops its ordering facts and quiescence also requires a live
+  /// journal and a clean page cache.
+  kFault,
+  /// N writers sharing files through independent fds (§9).
+  kConc,
+  /// Writers batching linked chains through api::Ring (§10).
+  kRing,
 };
 
+struct SweepSpec {
+  Flavour flavour = Flavour::kSingle;
+  /// One stack kind per volume (at least one). More than one runs a node:
+  /// volume i is mounted at "/v<i>/" behind one Vfs, runs its own workload
+  /// from its own seed stream, and one power cut hits every volume at once.
+  std::vector<core::StackKind> volumes;
+  /// Block-layer software queues (blk-mq): 1 is the classic single queue,
+  /// 4 exercises the cross-queue epoch fence.
+  std::uint32_t nr_queues = 1;
+  /// Journal size per volume (small values force wraps). 0 = stack
+  /// default.
+  std::uint32_t journal_blocks = 256;
+  /// Random ops per writer; 0 = the flavour's default (60 for the
+  /// single-writer flavours, 40 per concurrent writer). Ignored by kRing.
+  int ops = 0;
+  /// kConc writer count; 0 = the default (4).
+  std::uint32_t writers = 0;
+  /// TEST ONLY (kFault): BlockLayer::set_swallow_io_errors_for_test — the
+  /// injected bug the fault sweep must deterministically detect.
+  bool swallow_io_errors = false;
+  /// TEST ONLY (kRing): rings ignore their link flags — the injected
+  /// ordering bug the chain contract must catch.
+  bool ignore_links = false;
+
+  friend bool operator==(const SweepSpec&, const SweepSpec&) = default;
+};
+
+/// One volume's verdict at one crash point.
 struct CrashCheckResult {
   std::uint64_t seed = 0;
   sim::SimTime crash_at = 0;
@@ -72,8 +94,9 @@ struct CrashCheckResult {
 
   // Scenario facts (for reporting and targeted assertions).
   bool workload_finished = false;
-  /// Device + page cache fully drained at the crash instant: everything
-  /// ever synced must have reached media.
+  /// The workload finished and the device drained at the cut (fault mode
+  /// also needs a live journal and a clean page cache): everything any
+  /// returned sync covered must have reached media.
   bool quiesced = false;
   std::uint32_t files_recovered = 0;
   std::uint32_t txns_replayed = 0;
@@ -83,24 +106,23 @@ struct CrashCheckResult {
   std::uint64_t journal_wraps = 0;
   std::uint64_t journal_stalls = 0;
   std::uint64_t checkpoint_flushes = 0;
+  // Facts the oracle verified.
   std::uint32_t acked_pages_checked = 0;
   std::uint32_t order_writes_checked = 0;
-  /// Namespace-churn facts verified (rename/unlink durability and
+  /// Namespace facts verified (rename/unlink durability and
   /// recovered-namespace consistency).
   std::uint32_t namespace_facts_checked = 0;
-  /// Namespace ops the workload actually performed.
-  std::uint32_t renames_done = 0;
-  std::uint32_t unlinks_done = 0;
-  // Concurrent-sweep facts (zero on single-writer checks).
   /// Returned sync syscalls whose promises were verified.
   std::uint32_t syncs_recorded = 0;
+  /// Ring linked-chain facts verified (zero on non-ring workloads).
+  std::uint32_t chain_facts_checked = 0;
+  // What the workload did.
+  std::uint32_t renames_done = 0;
+  std::uint32_t unlinks_done = 0;
   /// Descriptor close/reopen cycles the workload performed.
   std::uint32_t fd_cycles = 0;
   /// close() calls issued while that fd's sync was still suspended.
   std::uint32_t closes_during_sync = 0;
-  /// Ring linked-chain contract facts verified (covered-write durability /
-  /// successor-implies-covered ordering; zero on non-ring workloads).
-  std::uint32_t chain_facts_checked = 0;
   // Fault-injection facts (zero/false on fault-free checks).
   /// Faults the installed plan actually fired before the cut.
   std::uint64_t faults_injected = 0;
@@ -114,14 +136,18 @@ struct CrashCheckResult {
   bool volume_degraded = false;
 };
 
-/// One workload + power cut + recovery + remount + verification pass.
-CrashCheckResult run_crash_check(core::StackKind kind, std::uint64_t seed,
-                                 sim::SimTime crash_at,
-                                 const CrashCheckOptions& opt = {});
+/// One workload + power cut + recovery + remount + verification pass over
+/// every volume of `spec`; returns one result per volume, index-aligned
+/// with spec.volumes.
+std::vector<CrashCheckResult> run_check(const SweepSpec& spec,
+                                        std::uint64_t seed,
+                                        sim::SimTime crash_at);
 
 struct CrashSweepResult {
   int points = 0;
+  /// Crash points where any volume violated its contract.
   int failed_points = 0;
+  // Counters summed over every point and volume.
   int quiesced_points = 0;
   std::uint64_t acked_pages_checked = 0;
   std::uint64_t order_writes_checked = 0;
@@ -135,207 +161,73 @@ struct CrashSweepResult {
   std::uint64_t fd_cycles = 0;
   std::uint64_t closes_during_sync = 0;
   std::uint64_t chain_facts_checked = 0;
-  // Fault-sweep aggregates (zero on fault-free sweeps).
   std::uint64_t faults_injected = 0;
   std::uint64_t io_retries = 0;
   std::uint64_t io_failures = 0;
   std::uint64_t syncs_failed = 0;
   int degraded_points = 0;
-  /// First few violations, with their (seed, crash) context and a
-  /// `--repro` spec (see examples/crash_consistency). The CLI spec replays
-  /// with DEFAULT sweep options; a sweep run with custom options must be
-  /// replayed through run_crash_check / run_concurrent_crash_check with
-  /// the same options and the Failure coordinates below.
+  /// First few violations, each with its volume, seed, crash instant and
+  /// the `--repro` spec that replays it (to_repro of the sweep's spec at
+  /// that point; the replay runs default spec sizes, see parse_repro).
   std::vector<std::string> sample_violations;
 
-  /// Replay coordinates of the first 32 failed points: point index plus
-  /// the derived seed and crash instant. run_crash_check(kind, seed,
-  /// crash_at, <the sweep's options>) — or the concurrent flavour —
-  /// replays exactly that case; `failed_points` holds the true total.
+  /// Replay coordinates of the first 32 failed (point, volume) pairs:
+  /// run_check(<the sweep's spec>, seed, crash_at)[volume] replays exactly
+  /// that case; `failed_points` holds the true total.
   struct Failure {
     int point = 0;
+    std::size_t volume = 0;
     std::uint64_t seed = 0;
     sim::SimTime crash_at = 0;
     std::string first_violation;
   };
   std::vector<Failure> failures;
 
-  bool ok() const noexcept { return failed_points == 0; }
+  /// Per-volume breakdown, index-aligned with spec.volumes: the counters
+  /// and failed_points of that volume alone (no failure samples).
+  std::vector<CrashSweepResult> volumes;
 
-  /// Folds one crash point's result into the aggregate (points, quiesced
-  /// and every checked-facts counter; failure accounting stays with the
-  /// caller). The single funnel every sweep flavour uses.
-  void accumulate(const CrashCheckResult& r);
+  bool ok() const noexcept { return failed_points == 0; }
 };
 
-/// The crash instant the sweeps derive for `point` under `base_seed` —
-/// exposed so a single failed sweep point can be replayed in isolation
-/// (every sweep flavour draws from this same generator stream).
+/// The crash instant a sweep derives for `point` under `base_seed` (the
+/// point's seed is base_seed + point) — exposed so a single failed sweep
+/// point replays in isolation.
 sim::SimTime sweep_crash_at(std::uint64_t base_seed, int point);
 
-/// Sweeps `points` random (seed, crash instant) combinations derived from
+/// Sweeps `points` (seed, crash instant) combinations derived from
 /// `base_seed`. Crash instants mix mid-workload cuts with post-quiescence
 /// ones (the delayed-durability cases).
 ///
-/// Every sweep flavour takes a trailing `jobs` knob, resolved through
-/// sim::resolve_host_jobs (0 = BIO_SWEEP_JOBS env, else hardware
-/// concurrency; 1 = the legacy serial path). Points run across up to
-/// `jobs` host threads — each point builds its own core::Stack, its seed
-/// and crash instant derive from its index alone, and results fold in
-/// canonical point order, so every jobs value yields a bit-identical
+/// `jobs` resolves through sim::resolve_host_jobs (0 = BIO_SWEEP_JOBS env,
+/// else hardware concurrency; 1 = the serial path). Points run across up
+/// to `jobs` host threads — each point builds its own core::Stack, its
+/// seed and crash instant derive from its index alone, and results fold
+/// in canonical point order, so every jobs value yields a bit-identical
 /// CrashSweepResult (counters, failure coordinates and --repro strings).
-CrashSweepResult run_crash_sweep(core::StackKind kind, int points,
-                                 std::uint64_t base_seed = 1,
-                                 const CrashCheckOptions& opt = {},
-                                 int jobs = 0);
+CrashSweepResult run_sweep(const SweepSpec& spec, int points,
+                           std::uint64_t base_seed = 1, int jobs = 0);
 
-// ---- fault-injection crash sweep --------------------------------------------
+// ---- the --repro grammar -----------------------------------------------------
 
-/// Options for the fault crash sweep: the single-writer workload shape plus
-/// a seed-derived flash::FaultPlan installed on the device before start.
-struct FaultCrashOptions {
-  CrashCheckOptions wl;
-  /// Faults drawn per plan (flash::FaultPlan::random upper bound).
-  std::uint32_t max_faults = 4;
-  /// Write-op ordinal range the plan spreads its faults over (roughly the
-  /// device write-command count the default checker workload generates —
-  /// measured ~70 for a full fault-free run; see FaultPlan::random's
-  /// log-uniform placement for why early ordinals are favoured).
-  std::uint64_t expected_write_ops = 80;
-  /// TEST ONLY: forwards to BlockLayer::set_swallow_io_errors_for_test —
-  /// the deliberate injected bug the sweep must deterministically detect.
-  bool swallow_io_errors = false;
+/// One sweep point as a `--repro` spec names it.
+struct Repro {
+  SweepSpec spec;
+  std::uint64_t base_seed = 1;
+  int point = 0;
+
+  friend bool operator==(const Repro&, const Repro&) = default;
 };
 
-/// One fault plan + workload + power cut + recovery + remount pass. The
-/// workload tolerates EIO/EROFS (it stops writing once the volume degrades
-/// read-only) and records durability facts only for syncs that returned
-/// kOk. The oracle then composes fault injection with the power-cut facts:
-///   * acked durability survives faults: a durable-ack sync that returned
-///     kOk covers its data even when earlier IOs failed and were retried;
-///   * a torn/failed journal write never replays as committed (recovery is
-///     clean and stops at the missing evidence);
-///   * an aborted (degraded) volume still recovers read-consistent and
-///     remounts into a fully usable stack.
-/// The in-order epoch-prefix fact is deliberately NOT checked here: a
-/// bounded retry legally re-lands a transiently failed write after later
-/// writes (a retried bio is not ordering-preserved), so ordering-only
-/// stacks have a real hazard window under transient faults.
-CrashCheckResult run_fault_crash_check(core::StackKind kind,
-                                       std::uint64_t seed,
-                                       sim::SimTime crash_at,
-                                       const FaultCrashOptions& opt = {});
+/// `[conc:|ring:|fault:]<stack>[,<stack>…][:q<N>]:<base>:<point>` — a
+/// stack list names a node's volumes; the q segment is omitted at one
+/// queue. Only flavour, volumes and nr_queues travel in the text.
+std::string to_repro(const Repro& r);
 
-CrashSweepResult run_fault_crash_sweep(core::StackKind kind, int points,
-                                       std::uint64_t base_seed = 1,
-                                       const FaultCrashOptions& opt = {},
-                                       int jobs = 0);
-
-// ---- multi-volume node ------------------------------------------------------
-
-/// One power cut on a node running `kinds.size()` volumes behind one Vfs
-/// mount table ("/v0/...", "/v1/...): each volume runs its own randomized
-/// workload (distinct seed), the cut hits all of them at once, and every
-/// volume is recovered from its own journal and verified against its own
-/// kind's contract.
-struct MultiVolumeCrashResult {
-  std::uint64_t seed = 0;
-  sim::SimTime crash_at = 0;
-  /// Per-volume results, index-aligned with the `kinds` argument.
-  std::vector<CrashCheckResult> volumes;
-
-  bool ok() const noexcept {
-    for (const CrashCheckResult& v : volumes)
-      if (!v.ok()) return false;
-    return true;
-  }
-};
-
-MultiVolumeCrashResult run_multi_volume_crash_check(
-    const std::vector<core::StackKind>& kinds, std::uint64_t seed,
-    sim::SimTime crash_at, const CrashCheckOptions& opt = {});
-
-/// Sweep aggregate with per-volume breakdown (index-aligned with `kinds`).
-struct MultiVolumeSweepResult {
-  int points = 0;
-  int failed_points = 0;
-  std::vector<CrashSweepResult> volumes;
-  std::vector<std::string> sample_violations;
-
-  bool ok() const noexcept { return failed_points == 0; }
-};
-
-MultiVolumeSweepResult run_multi_volume_crash_sweep(
-    const std::vector<core::StackKind>& kinds, int points,
-    std::uint64_t base_seed = 1, const CrashCheckOptions& opt = {},
-    int jobs = 0);
-
-// ---- concurrent multi-writer sweep ------------------------------------------
-
-/// Options for the shared-inode concurrent sweep: N writer coroutines over
-/// one volume through independent fds (wl::spawn_concurrent_writers), with
-/// the per-writer observations merged into one cross-writer contract.
-struct ConcurrentCrashOptions {
-  wl::ConcurrentWritersParams wl;
-  /// Journal size (small values force wraps under the churn). 0 = default.
-  std::uint32_t journal_blocks = 256;
-  /// Block-layer software queues (see CrashCheckOptions::nr_queues).
-  std::uint32_t nr_queues = 1;
-  bool remount = true;
-};
-
-/// One concurrent workload + power cut + recovery + remount + cross-writer
-/// verification pass. The verified contract, per stack kind:
-///   * acked durability per syncing fd: a write that completed before a
-///     durable-ack sync (fsync/fdatasync on EXT4/BFS, dsync's data on
-///     OptFS) started must survive once that sync returned — regardless of
-///     which writer wrote and which fd synced;
-///   * cross-writer epoch prefix: if a write that started after a returned
-///     sync survives, every write (any writer) that completed before that
-///     sync started survives — racing writes are constrained by neither
-///     side;
-///   * delayed durability at quiescence, and the PR 4 namespace facts
-///     (durable renames stick, durable unlinks stay gone, nothing
-///     fabricated) under rename/unlink contention.
-CrashCheckResult run_concurrent_crash_check(
-    core::StackKind kind, std::uint64_t seed, sim::SimTime crash_at,
-    const ConcurrentCrashOptions& opt = {});
-
-CrashSweepResult run_concurrent_crash_sweep(
-    core::StackKind kind, int points, std::uint64_t base_seed = 1,
-    const ConcurrentCrashOptions& opt = {}, int jobs = 0);
-
-// ---- ring-driven concurrent sweep -------------------------------------------
-
-/// Options for the api::Ring variant of the concurrent sweep: N writers
-/// each batching linked chains and unlinked sqes through their own Ring
-/// (wl::spawn_ring_writers), verified by the same cross-writer oracle plus
-/// the linked-chain contract (TraceSync::chain_covered/chain_successors).
-struct RingCrashOptions {
-  wl::RingWorkloadParams wl;
-  /// Journal size (small values force wraps under the churn). 0 = default.
-  std::uint32_t journal_blocks = 256;
-  /// Block-layer software queues (see CrashCheckOptions::nr_queues).
-  std::uint32_t nr_queues = 1;
-  bool remount = true;
-};
-
-/// One ring workload + power cut + recovery + remount + verification pass.
-/// On top of the concurrent contract, verifies per recorded chain sync:
-///   * durable-ack chains: every write linked before a returned
-///     fsync/fdatasync survived (EXT4/BFS; dsync-only on OptFS);
-///   * chain ordering: a surviving write linked *after* the sync proves
-///     every write linked before it — claims derived from the submission
-///     structure, so a link-ignoring ring produces violations;
-///   * chain delayed durability at quiescence for order-only syncs.
-CrashCheckResult run_ring_crash_check(core::StackKind kind,
-                                      std::uint64_t seed,
-                                      sim::SimTime crash_at,
-                                      const RingCrashOptions& opt = {});
-
-CrashSweepResult run_ring_crash_sweep(core::StackKind kind, int points,
-                                      std::uint64_t base_seed = 1,
-                                      const RingCrashOptions& opt = {},
-                                      int jobs = 0);
+/// Strict inverse of to_repro: known prefix and stack names, no empty
+/// fields, decimal numbers without sign or trailing junk, q<N> with N in
+/// [1, 64], point <= 1,000,000. Every other SweepSpec field takes its
+/// default. nullopt on any malformed text.
+std::optional<Repro> parse_repro(std::string_view text);
 
 }  // namespace bio::chk

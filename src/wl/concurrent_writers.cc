@@ -12,6 +12,11 @@ namespace {
 
 using namespace bio::sim::literals;
 
+/// Files every writer writes through its own descriptor.
+constexpr std::uint32_t kSharedFiles = 2;
+/// Additional private files per writer.
+constexpr std::uint32_t kPrivateFiles = 1;
+
 /// One sync-matrix row the writer can roll: either a policy-resolved intent
 /// or a direct barrier/sync syscall.
 struct SyncPick {
@@ -50,6 +55,7 @@ struct Ctx {
   api::Vfs& vfs;
   std::string prefix;
   ConcurrentWritersParams p;
+  std::uint64_t seed;
   ConcurrentTrace& trace;
   std::vector<SyncPick> matrix;
   /// Detached close-during-sync tasks; setup joins them after the writers
@@ -155,9 +161,8 @@ sim::Task writer_body(Ctx* ctxp, std::vector<std::size_t> my_files,
   for (std::uint32_t op = 0; op < ctx.p.ops_per_writer; ++op) {
     // Bias towards shared files: cross-writer interleaving is the point.
     std::size_t li = 0;
-    if (ctx.p.shared_files > 0 && rng.chance(0.55)) {
-      li = static_cast<std::size_t>(
-          rng.uniform(0, ctx.p.shared_files - 1));
+    if (rng.chance(0.55)) {
+      li = static_cast<std::size_t>(rng.uniform(0, kSharedFiles - 1));
     } else {
       li = static_cast<std::size_t>(
           rng.uniform(0, my_files.size() - 1));
@@ -170,7 +175,7 @@ sim::Task writer_body(Ctx* ctxp, std::vector<std::size_t> my_files,
       // Positional write, 1-3 pages anywhere in the extent.
       const std::uint32_t n = static_cast<std::uint32_t>(rng.uniform(1, 3));
       const std::uint32_t page = static_cast<std::uint32_t>(
-          rng.uniform(0, ctx.p.extent_blocks - n));
+          rng.uniform(0, kWriterExtentBlocks - n));
       const std::uint64_t t0 = trace.next_tick();
       api::Result<std::uint32_t> r = co_await ctx.vfs.pwrite(fd, page, n);
       if (r.ok()) record_write(ctx, f, w, t0, page, r.value());
@@ -194,7 +199,7 @@ sim::Task writer_body(Ctx* ctxp, std::vector<std::size_t> my_files,
           rng.uniform(0, ctx.matrix.size() - 1))];
       const api::Fd sfd = rng.chance(0.25) ? f.anchor.fd() : fd;
       co_await do_sync(&ctx, &f, policy_of(f), sfd, pick, w);
-    } else if (dice < 80 && ctx.p.namespace_churn) {
+    } else if (dice < 80) {
       // Rename — mostly to a fresh name, sometimes a POSIX replace-rename
       // displacing another live file's name.
       if (!f.unlinked && !f.ns_busy) {
@@ -223,7 +228,7 @@ sim::Task writer_body(Ctx* ctxp, std::vector<std::size_t> my_files,
         }
         f.ns_busy = false;
       }
-    } else if (dice < 84 && ctx.p.namespace_churn) {
+    } else if (dice < 84) {
       if (!f.unlinked && !f.ns_busy &&
           trace.unlinks <
               static_cast<std::uint32_t>(trace.files.size()) / 2) {
@@ -233,7 +238,7 @@ sim::Task writer_body(Ctx* ctxp, std::vector<std::size_t> my_files,
         f.ns_busy = false;
         ++trace.unlinks;
       }
-    } else if (dice < 92 && ctx.p.fd_churn) {
+    } else if (dice < 92) {
       // fd churn: close the writer's own descriptor and reopen by the
       // current name. 50%: close while a sync through that fd is still
       // suspended (the fd-lifecycle edge the vnode pins must survive).
@@ -269,65 +274,31 @@ sim::Task writer_body(Ctx* ctxp, std::vector<std::size_t> my_files,
 sim::Task setup_and_run(std::unique_ptr<Ctx> ctx) {
   ConcurrentTrace& trace = ctx->trace;
   const ConcurrentWritersParams& p = ctx->p;
-  const std::uint32_t nfiles = p.shared_files + p.writers * p.private_files;
-  trace.files.resize(nfiles);  // never resized again: FileTrace& are stable
+  // Never resized again: FileTrace& stay stable for the whole run.
+  trace.files.resize(kSharedFiles + p.writers * kPrivateFiles);
   trace.writers_total = p.writers;
-
-  auto create = [&](FileTrace& f, std::string name,
-                    bool shared) -> sim::Task {
-    f.rel_names.push_back(std::move(name));
-    f.shared = shared;
-    api::OpenOptions oo;
-    oo.create = true;
-    oo.extent_blocks = p.extent_blocks;
-    f.anchor =
-        api::must(co_await ctx->vfs.open(ctx->prefix + f.rel_name(), oo));
-    f.inode = ctx->vol.fs().lookup(f.rel_name());
-    BIO_CHECK(f.inode != nullptr);
-  };
-  for (std::uint32_t i = 0; i < p.shared_files; ++i)
-    co_await create(trace.files[i], "s" + std::to_string(i), true);
+  for (std::uint32_t i = 0; i < kSharedFiles; ++i) {
+    trace.files[i].rel_names.push_back("s" + std::to_string(i));
+    trace.files[i].shared = true;
+  }
   for (std::uint32_t w = 0; w < p.writers; ++w)
-    for (std::uint32_t j = 0; j < p.private_files; ++j)
-      co_await create(trace.files[p.shared_files + w * p.private_files + j],
-                      "w" + std::to_string(w) + ".p" + std::to_string(j),
-                      false);
+    for (std::uint32_t j = 0; j < kPrivateFiles; ++j)
+      trace.files[kSharedFiles + w * kPrivateFiles + j].rel_names.push_back(
+          "w" + std::to_string(w) + ".p" + std::to_string(j));
+  co_await create_and_settle(ctx->vol, ctx->vfs, ctx->prefix, trace);
   // OptFS: shared file 0 runs the dsync policy row, so the matrix's
   // durability intent actually exercises dsync's data-durable-at-return.
-  if (ctx->vol.kind() == core::StackKind::kOptFs && p.shared_files > 0)
+  if (ctx->vol.kind() == core::StackKind::kOptFs)
     api::must(ctx->vfs.set_policy(trace.files[0].anchor.fd(),
                                   api::SyncPolicy::optfs_dsync()));
-  // Settle the creates so every crash point finds the namespace on disk,
-  // and record the settle as one fsync fact on every file. The *last*
-  // created file is the one synced: transactions retire durably in commit
-  // order, so waiting the newest create's transaction covers every
-  // earlier create even when the journal's transaction-size bound split
-  // them across several transactions. A *direct* fsync — a policy-resolved
-  // sync_file() would be fbarrier on BFS-OD and promise less than the
-  // record claims.
-  if (nfiles > 0) {
-    const std::uint64_t s0 = trace.next_tick();
-    api::must(co_await ctx->vfs.fsync(trace.files.back().anchor.fd()));
-    const std::uint64_t s1 = trace.next_tick();
-    for (FileTrace& f : trace.files) {
-      f.syncs.push_back(TraceSync{api::Syscall::kFsync, s0, s1,
-                                  /*writer=*/~std::uint32_t{0},
-                                  /*settled_size_at_start=*/0,
-                                  /*name_idx_at_start=*/0,
-                                  /*unlinked_at_start=*/false,
-                                  /*chain_covered=*/{},
-                                  /*chain_successors=*/{}});
-      ++trace.syncs_done;
-    }
-  }
 
-  sim::Rng base(ctx->p.seed * 0x9e3779b97f4a7c15ULL + 1);
+  sim::Rng base(ctx->seed * 0x9e3779b97f4a7c15ULL + 1);
   std::vector<sim::ThreadCtx*> threads;
   for (std::uint32_t w = 0; w < p.writers; ++w) {
     std::vector<std::size_t> my_files;
-    for (std::uint32_t i = 0; i < p.shared_files; ++i) my_files.push_back(i);
-    for (std::uint32_t j = 0; j < p.private_files; ++j)
-      my_files.push_back(p.shared_files + w * p.private_files + j);
+    for (std::uint32_t i = 0; i < kSharedFiles; ++i) my_files.push_back(i);
+    for (std::uint32_t j = 0; j < kPrivateFiles; ++j)
+      my_files.push_back(kSharedFiles + w * kPrivateFiles + j);
     // iolint: detached-owner(the join loop below waits every writer and
     // chaos task; the Ctx unique_ptr outlives them in this frame)
     threads.push_back(&ctx->vol.sim().spawn(
@@ -344,12 +315,37 @@ sim::Task setup_and_run(std::unique_ptr<Ctx> ctx) {
 
 }  // namespace
 
+sim::Task create_and_settle(core::Volume& vol, api::Vfs& vfs,
+                            std::string prefix, ConcurrentTrace& trace) {
+  for (FileTrace& f : trace.files) {
+    api::OpenOptions oo;
+    oo.create = true;
+    oo.extent_blocks = kWriterExtentBlocks;
+    f.anchor = api::must(co_await vfs.open(prefix + f.rel_name(), oo));
+    f.inode = vol.fs().lookup(f.rel_name());
+    BIO_CHECK(f.inode != nullptr);
+  }
+  const std::uint64_t s0 = trace.next_tick();
+  api::must(co_await vfs.fsync(trace.files.back().anchor.fd()));
+  const std::uint64_t s1 = trace.next_tick();
+  TraceSync settle;
+  settle.call = api::Syscall::kFsync;
+  settle.start_tick = s0;
+  settle.done_tick = s1;
+  settle.writer = ~std::uint32_t{0};
+  for (FileTrace& f : trace.files) {
+    f.syncs.push_back(settle);
+    ++trace.syncs_done;
+  }
+}
+
 void spawn_concurrent_writers(core::Volume& vol, api::Vfs& vfs,
                               std::string prefix,
                               const ConcurrentWritersParams& params,
-                              ConcurrentTrace& trace) {
+                              std::uint64_t seed, ConcurrentTrace& trace) {
   auto ctx = std::make_unique<Ctx>(Ctx{vol, vfs, std::move(prefix), params,
-                                       trace, sync_matrix(vol.kind()), {}});
+                                       seed, trace, sync_matrix(vol.kind()),
+                                       {}});
   vol.sim().spawn("conc:setup", setup_and_run(std::move(ctx)));
 }
 
@@ -362,7 +358,7 @@ ConcurrentWritersResult run_concurrent_writers(
       vol.name().empty() ? std::string() : "/" + vol.name() + "/";
   ConcurrentTrace trace;
   const sim::SimTime t0 = stack.sim().now();
-  spawn_concurrent_writers(vol, vfs, prefix, params, trace);
+  spawn_concurrent_writers(vol, vfs, prefix, params, /*seed=*/1, trace);
   stack.sim().run();
 
   ConcurrentWritersResult r;

@@ -16,8 +16,8 @@
 // reconstruct the cross-writer happens-before order (which writes completed
 // before which sync started, which started only after it returned) without
 // assuming anything about operations that raced each other. That trace is
-// the input to chk::run_concurrent_crash_check's merged cross-writer oracle;
-// the bench driver (run_concurrent_writers) runs the same workload for
+// the input to the chk crash oracle (every checker flavour records into
+// it); the bench driver (run_concurrent_writers) runs the same workload for
 // wall-clock cost and ignores the trace content.
 #pragma once
 
@@ -35,19 +35,10 @@ struct ConcurrentWritersParams {
   /// Writer coroutines sharing the volume.
   std::uint32_t writers = 4;
   std::uint32_t ops_per_writer = 40;
-  /// Files every writer writes through its own descriptor.
-  std::uint32_t shared_files = 2;
-  /// Additional private files per writer.
-  std::uint32_t private_files = 1;
-  /// Extent reserved per file (4 KiB pages).
-  std::uint32_t extent_blocks = 48;
-  std::uint64_t seed = 1;
-  /// rename/unlink churn on shared and private names.
-  bool namespace_churn = true;
-  /// close/reopen descriptors mid-run, including close() while that fd's
-  /// sync is still suspended (the fd-lifecycle edge).
-  bool fd_churn = true;
 };
+
+/// Extent reserved per file by the trace-recording writers (4 KiB pages).
+inline constexpr std::uint32_t kWriterExtentBlocks = 48;
 
 /// One completed buffered write as the trace remembers it. `version` is the
 /// page-cache version observed when the write returned — under concurrent
@@ -130,6 +121,8 @@ struct ConcurrentTrace {
   std::uint32_t fd_cycles = 0;
   /// close() calls issued while that fd's sync was still suspended.
   std::uint32_t closes_during_sync = 0;
+  /// Sync syscalls that returned an error (fault-tolerant writers only).
+  std::uint32_t syncs_failed = 0;
 
   bool finished() const noexcept {
     return writers_total > 0 && writers_finished == writers_total;
@@ -141,6 +134,17 @@ struct ConcurrentTrace {
   std::uint64_t tick_ = 0;
 };
 
+/// Creates every file of `trace.files` (non-empty; names and `shared`
+/// pre-filled by the caller) in index order, each pinned by its anchor descriptor, then
+/// settles the namespace with one direct fsync of the newest file and
+/// records that settle as an fsync fact on every file. Transactions retire
+/// durably in commit order, so waiting the newest create's transaction
+/// covers every earlier create even when the journal's transaction-size
+/// bound split them; a direct fsync because a policy-resolved sync_file()
+/// would be fbarrier on BFS-OD and promise less than the record claims.
+sim::Task create_and_settle(core::Volume& vol, api::Vfs& vfs,
+                            std::string prefix, ConcurrentTrace& trace);
+
 /// Spawns the setup task (creates + settles the namespace) which then
 /// spawns the writer threads, all onto `vol`'s simulator. `trace` must
 /// outlive the simulation run; `prefix` is the mount prefix ("" for a
@@ -148,7 +152,7 @@ struct ConcurrentTrace {
 void spawn_concurrent_writers(core::Volume& vol, api::Vfs& vfs,
                               std::string prefix,
                               const ConcurrentWritersParams& params,
-                              ConcurrentTrace& trace);
+                              std::uint64_t seed, ConcurrentTrace& trace);
 
 struct ConcurrentWritersResult {
   std::uint64_t ops_done = 0;
@@ -157,8 +161,9 @@ struct ConcurrentWritersResult {
   sim::SimTime elapsed = 0;
 };
 
-/// Bench driver: runs the workload to completion on `stack`'s volume 0
-/// (stack must not have been started yet) and reports simulated throughput.
+/// Bench driver: runs the workload (seed 1) to completion on `stack`'s
+/// volume 0 (stack must not have been started yet) and reports simulated
+/// throughput.
 ConcurrentWritersResult run_concurrent_writers(
     core::Stack& stack, const ConcurrentWritersParams& params);
 

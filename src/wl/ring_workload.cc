@@ -16,6 +16,16 @@ namespace {
 
 using namespace bio::sim::literals;
 
+/// Writer coroutines, each owning its own Ring over the shared Vfs.
+constexpr std::uint32_t kWriters = 3;
+constexpr std::uint32_t kBatchesPerWriter = 12;
+/// Linked chains per batch (each 2-4 sqes glued by kSqeLink).
+constexpr std::uint32_t kChainsPerBatch = 3;
+/// Unlinked sqes per batch (free-running pwrites/preads/syncs).
+constexpr std::uint32_t kUnlinkedPerBatch = 3;
+/// Files shared by every writer (each writer opens its own fds).
+constexpr std::uint32_t kFiles = 3;
+
 /// The stack's order-point syscall as a ring op (the substitution-table row
 /// restricted to what a ring sqe can express).
 api::RingOp order_op(core::StackKind kind) {
@@ -44,7 +54,8 @@ struct Ctx {
   core::Volume& vol;
   api::Vfs& vfs;
   std::string prefix;
-  RingWorkloadParams p;
+  std::uint64_t seed;
+  bool ignore_links;
   ConcurrentTrace& trace;
 };
 
@@ -106,7 +117,7 @@ sim::Task ring_writer(Ctx* ctxp, std::uint32_t w, sim::Rng rng) {
 
   WriterState st;
   api::Ring ring(ctx.vfs);
-  if (ctx.p.ignore_links) ring.set_ignore_links_for_test(true);
+  if (ctx.ignore_links) ring.set_ignore_links_for_test(true);
   api::must(ring.register_buffers({4, 4, 4, 4}));
 
   ring.set_on_op_start([&st, &trace, &ctx](const api::Sqe& sqe) {
@@ -187,7 +198,7 @@ sim::Task ring_writer(Ctx* ctxp, std::uint32_t w, sim::Rng rng) {
     FileTrace& f = trace.files[li];
     const auto n = static_cast<std::uint32_t>(rng.uniform(1, 3));
     const auto page = static_cast<std::uint32_t>(
-        rng.uniform(0, ctx.p.extent_blocks - n));
+        rng.uniform(0, kWriterExtentBlocks - n));
     api::Sqe sqe;
     sqe.op = api::RingOp::kWrite;
     sqe.fd = fds[li].valid() ? fds[li].fd() : f.anchor.fd();
@@ -215,10 +226,10 @@ sim::Task ring_writer(Ctx* ctxp, std::uint32_t w, sim::Rng rng) {
     BIO_CHECK(ring.push(sqe));
   };
 
-  for (std::uint32_t batch = 0; batch < ctx.p.batches_per_writer; ++batch) {
+  for (std::uint32_t batch = 0; batch < kBatchesPerWriter; ++batch) {
     // Linked chains: 1-2 covered writes, an order/durability sync, and
     // sometimes a successor write gated behind the sync.
-    for (std::uint32_t c = 0; c < ctx.p.chains_per_batch; ++c) {
+    for (std::uint32_t c = 0; c < kChainsPerBatch; ++c) {
       const auto li = static_cast<std::size_t>(
           rng.uniform(0, trace.files.size() - 1));
       st.chains.push_back(ChainRec{&trace.files[li], {}, {}, -1});
@@ -233,7 +244,7 @@ sim::Task ring_writer(Ctx* ctxp, std::uint32_t w, sim::Rng rng) {
       if (tail) push_write(li, rec, /*successor=*/true, /*link=*/false);
     }
     // Unlinked sqes: free-running writes, reads and syncs.
-    for (std::uint32_t u = 0; u < ctx.p.unlinked_per_batch; ++u) {
+    for (std::uint32_t u = 0; u < kUnlinkedPerBatch; ++u) {
       const auto li = static_cast<std::size_t>(
           rng.uniform(0, trace.files.size() - 1));
       const int dice = static_cast<int>(rng.uniform(0, 99));
@@ -262,7 +273,7 @@ sim::Task ring_writer(Ctx* ctxp, std::uint32_t w, sim::Rng rng) {
     // fd churn: occasionally close one of this writer's descriptors while
     // its sqes are still in flight — undispatched chain members then
     // surface as -EBADF cqes and cancel their chain tails.
-    if (ctx.p.fd_churn && rng.chance(0.15)) {
+    if (rng.chance(0.15)) {
       const auto li = static_cast<std::size_t>(
           rng.uniform(0, trace.files.size() - 1));
       if (fds[li].valid()) {
@@ -286,7 +297,7 @@ sim::Task ring_writer(Ctx* ctxp, std::uint32_t w, sim::Rng rng) {
 
     // Namespace churn between batches (direct Vfs calls; the ring carries
     // data and sync ops only, as io_uring did before unlinkat support).
-    if (ctx.p.namespace_churn && rng.chance(0.3)) {
+    if (rng.chance(0.3)) {
       FileTrace& f = trace.files[static_cast<std::size_t>(
           rng.uniform(0, trace.files.size() - 1))];
       if (!f.unlinked && !f.ns_busy) {
@@ -321,44 +332,17 @@ sim::Task ring_writer(Ctx* ctxp, std::uint32_t w, sim::Rng rng) {
 
 sim::Task setup_and_run(std::unique_ptr<Ctx> ctx) {
   ConcurrentTrace& trace = ctx->trace;
-  const RingWorkloadParams& p = ctx->p;
-  trace.files.resize(p.files);  // never resized again: FileTrace& stable
-  trace.writers_total = p.writers;
-
-  for (std::uint32_t i = 0; i < p.files; ++i) {
-    FileTrace& f = trace.files[i];
-    f.rel_names.push_back("r" + std::to_string(i));
-    f.shared = true;
-    api::OpenOptions oo;
-    oo.create = true;
-    oo.extent_blocks = p.extent_blocks;
-    f.anchor =
-        api::must(co_await ctx->vfs.open(ctx->prefix + f.rel_name(), oo));
-    f.inode = ctx->vol.fs().lookup(f.rel_name());
-    BIO_CHECK(f.inode != nullptr);
+  trace.files.resize(kFiles);  // never resized again: FileTrace& stable
+  trace.writers_total = kWriters;
+  for (std::uint32_t i = 0; i < kFiles; ++i) {
+    trace.files[i].rel_names.push_back("r" + std::to_string(i));
+    trace.files[i].shared = true;
   }
-  // Settle the creates (transactions retire in commit order, so syncing
-  // the newest covers them all) and record the settle as a sync fact on
-  // every file — same discipline as the direct concurrent workload.
-  if (p.files > 0) {
-    const std::uint64_t s0 = trace.next_tick();
-    api::must(co_await ctx->vfs.fsync(trace.files.back().anchor.fd()));
-    const std::uint64_t s1 = trace.next_tick();
-    for (FileTrace& f : trace.files) {
-      f.syncs.push_back(TraceSync{api::Syscall::kFsync, s0, s1,
-                                  /*writer=*/~std::uint32_t{0},
-                                  /*settled_size_at_start=*/0,
-                                  /*name_idx_at_start=*/0,
-                                  /*unlinked_at_start=*/false,
-                                  /*chain_covered=*/{},
-                                  /*chain_successors=*/{}});
-      ++trace.syncs_done;
-    }
-  }
+  co_await create_and_settle(ctx->vol, ctx->vfs, ctx->prefix, trace);
 
-  sim::Rng base(ctx->p.seed * 0x9e3779b97f4a7c15ULL + 5);
+  sim::Rng base(ctx->seed * 0x9e3779b97f4a7c15ULL + 5);
   std::vector<sim::ThreadCtx*> threads;
-  for (std::uint32_t w = 0; w < p.writers; ++w)
+  for (std::uint32_t w = 0; w < kWriters; ++w)
     // iolint: detached-owner(the join loop below waits every writer; the
     // Ctx unique_ptr outlives them in this frame)
     threads.push_back(&ctx->vol.sim().spawn(
@@ -370,33 +354,11 @@ sim::Task setup_and_run(std::unique_ptr<Ctx> ctx) {
 }  // namespace
 
 void spawn_ring_writers(core::Volume& vol, api::Vfs& vfs, std::string prefix,
-                        const RingWorkloadParams& params,
+                        std::uint64_t seed, bool ignore_links,
                         ConcurrentTrace& trace) {
-  auto ctx =
-      std::make_unique<Ctx>(Ctx{vol, vfs, std::move(prefix), params, trace});
+  auto ctx = std::make_unique<Ctx>(
+      Ctx{vol, vfs, std::move(prefix), seed, ignore_links, trace});
   vol.sim().spawn("ring:setup", setup_and_run(std::move(ctx)));
-}
-
-RingWorkloadResult run_ring_writers(core::Stack& stack,
-                                    const RingWorkloadParams& params) {
-  stack.start();
-  api::Vfs vfs(stack);
-  core::Volume& vol = stack.volume(0);
-  const std::string prefix =
-      vol.name().empty() ? std::string() : "/" + vol.name() + "/";
-  ConcurrentTrace trace;
-  const sim::SimTime t0 = stack.sim().now();
-  spawn_ring_writers(vol, vfs, prefix, params, trace);
-  stack.sim().run();
-
-  RingWorkloadResult r;
-  r.ops_done = trace.ops_done;
-  r.syncs_done = trace.syncs_done;
-  r.elapsed = stack.sim().now() - t0;
-  if (r.elapsed > 0)
-    r.ops_per_sec = static_cast<double>(r.ops_done + r.syncs_done) /
-                    sim::to_seconds(r.elapsed);
-  return r;
 }
 
 }  // namespace bio::wl

@@ -24,50 +24,17 @@
 
 #include "api/vfs.h"
 #include "core/stack.h"
-#include "sim/time.h"
 #include "wl/concurrent_writers.h"
 
 namespace bio::wl {
 
-struct RingWorkloadParams {
-  /// Writer coroutines, each owning its own Ring over the shared Vfs.
-  std::uint32_t writers = 3;
-  std::uint32_t batches_per_writer = 12;
-  /// Linked chains per batch (each 2-4 sqes glued by kSqeLink).
-  std::uint32_t chains_per_batch = 3;
-  /// Unlinked sqes per batch (free-running pwrites/preads/syncs).
-  std::uint32_t unlinked_per_batch = 3;
-  /// Files shared by every writer (each writer opens its own fds).
-  std::uint32_t files = 3;
-  /// Extent reserved per file (4 KiB pages).
-  std::uint32_t extent_blocks = 48;
-  std::uint64_t seed = 1;
-  /// rename/unlink churn between batches.
-  bool namespace_churn = true;
-  /// Occasionally close a descriptor while its sqes are still in flight
-  /// (late completions surface as -EBADF cqes).
-  bool fd_churn = true;
-  /// TEST ONLY: run every ring with link flags ignored — the deliberate
-  /// ordering bug whose violations the crash oracle must catch.
-  bool ignore_links = false;
-};
-
 /// Spawns the setup task (creates + settles the namespace, then spawns the
 /// ring writers) onto `vol`'s simulator. `trace` must outlive the run.
+/// `ignore_links` is TEST ONLY: every ring runs with link flags ignored —
+/// the deliberate ordering bug whose violations the crash oracle must
+/// catch.
 void spawn_ring_writers(core::Volume& vol, api::Vfs& vfs, std::string prefix,
-                        const RingWorkloadParams& params,
+                        std::uint64_t seed, bool ignore_links,
                         ConcurrentTrace& trace);
-
-struct RingWorkloadResult {
-  std::uint64_t ops_done = 0;
-  std::uint64_t syncs_done = 0;
-  double ops_per_sec = 0.0;
-  sim::SimTime elapsed = 0;
-};
-
-/// Bench/test driver: runs the workload to completion on `stack`'s volume 0
-/// (stack must not have been started yet) and reports simulated throughput.
-RingWorkloadResult run_ring_writers(core::Stack& stack,
-                                    const RingWorkloadParams& params);
 
 }  // namespace bio::wl

@@ -1,8 +1,8 @@
 // Concurrent multi-writer crash sweep (DESIGN.md §9): N writer coroutines
 // share files through independent fds, interleave pwrite/append with the
 // full sync-syscall matrix plus rename/unlink and fd churn, and the
-// per-writer observations merge into one cross-writer contract
-// (chk::run_concurrent_crash_check / run_concurrent_crash_sweep).
+// per-writer observations merge into one cross-writer contract (the
+// chk::Flavour::kConc sweep).
 //
 // The sweeps here are the regression net that caught (and now guards) the
 // PR 5 stack bugs — the lost i_sync_tid/i_datasync_tid wait under group
@@ -26,10 +26,11 @@ namespace bio {
 namespace {
 
 using namespace bio::sim::literals;
-using chk::ConcurrentCrashOptions;
 using chk::CrashCheckResult;
 using chk::CrashSweepResult;
 using core::StackKind;
+
+constexpr chk::Flavour kConc = chk::Flavour::kConc;
 
 std::string join(const std::vector<std::string>& v) {
   std::string out;
@@ -42,7 +43,8 @@ std::string join(const std::vector<std::string>& v) {
 class ConcurrentCrashSweepTest : public testing::TestWithParam<StackKind> {};
 
 TEST_P(ConcurrentCrashSweepTest, CrossWriterContractHoldsAcross200Points) {
-  const CrashSweepResult r = chk::run_concurrent_crash_sweep(GetParam(), 200);
+  const CrashSweepResult r =
+      chk::run_sweep({.flavour = kConc, .volumes = {GetParam()}}, 200);
   EXPECT_EQ(r.points, 200);
   EXPECT_EQ(r.failed_points, 0) << join(r.sample_violations);
   // Both crash regimes must be exercised.
@@ -77,20 +79,11 @@ INSTANTIATE_TEST_SUITE_P(
 // ---- 2. the legacy stack must fail under concurrency too -------------------
 
 TEST(ConcurrentNobarrierTest, LegacyStackViolatesItsClaimedContract) {
-  const CrashSweepResult r =
-      chk::run_concurrent_crash_sweep(StackKind::kExt4OD, 120);
+  const CrashSweepResult r = chk::run_sweep(
+      {.flavour = kConc, .volumes = {StackKind::kExt4OD}}, 120);
   EXPECT_GT(r.failed_points, 0)
       << "the nobarrier stack survived 120 concurrent power cuts — "
          "checker too weak";
-  // Repro plumbing: every failure carries its replay coordinates, and
-  // replaying them reproduces the violation exactly.
-  ASSERT_FALSE(r.failures.empty());
-  const CrashSweepResult::Failure& f = r.failures.front();
-  EXPECT_EQ(f.crash_at, chk::sweep_crash_at(1, f.point));
-  const CrashCheckResult replay =
-      chk::run_concurrent_crash_check(StackKind::kExt4OD, f.seed, f.crash_at);
-  EXPECT_FALSE(replay.ok()) << "failed point did not replay";
-  EXPECT_EQ(replay.violations.front(), f.first_violation);
 }
 
 // ---- 3. directed regressions: the configurations that caught the bugs ------
@@ -103,13 +96,17 @@ TEST(ConcurrentRegressionTest, GroupCommitDatasyncWaitBfsDR) {
   // a later fdatasync skipped both commit and wait while the size-bearing
   // commit was still in flight and returned — the acked size was lost.
   const CrashCheckResult r =
-      chk::run_concurrent_crash_check(StackKind::kBfsDR, 42, 4'434'000);
+      chk::run_check({.flavour = kConc, .volumes = {StackKind::kBfsDR}}, 42,
+                     4'434'000)
+          .front();
   EXPECT_TRUE(r.ok()) << join(r.violations);
 }
 
 TEST(ConcurrentRegressionTest, GroupCommitDatasyncWaitExt4DR) {
   const CrashCheckResult r =
-      chk::run_concurrent_crash_check(StackKind::kExt4DR, 110, 2'578'000);
+      chk::run_check({.flavour = kConc, .volumes = {StackKind::kExt4DR}}, 110,
+                     2'578'000)
+          .front();
   EXPECT_TRUE(r.ok()) << join(r.violations);
 }
 
@@ -117,11 +114,13 @@ TEST(ConcurrentRegressionTest, SweptWritebackCarrierProofBfsDR) {
   // Bug 2: a concurrent order-point's carrier transferred and completed
   // right before a durable sync started; the lazy sweep dropped it, the
   // sync's durability proof never covered it, and no flush was issued.
-  ConcurrentCrashOptions opt;
-  opt.journal_blocks = 64;
-  opt.wl.writers = 8;
   const CrashCheckResult r =
-      chk::run_concurrent_crash_check(StackKind::kBfsDR, 76, 4'708'000, opt);
+      chk::run_check({.flavour = kConc,
+                      .volumes = {StackKind::kBfsDR},
+                      .journal_blocks = 64,
+                      .writers = 8},
+                     76, 4'708'000)
+          .front();
   EXPECT_TRUE(r.ok()) << join(r.violations);
 }
 
@@ -130,11 +129,13 @@ TEST(ConcurrentRegressionTest, JournaledDataTxnAttributionOptFs) {
   // transaction but recorded nothing on the inode; a concurrent dsync
   // committed an older transaction and flushed before the data-carrying
   // records transferred — the acked data ended up behind a torn log.
-  ConcurrentCrashOptions opt;
-  opt.journal_blocks = 64;
-  opt.wl.writers = 8;
   const CrashCheckResult r =
-      chk::run_concurrent_crash_check(StackKind::kOptFs, 94, 2'943'000, opt);
+      chk::run_check({.flavour = kConc,
+                      .volumes = {StackKind::kOptFs},
+                      .journal_blocks = 64,
+                      .writers = 8},
+                     94, 2'943'000)
+          .front();
   EXPECT_TRUE(r.ok()) << join(r.violations);
 }
 
@@ -145,12 +146,12 @@ TEST(ConcurrentRegressionTest, JournalSpaceSurvivesConcurrentGroupCommit) {
   // instead of restarting the lap and bounding the running transaction.
   for (StackKind kind : {StackKind::kExt4DR, StackKind::kBfsDR,
                          StackKind::kOptFs}) {
-    ConcurrentCrashOptions opt;
-    opt.journal_blocks = 48;
-    opt.wl.writers = 8;
-    opt.wl.ops_per_writer = 60;
-    const CrashSweepResult r =
-        chk::run_concurrent_crash_sweep(kind, 40, 77, opt);
+    const CrashSweepResult r = chk::run_sweep({.flavour = kConc,
+                                               .volumes = {kind},
+                                               .journal_blocks = 48,
+                                               .ops = 60,
+                                               .writers = 8},
+                                              40, 77);
     EXPECT_EQ(r.failed_points, 0)
         << core::to_string(kind) << join(r.sample_violations);
     EXPECT_GT(r.journal_wraps, 0u)

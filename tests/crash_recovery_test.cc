@@ -1,7 +1,7 @@
 // Full-stack crash-recovery tests (DESIGN.md §6): random Vfs workloads,
 // power cuts at swept instants, fs::Recovery over the durable image, a
 // remount on a fresh stack, and per-stack guarantee verification through
-// chk::run_crash_check / run_crash_sweep.
+// the single-writer chk::SweepSpec flavour (chk::run_check / run_sweep).
 //
 // These sweeps are the regression net that caught (and now guards) real
 // stack bugs: the journal-wrap space lifetime, the group-commit fsync that
@@ -21,7 +21,6 @@ namespace bio {
 namespace {
 
 using namespace bio::sim::literals;
-using chk::CrashCheckOptions;
 using chk::CrashCheckResult;
 using chk::CrashSweepResult;
 using core::StackKind;
@@ -37,7 +36,7 @@ std::string join(const std::vector<std::string>& v) {
 class CrashSweepTest : public testing::TestWithParam<StackKind> {};
 
 TEST_P(CrashSweepTest, GuaranteesHoldAcross200CrashPoints) {
-  const CrashSweepResult r = chk::run_crash_sweep(GetParam(), 200);
+  const CrashSweepResult r = chk::run_sweep({.volumes = {GetParam()}}, 200);
   EXPECT_EQ(r.points, 200);
   EXPECT_EQ(r.failed_points, 0) << join(r.sample_violations);
   // The sweep must actually exercise both regimes.
@@ -74,8 +73,7 @@ TEST(MultiVolumeCrashTest, HeterogeneousNodeKeepsPerVolumeContracts) {
   // contract — >= 200 crash points per volume.
   const std::vector<StackKind> kinds = {StackKind::kBfsDR,
                                         StackKind::kExt4DR};
-  const chk::MultiVolumeSweepResult r =
-      chk::run_multi_volume_crash_sweep(kinds, 200);
+  const CrashSweepResult r = chk::run_sweep({.volumes = kinds}, 200);
   EXPECT_EQ(r.points, 200);
   EXPECT_EQ(r.failed_points, 0) << join(r.sample_violations);
   ASSERT_EQ(r.volumes.size(), 2u);
@@ -100,7 +98,8 @@ TEST(NobarrierCrashTest, LegacyStackViolatesItsClaimedContract) {
   // EXT4 mounted nobarrier on an orderless device claims the EXT4-DR
   // contract and cannot keep it. If this sweep ever comes back clean, the
   // checker has lost its teeth (and the paper's Fig 1 motivation with it).
-  const CrashSweepResult r = chk::run_crash_sweep(StackKind::kExt4OD, 200);
+  const CrashSweepResult r =
+      chk::run_sweep({.volumes = {StackKind::kExt4OD}}, 200);
   EXPECT_GT(r.failed_points, 0)
       << "the nobarrier stack survived 200 power cuts — checker too weak";
 }
@@ -113,10 +112,8 @@ TEST_P(JournalWrapTest, TinyJournalHeavyChurnSurvivesMidWrapCrashes) {
   // A 48-block journal with metadata-heavy ops wraps constantly; before the
   // tail-tracking fix a wrap handed out blocks still owned by committed but
   // un-checkpointed transactions, clobbering the records recovery needs.
-  CrashCheckOptions opt;
-  opt.journal_blocks = 48;
-  opt.ops = 100;
-  const CrashSweepResult r = chk::run_crash_sweep(GetParam(), 60, 1000, opt);
+  const CrashSweepResult r = chk::run_sweep(
+      {.volumes = {GetParam()}, .journal_blocks = 48, .ops = 100}, 60, 1000);
   EXPECT_EQ(r.failed_points, 0) << join(r.sample_violations);
   EXPECT_GT(r.journal_wraps, 0u)
       << "scenario never wrapped — the regression test tests nothing";
@@ -136,11 +133,11 @@ TEST(JournalWrapTest, SpacePressureStallsInsteadOfClobbering) {
   // Crash far past the workload so every commit ran: with a journal this
   // small the reserve path must have stalled (and flushed checkpoints to
   // advance the tail) rather than silently reusing live records.
-  CrashCheckOptions opt;
-  opt.journal_blocks = 32;
-  opt.ops = 120;
   const CrashCheckResult r =
-      chk::run_crash_check(StackKind::kOptFs, 7, 400'000 * 1_us, opt);
+      chk::run_check(
+          {.volumes = {StackKind::kOptFs}, .journal_blocks = 32, .ops = 120},
+          7, 400'000 * 1_us)
+          .front();
   EXPECT_TRUE(r.ok()) << join(r.violations);
   EXPECT_TRUE(r.workload_finished);
   EXPECT_GT(r.journal_wraps, 0u);
@@ -153,17 +150,18 @@ TEST(JournalWrapTest, SpacePressureStallsInsteadOfClobbering) {
 // ---- 4. OptFS osync: prefix now, everything after the delay ----------------
 
 TEST(OptFsOsyncCrashTest, DelayedDurabilityPrefixSemantics) {
+  const chk::SweepSpec kOptFs{.volumes = {StackKind::kOptFs}};
   int mid_points = 0;
   int quiesced_points = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     // Mid-workload cut: recovered state must be an ordered prefix.
-    CrashCheckResult mid = chk::run_crash_check(
-        StackKind::kOptFs, seed, (500 + seed * 700) * 1_us, {});
+    CrashCheckResult mid =
+        chk::run_check(kOptFs, seed, (500 + seed * 700) * 1_us).front();
     EXPECT_TRUE(mid.ok()) << join(mid.violations);
     if (!mid.workload_finished) ++mid_points;
     // Late cut (device quiesced): every osync'd write must be durable.
     CrashCheckResult late =
-        chk::run_crash_check(StackKind::kOptFs, seed, 400'000 * 1_us, {});
+        chk::run_check(kOptFs, seed, 400'000 * 1_us).front();
     EXPECT_TRUE(late.ok()) << join(late.violations);
     if (late.quiesced) ++quiesced_points;
   }
@@ -306,12 +304,11 @@ TEST(RecoveryTest, EmptyImageRecoversEmptyFilesystem) {
 // ---- 6. remount is part of every checker pass, but verify it directly ------
 
 TEST(RemountTest, RecoveredImageRemountsAndRunsWorkloads) {
-  // run_crash_check remounts internally; this asserts the scenario facts
-  // so a silently-disabled remount cannot go unnoticed.
-  CrashCheckOptions opt;
-  opt.remount = true;
+  // run_check remounts internally; this asserts the scenario facts so a
+  // silently-disabled remount cannot go unnoticed.
   const CrashCheckResult r =
-      chk::run_crash_check(StackKind::kExt4DR, 3, 300'000 * 1_us, opt);
+      chk::run_check({.volumes = {StackKind::kExt4DR}}, 3, 300'000 * 1_us)
+          .front();
   EXPECT_TRUE(r.ok()) << join(r.violations);
   EXPECT_TRUE(r.workload_finished);
   EXPECT_GT(r.files_recovered, 0u);

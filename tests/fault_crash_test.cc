@@ -22,8 +22,9 @@ namespace bio {
 namespace {
 
 using chk::CrashSweepResult;
-using chk::FaultCrashOptions;
 using core::StackKind;
+
+constexpr chk::Flavour kFault = chk::Flavour::kFault;
 
 std::string join(const std::vector<CrashSweepResult::Failure>& v) {
   std::string out;
@@ -40,7 +41,8 @@ std::string join(const std::vector<CrashSweepResult::Failure>& v) {
 class FaultCrashSweepTest : public testing::TestWithParam<StackKind> {};
 
 TEST_P(FaultCrashSweepTest, FaultOracleHoldsAcross200Points) {
-  const CrashSweepResult r = chk::run_fault_crash_sweep(GetParam(), 200);
+  const CrashSweepResult r =
+      chk::run_sweep({.flavour = kFault, .volumes = {GetParam()}}, 200);
   EXPECT_EQ(r.points, 200);
   EXPECT_EQ(r.failed_points, 0) << join(r.failures);
   // The sweep must actually exercise the fault machinery, not tiptoe
@@ -69,11 +71,11 @@ INSTANTIATE_TEST_SUITE_P(
 // absorb transient program faults in the FTL instead (the retry would
 // re-enter a later epoch and void the ordering contract).
 TEST(FaultCrashSweepTest, RetryPathsSplitByDeviceClass) {
-  const CrashSweepResult legacy =
-      chk::run_fault_crash_sweep(StackKind::kExt4DR, 100);
+  const CrashSweepResult legacy = chk::run_sweep(
+      {.flavour = kFault, .volumes = {StackKind::kExt4DR}}, 100);
   EXPECT_GT(legacy.io_retries, 20u) << "blk bounded retry went dark";
-  const CrashSweepResult barrier =
-      chk::run_fault_crash_sweep(StackKind::kBfsDR, 100);
+  const CrashSweepResult barrier = chk::run_sweep(
+      {.flavour = kFault, .volumes = {StackKind::kBfsDR}}, 100);
   EXPECT_EQ(barrier.io_retries, 0u)
       << "host-side retry on a barrier device breaks epoch ordering";
 }
@@ -84,8 +86,8 @@ TEST(FaultNobarrierTest, LegacyNobarrierStackViolatesUnderFaults) {
   // EXT4-OD (nobarrier, orderless device) keeps losing acked data under
   // the fault sweep exactly as it does under the plain crash sweep; the
   // oracle must keep catching it deterministically.
-  const CrashSweepResult r =
-      chk::run_fault_crash_sweep(StackKind::kExt4OD, 200);
+  const CrashSweepResult r = chk::run_sweep(
+      {.flavour = kFault, .volumes = {StackKind::kExt4OD}}, 200);
   EXPECT_GT(r.failed_points, 0)
       << "EXT4-OD passed a 200-point fault sweep; the oracle went blind";
 }
@@ -96,10 +98,10 @@ TEST(FaultNegativeTest, SwallowedIoErrorsAreDetected) {
   // BlockLayer::set_swallow_io_errors_for_test completes failed requests
   // as successes — acked data silently never lands. The sweep must notice
   // deterministically (same seeds as the clean sweep, which passes).
-  FaultCrashOptions opt;
-  opt.swallow_io_errors = true;
-  const CrashSweepResult r =
-      chk::run_fault_crash_sweep(StackKind::kExt4DR, 20, 1, opt);
+  const CrashSweepResult r = chk::run_sweep({.flavour = kFault,
+                                             .volumes = {StackKind::kExt4DR},
+                                             .swallow_io_errors = true},
+                                            20);
   EXPECT_GT(r.failed_points, 0)
       << "swallowed EIO went undetected: the oracle is not load-bearing";
 }

@@ -29,18 +29,16 @@ std::string join(const std::vector<std::string>& v) {
 class MqCrashSweepTest : public testing::TestWithParam<StackKind> {};
 
 TEST_P(MqCrashSweepTest, SingleWriterContractHoldsAtFourQueues) {
-  chk::CrashCheckOptions opt;
-  opt.nr_queues = 4;
-  const CrashSweepResult r = chk::run_crash_sweep(GetParam(), 100, 1, opt);
+  const CrashSweepResult r =
+      chk::run_sweep({.volumes = {GetParam()}, .nr_queues = 4}, 100);
   EXPECT_EQ(r.points, 100);
   EXPECT_EQ(r.failed_points, 0) << join(r.sample_violations);
 }
 
 TEST_P(MqCrashSweepTest, ConcurrentContractHoldsAtFourQueues) {
-  chk::ConcurrentCrashOptions opt;
-  opt.nr_queues = 4;
-  const CrashSweepResult r =
-      chk::run_concurrent_crash_sweep(GetParam(), 100, 1, opt);
+  const CrashSweepResult r = chk::run_sweep(
+      {.flavour = chk::Flavour::kConc, .volumes = {GetParam()}, .nr_queues = 4},
+      100);
   EXPECT_EQ(r.points, 100);
   EXPECT_EQ(r.failed_points, 0) << join(r.sample_violations);
 }
@@ -48,17 +46,17 @@ TEST_P(MqCrashSweepTest, ConcurrentContractHoldsAtFourQueues) {
 TEST_P(MqCrashSweepTest, RingChainContractHoldsAtFourQueues) {
   // The ring workload is the sharpest multi-queue probe: each linked chain
   // issues from its own coroutine, so chains spread across all four queues.
-  chk::RingCrashOptions opt;
-  opt.nr_queues = 4;
-  const CrashSweepResult r = chk::run_ring_crash_sweep(GetParam(), 100, 1, opt);
+  const CrashSweepResult r = chk::run_sweep(
+      {.flavour = chk::Flavour::kRing, .volumes = {GetParam()}, .nr_queues = 4},
+      100);
   EXPECT_EQ(r.points, 100);
   EXPECT_EQ(r.failed_points, 0) << join(r.sample_violations);
 }
 
 TEST_P(MqCrashSweepTest, FaultContractHoldsAtFourQueues) {
-  chk::FaultCrashOptions opt;
-  opt.wl.nr_queues = 4;
-  const CrashSweepResult r = chk::run_fault_crash_sweep(GetParam(), 60, 1, opt);
+  const CrashSweepResult r = chk::run_sweep(
+      {.flavour = chk::Flavour::kFault, .volumes = {GetParam()}, .nr_queues = 4},
+      60);
   EXPECT_EQ(r.points, 60);
   EXPECT_EQ(r.failed_points, 0) << join(r.sample_violations);
 }
@@ -78,10 +76,10 @@ TEST(MqNobarrierTest, Ext4OrderlessStaysBrokenAtFourQueues) {
   // The orderless stack's contract violations must survive the multi-queue
   // refactor: if the mq path accidentally made EXT4-OD look safe, the
   // sweep's oracle (not the stack) would be what broke.
-  chk::RingCrashOptions opt;
-  opt.nr_queues = 4;
-  const CrashSweepResult r =
-      chk::run_ring_crash_sweep(StackKind::kExt4OD, 120, 1, opt);
+  const CrashSweepResult r = chk::run_sweep({.flavour = chk::Flavour::kRing,
+                                             .volumes = {StackKind::kExt4OD},
+                                             .nr_queues = 4},
+                                            120);
   EXPECT_GT(r.failed_points, 0)
       << "nobarrier EXT4 must still violate its claimed contract";
 }

@@ -1,6 +1,6 @@
 // Determinism regression net for the parallel sweep driver (DESIGN.md
-// §13): every sweep flavour run at jobs=1 (the legacy serial path — no
-// thread is spawned) and jobs=8 over the same base seed must produce a
+// §13): every sweep flavour run at jobs=1 (the serial path — no thread is
+// spawned) and jobs=8 over the same base seed must produce a
 // bit-identical CrashSweepResult — every aggregate counter, the failure
 // coordinates (point / derived seed / crash instant / first violation)
 // and the --repro sample strings. Seed partitioning is by point index and
@@ -56,6 +56,7 @@ void expect_identical(const CrashSweepResult& serial,
   ASSERT_EQ(serial.failures.size(), parallel.failures.size());
   for (std::size_t i = 0; i < serial.failures.size(); ++i) {
     EXPECT_EQ(serial.failures[i].point, parallel.failures[i].point);
+    EXPECT_EQ(serial.failures[i].volume, parallel.failures[i].volume);
     EXPECT_EQ(serial.failures[i].seed, parallel.failures[i].seed);
     EXPECT_EQ(serial.failures[i].crash_at, parallel.failures[i].crash_at);
     EXPECT_EQ(serial.failures[i].first_violation,
@@ -65,73 +66,66 @@ void expect_identical(const CrashSweepResult& serial,
             parallel.sample_violations.size());
   for (std::size_t i = 0; i < serial.sample_violations.size(); ++i)
     EXPECT_EQ(serial.sample_violations[i], parallel.sample_violations[i]);
-}
-
-// Small but non-trivial sweeps: enough points that jobs=8 actually fans
-// out and the work-stealing order differs run to run.
-constexpr int kPoints = 24;
-constexpr std::uint64_t kBase = 7;
-
-TEST(ParallelSweepDeterminism, SingleWriterSweep) {
-  expect_identical(
-      chk::run_crash_sweep(StackKind::kBfsDR, kPoints, kBase, {}, 1),
-      chk::run_crash_sweep(StackKind::kBfsDR, kPoints, kBase, {}, 8));
-}
-
-TEST(ParallelSweepDeterminism, ConcurrentSweep) {
-  expect_identical(
-      chk::run_concurrent_crash_sweep(StackKind::kExt4DR, kPoints, kBase, {},
-                                      1),
-      chk::run_concurrent_crash_sweep(StackKind::kExt4DR, kPoints, kBase, {},
-                                      8));
-}
-
-TEST(ParallelSweepDeterminism, RingSweep) {
-  expect_identical(
-      chk::run_ring_crash_sweep(StackKind::kBfsOD, kPoints, kBase, {}, 1),
-      chk::run_ring_crash_sweep(StackKind::kBfsOD, kPoints, kBase, {}, 8));
-}
-
-TEST(ParallelSweepDeterminism, FaultSweep) {
-  expect_identical(
-      chk::run_fault_crash_sweep(StackKind::kOptFs, kPoints, kBase, {}, 1),
-      chk::run_fault_crash_sweep(StackKind::kOptFs, kPoints, kBase, {}, 8));
-}
-
-// The failure-path half of the contract: a sweep that actually fails must
-// report identical failure coordinates and --repro strings at any jobs
-// value. The swallowed-EIO negative control fails deterministically.
-TEST(ParallelSweepDeterminism, FailingSweepCoordinates) {
-  chk::FaultCrashOptions swallow;
-  swallow.swallow_io_errors = true;
-  const CrashSweepResult serial = chk::run_fault_crash_sweep(
-      StackKind::kExt4DR, 20, 1, swallow, 1);
-  const CrashSweepResult parallel = chk::run_fault_crash_sweep(
-      StackKind::kExt4DR, 20, 1, swallow, 8);
-  ASSERT_GT(serial.failed_points, 0)
-      << "negative control stopped failing — the comparison is vacuous";
-  EXPECT_FALSE(serial.failures.empty());
-  EXPECT_FALSE(serial.sample_violations.empty());
-  expect_identical(serial, parallel);
-}
-
-TEST(ParallelSweepDeterminism, MultiVolumeSweep) {
-  const std::vector<StackKind> kinds = {StackKind::kBfsDR,
-                                        StackKind::kExt4DR};
-  const chk::MultiVolumeSweepResult serial =
-      chk::run_multi_volume_crash_sweep(kinds, kPoints, kBase, {}, 1);
-  const chk::MultiVolumeSweepResult parallel =
-      chk::run_multi_volume_crash_sweep(kinds, kPoints, kBase, {}, 8);
-  EXPECT_EQ(serial.points, parallel.points);
-  EXPECT_EQ(serial.failed_points, parallel.failed_points);
   ASSERT_EQ(serial.volumes.size(), parallel.volumes.size());
   for (std::size_t v = 0; v < serial.volumes.size(); ++v)
     expect_identical(serial.volumes[v], parallel.volumes[v]);
-  ASSERT_EQ(serial.sample_violations.size(),
-            parallel.sample_violations.size());
-  for (std::size_t i = 0; i < serial.sample_violations.size(); ++i)
-    EXPECT_EQ(serial.sample_violations[i], parallel.sample_violations[i]);
 }
+
+// Small but non-trivial sweeps: enough points that jobs=8 actually fans
+// out and the work-stealing order differs run to run. One case per
+// flavour plus a node, and — the failure-path half of the contract — the
+// swallowed-EIO negative control, which fails deterministically, so the
+// failure coordinates and --repro strings are compared too.
+struct DeterminismCase {
+  const char* name;
+  chk::SweepSpec spec;
+  int points = 24;
+  std::uint64_t base = 7;
+  bool must_fail = false;
+};
+
+class ParallelSweepDeterminism
+    : public testing::TestWithParam<DeterminismCase> {};
+
+TEST_P(ParallelSweepDeterminism, SerialAndParallelSweepsAreBitIdentical) {
+  const DeterminismCase& c = GetParam();
+  const CrashSweepResult serial = chk::run_sweep(c.spec, c.points, c.base, 1);
+  const CrashSweepResult parallel =
+      chk::run_sweep(c.spec, c.points, c.base, 8);
+  if (c.must_fail) {
+    ASSERT_GT(serial.failed_points, 0)
+        << "negative control stopped failing — the comparison is vacuous";
+    EXPECT_FALSE(serial.failures.empty());
+    EXPECT_FALSE(serial.sample_violations.empty());
+  }
+  expect_identical(serial, parallel);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Specs, ParallelSweepDeterminism,
+    testing::Values(
+        DeterminismCase{"Single", {.volumes = {StackKind::kBfsDR}}},
+        DeterminismCase{"Conc",
+                        {.flavour = chk::Flavour::kConc,
+                         .volumes = {StackKind::kExt4DR}}},
+        DeterminismCase{"Ring",
+                        {.flavour = chk::Flavour::kRing,
+                         .volumes = {StackKind::kBfsOD}}},
+        DeterminismCase{"Fault",
+                        {.flavour = chk::Flavour::kFault,
+                         .volumes = {StackKind::kOptFs}}},
+        DeterminismCase{"FailingFault",
+                        {.flavour = chk::Flavour::kFault,
+                         .volumes = {StackKind::kExt4DR},
+                         .swallow_io_errors = true},
+                        20,
+                        1,
+                        true},
+        DeterminismCase{"Node",
+                        {.volumes = {StackKind::kBfsDR, StackKind::kExt4DR}}}),
+    [](const testing::TestParamInfo<DeterminismCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---- jobs resolution --------------------------------------------------------
 
@@ -221,8 +215,8 @@ TEST(FramePool, AggregateFoldsRetiredWorkerStats) {
   // iolint: detached-owner(for_each_index joins its workers before
   // returning; the capture cannot outlive this frame)
   pool.for_each_index(4, [](int i) {
-    chk::run_crash_check(StackKind::kBfsDR,
-                         static_cast<std::uint64_t>(i) + 1, 5'000'000);
+    chk::run_check({.volumes = {StackKind::kBfsDR}},
+                   static_cast<std::uint64_t>(i) + 1, 5'000'000);
   });
   const sim::FramePoolStats after = sim::frame_pool_aggregate_stats();
   EXPECT_GT(after.allocs, before.allocs)
