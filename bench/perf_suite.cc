@@ -325,7 +325,9 @@ ScenarioResult run_ring_scenario(const char* name, std::uint32_t ring_qd,
 
 /// Multi-queue block-layer scaling: eight writer coroutines drive strided
 /// ordered writes (a barrier every 32) straight through blk::BlockLayer at
-/// `nr_queues` software queues over the plain-SSD's eight channels.
+/// `nr_queues` software queues over the plain-SSD's eight channels, with
+/// barrier support on so the block layer runs the epoch fence and ORDERED
+/// dispatch.
 /// sim_ops_per_sec is the scaling signal — at q1 every write funnels
 /// through one port's host bus, at q4 four channel pipelines transfer in
 /// parallel — and it is measured to the *last write acknowledgement* (not
@@ -335,7 +337,8 @@ ScenarioResult run_ring_scenario(const char* name, std::uint32_t ring_qd,
 ScenarioResult run_mq_scenario(const char* name, std::uint32_t nr_queues,
                                bool smoke) {
   sim::Simulator sim;
-  flash::StorageDevice dev(sim, flash::DeviceProfile::plain_ssd());
+  flash::StorageDevice dev(sim, flash::DeviceProfile::plain_ssd().with_barrier(
+                                    flash::BarrierMode::kInOrderRecovery));
   blk::BlockLayerConfig bcfg;
   bcfg.nr_queues = nr_queues;
   blk::BlockLayer blk(sim, dev, bcfg);

@@ -10,13 +10,13 @@ BlockLayer::BlockLayer(sim::Simulator& sim, flash::StorageDevice& dev,
   // The fence exists only when there is something to fence across: several
   // queues whose sequencers run epoch ordering independently. Single-queue
   // stacks keep fence_ null and take none of the fence branches.
-  if (config_.nr_queues > 1 && config_.epoch_scheduling)
+  if (config_.nr_queues > 1 && order_preserving())
     fence_ = std::make_unique<EpochFence>(sim);
   queues_.reserve(config_.nr_queues);
   for (std::uint32_t q = 0; q < config_.nr_queues; ++q) {
     auto queue = std::make_unique<Queue>(sim);
     std::unique_ptr<IoScheduler> base = make_scheduler(config_.scheduler);
-    if (config_.epoch_scheduling) {
+    if (order_preserving()) {
       auto epoch = std::make_unique<EpochScheduler>(std::move(base));
       epoch->set_fence(fence_.get());
       queue->epoch = epoch.get();
@@ -88,7 +88,7 @@ std::shared_ptr<flash::Command> BlockLayer::to_command(const RequestPtr& r,
       cmd.blocks = std::span<const Block>(r->blocks.data(), r->blocks.size());
       cmd.fua = r->fua;
       cmd.flush_before = r->flush;
-      if (config_.order_preserving_dispatch) {
+      if (order_preserving()) {
         cmd.barrier = r->barrier;
         // §3.4: the barrier write is dispatched with ORDERED priority; all
         // other writes (even order-preserving ones) stay SIMPLE, because
@@ -136,15 +136,7 @@ sim::Task BlockLayer::dispatch_loop(std::uint32_t q) {
     const bool fault_aware = dev_.has_fault_plan();
     std::shared_ptr<flash::Command> cmd = to_command(r, fault_aware);
     cmd->port = q % dev_.port_count();
-    while (!dev_.try_submit(cmd)) {
-      ++stats_.busy_retries;
-      if (config_.busy_poll) {
-        // Fig 6(b): the dispatching context retries after a fixed delay.
-        co_await sim_.delay(config_.busy_retry);
-      } else {
-        co_await dev_.queue_activity().wait();
-      }
-    }
+    co_await submit_until_accepted(cmd);
     ++stats_.dispatched;
     if (fenced && r->is_write()) {
       // The write's stamp stops gating peer barriers; wake any gate
@@ -158,6 +150,14 @@ sim::Task BlockLayer::dispatch_loop(std::uint32_t q) {
     }
     if (fault_aware) sim_.spawn("blk:retry", retry_watcher(r, std::move(cmd)));
     if (!r->absorbed.empty()) sim_.spawn("blk:fanout", fanout(r));
+  }
+}
+
+sim::Task BlockLayer::submit_until_accepted(
+    const std::shared_ptr<flash::Command>& cmd) {
+  while (!dev_.try_submit(cmd)) {
+    ++stats_.busy_retries;
+    co_await dev_.queue_activity().wait();
   }
 }
 
@@ -186,13 +186,7 @@ sim::Task BlockLayer::retry_watcher(RequestPtr r,
     // write's retry re-lands the full payload).
     r->cmd.status = flash::IoStatus::kOk;
     r->device_done.recycle();
-    while (!dev_.try_submit(cmd)) {
-      ++stats_.busy_retries;
-      if (config_.busy_poll)
-        co_await sim_.delay(config_.busy_retry);
-      else
-        co_await dev_.queue_activity().wait();
-    }
+    co_await submit_until_accepted(cmd);
     co_await r->device_done.wait();
   }
   if (r->cmd.status != flash::IoStatus::kOk) {

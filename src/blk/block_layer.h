@@ -1,14 +1,17 @@
 // Host block layer: scheduler + dispatch thread in front of the device.
 //
-// In order-preserving mode the dispatcher translates REQ_ORDERED/REQ_BARRIER
-// into the device protocol of §3.4: barrier writes are dispatched with SCSI
-// ORDERED priority (transfer-order fence), everything else SIMPLE. The
-// caller is never blocked per-request — Wait-on-Transfer, when a filesystem
-// wants it, is an explicit `co_await r->completion->wait()`.
+// The device decides the ordering mode. In front of a barrier-compliant
+// device (BarrierMode other than kNone) the layer is order-preserving: every
+// queue wraps its base scheduler in the epoch scheduler (§3.3), and the
+// dispatcher translates REQ_ORDERED/REQ_BARRIER into the device protocol of
+// §3.4: barrier writes are dispatched with SCSI ORDERED priority
+// (transfer-order fence), everything else SIMPLE. The caller is never
+// blocked per-request — Wait-on-Transfer, when a filesystem wants it, is an
+// explicit `co_await r->completion->wait()`.
 //
-// In legacy mode the ordering flags are stripped: the stack behaves like the
-// orderless kernel the paper starts from, and ordering is whatever the
-// filesystem enforces with waits and flushes.
+// In front of a legacy device the ordering flags are stripped: the stack
+// behaves like the orderless kernel the paper starts from, and ordering is
+// whatever the filesystem enforces with waits and flushes.
 //
 // Multi-queue (blk-mq) mode: with nr_queues > 1 the layer keeps one software
 // queue (scheduler + dispatch thread) per submission context, routed by the
@@ -37,18 +40,9 @@
 namespace bio::blk {
 
 struct BlockLayerConfig {
-  /// Base scheduler: "noop" or "elevator".
+  /// Base scheduler: "noop" or "elevator". On a barrier-compliant device
+  /// each queue wraps it in the epoch scheduler.
   std::string scheduler = "noop";
-  /// Wrap the base scheduler with epoch-based barrier reassignment.
-  bool epoch_scheduling = true;
-  /// Dispatch barrier writes with SCSI ORDERED priority (vs stripping all
-  /// ordering attributes, as the legacy stack does).
-  bool order_preserving_dispatch = true;
-  /// Busy retry interval when the device queue is full (Fig 6(b)).
-  sim::SimTime busy_retry = 3'000'000;  // 3 ms, per the SCSI spec note
-  /// If true, the dispatcher blindly retries on busy; if false it waits for
-  /// a queue event (tag-aware driver) and uses the retry delay as fallback.
-  bool busy_poll = false;
   /// Bound on the scheduler queue (Linux nr_requests). Submitters that call
   /// throttle() block while the queue is congested; they wake once it
   /// drains to half (batched wakeups, like the request-list congestion
@@ -132,8 +126,8 @@ class BlockLayer {
   std::uint32_t nr_queues() const noexcept {
     return static_cast<std::uint32_t>(queues_.size());
   }
-  /// The cross-queue fence; null at nr_queues = 1 or without epoch
-  /// scheduling (nothing to fence across).
+  /// The cross-queue fence; null at nr_queues = 1 or on a legacy device
+  /// (nothing to fence across).
   const EpochFence* epoch_fence() const noexcept { return fence_.get(); }
   flash::StorageDevice& device() noexcept { return dev_; }
   const BlockLayerConfig& config() const noexcept { return config_; }
@@ -151,14 +145,22 @@ class BlockLayer {
   struct Queue {
     explicit Queue(sim::Simulator& sim) : work(sim) {}
     std::unique_ptr<IoScheduler> scheduler;
-    /// Borrowed view of `scheduler` when epoch scheduling wraps it (the
+    /// Borrowed view of `scheduler` when the epoch scheduler wraps it (the
     /// fence bookkeeping — stamp retirement, pending-epoch queries — goes
     /// through it).
     EpochScheduler* epoch = nullptr;
     sim::Notify work;
   };
 
+  /// True in front of a barrier-compliant device: epoch scheduling and
+  /// ORDERED barrier dispatch (see the header comment).
+  bool order_preserving() const noexcept {
+    return dev_.profile().barrier_mode != flash::BarrierMode::kNone;
+  }
   sim::Task dispatch_loop(std::uint32_t queue);
+  /// Submits `cmd` to its device port; while the port's window is full,
+  /// waits for queue activity instead of polling and counts a busy retry.
+  sim::Task submit_until_accepted(const std::shared_ptr<flash::Command>& cmd);
   sim::Task fanout(RequestPtr r);
   /// Fault-aware dispatch interposer: owns the request's device round
   /// trips, applies the bounded retry policy, then fires `completion` with

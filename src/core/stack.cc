@@ -28,8 +28,6 @@ VolumeConfig VolumeConfig::make(StackKind kind, flash::DeviceProfile device,
     case StackKind::kExt4OD:
       c.device = device.with_barrier(flash::BarrierMode::kNone);
       c.blk.scheduler = "elevator";
-      c.blk.epoch_scheduling = false;
-      c.blk.order_preserving_dispatch = false;
       c.fs.journal = fs::JournalKind::kJbd2;
       c.fs.nobarrier = kind == StackKind::kExt4OD;
       c.fs.journal_checksum = mobile;  // §6.3: smartphone EXT4 setup
@@ -38,15 +36,11 @@ VolumeConfig VolumeConfig::make(StackKind kind, flash::DeviceProfile device,
     case StackKind::kBfsOD:
       c.device = device.with_barrier(flash::BarrierMode::kInOrderRecovery);
       c.blk.scheduler = "elevator";
-      c.blk.epoch_scheduling = true;
-      c.blk.order_preserving_dispatch = true;
       c.fs.journal = fs::JournalKind::kBarrierFs;
       break;
     case StackKind::kOptFs:
       c.device = device.with_barrier(flash::BarrierMode::kNone);
       c.blk.scheduler = "elevator";
-      c.blk.epoch_scheduling = false;
-      c.blk.order_preserving_dispatch = false;
       c.fs.journal = fs::JournalKind::kOptFs;
       break;
   }

@@ -1,11 +1,10 @@
 // Device write-back cache.
 //
-// Write commands DMA their blocks into this cache; a drain policy (owned by
-// the StorageDevice, driven by the BarrierMode) moves entries to flash via
-// the SegmentLog. Each entry is tagged with the *device epoch* current at
-// its transfer time: barrier writes advance the epoch, and the epoch tags
-// are what the in-order-writeback drain and the crash-invariant checkers
-// consume.
+// Write commands DMA their blocks into this cache; the StorageDevice's drain
+// loop moves entries to flash via the SegmentLog in transfer order. Each
+// entry is tagged with the *device epoch* current at its transfer time:
+// barrier writes advance the epoch, and the crash-invariant checkers read
+// the epoch tags from transfer_history().
 //
 // With power-loss protection (supercap) the cache itself is durable, so a
 // flush answers in O(1); without PLP a flush must wait until every entry

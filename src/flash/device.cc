@@ -14,10 +14,8 @@ StorageDevice::StorageDevice(sim::Simulator& sim, DeviceProfile profile)
       log_(sim, nand_),
       cache_(sim, profile_.cache_entries),
       queue_event_(sim),
-      drain_slots_(sim, profile_.effective_drain_inflight()),
-      epoch_drained_(sim),
-      txn_wake_(sim),
-      txn_done_(sim) {
+      // At most two cache->flash programs in flight per chip.
+      drain_slots_(sim, 2 * profile_.geometry.chips()) {
   // One submission port per flash channel (blk-mq hardware queues).
   ports_.reserve(profile_.geometry.channels);
   for (std::uint32_t i = 0; i < profile_.geometry.channels; ++i)
@@ -32,20 +30,7 @@ void StorageDevice::start() {
   log_.start();
   // Device-internal actors are hardware: no host scheduler wake latency.
   sim_.spawn("dev:ctl", controller_loop()).wake_latency = 0;
-  switch (profile_.barrier_mode) {
-    case BarrierMode::kInOrderWriteback:
-      sim_.spawn("dev:drain", drain_loop_epoch()).wake_latency = 0;
-      break;
-    case BarrierMode::kTransactional:
-      sim_.spawn("dev:txn", transactional_loop()).wake_latency = 0;
-      break;
-    case BarrierMode::kNone:
-    case BarrierMode::kInOrderRecovery:
-      sim_.spawn("dev:drain", drain_loop_fifo()).wake_latency = 0;
-      break;
-  }
-  // PLP devices also drain in the background (the cache is durable, but
-  // its capacity is finite), regardless of barrier mode.
+  sim_.spawn("dev:drain", drain_loop()).wake_latency = 0;
 }
 
 bool StorageDevice::try_submit(std::shared_ptr<Command> cmd) {
@@ -219,11 +204,6 @@ sim::Task StorageDevice::handle_write(Port& port, SlotIter it) {
   it->dma_done = true;
   queue_event_.notify_all();
 
-  if (profile_.barrier_mode == BarrierMode::kTransactional) {
-    // Nudge the batch committer under cache pressure.
-    if (cache_.dirty_count() * 4 >= cache_.capacity() * 3)
-      txn_wake_.notify_all();
-  }
   if (cmd->fua && fault == nullptr) {
     if (profile_.fua_implies_flush && !profile_.plp)
       co_await do_flush();  // SATA-style FUA: write + full flush
@@ -288,27 +268,17 @@ sim::Task StorageDevice::do_flush() {
 }
 
 bool StorageDevice::persisted_through(std::uint64_t through) const noexcept {
-  if (profile_.plp) return true;
-  if (profile_.barrier_mode == BarrierMode::kTransactional)
-    return txn_committed_through_ >= through;
-  return cache_.drained_through(through);
+  return profile_.plp || cache_.drained_through(through);
 }
 
 sim::Task StorageDevice::wait_persisted_through(std::uint64_t through) {
   if (profile_.plp) co_return;  // durable on arrival
-  if (profile_.barrier_mode == BarrierMode::kTransactional) {
-    while (txn_committed_through_ < through) {
-      txn_wake_.notify_all();
-      co_await txn_done_.wait();
-    }
-    co_return;
-  }
   co_await cache_.wait_drained_through(through);
 }
 
-// ---- drain policies -------------------------------------------------------
+// ---- drain ----------------------------------------------------------------
 
-sim::Task StorageDevice::drain_loop_fifo() {
+sim::Task StorageDevice::drain_loop() {
   for (;;) {
     WritebackCache::Entry e;
     co_await cache_.claim_next(e);
@@ -321,72 +291,11 @@ sim::Task StorageDevice::drain_loop_fifo() {
   }
 }
 
-sim::Task StorageDevice::drain_loop_epoch() {
-  std::uint64_t draining_epoch = 0;
-  for (;;) {
-    WritebackCache::Entry e;
-    co_await cache_.claim_next(e);
-    if (e.epoch != draining_epoch) {
-      // Epoch boundary: wait for all in-flight programs of the previous
-      // epoch before issuing the first page of the next one.
-      while (epoch_inflight_programs_ > 0) co_await epoch_drained_.wait();
-      draining_epoch = e.epoch;
-    }
-    SegmentLog::Reservation r;
-    co_await log_.reserve(e.lba, e.version, r);
-    co_await drain_slots_.acquire();
-    ++epoch_inflight_programs_;
-    sim_.spawn("dev:pgm", drain_one(e, r)).wake_latency = 0;
-  }
-}
-
 sim::Task StorageDevice::drain_one(WritebackCache::Entry e,
                                    SegmentLog::Reservation r) {
   co_await log_.program_reserved(r);
   cache_.mark_drained(e.order);
   drain_slots_.release();
-  if (profile_.barrier_mode == BarrierMode::kInOrderWriteback) {
-    BIO_CHECK(epoch_inflight_programs_ > 0);
-    if (--epoch_inflight_programs_ == 0) epoch_drained_.notify_all();
-  }
-}
-
-sim::Task StorageDevice::transactional_loop() {
-  for (;;) {
-    co_await txn_wake_.wait();
-    while (cache_.dirty_count() > 0) {
-      // Snapshot the batch: everything currently transferred.
-      std::vector<WritebackCache::Entry> batch;
-      {
-        WritebackCache::Entry e;
-        while (cache_.dirty_count() > batch.size()) {
-          co_await cache_.claim_next(e);
-          batch.push_back(e);
-        }
-      }
-      std::vector<SegmentLog::Reservation> rs(batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i)
-        co_await log_.reserve(batch[i].lba, batch[i].version, rs[i]);
-      std::vector<sim::ThreadCtx*> workers;
-      workers.reserve(batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i)
-        {
-        sim::ThreadCtx& w = sim_.spawn("dev:pgm", log_.program_reserved(rs[i]));
-        w.wake_latency = 0;
-        workers.push_back(&w);
-      }
-      for (sim::ThreadCtx* w : workers) co_await sim_.join(*w);
-      // The batch becomes durable atomically at the commit point.
-      log_.mark_commit_point();
-      std::uint64_t high = 0;
-      for (const auto& e : batch) {
-        cache_.mark_drained(e.order);
-        high = std::max(high, e.order + 1);
-      }
-      txn_committed_through_ = std::max(txn_committed_through_, high);
-      txn_done_.notify_all();
-    }
-  }
 }
 
 // ---- analysis --------------------------------------------------------------
@@ -403,9 +312,6 @@ std::unordered_map<Lba, Version> StorageDevice::durable_state() const {
   switch (profile_.barrier_mode) {
     case BarrierMode::kInOrderRecovery:
       return log_.durable_in_order_recovery();
-    case BarrierMode::kTransactional:
-      return log_.durable_committed();
-    case BarrierMode::kInOrderWriteback:
     case BarrierMode::kNone:
       return log_.durable_programmed_set();
   }

@@ -14,10 +14,12 @@
 //     in flight.
 //
 // Data lands in the writeback cache in transfer order; barrier writes bump
-// the device epoch. The drain policy selected by BarrierMode moves entries
-// to the SegmentLog; durable_state() answers "what survives a power cut
-// right now", which the crash-consistency tests check against the paper's
-// epoch ordering guarantees.
+// the device epoch. One drain loop moves entries to the SegmentLog in
+// transfer order, programming many pages in parallel; durable_state()
+// answers "what survives a power cut right now" — on a barrier device the
+// in-order-recovery log prefix, on a legacy device every programmed page —
+// which the crash-consistency tests check against the paper's epoch
+// ordering guarantees.
 //
 // The device exposes one submission *port* per flash channel (blk-mq
 // hardware queues). Each port has its own NCQ window and host-side DMA bus,
@@ -73,7 +75,7 @@ class StorageDevice {
 
   /// Queues a command on port `cmd->port % port_count()`; returns false
   /// (device busy) when that port's NCQ window is full. The dispatcher
-  /// retries busy commands after a delay (Fig 6(b)).
+  /// retries a busy command once queue_activity() fires (Fig 6(b)).
   bool try_submit(std::shared_ptr<Command> cmd);
 
   /// Hardware submission ports (one per flash channel).
@@ -209,17 +211,16 @@ class StorageDevice {
   void complete(Port& port, SlotIter it);
 
   /// Waits until every cache entry with order < `through` is persistent
-  /// (mode-aware: PLP short-circuits, transactional forces a batch).
+  /// (PLP short-circuits: the cache itself is durable).
   sim::Task wait_persisted_through(std::uint64_t through);
   sim::Task do_flush();
   /// Stalls while GC erases (profile.gc_command_stall).
   sim::Task gc_stall();
 
-  // Drain policies.
-  sim::Task drain_loop_fifo();      // kNone / kInOrderRecovery / PLP
-  sim::Task drain_loop_epoch();     // kInOrderWriteback
+  /// Moves cache entries to flash in transfer order (every barrier mode,
+  /// PLP included: the durable cache still has finite capacity).
+  sim::Task drain_loop();
   sim::Task drain_one(WritebackCache::Entry e, SegmentLog::Reservation r);
-  sim::Task transactional_loop();   // kTransactional
 
   void note_qd_change();
 
@@ -240,15 +241,6 @@ class StorageDevice {
   std::uint64_t fault_read_ops_ = 0;
   sim::Notify queue_event_;
   sim::Semaphore drain_slots_;
-
-  // kInOrderWriteback bookkeeping.
-  std::uint64_t epoch_inflight_programs_ = 0;
-  sim::Notify epoch_drained_;
-
-  // kTransactional bookkeeping.
-  sim::Notify txn_wake_;
-  sim::Notify txn_done_;
-  std::uint64_t txn_committed_through_ = 0;  // cache order watermark
 
   // Flush-horizon counters (see accessors above).
   std::uint64_t flush_entries_ = 0;

@@ -185,8 +185,6 @@ std::vector<DeviceProfile> DeviceProfile::fig1_devices() {
 const char* to_string(BarrierMode m) noexcept {
   switch (m) {
     case BarrierMode::kNone: return "none";
-    case BarrierMode::kInOrderWriteback: return "in-order-writeback";
-    case BarrierMode::kTransactional: return "transactional";
     case BarrierMode::kInOrderRecovery: return "in-order-recovery";
   }
   return "?";

@@ -49,12 +49,6 @@ struct DeviceProfile {
   /// If true, host commands stall while GC erases a segment — the classic
   /// GC pause that produces 99.99th-percentile latency tails (Table 1).
   bool gc_command_stall = true;
-  /// Max concurrent cache->flash programs (0 = 2 × chips).
-  std::uint32_t drain_inflight = 0;
-
-  std::uint32_t effective_drain_inflight() const noexcept {
-    return drain_inflight != 0 ? drain_inflight : 2 * geometry.chips();
-  }
 
   /// Applies the barrier capability the experiment wants: enables the given
   /// mode and (for non-PLP devices) the program penalty.

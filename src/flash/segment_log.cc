@@ -119,8 +119,6 @@ sim::Task SegmentLog::read(Lba lba) {
   co_await nand_.read(chip_of(it->second));
 }
 
-void SegmentLog::mark_commit_point() { commit_point_ = history_.size(); }
-
 std::unordered_map<Lba, Version> SegmentLog::durable_in_order_recovery()
     const {
   std::unordered_map<Lba, Version> state;
@@ -133,13 +131,6 @@ std::unordered_map<Lba, Version> SegmentLog::durable_programmed_set() const {
   std::unordered_map<Lba, Version> state;
   for (const AppendRecord& rec : history_)
     if (rec.programmed) state[rec.lba] = rec.version;
-  return state;
-}
-
-std::unordered_map<Lba, Version> SegmentLog::durable_committed() const {
-  std::unordered_map<Lba, Version> state;
-  for (std::uint64_t i = 0; i < commit_point_; ++i)
-    state[history_[i].lba] = history_[i].version;
   return state;
 }
 

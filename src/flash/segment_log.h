@@ -68,10 +68,6 @@ class SegmentLog {
   /// Reads the page currently mapped to `lba` (no-op timing if unmapped).
   sim::Task read(Lba lba);
 
-  /// Records a transactional commit point: everything appended so far is
-  /// atomically durable (used by BarrierMode::kTransactional).
-  void mark_commit_point();
-
   // ---- crash / durability analysis (non-destructive) --------------------
 
   /// Durable state under in-order recovery: longest programmed prefix of
@@ -79,12 +75,8 @@ class SegmentLog {
   std::unordered_map<Lba, Version> durable_in_order_recovery() const;
 
   /// Durable state when every individually-programmed page survives
-  /// (no-barrier or in-order-writeback devices), applied in log order.
+  /// (legacy devices without barrier support), applied in log order.
   std::unordered_map<Lba, Version> durable_programmed_set() const;
-
-  /// Durable state under transactional write-back: entries up to the last
-  /// commit point only.
-  std::unordered_map<Lba, Version> durable_committed() const;
 
   /// Index (into the append history) one past the longest programmed
   /// prefix. Used by the cache to answer flush().
@@ -183,7 +175,6 @@ class SegmentLog {
 
   std::vector<AppendRecord> history_;  // append order = persist order
   std::uint64_t prefix_ = 0;           // programmed prefix watermark
-  std::uint64_t commit_point_ = 0;     // for kTransactional
 
   sim::Notify space_freed_;
   sim::Notify gc_wake_;

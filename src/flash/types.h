@@ -33,15 +33,12 @@ enum class Priority : std::uint8_t {
 };
 
 /// How the device guarantees the persist order imposed by barrier writes
-/// (§3.2 of the paper).
+/// (§3.2 of the paper). Of the paper's three barrier-compliant designs only
+/// in-order recovery is modelled: it is the one the authors' UFS firmware
+/// implements, and the one every barrier stack here builds.
 enum class BarrierMode : std::uint8_t {
   /// No barrier support: barrier flags are ignored (legacy device).
   kNone,
-  /// Flush the cache epoch-by-epoch; simple but forfeits cross-epoch
-  /// program parallelism.
-  kInOrderWriteback,
-  /// Flush the whole cache as one atomic unit (Transactional Flash).
-  kTransactional,
   /// Log-structured writeback with crash-recovery truncation at the first
   /// unprogrammed page — the paper's UFS firmware implementation.
   kInOrderRecovery,

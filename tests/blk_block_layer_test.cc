@@ -81,19 +81,43 @@ TEST(BlockLayerTest, BarrierWriteReachesDeviceAsOrderedBarrier) {
   EXPECT_EQ(s.dev.stats().barrier_writes, 1u);
 }
 
-TEST(BlockLayerTest, LegacyModeStripsOrderingAttributes) {
-  BlockLayerConfig cfg;
-  cfg.epoch_scheduling = false;
-  cfg.order_preserving_dispatch = false;
-  Stack s(cfg);
-  auto body = [&]() -> Task {
-    co_await s.blk.write_and_wait(one_block(1, 1), true, /*barrier=*/true);
-  };
-  s.sim.spawn("t", body());
-  s.sim.run();
-  EXPECT_EQ(s.dev.current_epoch(), 0u) << "legacy stack: no barrier reaches "
-                                          "the device";
-  EXPECT_EQ(s.dev.stats().barrier_writes, 0u);
+// ---- ordering mode derived from the device ----------------------------------
+
+TEST(BlockLayerModeTest, LegacyDeviceGetsTheOrderlessStack) {
+  // A kNone device ignores barriers, so the layer runs the orderless stack:
+  // no epoch wrapper on any queue, no fence even with several queues, and
+  // ordering attributes stripped before dispatch.
+  for (std::uint32_t nr_queues : {1u, 4u}) {
+    BlockLayerConfig cfg;
+    cfg.nr_queues = nr_queues;
+    Stack s(cfg, BarrierMode::kNone);
+    for (std::uint32_t q = 0; q < nr_queues; ++q)
+      EXPECT_STREQ(s.blk.scheduler(q).name(), "noop") << "q" << q;
+    EXPECT_EQ(s.blk.epoch_fence(), nullptr) << nr_queues << " queues";
+    auto body = [&]() -> Task {
+      co_await s.blk.write_and_wait(one_block(1, 1), true, /*barrier=*/true);
+    };
+    s.sim.spawn("t", body());
+    s.sim.run();
+    EXPECT_EQ(s.dev.stats().barrier_writes, 0u)
+        << "no barrier flag reaches a legacy device";
+  }
+}
+
+TEST(BlockLayerModeTest, BarrierDeviceGetsTheEpochScheduler) {
+  // A barrier-compliant device: every queue wraps its base scheduler in the
+  // epoch scheduler, and several queues share a fence.
+  for (std::uint32_t nr_queues : {1u, 4u}) {
+    BlockLayerConfig cfg;
+    cfg.nr_queues = nr_queues;
+    Stack s(cfg, BarrierMode::kInOrderRecovery);
+    ASSERT_EQ(s.blk.nr_queues(), nr_queues);
+    for (std::uint32_t q = 0; q < nr_queues; ++q)
+      EXPECT_STREQ(s.blk.scheduler(q).name(), "epoch") << "q" << q;
+    // A single queue has nothing to fence across.
+    EXPECT_EQ(s.blk.epoch_fence() != nullptr, nr_queues > 1)
+        << nr_queues << " queues";
+  }
 }
 
 TEST(BlockLayerTest, MergedRequestFansOutCompletions) {
@@ -117,8 +141,7 @@ TEST(BlockLayerTest, MergedRequestFansOutCompletions) {
 }
 
 TEST(BlockLayerTest, BusyDeviceEventuallyDispatchesEverything) {
-  BlockLayerConfig cfg;  // notify-driven busy handling
-  Stack s(cfg);
+  Stack s;
   int done = 0;
   auto body = [&]() -> Task {
     std::vector<RequestPtr> reqs;
@@ -137,25 +160,7 @@ TEST(BlockLayerTest, BusyDeviceEventuallyDispatchesEverything) {
   s.sim.run();
   EXPECT_EQ(done, 20);
   EXPECT_EQ(s.dev.stats().writes, 20u);
-}
-
-TEST(BlockLayerTest, BusyPollModeUsesTimedRetry) {
-  BlockLayerConfig cfg;
-  cfg.busy_poll = true;
-  cfg.busy_retry = 1_ms;
-  Stack s(cfg);
-  auto body = [&]() -> Task {
-    std::vector<RequestPtr> reqs;
-    for (int i = 0; i < 12; ++i) {
-      reqs.push_back(make_write_request(s.sim, {{Lba(i * 2), Version(i)}}));
-      s.blk.submit(reqs.back());
-    }
-    for (auto& r : reqs) co_await r->completion.wait();
-  };
-  s.sim.spawn("t", body());
-  s.sim.run();
   EXPECT_GT(s.blk.stats().busy_retries, 0u) << "QD=4 forces busy retries";
-  EXPECT_EQ(s.dev.stats().writes, 12u);
 }
 
 TEST(BlockLayerTest, EpochOrderingPreservedThroughFullStack) {
@@ -200,12 +205,6 @@ BlockLayerConfig mq_config(std::uint32_t nr_queues) {
   BlockLayerConfig cfg;
   cfg.nr_queues = nr_queues;
   return cfg;
-}
-
-TEST(BlockLayerMqTest, SingleQueueHasNoFence) {
-  Stack s;
-  EXPECT_EQ(s.blk.nr_queues(), 1u);
-  EXPECT_EQ(s.blk.epoch_fence(), nullptr) << "nothing to fence across";
 }
 
 TEST(BlockLayerMqTest, BarrierOnQueue0FencesLaterWriteOnQueue1) {

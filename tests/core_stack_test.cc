@@ -28,8 +28,6 @@ TEST(StackConfigTest, Ext4WiresLegacyLayers) {
   StackConfig c = StackConfig::make(StackKind::kExt4DR,
                                     flash::DeviceProfile::plain_ssd());
   EXPECT_EQ(c.device.barrier_mode, flash::BarrierMode::kNone);
-  EXPECT_FALSE(c.blk.epoch_scheduling);
-  EXPECT_FALSE(c.blk.order_preserving_dispatch);
   EXPECT_EQ(c.fs.journal, fs::JournalKind::kJbd2);
   EXPECT_FALSE(c.fs.nobarrier);
 }
@@ -44,8 +42,6 @@ TEST(StackConfigTest, BfsWiresBarrierLayers) {
   StackConfig c =
       StackConfig::make(StackKind::kBfsDR, flash::DeviceProfile::plain_ssd());
   EXPECT_EQ(c.device.barrier_mode, flash::BarrierMode::kInOrderRecovery);
-  EXPECT_TRUE(c.blk.epoch_scheduling);
-  EXPECT_TRUE(c.blk.order_preserving_dispatch);
   EXPECT_EQ(c.fs.journal, fs::JournalKind::kBarrierFs);
 }
 
@@ -91,8 +87,10 @@ TEST(NodeTest, MultiVolumeNodeSharesOneSimulator) {
   EXPECT_NE(&node.volume(0).device(), &node.volume(1).device());
   EXPECT_NE(&node.volume(0).fs(), &node.volume(1).fs());
   // Heterogeneous wiring per volume.
-  EXPECT_TRUE(node.volume(0).config().blk.epoch_scheduling);
-  EXPECT_FALSE(node.volume(1).config().blk.epoch_scheduling);
+  EXPECT_EQ(node.volume(0).config().device.barrier_mode,
+            flash::BarrierMode::kInOrderRecovery);
+  EXPECT_EQ(node.volume(1).config().device.barrier_mode,
+            flash::BarrierMode::kNone);
   EXPECT_EQ(node.volume(2).config().fs.journal, fs::JournalKind::kOptFs);
   // Name lookup and the volume-0 compat accessors.
   EXPECT_EQ(node.find_volume("v1"), &node.volume(1));
@@ -129,7 +127,7 @@ TEST(StackConfigTest, VolumeConfigRoundTripsStackConfig) {
   EXPECT_EQ(v.kind, c.kind);
   EXPECT_EQ(v.name, "logs");
   EXPECT_EQ(v.device.barrier_mode, c.device.barrier_mode);
-  EXPECT_EQ(v.blk.epoch_scheduling, c.blk.epoch_scheduling);
+  EXPECT_EQ(v.blk.scheduler, c.blk.scheduler);
   EXPECT_EQ(v.fs.journal, c.fs.journal);
   const VolumeConfig direct =
       VolumeConfig::make(StackKind::kBfsOD, flash::DeviceProfile::ufs());
@@ -221,31 +219,6 @@ TEST(StackTest, FsyncLatencyOrderingAcrossStacks) {
   const sim::SimTime bfs_od = measure(StackKind::kBfsOD);
   EXPECT_LT(bfs_dr, ext4_dr);
   EXPECT_LT(bfs_od, bfs_dr / 2);
-}
-
-TEST(StackTest, BarrierStacksWorkOnAllBarrierModes) {
-  // The block/fs layers must run correctly over every device barrier
-  // implementation of §3.2, not just in-order recovery.
-  for (flash::BarrierMode mode :
-       {flash::BarrierMode::kInOrderRecovery,
-        flash::BarrierMode::kInOrderWriteback,
-        flash::BarrierMode::kTransactional}) {
-    core::StackConfig cfg = test_stack_config(StackKind::kBfsDR);
-    cfg.device.barrier_mode = mode;
-    StackFixture x(StackKind::kBfsDR, &cfg);
-    auto body = [&]() -> Task {
-      fs::Inode* f = nullptr;
-      co_await x.fs().create("a", f);
-      for (int i = 0; i < 6; ++i) {
-        co_await x.fs().write(*f, static_cast<std::uint32_t>(i), 1);
-        co_await x.fs().fsync(*f);
-      }
-      EXPECT_TRUE(x.dev().durable_state().contains(f->lba_of_page(5)))
-          << flash::to_string(mode);
-    };
-    x.sim().spawn("t", body());
-    x.sim().run();
-  }
 }
 
 TEST(StackTest, SupercapMakesDurabilityCheap) {

@@ -61,17 +61,18 @@ testing::AssertionResult epoch_prefix_holds(
   return testing::AssertionSuccess();
 }
 
-// ---- 1. block-level epoch prefix across barrier modes ----------------------
+// ---- 1. block-level epoch prefix on the barrier device ---------------------
 
 class EpochPrefixTest
-    : public testing::TestWithParam<std::tuple<BarrierMode, bool, int>> {};
+    : public testing::TestWithParam<std::tuple<bool, int>> {};
 
 TEST_P(EpochPrefixTest, RandomWorkloadRandomCrashPoint) {
-  const auto [mode, plp, seed] = GetParam();
+  const auto [plp, seed] = GetParam();
   sim::Simulator sim;
-  flash::DeviceProfile profile = flash::testutil::test_profile(mode, plp);
+  flash::DeviceProfile profile =
+      flash::testutil::test_profile(BarrierMode::kInOrderRecovery, plp);
   flash::StorageDevice dev(sim, profile);
-  blk::BlockLayerConfig bcfg;  // order-preserving defaults
+  blk::BlockLayerConfig bcfg;
   bcfg.scheduler = "elevator";  // stress: reordering base scheduler
   blk::BlockLayer blk(sim, dev, bcfg);
   dev.start();
@@ -101,31 +102,24 @@ TEST_P(EpochPrefixTest, RandomWorkloadRandomCrashPoint) {
   const sim::SimTime crash_at = rng.uniform(50, 40'000) * 1_us;
   sim.run_until(crash_at);
   EXPECT_TRUE(epoch_prefix_holds(dev.transfer_history(), dev.durable_state()))
-      << "mode=" << flash::to_string(mode) << " plp=" << plp
-      << " seed=" << seed << " t=" << crash_at;
+      << "plp=" << plp << " seed=" << seed << " t=" << crash_at;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllModes, EpochPrefixTest,
-    testing::Combine(testing::Values(BarrierMode::kInOrderRecovery,
-                                     BarrierMode::kInOrderWriteback,
-                                     BarrierMode::kTransactional),
-                     testing::Values(false, true),
-                     testing::Range(1, 9)),
+    InOrderRecovery, EpochPrefixTest,
+    testing::Combine(testing::Values(false, true), testing::Range(1, 9)),
     [](const testing::TestParamInfo<EpochPrefixTest::ParamType>& info) {
-      std::string name = flash::to_string(std::get<0>(info.param));
-      for (auto& c : name)
-        if (c == '-') c = '_';
-      return name + (std::get<1>(info.param) ? "_plp_" : "_noplp_") +
-             std::to_string(std::get<2>(info.param));
+      return (std::get<0>(info.param) ? "plp_" : "noplp_") +
+             std::to_string(std::get<1>(info.param));
     });
 
 // ---- 2. legacy device can violate ordering ---------------------------------
 
 TEST(OrderlessBaselineTest, LegacyStackCanLoseOrdering) {
-  // kNone device + legacy dispatch: find at least one (seed, crash time)
-  // where an epoch-later write persisted while an earlier one was lost.
-  // This is Fig 1's motivation: the orderless IO stack gives no guarantee.
+  // kNone device, so the block layer strips ordering in front of it: find at
+  // least one (seed, crash time) where an epoch-later write persisted while
+  // an earlier one was lost. This is Fig 1's motivation: the orderless IO
+  // stack gives no guarantee.
   bool violated = false;
   for (int seed = 1; seed <= 30 && !violated; ++seed) {
     sim::Simulator sim;
@@ -135,8 +129,6 @@ TEST(OrderlessBaselineTest, LegacyStackCanLoseOrdering) {
     flash::StorageDevice dev(sim, profile);
     blk::BlockLayerConfig bcfg;
     bcfg.scheduler = "elevator";  // the legacy stack reorders (CFQ-like)
-    bcfg.epoch_scheduling = false;
-    bcfg.order_preserving_dispatch = false;
     blk::BlockLayer blk(sim, dev, bcfg);
     dev.start();
     blk.start();

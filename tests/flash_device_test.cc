@@ -237,28 +237,6 @@ TEST(DeviceTest, ReadHitsCacheBeforeFlash) {
   EXPECT_LT(read_latency, 50_us);
 }
 
-TEST(DeviceTest, TransactionalDurabilityIsAtomicBatches) {
-  Simulator sim;
-  StorageDevice dev(sim, test_profile(BarrierMode::kTransactional));
-  dev.start();
-  auto body = [&]() -> Task {
-    auto w1 = make_write(sim, {{1, 1}});
-    auto w2 = make_write(sim, {{2, 2}});
-    EXPECT_TRUE(dev.try_submit(w1.cmd));
-    EXPECT_TRUE(dev.try_submit(w2.cmd));
-    co_await w1.done->wait();
-    co_await w2.done->wait();
-    EXPECT_TRUE(dev.durable_state().empty()) << "no commit yet";
-    auto f = make_flush(sim);
-    EXPECT_TRUE(dev.try_submit(f.cmd));
-    co_await f.done->wait();
-    auto durable = dev.durable_state();
-    EXPECT_EQ(durable.size(), 2u);
-  };
-  sim.spawn("t", body());
-  sim.run();
-}
-
 TEST(DeviceTest, InOrderRecoveryDurableStateIsTransferPrefix) {
   Simulator sim;
   StorageDevice dev(sim, test_profile(BarrierMode::kInOrderRecovery));

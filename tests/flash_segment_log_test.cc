@@ -84,20 +84,6 @@ TEST(SegmentLogTest, PrefixStopsAtInFlightProgram) {
   EXPECT_TRUE(programmed.contains(3));
 }
 
-TEST(SegmentLogTest, CommitPointGatesDurability) {
-  Fixture f;
-  auto body = [&]() -> Task {
-    co_await f.log.append(1, 1);
-    f.log.mark_commit_point();
-    co_await f.log.append(2, 2);
-  };
-  f.sim.spawn("t", body());
-  f.sim.run();
-  auto durable = f.log.durable_committed();
-  EXPECT_TRUE(durable.contains(1));
-  EXPECT_FALSE(durable.contains(2));
-}
-
 TEST(SegmentLogTest, ParallelProgramsUseMultipleChips) {
   Fixture f;
   auto writer = [&]() -> Task {
