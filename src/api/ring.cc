@@ -13,26 +13,22 @@ bool is_data_op(RingOp op) noexcept {
   return op == RingOp::kRead || op == RingOp::kWrite;
 }
 
-bool is_sync_op(RingOp op) noexcept {
-  switch (op) {
-    case RingOp::kFsync:
-    case RingOp::kFdatasync:
-    case RingOp::kFbarrier:
-    case RingOp::kFdatabarrier:
-      return true;
-    default:
-      return false;
-  }
-}
-
+/// The inverse of ring_op_for: the sync syscall a ring op runs (kNone for
+/// nop and data ops).
 Syscall syscall_of(RingOp op) noexcept {
   switch (op) {
     case RingOp::kFsync: return Syscall::kFsync;
     case RingOp::kFdatasync: return Syscall::kFdatasync;
     case RingOp::kFbarrier: return Syscall::kFbarrier;
     case RingOp::kFdatabarrier: return Syscall::kFdatabarrier;
+    case RingOp::kOsync: return Syscall::kOsync;
+    case RingOp::kDsync: return Syscall::kDsync;
     default: return Syscall::kNone;
   }
+}
+
+bool is_sync_op(RingOp op) noexcept {
+  return syscall_of(op) != Syscall::kNone;
 }
 
 }  // namespace
@@ -58,8 +54,8 @@ RingOp ring_op_for(Syscall call) noexcept {
     case Syscall::kFdatasync: return RingOp::kFdatasync;
     case Syscall::kFbarrier: return RingOp::kFbarrier;
     case Syscall::kFdatabarrier: return RingOp::kFdatabarrier;
-    case Syscall::kOsync: return RingOp::kFbarrier;
-    case Syscall::kDsync: return RingOp::kFdatasync;
+    case Syscall::kOsync: return RingOp::kOsync;
+    case Syscall::kDsync: return RingOp::kDsync;
     case Syscall::kNone: return RingOp::kNop;
   }
   return RingOp::kNop;
@@ -158,39 +154,17 @@ sim::Task Ring::chain_driver(std::shared_ptr<Core> core,
 }
 
 sim::TaskOf<std::int32_t> Ring::execute(Core& core, const Sqe& sqe) {
-  switch (sqe.op) {
-    case RingOp::kRead: {
-      const Result<std::uint32_t> r =
-          co_await core.vfs->pread(sqe.fd, sqe.page, sqe.npages);
-      co_return r.ok() ? static_cast<std::int32_t>(r.value())
-                       : negated_errno(r.error());
-    }
-    case RingOp::kWrite: {
-      const Result<std::uint32_t> r =
-          co_await core.vfs->pwrite(sqe.fd, sqe.page, sqe.npages);
-      co_return r.ok() ? static_cast<std::int32_t>(r.value())
-                       : negated_errno(r.error());
-    }
-    case RingOp::kFsync: {
-      const Status s = co_await core.vfs->fsync(sqe.fd);
-      co_return negated_errno(s.error());
-    }
-    case RingOp::kFdatasync: {
-      const Status s = co_await core.vfs->fdatasync(sqe.fd);
-      co_return negated_errno(s.error());
-    }
-    case RingOp::kFbarrier: {
-      const Status s = co_await core.vfs->fbarrier(sqe.fd);
-      co_return negated_errno(s.error());
-    }
-    case RingOp::kFdatabarrier: {
-      const Status s = co_await core.vfs->fdatabarrier(sqe.fd);
-      co_return negated_errno(s.error());
-    }
-    case RingOp::kNop:
-      co_return 0;
+  if (sqe.op == RingOp::kNop) co_return 0;
+  if (is_data_op(sqe.op)) {
+    const Result<std::uint32_t> r =
+        sqe.op == RingOp::kRead
+            ? co_await core.vfs->pread(sqe.fd, sqe.page, sqe.npages)
+            : co_await core.vfs->pwrite(sqe.fd, sqe.page, sqe.npages);
+    co_return r.ok() ? static_cast<std::int32_t>(r.value())
+                     : negated_errno(r.error());
   }
-  co_return negated_errno(Errno::kInval);
+  const Status s = co_await core.vfs->sync(sqe.fd, syscall_of(sqe.op));
+  co_return negated_errno(s.error());
 }
 
 void Ring::complete(Core& core, const Sqe& sqe, std::int32_t res) {

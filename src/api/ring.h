@@ -1,9 +1,9 @@
 // api::Ring — io_uring-style batched submission/completion rings over Vfs.
 //
 // A Ring decouples *issuing* IO from *waiting* for it: the application
-// fills a submission queue with sqe-like ops (read/write/fsync/fdatasync/
-// fbarrier/fdatabarrier), submit() dispatches the batch as coroutines over
-// the existing Vfs paths, and completions are reaped out of order from a
+// fills a submission queue with sqe-like ops (read/write and one op per
+// sync syscall), submit() dispatches the batch as coroutines over the
+// existing Vfs paths, and completions are reaped out of order from a
 // cqe queue (peek_cqe / wait_cqe), each carrying the sqe's user_data and a
 // res that is pages-transferred (>= 0) or a negated errno.
 //
@@ -53,6 +53,8 @@ enum class RingOp : std::uint8_t {
   kFdatasync,
   kFbarrier,
   kFdatabarrier,
+  kOsync,
+  kDsync,
 };
 
 /// Sqe flag: serialize this sqe before the NEXT sqe in the batch
@@ -83,9 +85,9 @@ struct Cqe {
 /// Negated-errno completion codes (POSIX numbering, like io_uring cqes).
 std::int32_t negated_errno(Errno e);
 
-/// The ring op that carries a policy-resolved sync syscall. Syncs map 1:1;
-/// OptFS's osync rides kFbarrier and dsync rides kFdatasync (Vfs maps both
-/// back onto the OptFS natives); kNone resolves to kNop.
+/// The ring op that carries a policy-resolved sync syscall: every sync
+/// syscall has its own op (execution runs it through Vfs::sync), and
+/// kNone resolves to kNop.
 RingOp ring_op_for(Syscall call) noexcept;
 inline constexpr std::int32_t kECanceled = -125;  // chain predecessor failed
 

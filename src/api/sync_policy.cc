@@ -49,25 +49,29 @@ SyncPolicy SyncPolicy::for_stack(core::StackKind kind) noexcept {
   return {};
 }
 
+namespace {
+sim::TaskOf<fs::FsStatus> nothing_to_sync() { co_return fs::FsStatus::kOk; }
+}  // namespace
+
 sim::TaskOf<fs::FsStatus> issue(fs::Filesystem& filesystem, fs::Inode& f,
                                 Syscall call) {
   switch (call) {
     case Syscall::kNone:
       break;
     case Syscall::kFsync:
-      co_return co_await filesystem.fsync(f);
+      return filesystem.fsync(f);
     case Syscall::kFdatasync:
-      co_return co_await filesystem.fdatasync(f);
+      return filesystem.fdatasync(f);
     case Syscall::kFbarrier:
-      co_return co_await filesystem.fbarrier(f);
+      return filesystem.fbarrier(f);
     case Syscall::kFdatabarrier:
-      co_return co_await filesystem.fdatabarrier(f);
+      return filesystem.fdatabarrier(f);
     case Syscall::kOsync:
-      co_return co_await filesystem.osync(f, /*wait_transfer=*/true);
+      return filesystem.osync(f);
     case Syscall::kDsync:
-      co_return co_await filesystem.dsync(f);
+      return filesystem.dsync(f);
   }
-  co_return fs::FsStatus::kOk;
+  return nothing_to_sync();
 }
 
 }  // namespace bio::api

@@ -79,11 +79,10 @@ struct SyncPolicy {
   friend bool operator==(const SyncPolicy&, const SyncPolicy&) = default;
 };
 
-/// Executes one concrete syscall against `f`. The single funnel through
-/// which policy-resolved intents reach the filesystem (used by api::Vfs and
-/// the deprecated Stack helpers). Returns the filesystem's verdict: kIo
-/// when the call's own journal commit died, kRoFs on a degraded volume
-/// (kNone trivially succeeds).
+/// The filesystem task that runs one concrete syscall against `f` — the
+/// only Syscall-to-filesystem switch, behind api::Vfs::sync. The task
+/// yields the filesystem's verdict: kIo when the call's own journal commit
+/// died, kRoFs on a degraded volume (kNone trivially succeeds).
 sim::TaskOf<fs::FsStatus> issue(fs::Filesystem& filesystem, fs::Inode& f,
                                 Syscall call);
 

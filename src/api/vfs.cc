@@ -139,35 +139,6 @@ Errno Vfs::fail(Mount& m, Errno e) const {
   return fail(e);
 }
 
-Status Vfs::sync_epilogue(Fd fd, std::uint64_t gen, std::uint64_t seen,
-                          std::uint64_t err_seq, Mount& m, fs::FsStatus st) {
-  switch (st) {
-    case fs::FsStatus::kRoFs:
-      return fail(m, Errno::kRoFs);
-    case fs::FsStatus::kIo:
-      // This call's own commit died; the abort already degraded the
-      // volume, so later syscalls see EROFS — the errseq below therefore
-      // never double-reports on top of this EIO.
-      return fail(m, Errno::kIo);
-    case fs::FsStatus::kOk:
-      break;
-  }
-  // errseq: a data writeback that failed for good since this descriptor
-  // last looked surfaces here, once. Re-resolve the entry — the fd may
-  // have been closed (even reopened) while the sync was suspended. A dead
-  // incarnation still owes its caller the verdict (Linux's fsync holds
-  // the struct file, so close() cannot hide f_wb_err): judge it by the
-  // sample it held when the sync started.
-  FdEntry* e = entry(fd);
-  if (e == nullptr || e->generation != gen)
-    return seen < err_seq ? fail(m, Errno::kIo) : Status{};
-  if (e->wb_err_seen < err_seq) {
-    e->wb_err_seen = err_seq;
-    return fail(m, Errno::kIo);
-  }
-  return {};
-}
-
 void Vfs::unref(Vnode& vn) {
   --vn.refcount;
   maybe_retire(vn);
@@ -407,87 +378,56 @@ sim::TaskOf<Result<std::uint32_t>> Vfs::append(Fd fd, std::uint32_t npages) {
 
 // ---- synchronization ---------------------------------------------------------
 
-sim::TaskOf<Status> Vfs::fsync(Fd fd) {
+sim::TaskOf<Status> Vfs::sync(Fd fd, Syscall call) {
   FdEntry* e = entry(fd);
   if (e == nullptr) co_return fail(Errno::kBadF);
   Vnode& vn = *e->vnode;
   Mount& m = *e->mount;
-  const std::uint64_t gen = e->generation;
-  const std::uint64_t seen = e->wb_err_seen;
-  pin(vn);
-  const fs::FsStatus st = co_await vn.fs->fsync(*vn.inode);
-  const std::uint64_t err_seq = vn.inode->wb_err_seq;  // before unpin
-  unpin(vn);
-  co_return sync_epilogue(fd, gen, seen, err_seq, m, st);
-}
-
-sim::TaskOf<Status> Vfs::fdatasync(Fd fd) {
-  FdEntry* e = entry(fd);
-  if (e == nullptr) co_return fail(Errno::kBadF);
-  Vnode& vn = *e->vnode;
-  Mount& m = *e->mount;
-  const std::uint64_t gen = e->generation;
-  const std::uint64_t seen = e->wb_err_seen;
-  pin(vn);
-  const fs::FsStatus st = co_await vn.fs->fdatasync(*vn.inode);
-  const std::uint64_t err_seq = vn.inode->wb_err_seq;  // before unpin
-  unpin(vn);
-  co_return sync_epilogue(fd, gen, seen, err_seq, m, st);
-}
-
-sim::TaskOf<Status> Vfs::fbarrier(Fd fd) {
-  FdEntry* e = entry(fd);
-  if (e == nullptr) co_return fail(Errno::kBadF);
-  Vnode& vn = *e->vnode;
-  Mount& m = *e->mount;
-  if (!journal_supports(Syscall::kFbarrier, vn.fs->config().journal))
-    co_return fail(m, Errno::kInval);
-  const std::uint64_t gen = e->generation;
-  const std::uint64_t seen = e->wb_err_seen;
-  pin(vn);
-  const fs::FsStatus st = co_await vn.fs->fbarrier(*vn.inode);
-  const std::uint64_t err_seq = vn.inode->wb_err_seq;  // before unpin
-  unpin(vn);
-  co_return sync_epilogue(fd, gen, seen, err_seq, m, st);
-}
-
-sim::TaskOf<Status> Vfs::fdatabarrier(Fd fd) {
-  FdEntry* e = entry(fd);
-  if (e == nullptr) co_return fail(Errno::kBadF);
-  Vnode& vn = *e->vnode;
-  Mount& m = *e->mount;
-  if (!journal_supports(Syscall::kFdatabarrier, vn.fs->config().journal))
-    co_return fail(m, Errno::kInval);
-  const std::uint64_t gen = e->generation;
-  const std::uint64_t seen = e->wb_err_seen;
-  pin(vn);
-  const fs::FsStatus st = co_await vn.fs->fdatabarrier(*vn.inode);
-  const std::uint64_t err_seq = vn.inode->wb_err_seq;  // before unpin
-  unpin(vn);
-  co_return sync_epilogue(fd, gen, seen, err_seq, m, st);
-}
-
-sim::TaskOf<Status> Vfs::sync(Fd fd, SyncIntent intent) {
-  FdEntry* e = entry(fd);
-  if (e == nullptr) co_return fail(Errno::kBadF);
-  Vnode& vn = *e->vnode;
-  Mount& m = *e->mount;
-  const Syscall call =
-      (vn.policy.has_value() ? *vn.policy : e->mount->policy)
-          .resolve(intent);
-  // A (per-file-overridable) policy row may name a syscall this
-  // descriptor's filesystem cannot run — dsync/osync outside OptFS,
-  // barrier calls outside BarrierFS. Surface the mismatch as a modelled
-  // EINVAL rather than letting the filesystem assert.
+  // A (per-file-overridable) policy row or a direct call may name a
+  // syscall this descriptor's filesystem cannot run — dsync/osync outside
+  // OptFS, barrier calls outside BarrierFS. Surface the mismatch as a
+  // modelled EINVAL rather than letting the filesystem assert.
   if (!journal_supports(call, vn.fs->config().journal))
     co_return fail(m, Errno::kInval);
+  // `gen` pins the descriptor incarnation across the suspension (fd-reuse
+  // ABA, as in read/write); `seen` is its errseq sample at the start.
   const std::uint64_t gen = e->generation;
   const std::uint64_t seen = e->wb_err_seen;
   pin(vn);
   const fs::FsStatus st = co_await issue(*vn.fs, *vn.inode, call);
   const std::uint64_t err_seq = vn.inode->wb_err_seq;  // before unpin
   unpin(vn);
-  co_return sync_epilogue(fd, gen, seen, err_seq, m, st);
+  switch (st) {
+    case fs::FsStatus::kRoFs:
+      co_return fail(m, Errno::kRoFs);
+    case fs::FsStatus::kIo:
+      // This call's own commit died; the abort already degraded the
+      // volume, so later syscalls see EROFS — the errseq below therefore
+      // never double-reports on top of this EIO.
+      co_return fail(m, Errno::kIo);
+    case fs::FsStatus::kOk:
+      break;
+  }
+  // errseq: a data writeback that failed for good since this descriptor
+  // last looked surfaces here, once. Re-resolve the entry — the fd may
+  // have been closed (even reopened) while the sync was suspended. A dead
+  // incarnation still owes its caller the verdict (Linux's fsync holds
+  // the struct file, so close() cannot hide f_wb_err): judge it by the
+  // sample it held when the sync started.
+  e = entry(fd);
+  if (e == nullptr || e->generation != gen)
+    co_return seen < err_seq ? fail(m, Errno::kIo) : Status{};
+  if (e->wb_err_seen < err_seq) {
+    e->wb_err_seen = err_seq;
+    co_return fail(m, Errno::kIo);
+  }
+  co_return Status{};
+}
+
+sim::TaskOf<Status> Vfs::sync(Fd fd, SyncIntent intent) {
+  const Result<SyncPolicy> policy = policy_of(fd);
+  if (!policy.ok()) return detail::ready_error<Status>(policy.error());
+  return sync(fd, policy.value().resolve(intent));
 }
 
 // ---- descriptor metadata -----------------------------------------------------

@@ -60,9 +60,9 @@ using Fd = std::int32_t;
 inline constexpr Fd kInvalidFd = -1;
 
 /// Which sync syscalls a journal flavour can run — the single capability
-/// matrix behind the policy-resolved funnel (Vfs::sync), the direct barrier
-/// syscalls and api::Ring's submit-time sqe validation, so a mismatch is a
-/// modelled EINVAL instead of a filesystem assert on a mixed-journal node.
+/// matrix behind Vfs::sync and api::Ring's submit-time sqe validation, so
+/// a mismatch is a modelled EINVAL instead of a filesystem assert on a
+/// mixed-journal node.
 bool journal_supports(Syscall call, fs::JournalKind journal);
 
 struct OpenOptions {
@@ -95,11 +95,12 @@ class File {
   sim::TaskOf<Result<std::uint32_t>> read(std::uint32_t npages);
   sim::TaskOf<Result<std::uint32_t>> write(std::uint32_t npages);
   sim::TaskOf<Result<std::uint32_t>> append(std::uint32_t npages);
+  sim::TaskOf<Status> sync(Syscall call);
+  sim::TaskOf<Status> sync(SyncIntent intent);
   sim::TaskOf<Status> fsync();
   sim::TaskOf<Status> fdatasync();
   sim::TaskOf<Status> fbarrier();
   sim::TaskOf<Status> fdatabarrier();
-  sim::TaskOf<Status> sync(SyncIntent intent);
   /// Policy-resolved intents (paper §5): the call sites workloads write.
   sim::TaskOf<Status> order_point();
   sim::TaskOf<Status> durability_point();
@@ -191,12 +192,16 @@ class Vfs {
 
   // ---- synchronization ---------------------------------------------------
 
-  sim::TaskOf<Status> fsync(Fd fd);
-  sim::TaskOf<Status> fdatasync(Fd fd);
-  sim::TaskOf<Status> fbarrier(Fd fd);
-  sim::TaskOf<Status> fdatabarrier(Fd fd);
+  /// Runs one concrete sync syscall — every sync path (File sugar, policy
+  /// intents, api::Ring) ends here. kInval when the descriptor's journal
+  /// cannot run `call` (journal_supports), kIo when this call's journal
+  /// commit died (the abort degraded the volume), kRoFs when the volume
+  /// was already degraded; otherwise a data-writeback failure recorded on
+  /// the inode since this descriptor last looked is kIo exactly once per
+  /// fd (Linux errseq_t).
+  sim::TaskOf<Status> sync(Fd fd, Syscall call);
   /// Resolves `intent` through the file's policy (per-file override if
-  /// set, else the file's mount's policy) and issues the concrete syscall.
+  /// set, else the file's mount's policy) and runs the concrete syscall.
   sim::TaskOf<Status> sync(Fd fd, SyncIntent intent);
 
   // ---- descriptor metadata ----------------------------------------------
@@ -290,8 +295,8 @@ class Vfs {
   /// mount point itself rather than a file in it.
   Result<Target> resolve(const std::string& name) const;
 
-  /// Maps fd to its table entry; nullptr (and an errors++ tick) if the
-  /// descriptor is not open — the EBADF funnel for every syscall.
+  /// Maps fd to its table entry; nullptr if the descriptor is not open —
+  /// the EBADF funnel for every syscall (callers tick errors via fail()).
   FdEntry* entry(Fd fd);
   const FdEntry* entry(Fd fd) const;
   Mount* find_mount(std::string_view name) const noexcept;
@@ -302,17 +307,6 @@ class Vfs {
   /// Error funnel: ticks node-wide errors, and the mount's when known.
   Errno fail(Errno e) const;
   Errno fail(Mount& m, Errno e) const;
-  /// Shared tail of every sync syscall: maps the filesystem's verdict
-  /// (kIo = this call's journal commit died and degraded the volume,
-  /// kRoFs = it was already degraded at entry) to an errno, then runs the
-  /// errseq check — a data-writeback failure recorded on the inode since
-  /// this descriptor last looked is EIO exactly once per fd. `gen` pins
-  /// the descriptor incarnation across the sync's suspension (fd-reuse
-  /// ABA, as in read/write); `seen` is the descriptor's errseq sample at
-  /// the sync's start and `err_seq` the inode's at its end (read while the
-  /// vnode was still pinned).
-  Status sync_epilogue(Fd fd, std::uint64_t gen, std::uint64_t seen,
-                       std::uint64_t err_seq, Mount& m, fs::FsStatus st);
   /// Drops one descriptor reference (close path).
   void unref(Vnode& vn);
   /// Marks a syscall in flight against `vn` across its suspension points:
@@ -379,25 +373,23 @@ inline sim::TaskOf<Result<std::uint32_t>> File::append(std::uint32_t npages) {
     return detail::ready_error<Result<std::uint32_t>>(Errno::kBadF);
   return vfs_->append(fd_, npages);
 }
-inline sim::TaskOf<Status> File::fsync() {
+inline sim::TaskOf<Status> File::sync(Syscall call) {
   if (vfs_ == nullptr) return detail::ready_error<Status>(Errno::kBadF);
-  return vfs_->fsync(fd_);
-}
-inline sim::TaskOf<Status> File::fdatasync() {
-  if (vfs_ == nullptr) return detail::ready_error<Status>(Errno::kBadF);
-  return vfs_->fdatasync(fd_);
-}
-inline sim::TaskOf<Status> File::fbarrier() {
-  if (vfs_ == nullptr) return detail::ready_error<Status>(Errno::kBadF);
-  return vfs_->fbarrier(fd_);
-}
-inline sim::TaskOf<Status> File::fdatabarrier() {
-  if (vfs_ == nullptr) return detail::ready_error<Status>(Errno::kBadF);
-  return vfs_->fdatabarrier(fd_);
+  return vfs_->sync(fd_, call);
 }
 inline sim::TaskOf<Status> File::sync(SyncIntent intent) {
   if (vfs_ == nullptr) return detail::ready_error<Status>(Errno::kBadF);
   return vfs_->sync(fd_, intent);
+}
+inline sim::TaskOf<Status> File::fsync() { return sync(Syscall::kFsync); }
+inline sim::TaskOf<Status> File::fdatasync() {
+  return sync(Syscall::kFdatasync);
+}
+inline sim::TaskOf<Status> File::fbarrier() {
+  return sync(Syscall::kFbarrier);
+}
+inline sim::TaskOf<Status> File::fdatabarrier() {
+  return sync(Syscall::kFdatabarrier);
 }
 inline sim::TaskOf<Status> File::order_point() {
   return sync(SyncIntent::kOrder);

@@ -33,7 +33,6 @@ sim::Task BarrierFsJournal::dirty_metadata(flash::Lba block,
 sim::Task BarrierFsJournal::commit(std::uint64_t tid, WaitMode mode) {
   Txn& txn = get_txn(tid);
   if (txn.state == Txn::State::kRunning) {
-    if (mode == WaitMode::kDurable) txn.needs_flush = true;
     if (std::find(commit_requests_.begin(), commit_requests_.end(), tid) ==
         commit_requests_.end()) {
       commit_requests_.push_back(tid);

@@ -454,13 +454,6 @@ sim::Task Filesystem::ensure_data_durable(
   if (!proven) co_await blk_.flush_and_wait();
 }
 
-sim::Task Filesystem::request_backpressure() {
-  // get_request(): a submitter stalls while the block-layer queue is
-  // congested; wakes when it drains to half (batched, so the per-op
-  // context-switch cost stays tiny).
-  co_await blk_.throttle();
-}
-
 void Filesystem::note_writeback_failures(
     Inode& f, const std::vector<blk::RequestPtr>& reqs) {
   for (const blk::RequestPtr& r : reqs) {
@@ -543,64 +536,9 @@ sim::TaskOf<FsStatus> Filesystem::fsync(Inode& f) {
   if (degraded_) co_return FsStatus::kRoFs;
   ++stats_.fsyncs;
   const sim::SimTime t0 = sim_.now();
-  FsStatus status = FsStatus::kOk;
-  switch (cfg_.journal) {
-    case JournalKind::kJbd2: {
-      // Fig 3 / Eq. 2: D -> wait -> trigger JBD -> wait txn durable.
-      co_await wait_stable_pages(f);
-      std::vector<blk::RequestPtr> reqs =
-          submit_data(f, /*ordered=*/false, false);
-      co_await wait_file_writebacks(f, reqs);
-      co_await wait_requests(reqs);  // Wait-on-Transfer
-      note_writeback_failures(f, reqs);
-      if (f.meta_dirty || f.size_dirty) {
-        status = co_await commit_metadata(f, Journal::WaitMode::kDurable);
-        // If the inode's transaction had already committed (group commit),
-        // the wait above returned without a flush covering this call's
-        // data — issue it (ext4_sync_file's needs-barrier path).
-        if (status == FsStatus::kOk) co_await ensure_data_durable(f, reqs);
-      } else if (txn_in_flight(f.txn_id)) {
-        // A concurrent syscall's commit_metadata() cleared the flags but
-        // its commit — the one holding this inode's metadata — is still
-        // in flight: fsync may not return before it is durable (ext4's
-        // jbd2_log_wait_commit on i_sync_tid).
-        status = co_await wait_txn_durable(f.txn_id);
-        if (status == FsStatus::kOk) co_await ensure_data_durable(f, reqs);
-      } else if (!cfg_.nobarrier) {
-        co_await blk_.flush_and_wait();  // fdatasync-degenerate path
-      }
-      break;
-    }
-    case JournalKind::kBarrierFs: {
-      // Eq. 3: dispatch D as order-preserving, commit without any waits on
-      // transfer; a single sleep until the flush thread reports durability.
-      co_await wait_stable_pages(f);
-      std::vector<blk::RequestPtr> reqs =
-          submit_data(f, /*ordered=*/true, false);
-      co_await wait_file_writebacks(f, reqs);
-      if (f.meta_dirty || f.size_dirty) {
-        status = co_await commit_metadata(f, Journal::WaitMode::kDurable);
-        if (status == FsStatus::kOk)
-          co_await ensure_data_durable(f, reqs);  // already-committed case
-      } else if (txn_in_flight(f.txn_id)) {
-        status = co_await wait_txn_durable(f.txn_id);  // i_sync_tid parity
-        if (status == FsStatus::kOk) co_await ensure_data_durable(f, reqs);
-      } else {
-        co_await wait_requests(reqs);
-        co_await blk_.flush_and_wait();
-      }
-      // The data transfers this call covers completed above on every path
-      // but the failed-commit ones; settle them so a dead carrier is
-      // recorded now, not swept silently later.
-      co_await wait_requests(reqs);
-      note_writeback_failures(f, reqs);
-      break;
-    }
-    case JournalKind::kOptFs: {
-      status = co_await osync(f, /*wait_transfer=*/true);
-      break;
-    }
-  }
+  const FsStatus status = cfg_.journal == JournalKind::kOptFs
+                              ? co_await osync(f)
+                              : co_await sync_durable(f, /*datasync=*/false);
   fsync_latency_.add(sim_.now() - t0);
   co_return status;
 }
@@ -608,55 +546,53 @@ sim::TaskOf<FsStatus> Filesystem::fsync(Inode& f) {
 sim::TaskOf<FsStatus> Filesystem::fdatasync(Inode& f) {
   if (degraded_) co_return FsStatus::kRoFs;
   ++stats_.fdatasyncs;
+  if (cfg_.journal == JournalKind::kOptFs) co_return co_await osync(f);
+  co_return co_await sync_durable(f, /*datasync=*/true);
+}
+
+sim::TaskOf<FsStatus> Filesystem::sync_durable(Inode& f, bool datasync) {
+  // Eq. 2 (EXT4): D -> Wait-on-Transfer -> commit -> wait durable.
+  // Eq. 3 (BarrierFS): D dispatched order-preserving, commit without any
+  // wait on transfer, a single sleep until the flush thread reports
+  // durability.
+  const bool wot = wait_on_transfer();
+  co_await wait_stable_pages(f);
+  std::vector<blk::RequestPtr> reqs =
+      submit_data(f, /*ordered=*/!wot, /*barrier_last=*/false);
+  co_await wait_file_writebacks(f, reqs);
+  if (wot) {
+    co_await wait_requests(reqs);
+    note_writeback_failures(f, reqs);
+  }
+  // fdatasync skips mtime-only dirt (Fig 11): it commits for an i_size
+  // change only.
   FsStatus status = FsStatus::kOk;
-  switch (cfg_.journal) {
-    case JournalKind::kJbd2: {
-      co_await wait_stable_pages(f);
-      std::vector<blk::RequestPtr> reqs =
-          submit_data(f, /*ordered=*/false, false);
-      co_await wait_file_writebacks(f, reqs);
-      co_await wait_requests(reqs);
-      note_writeback_failures(f, reqs);
-      if (f.size_dirty) {
-        status = co_await commit_metadata(f, Journal::WaitMode::kDurable);
-        if (status == FsStatus::kOk)
-          co_await ensure_data_durable(f, reqs);  // already-committed case
-      } else if (txn_in_flight(f.datasync_txn_id)) {
-        // The transaction holding the latest i_size change is still in
-        // flight (a concurrent sync cleared size_dirty mid-commit):
-        // fdatasync waits it durable — ext4's i_datasync_tid — while
-        // mtime-only dirt keeps skipping the commit (Fig 11).
-        status = co_await wait_txn_durable(f.datasync_txn_id);
-        if (status == FsStatus::kOk) co_await ensure_data_durable(f, reqs);
-      } else if (!cfg_.nobarrier) {
-        co_await blk_.flush_and_wait();
-      }
-      break;
-    }
-    case JournalKind::kBarrierFs: {
-      co_await wait_stable_pages(f);
-      std::vector<blk::RequestPtr> reqs =
-          submit_data(f, /*ordered=*/true, false);
-      co_await wait_file_writebacks(f, reqs);
-      if (f.size_dirty) {
-        status = co_await commit_metadata(f, Journal::WaitMode::kDurable);
-        if (status == FsStatus::kOk)
-          co_await ensure_data_durable(f, reqs);  // already-committed case
-      } else if (txn_in_flight(f.datasync_txn_id)) {
-        status = co_await wait_txn_durable(f.datasync_txn_id);
-        if (status == FsStatus::kOk) co_await ensure_data_durable(f, reqs);
-      } else {
-        co_await wait_requests(reqs);
-        co_await blk_.flush_and_wait();
-      }
-      co_await wait_requests(reqs);  // settle before recording failures
-      note_writeback_failures(f, reqs);
-      break;
-    }
-    case JournalKind::kOptFs: {
-      status = co_await osync(f, /*wait_transfer=*/true);
-      break;
-    }
+  if (datasync ? f.size_dirty : (f.meta_dirty || f.size_dirty)) {
+    status = co_await commit_metadata(f, Journal::WaitMode::kDurable);
+    // If the inode's transaction had already committed (group commit),
+    // the wait above returned without a flush covering this call's data —
+    // issue it (ext4_sync_file's needs-barrier path).
+    if (status == FsStatus::kOk) co_await ensure_data_durable(f, reqs);
+  } else if (const std::uint64_t tid = datasync ? f.datasync_txn_id
+                                                : f.txn_id;
+             txn_in_flight(tid)) {
+    // A concurrent syscall's commit_metadata() cleared the flags but its
+    // commit — the one holding this inode's metadata (fsync) or latest
+    // i_size change (fdatasync) — is still in flight: the call may not
+    // return before it is durable (ext4's jbd2_log_wait_commit on
+    // i_sync_tid / i_datasync_tid).
+    status = co_await wait_txn_durable(tid);
+    if (status == FsStatus::kOk) co_await ensure_data_durable(f, reqs);
+  } else if (!cfg_.nobarrier) {  // only EXT4-OD mounts nobarrier
+    co_await wait_requests(reqs);  // already settled under Wait-on-Transfer
+    co_await blk_.flush_and_wait();
+  }
+  if (!wot) {
+    // The data transfers this call covers completed above on every path
+    // but the failed-commit ones; settle them so a dead carrier is
+    // recorded now, not swept silently later.
+    co_await wait_requests(reqs);
+    note_writeback_failures(f, reqs);
   }
   co_return status;
 }
@@ -664,72 +600,52 @@ sim::TaskOf<FsStatus> Filesystem::fdatasync(Inode& f) {
 sim::TaskOf<FsStatus> Filesystem::fbarrier(Inode& f) {
   if (degraded_) co_return FsStatus::kRoFs;
   ++stats_.fbarriers;
-  FsStatus status = FsStatus::kOk;
-  switch (cfg_.journal) {
-    case JournalKind::kBarrierFs: {
-      const bool will_commit = f.meta_dirty || f.size_dirty;
-      co_await wait_stable_pages(f);
-      std::vector<blk::RequestPtr> reqs =
-          submit_data(f, /*ordered=*/true, /*barrier_last=*/!will_commit);
-      co_await request_backpressure();
-      if (will_commit) {
-        // Wakes when the commit thread has dispatched JD and JC.
-        status = co_await commit_metadata(f, Journal::WaitMode::kDispatched);
-      } else if (reqs.empty()) {
-        // Nothing dirty at all: force an (empty) journal commit so the
-        // epoch is still delimited (§4.2).
-        // iolint: stable-across-suspend(the outcome check must name the id
-        // this commit waited on, not whatever txn runs after it)
-        const std::uint64_t tid = journal_->running_txn_id();
-        co_await journal_->commit(tid, Journal::WaitMode::kNone);
-        status = commit_outcome(tid);
-      }
-      break;
-    }
-    case JournalKind::kOptFs: {
-      status = co_await osync(f, /*wait_transfer=*/true);
-      break;
-    }
-    case JournalKind::kJbd2:
-      BIO_CHECK_MSG(false, "fbarrier() requires BarrierFS (or OptFS osync)");
-  }
-  co_return status;
+  if (cfg_.journal == JournalKind::kOptFs) co_return co_await osync(f);
+  co_return co_await sync_ordered(f, /*datasync=*/false);
 }
 
 sim::TaskOf<FsStatus> Filesystem::fdatabarrier(Inode& f) {
   if (degraded_) co_return FsStatus::kRoFs;
   ++stats_.fdatabarriers;
-  BIO_CHECK_MSG(cfg_.journal == JournalKind::kBarrierFs,
-                "fdatabarrier() requires BarrierFS");
-  const bool commit_needed = f.size_dirty;
-  co_await wait_stable_pages(f);
-  std::vector<blk::RequestPtr> reqs =
-      submit_data(f, /*ordered=*/true, /*barrier_last=*/!commit_needed);
-  co_await request_backpressure();
-  std::uint64_t tid = 0;
-  if (commit_needed) {
-    // The journal commit (ORDERED|BARRIER writes) delimits the epoch; the
-    // caller does not wait for anything.
-    f.meta_dirty = false;
-    f.size_dirty = false;
-    tid = f.txn_id;
-    co_await journal_->commit(tid, Journal::WaitMode::kNone);
-  } else if (reqs.empty()) {
-    // iolint: stable-across-suspend(the outcome below must name the id
-    // this empty-epoch commit targeted)
-    tid = journal_->running_txn_id();
-    co_await journal_->commit(tid, Journal::WaitMode::kNone);
-  }
-  co_return tid != 0 ? commit_outcome(tid) : FsStatus::kOk;
+  co_return co_await sync_ordered(f, /*datasync=*/true);
 }
 
-sim::TaskOf<FsStatus> Filesystem::osync(Inode& f, bool wait_transfer) {
+sim::TaskOf<FsStatus> Filesystem::sync_ordered(Inode& f, bool datasync) {
+  BIO_CHECK_MSG(cfg_.journal == JournalKind::kBarrierFs,
+                "fbarrier()/fdatabarrier() require BarrierFS (OptFS runs "
+                "fbarrier as osync)");
+  const bool will_commit =
+      datasync ? f.size_dirty : (f.meta_dirty || f.size_dirty);
+  co_await wait_stable_pages(f);
+  // Without a commit, the data's last request delimits the epoch itself.
+  std::vector<blk::RequestPtr> reqs =
+      submit_data(f, /*ordered=*/true, /*barrier_last=*/!will_commit);
+  co_await blk_.throttle();  // get_request() backpressure
+  if (will_commit) {
+    // The journal commit (ORDERED|BARRIER JD and JC) delimits the epoch.
+    // fbarrier wakes when the commit thread has dispatched both;
+    // fdatabarrier does not wait for anything.
+    co_return co_await commit_metadata(f, datasync
+                                              ? Journal::WaitMode::kNone
+                                              : Journal::WaitMode::kDispatched);
+  }
+  if (!reqs.empty()) co_return FsStatus::kOk;
+  // Nothing dirty at all: force an (empty) journal commit so the epoch is
+  // still delimited (§4.2).
+  // iolint: stable-across-suspend(the outcome check must name the id this
+  // commit waited on, not whatever txn runs after it)
+  const std::uint64_t tid = journal_->running_txn_id();
+  co_await journal_->commit(tid, Journal::WaitMode::kNone);
+  co_return commit_outcome(tid);
+}
+
+sim::TaskOf<FsStatus> Filesystem::osync(Inode& f) {
   if (degraded_) co_return FsStatus::kRoFs;
   ++stats_.osyncs;
-  co_return co_await osync_impl(f, wait_transfer);
+  co_return co_await osync_impl(f);
 }
 
-sim::TaskOf<FsStatus> Filesystem::osync_impl(Inode& f, bool wait_transfer) {
+sim::TaskOf<FsStatus> Filesystem::osync_impl(Inode& f) {
   // OptFS: osync is filesystem-wide — it scans the *global* dirty list
   // (selective data journaling keeps that list long on overwrite-heavy
   // workloads), journals overwrites, writes allocating pages in place,
@@ -785,10 +701,8 @@ sim::TaskOf<FsStatus> Filesystem::osync_impl(Inode& f, bool wait_transfer) {
   // The osync transaction's commit checksum covers the allocating writes
   // going in place: attach them so recovery can validate atomicity.
   for (const blk::RequestPtr& r : reqs) journal_->attach_data(r);
-  if (wait_transfer) {
-    co_await wait_requests(reqs);
-    note_writeback_failures(f, reqs);
-  }
+  co_await wait_requests(reqs);
+  note_writeback_failures(f, reqs);
   FsStatus status = FsStatus::kOk;
   if (journaled > 0) {
     f.meta_dirty = false;
@@ -821,7 +735,7 @@ sim::TaskOf<FsStatus> Filesystem::dsync(Inode& f) {
   // journal commit itself never waits on a flush — followed by one cache
   // flush, so the data this call covered is on media at return while
   // metadata durability still arrives on the journal's own schedule.
-  const FsStatus status = co_await osync_impl(f, /*wait_transfer=*/true);
+  const FsStatus status = co_await osync_impl(f);
   // Writebacks of this file still in flight from concurrent order points
   // must transfer before the flush below, or their (covered) data sits in
   // the volatile cache past this call's durable return.

@@ -3,16 +3,22 @@
 // One Filesystem owns a page cache, an inode table, an extent allocator and
 // a journal (JBD2, BarrierFS or OptFS per FsConfig::journal). The syscalls
 // are simulated-thread Tasks; their blocking structure (who waits for which
-// DMA/flush) is exactly the paper's:
+// DMA/flush) is exactly the paper's, with one protocol body per sync class:
 //
-//            | data writes          | metadata commit        | data-only sync
-//   ---------+----------------------+------------------------+---------------
+//            | data writes          | metadata commit        | no commit due
+//   ---------+----------------------+------------------------+--------------
+//   sync_durable (fsync, fdatasync):
 //   EXT4     | submit + wait (WoT)  | commit + wait durable  | flush + wait
 //   EXT4-OD  | submit + wait (WoT)  | commit + wait transfer | (nothing)
 //   BarrierFS| submit ordered       | commit (1 wakeup)      | wait + flush
+//   sync_ordered (BarrierFS only):
 //   fbarrier | submit ordered       | wait dispatch only     | barrier flag
-//   fdatabar.| submit ordered+barrier| epoch delimit, no wait| —
+//   fdatabar.| submit ordered       | epoch delimit, no wait | barrier flag
+//   osync_impl (osync, dsync; OptFS's fsync/fdatasync/fbarrier run osync):
 //   OptFS    | submit + wait (WoT)  | commit + wait transfer | —
+//
+// The EXT4 and BarrierFS rows of sync_durable are one body: Eq. 2 versus
+// Eq. 3 is the single wait_on_transfer() test on the journal kind.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +56,8 @@ class Filesystem {
     std::uint64_t unlinks = 0;
     std::uint64_t renames = 0;
     std::uint64_t writeback_pages = 0;
+
+    friend bool operator==(const Stats&, const Stats&) = default;
   };
 
   Filesystem(sim::Simulator& sim, blk::BlockLayer& blk, FsConfig cfg);
@@ -123,7 +131,7 @@ class Filesystem {
   sim::TaskOf<FsStatus> fdatabarrier(Inode& f);
 
   /// OptFS osync(): ordering commit with Wait-on-Transfer, no flush.
-  sim::TaskOf<FsStatus> osync(Inode& f, bool wait_transfer);
+  sim::TaskOf<FsStatus> osync(Inode& f);
 
   /// OptFS dsync(): osync plus a cache flush — the caller's *data* is on
   /// media at return, while the metadata commit itself keeps osync's
@@ -151,13 +159,24 @@ class Filesystem {
   sim::LatencyRecorder& fsync_latency() noexcept { return fsync_latency_; }
 
  private:
-  bool barrier_capable() const noexcept {
-    return cfg_.journal == JournalKind::kBarrierFs;
+  /// Eq. 2 vs Eq. 3, the paper's one real difference between the two
+  /// durability protocols: EXT4 waits for the data's transfer before the
+  /// commit; BarrierFS dispatches it order-preserving and settles it after.
+  bool wait_on_transfer() const noexcept {
+    return cfg_.journal != JournalKind::kBarrierFs;
   }
 
+  /// The fsync (datasync = false) / fdatasync protocol body on EXT4 and
+  /// BarrierFS. fdatasync commits only for an i_size change and waits on
+  /// i_datasync_tid instead of i_sync_tid.
+  sim::TaskOf<FsStatus> sync_durable(Inode& f, bool datasync);
+  /// The fbarrier (datasync = false) / fdatabarrier protocol body
+  /// (BarrierFS): fbarrier wakes once JD and JC are dispatched,
+  /// fdatabarrier right after its own dispatch.
+  sim::TaskOf<FsStatus> sync_ordered(Inode& f, bool datasync);
   /// The osync protocol body, shared by osync() and dsync() (which counts
   /// under its own stat instead of osyncs).
-  sim::TaskOf<FsStatus> osync_impl(Inode& f, bool wait_transfer);
+  sim::TaskOf<FsStatus> osync_impl(Inode& f);
 
   /// Scans completed requests for IO failure: redirties the dead carriers'
   /// pages and advances f.wb_err_seq once per failed request. Called at
@@ -191,7 +210,6 @@ class Filesystem {
   void snapshot_metadata(Txn& txn);
 
   sim::Task wait_requests(const std::vector<blk::RequestPtr>& reqs);
-  sim::Task request_backpressure();
   /// ext4_sync_file's "journal already committed" barrier: a durability
   /// syscall whose metadata transaction committed (and flushed) *before*
   /// this call's data transferred must still issue a flush, or the data

@@ -29,7 +29,6 @@ sim::Task Jbd2Journal::dirty_metadata(flash::Lba block,
 sim::Task Jbd2Journal::commit(std::uint64_t tid, WaitMode mode) {
   Txn& txn = get_txn(tid);
   if (txn.state == Txn::State::kRunning) {
-    if (mode == WaitMode::kDurable) txn.needs_flush = true;
     commit_pending_ = true;
     commit_wake_.notify_all();
   }

@@ -110,7 +110,8 @@ struct Txn {
   std::unique_ptr<sim::Event> dispatched;
   /// Transaction retired; for durability-mode commits this means durable.
   std::unique_ptr<sim::Event> durable;
-  /// Somebody requires a flush before retirement (fsync waiter).
+  /// A durability waiter requires a flush before retirement (read by the
+  /// BarrierFS flush thread only).
   bool needs_flush = false;
   /// A flush was actually issued before retirement.
   bool flushed = false;

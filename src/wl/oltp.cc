@@ -1,10 +1,7 @@
 #include "wl/oltp.h"
 
-#include <cstddef>
 #include <string>
-#include <vector>
 
-#include "api/ring.h"
 #include "api/vfs.h"
 #include "sim/check.h"
 
@@ -52,94 +49,6 @@ sim::Task oltp_thread(const OltpParams& p, Shared& s, sim::Rng rng) {
   }
 }
 
-// Ring-mode flavour. A transaction's redo round and binlog round become two
-// independent linked chains (append -> durability sync); its dirty table
-// pages ride as unlinked sqes; a fuzzy checkpoint, when due, is one more
-// unlinked durability sqe on the table. Every sqe is stamped with the
-// transaction's slot and the transaction counts as done when its last cqe
-// arrives. Up to `ring_qd` transactions stay in flight per thread — the
-// group-commit batching the strictly serialized direct flavour cannot
-// express (redo syncs from neighbouring transactions coalesce into one
-// journal commit). Cursor arithmetic stays at push time, preserving the
-// direct flavour's program order over the log layouts.
-struct TxSlot {
-  std::uint32_t remaining = 0;  // cqes this transaction still owes
-};
-
-sim::Task oltp_thread_ring(api::Vfs& vfs, const OltpParams& p, Shared& s,
-                           sim::Rng rng) {
-  api::Ring ring(vfs);
-  std::vector<TxSlot> slots(p.ring_qd + 1);
-  std::vector<std::size_t> free_slots;
-  for (std::size_t i = 0; i < slots.size(); ++i) free_slots.push_back(i);
-  std::uint32_t tx_in_flight = 0;
-
-  auto durability_op = [&vfs](const api::File& f) {
-    return api::ring_op_for(api::must(vfs.policy_of(f.fd()))
-                                .resolve(api::SyncIntent::kDurability));
-  };
-  auto reap_one = [&](const api::Cqe& cqe) {
-    // The direct flavour must()s every op; any failure here is a bug.
-    BIO_CHECK_MSG(cqe.res >= 0, "oltp ring op failed");
-    TxSlot& t = slots[static_cast<std::size_t>(cqe.user_data)];
-    if (--t.remaining > 0) return;
-    ++s.tx_done;
-    free_slots.push_back(static_cast<std::size_t>(cqe.user_data));
-    --tx_in_flight;
-  };
-
-  for (std::uint64_t i = 0; i < p.transactions_per_thread; ++i) {
-    while (tx_in_flight >= p.ring_qd) reap_one(co_await ring.wait_cqe());
-    const std::size_t slot = free_slots.back();
-    free_slots.pop_back();
-    TxSlot& t = slots[slot];
-    t.remaining = 0;
-    ++tx_in_flight;
-    auto push = [&](api::Sqe sqe) {
-      sqe.user_data = slot;
-      BIO_CHECK(ring.push(sqe));
-      ++t.remaining;
-    };
-    // 1. redo log chain: append -> durability sync.
-    if (s.redo_cursor + p.redo_pages_per_tx >=
-        api::must(s.redo.extent_blocks()))
-      s.redo_cursor = 0;
-    push({.op = api::RingOp::kWrite,
-          .fd = s.redo.fd(),
-          .page = s.redo_cursor,
-          .npages = p.redo_pages_per_tx,
-          .flags = api::kSqeLink});
-    s.redo_cursor += p.redo_pages_per_tx;
-    push({.op = durability_op(s.redo), .fd = s.redo.fd()});
-    // 2. binlog chain.
-    if (s.binlog_cursor + 1 >= api::must(s.binlog.extent_blocks()))
-      s.binlog_cursor = 0;
-    push({.op = api::RingOp::kWrite,
-          .fd = s.binlog.fd(),
-          .page = s.binlog_cursor,
-          .npages = 1,
-          .flags = api::kSqeLink});
-    s.binlog_cursor += 1;
-    push({.op = durability_op(s.binlog), .fd = s.binlog.fd()});
-    // 3. dirty table pages, unlinked.
-    for (std::uint32_t r = 0; r < p.rows_pages_per_tx; ++r) {
-      const std::uint32_t page =
-          static_cast<std::uint32_t>(rng.uniform(0, p.table_pages - 1));
-      push({.op = api::RingOp::kWrite,
-            .fd = s.table.fd(),
-            .page = page,
-            .npages = 1});
-    }
-    // 4. fuzzy checkpoint rides the ring too.
-    if (++s.tx_since_checkpoint >= p.checkpoint_every) {
-      s.tx_since_checkpoint = 0;
-      push({.op = durability_op(s.table), .fd = s.table.fd()});
-    }
-    ring.submit();
-  }
-  while (tx_in_flight > 0) reap_one(co_await ring.wait_cqe());
-}
-
 }  // namespace
 
 OltpResult run_oltp_insert(core::Stack& stack, const OltpParams& params,
@@ -176,11 +85,8 @@ OltpResult run_oltp_insert(core::Stack& stack, const OltpParams& params,
   for (std::uint32_t t = 0; t < params.threads; ++t)
     // iolint: detached-owner(run() below blocks until every thread is
     // done; vfs and the Shared state outlive the run in this scope)
-    stack.sim().spawn(
-        "oltp:" + std::to_string(t),
-        params.ring_qd > 0
-            ? oltp_thread_ring(vfs, params, *shared, rng.fork())
-            : oltp_thread(params, *shared, rng.fork()));
+    stack.sim().spawn("oltp:" + std::to_string(t),
+                      oltp_thread(params, *shared, rng.fork()));
   stack.sim().run();
 
   result.elapsed = stack.sim().now() - t0;

@@ -23,12 +23,6 @@ struct OltpParams {
   std::uint32_t rows_pages_per_tx = 3;  // dirty table pages per insert
   std::uint32_t redo_pages_per_tx = 1;
   std::uint32_t checkpoint_every = 16;
-  /// 0 = direct syscalls (each transaction's IO strictly serialized). >0 =
-  /// each thread drives its IO through an api::Ring: redo and binlog become
-  /// independent linked write->durability chains, table writes unlinked
-  /// sqes, with up to ring_qd transactions in flight — group-commit
-  /// batching the direct flavour cannot express.
-  std::uint32_t ring_qd = 0;
 };
 
 struct OltpResult {

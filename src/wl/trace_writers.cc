@@ -160,27 +160,9 @@ sim::Task do_sync(Ctx* ctx, FileTrace* f, api::Fd fd, SyncPick pick,
       pick.is_intent ? policy_of(*ctx, *f).resolve(pick.intent)
                      : pick.direct,
       writer);
-  api::Status st{};
-  if (pick.is_intent) {
-    st = co_await ctx->vfs.sync(fd, pick.intent);
-  } else {
-    switch (pick.direct) {
-      case api::Syscall::kFsync:
-        st = co_await ctx->vfs.fsync(fd);
-        break;
-      case api::Syscall::kFdatasync:
-        st = co_await ctx->vfs.fdatasync(fd);
-        break;
-      case api::Syscall::kFbarrier:
-        st = co_await ctx->vfs.fbarrier(fd);
-        break;
-      case api::Syscall::kFdatabarrier:
-        st = co_await ctx->vfs.fdatabarrier(fd);
-        break;
-      default:
-        co_return;
-    }
-  }
+  const api::Status st = pick.is_intent
+                            ? co_await ctx->vfs.sync(fd, pick.intent)
+                            : co_await ctx->vfs.sync(fd, pick.direct);
   if (sync_ok(*ctx, st)) finish_sync(ctx->trace, *f, std::move(s));
 }
 
@@ -599,7 +581,8 @@ sim::Task create_and_settle(Ctx& ctx) {
   }
   const TraceSync settle = begin_sync(trace, trace.files.back(),
                                       api::Syscall::kFsync, ~std::uint32_t{0});
-  if (!sync_ok(ctx, co_await ctx.vfs.fsync(trace.files.back().anchor.fd())))
+  if (!sync_ok(ctx, co_await ctx.vfs.sync(trace.files.back().anchor.fd(),
+                                           api::Syscall::kFsync)))
     co_return;
   for (FileTrace& f : trace.files) finish_sync(trace, f, settle);
 }

@@ -1,7 +1,7 @@
 // api::Ring — batched submission/completion rings with linked barrier
 // chains (DESIGN.md §10): out-of-order reap, chain serialization vs
 // unlinked concurrency, link-error cancellation, submit-time validation,
-// registered-buffer slot reuse, SyncPolicy parity with direct Vfs calls,
+// registered-buffer slot reuse, sync-op parity with direct Vfs calls,
 // the QD-sweep batching win, and the ring-driven concurrent crash sweep
 // (including the injected link-ignoring bug the oracle must catch).
 #include <gtest/gtest.h>
@@ -268,57 +268,92 @@ TEST(RingTest, RegisteredBuffersReuseAcrossSubmits) {
   EXPECT_EQ(unregistered_res.front(), -22);
 }
 
-// ---- 6. SyncPolicy parity: ring fsync == Vfs fsync on all four stacks ------
+// ---- 6. sync parity: each ring sync op == its Vfs::sync, all four stacks --
 
 class RingSyncParityTest : public testing::TestWithParam<StackKind> {};
 
-TEST_P(RingSyncParityTest, RingFsyncMatchesDirectVfsFsync) {
-  // The same workload — 3 x (pwrite 4 pages + fsync) — once through direct
-  // Vfs awaits and once through ring sqes must drive the identical syscall
-  // path: same fs-level op counts, same journal commits.
+/// The fs counter a sync syscall bumps.
+std::uint64_t count_of(const fs::Filesystem::Stats& s, api::Syscall call) {
+  switch (call) {
+    case api::Syscall::kFsync: return s.fsyncs;
+    case api::Syscall::kFdatasync: return s.fdatasyncs;
+    case api::Syscall::kFbarrier: return s.fbarriers;
+    case api::Syscall::kFdatabarrier: return s.fdatabarriers;
+    case api::Syscall::kOsync: return s.osyncs;
+    case api::Syscall::kDsync: return s.dsyncs;
+    case api::Syscall::kNone: break;
+  }
+  return 0;
+}
+
+TEST_P(RingSyncParityTest, RingSyncMatchesDirectVfsSync) {
+  // For every sync syscall the stack's journal runs, the same workload —
+  // 3 x (pwrite 4 pages + sync) — once through direct Vfs::sync awaits and
+  // once through ring_op_for(call) sqes must drive the identical syscall
+  // path: same fs-level counters, same journal commits. OptFS files carry
+  // the dsync row, and a dsync cqe must find the written pages on media.
   const StackKind kind = GetParam();
-  struct Counts {
-    std::uint64_t writes = 0, fsyncs = 0, commits = 0;
+  std::vector<api::Syscall> calls = {api::Syscall::kFsync,
+                                     api::Syscall::kFdatasync};
+  if (kind == StackKind::kBfsDR || kind == StackKind::kBfsOD)
+    calls.insert(calls.end(),
+                 {api::Syscall::kFbarrier, api::Syscall::kFdatabarrier});
+  if (kind == StackKind::kOptFs)
+    calls.insert(calls.end(), {api::Syscall::kOsync, api::Syscall::kDsync});
+  struct Outcome {
+    fs::Filesystem::Stats stats;
+    std::uint64_t commits = 0;
   };
-  auto run = [&](bool via_ring) {
+  auto run = [&](api::Syscall call, bool via_ring) {
     fs::testutil::StackFixture x(kind);
     api::Vfs vfs(*x.stack);
     auto body = [&]() -> sim::Task {
-      api::File f =
-          api::must(co_await vfs.open("a", {.create = true}));
-      if (via_ring) {
-        Ring ring(vfs);
-        for (int i = 0; i < 3; ++i) {
-          EXPECT_TRUE(ring.push(make_sqe(RingOp::kWrite, f.fd(),
-                                         static_cast<std::uint64_t>(i) * 2,
-                                         0, 4, api::kSqeLink)));
-          EXPECT_TRUE(ring.push(make_sqe(
-              RingOp::kFsync, f.fd(), static_cast<std::uint64_t>(i) * 2 + 1)));
+      api::File f = api::must(co_await vfs.open("a", {.create = true}));
+      if (kind == StackKind::kOptFs)
+        api::must(f.set_policy(api::SyncPolicy::optfs_dsync()));
+      Ring ring(vfs);  // idle in the direct run
+      for (std::uint64_t i = 0; i < 3; ++i) {
+        if (via_ring) {
+          EXPECT_TRUE(ring.push(make_sqe(RingOp::kWrite, f.fd(), i * 2, 0, 4,
+                                         api::kSqeLink)));
+          EXPECT_TRUE(ring.push(
+              make_sqe(api::ring_op_for(call), f.fd(), i * 2 + 1)));
           EXPECT_EQ(ring.submit(), 2u);
           for (int k = 0; k < 2; ++k) {
             Cqe c = co_await ring.wait_cqe();
-            EXPECT_GE(c.res, 0);
+            EXPECT_GE(c.res, 0) << api::to_string(call);
           }
-        }
-      } else {
-        for (int i = 0; i < 3; ++i) {
+        } else {
           api::must(co_await f.pwrite(0, 4));
-          api::must(co_await f.fsync());
+          api::must(co_await vfs.sync(f.fd(), call));
+        }
+        // Round 0 writes allocate, and OptFS writes them in place; later
+        // rounds' overwrites are data-journaled, so their home blocks keep
+        // the old version by design.
+        if (call != api::Syscall::kDsync || i != 0) continue;
+        const fs::Inode* inode = x.fs().lookup("a");
+        const auto durable = x.dev().durable_state();
+        for (std::uint32_t p = 0; p < 4; ++p) {
+          const auto it = durable.find(inode->lba_of_page(p));
+          EXPECT_TRUE(it != durable.end() &&
+                      it->second ==
+                          x.fs().page_cache().find(inode->ino, p)->version)
+              << "dsync completed with page " << p << " not on media";
         }
       }
       api::must(f.close());
     };
     x.sim().spawn("app", body());
     x.sim().run();
-    return Counts{x.fs().stats().writes, x.fs().stats().fsyncs,
-                  x.fs().journal().stats().commits};
+    return Outcome{x.fs().stats(), x.fs().journal().stats().commits};
   };
-  const Counts direct = run(false);
-  const Counts ring = run(true);
-  EXPECT_EQ(ring.writes, direct.writes);
-  EXPECT_EQ(ring.fsyncs, direct.fsyncs);
-  EXPECT_EQ(direct.fsyncs, 3u);
-  EXPECT_EQ(ring.commits, direct.commits);
+  for (const api::Syscall call : calls) {
+    const Outcome direct = run(call, false);
+    const Outcome ring = run(call, true);
+    EXPECT_EQ(count_of(direct.stats, call), 3u) << api::to_string(call);
+    EXPECT_TRUE(ring.stats == direct.stats) << api::to_string(call);
+    EXPECT_EQ(ring.commits, direct.commits) << api::to_string(call);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -65,8 +65,9 @@ TEST(VfsTest, EveryFdSyscallReturnsEbadfAfterClose) {
     EXPECT_EQ((co_await vfs.read(fd, 1)).error(), Errno::kBadF);
     EXPECT_EQ((co_await vfs.write(fd, 1)).error(), Errno::kBadF);
     EXPECT_EQ((co_await vfs.append(fd, 1)).error(), Errno::kBadF);
-    EXPECT_EQ((co_await vfs.fsync(fd)).error(), Errno::kBadF);
-    EXPECT_EQ((co_await vfs.fdatasync(fd)).error(), Errno::kBadF);
+    EXPECT_EQ((co_await vfs.sync(fd, Syscall::kFsync)).error(), Errno::kBadF);
+    EXPECT_EQ((co_await vfs.sync(fd, Syscall::kFdatasync)).error(),
+              Errno::kBadF);
     EXPECT_EQ((co_await vfs.sync(fd, SyncIntent::kOrder)).error(),
               Errno::kBadF);
     EXPECT_EQ(vfs.size_blocks(fd).error(), Errno::kBadF);
@@ -301,8 +302,8 @@ TEST(VfsTest, CloseDuringSuspendedSyncKeepsVnodeAlive) {
       // fbarrier where the journal supports it, fsync elsewhere — both pin
       // the vnode across their suspensions.
       Status s = kind == StackKind::kBfsDR || kind == StackKind::kBfsOD
-                     ? co_await vfs.fbarrier(fd)
-                     : co_await vfs.fsync(fd);
+                     ? co_await vfs.sync(fd, Syscall::kFbarrier)
+                     : co_await vfs.sync(fd, Syscall::kFsync);
       EXPECT_TRUE(s.ok()) << core::to_string(kind);
       sync_returned = true;
     };

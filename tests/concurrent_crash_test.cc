@@ -258,7 +258,8 @@ TEST_P(ConcurrentFsyncAppendTest, FsyncVsAppendOrderingOnSharedFile) {
       api::File fa = api::must(
           co_await vfs.open("shared", {.create = true, .extent_blocks = 64}));
       oracle.inode = x.fs().lookup("shared");
-      api::must(co_await vfs.fsync(fa.fd()));  // settle the create
+      // settle the create
+      api::must(co_await vfs.sync(fa.fd(), api::Syscall::kFsync));
       for (int i = 0; i < 40; ++i) {
         api::Result<std::uint32_t> r = co_await fa.append(1);
         if (!r.ok()) break;

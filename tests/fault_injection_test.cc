@@ -67,7 +67,7 @@ TEST_P(TransientFaultTest, RetriedTransientWriteFaultKeepsSyncOk) {
   auto body = [&]() -> Task {
     api::File f = api::must(co_await vfs.open("a", {.create = true}));
     api::must(co_await vfs.pwrite(f.fd(), 0, 2));
-    api::Status st = co_await vfs.fsync(f.fd());
+    api::Status st = co_await vfs.sync(f.fd(), api::Syscall::kFsync);
     EXPECT_TRUE(st.ok()) << "transient fault must be retried, got "
                          << api::to_string(st.error());
     api::must(f.close());
@@ -118,7 +118,7 @@ TEST_P(HardDataFaultTest, FsyncReportsEIOOnceThenRecovers) {
     // EIO exactly once, then the redirtied page re-lands and it clears.
     std::vector<Errno> seen;
     for (int i = 0; i < 4; ++i) {
-      api::Status st = co_await vfs.fsync(f.fd());
+      api::Status st = co_await vfs.sync(f.fd(), api::Syscall::kFsync);
       seen.push_back(st.ok() ? Errno::kOk : st.error());
       co_await x.sim().delay(2'000'000);  // let background carriers land
     }
@@ -137,7 +137,7 @@ TEST_P(HardDataFaultTest, FsyncReportsEIOOnceThenRecovers) {
     // A data-writeback failure never degrades the volume.
     EXPECT_FALSE(x.fs().degraded());
     api::must(co_await vfs.pwrite(f.fd(), 1, 1));
-    api::must(co_await vfs.fsync(f.fd()));
+    api::must(co_await vfs.sync(f.fd(), api::Syscall::kFsync));
     api::must(f.close());
   };
   x.sim().spawn("t", body());
@@ -152,7 +152,7 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, HardDataFaultTest,
 // ---- 2b. closing the fd under an in-flight sync keeps its EIO --------------
 
 Task fsync_into(api::Vfs* vfs, api::Fd fd, api::Status* out) {
-  *out = co_await vfs->fsync(fd);
+  *out = co_await vfs->sync(fd, api::Syscall::kFsync);
 }
 
 class ClosedFdSyncFaultTest : public testing::TestWithParam<StackKind> {};
@@ -212,7 +212,7 @@ TEST_P(JournalFaultTest, JournalAbortDegradesReadOnlyAndRemountRecovers) {
     // First commit is healthy: "a" page 0 becomes the last durable commit
     // the degraded volume must still serve (and remount must recover).
     api::must(co_await vfs.pwrite(f.fd(), 0, 1));
-    api::must(co_await vfs.fsync(f.fd()));
+    api::must(co_await vfs.sync(f.fd(), api::Syscall::kFsync));
     committed_first = true;
 
     for (flash::Lba j = 0; j < 32; ++j)
@@ -222,7 +222,7 @@ TEST_P(JournalFaultTest, JournalAbortDegradesReadOnlyAndRemountRecovers) {
 
     // Second commit dies in the journal -> abort -> errors=remount-ro.
     api::must(co_await vfs.pwrite(f.fd(), 1, 1));
-    api::Status st = co_await vfs.fsync(f.fd());
+    api::Status st = co_await vfs.sync(f.fd(), api::Syscall::kFsync);
     if (kind == StackKind::kExt4DR || kind == StackKind::kBfsDR) {
       // Durability-waiting fsync rides the dying commit and must fail.
       EXPECT_FALSE(st.ok());
@@ -247,7 +247,7 @@ TEST_P(JournalFaultTest, JournalAbortDegradesReadOnlyAndRemountRecovers) {
     api::Status u = co_await vfs.unlink("a");
     EXPECT_FALSE(u.ok());
     EXPECT_EQ(u.error(), Errno::kRoFs);
-    api::Status s2 = co_await vfs.fsync(f.fd());
+    api::Status s2 = co_await vfs.sync(f.fd(), api::Syscall::kFsync);
     EXPECT_FALSE(s2.ok());
     EXPECT_EQ(s2.error(), Errno::kRoFs);
 
@@ -280,7 +280,7 @@ TEST_P(JournalFaultTest, JournalAbortDegradesReadOnlyAndRemountRecovers) {
     api::File file = f.value();
     api::must(co_await vfs2.pread(file.fd(), 0, 1));
     api::must(co_await vfs2.pwrite(file.fd(), 1, 1));
-    api::must(co_await vfs2.fsync(file.fd()));
+    api::must(co_await vfs2.sync(file.fd(), api::Syscall::kFsync));
     api::must(file.close());
   };
   y->sim().spawn("t", verify());

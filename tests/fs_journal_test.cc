@@ -315,7 +315,7 @@ TEST(OptFsTest, OsyncCommitsWithoutFlush) {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().osync(*f, true);
+    co_await x.fs().osync(*f);
   };
   x.sim().spawn("t", body());
   x.sim().run();
@@ -329,9 +329,9 @@ TEST(OptFsTest, SelectiveDataJournalingJournalsOverwrites) {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 4);
-    co_await x.fs().osync(*f, true);  // allocating: written in place
+    co_await x.fs().osync(*f);  // allocating: written in place
     co_await x.fs().write(*f, 0, 4);  // overwrite
-    co_await x.fs().osync(*f, true);  // journaled, not written in place
+    co_await x.fs().osync(*f);  // journaled, not written in place
   };
   x.sim().spawn("t", body());
   x.sim().run();
