@@ -26,7 +26,8 @@ inline std::string k_of(double v, int precision = 2) {
   return core::Table::num(v / 1000.0, precision);
 }
 
-/// Prints PASS/WARN for a shape expectation so EXPERIMENTS.md can quote it.
+/// Prints PASS/WARN for a shape expectation. The line is part of the bench's
+/// stdout, so its golden (bench/expected/<name>.txt) pins the verdict.
 inline void expect_shape(bool ok, const char* description) {
   std::printf("  [%s] %s\n", ok ? "PASS" : "WARN", description);
 }

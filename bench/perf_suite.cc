@@ -1,38 +1,36 @@
 // Self-timing perf harness: wall-clock cost of the *simulator itself* (not
-// simulated latencies) across the five StackKinds plus request-churn and
-// page-cache-churn scenarios. Writes BENCH_perf.json so every PR leaves a
-// perf trajectory behind, and prints a before/after-comparable table.
+// simulated latencies) across the five StackKinds plus request-churn,
+// page-cache-churn, concurrent-writer, ring, multi-queue and sharded
+// scenarios, each at one fixed run length. Writes BENCH_perf.json so every
+// PR leaves a perf trajectory behind.
 //
-// Metrics per scenario:
+// stdout carries only simulated, deterministic fields: per scenario ops,
+// sim_ios, requests, events, sim ops/s and per-volume ops/s, then two shape
+// rules in sim ops/s — ring-qd8 and ring-qd32 beat ring-serial (group-commit
+// batching), and mq-scaling-q4 exceeds 1.3x mq-scaling-q1 (channel-parallel
+// dispatch under the epoch fence). A [FAIL] rule makes the run exit 1. ctest
+// diffs stdout against bench/expected/perf_suite.txt.
+//
+// stderr and the JSON carry the host metrics (tools/bench_delta.py guards
+// ns/io):
 //   * ns/io, ns/op       — wall nanoseconds per simulated device IO / op
 //   * events/sec         — simulator event-loop dispatch rate
 //   * requests/sec       — block-layer request throughput (wall clock)
 //   * allocs/req (pool)  — heap allocations per request, from RequestPool
 //                          stats (slab misses + control-block allocs +
-//                          BlockList spills); the legacy unpooled path paid
-//                          >= 3 per request unconditionally
+//                          BlockList spills)
 //   * allocs/op (global) — every operator-new call in the process, frames
 //                          and all, from the override below
 //
-// Usage: perf_suite [--smoke] [--out <path>] [--sharded-out <path>]
-//                   [--list-scenarios] [--jobs N]
-//   --smoke  small op counts (CI); --out defaults to BENCH_perf.json in the
-//   current directory (CI runs from the repo root); --list-scenarios prints
-//   the scenario names one per line and exits (tooling introspects the
-//   suite instead of hard-coding names).
-//
-//   --jobs N runs scenarios on N host threads (smoke only, opt-in). The
-//   DEFAULT stays serial, on purpose: these are *wall-clock* measurements,
-//   and concurrent scenarios stealing cycles from each other would inflate
-//   every ns/io number. Parallel runs are for functional smoke (does the
-//   suite still pass, is the JSON well-formed), never for perf deltas.
+// Usage: perf_suite [--out <path>]
+//   --out defaults to BENCH_perf.json in the current directory (CI runs
+//   from the repo root).
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <new>
 #include <string>
@@ -41,16 +39,14 @@
 #include "api/vfs.h"
 #include "core/stack.h"
 #include "sim/frame_pool.h"
-#include "sim/host_pool.h"
 #include "wl/trace_writers.h"
 #include "wl/fxmark.h"
 #include "wl/varmail.h"
 
 // ---- global allocation counter ---------------------------------------------
 
-// Atomic (relaxed): with --jobs, scenario threads allocate concurrently.
-// Relaxed is exact for counting; per-scenario deltas under parallelism
-// include neighbours' allocations, which is fine for the smoke-only use.
+// Relaxed atomic: exact for counting, and a replaced operator new stays
+// safe whichever thread allocates.
 static std::atomic<std::uint64_t> g_new_calls{0};
 
 // Under TSan the replaced malloc-backed operator new/delete would sit
@@ -89,6 +85,13 @@ using Clock = std::chrono::steady_clock;
 namespace {
 
 enum class Mode { kFullSync, kFdatabarrier, kBuffered };
+
+// Run lengths: one per scenario, long enough that fixed start-up costs
+// (mount, journal replay, first-touch allocations) amortize out of ns/io.
+constexpr std::uint64_t kSyncOps = 3000;
+constexpr std::uint64_t kChurnOps = 20000;
+constexpr std::uint64_t kPageOps = 40000;
+constexpr std::uint32_t kDwslWrites = 200;
 
 struct ScenarioResult {
   std::string name;
@@ -294,14 +297,13 @@ ScenarioResult run_concurrent_scenario(const char* name,
 /// columns this records *simulated* flowops/s (sim_ops_per_sec): the
 /// batching signal — linked chains from independent mails coalescing into
 /// shared journal commits — that QD >= 8 must win over serial awaits.
-ScenarioResult run_ring_scenario(const char* name, std::uint32_t ring_qd,
-                                 bool smoke) {
+ScenarioResult run_ring_scenario(const char* name, std::uint32_t ring_qd) {
   auto stack = std::make_unique<core::Stack>(core::StackConfig::make(
       core::StackKind::kBfsDR, flash::DeviceProfile::plain_ssd()));
   wl::VarmailParams p;
-  p.threads = smoke ? 8 : 16;
-  p.files = smoke ? 100 : 400;
-  p.iterations = smoke ? 20 : 60;
+  p.threads = 16;
+  p.files = 400;
+  p.iterations = 60;
   p.ring_qd = ring_qd;
 
   ScenarioResult r;
@@ -332,10 +334,9 @@ ScenarioResult run_ring_scenario(const char* name, std::uint32_t ring_qd,
 /// through one port's host bus, at q4 four channel pipelines transfer in
 /// parallel — and it is measured to the *last write acknowledgement* (not
 /// the background NAND drain, which has the same channel parallelism at
-/// every queue count and would wash the signal out). bench_delta.py
-/// enforces q4 > 1.3x q1.
-ScenarioResult run_mq_scenario(const char* name, std::uint32_t nr_queues,
-                               bool smoke) {
+/// every queue count and would wash the signal out). main()'s shape rule
+/// holds q4 above 1.3x q1.
+ScenarioResult run_mq_scenario(const char* name, std::uint32_t nr_queues) {
   sim::Simulator sim;
   flash::StorageDevice dev(sim, flash::DeviceProfile::plain_ssd().with_barrier(
                                     flash::BarrierMode::kInOrderRecovery));
@@ -346,7 +347,7 @@ ScenarioResult run_mq_scenario(const char* name, std::uint32_t nr_queues,
   blk.start();
 
   const std::uint32_t writers = 8;
-  const std::uint32_t ops = smoke ? 120 : 480;
+  const std::uint32_t ops = 480;
   const std::uint64_t total = std::uint64_t{writers} * ops;
   std::uint64_t done = 0;
   sim::SimTime all_acked = 0;
@@ -385,32 +386,52 @@ ScenarioResult run_mq_scenario(const char* name, std::uint32_t nr_queues,
   return r;
 }
 
-void print_table(const std::vector<ScenarioResult>& results) {
-  std::printf(
-      "%-18s %9s %9s %9s %10s %11s %11s %11s %10s\n", "scenario", "ops",
-      "sim_ios", "ns/io", "ns/op", "events/s", "reqs/s", "allocs/req",
-      "allocs/op");
-  for (const auto& r : results)
-    std::printf(
-        "%-18s %9llu %9llu %9.1f %10.1f %11.0f %11.0f %11.4f %10.2f\n",
-        r.name.c_str(), (unsigned long long)r.ops,
-        (unsigned long long)r.sim_ios, r.ns_per_io(), r.ns_per_op(),
-        r.events_per_sec(), r.requests_per_sec(),
-        r.pool.allocs_per_request(), r.global_allocs_per_op());
+/// Simulated fields only: deterministic, so this is the golden.
+void print_sim_table(const std::vector<ScenarioResult>& results) {
+  std::printf("%-18s %8s %9s %9s %9s %10s\n", "scenario", "ops", "sim_ios",
+              "requests", "events", "sim ops/s");
+  for (const auto& r : results) {
+    std::printf("%-18s %8llu %9llu %9llu %9llu", r.name.c_str(),
+                (unsigned long long)r.ops, (unsigned long long)r.sim_ios,
+                (unsigned long long)r.requests, (unsigned long long)r.events);
+    if (r.sim_ops_per_sec > 0)
+      std::printf(" %10.0f", r.sim_ops_per_sec);
+    else
+      std::printf(" %10s", "-");
+    if (r.volumes > 0) {
+      std::printf("  per-volume:");
+      for (double v : r.volume_ops_per_sec) std::printf(" %.0f", v);
+    }
+    std::printf("\n");
+  }
 }
 
-bool write_json(const char* path, const std::vector<ScenarioResult>& results,
-                bool smoke) {
+/// Host (wall-clock and allocation) fields: they vary run to run.
+void print_host_table(const std::vector<ScenarioResult>& results) {
+  std::fprintf(stderr, "%-18s %9s %10s %11s %11s %11s %10s\n", "scenario",
+               "ns/io", "ns/op", "events/s", "reqs/s", "allocs/req",
+               "allocs/op");
+  for (const auto& r : results)
+    std::fprintf(stderr, "%-18s %9.1f %10.1f %11.0f %11.0f %11.4f %10.2f\n",
+                 r.name.c_str(), r.ns_per_io(), r.ns_per_op(),
+                 r.events_per_sec(), r.requests_per_sec(),
+                 r.pool.allocs_per_request(), r.global_allocs_per_op());
+}
+
+/// Prints one shape rule as a [PASS]/[FAIL] line and returns its verdict.
+bool shape(bool ok, const char* rule) {
+  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", rule);
+  return ok;
+}
+
+bool write_json(const char* path, const std::vector<ScenarioResult>& results) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "perf_suite: cannot open %s for writing\n", path);
     return false;
   }
-  // Aggregate across retired scenario threads (--jobs): serial runs see
-  // exactly the calling thread's pool, parallel runs the whole process.
-  const sim::FramePoolStats fp = sim::frame_pool_aggregate_stats();
+  const sim::FramePoolStats& fp = sim::frame_pool_stats();
   std::fprintf(f, "{\n  \"schema\": \"bio-perf/1\",\n");
-  std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(f,
                "  \"frame_pool\": {\"allocs\": %llu, \"reuses\": %llu, "
                "\"fresh\": %llu},\n",
@@ -468,174 +489,82 @@ bool write_json(const char* path, const std::vector<ScenarioResult>& results,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool list_scenarios = false;
-  int jobs = 1;  // serial by default: wall-clock numbers need isolation
   const char* out = "BENCH_perf.json";
-  const char* sharded_out = nullptr;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--list-scenarios") == 0) {
-      list_scenarios = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out = argv[++i];
-    } else if (std::strcmp(argv[i], "--sharded-out") == 0 && i + 1 < argc) {
-      sharded_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      // Strict positive decimal, like crash_consistency --jobs.
-      const char* s = argv[++i];
-      long v = 0;
-      bool digits = *s != '\0';
-      for (const char* p = s; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9') digits = false;
-        if (digits && v <= bio::sim::kMaxHostJobs) v = v * 10 + (*p - '0');
-      }
-      if (!digits || v < 1 || v > bio::sim::kMaxHostJobs) {
-        std::fprintf(stderr, "bad --jobs '%s' (want a decimal in [1, %d])\n",
-                     s, bio::sim::kMaxHostJobs);
-        return 2;
-      }
-      jobs = static_cast<int>(v);
     } else {
-      std::fprintf(stderr,
-                   "usage: perf_suite [--smoke] [--out <path>] "
-                   "[--sharded-out <path>] [--list-scenarios] [--jobs N]\n");
+      std::fprintf(stderr, "usage: perf_suite [--out <path>]\n");
       return 2;
     }
   }
 
-  const std::uint64_t sync_ops = smoke ? 200 : 3000;
-  const std::uint64_t churn_ops = smoke ? 500 : 20000;
-  const std::uint64_t page_ops = smoke ? 2000 : 40000;
-  const std::uint32_t dwsl_writes = smoke ? 25 : 200;
-
   using K = core::StackKind;
-  // The scenario registry: names live here once; --list-scenarios prints
-  // them without running anything, so CI and bench_delta.py introspect the
-  // suite instead of hard-coding the list.
-  struct ScenarioDef {
-    const char* name;
-    std::function<ScenarioResult()> run;
+  const std::vector<ScenarioResult> results = {
+      run_scenario("sync-EXT4-DR", K::kExt4DR, Mode::kFullSync, kSyncOps, 1,
+                   1024),
+      run_scenario("sync-EXT4-OD", K::kExt4OD, Mode::kFullSync, kSyncOps, 1,
+                   1024),
+      run_scenario("sync-BFS-DR", K::kBfsDR, Mode::kFullSync, kSyncOps, 1,
+                   1024),
+      run_scenario("sync-BFS-OD", K::kBfsOD, Mode::kFullSync, kSyncOps, 1,
+                   1024),
+      run_scenario("sync-OptFS", K::kOptFs, Mode::kFullSync, kSyncOps, 1,
+                   1024),
+      // Request churn: ordering-only syncs never block, so this maximises
+      // request creation per wall second — the pool's worst case.
+      run_scenario("request-churn", K::kBfsOD, Mode::kFdatabarrier,
+                   kChurnOps, 1, 1024),
+      // Page-cache churn: buffered writes across many files; pdflush does
+      // the writeback. Exercises the per-inode dirty indexes.
+      run_scenario("pagecache-churn", K::kExt4DR, Mode::kBuffered, kPageOps,
+                   32, 256),
+      // Concurrent shared-inode writers: the multi-writer path the
+      // concurrent crash sweep exercises (independent fds, sync matrix,
+      // namespace + fd churn), measured for host-side cost on one BFS-DR
+      // volume.
+      run_concurrent_scenario("concurrent-writers", 16, 400),
+      // Ring QD sweep: serial awaits vs api::Ring at increasing queue depth
+      // on BFS-DR. sim_ops_per_sec is the batching signal — QD >= 8 must
+      // beat the serial baseline (the first shape rule below).
+      run_ring_scenario("ring-serial", 0),
+      run_ring_scenario("ring-qd1", 1),
+      run_ring_scenario("ring-qd8", 8),
+      run_ring_scenario("ring-qd32", 32),
+      // Multi-queue block-layer scaling: q1 is the classic single-queue
+      // layer, q4 spreads four software queues over four flash channels.
+      // The second shape rule holds the sim throughput ratio q4/q1 above
+      // 1.3x.
+      run_mq_scenario("mq-scaling-q1", 1),
+      run_mq_scenario("mq-scaling-q2", 2),
+      run_mq_scenario("mq-scaling-q4", 4),
+      // Sharded DWSL weak scaling: 64 writer threads *per volume* (enough
+      // to saturate one journal's commit pipeline, ~12k commits/s on this
+      // profile) over 1/2/4 BFS-DR volumes of one node. With independent
+      // journals, volume_ops_per_sec holds at saturation while
+      // sim_ops_per_sec scales with the volume count.
+      run_sharded_scenario("sharded-fxmark-v1", 1, 64, kDwslWrites),
+      run_sharded_scenario("sharded-fxmark-v2", 2, 128, kDwslWrites),
+      run_sharded_scenario("sharded-fxmark-v4", 4, 256, kDwslWrites),
   };
-  std::vector<ScenarioDef> defs;
-  auto add = [&defs](const char* name,
-                     std::function<ScenarioResult(const char*)> fn) {
-    defs.push_back({name, [name, fn = std::move(fn)] { return fn(name); }});
-  };
-  add("sync-EXT4-DR", [&](const char* n) {
-    return run_scenario(n, K::kExt4DR, Mode::kFullSync, sync_ops, 1, 1024);
-  });
-  add("sync-EXT4-OD", [&](const char* n) {
-    return run_scenario(n, K::kExt4OD, Mode::kFullSync, sync_ops, 1, 1024);
-  });
-  add("sync-BFS-DR", [&](const char* n) {
-    return run_scenario(n, K::kBfsDR, Mode::kFullSync, sync_ops, 1, 1024);
-  });
-  add("sync-BFS-OD", [&](const char* n) {
-    return run_scenario(n, K::kBfsOD, Mode::kFullSync, sync_ops, 1, 1024);
-  });
-  add("sync-OptFS", [&](const char* n) {
-    return run_scenario(n, K::kOptFs, Mode::kFullSync, sync_ops, 1, 1024);
-  });
-  // Request churn: ordering-only syncs never block, so this maximises
-  // request creation per wall second — the pool's worst case.
-  add("request-churn", [&](const char* n) {
-    return run_scenario(n, K::kBfsOD, Mode::kFdatabarrier, churn_ops, 1,
-                        1024);
-  });
-  // Page-cache churn: buffered writes across many files; pdflush does the
-  // writeback. Exercises the per-inode dirty indexes.
-  add("pagecache-churn", [&](const char* n) {
-    return run_scenario(n, K::kExt4DR, Mode::kBuffered, page_ops, 32, 256);
-  });
-  // Concurrent shared-inode writers: the multi-writer path the concurrent
-  // crash sweep exercises (independent fds, sync matrix, namespace + fd
-  // churn), measured for host-side cost on one BFS-DR volume.
-  // Smoke keeps 8 writers but enough ops per writer that per-io setup cost
-  // (mount + journal replay) amortizes like the full run — at 60 ops the
-  // fixed costs inflated smoke ns/io ~40% relative to the rest of the
-  // fleet, which the bench-delta median normalization cannot absorb.
-  add("concurrent-writers", [&](const char* n) {
-    return run_concurrent_scenario(n, smoke ? 8 : 16, smoke ? 200 : 400);
-  });
-  // Ring QD sweep: serial awaits vs api::Ring at increasing queue depth on
-  // BFS-DR. sim_ops_per_sec is the batching signal — QD >= 8 must beat the
-  // serial baseline (bench_delta.py enforces it).
-  add("ring-serial", [&](const char* n) {
-    return run_ring_scenario(n, 0, smoke);
-  });
-  add("ring-qd1", [&](const char* n) {
-    return run_ring_scenario(n, 1, smoke);
-  });
-  add("ring-qd8", [&](const char* n) {
-    return run_ring_scenario(n, 8, smoke);
-  });
-  add("ring-qd32", [&](const char* n) {
-    return run_ring_scenario(n, 32, smoke);
-  });
-  // Multi-queue block-layer scaling: q1 is the classic single-queue layer,
-  // q4 spreads four software queues over four flash channels. The sim
-  // throughput ratio q4/q1 is the tentpole's win (bench_delta.py holds it
-  // above 1.3x).
-  add("mq-scaling-q1", [&](const char* n) {
-    return run_mq_scenario(n, 1, smoke);
-  });
-  add("mq-scaling-q2", [&](const char* n) {
-    return run_mq_scenario(n, 2, smoke);
-  });
-  add("mq-scaling-q4", [&](const char* n) {
-    return run_mq_scenario(n, 4, smoke);
-  });
-  // Sharded DWSL weak scaling: 64 writer threads *per volume* (enough to
-  // saturate one journal's commit pipeline, ~12k commits/s on this
-  // profile) over 1/2/4 BFS-DR volumes of one node. With independent
-  // journals, volume_ops_per_sec holds at saturation while
-  // sim_ops_per_sec scales with the volume count.
-  add("sharded-fxmark-v1", [&](const char* n) {
-    return run_sharded_scenario(n, 1, 64, dwsl_writes);
-  });
-  add("sharded-fxmark-v2", [&](const char* n) {
-    return run_sharded_scenario(n, 2, 128, dwsl_writes);
-  });
-  add("sharded-fxmark-v4", [&](const char* n) {
-    return run_sharded_scenario(n, 4, 256, dwsl_writes);
-  });
-
-  if (list_scenarios) {
-    for (const ScenarioDef& d : defs) std::printf("%s\n", d.name);
-    return 0;
-  }
-
-  std::printf("=== perf_suite — wall-clock cost of the simulator%s%s ===\n",
-              smoke ? " (smoke)" : "",
-              jobs > 1 ? " [parallel: timings not comparable]" : "");
-  // jobs=1 (default) runs inline in registry order; --jobs N > 1 fans the
-  // scenarios across host threads and map() restores registry order, so
-  // the table and JSON keep the same row order either way.
-  const sim::HostPool pool(jobs);
-  const std::vector<ScenarioResult> results = pool.map<ScenarioResult>(
-      static_cast<int>(defs.size()),
-      [&defs](int i) { return defs[static_cast<std::size_t>(i)].run(); });
-
-  print_table(results);
-  for (const ScenarioResult& r : results) {
-    if (r.sim_ops_per_sec <= 0) continue;
-    std::printf("%-18s sim ops/s %10.0f", r.name.c_str(), r.sim_ops_per_sec);
-    if (r.volumes > 0) {
-      std::printf(" | per-volume:");
-      for (double v : r.volume_ops_per_sec) std::printf(" %10.0f", v);
-    }
-    std::printf("\n");
-  }
-  if (!write_json(out, results, smoke)) return 1;
-  std::printf("\nwrote %s\n", out);
-  if (sharded_out != nullptr) {
-    std::vector<ScenarioResult> sharded;
+  auto sim_ops = [&results](const char* name) {
     for (const ScenarioResult& r : results)
-      if (r.volumes > 0) sharded.push_back(r);
-    if (!write_json(sharded_out, sharded, smoke)) return 1;
-    std::printf("wrote %s\n", sharded_out);
-  }
-  return 0;
+      if (r.name == name) return r.sim_ops_per_sec;
+    return 0.0;
+  };
+
+  std::printf("=== perf_suite — simulated fields per scenario ===\n");
+  print_sim_table(results);
+  const double serial = sim_ops("ring-serial");
+  const bool ring_ok =
+      shape(sim_ops("ring-qd8") > serial && sim_ops("ring-qd32") > serial,
+            "ring-qd8 and ring-qd32 beat ring-serial in sim ops/s");
+  const bool mq_ok =
+      shape(sim_ops("mq-scaling-q4") > 1.3 * sim_ops("mq-scaling-q1"),
+            "mq-scaling-q4 exceeds 1.3x mq-scaling-q1 in sim ops/s");
+
+  print_host_table(results);
+  if (!write_json(out, results)) return 1;
+  std::fprintf(stderr, "wrote %s\n", out);
+  return ring_ok && mq_ok ? 0 : 1;
 }

@@ -47,7 +47,7 @@ void BlockLayer::submit_on(std::uint32_t queue, RequestPtr r) {
   BIO_CHECK(queue < queues_.size());
   ++stats_.submitted;
   queues_[queue]->scheduler->enqueue(std::move(r));
-  if (backlog() > config_.nr_requests) congested_ = true;
+  if (backlog() > kNrRequests) congested_ = true;
   queues_[queue]->work.notify_all();
 }
 
@@ -144,7 +144,7 @@ sim::Task BlockLayer::dispatch_loop(std::uint32_t q) {
       queue.epoch->note_submitted(*r);
       fence_->progress().notify_all();
     }
-    if (congested_ && backlog() <= config_.nr_requests / 2) {
+    if (congested_ && backlog() <= kNrRequests / 2) {
       congested_ = false;
       drained_.notify_all();
     }
@@ -178,10 +178,10 @@ sim::Task BlockLayer::retry_watcher(RequestPtr r,
       break;
     }
     ++stats_.transient_faults;
-    if (attempt >= config_.max_io_retries) break;  // bounded: give up
+    if (attempt >= kMaxIoRetries) break;  // bounded: give up
     ++attempt;
     ++stats_.io_retries;
-    co_await sim_.delay(config_.io_retry_backoff << (attempt - 1));
+    co_await sim_.delay(kIoRetryBackoff << (attempt - 1));
     // Re-arm and re-dispatch the same command (same payload span; a torn
     // write's retry re-lands the full payload).
     r->cmd.status = flash::IoStatus::kOk;

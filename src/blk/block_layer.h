@@ -39,21 +39,21 @@
 
 namespace bio::blk {
 
+/// Bound on the scheduler queue (Linux nr_requests). Submitters that call
+/// throttle() block while the queue is congested; they wake once it drains
+/// to half (batched wakeups, like the request-list congestion hysteresis).
+inline constexpr std::size_t kNrRequests = 128;
+/// Bounded retry policy for transient device faults: attempts beyond the
+/// first, with exponential simulated-time backoff starting at
+/// kIoRetryBackoff (doubling per attempt). Hard media errors fail through
+/// immediately, never retried.
+inline constexpr std::uint32_t kMaxIoRetries = 3;
+inline constexpr sim::SimTime kIoRetryBackoff = 1'000'000;  // 1 ms
+
 struct BlockLayerConfig {
   /// Base scheduler: "noop" or "elevator". On a barrier-compliant device
   /// each queue wraps it in the epoch scheduler.
   std::string scheduler = "noop";
-  /// Bound on the scheduler queue (Linux nr_requests). Submitters that call
-  /// throttle() block while the queue is congested; they wake once it
-  /// drains to half (batched wakeups, like the request-list congestion
-  /// hysteresis).
-  std::size_t nr_requests = 128;
-  /// Bounded retry policy for transient device faults: attempts beyond the
-  /// first, with exponential simulated-time backoff starting at
-  /// `io_retry_backoff` (doubling per attempt). Hard media errors fail
-  /// through immediately, never retried.
-  std::uint32_t max_io_retries = 3;
-  sim::SimTime io_retry_backoff = 1'000'000;  // 1 ms
   /// Software submission queues (blk-mq). Each queue has its own scheduler
   /// instance and dispatch thread and feeds device port q % port_count.
   /// 1 = the classic single-queue block layer, bit-identical.
@@ -94,7 +94,7 @@ class BlockLayer {
   /// path routes by submission context).
   void submit_on(std::uint32_t queue, RequestPtr r);
 
-  /// Blocks while the request queue is congested (> nr_requests pending).
+  /// Blocks while the request queue is congested (> kNrRequests pending).
   /// Callers issuing fire-and-forget writes use this as get_request()
   /// backpressure.
   sim::Task throttle();

@@ -30,9 +30,9 @@ Filesystem::Filesystem(sim::Simulator& sim, blk::BlockLayer& blk,
   }
   root_.ino = 0;
   root_.name = "/";
-  next_ino_ = std::max<std::uint32_t>(1, cfg_.dir_shards);
+  next_ino_ = kDirShards;
   data_next_ = layout_.data_base();
-  shard_entries_.resize(std::max<std::uint32_t>(1, cfg_.dir_shards));
+  shard_entries_.resize(kDirShards);
   journal_->set_close_hook([this](Txn& txn) { snapshot_metadata(txn); });
   // errors=remount-ro: a dead journal degrades the volume read-only.
   journal_->set_abort_hook([this] { degraded_ = true; });
@@ -88,7 +88,7 @@ void Filesystem::mount(const RecoveryReport& recovered) {
 
 flash::Lba Filesystem::dir_block_of(const std::string& name) const {
   const std::uint32_t shard = static_cast<std::uint32_t>(
-      std::hash<std::string>{}(name) % std::max<std::uint32_t>(1, cfg_.dir_shards));
+      std::hash<std::string>{}(name) % kDirShards);
   return layout_.inode_block(shard);
 }
 
@@ -286,8 +286,7 @@ sim::Task Filesystem::write(Inode& f, std::uint32_t page,
   BIO_CHECK_MSG(page + npages <= f.extent_blocks, "write beyond extent");
   if (degraded_) co_return;  // EROFS: api::Vfs reports it; nothing dirties
   ++stats_.writes;
-  co_await sim_.delay(cfg_.write_syscall_cpu *
-                      static_cast<sim::SimTime>(npages));
+  co_await sim_.delay(kWriteSyscallCpu * static_cast<sim::SimTime>(npages));
   co_await throttle_writer();
 
   // Journal-handle discipline (jbd2_journal_get_write_access): the inode
@@ -300,7 +299,7 @@ sim::Task Filesystem::write(Inode& f, std::uint32_t page,
   // any commit would ever cover. The whole mutation — page cache, i_size,
   // mtime, dirty flags — now lands in one synchronous stretch after the
   // registration returns.
-  const bool touches_meta = sim_.now() / cfg_.timer_tick != f.mtime_tick ||
+  const bool touches_meta = sim_.now() / kTimerTick != f.mtime_tick ||
                             page + npages > f.size_blocks || f.size_dirty;
   std::uint64_t tid = 0;
   if (touches_meta)
@@ -317,7 +316,7 @@ sim::Task Filesystem::write(Inode& f, std::uint32_t page,
   // ITS registration carries those changes and this one only re-dirties.
   const bool grew = page + npages > f.size_blocks;
   if (grew) f.size_blocks = page + npages;
-  const sim::SimTime tick = sim_.now() / cfg_.timer_tick;
+  const sim::SimTime tick = sim_.now() / kTimerTick;
   if (tick != f.mtime_tick) f.mtime_tick = tick;
   if (tid != 0) {
     f.txn_id = tid;
@@ -336,7 +335,7 @@ sim::TaskOf<FsStatus> Filesystem::read(Inode& f, std::uint32_t page,
   for (std::uint32_t i = 0; i < npages; ++i) {
     const std::uint32_t p = page + i;
     if (cache_.find(f.ino, p) != nullptr) {
-      co_await sim_.delay(cfg_.write_syscall_cpu);  // page-cache hit
+      co_await sim_.delay(kWriteSyscallCpu);  // page-cache hit
     } else {
       blk::RequestPtr r = blk_.pool().make_read(f.lba_of_page(p));
       blk_.submit(r);
@@ -651,7 +650,7 @@ sim::TaskOf<FsStatus> Filesystem::osync_impl(Inode& f) {
   // workloads), journals overwrites, writes allocating pages in place,
   // commits with Wait-on-Transfer, and never flushes.
   const std::size_t dirty_pages = cache_.dirty_count();
-  co_await sim_.delay(cfg_.osync_scan_cpu_per_page *
+  co_await sim_.delay(kOsyncScanCpuPerPage *
                       static_cast<sim::SimTime>(dirty_pages + 1));
   co_await wait_stable_pages(f);
   // Selective data journaling adds one log block per overwrite page. The
@@ -765,7 +764,7 @@ sim::Task Filesystem::pdflush_loop() {
     while (cache_.dirty_count() < cfg_.writeback_high_watermark)
       co_await cache_.dirtied().wait();
     while (cache_.dirty_count() > cfg_.writeback_low_watermark) {
-      cache_.all_dirty(cfg_.writeback_batch * blk::kMaxMergedBlocks, keys);
+      cache_.all_dirty(kWritebackBatch * blk::kMaxMergedBlocks, keys);
       if (keys.empty()) break;
 
       // Group into contiguous runs per file.
@@ -790,7 +789,7 @@ sim::Task Filesystem::pdflush_loop() {
       blk::RequestPtr skipped_carrier;
       bool journal_batch_full = false;
       for (const PageCache::PageKey& key : keys) {
-        if (reqs.size() >= cfg_.writeback_batch) break;
+        if (reqs.size() >= kWritebackBatch) break;
         const PageCache::PageState* st = cache_.find(key.ino, key.page);
         if (st->writeback != nullptr && !st->writeback->completion.is_set()) {
           // WB_SYNC_NONE: skip pages with an in-flight copy.

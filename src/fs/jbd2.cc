@@ -54,7 +54,7 @@ sim::Task Jbd2Journal::jbd_loop() {
     // JD: descriptor + one log block per buffer (+ journaled data).
     co_await reserve_jd(*txn);
     if (cfg_.journal_checksum)
-      co_await sim_.delay(cfg_.checksum_cpu_per_block *
+      co_await sim_.delay(kChecksumCpuPerBlock *
                           static_cast<sim::SimTime>(txn->jd_blocks.size()));
     {  // Wait-on-Transfer (pooled request; no payload copy)
       blk::RequestPtr jd_req = blk_.pool().make_write(

@@ -53,7 +53,7 @@ sim::Task OptFsJournal::commit_loop() {
     // Checksummed JD + JC dispatched together, one combined wait: the
     // flush between them is gone, the transfer wait is not.
     co_await reserve_jd(*txn);
-    co_await sim_.delay(cfg_.checksum_cpu_per_block *
+    co_await sim_.delay(kChecksumCpuPerBlock *
                         static_cast<sim::SimTime>(txn->jd_blocks.size() + 1));
     blk::RequestPtr jd_req =
         blk_.pool().make_write(std::span<const blk::Block>(txn->jd_blocks));

@@ -137,8 +137,7 @@ RecoveryReport Recovery::recover(
   };
 
   // ---- 4. reconstruct the namespace --------------------------------------
-  const std::uint32_t shards = std::max<std::uint32_t>(1, cfg_.dir_shards);
-  for (std::uint32_t shard = 0; shard < shards; ++shard) {
+  for (std::uint32_t shard = 0; shard < kDirShards; ++shard) {
     const MetaSnapshot* dir = meta_content(ibase + shard);
     if (dir == nullptr || !dir->is_directory) continue;
     for (const auto& [name, ino] : dir->entries) {

@@ -42,6 +42,24 @@ enum class [[nodiscard]] FsStatus : std::uint8_t {
 
 const char* to_string(FsStatus s) noexcept;
 
+/// Inode c/mtime granularity (one kernel timer tick). Writes within one tick
+/// leave timestamps unchanged, turning fsync() into fdatasync() — the
+/// effect behind the Fig 11 context-switch counts.
+inline constexpr sim::SimTime kTimerTick = 4'000'000;  // 4 ms (HZ=250)
+/// CPU cost of one buffered write() (page-cache copy + bookkeeping).
+inline constexpr sim::SimTime kWriteSyscallCpu = 2'000;  // 2 us
+/// CPU cost of computing a journal checksum per 4 KiB block.
+inline constexpr sim::SimTime kChecksumCpuPerBlock = 500;  // 0.5 us
+/// Directory shards: namespace operations dirty hash(name) % kDirShards,
+/// modelling a spread fileset instead of one hot root directory. Inodes
+/// 0..kDirShards-1 are the shard blocks.
+inline constexpr std::uint32_t kDirShards = 16;
+/// Background writeback batch size (requests in flight per round).
+inline constexpr std::size_t kWritebackBatch = 32;
+/// OptFS: CPU cost per page scanned during osync (selective data journaling
+/// makes this list long on overwrite-heavy workloads).
+inline constexpr sim::SimTime kOsyncScanCpuPerPage = 1'000;  // 1 us
+
 struct FsConfig {
   JournalKind journal = JournalKind::kJbd2;
 
@@ -55,23 +73,10 @@ struct FsConfig {
   /// this (§6.3).
   bool journal_checksum = false;
 
-  /// Inode c/mtime granularity (one kernel timer tick). Writes within one
-  /// tick leave timestamps unchanged, turning fsync() into fdatasync() —
-  /// the effect behind the Fig 11 context-switch counts.
-  sim::SimTime timer_tick = 4'000'000;  // 4 ms (HZ=250)
-
-  /// CPU cost of one buffered write() (page-cache copy + bookkeeping).
-  sim::SimTime write_syscall_cpu = 2'000;  // 2 us
-  /// CPU cost of computing a journal checksum per 4 KiB block.
-  sim::SimTime checksum_cpu_per_block = 500;  // 0.5 us
-
   /// Journal region size in 4 KiB blocks.
   std::uint32_t journal_blocks = 4096;
   /// Maximum number of files (one metadata block each).
   std::uint32_t max_inodes = 4096;
-  /// Directory shards: namespace operations dirty hash(name) % dir_shards,
-  /// modelling a spread fileset instead of one hot root directory.
-  std::uint32_t dir_shards = 16;
   /// Default extent size per file, in 4 KiB blocks.
   std::uint32_t default_extent_blocks = 4096;
 
@@ -79,12 +84,6 @@ struct FsConfig {
   std::size_t writeback_high_watermark = 256;
   /// ...and stops below this.
   std::size_t writeback_low_watermark = 64;
-  /// Background writeback batch size (requests in flight per round).
-  std::size_t writeback_batch = 32;
-
-  /// OptFS: CPU cost per page scanned during osync (selective data
-  /// journaling makes this list long on overwrite-heavy workloads).
-  sim::SimTime osync_scan_cpu_per_page = 1'000;  // 1 us
 };
 
 /// Disk layout derived from the config: [journal | inode table | data].
@@ -108,7 +107,7 @@ struct Layout {
 /// reconstructs filesystem state from these snapshots instead of decoding
 /// on-disk structures (DESIGN.md §6.6).
 struct MetaSnapshot {
-  /// Directory-shard block (ino < dir_shards): (name, ino) entries, sorted
+  /// Directory-shard block (ino < kDirShards): (name, ino) entries, sorted
   /// by name (flat vector: snapshots are taken per commit, so node-based
   /// containers would dominate the journal's allocation profile).
   bool is_directory = false;
