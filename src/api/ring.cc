@@ -115,8 +115,7 @@ std::uint32_t Ring::submit(std::uint32_t n) {
     }
     dispatched += static_cast<std::uint32_t>(chain.size());
     core_->in_flight += static_cast<std::uint32_t>(chain.size());
-    core_->sim->spawn("ring-chain-" + std::to_string(chains_spawned_++),
-                      chain_driver(core_, std::move(chain)));
+    core_->sim->spawn("ring-chain", chain_driver(core_, std::move(chain)));
   }
   return dispatched;
 }

@@ -202,7 +202,6 @@ class Ring {
   std::deque<Sqe> sq_;
   Config cfg_;
   bool ignore_links_ = false;
-  std::uint64_t chains_spawned_ = 0;
 };
 
 }  // namespace bio::api

@@ -174,6 +174,43 @@ struct Request {
   }
 };
 
+/// The requests one sync call waits on: its own data runs plus foreign
+/// writeback carriers it folds in. Like BlockList, the first kInline
+/// entries live inline, so a list declared in a syscall's coroutine frame
+/// (which the frame pool recycles) costs no heap; a longer list spills to
+/// a heap vector.
+class RequestList {
+ public:
+  static constexpr std::size_t kInline = 8;
+
+  bool empty() const noexcept { return size_ == 0; }
+  const RequestPtr* begin() const noexcept { return data(); }
+  const RequestPtr* end() const noexcept { return data() + size_; }
+
+  void push_back(RequestPtr r) {
+    if (size_ < kInline) {
+      inline_[size_++] = std::move(r);
+      return;
+    }
+    if (size_ == kInline) {
+      // Spill: move the inline prefix into the heap vector.
+      heap_.reserve(2 * kInline);
+      for (RequestPtr& x : inline_) heap_.push_back(std::move(x));
+    }
+    heap_.push_back(std::move(r));
+    ++size_;
+  }
+
+ private:
+  const RequestPtr* data() const noexcept {
+    return size_ <= kInline ? inline_.data() : heap_.data();
+  }
+
+  std::size_t size_ = 0;
+  std::array<RequestPtr, kInline> inline_;
+  std::vector<RequestPtr> heap_;
+};
+
 namespace detail {
 
 /// Heap-worklist preorder walk for absorption chains deeper than the

@@ -11,30 +11,23 @@ sim::Task WritebackCache::insert(Lba lba, Version version, std::uint64_t epoch,
   e.epoch = epoch;
   e.order = next_order_++;
   e.barrier = barrier;
-  pending_.push_back(e);
-  undrained_.insert(e.order);
-  newest_dirty_[lba] = {e.order, version};
-  order_to_lba_[e.order] = lba;
+  ++dirty_;
+  newest_[lba] = e.order;
   history_.push_back(e);
   drain_ready_.notify_all();
 }
 
 sim::Task WritebackCache::claim_next(Entry& out) {
-  while (pending_.empty()) co_await drain_ready_.wait();
-  out = pending_.front();
-  pending_.pop_front();
+  while (claim_ == next_order_) co_await drain_ready_.wait();
+  out = history_[claim_++];
 }
 
 void WritebackCache::mark_drained(std::uint64_t order) {
-  auto it = undrained_.find(order);
-  BIO_CHECK_MSG(it != undrained_.end(), "mark_drained on unknown order");
-  undrained_.erase(it);
-  auto lba_it = order_to_lba_.find(order);
-  BIO_CHECK(lba_it != order_to_lba_.end());
-  auto newest = newest_dirty_.find(lba_it->second);
-  if (newest != newest_dirty_.end() && newest->second.first == order)
-    newest_dirty_.erase(newest);
-  order_to_lba_.erase(lba_it);
+  BIO_CHECK_MSG(order < next_order_ && !history_[order].drained,
+                "mark_drained on unknown order");
+  history_[order].drained = true;
+  --dirty_;
+  while (drain_ < next_order_ && history_[drain_].drained) ++drain_;
   space_.release();
   drained_.notify_all();
 }
@@ -44,17 +37,16 @@ sim::Task WritebackCache::wait_drained_through(std::uint64_t through) {
 }
 
 std::optional<Version> WritebackCache::lookup(Lba lba) const {
-  auto it = newest_dirty_.find(lba);
-  if (it == newest_dirty_.end()) return std::nullopt;
-  return it->second.second;
+  auto it = newest_.find(lba);
+  if (it == newest_.end() || history_[it->second].drained) return std::nullopt;
+  return history_[it->second].version;
 }
 
 std::vector<WritebackCache::Entry> WritebackCache::undrained_entries() const {
   std::vector<Entry> out;
-  out.reserve(undrained_.size());
-  // history_ is in arrival order; filter to the undrained set.
-  for (const Entry& e : history_)
-    if (undrained_.contains(e.order)) out.push_back(e);
+  out.reserve(dirty_);
+  for (std::uint64_t o = drain_; o < next_order_; ++o)
+    if (!history_[o].drained) out.push_back(history_[o]);
   return out;
 }
 

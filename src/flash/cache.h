@@ -9,12 +9,17 @@
 // With power-loss protection (supercap) the cache itself is durable, so a
 // flush answers in O(1); without PLP a flush must wait until every entry
 // transferred so far has been programmed.
+//
+// Entries are dense by order, so the order-indexed history is the cache's
+// only entry store: a claim cursor walks it for the drain loop, a drain
+// cursor marks the oldest entry not yet programmed, and each entry's
+// `drained` flag covers out-of-order program completions. Inserting and
+// draining allocate nothing beyond the history's own growth and one
+// newest-version slot per LBA ever written.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -35,6 +40,9 @@ class WritebackCache {
     /// True if the write carried the barrier flag (last block of a barrier
     /// command); kept for analysis.
     bool barrier = false;
+    /// Programmed to flash and its cache slot released (live state: false
+    /// in claim_next()'s copy).
+    bool drained = false;
   };
 
   WritebackCache(sim::Simulator& sim, std::size_t capacity_entries)
@@ -61,7 +69,7 @@ class WritebackCache {
 
   /// True when every entry with order < `through` has been drained.
   bool drained_through(std::uint64_t through) const noexcept {
-    return undrained_.empty() || *undrained_.begin() >= through;
+    return drain_ == next_order_ || drain_ >= through;
   }
 
   /// Blocks until drained_through(through) holds.
@@ -71,7 +79,8 @@ class WritebackCache {
   std::optional<Version> lookup(Lba lba) const;
 
   /// Entries transferred but not yet drained, in arrival order (crash
-  /// analysis for PLP devices; snapshot copy).
+  /// analysis for PLP devices; snapshot copy). Walks only the span from
+  /// the oldest undrained entry on.
   std::vector<Entry> undrained_entries() const;
 
   /// Full arrival history (order, epoch, barrier) for invariant checks.
@@ -79,7 +88,7 @@ class WritebackCache {
     return history_;
   }
 
-  std::size_t dirty_count() const noexcept { return undrained_.size(); }
+  std::size_t dirty_count() const noexcept { return dirty_; }
   std::size_t capacity() const noexcept { return capacity_; }
 
   sim::Notify& drain_ready() noexcept { return drain_ready_; }
@@ -92,10 +101,17 @@ class WritebackCache {
   sim::Notify drained_;
 
   std::uint64_t next_order_ = 0;
-  std::deque<Entry> pending_;               // inserted, not yet claimed
-  std::set<std::uint64_t> undrained_;       // claimed or pending, not drained
-  std::unordered_map<Lba, std::pair<std::uint64_t, Version>> newest_dirty_;
-  std::unordered_map<std::uint64_t, Lba> order_to_lba_;
+  /// Next order claim_next() hands out: [claim_, next_order_) is pending.
+  std::uint64_t claim_ = 0;
+  /// Oldest undrained order (next_order_ when none): every entry below it
+  /// is drained; entries above it may have drained out of order.
+  std::uint64_t drain_ = 0;
+  /// Entries transferred and not yet drained.
+  std::size_t dirty_ = 0;
+  /// Order of each LBA's newest write; it is still dirty while that
+  /// history entry is undrained. One node per LBA, never erased.
+  std::unordered_map<Lba, std::uint64_t> newest_;
+  /// Every entry by order (history_[order].order == order).
   std::vector<Entry> history_;
 };
 

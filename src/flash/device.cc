@@ -29,8 +29,8 @@ void StorageDevice::start() {
   qd_last_change_ = sim_.now();
   log_.start();
   // Device-internal actors are hardware: no host scheduler wake latency.
-  sim_.spawn("dev:ctl", controller_loop()).wake_latency = 0;
-  sim_.spawn("dev:drain", drain_loop()).wake_latency = 0;
+  sim_.spawn("dev:ctl", controller_loop())->wake_latency = 0;
+  sim_.spawn("dev:drain", drain_loop())->wake_latency = 0;
 }
 
 bool StorageDevice::try_submit(std::shared_ptr<Command> cmd) {
@@ -43,7 +43,10 @@ bool StorageDevice::try_submit(std::shared_ptr<Command> cmd) {
   }
   cmd->seq = next_seq_++;
   ++port.submissions;
-  port.window.push_back(Slot{std::move(cmd), false, false});
+  if (port.free_slots.empty()) port.free_slots.emplace_back();
+  port.window.splice(port.window.end(), port.free_slots,
+                     port.free_slots.begin());
+  port.window.back() = Slot{std::move(cmd), false, false};
   note_qd_change();
   queue_event_.notify_all();
   return true;
@@ -100,9 +103,9 @@ sim::Task StorageDevice::controller_loop() {
         if (!it->started) {
           it->started = true;
           // iolint: detached-owner(ports_ live on the device, which outlives
-          // every command handler; complete() erases only this handler's
+          // every command handler; complete() recycles only this handler's
           // own slot)
-          sim_.spawn("dev:cmd", handle(*port, it)).wake_latency = 0;
+          sim_.spawn("dev:cmd", handle(*port, it))->wake_latency = 0;
         }
       }
     }
@@ -126,9 +129,10 @@ sim::Task StorageDevice::handle(Port& port, SlotIter it) {
 
 void StorageDevice::complete(Port& port, SlotIter it) {
   // Keep the command (and, through the aliased ownership, the originating
-  // request) alive past the window erase: `done` points into that request.
+  // request) alive past the slot's recycling: `done` points into that
+  // request.
   std::shared_ptr<Command> cmd = std::move(it->cmd);
-  port.window.erase(it);
+  port.free_slots.splice(port.free_slots.begin(), port.window, it);
   note_qd_change();
   queue_event_.notify_all();
   cmd->done->trigger();
@@ -287,7 +291,7 @@ sim::Task StorageDevice::drain_loop() {
     // in-order recovery truncation relies on.
     co_await log_.reserve(e.lba, e.version, r);
     co_await drain_slots_.acquire();
-    sim_.spawn("dev:pgm", drain_one(e, r)).wake_latency = 0;
+    sim_.spawn("dev:pgm", drain_one(e, r))->wake_latency = 0;
   }
 }
 

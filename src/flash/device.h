@@ -193,7 +193,11 @@ class StorageDevice {
   /// (transfer_eligible) read every port's window by global seq.
   struct Port {
     explicit Port(sim::Simulator& sim) : host_bus(sim, 1) {}
+    /// Outstanding commands in submission order.
     std::list<Slot> window;
+    /// Completed slots, spliced back in on submission: the window's nodes
+    /// come from here, so steady-state NCQ traffic allocates nothing.
+    std::list<Slot> free_slots;
     sim::Semaphore host_bus;
     std::uint64_t submissions = 0;
   };

@@ -27,7 +27,7 @@ SegmentLog::SegmentLog(sim::Simulator& sim, NandArray& nand, Params params)
 void SegmentLog::start() {
   BIO_CHECK(!started_);
   started_ = true;
-  sim_.spawn("ftl:gc", gc_loop()).wake_latency = 0;
+  sim_.spawn("ftl:gc", gc_loop())->wake_latency = 0;
 }
 
 bool SegmentLog::space_available() const noexcept {
@@ -183,32 +183,31 @@ sim::Task SegmentLog::gc_loop() {
     ++gc_.runs;
     // Relocate valid pages (bounded concurrency), then erase the segment.
     sim::Semaphore inflight(sim_, params_.gc_inflight);
-    std::vector<sim::ThreadCtx*> workers;
+    std::vector<sim::Thread> workers;
     const std::uint64_t base =
         static_cast<std::uint64_t>(victim) * geom_.pages_per_segment();
     for (std::uint32_t off = 0; off < geom_.pages_per_segment(); ++off) {
       if (!segments_[victim].slots[off].valid) continue;
       // iolint: detached-owner(the join loop below waits every worker
       // before the semaphore and segment state go away)
-      sim::ThreadCtx& w =
-          sim_.spawn("gc", relocate_slot(base + off, inflight));
-      w.wake_latency = 0;
-      workers.push_back(&w);
+      sim::Thread w = sim_.spawn("gc", relocate_slot(base + off, inflight));
+      w->wake_latency = 0;
+      workers.push_back(std::move(w));
     }
-    for (sim::ThreadCtx* w : workers) co_await sim_.join(*w);
+    for (const sim::Thread& w : workers) co_await sim_.join(w);
     BIO_CHECK_MSG(segments_[victim].valid_count == 0,
                   "GC victim still has valid pages after relocation");
 
     // Erase the victim's block on every chip, in parallel. The controller
     // is busy during the erase burst: host commands stall (tail source).
     erasing_ = true;
-    std::vector<sim::ThreadCtx*> erasers;
+    std::vector<sim::Thread> erasers;
     for (std::uint32_t c = 0; c < nand_.chip_count(); ++c) {
-      sim::ThreadCtx& w = sim_.spawn("gc:erase", nand_.erase(c));
-      w.wake_latency = 0;
-      erasers.push_back(&w);
+      sim::Thread w = sim_.spawn("gc:erase", nand_.erase(c));
+      w->wake_latency = 0;
+      erasers.push_back(std::move(w));
     }
-    for (sim::ThreadCtx* w : erasers) co_await sim_.join(*w);
+    for (const sim::Thread& w : erasers) co_await sim_.join(w);
 
     erasing_ = false;
     erase_done_.notify_all();

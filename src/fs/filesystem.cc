@@ -373,8 +373,8 @@ sim::Task Filesystem::wait_stable_pages(Inode& f) {
   }
 }
 
-std::vector<blk::RequestPtr> Filesystem::submit_data(Inode& f, bool ordered,
-                                                     bool barrier_last) {
+void Filesystem::submit_data(Inode& f, bool ordered, bool barrier_last,
+                             blk::RequestList& reqs) {
   // Single suspension-free pass: group the dirty pages into contiguous runs
   // (pages of one file map to a contiguous extent, so page adjacency == LBA
   // adjacency) and submit each run as soon as it closes. Runs are
@@ -382,9 +382,8 @@ std::vector<blk::RequestPtr> Filesystem::submit_data(Inode& f, bool ordered,
   // the per-run key vectors.
   std::vector<PageCache::PageKey>& dirty = scratch_keys_;
   cache_.dirty_pages_of(f.ino, dirty);
-  if (dirty.empty()) return {};
+  if (dirty.empty()) return;
 
-  std::vector<blk::RequestPtr> reqs;
   std::vector<blk::Block>& run = scratch_blocks_;
   run.clear();
   std::size_t run_start = 0;
@@ -409,7 +408,6 @@ std::vector<blk::RequestPtr> Filesystem::submit_data(Inode& f, bool ordered,
     run.emplace_back(st->lba, st->version);
   }
   flush_run(dirty.size());
-  return reqs;
 }
 
 std::uint32_t Filesystem::journal_overwrites(Inode& f,
@@ -428,12 +426,12 @@ std::uint32_t Filesystem::journal_overwrites(Inode& f,
   return static_cast<std::uint32_t>(scratch_blocks_.size());
 }
 
-sim::Task Filesystem::wait_requests(const std::vector<blk::RequestPtr>& reqs) {
+sim::Task Filesystem::wait_requests(const blk::RequestList& reqs) {
   for (const blk::RequestPtr& r : reqs) co_await r->completion.wait();
 }
 
-sim::Task Filesystem::ensure_data_durable(
-    const Inode& f, const std::vector<blk::RequestPtr>& reqs) {
+sim::Task Filesystem::ensure_data_durable(const Inode& f,
+                                          const blk::RequestList& reqs) {
   if (cfg_.nobarrier) co_return;
   for (const blk::RequestPtr& r : reqs) co_await r->completion.wait();
   const flash::StorageDevice& dev = blk_.device();
@@ -453,8 +451,8 @@ sim::Task Filesystem::ensure_data_durable(
   if (!proven) co_await blk_.flush_and_wait();
 }
 
-void Filesystem::note_writeback_failures(
-    Inode& f, const std::vector<blk::RequestPtr>& reqs) {
+void Filesystem::note_writeback_failures(Inode& f,
+                                         const blk::RequestList& reqs) {
   for (const blk::RequestPtr& r : reqs) {
     if (!r->completion.is_set() || !r->failed()) continue;
     // The carrier's data never landed: redirty its pages (the buffered
@@ -474,7 +472,7 @@ FsStatus Filesystem::commit_outcome(std::uint64_t tid) const {
 }
 
 sim::Task Filesystem::wait_file_writebacks(Inode& f,
-                                           std::vector<blk::RequestPtr>& reqs) {
+                                           blk::RequestList& reqs) {
   // Waits for pages of `f` already under writeback by someone else
   // (pdflush, a concurrent writer's sync), skipping the requests this
   // syscall itself just submitted — and FOLDS the foreign carriers into
@@ -485,8 +483,8 @@ sim::Task Filesystem::wait_file_writebacks(Inode& f,
   // syscall acks durability.
   bool swept = false;
   bool swept_failed = false;
-  std::vector<blk::RequestPtr> wb =
-      cache_.writebacks_of(f.ino, &swept, &swept_failed);
+  blk::RequestList wb;
+  cache_.writebacks_of(f.ino, wb, &swept, &swept_failed);
   if (swept_failed) ++f.wb_err_seq;  // pages were redirtied by the sweep
   if (swept) {
     // Completed carriers were dropped before we could wait on them; their
@@ -495,10 +493,10 @@ sim::Task Filesystem::wait_file_writebacks(Inode& f,
     f.persist_floor =
         std::max(f.persist_floor, blk_.device().cache().next_order());
   }
-  for (blk::RequestPtr& r : wb) {
+  for (const blk::RequestPtr& r : wb) {
     if (std::find(reqs.begin(), reqs.end(), r) != reqs.end()) continue;
     co_await r->completion.wait();
-    reqs.push_back(std::move(r));
+    reqs.push_back(r);
   }
 }
 
@@ -556,8 +554,8 @@ sim::TaskOf<FsStatus> Filesystem::sync_durable(Inode& f, bool datasync) {
   // durability.
   const bool wot = wait_on_transfer();
   co_await wait_stable_pages(f);
-  std::vector<blk::RequestPtr> reqs =
-      submit_data(f, /*ordered=*/!wot, /*barrier_last=*/false);
+  blk::RequestList reqs;
+  submit_data(f, /*ordered=*/!wot, /*barrier_last=*/false, reqs);
   co_await wait_file_writebacks(f, reqs);
   if (wot) {
     co_await wait_requests(reqs);
@@ -617,8 +615,8 @@ sim::TaskOf<FsStatus> Filesystem::sync_ordered(Inode& f, bool datasync) {
       datasync ? f.size_dirty : (f.meta_dirty || f.size_dirty);
   co_await wait_stable_pages(f);
   // Without a commit, the data's last request delimits the epoch itself.
-  std::vector<blk::RequestPtr> reqs =
-      submit_data(f, /*ordered=*/true, /*barrier_last=*/!will_commit);
+  blk::RequestList reqs;
+  submit_data(f, /*ordered=*/true, /*barrier_last=*/!will_commit, reqs);
   co_await blk_.throttle();  // get_request() backpressure
   if (will_commit) {
     // The journal commit (ORDERED|BARRIER JD and JC) delimits the epoch.
@@ -696,7 +694,8 @@ sim::TaskOf<FsStatus> Filesystem::osync_impl(Inode& f) {
     if (commit_outcome(journaled_tid) != FsStatus::kOk)
       co_return FsStatus::kIo;
   }
-  std::vector<blk::RequestPtr> reqs = submit_data(f, false, false);
+  blk::RequestList reqs;
+  submit_data(f, false, false, reqs);
   // The osync transaction's commit checksum covers the allocating writes
   // going in place: attach them so recovery can validate atomicity.
   for (const blk::RequestPtr& r : reqs) journal_->attach_data(r);
@@ -739,8 +738,8 @@ sim::TaskOf<FsStatus> Filesystem::dsync(Inode& f) {
   // must transfer before the flush below, or their (covered) data sits in
   // the volatile cache past this call's durable return.
   bool swept_failed = false;
-  std::vector<blk::RequestPtr> wb =
-      cache_.writebacks_of(f.ino, nullptr, &swept_failed);
+  blk::RequestList wb;
+  cache_.writebacks_of(f.ino, wb, nullptr, &swept_failed);
   if (swept_failed) ++f.wb_err_seq;
   for (const blk::RequestPtr& r : wb) co_await r->completion.wait();
   note_writeback_failures(f, wb);

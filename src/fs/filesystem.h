@@ -181,8 +181,7 @@ class Filesystem {
   /// Scans completed requests for IO failure: redirties the dead carriers'
   /// pages and advances f.wb_err_seq once per failed request. Called at
   /// every sync-path wait site (after the requests' completions fired).
-  void note_writeback_failures(Inode& f,
-                               const std::vector<blk::RequestPtr>& reqs);
+  void note_writeback_failures(Inode& f, const blk::RequestList& reqs);
 
   /// Post-commit-wait verdict: kIo when the journal aborted without
   /// durably retiring `tid` (this call's commit died), kOk otherwise.
@@ -194,10 +193,11 @@ class Filesystem {
   sim::Task wait_stable_pages(Inode& f);
 
   /// Submits write requests for the file's dirty pages (grouped into
-  /// contiguous runs). `ordered`/`barrier_last` control the request flags.
-  /// Runs without suspension (uses the shared scratch buffers).
-  std::vector<blk::RequestPtr> submit_data(Inode& f, bool ordered,
-                                           bool barrier_last);
+  /// contiguous runs) and appends them to `reqs`. `ordered`/`barrier_last`
+  /// control the request flags. Runs without suspension (uses the shared
+  /// scratch buffers).
+  void submit_data(Inode& f, bool ordered, bool barrier_last,
+                   blk::RequestList& reqs);
 
   /// OptFS: strips up to `max_pages` overwrite pages out of the dirty set
   /// into the journal (selective data journaling); returns the count
@@ -209,7 +209,7 @@ class Filesystem {
   /// content (MetaSnapshot) into the closing transaction.
   void snapshot_metadata(Txn& txn);
 
-  sim::Task wait_requests(const std::vector<blk::RequestPtr>& reqs);
+  sim::Task wait_requests(const blk::RequestList& reqs);
   /// ext4_sync_file's "journal already committed" barrier: a durability
   /// syscall whose metadata transaction committed (and flushed) *before*
   /// this call's data transferred must still issue a flush, or the data
@@ -217,13 +217,11 @@ class Filesystem {
   /// the requests' transfers, then flushes unless every request provably
   /// persisted (its cache watermark drained — e.g. under the commit's own
   /// flush).
-  sim::Task ensure_data_durable(const Inode& f,
-                                const std::vector<blk::RequestPtr>& reqs);
+  sim::Task ensure_data_durable(const Inode& f, const blk::RequestList& reqs);
   /// Waits out in-flight writeback carriers of `f` not already in `reqs`
   /// and appends them to `reqs`, so the caller's later durability proof
   /// (ensure_data_durable) covers foreign writebacks too.
-  sim::Task wait_file_writebacks(Inode& f,
-                                 std::vector<blk::RequestPtr>& reqs);
+  sim::Task wait_file_writebacks(Inode& f, blk::RequestList& reqs);
   /// True while `tid` names a transaction not yet durably retired — the
   /// "a concurrent syscall's commit still holds this inode's metadata"
   /// test behind the i_sync_tid / i_datasync_tid waits in fsync/fdatasync.

@@ -38,15 +38,13 @@ std::vector<PageCache::PageKey> PageCache::dirty_pages_of(
   return out;
 }
 
-std::vector<blk::RequestPtr> PageCache::writebacks_of(std::uint32_t ino,
-                                                      bool* swept_completed,
-                                                      bool* swept_failed) {
-  std::vector<blk::RequestPtr> out;
+void PageCache::writebacks_of(std::uint32_t ino, blk::RequestList& out,
+                              bool* swept_completed, bool* swept_failed) {
   if (swept_completed != nullptr) *swept_completed = false;
   if (swept_failed != nullptr) *swept_failed = false;
   auto it = wb_index_.find(ino);
-  if (it == wb_index_.end()) return out;
-  std::set<std::uint32_t>& pages = it->second;
+  if (it == wb_index_.end()) return;
+  std::pmr::set<std::uint32_t>& pages = it->second;
   bool dirtied_any = false;
   for (auto pit = pages.begin(); pit != pages.end();) {
     const PageKey key{ino, *pit};
@@ -84,7 +82,6 @@ std::vector<blk::RequestPtr> PageCache::writebacks_of(std::uint32_t ino,
   }
   if (pages.empty()) wb_index_.erase(it);
   if (dirtied_any) dirtied_.notify_all();
-  return out;
 }
 
 void PageCache::begin_writeback(const PageKey& key, blk::RequestPtr req) {
@@ -118,7 +115,7 @@ std::size_t PageCache::redirty_failed(std::uint32_t ino,
   std::size_t redirtied = 0;
   auto it = wb_index_.find(ino);
   if (it == wb_index_.end()) return 0;
-  std::set<std::uint32_t>& wb_pages = it->second;
+  std::pmr::set<std::uint32_t>& wb_pages = it->second;
   for (auto pit = wb_pages.begin(); pit != wb_pages.end();) {
     const PageKey key{ino, *pit};
     auto mit = pages_.find(key);

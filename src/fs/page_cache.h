@@ -11,11 +11,14 @@
 // of the flat page map, so fsync's dirty scan is O(dirty-of-file) and
 // pdflush's batch collection is O(limit) — not O(total cached pages). The
 // global iteration order (ascending ino, then page) matches the old
-// full-scan behaviour exactly.
+// full-scan behaviour exactly. The page map and both indexes take their
+// nodes from a PageCache-owned pool, so dirtying, writeback and cleaning
+// recycle nodes instead of allocating one per transition.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory_resource>
 #include <set>
 #include <vector>
 
@@ -48,7 +51,12 @@ class PageCache {
     blk::RequestPtr writeback;
   };
 
-  explicit PageCache(sim::Simulator& sim) : sim_(&sim), dirtied_(sim) {}
+  explicit PageCache(sim::Simulator& sim)
+      : sim_(&sim),
+        pages_(&pool_),
+        dirty_index_(&pool_),
+        wb_index_(&pool_),
+        dirtied_(sim) {}
 
   /// Buffers a write. Marks the page dirty with the new version.
   void write(std::uint32_t ino, std::uint32_t page, flash::Lba lba,
@@ -59,16 +67,16 @@ class PageCache {
   void dirty_pages_of(std::uint32_t ino, std::vector<PageKey>& out) const;
   std::vector<PageKey> dirty_pages_of(std::uint32_t ino) const;
 
-  /// In-flight writeback carriers of `ino`'s pages; lazily sweeps carriers
-  /// that already completed (and reports the sweep via `swept_completed`,
-  /// so durability paths can raise the inode's persist floor). A swept
-  /// carrier that completed with an IO failure redirties its pages (the
-  /// buffered content is still here — versions are identity, not bytes)
-  /// and is reported via `swept_failed`, so the caller can advance the
-  /// inode's wb_err_seq.
-  std::vector<blk::RequestPtr> writebacks_of(std::uint32_t ino,
-                                             bool* swept_completed = nullptr,
-                                             bool* swept_failed = nullptr);
+  /// Appends to `out` the in-flight writeback carriers of `ino`'s pages;
+  /// lazily sweeps carriers that already completed (and reports the sweep
+  /// via `swept_completed`, so durability paths can raise the inode's
+  /// persist floor). A swept carrier that completed with an IO failure
+  /// redirties its pages (the buffered content is still here — versions
+  /// are identity, not bytes) and is reported via `swept_failed`, so the
+  /// caller can advance the inode's wb_err_seq.
+  void writebacks_of(std::uint32_t ino, blk::RequestList& out,
+                     bool* swept_completed = nullptr,
+                     bool* swept_failed = nullptr);
 
   /// Marks `key` as under writeback by `req` (clears dirty).
   void begin_writeback(const PageKey& key, blk::RequestPtr req);
@@ -108,7 +116,9 @@ class PageCache {
   bool check_index_invariants() const;
 
  private:
-  using InoIndex = std::map<std::uint32_t, std::set<std::uint32_t>>;
+  /// Per-inode page sets; the inner sets share the outer map's pool.
+  using InoIndex =
+      std::pmr::map<std::uint32_t, std::pmr::set<std::uint32_t>>;
 
   static void index_insert(InoIndex& idx, const PageKey& key) {
     idx[key.ino].insert(key.page);
@@ -121,7 +131,12 @@ class PageCache {
   }
 
   sim::Simulator* sim_;
-  std::map<PageKey, PageState> pages_;
+  /// Node pool for the three containers below, declared first so it
+  /// outlives them. Only they draw from it: nothing a suspended coroutine
+  /// frame holds does, so frames destroyed after the volume never free
+  /// into a dead pool.
+  std::pmr::unsynchronized_pool_resource pool_;
+  std::pmr::map<PageKey, PageState> pages_;
   /// ino -> dirty pages (key.dirty == true exactly when indexed here).
   InoIndex dirty_index_;
   /// ino -> pages with a writeback carrier attached (dirty or not).

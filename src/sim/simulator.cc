@@ -1,7 +1,5 @@
 #include "sim/simulator.h"
 
-#include <string_view>
-
 namespace bio::sim {
 
 std::coroutine_handle<> Task::FinalAwaiter::await_suspend(
@@ -28,27 +26,38 @@ std::coroutine_handle<> Task::Awaiter::await_suspend(
 Simulator::~Simulator() {
   // Drop pending events first so nothing resumes into destroyed frames,
   // then destroy the frames of still-suspended top-level tasks (this
-  // cascades into any nested child tasks they own).
+  // cascades into any nested child tasks they own). A destroyed frame may
+  // drop Thread handles, which recycle contexts into the still-live pool.
   queue_.clear();
   callbacks_.clear();
-  for (auto& [thr, handle] : live_) handle.destroy();
+  for (std::size_t i = 0; i < contexts_.size(); ++i)
+    if (contexts_[i].frame_) std::exchange(contexts_[i].frame_, {}).destroy();
 }
 
-ThreadCtx& Simulator::spawn(std::string name, Task task) {
+Thread Simulator::spawn(std::string name, Task task) {
   BIO_CHECK_MSG(task.valid(), "spawn of an empty task");
-  auto ctx = std::make_unique<ThreadCtx>();
+  ThreadCtx* ctx = free_contexts_;
+  if (ctx != nullptr) {
+    free_contexts_ = ctx->next_free_;
+    ctx->next_free_ = nullptr;
+    ctx->context_switches = 0;
+    ctx->blocks = 0;
+    ctx->finished = false;
+    ctx->wake_latency.reset();
+  } else {
+    ctx = &contexts_.emplace_back();
+    ctx->sim_ = this;
+  }
   ctx->name = std::move(name);
-  ctx->id = threads_.size();
-  ThreadCtx& ref = *ctx;
-  threads_.push_back(std::move(ctx));
+  ctx->id = next_thread_id_++;
 
   Task::Handle h = task.release();
   h.promise().sim = this;
   h.promise().detached = true;
-  h.promise().thread = &ref;
-  live_.emplace(&ref, h);
-  schedule_resume(now_, h, &ref, false);
-  return ref;
+  h.promise().thread = ctx;
+  ctx->frame_ = h;
+  schedule_resume(now_, h, ctx, false);
+  return Thread(*ctx);
 }
 
 void Simulator::schedule_resume(SimTime at, std::coroutine_handle<> h,
@@ -123,27 +132,12 @@ void Simulator::on_top_level_done(ThreadCtx* thr, std::exception_ptr error) {
     stopped_ = true;
   }
   if (thr == nullptr) return;
-  live_.erase(thr);
+  thr->frame_ = {};
   thr->finished = true;
   for (const auto& w : thr->join_waiters)
     schedule_wakeup(w.handle, w.waiter_thread);
   thr->join_waiters.clear();
-}
-
-std::uint64_t Simulator::total_context_switches(
-    std::string_view prefix) const {
-  std::uint64_t total = 0;
-  for (const auto& t : threads_)
-    if (std::string_view(t->name).starts_with(prefix))
-      total += t->context_switches;
-  return total;
-}
-
-std::uint64_t Simulator::thread_count(std::string_view prefix) const {
-  std::uint64_t n = 0;
-  for (const auto& t : threads_)
-    if (std::string_view(t->name).starts_with(prefix)) ++n;
-  return n;
+  if (thr->pins_ == 0) recycle(*thr);
 }
 
 }  // namespace bio::sim

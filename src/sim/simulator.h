@@ -11,11 +11,11 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/check.h"
@@ -24,12 +24,18 @@
 
 namespace bio::sim {
 
-/// Bookkeeping for one simulated thread (one top-level Task).
+class Simulator;
+
+/// Bookkeeping for one simulated thread (one top-level Task). Contexts come
+/// from a per-Simulator pool: spawn() hands one out behind a sim::Thread
+/// handle, and the Simulator takes it back for a later spawn once its task
+/// has finished and no handle pins it.
 struct ThreadCtx {
   std::string name;
   /// Spawn ordinal, unique within one Simulator (0, 1, 2, ... in spawn
-  /// order). Deterministic for a given workload, so per-context consumers
-  /// (the multi-queue block layer's software-queue routing) can key on it.
+  /// order) even when the context is a recycled one. Deterministic for a
+  /// given workload, so per-context consumers (the multi-queue block
+  /// layer's software-queue routing) can key on it.
   std::uint64_t id = 0;
   /// Number of times this thread blocked on a primitive and was woken.
   std::uint64_t context_switches = 0;
@@ -46,6 +52,44 @@ struct ThreadCtx {
     ThreadCtx* waiter_thread;
   };
   std::vector<JoinWaiter> join_waiters;
+
+ private:
+  friend class Simulator;
+  friend class Thread;
+  Simulator* sim_ = nullptr;
+  /// The top-level frame while the task runs (teardown destroys it).
+  std::coroutine_handle<> frame_;
+  /// Live Thread handles.
+  std::uint32_t pins_ = 0;
+  /// Next context on the Simulator's free list.
+  ThreadCtx* next_free_ = nullptr;
+};
+
+/// Copyable handle to one spawned simulated thread. It pins the thread's
+/// context: while any handle lives, `finished` and the counters stay
+/// readable and join() works, even long after the task finished. Handles
+/// may be discarded freely (most spawns do) and must not outlive their
+/// Simulator.
+class Thread {
+ public:
+  Thread() = default;
+  Thread(const Thread& other) noexcept : ctx_(other.ctx_) {
+    if (ctx_ != nullptr) ++ctx_->pins_;
+  }
+  Thread(Thread&& other) noexcept : ctx_(std::exchange(other.ctx_, nullptr)) {}
+  Thread& operator=(Thread other) noexcept {
+    std::swap(ctx_, other.ctx_);
+    return *this;
+  }
+  ~Thread();
+
+  ThreadCtx& operator*() const noexcept { return *ctx_; }
+  ThreadCtx* operator->() const noexcept { return ctx_; }
+
+ private:
+  friend class Simulator;
+  explicit Thread(ThreadCtx& ctx) noexcept : ctx_(&ctx) { ++ctx.pins_; }
+  ThreadCtx* ctx_ = nullptr;
 };
 
 class Simulator {
@@ -67,8 +111,9 @@ class Simulator {
 
   /// Starts `task` as a new simulated thread named `name`. The thread's
   /// first instruction runs at the current simulated time (after already
-  /// pending events at that time).
-  ThreadCtx& spawn(std::string name, Task task);
+  /// pending events at that time). Allocates nothing once the context and
+  /// frame pools cover the peak number of live threads.
+  Thread spawn(std::string name, Task task);
 
   /// Runs until the event queue drains or stop() is called. Rethrows the
   /// first exception that escaped any simulated thread.
@@ -113,9 +158,10 @@ class Simulator {
     void await_resume() const noexcept {}
   };
 
-  /// Blocks the calling simulated thread until `target` finishes.
-  JoinAwaiter join(ThreadCtx& target) noexcept {
-    return JoinAwaiter{*this, target};
+  /// Blocks the calling simulated thread until `target` finishes; returns
+  /// at once if it already has.
+  JoinAwaiter join(const Thread& target) noexcept {
+    return JoinAwaiter{*this, *target};
   }
 
   // ---- scheduling internals (used by sim/sync.h primitives) -------------
@@ -143,13 +189,6 @@ class Simulator {
   /// Called from Task::FinalAwaiter when a top-level task finishes.
   void on_top_level_done(ThreadCtx* thr, std::exception_ptr error);
 
-  /// Total context switches across all threads whose name starts with
-  /// `prefix` (empty prefix = all threads).
-  std::uint64_t total_context_switches(std::string_view prefix = {}) const;
-
-  /// Number of live + finished threads whose name starts with `prefix`.
-  std::uint64_t thread_count(std::string_view prefix = {}) const;
-
   /// Total events the loop has dispatched (resumes + callbacks) — the
   /// denominator for events/sec in the perf suite.
   std::uint64_t events_dispatched() const noexcept {
@@ -166,7 +205,7 @@ class Simulator {
     /// Coroutine frame address; nullptr marks a callback entry.
     void* frame;
     /// Resumes: ThreadCtx* with the wakeup flag in bit 0 (ThreadCtx is
-    /// heap-allocated, so bit 0 of its address is free). Callbacks: the
+    /// pointer-aligned, so bit 0 of its address is free). Callbacks: the
     /// callback-slot index.
     std::uintptr_t aux;
   };
@@ -223,6 +262,12 @@ class Simulator {
   };
 
   void dispatch(const Scheduled& ev);
+  friend class Thread;
+  /// Returns a finished, unpinned context to the free list.
+  void recycle(ThreadCtx& ctx) noexcept {
+    ctx.next_free_ = free_contexts_;
+    free_contexts_ = &ctx;
+  }
 
   Params params_;
   SimTime now_ = 0;
@@ -234,10 +279,18 @@ class Simulator {
   std::vector<std::function<void()>> callbacks_;
   std::vector<std::uint32_t> free_callback_slots_;
   ThreadCtx* current_ = nullptr;
-  std::vector<std::unique_ptr<ThreadCtx>> threads_;
-  /// Frames of still-live top-level tasks, destroyed on simulator teardown.
-  std::unordered_map<ThreadCtx*, std::coroutine_handle<>> live_;
+  /// Context pool: as many contexts as were ever live or pinned at once
+  /// (a deque, so addresses stay stable as it grows); the recycled ones are
+  /// chained through ThreadCtx::next_free_.
+  std::deque<ThreadCtx> contexts_;
+  ThreadCtx* free_contexts_ = nullptr;
+  std::uint64_t next_thread_id_ = 0;
   std::exception_ptr failure_;
 };
+
+inline Thread::~Thread() {
+  if (ctx_ != nullptr && --ctx_->pins_ == 0 && ctx_->finished)
+    ctx_->sim_->recycle(*ctx_);
+}
 
 }  // namespace bio::sim

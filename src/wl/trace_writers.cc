@@ -71,7 +71,7 @@ struct Ctx {
   bool read_only = false;
   /// Detached close-during-sync tasks; setup joins them after the writers
   /// so nothing referencing this Ctx outlives it.
-  std::vector<sim::ThreadCtx*> chaos;
+  std::vector<sim::Thread> chaos;
 };
 
 /// The policy row a file's intents resolve through: setup pins the dsync
@@ -308,7 +308,7 @@ sim::Task direct_op(Writer& w) {
             rng.uniform(0, ctx.matrix.size() - 1))];
         // iolint: detached-owner(setup joins ctx.chaos after the writers
         // finish; ctx and the FileTrace records outlive every sync)
-        ctx.chaos.push_back(&ctx.vol.sim().spawn(
+        ctx.chaos.push_back(ctx.vol.sim().spawn(
             "wl:chaos", do_sync(&ctx, &f, w.fds[li].fd(), pick, w.id)));
         co_await ctx.vol.sim().yield();  // let the sync pin the vnode
         ++trace.closes_during_sync;
@@ -611,18 +611,18 @@ sim::Task setup_and_run(std::unique_ptr<Ctx> ctx) {
                                   api::SyncPolicy::optfs_dsync()));
 
   sim::Rng base(ctx->seed * 0x9e3779b97f4a7c15ULL + 1);
-  std::vector<sim::ThreadCtx*> threads;
+  std::vector<sim::Thread> threads;
   for (std::uint32_t w = 0; w < p.writers; ++w)
     // iolint: detached-owner(the join loop below waits every writer and
     // chaos task; the Ctx unique_ptr outlives them in this frame)
-    threads.push_back(&ctx->vol.sim().spawn(
+    threads.push_back(ctx->vol.sim().spawn(
         "wl:w" + std::to_string(w), writer_body(ctx.get(), w, base.fork())));
   // Keep the Ctx alive until every writer and every detached chaos sync
   // has finished (more chaos tasks cannot appear once the writers are
   // done, so the plain index loop below sees all of them).
-  for (sim::ThreadCtx* t : threads) co_await ctx->vol.sim().join(*t);
+  for (const sim::Thread& t : threads) co_await ctx->vol.sim().join(t);
   for (std::size_t i = 0; i < ctx->chaos.size(); ++i)
-    co_await ctx->vol.sim().join(*ctx->chaos[i]);
+    co_await ctx->vol.sim().join(ctx->chaos[i]);
 }
 
 void spawn_writers(std::unique_ptr<Ctx> ctx) {

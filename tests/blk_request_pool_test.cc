@@ -1,6 +1,6 @@
 // Tests for the slab/freelist RequestPool: recycling behaviour, embedded
-// completion events, allocation statistics, BlockList small-buffer storage,
-// and the iterative trigger_absorbed worklist.
+// completion events, allocation statistics, BlockList and RequestList
+// small-buffer storage, and the iterative trigger_absorbed worklist.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -122,6 +122,26 @@ TEST(BlockListTest, SpillsToHeapAndKeepsCapacityAcrossClears) {
   for (std::uint32_t i = 0; i < n; ++i) list.push_back({i, 2});
   EXPECT_EQ(list.take_heap_allocs(), 0u)
       << "re-filling to the old size must reuse the retained capacity";
+}
+
+TEST(RequestListTest, SpillKeepsOrderAndOwnership) {
+  Simulator sim;
+  RequestPool pool(sim);
+  std::vector<Request*> raw;
+  {
+    RequestList list;
+    EXPECT_TRUE(list.empty());
+    for (Lba i = 0; i < 3 * RequestList::kInline; ++i) {
+      RequestPtr r = pool.make_write({{i, 1}});
+      raw.push_back(r.get());
+      list.push_back(std::move(r));
+    }
+    std::vector<Request*> seen;
+    for (const RequestPtr& r : list) seen.push_back(r.get());
+    EXPECT_EQ(seen, raw) << "spill must preserve order";
+    EXPECT_EQ(pool.free_count(), 0u) << "the list owns every request";
+  }
+  EXPECT_EQ(pool.free_count(), raw.size()) << "destroying it releases all";
 }
 
 TEST(TriggerAbsorbedTest, DeepChainDoesNotOverflowTheStack) {

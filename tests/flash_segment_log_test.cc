@@ -90,10 +90,10 @@ TEST(SegmentLogTest, ParallelProgramsUseMultipleChips) {
     std::vector<SegmentLog::Reservation> rs(4);
     for (int i = 0; i < 4; ++i)
       co_await f.log.reserve(static_cast<Lba>(i), 1, rs[i]);
-    std::vector<sim::ThreadCtx*> ws;
+    std::vector<sim::Thread> ws;
     for (int i = 0; i < 4; ++i)
-      ws.push_back(&f.sim.spawn("p", f.log.program_reserved(rs[i])));
-    for (auto* w : ws) co_await f.sim.join(*w);
+      ws.push_back(f.sim.spawn("p", f.log.program_reserved(rs[i])));
+    for (const sim::Thread& w : ws) co_await f.sim.join(w);
   };
   f.sim.spawn("w", writer());
   f.sim.run();

@@ -226,9 +226,9 @@ TEST(FilesystemTest, WriterThrottledAtDirtyLimit) {
     co_await x.fs().create("a", f, 64);
     for (std::uint32_t i = 0; i < 60; ++i) co_await x.fs().write(*f, i, 1);
   };
-  auto& app = x.sim().spawn("t", body());
+  const sim::Thread app = x.sim().spawn("t", body());
   x.sim().run();
-  EXPECT_GT(app.blocks, 0u) << "balance_dirty_pages throttled the writer";
+  EXPECT_GT(app->blocks, 0u) << "balance_dirty_pages throttled the writer";
 }
 
 TEST(FilesystemTest, StatsCountSyscalls) {

@@ -140,7 +140,7 @@ TEST(Jbd2Test, PageConflictBlocksApplication) {
 
 TEST(BarrierFsTest, FsyncCommitsWithSingleApplicationWakeup) {
   StackFixture x(StackKind::kBfsDR);
-  sim::ThreadCtx* app = nullptr;
+  sim::Thread app;
   auto body = [&]() -> Task {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
@@ -151,13 +151,13 @@ TEST(BarrierFsTest, FsyncCommitsWithSingleApplicationWakeup) {
         << "BarrierFS fsync: one sleep (until the flush thread reports "
            "durability), no Wait-on-Transfer";
   };
-  app = &x.sim().spawn("app", body());
+  app = x.sim().spawn("app", body());
   x.sim().run();
 }
 
 TEST(BarrierFsTest, FdatasyncWithoutMetadataWakesTwice) {
   StackFixture x(StackKind::kBfsDR);
-  sim::ThreadCtx* app = nullptr;
+  sim::Thread app;
   auto body = [&]() -> Task {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
@@ -169,13 +169,13 @@ TEST(BarrierFsTest, FdatasyncWithoutMetadataWakesTwice) {
     EXPECT_EQ(app->context_switches - cs0, 2u)
         << "§6.3: D transfer wait + flush wait";
   };
-  app = &x.sim().spawn("app", body());
+  app = x.sim().spawn("app", body());
   x.sim().run();
 }
 
 TEST(BarrierFsTest, FdatabarrierDoesNotBlock) {
   StackFixture x(StackKind::kBfsDR);
-  sim::ThreadCtx* app = nullptr;
+  sim::Thread app;
   auto body = [&]() -> Task {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
@@ -189,7 +189,7 @@ TEST(BarrierFsTest, FdatabarrierDoesNotBlock) {
     EXPECT_EQ(app->blocks - blocks0, 0u)
         << "fdatabarrier returns after dispatch, no sleep at all";
   };
-  app = &x.sim().spawn("app", body());
+  app = x.sim().spawn("app", body());
   x.sim().run();
 }
 
@@ -270,7 +270,7 @@ TEST(BarrierFsTest, PipelinedCommitsOverlap) {
 
 TEST(BarrierFsTest, MultiTxnPageConflictDoesNotBlockApplication) {
   StackFixture x(StackKind::kBfsDR);
-  sim::ThreadCtx* app = nullptr;
+  sim::Thread app;
   auto body = [&]() -> Task {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
@@ -284,7 +284,7 @@ TEST(BarrierFsTest, MultiTxnPageConflictDoesNotBlockApplication) {
            "application does not block (§4.3)";
     co_await x.fs().fsync(*f);  // must still commit correctly
   };
-  app = &x.sim().spawn("app", body());
+  app = x.sim().spawn("app", body());
   x.sim().run();
   EXPECT_GE(x.fs().journal().stats().conflicts, 0u);
 }

@@ -21,6 +21,13 @@ struct Fixture {
   PageCache cache{sim};
 
   RequestPtr wb_request(flash::Lba lba) { return pool.make_write({{lba, 1}}); }
+
+  /// The carriers cache.writebacks_of(ino) reports (and sweeps).
+  std::vector<RequestPtr> writebacks(std::uint32_t ino) {
+    blk::RequestList out;
+    cache.writebacks_of(ino, out);
+    return {out.begin(), out.end()};
+  }
 };
 
 TEST(PageCacheTest, DirtyWritebackCleanTransitionsKeepCounts) {
@@ -34,11 +41,11 @@ TEST(PageCacheTest, DirtyWritebackCleanTransitionsKeepCounts) {
   RequestPtr r = x.wb_request(100);
   x.cache.begin_writeback(PageKey{1, 0}, r);
   EXPECT_EQ(x.cache.dirty_count(), 2u);
-  EXPECT_EQ(x.cache.writebacks_of(1).size(), 1u);
+  EXPECT_EQ(x.writebacks(1).size(), 1u);
   EXPECT_TRUE(x.cache.check_index_invariants());
 
   x.cache.end_writeback(PageKey{1, 0}, r);
-  EXPECT_TRUE(x.cache.writebacks_of(1).empty());
+  EXPECT_TRUE(x.writebacks(1).empty());
   EXPECT_EQ(x.cache.dirty_count(), 2u) << "clean page stays cached";
   EXPECT_EQ(x.cache.total_pages(), 3u);
   EXPECT_TRUE(x.cache.check_index_invariants());
@@ -86,7 +93,7 @@ TEST(PageCacheTest, RewriteDuringWritebackKeepsCarrierVisible) {
   x.cache.write(1, 0, 100, 9, true);
   EXPECT_EQ(x.cache.dirty_count(), 1u);
   {
-    const std::vector<RequestPtr> wb = x.cache.writebacks_of(1);
+    const std::vector<RequestPtr> wb = x.writebacks(1);
     ASSERT_EQ(wb.size(), 1u) << "in-flight carrier must remain tracked";
     EXPECT_EQ(wb[0], r);
   }
@@ -96,7 +103,7 @@ TEST(PageCacheTest, RewriteDuringWritebackKeepsCarrierVisible) {
   r->completion.trigger();
   x.cache.end_writeback(PageKey{1, 0}, r);
   EXPECT_EQ(x.cache.dirty_count(), 1u);
-  EXPECT_TRUE(x.cache.writebacks_of(1).empty());
+  EXPECT_TRUE(x.writebacks(1).empty());
   const PageCache::PageState* st = x.cache.find(1, 0);
   ASSERT_NE(st, nullptr);
   EXPECT_TRUE(st->dirty);
@@ -112,10 +119,10 @@ TEST(PageCacheTest, WritebacksOfSweepsCompletedCarriers) {
   RequestPtr b = x.wb_request(101);
   x.cache.begin_writeback(PageKey{1, 0}, a);
   x.cache.begin_writeback(PageKey{1, 1}, b);
-  EXPECT_EQ(x.cache.writebacks_of(1).size(), 2u);
+  EXPECT_EQ(x.writebacks(1).size(), 2u);
 
   a->completion.trigger();
-  const std::vector<RequestPtr> wb = x.cache.writebacks_of(1);
+  const std::vector<RequestPtr> wb = x.writebacks(1);
   ASSERT_EQ(wb.size(), 1u) << "completed carrier must be swept";
   EXPECT_EQ(wb[0], b);
   const PageCache::PageState* st = x.cache.find(1, 0);
@@ -151,7 +158,7 @@ TEST(PageCacheTest, DropFileMidWritebackPurgesEverything) {
   EXPECT_EQ(x.cache.dirty_count(), 1u) << "only ino 2's page remains dirty";
   EXPECT_EQ(x.cache.total_pages(), 1u);
   EXPECT_TRUE(x.cache.dirty_pages_of(1).empty());
-  EXPECT_TRUE(x.cache.writebacks_of(1).empty());
+  EXPECT_TRUE(x.writebacks(1).empty());
   EXPECT_EQ(x.cache.find(1, 0), nullptr);
   EXPECT_TRUE(x.cache.check_index_invariants());
 

@@ -22,8 +22,8 @@ TEST(WakeLatencyTest, PerThreadOverrideBeatsGlobal) {
     co_await ev.wait();
     sw_woke = sim.now();
   };
-  sim.spawn("hw", hw()).wake_latency = 0;  // hardware actor
-  sim.spawn("sw", sw());                   // host thread
+  sim.spawn("hw", hw())->wake_latency = 0;  // hardware actor
+  sim.spawn("sw", sw());                    // host thread
   auto trigger = [&]() -> Task {
     co_await sim.delay(10_us);
     ev.trigger();
@@ -42,7 +42,7 @@ TEST(WakeLatencyTest, OverrideCanExceedGlobal) {
     co_await ev.wait();
     woke = sim.now();
   };
-  sim.spawn("slow", slow()).wake_latency = 50_us;
+  sim.spawn("slow", slow())->wake_latency = 50_us;
   auto trigger = [&]() -> Task {
     ev.trigger();
     co_return;
@@ -129,18 +129,21 @@ TEST(StatsTest, TotalContextSwitchesByPrefix) {
   Simulator sim;
   Event ev(sim);
   auto waiter = [&]() -> Task { co_await ev.wait(); };
-  sim.spawn("app:0", waiter());
-  sim.spawn("app:1", waiter());
-  sim.spawn("dev:x", waiter());
+  const Thread waiters[] = {sim.spawn("app:0", waiter()),
+                            sim.spawn("app:1", waiter()),
+                            sim.spawn("dev:x", waiter())};
   auto trigger = [&]() -> Task {
     co_await sim.delay(1_us);
     ev.trigger();
   };
-  sim.spawn("t", trigger());
+  const Thread t = sim.spawn("t", trigger());
   sim.run();
-  EXPECT_EQ(sim.total_context_switches("app:"), 2u);
-  EXPECT_EQ(sim.total_context_switches("dev:"), 1u);
-  EXPECT_EQ(sim.total_context_switches(""), 3u);
+  // Held handles keep each finished waiter's counters readable.
+  for (const Thread& w : waiters) {
+    EXPECT_TRUE(w->finished);
+    EXPECT_EQ(w->context_switches, 1u) << w->name;
+  }
+  EXPECT_EQ(t->context_switches, 0u);
 }
 
 TEST(RunUntilTest, RepeatedSlicingPreservesDeterminism) {

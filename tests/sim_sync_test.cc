@@ -22,10 +22,10 @@ TEST(EventTest, WaitReturnsImmediatelyWhenSet) {
     co_await ev.wait();
     done = true;
   };
-  auto& t = sim.spawn("t", body());
+  const Thread t = sim.spawn("t", body());
   sim.run();
   EXPECT_TRUE(done);
-  EXPECT_EQ(t.context_switches, 0u) << "no block, no context switch";
+  EXPECT_EQ(t->context_switches, 0u) << "no block, no context switch";
 }
 
 TEST(EventTest, TriggerWakesAllWaiters) {
@@ -56,7 +56,7 @@ TEST(EventTest, WaitBlocksUntilTrigger) {
     co_await ev.wait();
     woke_at = sim.now();
   };
-  auto& w = sim.spawn("w", waiter());
+  const Thread w = sim.spawn("w", waiter());
   auto trigger = [&]() -> Task {
     co_await sim.delay(25_us);
     ev.trigger();
@@ -64,7 +64,7 @@ TEST(EventTest, WaitBlocksUntilTrigger) {
   sim.spawn("t", trigger());
   sim.run();
   EXPECT_EQ(woke_at, 25_us);
-  EXPECT_EQ(w.context_switches, 1u);
+  EXPECT_EQ(w->context_switches, 1u);
 }
 
 TEST(EventTest, DoubleTriggerIsIdempotent) {
@@ -347,14 +347,14 @@ TEST(ChannelTest, BlockedPopCountsOneContextSwitch) {
   Simulator sim;
   Channel<int> ch(sim, 1);
   auto consumer = [&]() -> Task { (void)co_await ch.pop(); };
-  auto& c = sim.spawn("c", consumer());
+  const Thread c = sim.spawn("c", consumer());
   auto producer = [&]() -> Task {
     co_await sim.delay(5_us);
     co_await ch.push(7);
   };
   sim.spawn("p", producer());
   sim.run();
-  EXPECT_EQ(c.context_switches, 1u);
+  EXPECT_EQ(c->context_switches, 1u);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Tests for the coroutine task machinery and the event loop.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "sim/simulator.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 
 namespace bio::sim {
@@ -186,7 +188,7 @@ TEST(SimulatorTest, JoinWaitsForThreadCompletion) {
   Simulator sim;
   SimTime joined_at = 0;
   auto worker = [&]() -> Task { co_await sim.delay(50_us); };
-  auto& w = sim.spawn("worker", worker());
+  const Thread w = sim.spawn("worker", worker());
   auto waiter = [&]() -> Task {
     co_await sim.join(w);
     joined_at = sim.now();
@@ -194,13 +196,13 @@ TEST(SimulatorTest, JoinWaitsForThreadCompletion) {
   sim.spawn("waiter", waiter());
   sim.run();
   EXPECT_GE(joined_at, 50_us);
-  EXPECT_TRUE(w.finished);
+  EXPECT_TRUE(w->finished);
 }
 
 TEST(SimulatorTest, JoinOnFinishedThreadIsImmediate) {
   Simulator sim;
   auto worker = [&]() -> Task { co_await sim.delay(1_us); };
-  auto& w = sim.spawn("worker", worker());
+  const Thread w = sim.spawn("worker", worker());
   sim.run();
   bool joined = false;
   auto waiter = [&]() -> Task {
@@ -215,21 +217,21 @@ TEST(SimulatorTest, JoinOnFinishedThreadIsImmediate) {
 TEST(SimulatorTest, JoinCountsAsContextSwitch) {
   Simulator sim;
   auto worker = [&]() -> Task { co_await sim.delay(50_us); };
-  auto& w = sim.spawn("worker", worker());
+  const Thread w = sim.spawn("worker", worker());
   auto waiter = [&]() -> Task { co_await sim.join(w); };
-  auto& wt = sim.spawn("waiter", waiter());
+  const Thread wt = sim.spawn("waiter", waiter());
   sim.run();
-  EXPECT_EQ(wt.context_switches, 1u);
-  EXPECT_EQ(wt.blocks, 1u);
+  EXPECT_EQ(wt->context_switches, 1u);
+  EXPECT_EQ(wt->blocks, 1u);
   // Pure delays never count as context switches.
-  EXPECT_EQ(w.context_switches, 0u);
+  EXPECT_EQ(w->context_switches, 0u);
 }
 
 TEST(SimulatorTest, WakeLatencyChargedOnWakeup) {
   Simulator sim({.wake_latency = 5_us});
   SimTime joined_at = 0;
   auto worker = [&]() -> Task { co_await sim.delay(50_us); };
-  auto& w = sim.spawn("worker", worker());
+  const Thread w = sim.spawn("worker", worker());
   auto waiter = [&]() -> Task {
     co_await sim.join(w);
     joined_at = sim.now();
@@ -247,15 +249,88 @@ TEST(SimulatorTest, ScheduleCallRunsAtRequestedTime) {
   EXPECT_EQ(fired, 30_us);
 }
 
-TEST(SimulatorTest, ThreadStatsByPrefix) {
+TEST(ThreadTest, HeldHandleOutlivesRecyclingOfOtherContexts) {
   Simulator sim;
-  auto worker = [&]() -> Task { co_await sim.delay(1_us); };
-  sim.spawn("app:0", worker());
-  sim.spawn("app:1", worker());
-  sim.spawn("jbd", worker());
+  Event ev(sim);
+  auto waiter = [&]() -> Task { co_await ev.wait(); };
+  const Thread held = sim.spawn("held", waiter());
+  auto trigger = [&]() -> Task {
+    co_await sim.delay(1_us);
+    ev.trigger();
+  };
+  sim.spawn("t", trigger());
   sim.run();
-  EXPECT_EQ(sim.thread_count("app:"), 2u);
-  EXPECT_EQ(sim.thread_count(""), 3u);
+  ASSERT_TRUE(held->finished);
+  const std::uint64_t held_id = held->id;
+  // 1,000 later short-lived spawns with discarded handles cycle through
+  // the recycled contexts; the held one is never among them.
+  int ran = 0;
+  auto quick = [&]() -> Task {
+    ++ran;
+    co_await sim.delay(1_us);
+  };
+  for (int i = 0; i < 1000; ++i) {
+    const Thread t = sim.spawn("quick", quick());
+    EXPECT_NE(&*t, &*held);
+    sim.run();
+  }
+  EXPECT_EQ(ran, 1000);
+  EXPECT_TRUE(held->finished);
+  EXPECT_EQ(held->id, held_id);
+  EXPECT_EQ(held->context_switches, 1u);
+  EXPECT_EQ(held->blocks, 1u);
+  EXPECT_EQ(held->name, "held");
+  // join on the finished thread returns at once: no block, no sleep.
+  bool joined = false;
+  auto joiner = [&]() -> Task {
+    co_await sim.join(held);
+    joined = true;
+  };
+  const Thread j = sim.spawn("joiner", joiner());
+  const SimTime t0 = sim.now();
+  sim.run();
+  EXPECT_TRUE(joined);
+  EXPECT_EQ(sim.now(), t0);
+  EXPECT_EQ(j->blocks, 0u);
+}
+
+TEST(ThreadTest, RecycledContextGetsNextSpawnOrdinal) {
+  Simulator sim;
+  auto quick = [&]() -> Task { co_await sim.delay(1_us); };
+  ThreadCtx* first = nullptr;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    const Thread t = sim.spawn("q", quick());
+    if (first == nullptr) first = &*t;
+    // One live thread at a time: every spawn after the first reuses the
+    // first spawn's context, yet ids keep counting spawns.
+    EXPECT_EQ(&*t, first);
+    EXPECT_EQ(t->id, i);
+    EXPECT_FALSE(t->finished);
+    EXPECT_EQ(t->context_switches, 0u);
+    sim.run();
+    EXPECT_TRUE(t->finished);
+  }
+}
+
+TEST(ThreadTest, FrameDestroyedByTeardownUnpinsSafely) {
+  auto sim = std::make_unique<Simulator>();
+  Simulator& s = *sim;
+  auto quick = [&s]() -> Task { co_await s.delay(1_us); };
+  auto immortal = [&s](Thread finished, Thread running) -> Task {
+    (void)finished;
+    (void)running;
+    for (;;) co_await s.delay(1_ms);
+  };
+  Thread done = s.spawn("done", quick());
+  Thread peer = s.spawn("peer", immortal(Thread(), Thread()));
+  s.run_until(10_us);
+  ASSERT_TRUE(done->finished);
+  // The holder's frame owns the only handles to a finished context (which
+  // teardown's unpin recycles) and to a still-suspended one.
+  s.spawn("holder", immortal(std::move(done), std::move(peer)));
+  s.run_until(5_ms);
+  sim.reset();
+  SUCCEED();
 }
 
 TEST(SimulatorTest, TeardownWithSuspendedThreadsDoesNotLeakOrCrash) {
