@@ -39,7 +39,8 @@ int main() {
         // Ordered: allocating 4K writes + fdatasync on EXT4-DR (journal
         // commit per write, transfer-and-flush all the way).
         wl::RandomWriteParams ordered_params;
-        ordered_params.mode = wl::RandomWriteParams::Mode::kAllocFdatasync;
+        ordered_params.mode = wl::RandomWriteParams::Mode::kFdatasync;
+        ordered_params.allocating = true;
         ordered_params.ops = 300;
         auto ordered_stack = make_stack(core::StackKind::kExt4DR, dev);
         auto ordered =

@@ -20,8 +20,9 @@ double commit_interval_ms(core::Stack& stack, std::uint64_t ops,
   // Allocating appends: every op dirties i_size, so every op commits a
   // journal transaction. 8 files avoid buffer conflicts between
   // back-to-back commits, letting pipelining show.
-  p.mode = ordering_only ? wl::RandomWriteParams::Mode::kAllocFdatabarrier
-                         : wl::RandomWriteParams::Mode::kAllocFdatasync;
+  p.mode = ordering_only ? wl::RandomWriteParams::Mode::kFdatabarrier
+                         : wl::RandomWriteParams::Mode::kFdatasync;
+  p.allocating = true;
   p.files = 8;
   p.ops = ops;
   auto r = wl::run_random_write(stack, p, sim::Rng(8));

@@ -19,7 +19,7 @@ double run_case(const flash::DeviceProfile& dev, core::StackKind kind,
   p.cores = cores;
   p.writes_per_thread = 150;
   auto stack = make_stack(kind, dev);
-  auto r = wl::run_fxmark_dwsl(*stack, p, sim::Rng(13));
+  auto r = wl::run_fxmark_dwsl(*stack, p);
   return r.ops_per_sec;
 }
 

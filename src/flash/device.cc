@@ -139,7 +139,6 @@ void StorageDevice::complete(Port& port, SlotIter it) {
 }
 
 sim::Task StorageDevice::gc_stall() {
-  if (!profile_.gc_command_stall) co_return;
   while (log_.erasing()) co_await log_.erase_done().wait();
 }
 

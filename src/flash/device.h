@@ -218,7 +218,8 @@ class StorageDevice {
   /// (PLP short-circuits: the cache itself is durable).
   sim::Task wait_persisted_through(std::uint64_t through);
   sim::Task do_flush();
-  /// Stalls while GC erases (profile.gc_command_stall).
+  /// Stalls while GC erases a segment: the classic GC pause behind the
+  /// 99.99th-percentile latency tails (Table 1).
   sim::Task gc_stall();
 
   /// Moves cache entries to flash in transfer order (every barrier mode,

@@ -46,12 +46,10 @@ struct DeviceProfile {
   /// True if the device implements FUA as write-then-full-flush (common on
   /// SATA); false for native FUA (UFS command set, NVMe).
   bool fua_implies_flush = false;
-  /// If true, host commands stall while GC erases a segment — the classic
-  /// GC pause that produces 99.99th-percentile latency tails (Table 1).
-  bool gc_command_stall = true;
 
-  /// Applies the barrier capability the experiment wants: enables the given
-  /// mode and (for non-PLP devices) the program penalty.
+  /// A copy with `barrier_mode` set to `mode`. The StorageDevice
+  /// constructor charges barrier_program_penalty when the mode is not
+  /// kNone and the device has no PLP.
   DeviceProfile with_barrier(BarrierMode mode) const;
 
   // ---- the paper's devices ----------------------------------------------

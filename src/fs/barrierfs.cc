@@ -43,11 +43,11 @@ sim::Task BarrierFsJournal::commit(std::uint64_t tid, WaitMode mode) {
     case WaitMode::kNone:
       break;
     case WaitMode::kDispatched:
-      co_await txn.dispatched->wait();
+      co_await txn.dispatched.wait();
       break;
     case WaitMode::kDurable:
       txn.needs_flush = true;
-      co_await txn.durable->wait();
+      co_await txn.durable.wait();
       // A retired txn may still owe the caller its durability flush; one
       // that never retired (journal abort woke us) owes nothing but EIO.
       if (!txn.flushed && txn.state == Txn::State::kRetired) {
@@ -77,7 +77,7 @@ sim::Task BarrierFsJournal::commit_loop() {
       co_await conflict_resolved_.wait();
     if (aborted_) co_return;
 
-    Txn* txn = close_running(/*allow_empty=*/true);
+    Txn* txn = close_running();
     committing_.push_back(txn);
 
     // Control plane (Eq. 3): dispatch JD and JC back-to-back, both
@@ -96,7 +96,7 @@ sim::Task BarrierFsJournal::commit_loop() {
                                          /*ordered=*/true, /*barrier=*/true);
     blk_.submit(txn->jc_req);
 
-    txn->dispatched->trigger();
+    txn->dispatched.trigger();
     flush_queue_.push_back(txn);
     flush_wake_.notify_all();
   }

@@ -20,7 +20,7 @@ sim::Task Jbd2Journal::dirty_metadata(flash::Lba block,
   while (!aborted_ && committing_ != nullptr &&
          committing_->buffers.contains(block)) {
     ++stats_.conflicts;
-    co_await committing_->durable->wait();
+    co_await committing_->durable.wait();
   }
   running_->buffers.insert(block);
   txn_out = running_->id;
@@ -33,16 +33,16 @@ sim::Task Jbd2Journal::commit(std::uint64_t tid, WaitMode mode) {
     commit_wake_.notify_all();
   }
   if (mode == WaitMode::kDurable)
-    co_await txn.durable->wait();
+    co_await txn.durable.wait();
   else if (mode == WaitMode::kDispatched)
-    co_await txn.dispatched->wait();
+    co_await txn.dispatched.wait();
 }
 
 sim::Task Jbd2Journal::jbd_loop() {
   for (;;) {
     while (!commit_pending_) co_await commit_wake_.wait();
     commit_pending_ = false;
-    Txn* txn = close_running(/*allow_empty=*/true);
+    Txn* txn = close_running();
     committing_ = txn;
 
     // Ordered mode: every data block attached to this transaction must be
@@ -100,7 +100,7 @@ sim::Task Jbd2Journal::jbd_loop() {
       abort_journal(*txn);
       co_return;
     }
-    txn->dispatched->trigger();
+    txn->dispatched.trigger();
     committing_ = nullptr;
     retire(*txn);
   }

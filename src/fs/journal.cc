@@ -38,16 +38,13 @@ void Journal::attach_data(blk::RequestPtr r) {
 }
 
 void Journal::add_journaled_data(std::span<const blk::Block> pages) {
-  running_->journaled_data_blocks += static_cast<std::uint32_t>(pages.size());
   running_->journaled_data.insert(running_->journaled_data.end(),
                                   pages.begin(), pages.end());
 }
 
 sim::Task Journal::throttle_running_txn(std::size_t adding) {
   while (!aborted_ && !running_->empty() &&
-         1 + running_->buffers.size() + running_->journaled_data_blocks +
-                 adding >
-             max_txn_payload())
+         running_payload() + adding > max_txn_payload())
     co_await commit(running_->id, WaitMode::kDispatched);
 }
 
@@ -88,8 +85,7 @@ Txn& Journal::get_txn(std::uint64_t tid) {
   return *it->second;
 }
 
-Txn* Journal::close_running(bool allow_empty) {
-  if (running_->empty() && !allow_empty) return nullptr;
+Txn* Journal::close_running() {
   if (running_->empty()) ++stats_.empty_commits;
   Txn* txn = running_.get();
   txn->state = Txn::State::kCommitting;
@@ -262,7 +258,7 @@ sim::Task Journal::reserve_journal_blocks(Txn& txn, std::size_t n,
 
 sim::Task Journal::reserve_jd(Txn& txn) {
   const std::size_t jd_size =
-      1 + txn.buffers.size() + txn.journaled_data_blocks;
+      1 + txn.buffers.size() + txn.journaled_data.size();
   co_await reserve_journal_blocks(txn, jd_size, txn.jd_blocks);
 
   // Register the descriptor's content record. Its tag table (log block ->
@@ -387,7 +383,7 @@ void Journal::retire(Txn& txn) {
   txn.state = Txn::State::kRetired;
   commit_order_.push_back(&txn);
   checkpoint(txn);
-  txn.durable->trigger();
+  txn.durable.trigger();
   journal_space_.notify_all();
 }
 
@@ -397,17 +393,17 @@ void Journal::abort_journal(Txn& txn) {
   // Wake everyone. The failed txn stays kCommitting forever — it never
   // enters commit_order_, so neither the live checkers nor recovery ever
   // treat it as committed.
-  txn.dispatched->trigger();
-  txn.durable->trigger();
+  txn.dispatched.trigger();
+  txn.durable.trigger();
   for (auto& [id, t] : txns_) {
     (void)id;
     if (t->state == Txn::State::kCommitting) {
-      t->dispatched->trigger();
-      t->durable->trigger();
+      t->dispatched.trigger();
+      t->durable.trigger();
     }
   }
-  running_->dispatched->trigger();
-  running_->durable->trigger();
+  running_->dispatched.trigger();
+  running_->durable.trigger();
   journal_space_.notify_all();
   ckpt_wake_.notify_all();
   if (abort_hook_) abort_hook_();

@@ -71,9 +71,7 @@ struct Txn {
   /// Dirty metadata blocks (inode table LBAs).
   std::set<flash::Lba> buffers;
   /// Data-journaled pages (OptFS selective data journaling): extra log
-  /// blocks in JD. `journaled_data` identifies them; the count mirrors
-  /// journaled_data.size() plus any identity-less legacy additions.
-  std::uint32_t journaled_data_blocks = 0;
+  /// blocks in JD, with their payload identity.
   std::vector<blk::Block> journaled_data;
   /// Ordered-mode data requests that must transfer before JD. Drained (and
   /// cleared) by the commit loops; OptFS freezes their payload into
@@ -107,9 +105,9 @@ struct Txn {
   blk::RequestPtr jd_req;
 
   /// JD and JC have been dispatched (fbarrier()'s wake-up point).
-  std::unique_ptr<sim::Event> dispatched;
+  sim::Event dispatched;
   /// Transaction retired; for durability-mode commits this means durable.
-  std::unique_ptr<sim::Event> durable;
+  sim::Event durable;
   /// A durability waiter requires a flush before retirement (read by the
   /// BarrierFS flush thread only).
   bool needs_flush = false;
@@ -128,12 +126,10 @@ struct Txn {
   bool data_checkpointed = false;
 
   explicit Txn(sim::Simulator& sim, std::uint64_t txn_id)
-      : id(txn_id),
-        dispatched(std::make_unique<sim::Event>(sim)),
-        durable(std::make_unique<sim::Event>(sim)) {}
+      : id(txn_id), dispatched(sim), durable(sim) {}
 
   bool empty() const noexcept {
-    return buffers.empty() && journaled_data_blocks == 0;
+    return buffers.empty() && journaled_data.empty();
   }
 };
 
@@ -206,7 +202,7 @@ class Journal {
   /// synchronous stretch as its add, to cap the batch at
   /// max_txn_payload() without racing concurrent dirtiers.
   std::size_t running_payload() const noexcept {
-    return 1 + running_->buffers.size() + running_->journaled_data_blocks;
+    return 1 + running_->buffers.size() + running_->journaled_data.size();
   }
 
   /// Adds selectively-journaled data blocks (with payload identity) to the
@@ -273,9 +269,8 @@ class Journal {
   void set_abort_hook(AbortHook hook) { abort_hook_ = std::move(hook); }
 
  protected:
-  /// Closes the running transaction and opens a new one. Returns nullptr if
-  /// the running txn is empty and `allow_empty` is false.
-  Txn* close_running(bool allow_empty);
+  /// Closes the running transaction (empty or not) and opens a new one.
+  Txn* close_running();
 
   /// Reserves the JD blocks (descriptor + per-buffer and per-data-page log
   /// blocks) for `txn` into txn.jd_blocks and registers their content

@@ -17,7 +17,7 @@ sim::Task OptFsJournal::dirty_metadata(flash::Lba block,
   while (!aborted_ && committing_ != nullptr &&
          committing_->buffers.contains(block)) {
     ++stats_.conflicts;
-    co_await committing_->durable->wait();
+    co_await committing_->durable.wait();
   }
   running_->buffers.insert(block);
   txn_out = running_->id;
@@ -31,14 +31,14 @@ sim::Task OptFsJournal::commit(std::uint64_t tid, WaitMode mode) {
   }
   // osync() semantics: both wait modes return at transaction *transfer*
   // (durability is always deferred in OptFS).
-  if (mode != WaitMode::kNone) co_await txn.durable->wait();
+  if (mode != WaitMode::kNone) co_await txn.durable.wait();
 }
 
 sim::Task OptFsJournal::commit_loop() {
   for (;;) {
     while (!commit_pending_) co_await commit_wake_.wait();
     commit_pending_ = false;
-    Txn* txn = close_running(/*allow_empty=*/true);
+    Txn* txn = close_running();
     committing_ = txn;
 
     for (const blk::RequestPtr& r : txn->data_reqs)
@@ -73,7 +73,7 @@ sim::Task OptFsJournal::commit_loop() {
       co_return;
     }
 
-    txn->dispatched->trigger();
+    txn->dispatched.trigger();
     txn->flushed = false;  // never durable at osync return
     committing_ = nullptr;
     retire(*txn);

@@ -4,10 +4,8 @@
 // experiment harness), so a whole simulation is reproducible from one seed.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <random>
-#include <vector>
 
 #include "sim/check.h"
 
@@ -35,33 +33,6 @@ class Rng {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;
     return std::bernoulli_distribution(p)(engine_);
-  }
-
-  /// Exponential with the given mean (> 0).
-  double exponential(double mean) {
-    BIO_CHECK(mean > 0.0);
-    return std::exponential_distribution<double>(1.0 / mean)(engine_);
-  }
-
-  /// Log-normal parameterised by its median and sigma of the underlying
-  /// normal; handy for long-tailed device latencies.
-  double lognormal(double median, double sigma) {
-    BIO_CHECK(median > 0.0);
-    return std::lognormal_distribution<double>(std::log(median),
-                                               sigma)(engine_);
-  }
-
-  /// Normal truncated below at `min`.
-  double normal_min(double mean, double stddev, double min) {
-    double v = std::normal_distribution<double>(mean, stddev)(engine_);
-    return v < min ? min : v;
-  }
-
-  /// Picks an index in [0, weights.size()) proportionally to weights.
-  std::size_t weighted_pick(const std::vector<double>& weights) {
-    BIO_CHECK(!weights.empty());
-    return std::discrete_distribution<std::size_t>(weights.begin(),
-                                                   weights.end())(engine_);
   }
 
   /// Derives an independent child generator (for per-thread streams).

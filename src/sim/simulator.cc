@@ -29,7 +29,6 @@ Simulator::~Simulator() {
   // cascades into any nested child tasks they own). A destroyed frame may
   // drop Thread handles, which recycle contexts into the still-live pool.
   queue_.clear();
-  callbacks_.clear();
   for (std::size_t i = 0; i < contexts_.size(); ++i)
     if (contexts_[i].frame_) std::exchange(contexts_[i].frame_, {}).destroy();
 }
@@ -68,32 +67,9 @@ void Simulator::schedule_resume(SimTime at, std::coroutine_handle<> h,
   queue_.push(Scheduled{at, next_seq_++, h.address(), aux});
 }
 
-void Simulator::schedule_call(SimTime at, std::function<void()> fn) {
-  BIO_CHECK_MSG(at >= now_, "scheduling into the past");
-  std::uint32_t slot;
-  if (!free_callback_slots_.empty()) {
-    slot = free_callback_slots_.back();
-    free_callback_slots_.pop_back();
-    callbacks_[slot] = std::move(fn);
-  } else {
-    slot = static_cast<std::uint32_t>(callbacks_.size());
-    callbacks_.push_back(std::move(fn));
-  }
-  queue_.push(Scheduled{at, next_seq_++, nullptr, slot});
-}
-
 void Simulator::dispatch(const Scheduled& ev) {
   now_ = ev.at;
   ++events_dispatched_;
-  if (ev.frame == nullptr) {
-    const std::uint32_t slot = static_cast<std::uint32_t>(ev.aux);
-    std::function<void()> fn = std::move(callbacks_[slot]);
-    callbacks_[slot] = nullptr;
-    free_callback_slots_.push_back(slot);
-    current_ = nullptr;
-    fn();
-    return;
-  }
   ThreadCtx* thr = reinterpret_cast<ThreadCtx*>(ev.aux & ~kWakeupBit);
   if ((ev.aux & kWakeupBit) != 0 && thr != nullptr) ++thr->context_switches;
   current_ = thr;
@@ -134,9 +110,7 @@ void Simulator::on_top_level_done(ThreadCtx* thr, std::exception_ptr error) {
   if (thr == nullptr) return;
   thr->frame_ = {};
   thr->finished = true;
-  for (const auto& w : thr->join_waiters)
-    schedule_wakeup(w.handle, w.waiter_thread);
-  thr->join_waiters.clear();
+  thr->joiners.wake_all(*this);
   if (thr->pins_ == 0) recycle(*thr);
 }
 

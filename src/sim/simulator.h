@@ -12,7 +12,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -25,6 +24,36 @@
 namespace bio::sim {
 
 class Simulator;
+struct ThreadCtx;
+
+/// The one waiter list: every blocking primitive (sim/sync.h) and join()
+/// parks here. A FIFO of (coroutine, thread) copies, woken oldest-first
+/// through Simulator::schedule_wakeup. Together with the event heap's
+/// (at, seq) order it decides which of several same-instant waiters
+/// resumes first. A vector, not a deque: it keeps its capacity across
+/// park/wake cycles, so a warm queue allocates nothing, and the few
+/// waiters a queue holds make wake_one's front erase cheap.
+class WaitQueue {
+ public:
+  bool empty() const noexcept { return waiters_.empty(); }
+  std::size_t size() const noexcept { return waiters_.size(); }
+
+  /// Parks `h`, running on `sim`'s current thread, and counts a block.
+  void park(Simulator& sim, std::coroutine_handle<> h);
+  /// Wakes every parked waiter, oldest first.
+  void wake_all(Simulator& sim);
+  /// Wakes the oldest parked waiter. Returns false if there was none.
+  bool wake_one(Simulator& sim);
+  /// Forgets every parked waiter without waking it.
+  void clear() noexcept { waiters_.clear(); }
+
+ private:
+  struct Waiter {
+    std::coroutine_handle<> handle;
+    ThreadCtx* thread;
+  };
+  std::vector<Waiter> waiters_;
+};
 
 /// Bookkeeping for one simulated thread (one top-level Task). Contexts come
 /// from a per-Simulator pool: spawn() hands one out behind a sim::Thread
@@ -46,12 +75,8 @@ struct ThreadCtx {
   /// (storage controller state machines) set this to 0: they are not
   /// scheduled by the host OS.
   std::optional<SimTime> wake_latency;
-
-  struct JoinWaiter {
-    std::coroutine_handle<> handle;
-    ThreadCtx* waiter_thread;
-  };
-  std::vector<JoinWaiter> join_waiters;
+  /// Threads blocked in join() on this one.
+  WaitQueue joiners;
 
  private:
   friend class Simulator;
@@ -151,9 +176,7 @@ class Simulator {
     ThreadCtx& target;
     bool await_ready() const noexcept { return target.finished; }
     void await_suspend(std::coroutine_handle<> h) const {
-      ThreadCtx* cur = sim.current_;
-      if (cur != nullptr) ++cur->blocks;
-      target.join_waiters.push_back({h, cur});
+      target.joiners.park(sim, h);
     }
     void await_resume() const noexcept {}
   };
@@ -164,7 +187,7 @@ class Simulator {
     return JoinAwaiter{*this, *target};
   }
 
-  // ---- scheduling internals (used by sim/sync.h primitives) -------------
+  // ---- scheduling internals (used by WaitQueue and Task) ----------------
 
   /// Schedules `h` to resume at absolute time `at` on thread `thr`.
   /// `is_wakeup` marks the resume as the end of a blocking wait.
@@ -180,33 +203,27 @@ class Simulator {
     schedule_resume(now_ + latency, h, thr, true);
   }
 
-  /// Schedules a plain callback (no coroutine) at absolute time `at`.
-  void schedule_call(SimTime at, std::function<void()> fn);
-
   /// The simulated thread currently executing, or nullptr outside run().
   ThreadCtx* current_thread() const noexcept { return current_; }
 
   /// Called from Task::FinalAwaiter when a top-level task finishes.
   void on_top_level_done(ThreadCtx* thr, std::exception_ptr error);
 
-  /// Total events the loop has dispatched (resumes + callbacks) — the
+  /// Total events (coroutine resumes) the loop has dispatched — the
   /// denominator for events/sec in the perf suite.
   std::uint64_t events_dispatched() const noexcept {
     return events_dispatched_;
   }
 
  private:
-  /// Compact POD heap entry (32 bytes). Plain coroutine resumes — the vast
-  /// majority of events — carry no callable; the rare schedule_call()
-  /// callbacks live in a side table and the entry stores their slot.
+  /// The one event kind: a coroutine resume, as a 32-byte POD heap entry.
   struct Scheduled {
     SimTime at;
     std::uint64_t seq;
-    /// Coroutine frame address; nullptr marks a callback entry.
+    /// Coroutine frame address.
     void* frame;
-    /// Resumes: ThreadCtx* with the wakeup flag in bit 0 (ThreadCtx is
-    /// pointer-aligned, so bit 0 of its address is free). Callbacks: the
-    /// callback-slot index.
+    /// ThreadCtx* with the wakeup flag in bit 0 (ThreadCtx is
+    /// pointer-aligned, so bit 0 of its address is free).
     std::uintptr_t aux;
   };
   static constexpr std::uintptr_t kWakeupBit = 1;
@@ -275,9 +292,6 @@ class Simulator {
   std::uint64_t events_dispatched_ = 0;
   bool stopped_ = false;
   EventHeap queue_;
-  /// Slot table for schedule_call() callables (freelist-recycled).
-  std::vector<std::function<void()>> callbacks_;
-  std::vector<std::uint32_t> free_callback_slots_;
   ThreadCtx* current_ = nullptr;
   /// Context pool: as many contexts as were ever live or pinned at once
   /// (a deque, so addresses stay stable as it grows); the recycled ones are
@@ -287,6 +301,25 @@ class Simulator {
   std::uint64_t next_thread_id_ = 0;
   std::exception_ptr failure_;
 };
+
+inline void WaitQueue::park(Simulator& sim, std::coroutine_handle<> h) {
+  ThreadCtx* cur = sim.current_thread();
+  if (cur != nullptr) ++cur->blocks;
+  waiters_.push_back({h, cur});
+}
+
+inline void WaitQueue::wake_all(Simulator& sim) {
+  for (const Waiter& w : waiters_) sim.schedule_wakeup(w.handle, w.thread);
+  waiters_.clear();
+}
+
+inline bool WaitQueue::wake_one(Simulator& sim) {
+  if (waiters_.empty()) return false;
+  const Waiter w = waiters_.front();
+  waiters_.erase(waiters_.begin());
+  sim.schedule_wakeup(w.handle, w.thread);
+  return true;
+}
 
 inline Thread::~Thread() {
   if (ctx_ != nullptr && --ctx_->pins_ == 0 && ctx_->finished)

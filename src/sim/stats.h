@@ -49,8 +49,6 @@ class LatencyRecorder {
     sorted_ = false;
   }
 
-  const std::vector<SimTime>& samples() const noexcept { return samples_; }
-
  private:
   void ensure_sorted() const {
     if (!sorted_) {

@@ -4,27 +4,17 @@
 // descheduled, and when woken it is charged the simulator's wake latency and
 // one context switch (ThreadCtx::context_switches). Because the simulator
 // is single-threaded and non-preemptive, the classic check-then-wait pattern
-// has no lost-wakeup race.
+// has no lost-wakeup race. Every primitive parks its waiters on one
+// sim::WaitQueue, which wakes them oldest-first.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
-#include <optional>
-#include <utility>
-#include <vector>
 
 #include "sim/check.h"
 #include "sim/simulator.h"
 
 namespace bio::sim {
-
-namespace detail {
-struct Waiter {
-  std::coroutine_handle<> handle;
-  ThreadCtx* thread;
-};
-}  // namespace detail
 
 /// One-shot completion event (e.g. "this DMA transfer finished").
 /// wait() returns immediately once trigger() has been called; reset()
@@ -41,8 +31,7 @@ class Event {
   void trigger() {
     if (set_) return;
     set_ = true;
-    for (const auto& w : waiters_) sim_->schedule_wakeup(w.handle, w.thread);
-    waiters_.clear();
+    waiters_.wake_all(*sim_);
   }
 
   /// Re-arms a triggered event. Must not be called with waiters pending.
@@ -64,9 +53,7 @@ class Event {
     Event& event;
     bool await_ready() const noexcept { return event.set_; }
     void await_suspend(std::coroutine_handle<> h) const {
-      ThreadCtx* cur = event.sim_->current_thread();
-      if (cur != nullptr) ++cur->blocks;
-      event.waiters_.push_back({h, cur});
+      event.waiters_.park(*event.sim_, h);
     }
     void await_resume() const noexcept {}
   };
@@ -76,10 +63,7 @@ class Event {
  private:
   Simulator* sim_;
   bool set_ = false;
-  /// vector, not deque: wakes always drain everyone at once, and a default
-  /// vector performs no heap allocation (deques grab a chunk on
-  /// construction — costly for the pooled per-request events).
-  std::vector<detail::Waiter> waiters_;
+  WaitQueue waiters_;
 };
 
 /// Counting semaphore with FIFO hand-off: release() passes the permit
@@ -94,7 +78,6 @@ class Semaphore {
   Semaphore& operator=(const Semaphore&) = delete;
 
   std::uint64_t available() const noexcept { return count_; }
-  std::uint64_t waiting() const noexcept { return waiters_.size(); }
 
   bool try_acquire() noexcept {
     if (count_ == 0) return false;
@@ -103,12 +86,7 @@ class Semaphore {
   }
 
   void release(std::uint64_t n = 1) {
-    while (n > 0 && !waiters_.empty()) {
-      detail::Waiter w = waiters_.front();
-      waiters_.pop_front();
-      sim_->schedule_wakeup(w.handle, w.thread);
-      --n;
-    }
+    while (n > 0 && waiters_.wake_one(*sim_)) --n;
     count_ += n;
   }
 
@@ -116,9 +94,7 @@ class Semaphore {
     Semaphore& sem;
     bool await_ready() const noexcept { return sem.try_acquire(); }
     void await_suspend(std::coroutine_handle<> h) const {
-      ThreadCtx* cur = sem.sim_->current_thread();
-      if (cur != nullptr) ++cur->blocks;
-      sem.waiters_.push_back({h, cur});
+      sem.waiters_.park(*sem.sim_, h);
     }
     void await_resume() const noexcept {}
   };
@@ -128,24 +104,11 @@ class Semaphore {
  private:
   Simulator* sim_;
   std::uint64_t count_;
-  std::deque<detail::Waiter> waiters_;
-};
-
-/// Mutual exclusion built on the semaphore's FIFO hand-off.
-class Mutex {
- public:
-  explicit Mutex(Simulator& sim) : sem_(sim, 1) {}
-
-  Semaphore::Awaiter lock() noexcept { return sem_.acquire(); }
-  void unlock() { sem_.release(); }
-  bool try_lock() noexcept { return sem_.try_acquire(); }
-
- private:
-  Semaphore sem_;
+  WaitQueue waiters_;
 };
 
 /// Condition-variable-like notifier: wait() always blocks until the *next*
-/// notify_all()/notify_one(). Use with an explicit predicate loop.
+/// notify_all(). Use with an explicit predicate loop.
 class Notify {
  public:
   explicit Notify(Simulator& sim) : sim_(&sim) {}
@@ -153,17 +116,7 @@ class Notify {
   Notify(const Notify&) = delete;
   Notify& operator=(const Notify&) = delete;
 
-  void notify_all() {
-    for (const auto& w : waiters_) sim_->schedule_wakeup(w.handle, w.thread);
-    waiters_.clear();
-  }
-
-  void notify_one() {
-    if (waiters_.empty()) return;
-    detail::Waiter w = waiters_.front();
-    waiters_.pop_front();
-    sim_->schedule_wakeup(w.handle, w.thread);
-  }
+  void notify_all() { waiters_.wake_all(*sim_); }
 
   std::size_t waiting() const noexcept { return waiters_.size(); }
 
@@ -171,9 +124,7 @@ class Notify {
     Notify& n;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) const {
-      ThreadCtx* cur = n.sim_->current_thread();
-      if (cur != nullptr) ++cur->blocks;
-      n.waiters_.push_back({h, cur});
+      n.waiters_.park(*n.sim_, h);
     }
     void await_resume() const noexcept {}
   };
@@ -182,116 +133,7 @@ class Notify {
 
  private:
   Simulator* sim_;
-  std::deque<detail::Waiter> waiters_;
-};
-
-/// Bounded FIFO channel between simulated threads. push() blocks while the
-/// channel is full; pop() blocks while it is empty. close() wakes all
-/// blocked poppers with std::nullopt once drained.
-///
-/// Transfers to/from blocked peers are slot-based hand-offs performed at
-/// wake time, so no third coroutine can barge in between the wake and the
-/// resumed party observing its item/space.
-template <typename T>
-class Channel {
- public:
-  Channel(Simulator& sim, std::size_t capacity)
-      : sim_(&sim), capacity_(capacity) {
-    BIO_CHECK(capacity_ > 0);
-  }
-
-  Channel(const Channel&) = delete;
-  Channel& operator=(const Channel&) = delete;
-
-  std::size_t size() const noexcept { return items_.size(); }
-  bool empty() const noexcept { return items_.empty(); }
-  bool closed() const noexcept { return closed_; }
-
-  void close() {
-    closed_ = true;
-    for (const auto& w : pop_waiters_)
-      sim_->schedule_wakeup(w.handle, w.thread);
-    pop_waiters_.clear();
-  }
-
-  bool try_push(T value) {
-    BIO_CHECK_MSG(!closed_, "push on closed channel");
-    if (!pop_waiters_.empty()) {
-      // A popper is blocked, which implies the queue is empty: hand over.
-      BIO_CHECK(items_.empty());
-      PopWaiter w = pop_waiters_.front();
-      pop_waiters_.pop_front();
-      w.slot->emplace(std::move(value));
-      sim_->schedule_wakeup(w.handle, w.thread);
-      return true;
-    }
-    if (items_.size() >= capacity_) return false;
-    items_.push_back(std::move(value));
-    return true;
-  }
-
-  std::optional<T> try_pop() {
-    if (items_.empty()) return std::nullopt;
-    T v = std::move(items_.front());
-    items_.pop_front();
-    if (!push_waiters_.empty()) {
-      // Space appeared: complete the oldest blocked push right now.
-      PushWaiter w = push_waiters_.front();
-      push_waiters_.pop_front();
-      items_.push_back(std::move(*w.slot));
-      sim_->schedule_wakeup(w.handle, w.thread);
-    }
-    return v;
-  }
-
-  struct PushAwaiter {
-    Channel& ch;
-    T value;
-    bool await_ready() { return ch.try_push(std::move(value)); }
-    void await_suspend(std::coroutine_handle<> h) {
-      ThreadCtx* cur = ch.sim_->current_thread();
-      if (cur != nullptr) ++cur->blocks;
-      ch.push_waiters_.push_back({h, cur, &value});
-    }
-    void await_resume() const noexcept {}
-  };
-
-  struct PopAwaiter {
-    Channel& ch;
-    std::optional<T> value;
-    bool await_ready() {
-      value = ch.try_pop();
-      return value.has_value() || ch.closed_;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      ThreadCtx* cur = ch.sim_->current_thread();
-      if (cur != nullptr) ++cur->blocks;
-      ch.pop_waiters_.push_back({h, cur, &value});
-    }
-    std::optional<T> await_resume() { return std::move(value); }
-  };
-
-  PushAwaiter push(T value) { return PushAwaiter{*this, std::move(value)}; }
-  PopAwaiter pop() { return PopAwaiter{*this, std::nullopt}; }
-
- private:
-  struct PushWaiter {
-    std::coroutine_handle<> handle;
-    ThreadCtx* thread;
-    T* slot;
-  };
-  struct PopWaiter {
-    std::coroutine_handle<> handle;
-    ThreadCtx* thread;
-    std::optional<T>* slot;
-  };
-
-  Simulator* sim_;
-  std::size_t capacity_;
-  bool closed_ = false;
-  std::deque<T> items_;
-  std::deque<PushWaiter> push_waiters_;
-  std::deque<PopWaiter> pop_waiters_;
+  WaitQueue waiters_;
 };
 
 }  // namespace bio::sim

@@ -76,9 +76,7 @@ ShardedFxmarkResult run_fxmark_dwsl_sharded(
   return result;
 }
 
-FxmarkResult run_fxmark_dwsl(core::Stack& stack, const FxmarkParams& params,
-                             sim::Rng rng) {
-  (void)rng;  // DWSL is deterministic; kept for interface uniformity
+FxmarkResult run_fxmark_dwsl(core::Stack& stack, const FxmarkParams& params) {
   // Exactly the one-volume sharded case (an unnamed volume routes plain
   // "dwsl<c>" names through the root mount).
   const ShardedFxmarkResult r = run_fxmark_dwsl_sharded(stack, params);

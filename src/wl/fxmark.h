@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/stack.h"
-#include "sim/rng.h"
 
 namespace bio::wl {
 
@@ -29,8 +28,7 @@ struct FxmarkResult {
   sim::SimTime elapsed = 0;
 };
 
-FxmarkResult run_fxmark_dwsl(core::Stack& stack, const FxmarkParams& params,
-                             sim::Rng rng);
+FxmarkResult run_fxmark_dwsl(core::Stack& stack, const FxmarkParams& params);
 
 struct ShardedFxmarkResult {
   double ops_per_sec = 0.0;

@@ -13,21 +13,18 @@ sim::Task workload_body(core::Stack& stack, api::Vfs& vfs,
                         const RandomWriteParams& p, sim::Rng rng,
                         RandomWriteResult& out) {
   sim::Simulator& sim = stack.sim();
-  const bool alloc_mode =
-      p.allocating || p.mode == RandomWriteParams::Mode::kAllocFdatasync ||
-      p.mode == RandomWriteParams::Mode::kAllocFdatabarrier;
   const std::uint32_t nfiles = std::max<std::uint32_t>(1, p.files);
 
   std::vector<api::File> files(nfiles);
   const std::uint32_t per_file_ws = p.working_set_pages / nfiles;
   const std::uint32_t extent =
-      alloc_mode ? static_cast<std::uint32_t>(p.ops / nfiles) + 2
-                 : per_file_ws;
+      p.allocating ? static_cast<std::uint32_t>(p.ops / nfiles) + 2
+                   : per_file_ws;
   for (std::uint32_t fidx = 0; fidx < nfiles; ++fidx) {
     files[fidx] = api::must(co_await vfs.open(
         "bench" + std::to_string(fidx),
         {.create = true, .extent_blocks = extent}));
-    if (!alloc_mode) {
+    if (!p.allocating) {
       // Pre-allocate so the measured writes are overwrites (no journal
       // commit from i_size changes), as in the paper's 4KB random write.
       for (std::uint32_t off = 0; off < per_file_ws;
@@ -50,7 +47,7 @@ sim::Task workload_body(core::Stack& stack, api::Vfs& vfs,
 
   for (std::uint64_t i = 0; i < p.ops; ++i) {
     file = files[i % nfiles];
-    if (alloc_mode) {
+    if (p.allocating) {
       api::must(co_await file.append(1));
     } else {
       const std::uint32_t page =
@@ -61,11 +58,9 @@ sim::Task workload_body(core::Stack& stack, api::Vfs& vfs,
       case RandomWriteParams::Mode::kBuffered:
         break;
       case RandomWriteParams::Mode::kFdatasync:
-      case RandomWriteParams::Mode::kAllocFdatasync:
         api::must(co_await file.fdatasync());
         break;
       case RandomWriteParams::Mode::kFdatabarrier:
-      case RandomWriteParams::Mode::kAllocFdatabarrier:
         api::must(co_await file.fdatabarrier());
         break;
       case RandomWriteParams::Mode::kSyncFile:

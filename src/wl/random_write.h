@@ -20,17 +20,13 @@ struct RandomWriteParams {
     kFdatabarrier,
     /// write() + the stack's full sync (fsync / fbarrier): Fig 11, Table 1.
     kSyncFile,
-    /// Sequential *allocating* write() + fdatasync(): Fig 1 "ordered".
-    kAllocFdatasync,
-    /// Sequential allocating write() + fdatabarrier(): ordering-only
-    /// journal commits, pipelined (Fig 8's BarrierFS row).
-    kAllocFdatabarrier,
   };
 
   Mode mode = Mode::kFdatasync;
-  /// Force allocating (appending) writes for any mode: every op extends
-  /// i_size, so every sync commits a journal transaction (fxmark DWSL's
-  /// pattern, which Table 1 measures).
+  /// Allocating (appending) writes instead of random overwrites, for any
+  /// mode: every op extends i_size, so every sync commits a journal
+  /// transaction (fxmark DWSL's pattern, which Table 1 measures; Fig 1's
+  /// "ordered" and Fig 8's commit streams).
   bool allocating = false;
   /// Number of files the ops rotate over (multi-file commit pipelining).
   std::uint32_t files = 1;

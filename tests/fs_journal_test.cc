@@ -337,8 +337,8 @@ TEST(OptFsTest, SelectiveDataJournalingJournalsOverwrites) {
   x.sim().run();
   const auto& order = x.fs().journal().commit_order();
   ASSERT_GE(order.size(), 2u);
-  EXPECT_EQ(order[0]->journaled_data_blocks, 0u);
-  EXPECT_EQ(order.back()->journaled_data_blocks, 4u)
+  EXPECT_EQ(order[0]->journaled_data.size(), 0u);
+  EXPECT_EQ(order.back()->journaled_data.size(), 4u)
       << "4 overwritten pages journaled selectively";
 }
 

@@ -73,32 +73,6 @@ TEST(StressTest, ManyThreadsManySemaphores) {
   EXPECT_EQ(max_concurrent, 3) << "semaphore cap respected under stress";
 }
 
-TEST(StressTest, ChannelFanInFanOut) {
-  Simulator sim;
-  Channel<int> ch(sim, 4);
-  int sum = 0;
-  int producers_done = 0;
-  auto producer = [&](int base) -> Task {
-    for (int i = 0; i < 50; ++i) co_await ch.push(base + i);
-    if (++producers_done == 4) ch.close();
-  };
-  auto consumer = [&]() -> Task {
-    for (;;) {
-      auto v = co_await ch.pop();
-      if (!v) break;
-      sum += *v;
-    }
-  };
-  for (int p = 0; p < 4; ++p) sim.spawn("p", producer(p * 1000));
-  for (int c = 0; c < 3; ++c) sim.spawn("c", consumer());
-  sim.run();
-  // 4 producers x 50 items: sum of (base + i).
-  int expect = 0;
-  for (int p = 0; p < 4; ++p)
-    for (int i = 0; i < 50; ++i) expect += p * 1000 + i;
-  EXPECT_EQ(sum, expect);
-}
-
 TEST(StressTest, NotifyStormDoesNotLoseWaiters) {
   Simulator sim;
   Notify n(sim);

@@ -98,21 +98,6 @@ TEST(RngTest, ChanceExtremes) {
   EXPECT_TRUE(r.chance(1.0));
 }
 
-TEST(RngTest, LognormalMedianApproximatelyCorrect) {
-  Rng r(7);
-  std::vector<double> v;
-  for (int i = 0; i < 20000; ++i) v.push_back(r.lognormal(100.0, 0.5));
-  std::sort(v.begin(), v.end());
-  double median = v[v.size() / 2];
-  EXPECT_NEAR(median, 100.0, 5.0);
-}
-
-TEST(RngTest, WeightedPickRespectsZeroWeights) {
-  Rng r(7);
-  std::vector<double> w{0.0, 1.0, 0.0};
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(r.weighted_pick(w), 1u);
-}
-
 TEST(RngTest, ForkProducesIndependentStream) {
   Rng a(42);
   Rng child = a.fork();

@@ -1,8 +1,7 @@
-// Tests for Event, Semaphore, Mutex, Notify and Channel.
+// Tests for Event, Semaphore, Notify and the WaitQueue they park on.
 #include <gtest/gtest.h>
 
-#include <optional>
-#include <string>
+#include <array>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -164,27 +163,6 @@ TEST(SemaphoreTest, ReleaseBeyondWaitersIncreasesCount) {
   EXPECT_EQ(sem.available(), 5u);
 }
 
-TEST(MutexTest, MutualExclusionIsSerialized) {
-  Simulator sim;
-  Mutex mtx(sim);
-  int inside = 0;
-  int max_inside = 0;
-  auto body = [&]() -> Task {
-    for (int i = 0; i < 3; ++i) {
-      co_await mtx.lock();
-      ++inside;
-      max_inside = std::max(max_inside, inside);
-      co_await sim.delay(3_us);
-      --inside;
-      mtx.unlock();
-    }
-  };
-  sim.spawn("a", body());
-  sim.spawn("b", body());
-  sim.run();
-  EXPECT_EQ(max_inside, 1);
-}
-
 TEST(NotifyTest, NotifyAllWakesEveryWaiter) {
   Simulator sim;
   Notify n(sim);
@@ -205,27 +183,6 @@ TEST(NotifyTest, NotifyAllWakesEveryWaiter) {
   EXPECT_EQ(woken, 2);
 }
 
-TEST(NotifyTest, NotifyOneWakesOldestWaiter) {
-  Simulator sim;
-  Notify n(sim);
-  std::vector<int> woken;
-  auto waiter = [&](int id) -> Task {
-    co_await n.wait();
-    woken.push_back(id);
-  };
-  sim.spawn("w0", waiter(0));
-  sim.spawn("w1", waiter(1));
-  auto notifier = [&]() -> Task {
-    co_await sim.delay(10_us);
-    n.notify_one();
-    co_await sim.delay(10_us);
-    n.notify_one();
-  };
-  sim.spawn("n", notifier());
-  sim.run();
-  EXPECT_EQ(woken, (std::vector<int>{0, 1}));
-}
-
 TEST(NotifyTest, WaitAlwaysBlocksEvenAfterPastNotify) {
   Simulator sim;
   Notify n(sim);
@@ -240,121 +197,52 @@ TEST(NotifyTest, WaitAlwaysBlocksEvenAfterPastNotify) {
   EXPECT_FALSE(woke) << "Notify has no memory";
 }
 
-TEST(ChannelTest, PushPopTransfersValues) {
+// Same-instant wake order: four threads parked at one instant on an
+// Event, a Notify, a Semaphore and a join each resume in park order, after
+// exactly one context switch. This is the order any future same-instant
+// chooser must reproduce by default.
+TEST(WaitQueueTest, SameInstantWaitersResumeInParkOrder) {
+  enum Kind { kEvent, kNotify, kSemaphore, kJoin, kKinds };
   Simulator sim;
-  Channel<int> ch(sim, 4);
-  std::vector<int> got;
-  auto producer = [&]() -> Task {
-    for (int i = 0; i < 5; ++i) co_await ch.push(i);
-    ch.close();
-  };
-  auto consumer = [&]() -> Task {
-    for (;;) {
-      std::optional<int> v = co_await ch.pop();
-      if (!v) break;
-      got.push_back(*v);
+  Event ev(sim);
+  Notify n(sim);
+  Semaphore sem(sim, 0);
+  auto target_body = [&]() -> Task { co_await sim.delay(10_us); };
+  const Thread target = sim.spawn("target", target_body());
+
+  std::array<std::vector<int>, kKinds> parked, woke;
+  auto waiter = [&](Kind kind, int id) -> Task {
+    parked[kind].push_back(id);
+    switch (kind) {
+      case kEvent: co_await ev.wait(); break;
+      case kNotify: co_await n.wait(); break;
+      case kSemaphore: co_await sem.acquire(); break;
+      default: co_await sim.join(target); break;
     }
+    woke[kind].push_back(id);
   };
-  sim.spawn("p", producer());
-  sim.spawn("c", consumer());
-  sim.run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ChannelTest, PushBlocksWhenFull) {
-  Simulator sim;
-  Channel<int> ch(sim, 1);
-  SimTime second_push_done = 0;
-  auto producer = [&]() -> Task {
-    co_await ch.push(1);
-    co_await ch.push(2);  // blocks until consumer pops
-    second_push_done = sim.now();
-  };
-  auto consumer = [&]() -> Task {
-    co_await sim.delay(30_us);
-    std::optional<int> v = co_await ch.pop();
-    EXPECT_EQ(v, 1);
-  };
-  sim.spawn("p", producer());
-  sim.spawn("c", consumer());
-  sim.run();
-  EXPECT_EQ(second_push_done, 30_us);
-}
-
-TEST(ChannelTest, PopBlocksWhenEmptyAndGetsHandoff) {
-  Simulator sim;
-  Channel<std::string> ch(sim, 2);
-  std::optional<std::string> got;
-  SimTime got_at = 0;
-  auto consumer = [&]() -> Task {
-    got = co_await ch.pop();
-    got_at = sim.now();
-  };
-  auto producer = [&]() -> Task {
-    co_await sim.delay(12_us);
-    co_await ch.push("hello");
-  };
-  sim.spawn("c", consumer());
-  sim.spawn("p", producer());
-  sim.run();
-  EXPECT_EQ(got, "hello");
-  EXPECT_EQ(got_at, 12_us);
-}
-
-TEST(ChannelTest, CloseWakesBlockedPopper) {
-  Simulator sim;
-  Channel<int> ch(sim, 1);
-  bool saw_close = false;
-  auto consumer = [&]() -> Task {
-    std::optional<int> v = co_await ch.pop();
-    saw_close = !v.has_value();
-  };
-  auto closer = [&]() -> Task {
-    co_await sim.delay(5_us);
-    ch.close();
-  };
-  sim.spawn("c", consumer());
-  sim.spawn("x", closer());
-  sim.run();
-  EXPECT_TRUE(saw_close);
-}
-
-TEST(ChannelTest, HandoffPreservesFifoAcrossBlockedPushers) {
-  Simulator sim;
-  Channel<int> ch(sim, 1);
-  std::vector<int> got;
-  auto producer = [&](int base) -> Task {
-    co_await ch.push(base);
-  };
-  auto primer = [&]() -> Task { co_await ch.push(0); };
-  sim.spawn("p0", primer());    // fills capacity
-  sim.spawn("p1", producer(1)); // blocks
-  sim.spawn("p2", producer(2)); // blocks
-  auto consumer = [&]() -> Task {
+  std::vector<Thread> waiters;
+  // Ids deliberately out of order: the contract is park order, not id.
+  for (int id : {2, 0, 3, 1})
+    for (int kind = 0; kind < kKinds; ++kind)
+      waiters.push_back(sim.spawn("w", waiter(static_cast<Kind>(kind), id)));
+  auto waker = [&]() -> Task {
     co_await sim.delay(10_us);
-    for (int i = 0; i < 3; ++i) {
-      std::optional<int> v = co_await ch.pop();
-      EXPECT_TRUE(v.has_value());  // ASSERT_* cannot be used in coroutines
-      if (v) got.push_back(*v);
-    }
+    ev.trigger();
+    n.notify_all();
+    for (int i = 0; i < 4; ++i) sem.release();
   };
-  sim.spawn("c", consumer());
+  sim.spawn("waker", waker());
   sim.run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2}));
-}
 
-TEST(ChannelTest, BlockedPopCountsOneContextSwitch) {
-  Simulator sim;
-  Channel<int> ch(sim, 1);
-  auto consumer = [&]() -> Task { (void)co_await ch.pop(); };
-  const Thread c = sim.spawn("c", consumer());
-  auto producer = [&]() -> Task {
-    co_await sim.delay(5_us);
-    co_await ch.push(7);
-  };
-  sim.spawn("p", producer());
-  sim.run();
-  EXPECT_EQ(c->context_switches, 1u);
+  for (int kind = 0; kind < kKinds; ++kind) {
+    EXPECT_EQ(parked[kind], (std::vector<int>{2, 0, 3, 1})) << kind;
+    EXPECT_EQ(woke[kind], parked[kind]) << kind;
+  }
+  for (const Thread& w : waiters) {
+    EXPECT_EQ(w->blocks, 1u);
+    EXPECT_EQ(w->context_switches, 1u);
+  }
 }
 
 }  // namespace

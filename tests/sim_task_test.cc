@@ -241,14 +241,6 @@ TEST(SimulatorTest, WakeLatencyChargedOnWakeup) {
   EXPECT_EQ(joined_at, 55_us);
 }
 
-TEST(SimulatorTest, ScheduleCallRunsAtRequestedTime) {
-  Simulator sim;
-  SimTime fired = 0;
-  sim.schedule_call(30_us, [&] { fired = sim.now(); });
-  sim.run();
-  EXPECT_EQ(fired, 30_us);
-}
-
 TEST(ThreadTest, HeldHandleOutlivesRecyclingOfOtherContexts) {
   Simulator sim;
   Event ev(sim);

@@ -66,7 +66,8 @@ TEST(RandomWriteTest, BarrierModeBeatsWaitOnTransfer) {
 TEST(RandomWriteTest, MultiFileRotationUsesAllFiles) {
   Stack stack(small_config(StackKind::kBfsOD));
   RandomWriteParams p;
-  p.mode = RandomWriteParams::Mode::kAllocFdatabarrier;
+  p.mode = RandomWriteParams::Mode::kFdatabarrier;
+  p.allocating = true;
   p.ops = 40;
   p.files = 4;
   auto r = run_random_write(stack, p, sim::Rng(4));
@@ -195,7 +196,7 @@ TEST(OltpTest, OptFsSuffersFromDataJournaling) {
   // And the journal really carried data blocks:
   std::uint64_t journaled = 0;
   for (const fs::Txn* t : optfs.fs().journal().commit_order())
-    journaled += t->journaled_data_blocks;
+    journaled += t->journaled_data.size();
   EXPECT_GT(journaled, 0u);
 }
 
@@ -207,9 +208,9 @@ TEST(FxmarkTest, ScalesWithCores) {
   FxmarkParams p;
   p.writes_per_thread = 30;
   p.cores = 1;
-  auto r1 = run_fxmark_dwsl(s1, p, sim::Rng(14));
+  auto r1 = run_fxmark_dwsl(s1, p);
   p.cores = 4;
-  auto r4 = run_fxmark_dwsl(s4, p, sim::Rng(14));
+  auto r4 = run_fxmark_dwsl(s4, p);
   EXPECT_EQ(r1.ops_done, 30u);
   EXPECT_EQ(r4.ops_done, 120u);
   EXPECT_GT(r4.ops_per_sec, r1.ops_per_sec)
@@ -258,8 +259,8 @@ TEST(FxmarkTest, BfsPipelinesBetterThanExt4) {
   FxmarkParams p;
   p.cores = 6;
   p.writes_per_thread = 40;
-  auto r_e = run_fxmark_dwsl(ext4, p, sim::Rng(15));
-  auto r_b = run_fxmark_dwsl(bfs, p, sim::Rng(15));
+  auto r_e = run_fxmark_dwsl(ext4, p);
+  auto r_b = run_fxmark_dwsl(bfs, p);
   EXPECT_GT(r_b.ops_per_sec, r_e.ops_per_sec);
 }
 
