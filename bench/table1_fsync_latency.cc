@@ -28,9 +28,9 @@ Row run_case(const flash::DeviceProfile& dev, core::StackKind kind,
   sim::Rng prefill_rng(11);
   stack->device().log().prefill(
       0.88, stack->fs().layout().data_base() + 60000, prefill_rng);
-  auto r = wl::run_random_write(*stack, p, sim::Rng(5));
-  (void)r;
-  const sim::LatencyRecorder& lat = stack->fs().fsync_latency();
+  const wl::RandomWriteResult r =
+      wl::run_random_write(*stack, p, sim::Rng(5));
+  const sim::LatencyRecorder& lat = r.sync_latency;
   return Row{lat.mean() / 1e6, sim::to_millis(lat.median()),
              sim::to_millis(lat.percentile(99.0)),
              sim::to_millis(lat.percentile(99.9)),

@@ -265,7 +265,8 @@ sim::TaskOf<Status> Vfs::rename(const std::string& from,
   fs::Inode* dst = nullptr;
   for (;;) {
     dst = filesystem.lookup(rel_to);
-    if (co_await filesystem.rename(rel_from, rel_to)) break;
+    const bool renamed = co_await filesystem.rename(rel_from, rel_to);
+    if (renamed) break;
     // A namespace op raced the rename's own journal reservations and won:
     // a vanished source is ENOENT; a changed target is re-resolved and
     // displaced on the next pass (rename(2) never fails with EEXIST — the

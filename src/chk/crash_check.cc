@@ -104,12 +104,13 @@ std::string describe(const wl::TraceWrite& w) {
 }
 
 /// BIO_CHK_DEBUG=1 diagnostic dump for a failed write check: where the
-/// block's versions actually ended up (image, FTL mapping, transfer
-/// history, log prefix). This is how the checker's findings get root-caused
-/// down the stack.
+/// block's versions actually ended up (image, FTL mapping, the transfers
+/// run_check recorded, log prefix). This is how the checker's findings get
+/// root-caused down the stack.
 void debug_dump_write(const char* what, const wl::TraceWrite& w,
                       const flash::StorageDevice::DurableImage& image,
-                      core::Volume& vol) {
+                      core::Volume& vol,
+                      const flash::WritebackCache::TransferRecorder& xfers) {
   if (std::getenv("BIO_CHK_DEBUG") == nullptr) return;
   auto img = image.blocks.find(w.lba);
   const auto mapped = vol.device().log().mapped_version(w.lba);
@@ -117,7 +118,7 @@ void debug_dump_write(const char* what, const wl::TraceWrite& w,
                what, (unsigned long long)w.lba, (unsigned long long)w.version,
                img == image.blocks.end() ? -1 : (long long)img->second,
                mapped.has_value() ? (long long)*mapped : -1);
-  for (const auto& e : vol.device().transfer_history())
+  for (const auto& e : xfers)
     if (e.lba == w.lba)
       std::fprintf(stderr, "  xfer v=%llu epoch=%llu order=%llu\n",
                    (unsigned long long)e.version, (unsigned long long)e.epoch,
@@ -223,9 +224,10 @@ check_recovered_namespace(CrashCheckResult& res, core::Volume& vol,
 /// journal and a clean page cache for quiescence (an aborted journal never
 /// commits its failed transaction; a hard-faulted writeback redirties its
 /// page).
-fs::RecoveryReport verify_volume(CrashCheckResult& res, core::Volume& vol,
-                                 const wl::ConcurrentTrace& trace,
-                                 StackKind kind, bool fault) {
+fs::RecoveryReport verify_volume(
+    CrashCheckResult& res, core::Volume& vol, const wl::ConcurrentTrace& trace,
+    const flash::WritebackCache::TransferRecorder& xfers, StackKind kind,
+    bool fault) {
   res.workload_finished = trace.finished();
   res.volume_degraded = vol.fs().degraded();
   res.quiesced = trace.finished() &&
@@ -251,7 +253,7 @@ fs::RecoveryReport verify_volume(CrashCheckResult& res, core::Volume& vol,
     return it != report.data.end() && it->second >= w.version;
   };
   auto dump = [&](const char* what, const wl::TraceWrite& w) {
-    debug_dump_write(what, w, rec.image, vol);
+    debug_dump_write(what, w, rec.image, vol, xfers);
   };
 
   const std::unordered_map<Lba, const fs::RecoveryReport::RecoveredFile*>
@@ -592,13 +594,19 @@ std::vector<CrashCheckResult> run_check(const SweepSpec& spec,
     return node ? seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)) : seed;
   };
 
-  // Traces and fault plans outlive the stack: writer frames destroyed at
-  // simulator teardown may still name their trace, and each device holds
-  // a raw pointer to its plan.
+  // Traces, fault plans and transfer recorders outlive the stack: writer
+  // frames destroyed at simulator teardown may still name their trace, and
+  // each device holds a raw pointer to its plan and recorder.
   std::vector<wl::ConcurrentTrace> traces(n);
   std::vector<flash::FaultPlan> plans;
   plans.reserve(n);
+  std::vector<flash::WritebackCache::TransferRecorder> xfers(n);
   auto stack = make_stack();
+  // The debug dump lists a failed write's transfers, and the device keeps
+  // no history of its own: record every volume's from the start.
+  if (std::getenv("BIO_CHK_DEBUG") != nullptr)
+    for (std::size_t i = 0; i < n; ++i)
+      stack->volume(i).device().install_transfer_recorder(&xfers[i]);
   if (fault) {
     // Installed before start(), so the per-class op ordinals each plan
     // matches are deterministic for a given (spec, seed).
@@ -645,7 +653,7 @@ std::vector<CrashCheckResult> run_check(const SweepSpec& spec,
     r.io_retries = vol.blk().stats().io_retries;
     r.io_failures = vol.blk().stats().io_failures;
     reports.push_back(
-        verify_volume(r, vol, traces[i], spec.volumes[i], fault));
+        verify_volume(r, vol, traces[i], xfers[i], spec.volumes[i], fault));
   }
 
   // ---- remount a fresh (fault-free) node over the recovered images --------

@@ -1,33 +1,48 @@
 #include "flash/cache.h"
 
+#include <bit>
+
 namespace bio::flash {
+
+WritebackCache::WritebackCache(sim::Simulator& sim,
+                               std::size_t capacity_entries)
+    : sim_(sim), capacity_(capacity_entries), space_(sim, capacity_entries),
+      drain_ready_(sim), drained_(sim) {
+  BIO_CHECK(capacity_ > 0);
+  // In-order drains keep the live span within the capacity.
+  ring_.resize(std::bit_ceil(capacity_));
+}
+
+void WritebackCache::grow() {
+  std::vector<Entry> bigger(ring_.size() * 2);
+  for (std::uint64_t o = drain_; o < next_order_; ++o)
+    bigger[o & (bigger.size() - 1)] = slot(o);
+  ring_.swap(bigger);
+}
 
 sim::Task WritebackCache::insert(Lba lba, Version version, std::uint64_t epoch,
                                  bool barrier) {
   co_await space_.acquire();
-  Entry e;
-  e.lba = lba;
-  e.version = version;
-  e.epoch = epoch;
-  e.order = next_order_++;
-  e.barrier = barrier;
+  if (next_order_ - drain_ == ring_.size()) grow();
+  Entry& e = slot(next_order_);
+  e = Entry{lba, version, epoch, next_order_++, barrier, false};
   ++dirty_;
   newest_[lba] = e.order;
-  history_.push_back(e);
+  if (recorder_ != nullptr) recorder_->push_back(e);
   drain_ready_.notify_all();
 }
 
 sim::Task WritebackCache::claim_next(Entry& out) {
   while (claim_ == next_order_) co_await drain_ready_.wait();
-  out = history_[claim_++];
+  out = slot(claim_++);
 }
 
 void WritebackCache::mark_drained(std::uint64_t order) {
-  BIO_CHECK_MSG(order < next_order_ && !history_[order].drained,
+  BIO_CHECK_MSG(order >= drain_ && order < next_order_ && !slot(order).drained,
                 "mark_drained on unknown order");
-  history_[order].drained = true;
+  slot(order).drained = true;
   --dirty_;
-  while (drain_ < next_order_ && history_[drain_].drained) ++drain_;
+  while (drain_ < next_order_ && slot(drain_).drained) ++drain_;
   space_.release();
   drained_.notify_all();
 }
@@ -38,15 +53,16 @@ sim::Task WritebackCache::wait_drained_through(std::uint64_t through) {
 
 std::optional<Version> WritebackCache::lookup(Lba lba) const {
   auto it = newest_.find(lba);
-  if (it == newest_.end() || history_[it->second].drained) return std::nullopt;
-  return history_[it->second].version;
+  if (it == newest_.end() || it->second < drain_ || slot(it->second).drained)
+    return std::nullopt;
+  return slot(it->second).version;
 }
 
 std::vector<WritebackCache::Entry> WritebackCache::undrained_entries() const {
   std::vector<Entry> out;
   out.reserve(dirty_);
   for (std::uint64_t o = drain_; o < next_order_; ++o)
-    if (!history_[o].drained) out.push_back(history_[o]);
+    if (!slot(o).drained) out.push_back(slot(o));
   return out;
 }
 

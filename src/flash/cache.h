@@ -4,18 +4,20 @@
 // loop moves entries to flash via the SegmentLog in transfer order. Each
 // entry is tagged with the *device epoch* current at its transfer time:
 // barrier writes advance the epoch, and the crash-invariant checkers read
-// the epoch tags from transfer_history().
+// the epoch tags from an installed transfer recorder.
 //
 // With power-loss protection (supercap) the cache itself is durable, so a
 // flush answers in O(1); without PLP a flush must wait until every entry
 // transferred so far has been programmed.
 //
-// Entries are dense by order, so the order-indexed history is the cache's
-// only entry store: a claim cursor walks it for the drain loop, a drain
-// cursor marks the oldest entry not yet programmed, and each entry's
-// `drained` flag covers out-of-order program completions. Inserting and
-// draining allocate nothing beyond the history's own growth and one
-// newest-version slot per LBA ever written.
+// Entries are dense by order, and only the live ones are kept: orders
+// [drain cursor, next order) sit in a power-of-two ring indexed by order.
+// A claim cursor walks it for the drain loop, the drain cursor marks the
+// oldest entry not yet programmed, and each entry's `drained` flag covers
+// out-of-order program completions. Those completions can stretch the live
+// span past the cache capacity; the ring then doubles (it never shrinks).
+// Inserting and draining allocate nothing beyond that growth and one
+// newest-order slot per LBA ever written.
 #pragma once
 
 #include <cstdint>
@@ -41,15 +43,16 @@ class WritebackCache {
     /// command); kept for analysis.
     bool barrier = false;
     /// Programmed to flash and its cache slot released (live state: false
-    /// in claim_next()'s copy).
+    /// in claim_next()'s and the recorder's copies).
     bool drained = false;
   };
 
-  WritebackCache(sim::Simulator& sim, std::size_t capacity_entries)
-      : sim_(sim), capacity_(capacity_entries), space_(sim, capacity_entries),
-        drain_ready_(sim), drained_(sim) {
-    BIO_CHECK(capacity_ > 0);
-  }
+  /// Every transferred entry in arrival order, appended by insert() while
+  /// installed: the only full transfer history (epoch-prefix checks and
+  /// the crash checker's BIO_CHK_DEBUG dump).
+  using TransferRecorder = std::vector<Entry>;
+
+  WritebackCache(sim::Simulator& sim, std::size_t capacity_entries);
 
   /// DMA landing point: blocks until a cache slot is free (this is how a
   /// saturated device back-pressures the host), then records the entry.
@@ -57,8 +60,6 @@ class WritebackCache {
                    bool barrier);
 
   /// Oldest not-yet-claimed dirty entry, FIFO order. Blocks while empty.
-  /// Returns nullopt only if the cache was shut down (not implemented: the
-  /// simulator tears the drain thread down instead).
   sim::Task claim_next(Entry& out);
 
   /// Marks `order` programmed to flash and releases its cache slot.
@@ -79,21 +80,28 @@ class WritebackCache {
   std::optional<Version> lookup(Lba lba) const;
 
   /// Entries transferred but not yet drained, in arrival order (crash
-  /// analysis for PLP devices; snapshot copy). Walks only the span from
-  /// the oldest undrained entry on.
+  /// analysis for PLP devices; snapshot copy).
   std::vector<Entry> undrained_entries() const;
 
-  /// Full arrival history (order, epoch, barrier) for invariant checks.
-  const std::vector<Entry>& transfer_history() const noexcept {
-    return history_;
+  /// Installs (or, with nullptr, removes) the transfer recorder. The
+  /// caller owns it; with none installed an insert pays one null test.
+  void install_transfer_recorder(TransferRecorder* recorder) noexcept {
+    recorder_ = recorder;
   }
 
   std::size_t dirty_count() const noexcept { return dirty_; }
   std::size_t capacity() const noexcept { return capacity_; }
 
-  sim::Notify& drain_ready() noexcept { return drain_ready_; }
-
  private:
+  Entry& slot(std::uint64_t order) noexcept {
+    return ring_[order & (ring_.size() - 1)];
+  }
+  const Entry& slot(std::uint64_t order) const noexcept {
+    return ring_[order & (ring_.size() - 1)];
+  }
+  /// Doubles the ring, re-placing the live orders.
+  void grow();
+
   sim::Simulator& sim_;
   std::size_t capacity_;
   sim::Semaphore space_;
@@ -108,11 +116,12 @@ class WritebackCache {
   std::uint64_t drain_ = 0;
   /// Entries transferred and not yet drained.
   std::size_t dirty_ = 0;
-  /// Order of each LBA's newest write; it is still dirty while that
-  /// history entry is undrained. One node per LBA, never erased.
+  /// Order of each LBA's newest write; it is still dirty while that order
+  /// is live and undrained. One node per LBA, never erased.
   std::unordered_map<Lba, std::uint64_t> newest_;
-  /// Every entry by order (history_[order].order == order).
-  std::vector<Entry> history_;
+  /// Live entries, orders [drain_, next_order_), at order & (size - 1).
+  std::vector<Entry> ring_;
+  TransferRecorder* recorder_ = nullptr;
 };
 
 }  // namespace bio::flash

@@ -164,9 +164,13 @@ class StorageDevice {
   /// Highest entry sequence among *completed* flushes (0 = none yet).
   std::uint64_t flush_horizon() const noexcept { return flush_horizon_; }
 
-  /// Arrival-ordered transfer history with epoch tags (invariant checks).
-  const std::vector<WritebackCache::Entry>& transfer_history() const {
-    return cache_.transfer_history();
+  /// Records every block transferred from now on, in arrival order with
+  /// its epoch tag, into `recorder` (invariant checks and debug dumps; the
+  /// device keeps no history of its own). Owned by the caller like the
+  /// fault plan; nullptr uninstalls.
+  void install_transfer_recorder(
+      WritebackCache::TransferRecorder* recorder) noexcept {
+    cache_.install_transfer_recorder(recorder);
   }
 
   // ---- queue-depth instrumentation (Figs 9, 10, 12) ----------------------

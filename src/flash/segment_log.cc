@@ -12,7 +12,6 @@ SegmentLog::SegmentLog(sim::Simulator& sim, NandArray& nand, Params params)
       geom_(nand.geometry()),
       space_freed_(sim),
       gc_wake_(sim),
-      prefix_advanced_(sim),
       erase_done_(sim) {
   segments_.resize(geom_.segments());
   for (auto& seg : segments_)
@@ -20,6 +19,7 @@ SegmentLog::SegmentLog(sim::Simulator& sim, NandArray& nand, Params params)
   for (std::uint32_t s = 1; s < segments_.size(); ++s)
     free_segments_.push_back(s);
   active_segment_ = 0;
+  window_.resize(64);
   BIO_CHECK_MSG(geom_.segments() > params_.gc_low_watermark + 1,
                 "device too small for the GC watermark");
 }
@@ -50,45 +50,56 @@ SegmentLog::Alloc SegmentLog::allocate_slot(Lba lba, Version version) {
   const SlotId slot =
       static_cast<SlotId>(active_segment_) * geom_.pages_per_segment() +
       offset;
-  install_mapping(lba, slot);
-  seg->slots[offset] = PhysSlot{lba, true};
-  ++seg->valid_count;
-  history_.push_back(AppendRecord{lba, version, false, false});
-  mapped_version_[lba] = MappedContent{version, history_.size() - 1};
-  return Alloc{slot, history_.size() - 1};
-}
-
-void SegmentLog::install_mapping(Lba lba, SlotId slot) {
-  auto it = mapping_.find(lba);
-  if (it != mapping_.end()) {
-    const SlotId old = it->second;
-    Segment& old_seg = segments_[old / geom_.pages_per_segment()];
-    PhysSlot& old_slot = old_seg.slots[old % geom_.pages_per_segment()];
+  auto [it, fresh] = lbas_.try_emplace(lba);
+  LbaState& st = it->second;
+  if (!fresh) {
+    Segment& old_seg = segments_[st.slot / geom_.pages_per_segment()];
+    PhysSlot& old_slot = old_seg.slots[st.slot % geom_.pages_per_segment()];
     if (old_slot.valid) {
       old_slot.valid = false;
       BIO_CHECK(old_seg.valid_count > 0);
       --old_seg.valid_count;
     }
-    it->second = slot;
-  } else {
-    mapping_.emplace(lba, slot);
   }
+  seg->slots[offset] = PhysSlot{lba, true};
+  ++seg->valid_count;
+  if (appends_ - fold_ == window_.size()) grow_window();
+  const std::uint64_t index = appends_++;
+  record(index) = AppendRecord{&*it, version, false, false};
+  st.slot = slot;
+  st.mapped = version;
+  st.index = index;
+  return Alloc{slot, index};
 }
 
-void SegmentLog::mark_programmed(std::uint64_t history_index) {
-  history_[history_index].programmed = true;
-  if (history_index <= prefix_) advance_prefix();
+void SegmentLog::grow_window() {
+  std::vector<AppendRecord> bigger(window_.size() * 2);
+  for (std::uint64_t i = fold_; i < appends_; ++i)
+    bigger[i & (bigger.size() - 1)] = record(i);
+  window_.swap(bigger);
+}
+
+void SegmentLog::mark_programmed(std::uint64_t record_index) {
+  record(record_index).programmed = true;
+  if (record_index <= prefix_) advance_prefix();
+  if (record_index == fold_) fold();
 }
 
 void SegmentLog::advance_prefix() {
   // gc_redundant records never gate the prefix: their content already sits
   // programmed at an earlier log position, and the source segment outlives
   // the relocation, so recovery loses nothing if the copy is torn.
-  const std::uint64_t before = prefix_;
-  while (prefix_ < history_.size() &&
-         (history_[prefix_].programmed || history_[prefix_].gc_redundant))
+  while (prefix_ < appends_ &&
+         (record(prefix_).programmed || record(prefix_).gc_redundant))
     ++prefix_;
-  if (prefix_ != before) prefix_advanced_.notify_all();
+}
+
+void SegmentLog::fold() {
+  while (fold_ < appends_ && record(fold_).programmed) {
+    const AppendRecord& rec = record(fold_++);
+    rec.node->second.durable = rec.version;
+    rec.node->second.has_durable = true;
+  }
 }
 
 sim::Task SegmentLog::reserve(Lba lba, Version version, Reservation& out) {
@@ -99,12 +110,12 @@ sim::Task SegmentLog::reserve(Lba lba, Version version, Reservation& out) {
   }
   const Alloc alloc = allocate_slot(lba, version);
   if (needs_gc()) gc_wake_.notify_all();
-  out = Reservation{alloc.slot, alloc.history_index};
+  out = Reservation{alloc.slot, alloc.record_index};
 }
 
 sim::Task SegmentLog::program_reserved(Reservation r) {
   co_await nand_.program(chip_of(r.slot));
-  mark_programmed(r.history_index);
+  mark_programmed(r.record_index);
 }
 
 sim::Task SegmentLog::append(Lba lba, Version version) {
@@ -114,30 +125,38 @@ sim::Task SegmentLog::append(Lba lba, Version version) {
 }
 
 sim::Task SegmentLog::read(Lba lba) {
-  auto it = mapping_.find(lba);
-  if (it == mapping_.end()) co_return;  // unmapped: served as zeroes
-  co_await nand_.read(chip_of(it->second));
+  auto it = lbas_.find(lba);
+  if (it == lbas_.end()) co_return;  // unmapped: served as zeroes
+  co_await nand_.read(chip_of(it->second.slot));
+}
+
+std::unordered_map<Lba, Version> SegmentLog::durable_folded() const {
+  std::unordered_map<Lba, Version> state;
+  state.reserve(lbas_.size());
+  for (const auto& [lba, st] : lbas_)
+    if (st.has_durable) state.emplace(lba, st.durable);
+  return state;
 }
 
 std::unordered_map<Lba, Version> SegmentLog::durable_in_order_recovery()
     const {
-  std::unordered_map<Lba, Version> state;
-  for (std::uint64_t i = 0; i < prefix_; ++i)
-    state[history_[i].lba] = history_[i].version;
+  std::unordered_map<Lba, Version> state = durable_folded();
+  for (std::uint64_t i = fold_; i < prefix_; ++i)
+    state[record(i).node->first] = record(i).version;
   return state;
 }
 
 std::unordered_map<Lba, Version> SegmentLog::durable_programmed_set() const {
-  std::unordered_map<Lba, Version> state;
-  for (const AppendRecord& rec : history_)
-    if (rec.programmed) state[rec.lba] = rec.version;
+  std::unordered_map<Lba, Version> state = durable_folded();
+  for (std::uint64_t i = fold_; i < appends_; ++i)
+    if (record(i).programmed) state[record(i).node->first] = record(i).version;
   return state;
 }
 
 std::optional<Version> SegmentLog::mapped_version(Lba lba) const {
-  auto it = mapped_version_.find(lba);
-  if (it == mapped_version_.end()) return std::nullopt;
-  return it->second.version;
+  auto it = lbas_.find(lba);
+  if (it == lbas_.end()) return std::nullopt;
+  return it->second.mapped;
 }
 
 void SegmentLog::prefill(double utilization, Lba lba_span, sim::Rng& rng) {
@@ -150,9 +169,8 @@ void SegmentLog::prefill(double utilization, Lba lba_span, sim::Rng& rng) {
     if (!space_available()) break;
     const Lba lba = rng.uniform(0, lba_span - 1);
     const Alloc alloc = allocate_slot(lba, /*version=*/0);
-    history_[alloc.history_index].programmed = true;
+    mark_programmed(alloc.record_index);
   }
-  advance_prefix();
 }
 
 sim::Task SegmentLog::gc_loop() {
@@ -229,24 +247,24 @@ sim::Task SegmentLog::relocate_slot(SlotId victim_slot,
       segments_[victim_slot / geom_.pages_per_segment()]
           .slots[victim_slot % geom_.pages_per_segment()]
           .lba;
-  auto it = mapping_.find(lba);
-  if (it == mapping_.end() || it->second != victim_slot) {
+  auto it = lbas_.find(lba);
+  if (it == lbas_.end() || it->second.slot != victim_slot) {
     // Overwritten while GC was scanning: nothing to move.
     inflight.release();
     co_return;
   }
   // Synchronous slot assignment keeps log order consistent with mapping
   // updates (no suspension between the check above and the allocation).
-  const MappedContent src = mapped_version_.at(lba);
-  const Alloc alloc = allocate_slot(lba, src.version);
+  const LbaState src = it->second;
+  const Alloc alloc = allocate_slot(lba, src.mapped);
   // Only a relocation of already-programmed content is redundant for
   // recovery; copying a page whose own program is still in flight must
-  // gate the prefix like any other append.
-  history_[alloc.history_index].gc_redundant =
-      history_[src.history_index].programmed;
+  // gate the prefix like any other append. Folded records are programmed.
+  record(alloc.record_index).gc_redundant =
+      src.index < fold_ || record(src.index).programmed;
   co_await nand_.read(chip_of(victim_slot));
   co_await nand_.program(chip_of(alloc.slot));
-  mark_programmed(alloc.history_index);
+  mark_programmed(alloc.record_index);
   ++gc_.pages_copied;
   inflight.release();
 }

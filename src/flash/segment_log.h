@@ -9,6 +9,12 @@
 // A background garbage collector relocates valid pages out of the victim
 // segment and erases it; GC contends with foreground traffic on the chips,
 // producing the long latency tails of Table 1.
+//
+// Host memory stays independent of run length: one table node per LBA
+// (its slot, mapped version and durable version) plus a ring of the
+// records from the oldest unprogrammed one onward. When that oldest record
+// finishes programming it folds into its LBA's durable version, so both
+// durable queries cost O(LBAs + window), never O(appends ever).
 #pragma once
 
 #include <cstdint>
@@ -50,7 +56,7 @@ class SegmentLog {
   /// A reserved log position (see reserve()/program_reserved()).
   struct Reservation {
     std::uint64_t slot = 0;
-    std::uint64_t history_index = 0;
+    std::uint64_t record_index = 0;
   };
 
   /// Reserves the next log position for (lba, version). Call sequentially:
@@ -71,25 +77,23 @@ class SegmentLog {
   // ---- crash / durability analysis (non-destructive) --------------------
 
   /// Durable state under in-order recovery: longest programmed prefix of
-  /// the append log, applied in log order.
+  /// the append log, applied in log order (the folded table, then the
+  /// window records below the prefix).
   std::unordered_map<Lba, Version> durable_in_order_recovery() const;
 
   /// Durable state when every individually-programmed page survives
-  /// (legacy devices without barrier support), applied in log order.
+  /// (legacy devices without barrier support), applied in log order (the
+  /// folded table, then the window's programmed records).
   std::unordered_map<Lba, Version> durable_programmed_set() const;
 
-  /// Index (into the append history) one past the longest programmed
-  /// prefix. Used by the cache to answer flush().
+  /// Record index one past the longest programmed prefix of the log.
   std::uint64_t programmed_prefix() const noexcept { return prefix_; }
 
-  std::uint64_t append_count() const noexcept { return history_.size(); }
+  std::uint64_t append_count() const noexcept { return appends_; }
   std::uint64_t free_segment_count() const noexcept {
     return free_segments_.size();
   }
   const GcStats& gc_stats() const noexcept { return gc_; }
-
-  /// Notified every time the programmed prefix advances.
-  sim::Notify& prefix_advanced() noexcept { return prefix_advanced_; }
 
   /// True while GC is erasing a segment (the controller stalls host
   /// commands during the erase burst; source of the 99.99th-pct tails).
@@ -106,9 +110,28 @@ class SegmentLog {
   std::optional<Version> mapped_version(Lba lba) const;
 
  private:
+  /// Global physical slot id = segment * pages_per_segment + offset.
+  using SlotId = std::uint64_t;
+
+  /// Everything the log keeps per LBA ever written.
+  struct LbaState {
+    SlotId slot = 0;
+    /// Version currently mapped at `slot`, and the record that installed it.
+    Version mapped = 0;
+    std::uint64_t index = 0;
+    /// Newest version among the folded records (all programmed, all below
+    /// fold_); prefill writes version 0, hence the flag.
+    Version durable = 0;
+    bool has_durable = false;
+  };
+  /// Node-based: a window record points at its LBA's node, which
+  /// std::unordered_map never moves.
+  using LbaTable = std::unordered_map<Lba, LbaState>;
+  using LbaNode = LbaTable::value_type;
+
   struct AppendRecord {
-    Lba lba;
-    Version version;
+    LbaNode* node = nullptr;
+    Version version = 0;
     bool programmed = false;
     /// GC relocation of content whose source copy was already programmed:
     /// recovery can fall back to the source (its segment is not erased
@@ -129,27 +152,36 @@ class SegmentLog {
     }
   };
 
-  /// Global physical slot id = segment * pages_per_segment + offset.
-  using SlotId = std::uint64_t;
-
   std::uint32_t chip_of(SlotId slot) const noexcept {
     return static_cast<std::uint32_t>(slot % nand_.chip_count());
   }
 
-  /// Allocates the next physical slot and history index. Synchronous (no
+  /// Allocates the next physical slot and record index. Synchronous (no
   /// suspension between the capacity check and the assignment).
   struct Alloc {
     SlotId slot;
-    std::uint64_t history_index;
+    std::uint64_t record_index;
   };
   Alloc allocate_slot(Lba lba, Version version);
 
   /// True if a slot can be allocated right now.
   bool space_available() const noexcept;
 
-  void install_mapping(Lba lba, SlotId slot);
-  void mark_programmed(std::uint64_t history_index);
+  AppendRecord& record(std::uint64_t index) noexcept {
+    return window_[index & (window_.size() - 1)];
+  }
+  const AppendRecord& record(std::uint64_t index) const noexcept {
+    return window_[index & (window_.size() - 1)];
+  }
+  /// Doubles the window ring, re-placing records [fold_, appends_).
+  void grow_window();
+  void mark_programmed(std::uint64_t record_index);
   void advance_prefix();
+  /// The folded table's durable versions (the start of both queries).
+  std::unordered_map<Lba, Version> durable_folded() const;
+  /// Folds programmed records at the window's front into their LBAs'
+  /// durable versions.
+  void fold();
 
   sim::Task gc_loop();
   sim::Task relocate_slot(SlotId victim_slot, sim::Semaphore& inflight);
@@ -166,19 +198,16 @@ class SegmentLog {
   std::deque<std::uint32_t> free_segments_;
   std::uint32_t active_segment_;
 
-  struct MappedContent {
-    Version version = 0;
-    std::uint64_t history_index = 0;  // record that installed this mapping
-  };
-  std::unordered_map<Lba, SlotId> mapping_;
-  std::unordered_map<Lba, MappedContent> mapped_version_;
-
-  std::vector<AppendRecord> history_;  // append order = persist order
-  std::uint64_t prefix_ = 0;           // programmed prefix watermark
+  LbaTable lbas_;
+  /// Records [fold_, appends_) at index & (size - 1); append order =
+  /// persist order. Every record below fold_ is programmed and folded.
+  std::vector<AppendRecord> window_;
+  std::uint64_t fold_ = 0;
+  std::uint64_t appends_ = 0;
+  std::uint64_t prefix_ = 0;  // programmed prefix watermark
 
   sim::Notify space_freed_;
   sim::Notify gc_wake_;
-  sim::Notify prefix_advanced_;
   bool erasing_ = false;
   sim::Notify erase_done_;
   GcStats gc_;

@@ -532,11 +532,9 @@ sim::TaskOf<FsStatus> Filesystem::wait_txn_durable(std::uint64_t tid) {
 sim::TaskOf<FsStatus> Filesystem::fsync(Inode& f) {
   if (degraded_) co_return FsStatus::kRoFs;
   ++stats_.fsyncs;
-  const sim::SimTime t0 = sim_.now();
   const FsStatus status = cfg_.journal == JournalKind::kOptFs
                               ? co_await osync(f)
                               : co_await sync_durable(f, /*datasync=*/false);
-  fsync_latency_.add(sim_.now() - t0);
   co_return status;
 }
 

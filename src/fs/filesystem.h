@@ -34,7 +34,6 @@
 #include "fs/page_cache.h"
 #include "fs/types.h"
 #include "sim/simulator.h"
-#include "sim/stats.h"
 #include "sim/sync.h"
 
 namespace bio::fs {
@@ -152,12 +151,6 @@ class Filesystem {
   const Layout& layout() const noexcept { return layout_; }
   PageCache& page_cache() noexcept { return cache_; }
 
-  /// Latency recorders keyed by syscall, filled automatically.
-  const sim::LatencyRecorder& fsync_latency() const noexcept {
-    return fsync_latency_;
-  }
-  sim::LatencyRecorder& fsync_latency() noexcept { return fsync_latency_; }
-
  private:
   /// Eq. 2 vs Eq. 3, the paper's one real difference between the two
   /// durability protocols: EXT4 waits for the data's transfer before the
@@ -258,7 +251,6 @@ class Filesystem {
 
   sim::Notify writeback_progress_;
   Stats stats_;
-  sim::LatencyRecorder fsync_latency_;
   bool started_ = false;
   /// Journal aborted -> volume read-only (set by the journal's abort hook).
   bool degraded_ = false;

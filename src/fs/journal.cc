@@ -1,6 +1,8 @@
 #include "fs/journal.h"
 
 #include <algorithm>
+#include <type_traits>
+#include <utility>
 
 namespace bio::fs {
 
@@ -110,6 +112,7 @@ bool Journal::checkpoint_durable(const Txn& txn) const {
 }
 
 void Journal::advance_tail() {
+  const std::uint64_t old_tail = sb_tail_txn_;
   bool advanced = false;
   while (!live_spans_.empty()) {
     const JournalSpan& front = live_spans_.front();
@@ -132,7 +135,42 @@ void Journal::advance_tail() {
     ++stats_.tail_advances;
     advanced = true;
   }
+  for (std::uint64_t id = old_tail; id < sb_tail_txn_; ++id)
+    release(*txns_.at(id));
   if (advanced) journal_space_.notify_all();
+}
+
+void Journal::release(Txn& txn) {
+  // Recovery scans from sb_tail_txn_, so these records never replay again.
+  if (!txn.jd_blocks.empty()) records_.erase(txn.jd_blocks[0].second);
+  records_.erase(txn.jc_block.second);
+  // Both lists are in home-block order (the buffer set's).
+  auto snap = txn.meta_snapshots.begin();
+  for (const auto& [home, v] : txn.checkpoint_blocks) {
+    while (snap != txn.meta_snapshots.end() && snap->first < home) ++snap;
+    CheckpointId& ck = checkpoint_versions_.at(v);
+    if (snap != txn.meta_snapshots.end() && snap->first == home) {
+      ck.content = std::move(snap->second);
+      ck.released = true;
+    }
+    // This copy is durable, and the buffer-lock rule transfers copies of
+    // one home in issue order, so the previously released copy can never
+    // again be the home's durable content.
+    auto [it, fresh] = released_ckpt_.try_emplace(home, v);
+    if (!fresh) {
+      checkpoint_versions_.erase(it->second);
+      it->second = v;
+    }
+  }
+  auto drop = [](auto& c) { std::decay_t<decltype(c)>().swap(c); };
+  drop(txn.buffers);
+  drop(txn.meta_snapshots);
+  drop(txn.jd_blocks);
+  drop(txn.checkpoint_blocks);
+  drop(txn.journaled_data);
+  drop(txn.covered_data);
+  txn.jd_req.reset();
+  txn.jc_req.reset();
 }
 
 sim::Task Journal::force_tail_advance() {
@@ -346,7 +384,7 @@ void Journal::checkpoint(Txn& txn) {
   p.reqs.reserve(txn.buffers.size());
   for (flash::Lba block : txn.buffers) {
     const flash::Version v = blk_.next_version();
-    checkpoint_versions_.emplace(v, CheckpointId{block, txn.id});
+    checkpoint_versions_.emplace(v, CheckpointId{block, txn.id, false, {}});
     txn.checkpoint_blocks.emplace_back(block, v);
     auto it = inflight_ckpt_.find(block);
     auto dit = deferred_ckpt_count_.find(block);

@@ -24,6 +24,12 @@
 // (descriptor tag table / log copy / commit record), keyed by the block's
 // version — the simulation's payload identity. fs::Recovery replays a
 // crashed device image through these records.
+//
+// Only the live stretch between tail and head keeps its payload. When the
+// tail moves past a transaction (DESIGN.md §5), its journal records are
+// erased, each checkpoint copy's MetaSnapshot moves into that copy's
+// checkpoint record, and the transaction shrinks to its shell (id, state,
+// events, flags), which commit waiters may still hold.
 #pragma once
 
 #include <algorithm>
@@ -217,7 +223,8 @@ class Journal {
   const Stats& stats() const noexcept { return stats_; }
 
   /// Retired transactions in commit order with their journal records —
-  /// input for the crash-consistency checkers.
+  /// input for the crash-consistency checkers. Those behind sb_tail_txn()
+  /// are shells: their payload and block lists were released.
   const std::vector<const Txn*>& commit_order() const noexcept {
     return commit_order_;
   }
@@ -235,6 +242,10 @@ class Journal {
   struct CheckpointId {
     flash::Lba home_lba = 0;
     std::uint64_t txn_id = 0;
+    /// Set when the tail releases the transaction: `content` then holds
+    /// the copy's MetaSnapshot (the transaction's own copy is freed).
+    bool released = false;
+    MetaSnapshot content;
   };
   const CheckpointId* find_checkpoint(flash::Version version) const;
 
@@ -316,7 +327,7 @@ class Journal {
 
  private:
   /// One reserved stretch of the journal area (offsets, not LBAs). A txn
-  /// owns up to two: JD and JC (a wrap may separate them). Txn objects are
+  /// owns up to two: JD and JC (a wrap may separate them). Txn shells are
   /// owned by txns_ and never freed, so the raw pointer is stable.
   struct JournalSpan {
     Txn* txn = nullptr;
@@ -335,8 +346,15 @@ class Journal {
   bool checkpoint_durable(const Txn& txn) const;
 
   /// Releases every leading span whose txn is retired with a durable
-  /// checkpoint; advances tail and the superblock pointer.
+  /// checkpoint; advances tail and the superblock pointer, then releases
+  /// the payload of every transaction the pointer moved past.
   void advance_tail();
+
+  /// Drops a transaction behind the superblock tail to its shell: erases
+  /// its journal records, moves each checkpoint copy's MetaSnapshot into
+  /// the copy's record (superseding the home block's previously released
+  /// copy) and frees the payload containers.
+  void release(Txn& txn);
 
   /// Tail-advance slow path: copy journaled data in place (lazy OptFS
   /// checkpoint), then flush so the front transactions' checkpoints become
@@ -371,6 +389,9 @@ class Journal {
   // Content model of the journal area + in-place checkpoint copies.
   std::unordered_map<flash::Version, JournalRecord> records_;
   std::unordered_map<flash::Version, CheckpointId> checkpoint_versions_;
+  /// Version of each home block's newest released checkpoint copy: the
+  /// only released record of that home recovery can still find.
+  std::unordered_map<flash::Lba, flash::Version> released_ckpt_;
   std::unordered_map<flash::Version, DataCheckpointId> data_checkpoint_versions_;
 
   // Circular space accounting.

@@ -23,6 +23,8 @@ RecoveryReport Recovery::recover(
   // For every journal block that survived, look up what its surviving
   // version contained. Records overwritten by a later lap resolve to the
   // newer transaction's record, exactly as a real scan would read them.
+  // Blocks of transactions behind the tail have no record left (the
+  // journal erased them on release); the scan never reaches them anyway.
   std::set<std::uint64_t> descriptors;
   std::set<std::uint64_t> commits;
   const flash::Lba jbase = layout_.journal_base();
@@ -120,18 +122,23 @@ RecoveryReport Recovery::recover(
   // ---- 3. resolve metadata block content ---------------------------------
   // A metadata block's recovered content is the newest of (a) the in-place
   // checkpoint copy the image holds and (b) the journal replay — each a
-  // MetaSnapshot frozen at its transaction's close.
+  // MetaSnapshot frozen at its transaction's close. A copy whose
+  // transaction the tail released carries that snapshot in its record.
   const flash::Lba ibase = layout_.inode_base();
   auto meta_content = [&](flash::Lba block) -> const MetaSnapshot* {
     if (destroyed.contains(block)) return nullptr;
     std::uint64_t newest = 0;
+    const Journal::CheckpointId* ck = nullptr;
     if (const auto v = durable_version(block)) {
-      const Journal::CheckpointId* ck = journal_.find_checkpoint(*v);
-      if (ck != nullptr && ck->home_lba == block) newest = ck->txn_id;
+      ck = journal_.find_checkpoint(*v);
+      if (ck != nullptr && ck->home_lba != block) ck = nullptr;
+      if (ck != nullptr) newest = ck->txn_id;
     }
     auto rit = meta_replayed.find(block);
     if (rit != meta_replayed.end()) newest = std::max(newest, rit->second);
     if (newest == 0) return nullptr;  // block never committed
+    if (ck != nullptr && ck->released && ck->txn_id == newest)
+      return &ck->content;
     const Txn* txn = journal_.find_txn(newest);
     return txn == nullptr ? nullptr : txn->find_snapshot(block);
   };

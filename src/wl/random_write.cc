@@ -63,9 +63,12 @@ sim::Task workload_body(core::Stack& stack, api::Vfs& vfs,
       case RandomWriteParams::Mode::kFdatabarrier:
         api::must(co_await file.fdatabarrier());
         break;
-      case RandomWriteParams::Mode::kSyncFile:
+      case RandomWriteParams::Mode::kSyncFile: {
+        const sim::SimTime s0 = sim.now();
         api::must(co_await file.sync_file());
+        out.sync_latency.add(sim.now() - s0);
         break;
+      }
     }
     ++out.ops_done;
   }

@@ -7,6 +7,7 @@
 
 #include "core/stack.h"
 #include "sim/rng.h"
+#include "sim/stats.h"
 
 namespace bio::wl {
 
@@ -42,6 +43,8 @@ struct RandomWriteResult {
   double context_switches_per_op = 0.0;
   std::uint64_t ops_done = 0;
   sim::SimTime elapsed = 0;
+  /// Simulated latency of each kSyncFile sync (Table 1's fsync samples).
+  sim::LatencyRecorder sync_latency;
 };
 
 /// Runs the workload on an already-constructed (not yet started) stack.

@@ -581,9 +581,9 @@ sim::Task create_and_settle(Ctx& ctx) {
   }
   const TraceSync settle = begin_sync(trace, trace.files.back(),
                                       api::Syscall::kFsync, ~std::uint32_t{0});
-  if (!sync_ok(ctx, co_await ctx.vfs.sync(trace.files.back().anchor.fd(),
-                                           api::Syscall::kFsync)))
-    co_return;
+  const api::Status settled = co_await ctx.vfs.sync(
+      trace.files.back().anchor.fd(), api::Syscall::kFsync);
+  if (!sync_ok(ctx, settled)) co_return;
   for (FileTrace& f : trace.files) finish_sync(trace, f, settle);
 }
 

@@ -54,7 +54,8 @@ sim::Task mail_thread(api::Vfs& vfs, const VarmailParams& p, Shared& shared,
           co_await vfs.open(shared.live_files[idx]);
       if (opened.ok()) {
         api::File f = opened.value();
-        if ((co_await f.append(1)).ok()) {
+        const api::Result<std::uint32_t> appended = co_await f.append(1);
+        if (appended.ok()) {
           api::must(co_await f.sync_file());
           shared.flowops += 3;  // open + append + sync
         }

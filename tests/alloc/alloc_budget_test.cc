@@ -1,10 +1,13 @@
-// Tier-1 allocation budget for the steady-state IO path below api::Vfs.
+// Tier-1 allocation and retained-memory budgets for the steady-state IO
+// path below api::Vfs.
 //
-// A binary of its own: it replaces the global operator new to count calls,
-// and inside bio_tests that replacement would blind ASan's new/delete
-// checks for every other test. Under TSan the counting operator new is
-// compiled out (as in bench/perf_suite.cc) and the budget tests skip.
+// A binary of its own: it replaces the global operator new to count calls
+// and live bytes, and inside bio_tests that replacement would blind ASan's
+// new/delete checks for every other test. Under TSan the counting operator
+// new is compiled out (as in bench/perf_suite.cc) and the budget tests
+// skip.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
@@ -17,9 +20,13 @@
 #include "flash/profile.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
+#include "wl/varmail.h"
 
-// Relaxed atomic: exact for counting, safe whichever thread allocates.
+// Relaxed atomics: exact for counting, safe whichever thread allocates.
 static std::atomic<std::uint64_t> g_new_calls{0};
+// Usable bytes of every live operator-new block: a block's delete subtracts
+// exactly what its new added.
+static std::atomic<std::int64_t> g_live_bytes{0};
 
 #if defined(__SANITIZE_THREAD__)
 #define BIO_ALLOC_TSAN 1
@@ -30,20 +37,26 @@ static std::atomic<std::uint64_t> g_new_calls{0};
 #endif
 
 #if !defined(BIO_ALLOC_TSAN)
-void* operator new(std::size_t n) {
+static void* counted_new(std::size_t n) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
+  void* p = std::malloc(n);
+  if (p == nullptr) throw std::bad_alloc();
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  return p;
 }
-void* operator new[](std::size_t n) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
+static void counted_delete(void* p) noexcept {
+  if (p != nullptr)
+    g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+  std::free(p);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void* operator new(std::size_t n) { return counted_new(n); }
+void* operator new[](std::size_t n) { return counted_new(n); }
+void operator delete(void* p) noexcept { counted_delete(p); }
+void operator delete[](void* p) noexcept { counted_delete(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_delete(p); }
 #endif  // !BIO_ALLOC_TSAN
 
 namespace bio {
@@ -51,6 +64,10 @@ namespace {
 
 std::uint64_t new_calls() {
   return g_new_calls.load(std::memory_order_relaxed);
+}
+
+std::int64_t live_bytes() {
+  return g_live_bytes.load(std::memory_order_relaxed);
 }
 
 #if defined(BIO_ALLOC_TSAN)
@@ -67,6 +84,11 @@ constexpr std::uint32_t kJournalExtent = 256;
 constexpr std::uint64_t kWarmupTxns = 2'000;
 constexpr std::uint64_t kMeasuredTxns = 2'000;
 constexpr double kAllocsPerTxnBudget = 2.0;
+// Host memory must not grow with run length: after the warm-up, a long
+// stretch of txns may leave behind no more than a few bytes each.
+constexpr std::uint64_t kRetainedTxns = 20'000;
+constexpr double kRetainedBytesPerTxnBudget = 16.0;
+constexpr double kRetainedBytesPerFlowopBudget = 64.0;
 
 /// One SQLite PERSIST insert (wl/sqlite.cc's persist_txn): undo log,
 /// order point, journal header, order point, two B-tree pages, order
@@ -88,9 +110,16 @@ sim::Task persist_txn(api::File& db, api::File& journal, sim::Rng& rng,
   api::must(co_await journal.durability_point());
 }
 
+struct SqliteBudget {
+  /// operator-new calls across the kMeasuredTxns after the warm-up.
+  std::uint64_t allocs = ~std::uint64_t{0};
+  /// Live bytes gained across the kRetainedTxns after those.
+  std::int64_t retained = 0;
+};
+
 /// Sets up the files, runs the warm-up, then counts operator-new calls
-/// across the measured txns into `allocs`.
-sim::Task sqlite_client(api::Vfs& vfs, std::uint64_t& allocs) {
+/// across the measured txns and the live bytes the retained txns keep.
+sim::Task sqlite_client(api::Vfs& vfs, SqliteBudget& out) {
   api::File db = api::must(
       co_await vfs.open("app.db", {.create = true, .extent_blocks = kDbPages}));
   for (std::uint32_t off = 0; off < kDbPages; off += blk::kMaxMergedBlocks) {
@@ -109,30 +138,90 @@ sim::Task sqlite_client(api::Vfs& vfs, std::uint64_t& allocs) {
   const std::uint64_t before = new_calls();
   for (std::uint64_t i = 0; i < kMeasuredTxns; ++i)
     co_await persist_txn(db, journal, rng, cursor);
-  allocs = new_calls() - before;
+  out.allocs = new_calls() - before;
+  const std::int64_t live = live_bytes();
+  for (std::uint64_t i = 0; i < kRetainedTxns; ++i)
+    co_await persist_txn(db, journal, rng, cursor);
+  out.retained = live_bytes() - live;
 }
 
-double allocs_per_txn(core::StackKind kind) {
+SqliteBudget sqlite_budget(core::StackKind kind) {
   core::Stack stack(
       core::StackConfig::make(kind, flash::DeviceProfile::plain_ssd()));
   stack.start();
   api::Vfs vfs(stack);
-  std::uint64_t allocs = ~std::uint64_t{0};
-  // iolint: detached-owner(run() below drains the client; vfs and allocs
+  SqliteBudget out;
+  // iolint: detached-owner(run() below drains the client; vfs and out
   // outlive the run in this scope)
-  stack.sim().spawn("sqlite", sqlite_client(vfs, allocs));
+  stack.sim().spawn("sqlite", sqlite_client(vfs, out));
   stack.sim().run();
-  return static_cast<double>(allocs) / static_cast<double>(kMeasuredTxns);
+  return out;
+}
+
+void expect_sqlite_budget(core::StackKind kind) {
+  const SqliteBudget b = sqlite_budget(kind);
+  EXPECT_LE(static_cast<double>(b.allocs) /
+                static_cast<double>(kMeasuredTxns),
+            kAllocsPerTxnBudget);
+  EXPECT_LE(static_cast<double>(b.retained) /
+                static_cast<double>(kRetainedTxns),
+            kRetainedBytesPerTxnBudget)
+      << b.retained << " B retained over " << kRetainedTxns << " txns";
 }
 
 TEST(AllocBudget, SqlitePersistOnBfsDr) {
   SKIP_WITHOUT_COUNTER();
-  EXPECT_LE(allocs_per_txn(core::StackKind::kBfsDR), kAllocsPerTxnBudget);
+  expect_sqlite_budget(core::StackKind::kBfsDR);
 }
 
 TEST(AllocBudget, SqlitePersistOnExt4Dr) {
   SKIP_WITHOUT_COUNTER();
-  EXPECT_LE(allocs_per_txn(core::StackKind::kExt4DR), kAllocsPerTxnBudget);
+  expect_sqlite_budget(core::StackKind::kExt4DR);
+}
+
+struct VarmailRun {
+  std::int64_t retained = 0;
+  std::uint64_t flowops = 0;
+};
+
+/// perf_suite's ring-qd8 scenario (16 ring clients at QD 8 over 400 mails
+/// on BFS-DR) at `nr_queues` block-layer queues: the live bytes the stack
+/// holds once the run drained, and the flowops it ran.
+VarmailRun varmail_run(std::uint32_t nr_queues, std::uint32_t iterations) {
+  const std::int64_t before = live_bytes();
+  core::StackConfig cfg = core::StackConfig::make(
+      core::StackKind::kBfsDR, flash::DeviceProfile::plain_ssd());
+  cfg.blk.nr_queues = nr_queues;
+  core::Stack stack(cfg);
+  wl::VarmailParams p;
+  p.threads = 16;
+  p.files = 400;
+  p.iterations = iterations;
+  p.ring_qd = 8;
+  const wl::VarmailResult r = wl::run_varmail(stack, p, sim::Rng(47));
+  return VarmailRun{live_bytes() - before, r.ops_done};
+}
+
+/// Bytes retained per flowop between a run and one twice as long.
+void expect_varmail_budget(std::uint32_t nr_queues) {
+  const VarmailRun shorter = varmail_run(nr_queues, 60);
+  const VarmailRun longer = varmail_run(nr_queues, 120);
+  ASSERT_GT(longer.flowops, shorter.flowops);
+  const std::int64_t grown = longer.retained - shorter.retained;
+  const std::uint64_t ops = longer.flowops - shorter.flowops;
+  EXPECT_LE(static_cast<double>(grown) / static_cast<double>(ops),
+            kRetainedBytesPerFlowopBudget)
+      << grown << " B more retained over " << ops << " more flowops";
+}
+
+TEST(AllocBudget, VarmailRingRetainsNoPerOpStateQ1) {
+  SKIP_WITHOUT_COUNTER();
+  expect_varmail_budget(1);
+}
+
+TEST(AllocBudget, VarmailRingRetainsNoPerOpStateQ4) {
+  SKIP_WITHOUT_COUNTER();
+  expect_varmail_budget(4);
 }
 
 TEST(AllocBudget, ShortLivedSpawnsRecycleContexts) {

@@ -165,6 +165,8 @@ TEST(BlockLayerTest, BusyDeviceEventuallyDispatchesEverything) {
 
 TEST(BlockLayerTest, EpochOrderingPreservedThroughFullStack) {
   Stack s;
+  flash::WritebackCache::TransferRecorder h;
+  s.dev.install_transfer_recorder(&h);
   auto body = [&]() -> Task {
     // Epoch 0: lba 1,2 + barrier on 3. Epoch 1: lba 4.
     RequestPtr w1 = make_write_request(s.sim, {{1, 1}}, true);
@@ -181,7 +183,6 @@ TEST(BlockLayerTest, EpochOrderingPreservedThroughFullStack) {
   s.sim.spawn("t", body());
   s.sim.run();
   // Transfer history: epoch of lba 4 must be greater than epoch of 1..3.
-  const auto& h = s.dev.transfer_history();
   std::uint64_t epoch_of_4 = 0, max_epoch_123 = 0;
   for (const auto& e : h) {
     if (e.lba == 4)
@@ -212,6 +213,8 @@ TEST(BlockLayerMqTest, BarrierOnQueue0FencesLaterWriteOnQueue1) {
   // barrier closed the epoch must transfer (and land in a device epoch)
   // after it — and the peer's pre-barrier write must drain below it.
   Stack s(mq_config(4));
+  flash::WritebackCache::TransferRecorder h;
+  s.dev.install_transfer_recorder(&h);
   auto body = [&]() -> Task {
     RequestPtr pre = make_write_request(s.sim, {{1, 1}}, /*ordered=*/true);
     RequestPtr b = make_write_request(s.sim, {{2, 2}}, true, /*barrier=*/true);
@@ -227,7 +230,6 @@ TEST(BlockLayerMqTest, BarrierOnQueue0FencesLaterWriteOnQueue1) {
   s.sim.run();
   ASSERT_NE(s.blk.epoch_fence(), nullptr);
   EXPECT_EQ(s.blk.epoch_fence()->epochs_closed(), 1u);
-  const auto& h = s.dev.transfer_history();
   ASSERT_EQ(h.size(), 3u);
   EXPECT_EQ(h[0].lba, 1u) << "peer's pre-barrier write transferred below";
   EXPECT_EQ(h[1].lba, 2u);
@@ -241,6 +243,8 @@ TEST(BlockLayerMqTest, OrderlessPeerWriteEnqueuedBeforeBarrierTransfersBelow) {
   // after a merge) and the device must fence it below — it carries the
   // epoch it was enqueued under, not a stale 0 that would jump the fence.
   Stack s(mq_config(4));
+  flash::WritebackCache::TransferRecorder h;
+  s.dev.install_transfer_recorder(&h);
   RequestPtr pre = make_write_request(s.sim, {{1, 1}});  // orderless
   RequestPtr b = make_write_request(s.sim, {{2, 2}}, true, /*barrier=*/true);
   RequestPtr post = make_write_request(s.sim, {{3, 3}});  // orderless
@@ -256,7 +260,6 @@ TEST(BlockLayerMqTest, OrderlessPeerWriteEnqueuedBeforeBarrierTransfersBelow) {
   s.sim.run();
   EXPECT_EQ(pre->fence_epoch, 0u);
   EXPECT_EQ(post->fence_epoch, 1u);
-  const auto& h = s.dev.transfer_history();
   ASSERT_EQ(h.size(), 3u);
   EXPECT_EQ(h[0].lba, 1u) << "pre-barrier orderless write transferred below";
   EXPECT_EQ(h[1].lba, 2u);

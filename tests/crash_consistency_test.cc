@@ -12,6 +12,7 @@
 //      demonstrating the problem the paper sets out to fix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <tuple>
 
@@ -72,6 +73,8 @@ TEST_P(EpochPrefixTest, RandomWorkloadRandomCrashPoint) {
   flash::DeviceProfile profile =
       flash::testutil::test_profile(BarrierMode::kInOrderRecovery, plp);
   flash::StorageDevice dev(sim, profile);
+  flash::WritebackCache::TransferRecorder xfers;
+  dev.install_transfer_recorder(&xfers);
   blk::BlockLayerConfig bcfg;
   bcfg.scheduler = "elevator";  // stress: reordering base scheduler
   blk::BlockLayer blk(sim, dev, bcfg);
@@ -101,7 +104,7 @@ TEST_P(EpochPrefixTest, RandomWorkloadRandomCrashPoint) {
 
   const sim::SimTime crash_at = rng.uniform(50, 40'000) * 1_us;
   sim.run_until(crash_at);
-  EXPECT_TRUE(epoch_prefix_holds(dev.transfer_history(), dev.durable_state()))
+  EXPECT_TRUE(epoch_prefix_holds(xfers, dev.durable_state()))
       << "plp=" << plp << " seed=" << seed << " t=" << crash_at;
 }
 
@@ -110,6 +113,135 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(testing::Values(false, true), testing::Range(1, 9)),
     [](const testing::TestParamInfo<EpochPrefixTest::ParamType>& info) {
       return (std::get<0>(info.param) ? "plp_" : "noplp_") +
+             std::to_string(std::get<1>(info.param));
+    });
+
+// ---- 1b. durable state across many cuts while GC relocates ----------------
+//
+// durable_state() folds each programmed record into its LBA's durable
+// version and keeps only the records still being programmed; this drives
+// that fold (and the relocations GC appends) across many cut instants of
+// one run, on every device model a stack can sit on.
+
+enum class CutDevice { kInOrderNoPlp, kInOrderPlp, kOrderless };
+
+std::string to_string(CutDevice d) {
+  switch (d) {
+    case CutDevice::kInOrderNoPlp: return "inorder_noplp";
+    case CutDevice::kInOrderPlp: return "inorder_plp";
+    case CutDevice::kOrderless: return "orderless";
+  }
+  return "?";
+}
+
+class DurableUnderGcTest
+    : public testing::TestWithParam<std::tuple<CutDevice, int>> {};
+
+TEST_P(DurableUnderGcTest, EveryCutIsAnEpochPrefixAndNeverRegresses) {
+  const auto [device, seed] = GetParam();
+  using flash::testutil::make_write;
+  using flash::testutil::submit_retry;
+  sim::Simulator sim;
+  flash::StorageDevice dev(
+      sim, flash::testutil::test_profile(
+               device == CutDevice::kOrderless ? BarrierMode::kNone
+                                               : BarrierMode::kInOrderRecovery,
+               device == CutDevice::kInOrderPlp));
+  flash::WritebackCache::TransferRecorder xfers;
+  dev.install_transfer_recorder(&xfers);
+  // Age the FTL: 128 physical pages, three fifths already written, so the
+  // overwrites below keep GC relocating live pages.
+  sim::Rng prefill_rng(static_cast<std::uint64_t>(seed) + 100);
+  dev.log().prefill(0.6, 64, prefill_rng);
+  dev.start();
+
+  constexpr Lba kSpan = 24;
+  constexpr int kWrites = 300;
+  sim::Rng rng(static_cast<std::uint64_t>(seed));
+  std::vector<bool> in_flight(kSpan, false);
+  int outstanding = 0;
+  bool done = false;
+  auto one = [&](Lba lba, Version v, bool barrier) -> Task {
+    auto w = make_write(sim, flash::testutil::one_block(lba, v),
+                        flash::Priority::kOrdered, barrier);
+    co_await submit_retry(sim, dev, w.cmd);
+    co_await w.done->wait();
+    in_flight[lba] = false;
+    --outstanding;
+  };
+  auto writer = [&]() -> Task {
+    std::uint64_t until_barrier = rng.uniform(1, 8);
+    for (int i = 0; i < kWrites; ++i) {
+      // The page cache never has two writes of one page in flight.
+      while (outstanding == 4) co_await sim.delay(20_us);
+      Lba lba = rng.uniform(0, kSpan - 1);
+      while (in_flight[lba]) lba = (lba + 1) % kSpan;
+      const bool barrier = --until_barrier == 0;
+      if (barrier) until_barrier = rng.uniform(1, 8);
+      in_flight[lba] = true;
+      ++outstanding;
+      // iolint: detached-owner(the cut loop runs the simulator until every
+      // write completed; the captured state outlives it in this scope)
+      sim.spawn("w", one(lba, static_cast<Version>(i + 1), barrier));
+      if (rng.chance(0.5)) co_await sim.delay(rng.uniform(1, 60) * 1_us);
+    }
+    while (outstanding > 0) co_await sim.delay(20_us);
+    done = true;
+  };
+  sim.spawn("writer", writer());
+
+  std::unordered_map<Lba, Version> previous;
+  int cuts = 0;
+  for (sim::SimTime t = 100_us; !done; t += 100_us) {
+    sim.run_until(t);
+    const auto durable = dev.durable_state();
+    ASSERT_TRUE(epoch_prefix_holds(xfers, durable)) << "cut at " << t;
+    for (const auto& [lba, v] : previous) {
+      auto it = durable.find(lba);
+      ASSERT_TRUE(it != durable.end() && it->second >= v)
+          << "lba " << lba << " regressed from v" << v << " at " << t;
+    }
+    // Without PLP nothing counts as durable before its program finished.
+    if (device != CutDevice::kInOrderPlp) {
+      for (const auto& e : dev.cache().undrained_entries()) {
+        auto it = durable.find(e.lba);
+        ASSERT_TRUE(it == durable.end() || it->second != e.version)
+            << "lba " << e.lba << " v" << e.version
+            << " durable before it was programmed, at " << t;
+      }
+    }
+    previous = durable;
+    ++cuts;
+  }
+  EXPECT_GE(cuts, 50);
+  EXPECT_GT(dev.log().gc_stats().pages_copied, 0u)
+      << "GC relocated nothing before the last cut";
+
+  sim.run();  // quiescence: every transferred block programmed
+  std::unordered_map<Lba, Version> newest;
+  for (const auto& e : xfers)
+    newest[e.lba] = std::max(newest[e.lba], e.version);
+  const auto durable = dev.durable_state();
+  for (const auto& [lba, v] : newest) {
+    auto it = durable.find(lba);
+    ASSERT_TRUE(it != durable.end()) << "lba " << lba << " lost";
+    EXPECT_EQ(it->second, v) << "lba " << lba;
+  }
+  for (const auto& [lba, v] : durable) {
+    if (!newest.contains(lba)) {
+      EXPECT_EQ(v, 0u) << "prefill lba " << lba;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Devices, DurableUnderGcTest,
+    testing::Combine(testing::Values(CutDevice::kInOrderNoPlp,
+                                     CutDevice::kInOrderPlp,
+                                     CutDevice::kOrderless),
+                     testing::Range(1, 4)),
+    [](const testing::TestParamInfo<DurableUnderGcTest::ParamType>& info) {
+      return to_string(std::get<0>(info.param)) + "_" +
              std::to_string(std::get<1>(info.param));
     });
 
@@ -127,6 +259,8 @@ TEST(OrderlessBaselineTest, LegacyStackCanLoseOrdering) {
         flash::testutil::test_profile(BarrierMode::kNone);
     profile.cache_entries = 64;
     flash::StorageDevice dev(sim, profile);
+    flash::WritebackCache::TransferRecorder xfers;
+    dev.install_transfer_recorder(&xfers);
     blk::BlockLayerConfig bcfg;
     bcfg.scheduler = "elevator";  // the legacy stack reorders (CFQ-like)
     blk::BlockLayer blk(sim, dev, bcfg);
@@ -148,8 +282,7 @@ TEST(OrderlessBaselineTest, LegacyStackCanLoseOrdering) {
     sim.run_until(rng.uniform(100, 2'000) * 1_us);
     // Epochs were not honoured (device ignores barrier): reconstruct the
     // *intended* epochs (one per write, in submission = version order).
-    std::vector<flash::WritebackCache::Entry> intended =
-        dev.transfer_history();
+    std::vector<flash::WritebackCache::Entry> intended = xfers;
     std::sort(intended.begin(), intended.end(),
               [](const auto& a, const auto& b) {
                 return a.version < b.version;
@@ -251,7 +384,22 @@ TEST_P(JournalCrashTest, CommittedTransactionsFormAPrefix) {
     }
   };
   x.sim().spawn("app", body());
-  x.sim().run_until(rng.uniform(1'000, 200'000) * 1_us);
+  // The journal frees a transaction's descriptor list once its tail moves
+  // past it, so record each list as the transaction retires: a release
+  // trails its retire by at least a checkpoint write and a flush, far more
+  // than one step.
+  const sim::SimTime crash_at = rng.uniform(1'000, 200'000) * 1_us;
+  const auto& order = x.fs().journal().commit_order();
+  std::vector<std::vector<std::pair<Lba, Version>>> jd_of;
+  for (sim::SimTime t = 0; t < crash_at;) {
+    t = std::min(t + 50_us, crash_at);
+    x.sim().run_until(t);
+    for (std::size_t i = jd_of.size(); i < order.size(); ++i) {
+      ASSERT_FALSE(order[i]->jd_blocks.empty())
+          << "txn " << order[i]->id << " released before it was recorded";
+      jd_of.push_back(order[i]->jd_blocks);
+    }
+  }
 
   auto durable = x.dev().durable_state();
   auto has = [&](const std::pair<Lba, Version>& blockv) {
@@ -259,13 +407,14 @@ TEST_P(JournalCrashTest, CommittedTransactionsFormAPrefix) {
     return it != durable.end() && it->second >= blockv.second;
   };
   bool seen_missing = false;
-  for (const fs::Txn* txn : x.fs().journal().commit_order()) {
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const fs::Txn* txn = order[i];
     const bool jc_durable = has(txn->jc_block);
     if (jc_durable) {
       EXPECT_FALSE(seen_missing)
           << "txn " << txn->id << " durable after a lost predecessor — "
              "commit order violated";
-      for (const auto& jd : txn->jd_blocks)
+      for (const auto& jd : jd_of[i])
         EXPECT_TRUE(has(jd)) << "txn " << txn->id
                              << ": commit record durable but a descriptor/"
                                 "log block is missing (atomicity broken)";

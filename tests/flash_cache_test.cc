@@ -14,6 +14,8 @@ using sim::Task;
 TEST(WritebackCacheTest, InsertAssignsDenseOrders) {
   Simulator sim;
   WritebackCache cache(sim, 8);
+  WritebackCache::TransferRecorder h;
+  cache.install_transfer_recorder(&h);
   auto body = [&]() -> Task {
     co_await cache.insert(10, 1, 0, false);
     co_await cache.insert(20, 2, 0, false);
@@ -23,7 +25,6 @@ TEST(WritebackCacheTest, InsertAssignsDenseOrders) {
   sim.run();
   EXPECT_EQ(cache.next_order(), 3u);
   EXPECT_EQ(cache.dirty_count(), 3u);
-  const auto& h = cache.transfer_history();
   EXPECT_EQ(h[0].order, 0u);
   EXPECT_EQ(h[2].epoch, 1u);
   EXPECT_TRUE(h[2].barrier);
@@ -174,6 +175,36 @@ TEST(WritebackCacheTest, UndrainedEntriesSnapshotInArrivalOrder) {
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].lba, 2u);
   EXPECT_EQ(entries[1].lba, 3u);
+}
+
+TEST(WritebackCacheTest, RingGrowsWhenOutOfOrderDrainsStretchTheSpan) {
+  Simulator sim;
+  WritebackCache cache(sim, 2);
+  auto body = [&]() -> Task {
+    co_await cache.insert(1, 1, 0, false);
+    co_await cache.insert(2, 2, 0, false);
+    WritebackCache::Entry e;
+    co_await cache.claim_next(e);
+    co_await cache.claim_next(e);
+    // Order 1 programs first: a slot frees while order 0 is still live,
+    // so orders [0, 3) no longer fit the two-entry ring.
+    cache.mark_drained(1);
+    co_await cache.insert(3, 3, 1, false);
+  };
+  sim.spawn("t", body());
+  sim.run();
+  EXPECT_EQ(cache.lookup(1), Version{1});
+  EXPECT_EQ(cache.lookup(2), std::nullopt);
+  EXPECT_EQ(cache.lookup(3), Version{3});
+  auto entries = cache.undrained_entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].order, 0u);
+  EXPECT_EQ(entries[1].order, 2u);
+  EXPECT_EQ(entries[1].epoch, 1u);
+  cache.mark_drained(0);
+  EXPECT_TRUE(cache.drained_through(2));
+  EXPECT_FALSE(cache.drained_through(3));
+  EXPECT_EQ(cache.lookup(1), std::nullopt);
 }
 
 }  // namespace

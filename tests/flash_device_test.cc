@@ -132,6 +132,8 @@ TEST(DeviceTest, FuaWritePersistsBeforeCompletion) {
 TEST(DeviceTest, BarrierWriteAdvancesEpoch) {
   Simulator sim;
   StorageDevice dev(sim, test_profile(BarrierMode::kInOrderRecovery));
+  WritebackCache::TransferRecorder h;
+  dev.install_transfer_recorder(&h);
   dev.start();
   auto body = [&]() -> Task {
     auto w1 = make_write(sim, {{1, 1}}, Priority::kOrdered, /*barrier=*/true);
@@ -144,7 +146,6 @@ TEST(DeviceTest, BarrierWriteAdvancesEpoch) {
   sim.spawn("t", body());
   sim.run();
   EXPECT_EQ(dev.current_epoch(), 1u);
-  const auto& h = dev.transfer_history();
   ASSERT_EQ(h.size(), 2u);
   EXPECT_EQ(h[0].epoch, 0u);
   EXPECT_TRUE(h[0].barrier);
@@ -168,6 +169,8 @@ TEST(DeviceTest, LegacyDeviceIgnoresBarrierFlag) {
 TEST(DeviceTest, OrderedPriorityFencesTransferOrder) {
   Simulator sim;
   StorageDevice dev(sim, test_profile(BarrierMode::kInOrderRecovery));
+  WritebackCache::TransferRecorder h;
+  dev.install_transfer_recorder(&h);
   dev.start();
   auto body = [&]() -> Task {
     // One epoch {1,2}, barrier on 3 (ordered), next epoch {4}.
@@ -186,7 +189,6 @@ TEST(DeviceTest, OrderedPriorityFencesTransferOrder) {
   };
   sim.spawn("t", body());
   sim.run();
-  const auto& h = dev.transfer_history();
   ASSERT_EQ(h.size(), 4u);
   // The barrier write transferred after both epoch-0 writes and before the
   // epoch-1 write.
@@ -240,6 +242,8 @@ TEST(DeviceTest, ReadHitsCacheBeforeFlash) {
 TEST(DeviceTest, InOrderRecoveryDurableStateIsTransferPrefix) {
   Simulator sim;
   StorageDevice dev(sim, test_profile(BarrierMode::kInOrderRecovery));
+  WritebackCache::TransferRecorder history;
+  dev.install_transfer_recorder(&history);
   dev.start();
   auto body = [&]() -> Task {
     for (int i = 0; i < 6; ++i) {
@@ -252,7 +256,6 @@ TEST(DeviceTest, InOrderRecoveryDurableStateIsTransferPrefix) {
   // Stop mid-flight: some programs are still outstanding.
   sim.run_until(300_us);
   auto durable = dev.durable_state();
-  const auto& history = dev.transfer_history();
   // Prefix property: if history[i] is durable with its version, every
   // earlier history entry must be durable too (last-write-wins aside, all
   // lbas here are distinct).
@@ -290,6 +293,8 @@ TEST(DeviceTest, QueueDepthAccounting) {
 TEST(DeviceTest, SimpleWritesBehindOrderedWait) {
   Simulator sim;
   StorageDevice dev(sim, test_profile(BarrierMode::kInOrderRecovery));
+  WritebackCache::TransferRecorder h;
+  dev.install_transfer_recorder(&h);
   dev.start();
   auto body = [&]() -> Task {
     auto a = make_write(sim, {{1, 1}}, Priority::kOrdered, true);
@@ -301,7 +306,6 @@ TEST(DeviceTest, SimpleWritesBehindOrderedWait) {
   };
   sim.spawn("t", body());
   sim.run();
-  const auto& h = dev.transfer_history();
   ASSERT_EQ(h.size(), 2u);
   EXPECT_EQ(h[0].lba, 1u) << "simple write must not pass the ordered one";
   EXPECT_EQ(h[1].lba, 2u);
@@ -315,6 +319,8 @@ TEST(DeviceTest, EpochTagFencesTransfersAcrossPorts) {
   // still transfer the barrier first.
   Simulator sim;
   StorageDevice dev(sim, test_profile(BarrierMode::kInOrderRecovery));
+  WritebackCache::TransferRecorder h;
+  dev.install_transfer_recorder(&h);
   dev.start();
   auto body = [&]() -> Task {
     auto late = make_write(sim, {{9, 9}});
@@ -330,7 +336,6 @@ TEST(DeviceTest, EpochTagFencesTransfersAcrossPorts) {
   };
   sim.spawn("t", body());
   sim.run();
-  const auto& h = dev.transfer_history();
   ASSERT_EQ(h.size(), 2u);
   EXPECT_EQ(h[0].lba, 3u) << "barrier transferred first despite later seq";
   EXPECT_EQ(h[1].lba, 9u);

@@ -195,6 +195,8 @@ TEST(BarrierFsTest, FdatabarrierDoesNotBlock) {
 
 TEST(BarrierFsTest, FdatabarrierEnforcesEpochOrdering) {
   StackFixture x(StackKind::kBfsDR);
+  flash::WritebackCache::TransferRecorder xfers;
+  x.dev().install_transfer_recorder(&xfers);
   flash::Lba hello_lba = 0, world_lba = 0;
   auto body = [&]() -> Task {
     Inode* f = nullptr;
@@ -212,7 +214,7 @@ TEST(BarrierFsTest, FdatabarrierEnforcesEpochOrdering) {
   x.sim().run();
   // Transfer history: world's epoch strictly greater than hello's.
   std::uint64_t hello_epoch = 0, world_epoch = 0;
-  for (const auto& e : x.dev().transfer_history()) {
+  for (const auto& e : xfers) {
     if (e.lba == hello_lba) hello_epoch = std::max(hello_epoch, e.epoch);
     if (e.lba == world_lba) world_epoch = e.epoch;
   }

@@ -11,13 +11,15 @@ used by status-discard).  Adding a check = adding a module here and a
 `[checks.<name>]` table to .iolint.toml; DESIGN.md §12 walks through it.
 """
 
-from . import detached_capture, status_discard, suspend_hazard, txn_join
+from . import (conditional_await, detached_capture, status_discard,
+               suspend_hazard, txn_join)
 
 CHECKS = [
     suspend_hazard,
     status_discard,
     txn_join,
     detached_capture,
+    conditional_await,
 ]
 
 BY_NAME = {c.NAME: c for c in CHECKS}

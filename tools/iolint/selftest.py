@@ -20,7 +20,7 @@ REPO = os.path.dirname(os.path.dirname(HERE))
 FIXTURES = os.path.join(HERE, "fixtures")
 CONFIG = os.path.join(FIXTURES, "fixtures.iolint.toml")
 CHECKS = ["suspend-hazard", "status-discard", "txn-join-before-mutate",
-          "detached-task-capture"]
+          "detached-task-capture", "conditional-await"]
 
 _failures = []
 
