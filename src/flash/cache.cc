@@ -27,7 +27,7 @@ sim::Task WritebackCache::insert(Lba lba, Version version, std::uint64_t epoch,
   Entry& e = slot(next_order_);
   e = Entry{lba, version, epoch, next_order_++, barrier, false};
   ++dirty_;
-  newest_[lba] = e.order;
+  newest_[lba] = e.order + 1;
   if (recorder_ != nullptr) recorder_->push_back(e);
   drain_ready_.notify_all();
 }
@@ -52,10 +52,11 @@ sim::Task WritebackCache::wait_drained_through(std::uint64_t through) {
 }
 
 std::optional<Version> WritebackCache::lookup(Lba lba) const {
-  auto it = newest_.find(lba);
-  if (it == newest_.end() || it->second < drain_ || slot(it->second).drained)
-    return std::nullopt;
-  return slot(it->second).version;
+  const std::uint64_t* newest = newest_.find(lba);
+  if (newest == nullptr || *newest == 0) return std::nullopt;
+  const std::uint64_t order = *newest - 1;
+  if (order < drain_ || slot(order).drained) return std::nullopt;
+  return slot(order).version;
 }
 
 std::vector<WritebackCache::Entry> WritebackCache::undrained_entries() const {

@@ -16,15 +16,17 @@
 // oldest entry not yet programmed, and each entry's `drained` flag covers
 // out-of-order program completions. Those completions can stretch the live
 // span past the cache capacity; the ring then doubles (it never shrinks).
-// Inserting and draining allocate nothing beyond that growth and one
-// newest-order slot per LBA ever written.
+// Each LBA's newest order sits in a flat LbaTable (flash/lba_table.h), so
+// a read's cache lookup is two indexed loads. Inserting and draining
+// allocate nothing beyond the ring's growth and one 4096-entry leaf per
+// 4096 LBAs of span, on first touch.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "flash/lba_table.h"
 #include "flash/types.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
@@ -116,9 +118,9 @@ class WritebackCache {
   std::uint64_t drain_ = 0;
   /// Entries transferred and not yet drained.
   std::size_t dirty_ = 0;
-  /// Order of each LBA's newest write; it is still dirty while that order
-  /// is live and undrained. One node per LBA, never erased.
-  std::unordered_map<Lba, std::uint64_t> newest_;
+  /// Order + 1 of each LBA's newest write (0: never written); it is still
+  /// dirty while that order is live and undrained.
+  LbaTable<std::uint64_t> newest_;
   /// Live entries, orders [drain_, next_order_), at order & (size - 1).
   std::vector<Entry> ring_;
   TransferRecorder* recorder_ = nullptr;

@@ -50,9 +50,11 @@ SegmentLog::Alloc SegmentLog::allocate_slot(Lba lba, Version version) {
   const SlotId slot =
       static_cast<SlotId>(active_segment_) * geom_.pages_per_segment() +
       offset;
-  auto [it, fresh] = lbas_.try_emplace(lba);
-  LbaState& st = it->second;
-  if (!fresh) {
+  LbaState& st = lbas_[lba];
+  if (!st.has_mapping) {
+    st.has_mapping = true;
+    ++mapped_lbas_;
+  } else {
     Segment& old_seg = segments_[st.slot / geom_.pages_per_segment()];
     PhysSlot& old_slot = old_seg.slots[st.slot % geom_.pages_per_segment()];
     if (old_slot.valid) {
@@ -65,7 +67,7 @@ SegmentLog::Alloc SegmentLog::allocate_slot(Lba lba, Version version) {
   ++seg->valid_count;
   if (appends_ - fold_ == window_.size()) grow_window();
   const std::uint64_t index = appends_++;
-  record(index) = AppendRecord{&*it, version, false, false};
+  record(index) = AppendRecord{lba, &st, version, false, false};
   st.slot = slot;
   st.mapped = version;
   st.index = index;
@@ -97,8 +99,8 @@ void SegmentLog::advance_prefix() {
 void SegmentLog::fold() {
   while (fold_ < appends_ && record(fold_).programmed) {
     const AppendRecord& rec = record(fold_++);
-    rec.node->second.durable = rec.version;
-    rec.node->second.has_durable = true;
+    rec.state->durable = rec.version;
+    rec.state->has_durable = true;
   }
 }
 
@@ -125,16 +127,17 @@ sim::Task SegmentLog::append(Lba lba, Version version) {
 }
 
 sim::Task SegmentLog::read(Lba lba) {
-  auto it = lbas_.find(lba);
-  if (it == lbas_.end()) co_return;  // unmapped: served as zeroes
-  co_await nand_.read(chip_of(it->second.slot));
+  const LbaState* st = lbas_.find(lba);
+  if (st == nullptr || !st->has_mapping) co_return;  // unmapped: zeroes
+  co_await nand_.read(chip_of(st->slot));
 }
 
 std::unordered_map<Lba, Version> SegmentLog::durable_folded() const {
   std::unordered_map<Lba, Version> state;
-  state.reserve(lbas_.size());
-  for (const auto& [lba, st] : lbas_)
+  state.reserve(mapped_lbas_);
+  lbas_.for_each([&](Lba lba, const LbaState& st) {
     if (st.has_durable) state.emplace(lba, st.durable);
+  });
   return state;
 }
 
@@ -142,21 +145,21 @@ std::unordered_map<Lba, Version> SegmentLog::durable_in_order_recovery()
     const {
   std::unordered_map<Lba, Version> state = durable_folded();
   for (std::uint64_t i = fold_; i < prefix_; ++i)
-    state[record(i).node->first] = record(i).version;
+    state[record(i).lba] = record(i).version;
   return state;
 }
 
 std::unordered_map<Lba, Version> SegmentLog::durable_programmed_set() const {
   std::unordered_map<Lba, Version> state = durable_folded();
   for (std::uint64_t i = fold_; i < appends_; ++i)
-    if (record(i).programmed) state[record(i).node->first] = record(i).version;
+    if (record(i).programmed) state[record(i).lba] = record(i).version;
   return state;
 }
 
 std::optional<Version> SegmentLog::mapped_version(Lba lba) const {
-  auto it = lbas_.find(lba);
-  if (it == lbas_.end()) return std::nullopt;
-  return it->second.mapped;
+  const LbaState* st = lbas_.find(lba);
+  if (st == nullptr || !st->has_mapping) return std::nullopt;
+  return st->mapped;
 }
 
 void SegmentLog::prefill(double utilization, Lba lba_span, sim::Rng& rng) {
@@ -247,15 +250,15 @@ sim::Task SegmentLog::relocate_slot(SlotId victim_slot,
       segments_[victim_slot / geom_.pages_per_segment()]
           .slots[victim_slot % geom_.pages_per_segment()]
           .lba;
-  auto it = lbas_.find(lba);
-  if (it == lbas_.end() || it->second.slot != victim_slot) {
+  const LbaState* st = lbas_.find(lba);
+  if (st == nullptr || !st->has_mapping || st->slot != victim_slot) {
     // Overwritten while GC was scanning: nothing to move.
     inflight.release();
     co_return;
   }
   // Synchronous slot assignment keeps log order consistent with mapping
   // updates (no suspension between the check above and the allocation).
-  const LbaState src = it->second;
+  const LbaState src = *st;
   const Alloc alloc = allocate_slot(lba, src.mapped);
   // Only a relocation of already-programmed content is redundant for
   // recovery; copying a page whose own program is still in flight must

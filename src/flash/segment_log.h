@@ -10,11 +10,13 @@
 // segment and erases it; GC contends with foreground traffic on the chips,
 // producing the long latency tails of Table 1.
 //
-// Host memory stays independent of run length: one table node per LBA
-// (its slot, mapped version and durable version) plus a ring of the
-// records from the oldest unprogrammed one onward. When that oldest record
-// finishes programming it folds into its LBA's durable version, so both
-// durable queries cost O(LBAs + window), never O(appends ever).
+// Host memory stays independent of run length: a flat per-LBA table
+// (flash/lba_table.h: slot, mapped version and durable version, in
+// 4096-LBA leaves allocated on first touch) plus a ring of the records from
+// the oldest unprogrammed one onward. When that oldest record finishes
+// programming it folds into its LBA's durable version, so both durable
+// queries cost O(LBA span + window), never O(appends ever), and fill their
+// maps in ascending LBA order before replaying the window.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "flash/geometry.h"
+#include "flash/lba_table.h"
 #include "flash/nand.h"
 #include "flash/types.h"
 #include "sim/rng.h"
@@ -113,7 +116,8 @@ class SegmentLog {
   /// Global physical slot id = segment * pages_per_segment + offset.
   using SlotId = std::uint64_t;
 
-  /// Everything the log keeps per LBA ever written.
+  /// Everything the log keeps per LBA. An LBA never written reads
+  /// `has_mapping == false`: its leaf exists because a neighbour's does.
   struct LbaState {
     SlotId slot = 0;
     /// Version currently mapped at `slot`, and the record that installed it.
@@ -123,14 +127,13 @@ class SegmentLog {
     /// fold_); prefill writes version 0, hence the flag.
     Version durable = 0;
     bool has_durable = false;
+    bool has_mapping = false;
   };
-  /// Node-based: a window record points at its LBA's node, which
-  /// std::unordered_map never moves.
-  using LbaTable = std::unordered_map<Lba, LbaState>;
-  using LbaNode = LbaTable::value_type;
 
   struct AppendRecord {
-    LbaNode* node = nullptr;
+    Lba lba = 0;
+    /// The LBA's table entry: leaves never move.
+    LbaState* state = nullptr;
     Version version = 0;
     bool programmed = false;
     /// GC relocation of content whose source copy was already programmed:
@@ -198,7 +201,9 @@ class SegmentLog {
   std::deque<std::uint32_t> free_segments_;
   std::uint32_t active_segment_;
 
-  LbaTable lbas_;
+  LbaTable<LbaState> lbas_;
+  /// LBAs ever mapped (durable_folded() sizes its map by it).
+  std::size_t mapped_lbas_ = 0;
   /// Records [fold_, appends_) at index & (size - 1); append order =
   /// persist order. Every record below fold_ is programmed and folded.
   std::vector<AppendRecord> window_;

@@ -7,19 +7,21 @@
 // watermarks, which is what the buffered-write scenarios (Fig 1 "buffered",
 // Fig 9 "P") exercise.
 //
-// Dirty and writeback pages are indexed per inode (ordered by page) on top
-// of the flat page map, so fsync's dirty scan is O(dirty-of-file) and
-// pdflush's batch collection is O(limit) — not O(total cached pages). The
-// global iteration order (ascending ino, then page) matches the old
-// full-scan behaviour exactly. The page map and both indexes take their
-// nodes from a PageCache-owned pool, so dirtying, writeback and cleaning
-// recycle nodes instead of allocating one per transition.
+// Each file is a two-level radix table over page numbers, like Linux's
+// tagged xarray. A leaf holds 64 pages' state plus present, dirty and
+// writeback masks; a node covers 64 leaves and keeps a dirty and a
+// writeback summary bit per leaf; the file's directory holds one node
+// pointer per 4096 pages of span. Files are indexed by ino (inos are dense
+// and recycled), and a bitmap over inos marks the files with dirty pages.
+// So a page lookup is a few indexed loads, and fsync's dirty scan and
+// pdflush's batch collection read masks and skip clean leaves, in
+// ascending (ino, page) order. drop_file returns a file's leaves and nodes
+// to free lists, so steady-state IO allocates nothing here.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
-#include <memory_resource>
-#include <set>
+#include <memory>
 #include <vector>
 
 #include "blk/request.h"
@@ -51,12 +53,7 @@ class PageCache {
     blk::RequestPtr writeback;
   };
 
-  explicit PageCache(sim::Simulator& sim)
-      : sim_(&sim),
-        pages_(&pool_),
-        dirty_index_(&pool_),
-        wb_index_(&pool_),
-        dirtied_(sim) {}
+  explicit PageCache(sim::Simulator& sim) : dirtied_(sim) {}
 
   /// Buffers a write. Marks the page dirty with the new version.
   void write(std::uint32_t ino, std::uint32_t page, flash::Lba lba,
@@ -81,9 +78,6 @@ class PageCache {
   /// Marks `key` as under writeback by `req` (clears dirty).
   void begin_writeback(const PageKey& key, blk::RequestPtr req);
 
-  /// Completes writeback for `key` if `req` is still its current carrier.
-  void end_writeback(const PageKey& key, const blk::RequestPtr& req);
-
   /// Failed-writeback path: redirties every page of `ino` whose current
   /// carrier is `req` (the data never landed — Linux redirties the page and
   /// records the error in the mapping's errseq). Pages rewritten while the
@@ -101,46 +95,89 @@ class PageCache {
   const PageState* find(std::uint32_t ino, std::uint32_t page) const;
 
   std::size_t dirty_count() const noexcept { return dirty_count_; }
-  std::size_t total_pages() const noexcept { return pages_.size(); }
+  std::size_t total_pages() const noexcept { return total_pages_; }
 
   /// Up to `limit` dirty pages (global), in (ino, page) order — pdflush's
-  /// view. O(limit), via the dirty index.
+  /// view. Reads the dirty-ino bitmap and the files' dirty masks.
   void all_dirty(std::size_t limit, std::vector<PageKey>& out) const;
   std::vector<PageKey> all_dirty(std::size_t limit) const;
 
   /// Notified whenever a write dirties a page (pdflush wake-up).
   sim::Notify& dirtied() noexcept { return dirtied_; }
 
-  /// Exhaustively cross-checks the dirty/writeback indexes against the page
-  /// map (test hook; O(total pages)).
+  /// Exhaustively cross-checks every mask, summary bit, count and the
+  /// dirty-ino bitmap against the pages' state (test hook; O(leaves)).
   bool check_index_invariants() const;
 
  private:
-  /// Per-inode page sets; the inner sets share the outer map's pool.
-  using InoIndex =
-      std::pmr::map<std::uint32_t, std::pmr::set<std::uint32_t>>;
+  static constexpr unsigned kLeafShift = 6;   // 64 pages per leaf
+  static constexpr unsigned kNodeShift = 12;  // 64 leaves per node
+  static constexpr std::uint32_t kFanout = 64;
 
-  static void index_insert(InoIndex& idx, const PageKey& key) {
-    idx[key.ino].insert(key.page);
-  }
-  static void index_erase(InoIndex& idx, const PageKey& key) {
-    auto it = idx.find(key.ino);
-    if (it == idx.end()) return;
-    it->second.erase(key.page);
-    if (it->second.empty()) idx.erase(it);
-  }
+  /// The two tags a page can carry; each indexes the masks below.
+  enum Tag : unsigned { kDirty = 0, kWriteback = 1 };
 
-  sim::Simulator* sim_;
-  /// Node pool for the three containers below, declared first so it
-  /// outlives them. Only they draw from it: nothing a suspended coroutine
-  /// frame holds does, so frames destroyed after the volume never free
-  /// into a dead pool.
-  std::pmr::unsynchronized_pool_resource pool_;
-  std::pmr::map<PageKey, PageState> pages_;
-  /// ino -> dirty pages (key.dirty == true exactly when indexed here).
-  InoIndex dirty_index_;
-  /// ino -> pages with a writeback carrier attached (dirty or not).
-  InoIndex wb_index_;
+  struct Leaf {
+    std::uint64_t present = 0;
+    /// Per tag: the pages carrying it.
+    std::array<std::uint64_t, 2> tagged{};
+    std::array<PageState, kFanout> pages;
+  };
+  struct Node {
+    /// Per tag: the leaves holding a page that carries it.
+    std::array<std::uint64_t, 2> tagged{};
+    std::array<std::unique_ptr<Leaf>, kFanout> leaves;
+  };
+  struct File {
+    /// Indexed by page >> kNodeShift, sized exactly to the highest node.
+    std::vector<std::unique_ptr<Node>> nodes;
+    /// Per tag: the pages carrying it.
+    std::array<std::size_t, 2> tagged{};
+  };
+
+  /// One present page and its radix path.
+  struct Ref {
+    std::uint32_t ino;
+    std::uint32_t page;
+    File& file;
+    Node& node;
+    Leaf& leaf;
+    PageState& state() const noexcept {
+      return leaf.pages[page & (kFanout - 1)];
+    }
+    std::uint64_t page_bit() const noexcept {
+      return std::uint64_t{1} << (page & (kFanout - 1));
+    }
+    std::uint64_t leaf_bit() const noexcept {
+      return std::uint64_t{1} << ((page >> kLeafShift) & (kFanout - 1));
+    }
+  };
+
+  /// The leaf holding `page` of `ino`, or nullptr.
+  Leaf* leaf_of(std::uint32_t ino, std::uint32_t page) const noexcept;
+  /// The path to a present page; `what` is the failure message if absent.
+  Ref ref_of(const PageKey& key, const char* what);
+  /// The path to `page` of `ino`, allocating (or recycling) its node and
+  /// leaf and marking it present.
+  Ref touch(std::uint32_t ino, std::uint32_t page);
+
+  static void set_tag(const Ref& r, Tag t);
+  static void clear_tag(const Ref& r, Tag t);
+  void set_dirty(const Ref& r);
+  void clear_dirty(const Ref& r);
+
+  /// Calls fn(page, node, leaf) for the first `count` pages of `f` tagged
+  /// `t`, in ascending page order, skipping untagged nodes and leaves. fn
+  /// may clear `t` on the page it is given and set the other tag.
+  template <typename Fn>
+  static void visit(const File& f, Tag t, std::size_t count, Fn&& fn);
+
+  std::vector<File> files_;
+  /// Bit ino set iff files_[ino] has a dirty page.
+  std::vector<std::uint64_t> dirty_inos_;
+  std::vector<std::unique_ptr<Leaf>> free_leaves_;
+  std::vector<std::unique_ptr<Node>> free_nodes_;
+  std::size_t total_pages_ = 0;
   std::size_t dirty_count_ = 0;
   sim::Notify dirtied_;
 };

@@ -11,8 +11,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
 
 #include "api/vfs.h"
@@ -222,6 +224,43 @@ TEST(AllocBudget, VarmailRingRetainsNoPerOpStateQ1) {
 TEST(AllocBudget, VarmailRingRetainsNoPerOpStateQ4) {
   SKIP_WITHOUT_COUNTER();
   expect_varmail_budget(4);
+}
+
+// The largest extent the stack accepts: 2^30 pages (4 TiB). Writing its
+// first and last page must cost memory for the pages touched, not for the
+// span between them; the page-number and LBA directories may add 8 B per
+// 4096 pages of span (2 MiB each here).
+constexpr std::uint32_t kSparseExtent = std::uint32_t{1} << 30;
+constexpr std::int64_t kSparseRetainedBudget = std::int64_t{16} << 20;
+
+/// Creates the file, then pwrites and fsyncs its first and its last page;
+/// `retained` gets the live bytes those four calls left behind.
+sim::Task sparse_client(api::Vfs& vfs, std::int64_t& retained) {
+  api::File f = api::must(co_await vfs.open(
+      "sparse", {.create = true, .extent_blocks = kSparseExtent}));
+  const std::int64_t before = live_bytes();
+  for (const std::uint32_t page : {0u, kSparseExtent - 1}) {
+    api::must(co_await f.pwrite(page, 1));
+    api::must(co_await f.fsync());
+  }
+  retained = live_bytes() - before;
+}
+
+TEST(AllocBudget, SparseExtentCostsTouchedPagesNotSpan) {
+  SKIP_WITHOUT_COUNTER();
+  const auto start = std::chrono::steady_clock::now();
+  core::Stack stack(core::StackConfig::make(
+      core::StackKind::kBfsDR, flash::DeviceProfile::plain_ssd()));
+  stack.start();
+  api::Vfs vfs(stack);
+  std::int64_t retained = std::numeric_limits<std::int64_t>::max();
+  // iolint: detached-owner(run() below drains the client; vfs and retained
+  // outlive the run in this scope)
+  stack.sim().spawn("sparse", sparse_client(vfs, retained));
+  stack.sim().run();
+  EXPECT_LE(retained, kSparseRetainedBudget)
+      << retained << " B retained by two single-page writes";
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
 }
 
 TEST(AllocBudget, ShortLivedSpawnsRecycleContexts) {

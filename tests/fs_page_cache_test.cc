@@ -1,12 +1,16 @@
 // Tests for the page cache's indexed dirty/writeback tracking: dirty ->
 // writeback -> clean transitions, dirty-count invariants, lazy completion
-// sweeps, and drop_file mid-writeback.
+// sweeps, drop_file mid-writeback, and a differential run against an
+// ordered-map reference model.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <vector>
 
 #include "blk/request_pool.h"
 #include "fs/page_cache.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 
 namespace bio::fs {
@@ -44,8 +48,8 @@ TEST(PageCacheTest, DirtyWritebackCleanTransitionsKeepCounts) {
   EXPECT_EQ(x.writebacks(1).size(), 1u);
   EXPECT_TRUE(x.cache.check_index_invariants());
 
-  x.cache.end_writeback(PageKey{1, 0}, r);
-  EXPECT_TRUE(x.writebacks(1).empty());
+  r->completion.trigger();
+  EXPECT_TRUE(x.writebacks(1).empty()) << "the sweep drops the carrier";
   EXPECT_EQ(x.cache.dirty_count(), 2u) << "clean page stays cached";
   EXPECT_EQ(x.cache.total_pages(), 3u);
   EXPECT_TRUE(x.cache.check_index_invariants());
@@ -99,11 +103,11 @@ TEST(PageCacheTest, RewriteDuringWritebackKeepsCarrierVisible) {
   }
   EXPECT_TRUE(x.cache.check_index_invariants());
 
-  // The stale request completing must not clear the new dirty state.
+  // The stale request completing (and being swept) must not clear the new
+  // dirty state.
   r->completion.trigger();
-  x.cache.end_writeback(PageKey{1, 0}, r);
-  EXPECT_EQ(x.cache.dirty_count(), 1u);
   EXPECT_TRUE(x.writebacks(1).empty());
+  EXPECT_EQ(x.cache.dirty_count(), 1u);
   const PageCache::PageState* st = x.cache.find(1, 0);
   ASSERT_NE(st, nullptr);
   EXPECT_TRUE(st->dirty);
@@ -163,7 +167,8 @@ TEST(PageCacheTest, DropFileMidWritebackPurgesEverything) {
   EXPECT_TRUE(x.cache.check_index_invariants());
 
   // The in-flight request finishing afterwards must be harmless.
-  x.cache.end_writeback(PageKey{1, 0}, r);
+  r->completion.trigger();
+  EXPECT_TRUE(x.writebacks(1).empty());
   EXPECT_TRUE(x.cache.check_index_invariants());
 }
 
@@ -178,6 +183,287 @@ TEST(PageCacheTest, DropFileIsScopedToOneIno) {
   EXPECT_EQ(x.cache.dirty_pages_of(1).size(), 4u);
   EXPECT_EQ(x.cache.dirty_pages_of(3).size(), 4u);
   EXPECT_TRUE(x.cache.check_index_invariants());
+}
+
+// ---- differential run against a reference model ---------------------------
+
+/// The page cache's contract over one ordered map of pages, the shape of
+/// the implementation the radix tables replaced.
+class ReferenceCache {
+ public:
+  struct Page {
+    flash::Lba lba = 0;
+    flash::Version version = 0;
+    bool dirty = false;
+    bool overwrite = false;
+    RequestPtr writeback;
+  };
+  using Map = std::map<PageKey, Page>;
+
+  void write(std::uint32_t ino, std::uint32_t page, flash::Lba lba,
+             flash::Version version, bool overwrite) {
+    Page& p = pages_[PageKey{ino, page}];
+    p.lba = lba;
+    p.version = version;
+    p.overwrite = overwrite;
+    p.dirty = true;
+  }
+
+  std::vector<PageKey> dirty_pages_of(std::uint32_t ino) const {
+    std::vector<PageKey> out;
+    for (auto it = begin(ino); it != end(ino); ++it)
+      if (it->second.dirty) out.push_back(it->first);
+    return out;
+  }
+
+  std::vector<PageKey> all_dirty(std::size_t limit) const {
+    std::vector<PageKey> out;
+    for (const auto& [key, p] : pages_) {
+      if (out.size() >= limit) break;
+      if (p.dirty) out.push_back(key);
+    }
+    return out;
+  }
+
+  void writebacks_of(std::uint32_t ino, std::vector<RequestPtr>& out,
+                     bool& swept_completed, bool& swept_failed) {
+    swept_completed = false;
+    swept_failed = false;
+    for (auto it = begin(ino); it != end(ino); ++it) {
+      Page& p = it->second;
+      if (p.writeback == nullptr) continue;
+      if (!p.writeback->completion.is_set()) {
+        out.push_back(p.writeback);
+        continue;
+      }
+      if (p.writeback->failed()) {
+        swept_failed = true;
+        p.dirty = true;
+      }
+      swept_completed = true;
+      p.writeback = nullptr;
+    }
+  }
+
+  void begin_writeback(const PageKey& key, RequestPtr req) {
+    Page& p = pages_.at(key);
+    p.dirty = false;
+    p.writeback = std::move(req);
+  }
+
+  std::size_t redirty_failed(std::uint32_t ino, const RequestPtr& req) {
+    std::size_t redirtied = 0;
+    for (auto it = begin(ino); it != end(ino); ++it) {
+      Page& p = it->second;
+      if (p.writeback != req) continue;
+      p.writeback = nullptr;
+      if (!p.dirty) {
+        p.dirty = true;
+        ++redirtied;
+      }
+    }
+    return redirtied;
+  }
+
+  void mark_clean(const PageKey& key) { pages_.at(key).dirty = false; }
+
+  void drop_file(std::uint32_t ino) { pages_.erase(begin(ino), end(ino)); }
+
+  const Page* find(std::uint32_t ino, std::uint32_t page) const {
+    auto it = pages_.find(PageKey{ino, page});
+    return it == pages_.end() ? nullptr : &it->second;
+  }
+
+  std::size_t dirty_count() const {
+    std::size_t n = 0;
+    for (const auto& kv : pages_) n += kv.second.dirty ? 1 : 0;
+    return n;
+  }
+
+  /// Cached pages of `ino`, ascending.
+  std::vector<std::uint32_t> pages_of(std::uint32_t ino) const {
+    std::vector<std::uint32_t> out;
+    for (auto it = begin(ino); it != end(ino); ++it)
+      out.push_back(it->first.page);
+    return out;
+  }
+
+ private:
+  /// [begin(ino), end(ino)) are `ino`'s pages.
+  Map::iterator begin(std::uint32_t ino) {
+    return pages_.lower_bound(PageKey{ino, 0});
+  }
+  Map::iterator end(std::uint32_t ino) {
+    return pages_.lower_bound(PageKey{ino + 1, 0});
+  }
+  Map::const_iterator begin(std::uint32_t ino) const {
+    return pages_.lower_bound(PageKey{ino, 0});
+  }
+  Map::const_iterator end(std::uint32_t ino) const {
+    return pages_.lower_bound(PageKey{ino + 1, 0});
+  }
+
+  Map pages_;
+};
+
+// Inos on both sides of a dirty-bitmap word; pages on both sides of the
+// 64-page leaf and 4096-page node boundaries, and one far past 2^20.
+constexpr std::uint32_t kDiffInos[] = {0, 1, 2, 63, 64, 65, 130};
+constexpr std::uint32_t kDiffPages[] = {
+    0,    1,    62,   63,   64,   65,   127,  128,  4031,
+    4032, 4094, 4095, 4096, 4097, 4159, 4160, 8191, 8192,
+    (1u << 20) + 5};
+
+std::vector<std::uint32_t> keys_pages(const std::vector<PageKey>& keys) {
+  std::vector<std::uint32_t> out;
+  for (const PageKey& k : keys) out.push_back(k.page);
+  return out;
+}
+
+/// Everything observable without mutating: dirty_count, every file's dirty
+/// pages, all_dirty at `limit`, every candidate page's state, and the
+/// cache's own index invariants.
+void expect_same(const PageCache& cache, const ReferenceCache& ref,
+                 std::size_t limit) {
+  ASSERT_TRUE(cache.check_index_invariants());
+  ASSERT_EQ(cache.dirty_count(), ref.dirty_count());
+  for (std::uint32_t ino : kDiffInos)
+    ASSERT_EQ(keys_pages(cache.dirty_pages_of(ino)),
+              keys_pages(ref.dirty_pages_of(ino)))
+        << "ino " << ino;
+  ASSERT_EQ(cache.all_dirty(limit), ref.all_dirty(limit)) << "limit " << limit;
+  for (std::uint32_t ino : kDiffInos) {
+    for (std::uint32_t page : kDiffPages) {
+      const PageCache::PageState* got = cache.find(ino, page);
+      const ReferenceCache::Page* want = ref.find(ino, page);
+      ASSERT_EQ(got == nullptr, want == nullptr) << ino << ":" << page;
+      if (got == nullptr) continue;
+      EXPECT_EQ(got->lba, want->lba);
+      EXPECT_EQ(got->version, want->version);
+      EXPECT_EQ(got->dirty, want->dirty);
+      EXPECT_EQ(got->overwrite, want->overwrite);
+      ASSERT_EQ(got->writeback, want->writeback) << ino << ":" << page;
+    }
+  }
+}
+
+/// Runs writebacks_of(ino) on both sides and compares carriers and flags.
+void expect_same_sweep(PageCache& cache, ReferenceCache& ref,
+                       std::uint32_t ino) {
+  blk::RequestList got;
+  bool got_completed = false;
+  bool got_failed = false;
+  cache.writebacks_of(ino, got, &got_completed, &got_failed);
+  std::vector<RequestPtr> want;
+  bool want_completed = false;
+  bool want_failed = false;
+  ref.writebacks_of(ino, want, want_completed, want_failed);
+  ASSERT_EQ(std::vector<RequestPtr>(got.begin(), got.end()), want);
+  ASSERT_EQ(got_completed, want_completed);
+  ASSERT_EQ(got_failed, want_failed);
+}
+
+void run_differential(std::uint64_t seed, int steps) {
+  sim::Simulator sim;
+  blk::RequestPool pool{sim};
+  PageCache cache{sim};
+  ReferenceCache ref;
+  sim::Rng rng(seed);
+  // Carriers not yet completed, with the ino whose pages they carry.
+  std::vector<std::pair<std::uint32_t, RequestPtr>> inflight;
+  flash::Version version = 0;
+  auto pick = [&](const auto& from) {
+    return from[rng.uniform(0, std::size(from) - 1)];
+  };
+  auto take_inflight = [&] {
+    const std::size_t i = rng.uniform(0, inflight.size() - 1);
+    auto carrier = inflight[i];
+    inflight.erase(inflight.begin() + static_cast<std::ptrdiff_t>(i));
+    return carrier;
+  };
+  for (int step = 0; step < steps; ++step) {
+    const std::uint32_t ino = pick(kDiffInos);
+    switch (rng.uniform(0, 11)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3: {
+        const std::uint32_t page = pick(kDiffPages);
+        const bool overwrite = rng.chance(0.5);
+        cache.write(ino, page, 1000 + page, ++version, overwrite);
+        ref.write(ino, page, 1000 + page, version, overwrite);
+        break;
+      }
+      case 4:
+      case 5: {
+        // One carrier for up to three cached pages of one file.
+        const std::vector<std::uint32_t> cached = ref.pages_of(ino);
+        if (cached.empty()) break;
+        RequestPtr r = pool.make_write({{1000 + cached.front(), version}});
+        for (std::uint64_t n = rng.uniform(1, 3); n > 0; --n) {
+          const PageKey key{ino, pick(cached)};
+          cache.begin_writeback(key, r);
+          ref.begin_writeback(key, r);
+        }
+        inflight.emplace_back(ino, r);
+        break;
+      }
+      case 6: {
+        // A completion, then the filesystem's sweep.
+        if (inflight.empty()) break;
+        const auto [owner, r] = take_inflight();
+        r->completion.trigger();
+        expect_same_sweep(cache, ref, owner);
+        break;
+      }
+      case 7: {
+        // A failed completion, then redirty_failed (or the sweep, which
+        // redirties too).
+        if (inflight.empty()) break;
+        const auto [owner, r] = take_inflight();
+        r->cmd.status = flash::IoStatus::kHardError;
+        r->completion.trigger();
+        if (rng.chance(0.5)) {
+          ASSERT_EQ(cache.redirty_failed(owner, r), ref.redirty_failed(owner, r));
+        } else {
+          expect_same_sweep(cache, ref, owner);
+        }
+        break;
+      }
+      case 8: {
+        const std::vector<std::uint32_t> cached = ref.pages_of(ino);
+        if (cached.empty()) break;
+        const PageKey key{ino, pick(cached)};
+        cache.mark_clean(key);
+        ref.mark_clean(key);
+        break;
+      }
+      case 9:
+      case 10:
+        expect_same_sweep(cache, ref, ino);
+        break;
+      case 11:
+        // Later steps write to the same ino again: it is reused.
+        if (!rng.chance(0.25)) break;
+        cache.drop_file(ino);
+        ref.drop_file(ino);
+        break;
+    }
+    // Limits from 0 through one past every dirty page: prefixes of the
+    // global (ino, page) order, and all of it.
+    expect_same(cache, ref, rng.uniform(0, ref.dirty_count() + 1));
+    if (testing::Test::HasFailure()) {
+      ADD_FAILURE() << "seed " << seed << " step " << step;
+      return;
+    }
+  }
+}
+
+TEST(PageCacheDifferentialTest, MatchesOrderedMapModel) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    run_differential(seed, 10'000);
+    if (testing::Test::HasFailure()) return;
+  }
 }
 
 }  // namespace
