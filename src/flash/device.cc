@@ -47,49 +47,58 @@ bool StorageDevice::try_submit(std::shared_ptr<Command> cmd) {
   port.window.splice(port.window.end(), port.free_slots,
                      port.free_slots.begin());
   port.window.back() = Slot{std::move(cmd), false, false};
+  // A new data command may precede the current minima (a lower fence epoch
+  // on another port), so the frontier moves here too.
+  const Command& c = *port.window.back().cmd;
+  if (c.op != OpCode::kFlush) {
+    data_front_ = std::min(data_front_, key_of(c));
+    if (c.priority == Priority::kOrdered)
+      ordered_front_ = std::min(ordered_front_, key_of(c));
+  }
   note_qd_change();
   queue_event_.notify_all();
   return true;
 }
 
-namespace {
-
-/// Transfer-fence precedence: epoch-major, seq-minor. Multi-queue hosts can
-/// submit commands out of epoch order across ports; a lower fence epoch
-/// always transfers first regardless of seq. Fenced hosts stamp EVERY
-/// command (reads and orderless writes included) with its enqueue-time
-/// epoch, so epoch-major order agrees with enqueue order and no command
-/// jumps the fence with a stale epoch-0 stamp. Single-queue hosts stamp
-/// every command epoch 0, collapsing this to the classic seq comparison.
-bool precedes(const Command& a, const Command& b) {
-  return a.fence_epoch != b.fence_epoch ? a.fence_epoch < b.fence_epoch
-                                        : a.seq < b.seq;
-}
-
-}  // namespace
-
-bool StorageDevice::transfer_eligible(const Slot& slot) const {
+bool StorageDevice::transfer_eligible(const Slot& slot) {
   // §3.4: the command *processing* overlaps freely; only the order of the
   // data transfers is fenced by ORDERED priorities. "Earlier" means lower
   // (fence_epoch, seq), across every port's window — ports parallelise
-  // transfers, not the ordering contract.
+  // transfers, not the ordering contract. Epoch-major: multi-queue hosts
+  // can submit commands out of epoch order across ports, and a lower fence
+  // epoch always transfers first. Fenced hosts stamp EVERY command (reads
+  // and orderless writes included) with its enqueue-time epoch, so no
+  // command jumps the fence with a stale epoch-0 stamp; single-queue hosts
+  // stamp every command epoch 0, collapsing this to the classic seq order.
   const Command& cmd = *slot.cmd;
   if (cmd.priority == Priority::kHeadOfQueue) return true;
   if (cmd.op == OpCode::kFlush) return true;  // flushes never wait for data
-  if (cmd.priority == Priority::kOrdered) {
-    // Every earlier data command must have transferred.
-    for (const auto& port : ports_)
-      for (const Slot& p : port->window)
-        if (precedes(*p.cmd, cmd) && is_data(p) && !p.dma_done) return false;
-    return true;
+  if (frontier_stale_) refresh_frontier();
+  // ORDERED: every earlier data command has transferred. SIMPLE: every
+  // earlier ORDERED data command has.
+  const FenceKey& front =
+      cmd.priority == Priority::kOrdered ? data_front_ : ordered_front_;
+  return !(front < key_of(cmd));
+}
+
+void StorageDevice::refresh_frontier() {
+  data_front_ = ordered_front_ = kNoCommand;
+  for (const auto& port : ports_) {
+    for (const Slot& s : port->window) {
+      if (s.dma_done || s.cmd->op == OpCode::kFlush) continue;
+      data_front_ = std::min(data_front_, key_of(*s.cmd));
+      if (s.cmd->priority == Priority::kOrdered)
+        ordered_front_ = std::min(ordered_front_, key_of(*s.cmd));
+    }
   }
-  // SIMPLE: fenced only by earlier ORDERED data commands.
-  for (const auto& port : ports_)
-    for (const Slot& p : port->window)
-      if (precedes(*p.cmd, cmd) && is_data(p) &&
-          p.cmd->priority == Priority::kOrdered && !p.dma_done)
-        return false;
-  return true;
+  frontier_stale_ = false;
+}
+
+void StorageDevice::note_transferred(Slot& slot) {
+  slot.dma_done = true;
+  // Retiring a command that is not a minimum leaves both minima as they are.
+  const FenceKey k = key_of(*slot.cmd);
+  if (k == data_front_ || k == ordered_front_) frontier_stale_ = true;
 }
 
 sim::Task StorageDevice::wait_transfer_turn(SlotIter it) {
@@ -128,6 +137,8 @@ sim::Task StorageDevice::handle(Port& port, SlotIter it) {
 }
 
 void StorageDevice::complete(Port& port, SlotIter it) {
+  // The slot already transferred (or is a flush), so it holds no frontier
+  // minimum: recycling it leaves the frontier as it is, with no refresh.
   // Keep the command (and, through the aliased ownership, the originating
   // request) alive past the slot's recycling: `done` points into that
   // request.
@@ -204,7 +215,7 @@ sim::Task StorageDevice::handle_write(Port& port, SlotIter it) {
   cmd->persist_through = land > 0 ? through : 0;
   if (honor_barrier) ++epoch_;
   if (cmd->barrier && fault == nullptr) ++stats_.barrier_writes;
-  it->dma_done = true;
+  note_transferred(*it);
   queue_event_.notify_all();
 
   if (cmd->fua && fault == nullptr) {
@@ -242,7 +253,7 @@ sim::Task StorageDevice::handle_read(Port& port, SlotIter it) {
   co_await port.host_bus.acquire();
   co_await sim_.delay(profile_.dma_4k);
   port.host_bus.release();
-  it->dma_done = true;
+  note_transferred(*it);
   queue_event_.notify_all();
   ++stats_.reads;
   complete(port, it);
@@ -252,7 +263,6 @@ sim::Task StorageDevice::handle_flush(Port& port, SlotIter it) {
   co_await gc_stall();
   co_await sim_.delay(profile_.cmd_overhead);
   co_await do_flush();
-  it->dma_done = true;
   ++stats_.flushes;
   complete(port, it);
 }

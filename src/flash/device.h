@@ -30,12 +30,21 @@
 // guarantees established by the host survive multi-port dispatch. With all
 // traffic on port 0 (single-queue hosts) behavior is bit-identical to the
 // former single-window device.
+//
+// Eligibility reads a *transfer frontier* instead of the windows: the
+// (fence_epoch, seq) of the earliest untransferred data command and of the
+// earliest untransferred ORDERED one, across every port. An ORDERED command
+// may transfer iff nothing precedes it in the first, a SIMPLE one iff
+// nothing precedes it in the second. A submission lowers the frontier in
+// place; a DMA transfer that retires a minimum marks it stale, and the next
+// eligibility check rescans the windows once.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "flash/cache.h"
@@ -194,7 +203,7 @@ class StorageDevice {
 
   /// One hardware submission port: an NCQ window plus the channel's
   /// host-side DMA lane. Ports transfer concurrently; ordering decisions
-  /// (transfer_eligible) read every port's window by global seq.
+  /// (transfer_eligible) read the frontier over every port's window.
   struct Port {
     explicit Port(sim::Simulator& sim) : host_bus(sim, 1) {}
     /// Outstanding commands in submission order.
@@ -206,10 +215,18 @@ class StorageDevice {
     std::uint64_t submissions = 0;
   };
 
-  bool is_data(const Slot& s) const noexcept {
-    return s.cmd->op != OpCode::kFlush;
+  /// Transfer-fence precedence: (fence_epoch, seq), lexicographic.
+  using FenceKey = std::pair<std::uint64_t, std::uint64_t>;
+  static constexpr FenceKey kNoCommand{~std::uint64_t{0}, ~std::uint64_t{0}};
+  static FenceKey key_of(const Command& c) noexcept {
+    return {c.fence_epoch, c.seq};
   }
-  bool transfer_eligible(const Slot& slot) const;
+
+  bool transfer_eligible(const Slot& slot);
+  /// Recomputes both frontier minima from every port's window.
+  void refresh_frontier();
+  /// Marks `slot`'s DMA transfer done and retires it from the frontier.
+  void note_transferred(Slot& slot);
   sim::Task wait_transfer_turn(SlotIter it);
   sim::Task controller_loop();
   sim::Task handle(Port& port, SlotIter it);
@@ -241,6 +258,12 @@ class StorageDevice {
 
   std::vector<std::unique_ptr<Port>> ports_;
   std::uint64_t next_seq_ = 0;
+  /// The transfer frontier: the earliest untransferred data command and the
+  /// earliest untransferred ORDERED one (kNoCommand when there is none).
+  FenceKey data_front_ = kNoCommand;
+  FenceKey ordered_front_ = kNoCommand;
+  /// A minimum has transferred since the last refresh_frontier().
+  bool frontier_stale_ = false;
   std::uint64_t epoch_ = 0;
   // Fault injection: per-class op ordinals advance only while a plan is
   // installed, so a plan installed before start() sees a deterministic

@@ -29,6 +29,7 @@ Simulator::~Simulator() {
   // cascades into any nested child tasks they own). A destroyed frame may
   // drop Thread handles, which recycle contexts into the still-live pool.
   queue_.clear();
+  ready_.clear();
   for (std::size_t i = 0; i < contexts_.size(); ++i)
     if (contexts_[i].frame_) std::exchange(contexts_[i].frame_, {}).destroy();
 }
@@ -64,24 +65,43 @@ void Simulator::schedule_resume(SimTime at, std::coroutine_handle<> h,
   BIO_CHECK_MSG(at >= now_, "scheduling into the past");
   const std::uintptr_t aux = reinterpret_cast<std::uintptr_t>(thr) |
                              (is_wakeup ? kWakeupBit : 0);
-  queue_.push(Scheduled{at, next_seq_++, h.address(), aux});
+  if (at == now_)
+    ready_.push({h.address(), aux});
+  else
+    queue_.push(Scheduled{at, next_seq_++, h.address(), aux});
 }
 
-void Simulator::dispatch(const Scheduled& ev) {
-  now_ = ev.at;
+void Simulator::resume(void* frame, std::uintptr_t aux) {
   ++events_dispatched_;
-  ThreadCtx* thr = reinterpret_cast<ThreadCtx*>(ev.aux & ~kWakeupBit);
-  if ((ev.aux & kWakeupBit) != 0 && thr != nullptr) ++thr->context_switches;
+  ThreadCtx* thr = reinterpret_cast<ThreadCtx*>(aux & ~kWakeupBit);
+  if ((aux & kWakeupBit) != 0 && thr != nullptr) ++thr->context_switches;
   current_ = thr;
-  std::coroutine_handle<>::from_address(ev.frame).resume();
+  std::coroutine_handle<>::from_address(frame).resume();
   current_ = nullptr;
+}
+
+bool Simulator::dispatch_next(SimTime t) {
+  // A heap entry due now was pushed before time reached now, so it precedes
+  // every resume scheduled during this instant (the ready queue).
+  if (!queue_.empty() && queue_.top().at == now_) {
+    const Scheduled ev = queue_.pop();
+    resume(ev.frame, ev.aux);
+  } else if (!ready_.empty()) {
+    const ReadyQueue::Entry e = ready_.pop();
+    resume(e.frame, e.aux);
+  } else if (!queue_.empty() && queue_.top().at <= t) {
+    const Scheduled ev = queue_.pop();
+    now_ = ev.at;
+    resume(ev.frame, ev.aux);
+  } else {
+    return false;
+  }
+  return true;
 }
 
 void Simulator::run() {
   stopped_ = false;
-  while (!queue_.empty() && !stopped_) {
-    const Scheduled ev = queue_.pop();
-    dispatch(ev);
+  while (!stopped_ && dispatch_next(kSimTimeMax)) {
   }
   if (failure_) {
     std::exception_ptr e = std::exchange(failure_, nullptr);
@@ -91,11 +111,13 @@ void Simulator::run() {
 
 void Simulator::run_until(SimTime t) {
   stopped_ = false;
-  while (!queue_.empty() && !stopped_ && queue_.top().at <= t) {
-    const Scheduled ev = queue_.pop();
-    dispatch(ev);
+  if (now_ <= t) {
+    while (!stopped_ && dispatch_next(t)) {
+    }
+    // stop() may have left resumes due at or before `t`: time must not
+    // pass them, or it would later run backwards.
+    if (ready_.empty() && (queue_.empty() || queue_.top().at > t)) now_ = t;
   }
-  if (now_ < t) now_ = t;
   if (failure_) {
     std::exception_ptr e = std::exchange(failure_, nullptr);
     std::rethrow_exception(e);

@@ -7,8 +7,17 @@
 // *context switch*: the wake is delayed by Params::wake_latency and the
 // thread's ThreadCtx::context_switches counter is incremented. This mirrors
 // how the paper counts "application level context switches" (Fig 11).
+//
+// Pending resumes live in two places. A resume due at a later instant goes
+// into a min-heap on (at, seq); one due at the current instant (yield(), a
+// zero-latency wake, a spawn) goes into a FIFO ready queue instead. The loop
+// first runs the heap's entries due now, which were pushed at an earlier
+// instant and so carry the lower seq, then the ready queue in order, and
+// only then advances time through the heap: exactly the (at, seq) order of
+// one heap, without sifting the half of all resumes that are due at once.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
@@ -28,11 +37,12 @@ struct ThreadCtx;
 
 /// The one waiter list: every blocking primitive (sim/sync.h) and join()
 /// parks here. A FIFO of (coroutine, thread) copies, woken oldest-first
-/// through Simulator::schedule_wakeup. Together with the event heap's
-/// (at, seq) order it decides which of several same-instant waiters
-/// resumes first. A vector, not a deque: it keeps its capacity across
-/// park/wake cycles, so a warm queue allocates nothing, and the few
-/// waiters a queue holds make wake_one's front erase cheap.
+/// through Simulator::schedule_wakeup. Together with the event loop's
+/// same-instant order (see the top of this file) it decides which of
+/// several same-instant waiters resumes first. A vector, not a deque: it
+/// keeps its capacity across park/wake cycles, so a warm queue allocates
+/// nothing, and the few waiters a queue holds make wake_one's front erase
+/// cheap.
 class WaitQueue {
  public:
   bool empty() const noexcept { return waiters_.empty(); }
@@ -144,13 +154,17 @@ class Simulator {
   /// first exception that escaped any simulated thread.
   void run();
 
-  /// Processes all events with timestamp <= `t`, then sets now() = t.
+  /// Processes all events with timestamp <= `t`, then sets now() = t unless
+  /// stop() left some of them pending. Dispatches nothing if t < now().
   void run_until(SimTime t);
 
-  /// Makes run()/run_until() return after the current event completes.
+  /// Makes run()/run_until() return after the current event completes; the
+  /// rest stay pending, and the next run resumes them in order.
   void stop() noexcept { stopped_ = true; }
 
-  bool has_pending_events() const noexcept { return !queue_.empty(); }
+  bool has_pending_events() const noexcept {
+    return !queue_.empty() || !ready_.empty();
+  }
 
   // ---- awaitables -------------------------------------------------------
 
@@ -278,7 +292,45 @@ class Simulator {
     std::vector<Scheduled> v_;
   };
 
-  void dispatch(const Scheduled& ev);
+  /// FIFO of the resumes scheduled for the current instant, as (frame, aux)
+  /// pairs in a power-of-two ring with free-running indices. It doubles
+  /// when full and otherwise keeps its capacity, so a warm run allocates
+  /// nothing per event.
+  class ReadyQueue {
+   public:
+    struct Entry {
+      void* frame;
+      std::uintptr_t aux;
+    };
+    bool empty() const noexcept { return head_ == tail_; }
+    void clear() noexcept { head_ = tail_ = 0; }
+
+    void push(const Entry& e) {
+      if (tail_ - head_ == ring_.size()) grow();
+      ring_[tail_++ & mask_] = e;
+    }
+
+    Entry pop() noexcept { return ring_[head_++ & mask_]; }
+
+   private:
+    /// Called only when full: unwraps the ring, then doubles it.
+    void grow() {
+      std::rotate(ring_.begin(), ring_.begin() + (head_ & mask_), ring_.end());
+      tail_ -= head_;
+      head_ = 0;
+      ring_.resize(ring_.empty() ? 64 : 2 * ring_.size());
+      mask_ = ring_.size() - 1;
+    }
+    std::vector<Entry> ring_;
+    std::size_t head_ = 0;
+    std::size_t tail_ = 0;
+    std::size_t mask_ = 0;
+  };
+
+  /// Dispatches the next resume due at or before `t` in (at, seq) order;
+  /// false if there is none. Requires now() <= t.
+  bool dispatch_next(SimTime t);
+  void resume(void* frame, std::uintptr_t aux);
   friend class Thread;
   /// Returns a finished, unpinned context to the free list.
   void recycle(ThreadCtx& ctx) noexcept {
@@ -291,7 +343,10 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_dispatched_ = 0;
   bool stopped_ = false;
+  /// Resumes scheduled before the instant they are due at.
   EventHeap queue_;
+  /// Resumes due now, scheduled during this instant.
+  ReadyQueue ready_;
   ThreadCtx* current_ = nullptr;
   /// Context pool: as many contexts as were ever live or pinned at once
   /// (a deque, so addresses stay stable as it grows); the recycled ones are

@@ -2,8 +2,16 @@
 // epochs, FUA/flush behaviour, per-mode durability and queue accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "flash/device.h"
 #include "flash_test_util.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 
 namespace bio::flash {
@@ -396,6 +404,112 @@ TEST(DeviceTest, FlushOnOnePortDrainsAllChannels) {
   sim.spawn("t", body());
   sim.run();
   EXPECT_TRUE(flushed);
+}
+
+TEST(DeviceTest, SeededMixesKeepTheTransferFence) {
+  // The §3.4 transfer fence over random traffic: four ports submit SIMPLE
+  // and ORDERED multi-block writes and head-of-queue flushes, retrying busy
+  // submissions, so every window stays near its depth limit. Each port's
+  // fence epoch never decreases but drifts ahead of and behind the others,
+  // so a later submission often precedes an earlier one in (fence_epoch,
+  // seq). The device fences only what it has seen (the block layer's
+  // submission gate covers the rest, DESIGN §14.1), so each check pairs a
+  // write with the writes submitted before it.
+  constexpr std::uint32_t kPorts = 4;
+  constexpr int kCommandsPerPort = 60;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    Simulator sim;
+    auto profile = test_profile(BarrierMode::kInOrderRecovery);
+    profile.geometry.channels = kPorts;
+    profile.geometry.blocks_per_chip = 64;
+    profile.geometry.pages_per_block = 16;
+    StorageDevice dev(sim, profile);
+    WritebackCache::TransferRecorder rec;
+    dev.install_transfer_recorder(&rec);
+    dev.start();
+    ASSERT_EQ(dev.port_count(), kPorts);
+
+    struct Sent {
+      testutil::Submission sub;
+      Version first_version = 0;
+    };
+    std::vector<Sent> sent;
+    sent.reserve(kPorts * kCommandsPerPort);
+    Version next_version = 1;
+    sim::Rng rng(seed);
+    auto submitter = [&](std::uint32_t port, sim::Rng r) -> Task {
+      std::uint64_t fence_epoch = 0;
+      for (int i = 0; i < kCommandsPerPort; ++i) {
+        if (r.chance(0.3)) fence_epoch += r.uniform(1, 2);
+        testutil::Submission sub;
+        Version first = 0;
+        if (r.chance(0.1)) {
+          sub = make_flush(sim, Priority::kHeadOfQueue);
+        } else {
+          std::vector<std::pair<Lba, Version>> blocks;
+          first = next_version;
+          const std::uint64_t n = r.uniform(1, 4);
+          for (std::uint64_t b = 0; b < n; ++b)
+            blocks.emplace_back(r.uniform(0, 63), next_version++);
+          const bool ordered = r.chance(0.3);
+          sub = make_write(sim, std::move(blocks),
+                           ordered ? Priority::kOrdered : Priority::kSimple,
+                           /*barrier=*/ordered);
+        }
+        sub.cmd->port = port;
+        sub.cmd->fence_epoch = fence_epoch;
+        while (!dev.try_submit(sub.cmd)) co_await dev.queue_activity().wait();
+        sent.push_back(Sent{std::move(sub), first});
+        if (r.chance(0.5)) co_await sim.delay(r.uniform(0, 3) * 1_us);
+      }
+    };
+    for (std::uint32_t p = 0; p < kPorts; ++p)
+      sim.spawn("submit", submitter(p, rng.fork()));
+    sim.run();
+
+    // Every command completed, and every written block was transferred.
+    std::unordered_map<Version, std::size_t> pos;  // version -> arrival
+    for (std::size_t i = 0; i < rec.size(); ++i) pos[rec[i].version] = i;
+    ASSERT_EQ(sent.size(), kPorts * kCommandsPerPort);
+    ASSERT_EQ(rec.size(), next_version - 1);
+    EXPECT_GT(dev.stats().busy_rejections, 0u) << "windows never filled";
+    struct Span {
+      std::uint64_t epoch, seq;
+      Priority priority;
+      std::size_t first, last;  // arrival positions of its blocks
+    };
+    std::vector<Span> writes;
+    for (const Sent& s : sent) {
+      ASSERT_TRUE(s.sub.done->is_set()) << "command never completed";
+      const Command& c = *s.sub.cmd;
+      if (c.op != OpCode::kWrite) continue;
+      Span sp{c.fence_epoch, c.seq, c.priority, rec.size(), 0};
+      for (std::size_t b = 0; b < c.blocks.size(); ++b) {
+        const std::size_t at = pos.at(s.first_version + b);
+        sp.first = std::min(sp.first, at);
+        sp.last = std::max(sp.last, at);
+      }
+      writes.push_back(sp);
+    }
+    std::size_t fenced_pairs = 0;
+    for (const Span& later : writes) {
+      for (const Span& w : writes) {
+        if (w.seq >= later.seq) continue;  // `later` or submitted after it
+        if (std::pair(w.epoch, w.seq) > std::pair(later.epoch, later.seq))
+          continue;  // a port ahead of `later`'s: not fenced by it
+        // An ORDERED write lands after every data write that precedes it,
+        // and a SIMPLE one after every ORDERED write that precedes it.
+        if (later.priority == Priority::kOrdered ||
+            w.priority == Priority::kOrdered) {
+          ++fenced_pairs;
+          EXPECT_LT(w.last, later.first)
+              << "seq " << later.seq << " passed seq " << w.seq;
+        }
+      }
+    }
+    EXPECT_GT(fenced_pairs, 0u);
+  }
 }
 
 }  // namespace

@@ -184,6 +184,136 @@ TEST(SimulatorTest, StopBreaksRunLoop) {
   EXPECT_TRUE(sim.has_pending_events());
 }
 
+TEST(SimulatorTest, RunUntilAfterStopKeepsTimeMonotonic) {
+  // stop() ends run_until(t) with resumes still due before t: time must
+  // stay at the stopping event, not jump to t and later run backwards.
+  Simulator sim;
+  std::vector<SimTime> stamps;
+  auto body = [&]() -> Task {
+    for (;;) {
+      co_await sim.delay(1_us);
+      stamps.push_back(sim.now());
+      if (stamps.size() % 3 == 0) sim.stop();
+    }
+  };
+  sim.spawn("t", body());
+  sim.run_until(10_us);
+  EXPECT_EQ(sim.now(), 3_us);
+  EXPECT_TRUE(sim.has_pending_events());
+  sim.run_until(10_us);
+  EXPECT_EQ(stamps, (std::vector<SimTime>{1_us, 2_us, 3_us, 4_us, 5_us, 6_us}));
+  EXPECT_EQ(sim.now(), 6_us);
+  sim.run_until(10_us);
+  sim.run_until(10_us);
+  EXPECT_EQ(stamps.size(), 10u);
+  EXPECT_EQ(stamps.back(), 10_us);
+  EXPECT_EQ(sim.now(), 10_us);
+}
+
+TEST(SimulatorTest, DueResumesRunBeforeSameInstantSchedules) {
+  // At 10 us, the resumes scheduled at time 0 for 10 us run first, in
+  // schedule order; then everything scheduled during 10 us (wakes and
+  // yields), in schedule order.
+  Simulator sim;
+  Event ev(sim);
+  std::vector<int> order;
+  auto waiter = [&](int id) -> Task {
+    co_await ev.wait();
+    order.push_back(id);
+  };
+  auto sleeper = [&](int id) -> Task {
+    co_await sim.delay(10_us);
+    order.push_back(id);
+    if (id == 1) ev.trigger();
+    co_await sim.yield();
+    order.push_back(id + 10);
+  };
+  for (int id = 1; id <= 3; ++id) sim.spawn("s", sleeper(id));
+  sim.spawn("w", waiter(4));
+  sim.spawn("w", waiter(5));
+  sim.run_until(9_us);
+  const std::uint64_t events_before = sim.events_dispatched();
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 11, 12, 13}));
+  EXPECT_EQ(sim.now(), 10_us);
+  EXPECT_EQ(sim.events_dispatched() - events_before, 8u);
+}
+
+TEST(SimulatorTest, StopMidInstantLeavesTheRestPending) {
+  Simulator sim;
+  Event ev(sim);
+  std::vector<int> order;
+  auto waiter = [&](int id) -> Task {
+    co_await ev.wait();
+    order.push_back(id);
+  };
+  auto sleeper = [&](int id) -> Task {
+    co_await sim.delay(5_us);
+    order.push_back(id);
+    if (id == 1) {
+      ev.trigger();
+      sim.stop();
+    }
+  };
+  for (int id = 1; id <= 3; ++id) sim.spawn("s", sleeper(id));
+  sim.spawn("w", waiter(4));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(sim.now(), 5_us);
+  EXPECT_TRUE(sim.has_pending_events());
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(sim.now(), 5_us);
+  EXPECT_FALSE(sim.has_pending_events());
+}
+
+TEST(SimulatorTest, RunUntilBeforeNowDispatchesNothing) {
+  Simulator sim;
+  sim.run_until(10_us);
+  bool ran = false;
+  auto body = [&]() -> Task {
+    ran = true;
+    co_await sim.delay(5_us);
+  };
+  sim.spawn("t", body());
+  const std::uint64_t events_before = sim.events_dispatched();
+  sim.run_until(5_us);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(sim.now(), 10_us);
+  EXPECT_EQ(sim.events_dispatched(), events_before);
+  sim.run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(sim.now(), 15_us);
+}
+
+TEST(SimulatorTest, SameInstantResumesKeepScheduleOrderPastManyEntries) {
+  // 60 threads each spawn a child and yield at time 0, so over a hundred
+  // resumes are pending at one instant: they still run in schedule order.
+  Simulator sim;
+  std::vector<int> order;
+  auto child = [&](int id) -> Task {
+    order.push_back(1000 + id);
+    co_return;
+  };
+  auto parent = [&](int id) -> Task {
+    order.push_back(id);
+    sim.spawn("c", child(id));
+    co_await sim.yield();
+    order.push_back(2000 + id);
+  };
+  constexpr int kThreads = 60;
+  for (int id = 0; id < kThreads; ++id) sim.spawn("p", parent(id));
+  sim.run();
+  std::vector<int> expected;
+  for (int id = 0; id < kThreads; ++id) expected.push_back(id);
+  for (int id = 0; id < kThreads; ++id) {
+    expected.push_back(1000 + id);
+    expected.push_back(2000 + id);
+  }
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sim.now(), 0u);
+}
+
 TEST(SimulatorTest, JoinWaitsForThreadCompletion) {
   Simulator sim;
   SimTime joined_at = 0;
