@@ -61,10 +61,7 @@ RingOp ring_op_for(Syscall call) noexcept {
   return RingOp::kNop;
 }
 
-Ring::Ring(Vfs& vfs) : Ring(vfs, Config{}) {}
-
-Ring::Ring(Vfs& vfs, Config cfg)
-    : core_(std::make_shared<Core>(vfs, vfs.simulator())), cfg_(cfg) {}
+Ring::Ring(Vfs& vfs) : core_(std::make_shared<Core>(vfs, vfs.simulator())) {}
 
 Ring::~Ring() {
   core_->closed = true;
@@ -74,7 +71,7 @@ Ring::~Ring() {
 }
 
 bool Ring::push(const Sqe& sqe) {
-  if (sq_.size() >= cfg_.sq_entries) return false;
+  if (sq_.size() >= kSqEntries) return false;
   sq_.push_back(sqe);
   return true;
 }
@@ -173,13 +170,6 @@ void Ring::complete(Core& core, const Sqe& sqe, std::int32_t res) {
   core.cq_ready.notify_all();
 }
 
-bool Ring::peek_cqe(Cqe& out) {
-  if (core_->cq.empty()) return false;
-  out = core_->cq.front();
-  core_->cq.pop_front();
-  return true;
-}
-
 sim::TaskOf<Cqe> Ring::wait_cqe() {
   // Local shared_ptr copy taken before the first suspension: the Ring (and
   // with it `this`) may be destroyed while this coroutine sleeps.
@@ -192,10 +182,6 @@ sim::TaskOf<Cqe> Ring::wait_cqe() {
 }
 
 std::size_t Ring::cq_ready() const noexcept { return core_->cq.size(); }
-
-std::uint32_t Ring::sq_pending() const noexcept {
-  return static_cast<std::uint32_t>(sq_.size());
-}
 
 std::uint32_t Ring::in_flight() const noexcept { return core_->in_flight; }
 

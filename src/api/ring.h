@@ -4,7 +4,7 @@
 // fills a submission queue with sqe-like ops (read/write and one op per
 // sync syscall), submit() dispatches the batch as coroutines over the
 // existing Vfs paths, and completions are reaped out of order from a
-// cqe queue (peek_cqe / wait_cqe), each carrying the sqe's user_data and a
+// cqe queue (wait_cqe), each carrying the sqe's user_data and a
 // res that is pages-transferred (>= 0) or a negated errno.
 //
 // Link flags encode the paper's order-preserving dispatch at the host API:
@@ -93,10 +93,8 @@ inline constexpr std::int32_t kECanceled = -125;  // chain predecessor failed
 
 class Ring {
  public:
-  struct Config {
-    /// Submission-queue capacity: push() refuses beyond this.
-    std::uint32_t sq_entries = 64;
-  };
+  /// Submission-queue capacity: push() refuses beyond this.
+  static constexpr std::uint32_t kSqEntries = 64;
 
   /// Observer hooks, invoked synchronously in driver context immediately
   /// before a (validated) sqe is issued to the Vfs and immediately after
@@ -106,7 +104,6 @@ class Ring {
   using CompleteHook = std::function<void(const Sqe&, std::int32_t res)>;
 
   explicit Ring(Vfs& vfs);
-  Ring(Vfs& vfs, Config cfg);
   ~Ring();
 
   Ring(const Ring&) = delete;
@@ -126,13 +123,10 @@ class Ring {
 
   // ---- completion --------------------------------------------------------
 
-  /// Non-blocking reap; false when no completion is queued.
-  bool peek_cqe(Cqe& out);
   /// Blocks the calling simulated thread until a completion is available.
   sim::TaskOf<Cqe> wait_cqe();
 
   std::size_t cq_ready() const noexcept;
-  std::uint32_t sq_pending() const noexcept;
   /// Sqes dispatched whose completion has not yet been queued.
   std::uint32_t in_flight() const noexcept;
 
@@ -200,7 +194,6 @@ class Ring {
 
   std::shared_ptr<Core> core_;
   std::deque<Sqe> sq_;
-  Config cfg_;
   bool ignore_links_ = false;
 };
 

@@ -15,15 +15,6 @@ const char* to_string(Syscall s) noexcept {
   return "?";
 }
 
-const char* to_string(SyncIntent i) noexcept {
-  switch (i) {
-    case SyncIntent::kOrder: return "order";
-    case SyncIntent::kDurability: return "durability";
-    case SyncIntent::kFullSync: return "full-sync";
-  }
-  return "?";
-}
-
 SyncPolicy SyncPolicy::for_stack(core::StackKind kind) noexcept {
   switch (kind) {
     case core::StackKind::kExt4DR:

@@ -47,7 +47,6 @@ enum class SyncIntent : std::uint8_t {
 };
 
 const char* to_string(Syscall s) noexcept;
-const char* to_string(SyncIntent i) noexcept;
 
 struct SyncPolicy {
   Syscall order = Syscall::kFdatasync;

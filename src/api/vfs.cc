@@ -70,14 +70,6 @@ fs::Filesystem* Vfs::filesystem_of(const std::string& name) noexcept {
   return m == nullptr ? nullptr : m->filesystem;
 }
 
-const SyncPolicy& Vfs::default_policy() const noexcept {
-  return mounts_.front()->policy;
-}
-
-fs::Filesystem& Vfs::filesystem() noexcept {
-  return *mounts_.front()->filesystem;
-}
-
 sim::Simulator& Vfs::simulator() noexcept {
   return mounts_.front()->filesystem->sim();
 }

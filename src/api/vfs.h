@@ -214,9 +214,6 @@ class Vfs {
   /// Per-file policy override; applies to every fd sharing the vnode.
   Status set_policy(Fd fd, SyncPolicy policy);
   Result<SyncPolicy> policy_of(Fd fd) const;
-  /// The first mount's policy (the Vfs-wide default of the single-volume
-  /// configuration).
-  const SyncPolicy& default_policy() const noexcept;
 
   /// The journal flavour behind the descriptor (the filesystem it was
   /// opened on, not what a later remount swapped in) — the capability
@@ -231,8 +228,6 @@ class Vfs {
   std::size_t open_fds() const noexcept { return open_fds_; }
   /// Node-wide statistics (every mount plus unroutable-name errors).
   const Stats& stats() const noexcept { return stats_; }
-  /// The first mount's current filesystem (single-volume compat accessor).
-  fs::Filesystem& filesystem() noexcept;
   /// The node's simulator (all mounts share it) — where api::Ring spawns
   /// its chain drivers.
   sim::Simulator& simulator() noexcept;

@@ -115,10 +115,6 @@ class BlockLayer {
   sim::Task read_and_wait(flash::Lba lba);
 
   const Stats& stats() const noexcept { return stats_; }
-  /// Queue 0's scheduler (the only one at nr_queues = 1).
-  const IoScheduler& scheduler() const noexcept {
-    return *queues_[0]->scheduler;
-  }
   const IoScheduler& scheduler(std::uint32_t queue) const {
     BIO_CHECK(queue < queues_.size());
     return *queues_[queue]->scheduler;

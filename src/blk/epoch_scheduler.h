@@ -161,12 +161,9 @@ class EpochScheduler : public IoScheduler {
   /// Requests merged into `r` leave the queue with it; retire their stamps.
   /// Merging is write-only and never crosses fence epochs (try_back_merge),
   /// so every absorbed stamp equals the carrier's — which stays pending
-  /// until note_submitted. Absorption chains nest one level per merge.
+  /// until note_submitted. The absorbed list is flat (blk::absorb).
   void retire_absorbed(const Request& r) {
-    for (const RequestPtr& a : r.absorbed) {
-      retire_stamp(a->fence_epoch);
-      retire_absorbed(*a);
-    }
+    for (const RequestPtr& a : r.absorbed) retire_stamp(a->fence_epoch);
   }
 
   /// Moves staged requests into the base scheduler, preserving their

@@ -32,7 +32,7 @@ void NoopScheduler::enqueue(RequestPtr r) {
   if (!queue_.empty() && r->is_write() &&
       try_back_merge(*queue_.back(), *r)) {
     ++stats_.merges;
-    queue_.back()->absorbed.push_back(std::move(r));
+    absorb(*queue_.back(), std::move(r));
     return;
   }
   queue_.push_back(std::move(r));
@@ -67,15 +67,15 @@ void ElevatorScheduler::enqueue(RequestPtr r) {
     auto prev = std::prev(pos);
     if (try_back_merge(**prev, *r)) {
       ++stats_.merges;
-      (*prev)->absorbed.push_back(std::move(r));
+      absorb(**prev, std::move(r));
       return;
     }
   }
   if (pos != writes_.end() && try_back_merge(*r, **pos)) {
-    // Front-merge: r absorbs *pos; swap r into its place.
+    // Front-merge: r absorbs *pos and takes its place.
     ++stats_.merges;
-    r->absorbed.push_back(*pos);
-    std::swap(*pos, r);
+    absorb(*r, std::move(*pos));
+    *pos = std::move(r);
     return;
   }
   writes_.insert(pos, std::move(r));

@@ -5,15 +5,21 @@
 //   * order-preserving — REQ_ORDERED; free to reorder *within* its epoch,
 //   * barrier          — REQ_ORDERED|REQ_BARRIER; delimits an epoch.
 //
-// Requests are built for recycling (blk::RequestPool): the completion event
-// and the device-facing Command are embedded (no per-request Event or
-// per-dispatch Command allocation), and the block payload lives in a
-// small-buffer BlockList whose heap fallback keeps its capacity across
-// reuses.
+// Every request comes from a blk::RequestPool, which recycles it: the
+// completion event and the device-facing Command are embedded (no
+// per-request Event or per-dispatch Command allocation), and the block
+// payload lives in a small-buffer BlockList whose heap fallback keeps its
+// capacity across reuses.
+//
+// Merges are flat. A carrier's `absorbed` list holds every request merged
+// into it, including those a front-merged carrier had absorbed before, in
+// the order the merges built (blk::absorb). A merged request spans at most
+// kMaxMergedBlocks blocks, so a carrier holds at most 127 absorbed requests.
 #pragma once
 
 #include <array>
 #include <cstddef>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <utility>
@@ -23,7 +29,6 @@
 #include "flash/types.h"
 #include "sim/check.h"
 #include "sim/sync.h"
-#include "sim/time.h"
 
 namespace bio::blk {
 
@@ -126,7 +131,6 @@ struct Request {
   /// the epoch they were issued under. Stays 0 on single-queue stacks.
   std::uint64_t fence_epoch = 0;
 
-  sim::SimTime queued_at = 0;
   /// Host completion IRQ (embedded; re-armed on recycle). Fires once the
   /// request is *finished* — for a fault-aware dispatch that includes the
   /// retry policy, so `status()` is the final verdict.
@@ -137,7 +141,8 @@ struct Request {
   /// no fault plan installed the device triggers `completion` directly and
   /// this event stays cold.
   sim::Event device_done;
-  /// Requests merged into this one; their completions fire with ours.
+  /// Requests merged into this one, flat (see absorb()); their completions
+  /// fire with ours.
   std::vector<RequestPtr> absorbed;
   /// Device-facing command, filled at dispatch. The block layer hands the
   /// device an aliasing shared_ptr to this member, so the request stays
@@ -160,16 +165,15 @@ struct Request {
   bool failed() const noexcept { return cmd.status != flash::IoStatus::kOk; }
 
   /// Scrubs per-use state while retaining container capacities (pool reuse).
+  /// `absorbed` is already empty: the pool drains it before calling this.
   void reset_for_reuse() noexcept {
     op = ReqOp::kWrite;
     ordered = barrier = flush = fua = false;
     blocks.clear();
     read_lba = 0;
     fence_epoch = 0;
-    queued_at = 0;
     completion.recycle();
     device_done.recycle();
-    absorbed.clear();
     cmd = flash::Command{};
   }
 };
@@ -211,100 +215,28 @@ class RequestList {
   std::vector<RequestPtr> heap_;
 };
 
-namespace detail {
-
-/// Heap-worklist preorder walk for absorption chains deeper than the
-/// recursion budget. Entering the loop processes `r`'s whole subtree before
-/// returning, so the caller's sibling order (= preorder) is preserved.
-inline void trigger_absorbed_deep(Request& r, flash::IoStatus status) {
-  std::vector<Request*> work;
-  work.reserve(r.absorbed.size());
-  for (auto it = r.absorbed.rbegin(); it != r.absorbed.rend(); ++it)
-    work.push_back(it->get());
-  while (!work.empty()) {
-    Request* cur = work.back();
-    work.pop_back();
-    cur->cmd.status = status;
-    cur->completion.trigger();
-    for (auto it = cur->absorbed.rbegin(); it != cur->absorbed.rend(); ++it)
-      work.push_back(it->get());
-  }
+/// Merges `r` into `carrier`: appends `r`, then moves in the requests `r`
+/// had absorbed, so every list stays flat and in merge-tree preorder (a
+/// front-merge absorbs a carrier that may already hold requests). Nothing
+/// else adds to Request::absorbed; only the pool's release empties it.
+inline void absorb(Request& carrier, RequestPtr r) {
+  std::vector<RequestPtr>& inner = r->absorbed;
+  carrier.absorbed.push_back(std::move(r));
+  carrier.absorbed.insert(carrier.absorbed.end(),
+                          std::make_move_iterator(inner.begin()),
+                          std::make_move_iterator(inner.end()));
+  inner.clear();
 }
 
-/// Recursive preorder walk with a depth budget: the common 1-2 link merge
-/// chains complete with zero heap traffic; anything deeper falls back to
-/// the worklist before the real stack is at risk.
-inline void trigger_absorbed_impl(Request& r, flash::IoStatus status,
-                                  int depth_left) {
-  for (const RequestPtr& a : r.absorbed) {
-    a->cmd.status = status;
-    a->completion.trigger();
-    if (a->absorbed.empty()) continue;
-    if (depth_left > 0)
-      trigger_absorbed_impl(*a, status, depth_left - 1);
-    else
-      trigger_absorbed_deep(*a, status);
-  }
-}
-
-}  // namespace detail
-
-/// Fires the completion of every request absorbed (transitively) into `r`,
-/// in preorder. The dispatcher calls this when the carrying request
-/// completes. Absorption chains grow one link per merge, so a long
-/// fsync-heavy run must not translate into unbounded recursion on the real
-/// stack — past a fixed depth the walk switches to an explicit worklist.
+/// Fires the completion of every request absorbed into `r`, in merge
+/// preorder. The dispatcher calls this when the carrying request completes.
 inline void trigger_absorbed(Request& r) {
-  if (r.absorbed.empty()) return;
   // Absorbed requests completed with the carrier, so they share its fate:
   // a failed carrier fails every write folded into it.
-  detail::trigger_absorbed_impl(r, r.cmd.status, /*depth_left=*/64);
-}
-
-/// Validates and stamps a write payload onto `r` (shared by RequestPool and
-/// the unpooled test helpers).
-inline void init_write_request(Request& r, std::span<const Block> blocks,
-                               bool ordered, bool barrier, bool flush,
-                               bool fua) {
-  BIO_CHECK_MSG(!blocks.empty(), "write request without blocks");
-  for (std::size_t i = 1; i < blocks.size(); ++i)
-    BIO_CHECK_MSG(blocks[i].first == blocks[i - 1].first + 1,
-                  "write request blocks must be contiguous ascending");
-  r.op = ReqOp::kWrite;
-  r.ordered = ordered || barrier;  // barrier implies order-preserving
-  r.barrier = barrier;
-  r.flush = flush;
-  r.fua = fua;
-  r.blocks.assign(blocks);
-}
-
-// ---- unpooled helpers -------------------------------------------------------
-// Convenience constructors for tests and standalone scheduler use; the
-// production stack allocates through blk::RequestPool instead.
-
-inline RequestPtr make_write_request(sim::Simulator& sim,
-                                     std::vector<Block> blocks,
-                                     bool ordered = false, bool barrier = false,
-                                     bool flush = false, bool fua = false) {
-  auto r = std::make_shared<Request>(sim);
-  init_write_request(*r, blocks, ordered, barrier, flush, fua);
-  r->queued_at = sim.now();
-  return r;
-}
-
-inline RequestPtr make_read_request(sim::Simulator& sim, flash::Lba lba) {
-  auto r = std::make_shared<Request>(sim);
-  r->op = ReqOp::kRead;
-  r->read_lba = lba;
-  r->queued_at = sim.now();
-  return r;
-}
-
-inline RequestPtr make_flush_request(sim::Simulator& sim) {
-  auto r = std::make_shared<Request>(sim);
-  r->op = ReqOp::kFlush;
-  r->queued_at = sim.now();
-  return r;
+  for (const RequestPtr& a : r.absorbed) {
+    a->cmd.status = r.cmd.status;
+    a->completion.trigger();
+  }
 }
 
 }  // namespace bio::blk

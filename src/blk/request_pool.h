@@ -1,4 +1,5 @@
-// Slab/freelist recycler for block-layer requests.
+// Slab/freelist recycler for block-layer requests, and the only way to
+// build one: the stack and the tests both take their requests from a pool.
 //
 // The ordered write path of the paper lives or dies on per-IO overhead, and
 // the simulator's own hot path should too: the legacy path paid one
@@ -78,8 +79,17 @@ class RequestPool {
   RequestPtr make_write(std::span<const Block> blocks, bool ordered = false,
                         bool barrier = false, bool flush = false,
                         bool fua = false) {
+    BIO_CHECK_MSG(!blocks.empty(), "write request without blocks");
+    for (std::size_t i = 1; i < blocks.size(); ++i)
+      BIO_CHECK_MSG(blocks[i].first == blocks[i - 1].first + 1,
+                    "write request blocks must be contiguous ascending");
     RequestPtr r = wrap(acquire());
-    init_write_request(*r, blocks, ordered, barrier, flush, fua);
+    r->op = ReqOp::kWrite;
+    r->ordered = ordered || barrier;  // barrier implies order-preserving
+    r->barrier = barrier;
+    r->flush = flush;
+    r->fua = fua;
+    r->blocks.assign(blocks);
     return r;
   }
 
@@ -128,26 +138,15 @@ class RequestPool {
     std::vector<void*> ctrl_free;
     std::size_t ctrl_size = 0;
     Stats stats;
-    /// Worklist draining absorbed chains iteratively on release: dropping a
-    /// parent's absorbed list may drop the last reference to each child,
-    /// which would otherwise recurse one stack frame per merge link.
-    std::vector<RequestPtr> release_queue;
-    bool releasing = false;
 
+    /// Parks the carrier, then drops its absorbed requests newest first;
+    /// each one that was the last reference parks behind it. Merges are
+    /// flat, so that re-entry finds an empty list and goes no deeper.
     void release(Request* r) {
       stats.block_heap_allocs += r->blocks.take_heap_allocs();
-      for (RequestPtr& child : r->absorbed)
-        release_queue.push_back(std::move(child));
-      r->reset_for_reuse();
       free_list.push_back(r);
-      if (releasing) return;  // the outermost frame drains the queue
-      releasing = true;
-      while (!release_queue.empty()) {
-        RequestPtr child = std::move(release_queue.back());
-        release_queue.pop_back();
-        child.reset();  // may re-enter release(); depth stays bounded
-      }
-      releasing = false;
+      while (!r->absorbed.empty()) r->absorbed.pop_back();
+      r->reset_for_reuse();
     }
   };
 
@@ -207,7 +206,6 @@ class RequestPool {
       im.slab.emplace_back(*im.sim);
       r = &im.slab.back();
     }
-    r->queued_at = im.sim->now();
     return r;
   }
 

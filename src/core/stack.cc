@@ -6,6 +6,14 @@
 
 namespace bio::core {
 
+namespace {
+
+/// Every stack's simulator: a blocked thread resumes 15 µs after its wake,
+/// the context switch the paper counts (Fig 11).
+constexpr sim::Simulator::Params kSimParams{.wake_latency = 15'000};
+
+}  // namespace
+
 const char* to_string(StackKind k) noexcept {
   switch (k) {
     case StackKind::kExt4DR: return "EXT4-DR";
@@ -48,8 +56,7 @@ VolumeConfig VolumeConfig::make(StackKind kind, flash::DeviceProfile device,
 }
 
 StackConfig StackConfig::make(StackKind kind, flash::DeviceProfile device) {
-  return of_volume(VolumeConfig::make(kind, std::move(device)),
-                   StackConfig{}.sim);
+  return of_volume(VolumeConfig::make(kind, std::move(device)));
 }
 
 VolumeConfig StackConfig::volume(std::string name) const {
@@ -62,23 +69,19 @@ VolumeConfig StackConfig::volume(std::string name) const {
   return v;
 }
 
-StackConfig StackConfig::of_volume(const VolumeConfig& v,
-                                   sim::Simulator::Params sim_params) {
+StackConfig StackConfig::of_volume(const VolumeConfig& v) {
   StackConfig c;
   c.kind = v.kind;
   c.device = v.device;
   c.blk = v.blk;
   c.fs = v.fs;
-  c.sim = sim_params;
   return c;
 }
 
 NodeConfig NodeConfig::from(const std::vector<StackConfig>& bases) {
   NodeConfig cfg;
-  for (std::size_t i = 0; i < bases.size(); ++i) {
-    if (i == 0) cfg.sim = bases[i].sim;
+  for (std::size_t i = 0; i < bases.size(); ++i)
     cfg.volumes.push_back(bases[i].volume("v" + std::to_string(i)));
-  }
   return cfg;
 }
 
@@ -96,16 +99,16 @@ void Volume::start() {
 }
 
 Stack::Stack(StackConfig config)
-    : config_(std::move(config)), sim_(config_.sim) {
+    : config_(std::move(config)), sim_(kSimParams) {
   volumes_.push_back(std::make_unique<Volume>(sim_, config_.volume()));
 }
 
-Stack::Stack(NodeConfig config) : sim_(config.sim) {
+Stack::Stack(NodeConfig config) : sim_(kSimParams) {
   BIO_CHECK_MSG(!config.volumes.empty(), "node with zero volumes");
   for (VolumeConfig& v : config.volumes)
     volumes_.push_back(std::make_unique<Volume>(sim_, std::move(v)));
   // Materialize the compat surface (config()/kind()) from volume 0.
-  config_ = StackConfig::of_volume(volumes_[0]->config(), config.sim);
+  config_ = StackConfig::of_volume(volumes_[0]->config());
 }
 
 Volume* Stack::find_volume(const std::string& name) noexcept {

@@ -92,14 +92,13 @@ class Volume {
 };
 
 /// Single-volume stack configuration (the historical shape: one kind, one
-/// device, one filesystem, plus the simulator parameters). Still the
-/// configuration every per-figure experiment uses.
+/// device, one filesystem). Still the configuration every per-figure
+/// experiment uses.
 struct StackConfig {
   StackKind kind = StackKind::kExt4DR;
   flash::DeviceProfile device = flash::DeviceProfile::plain_ssd();
   blk::BlockLayerConfig blk;
   fs::FsConfig fs;
-  sim::Simulator::Params sim{.wake_latency = 15'000};
 
   static StackConfig make(StackKind kind, flash::DeviceProfile device);
 
@@ -107,22 +106,21 @@ struct StackConfig {
   VolumeConfig volume(std::string name = {}) const;
   /// The inverse: a single-volume StackConfig over `v`'s wiring. The only
   /// place the field lists of the two config shapes meet (volume() aside).
-  static StackConfig of_volume(const VolumeConfig& v,
-                               sim::Simulator::Params sim_params);
+  static StackConfig of_volume(const VolumeConfig& v);
 };
 
 /// Multi-volume node configuration: one simulator, N volumes.
 struct NodeConfig {
-  sim::Simulator::Params sim{.wake_latency = 15'000};
   std::vector<VolumeConfig> volumes;
 
   /// A node of `bases.size()` volumes named "v0", "v1", ... — one per
-  /// single-volume config. Simulator params come from the first base (the
-  /// node has one clock; per-volume sim params cannot exist).
+  /// single-volume config.
   static NodeConfig from(const std::vector<StackConfig>& bases);
 };
 
 /// A host node: one shared simulator plus one or more volumes. The
+/// simulator charges every wakeup of a simulated thread a 15 µs
+/// context-switch latency (hardware actors opt out per thread). The
 /// single-volume accessors (device()/blk()/fs()/kind()) delegate to volume
 /// 0, so every existing per-device experiment keeps compiling; multi-volume
 /// callers iterate volumes() or index volume(i).
@@ -155,7 +153,7 @@ class Stack {
   const StackConfig& config() const noexcept { return config_; }
 
  private:
-  StackConfig config_;  // volume 0's wiring + sim params (compat surface)
+  StackConfig config_;  // volume 0's wiring (compat surface)
   sim::Simulator sim_;
   std::vector<std::unique_ptr<Volume>> volumes_;
 };

@@ -7,16 +7,6 @@
 
 namespace bio::flash {
 
-const char* to_string(FaultKind k) noexcept {
-  switch (k) {
-    case FaultKind::kTransientProgram: return "transient-program";
-    case FaultKind::kTransientRead: return "transient-read";
-    case FaultKind::kHardMedia: return "hard-media";
-    case FaultKind::kTornWrite: return "torn-write";
-  }
-  return "?";
-}
-
 FaultPlan FaultPlan::random(std::uint64_t seed,
                             std::uint64_t expected_write_ops,
                             std::uint32_t max_faults) {

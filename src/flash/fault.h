@@ -45,8 +45,6 @@ enum class FaultKind : std::uint8_t {
   kTornWrite,
 };
 
-const char* to_string(FaultKind k) noexcept;
-
 struct FaultSpec {
   FaultKind kind = FaultKind::kTransientProgram;
   /// Per-class device op ordinal this spec fires at (1-based, retries

@@ -182,39 +182,4 @@ std::vector<DeviceProfile> DeviceProfile::fig1_devices() {
           supercap_ssd(), pcie_ssd(), flash_array()};
 }
 
-const char* to_string(BarrierMode m) noexcept {
-  switch (m) {
-    case BarrierMode::kNone: return "none";
-    case BarrierMode::kInOrderRecovery: return "in-order-recovery";
-  }
-  return "?";
-}
-
-const char* to_string(Priority p) noexcept {
-  switch (p) {
-    case Priority::kSimple: return "simple";
-    case Priority::kOrdered: return "ordered";
-    case Priority::kHeadOfQueue: return "head-of-queue";
-  }
-  return "?";
-}
-
-const char* to_string(OpCode op) noexcept {
-  switch (op) {
-    case OpCode::kWrite: return "write";
-    case OpCode::kRead: return "read";
-    case OpCode::kFlush: return "flush";
-  }
-  return "?";
-}
-
-const char* to_string(IoStatus s) noexcept {
-  switch (s) {
-    case IoStatus::kOk: return "ok";
-    case IoStatus::kTransientError: return "transient-error";
-    case IoStatus::kHardError: return "hard-error";
-  }
-  return "?";
-}
-
 }  // namespace bio::flash

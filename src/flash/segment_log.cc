@@ -5,10 +5,9 @@
 
 namespace bio::flash {
 
-SegmentLog::SegmentLog(sim::Simulator& sim, NandArray& nand, Params params)
+SegmentLog::SegmentLog(sim::Simulator& sim, NandArray& nand)
     : sim_(sim),
       nand_(nand),
-      params_(params),
       geom_(nand.geometry()),
       space_freed_(sim),
       gc_wake_(sim),
@@ -20,7 +19,7 @@ SegmentLog::SegmentLog(sim::Simulator& sim, NandArray& nand, Params params)
     free_segments_.push_back(s);
   active_segment_ = 0;
   window_.resize(64);
-  BIO_CHECK_MSG(geom_.segments() > params_.gc_low_watermark + 1,
+  BIO_CHECK_MSG(geom_.segments() > kGcLowWatermark + 1,
                 "device too small for the GC watermark");
 }
 
@@ -203,7 +202,7 @@ sim::Task SegmentLog::gc_loop() {
 
     ++gc_.runs;
     // Relocate valid pages (bounded concurrency), then erase the segment.
-    sim::Semaphore inflight(sim_, params_.gc_inflight);
+    sim::Semaphore inflight(sim_, kGcInflight);
     std::vector<sim::Thread> workers;
     const std::uint64_t base =
         static_cast<std::uint64_t>(victim) * geom_.pages_per_segment();

@@ -37,21 +37,13 @@ namespace bio::flash {
 
 class SegmentLog {
  public:
-  struct Params {
-    /// GC starts when free segments drop to this count.
-    std::uint32_t gc_low_watermark = 3;
-    /// Concurrent GC page relocations.
-    std::uint32_t gc_inflight = 8;
-  };
-
   struct GcStats {
     std::uint64_t runs = 0;
     std::uint64_t pages_copied = 0;
     std::uint64_t segments_erased = 0;
   };
 
-  SegmentLog(sim::Simulator& sim, NandArray& nand) : SegmentLog(sim, nand, Params{}) {}
-  SegmentLog(sim::Simulator& sim, NandArray& nand, Params params);
+  SegmentLog(sim::Simulator& sim, NandArray& nand);
 
   /// Spawns the background GC thread. Call once before appends.
   void start();
@@ -188,13 +180,17 @@ class SegmentLog {
 
   sim::Task gc_loop();
   sim::Task relocate_slot(SlotId victim_slot, sim::Semaphore& inflight);
+  /// GC starts when free segments drop to this count.
+  static constexpr std::uint32_t kGcLowWatermark = 3;
+  /// Concurrent GC page relocations.
+  static constexpr std::uint32_t kGcInflight = 8;
+
   bool needs_gc() const noexcept {
-    return free_segments_.size() <= params_.gc_low_watermark;
+    return free_segments_.size() <= kGcLowWatermark;
   }
 
   sim::Simulator& sim_;
   NandArray& nand_;
-  Params params_;
   Geometry geom_;
 
   std::vector<Segment> segments_;

@@ -54,9 +54,4 @@ enum class [[nodiscard]] IoStatus : std::uint8_t {
   kHardError,
 };
 
-const char* to_string(BarrierMode m) noexcept;
-const char* to_string(Priority p) noexcept;
-const char* to_string(OpCode op) noexcept;
-const char* to_string(IoStatus s) noexcept;
-
 }  // namespace bio::flash

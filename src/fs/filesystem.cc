@@ -760,7 +760,7 @@ sim::Task Filesystem::pdflush_loop() {
   for (;;) {
     while (cache_.dirty_count() < cfg_.writeback_high_watermark)
       co_await cache_.dirtied().wait();
-    while (cache_.dirty_count() > cfg_.writeback_low_watermark) {
+    while (cache_.dirty_count() > cfg_.writeback_high_watermark / 4) {
       cache_.all_dirty(kWritebackBatch * blk::kMaxMergedBlocks, keys);
       if (keys.empty()) break;
 

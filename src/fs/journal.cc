@@ -6,24 +6,6 @@
 
 namespace bio::fs {
 
-const char* to_string(JournalKind k) noexcept {
-  switch (k) {
-    case JournalKind::kJbd2: return "ext4-jbd2";
-    case JournalKind::kBarrierFs: return "barrierfs";
-    case JournalKind::kOptFs: return "optfs";
-  }
-  return "?";
-}
-
-const char* to_string(FsStatus s) noexcept {
-  switch (s) {
-    case FsStatus::kOk: return "ok";
-    case FsStatus::kIo: return "io-error";
-    case FsStatus::kRoFs: return "read-only";
-  }
-  return "?";
-}
-
 Journal::Journal(sim::Simulator& sim, blk::BlockLayer& blk,
                  const FsConfig& cfg, const Layout& layout)
     : sim_(sim),

@@ -28,8 +28,6 @@ enum class JournalKind : std::uint8_t {
   kOptFs,
 };
 
-const char* to_string(JournalKind k) noexcept;
-
 /// Outcome of a synchronization syscall (the filesystem's half of the
 /// errno story; api::Vfs maps these onto Errno::kIo / Errno::kRoFs).
 enum class [[nodiscard]] FsStatus : std::uint8_t {
@@ -39,8 +37,6 @@ enum class [[nodiscard]] FsStatus : std::uint8_t {
   /// The volume was already degraded read-only when the call entered.
   kRoFs,
 };
-
-const char* to_string(FsStatus s) noexcept;
 
 /// Inode c/mtime granularity (one kernel timer tick). Writes within one tick
 /// leave timestamps unchanged, turning fsync() into fdatasync() — the
@@ -80,10 +76,9 @@ struct FsConfig {
   /// Default extent size per file, in 4 KiB blocks.
   std::uint32_t default_extent_blocks = 4096;
 
-  /// pdflush: background writeback starts above this many dirty pages...
+  /// pdflush: background writeback starts above this many dirty pages and
+  /// stops at a quarter of it.
   std::size_t writeback_high_watermark = 256;
-  /// ...and stops below this.
-  std::size_t writeback_low_watermark = 64;
 };
 
 /// Disk layout derived from the config: [journal | inode table | data].

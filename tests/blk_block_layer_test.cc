@@ -124,8 +124,8 @@ TEST(BlockLayerTest, MergedRequestFansOutCompletions) {
   Stack s;
   int completions = 0;
   auto body = [&]() -> Task {
-    RequestPtr a = make_write_request(s.sim, {{10, 1}, {11, 2}});
-    RequestPtr b = make_write_request(s.sim, {{12, 3}});
+    RequestPtr a = s.blk.pool().make_write({{10, 1}, {11, 2}});
+    RequestPtr b = s.blk.pool().make_write({{12, 3}});
     s.blk.submit(a);
     s.blk.submit(b);  // merges into a at the scheduler
     co_await a->completion.wait();
@@ -148,7 +148,7 @@ TEST(BlockLayerTest, BusyDeviceEventuallyDispatchesEverything) {
     for (int i = 0; i < 20; ++i) {
       // Distinct non-contiguous LBAs: no merging, 20 commands through a
       // QD=4 device.
-      reqs.push_back(make_write_request(s.sim, {{Lba(i * 2), Version(i)}}));
+      reqs.push_back(s.blk.pool().make_write({{Lba(i * 2), Version(i)}}));
       s.blk.submit(reqs.back());
     }
     for (auto& r : reqs) {
@@ -169,13 +169,13 @@ TEST(BlockLayerTest, EpochOrderingPreservedThroughFullStack) {
   s.dev.install_transfer_recorder(&h);
   auto body = [&]() -> Task {
     // Epoch 0: lba 1,2 + barrier on 3. Epoch 1: lba 4.
-    RequestPtr w1 = make_write_request(s.sim, {{1, 1}}, true);
-    RequestPtr w2 = make_write_request(s.sim, {{2, 2}}, true);
-    RequestPtr w3 = make_write_request(s.sim, {{3, 3}}, true, true);
+    RequestPtr w1 = s.blk.pool().make_write({{1, 1}}, true);
+    RequestPtr w2 = s.blk.pool().make_write({{2, 2}}, true);
+    RequestPtr w3 = s.blk.pool().make_write({{3, 3}}, true, true);
     s.blk.submit(w1);
     s.blk.submit(w2);
     s.blk.submit(w3);
-    RequestPtr w4 = make_write_request(s.sim, {{4, 4}}, true);
+    RequestPtr w4 = s.blk.pool().make_write({{4, 4}}, true);
     s.blk.submit(w4);
     co_await w4->completion.wait();
     co_await w3->completion.wait();
@@ -216,9 +216,9 @@ TEST(BlockLayerMqTest, BarrierOnQueue0FencesLaterWriteOnQueue1) {
   flash::WritebackCache::TransferRecorder h;
   s.dev.install_transfer_recorder(&h);
   auto body = [&]() -> Task {
-    RequestPtr pre = make_write_request(s.sim, {{1, 1}}, /*ordered=*/true);
-    RequestPtr b = make_write_request(s.sim, {{2, 2}}, true, /*barrier=*/true);
-    RequestPtr post = make_write_request(s.sim, {{3, 3}}, true);
+    RequestPtr pre = s.blk.pool().make_write({{1, 1}}, /*ordered=*/true);
+    RequestPtr b = s.blk.pool().make_write({{2, 2}}, true, /*barrier=*/true);
+    RequestPtr post = s.blk.pool().make_write({{3, 3}}, true);
     s.blk.submit_on(1, pre);   // peer queue, same epoch as the barrier
     s.blk.submit_on(0, b);     // closes epoch 0
     s.blk.submit_on(1, post);  // enqueued after the barrier: epoch 1
@@ -245,9 +245,9 @@ TEST(BlockLayerMqTest, OrderlessPeerWriteEnqueuedBeforeBarrierTransfersBelow) {
   Stack s(mq_config(4));
   flash::WritebackCache::TransferRecorder h;
   s.dev.install_transfer_recorder(&h);
-  RequestPtr pre = make_write_request(s.sim, {{1, 1}});  // orderless
-  RequestPtr b = make_write_request(s.sim, {{2, 2}}, true, /*barrier=*/true);
-  RequestPtr post = make_write_request(s.sim, {{3, 3}});  // orderless
+  RequestPtr pre = s.blk.pool().make_write({{1, 1}});  // orderless
+  RequestPtr b = s.blk.pool().make_write({{2, 2}}, true, /*barrier=*/true);
+  RequestPtr post = s.blk.pool().make_write({{3, 3}});  // orderless
   auto body = [&]() -> Task {
     s.blk.submit_on(1, pre);   // peer queue, enqueued before the barrier
     s.blk.submit_on(0, b);     // closes epoch 0
@@ -273,7 +273,7 @@ TEST(BlockLayerMqTest, IdleQueuesNeverStallABarrier) {
   Stack s(mq_config(4));
   sim::SimTime done_at = 0;
   auto body = [&]() -> Task {
-    RequestPtr b = make_write_request(s.sim, {{1, 1}}, true, /*barrier=*/true);
+    RequestPtr b = s.blk.pool().make_write({{1, 1}}, true, /*barrier=*/true);
     s.blk.submit_on(0, b);
     co_await b->completion.wait();
     done_at = s.sim.now();
@@ -290,9 +290,9 @@ TEST(BlockLayerMqTest, QueuesMapToDevicePorts) {
   // port q % 2, so queues 0 and 2 share port 0 and queue 1 drives port 1.
   Stack s(mq_config(4));
   auto body = [&]() -> Task {
-    RequestPtr a = make_write_request(s.sim, {{1, 1}});
-    RequestPtr b = make_write_request(s.sim, {{2, 2}});
-    RequestPtr c = make_write_request(s.sim, {{3, 3}});
+    RequestPtr a = s.blk.pool().make_write({{1, 1}});
+    RequestPtr b = s.blk.pool().make_write({{2, 2}});
+    RequestPtr c = s.blk.pool().make_write({{3, 3}});
     s.blk.submit_on(0, a);
     s.blk.submit_on(1, b);
     s.blk.submit_on(2, c);

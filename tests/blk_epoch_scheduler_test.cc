@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "blk/epoch_scheduler.h"
+#include "blk/request_pool.h"
 #include "sim/simulator.h"
 
 namespace bio::blk {
@@ -11,16 +12,17 @@ using flash::Lba;
 using flash::Version;
 using sim::Simulator;
 
-RequestPtr wr(Simulator& sim, Lba lba, bool ordered = false,
+RequestPtr wr(RequestPool& pool, Lba lba, bool ordered = false,
               bool barrier = false) {
-  return make_write_request(sim, {{lba, 1}}, ordered, barrier);
+  return pool.make_write({{lba, 1}}, ordered, barrier);
 }
 
 TEST(EpochSchedulerTest, PassesThroughWithoutBarriers) {
   Simulator sim;
+  RequestPool pool(sim);
   EpochScheduler s(std::make_unique<NoopScheduler>());
-  s.enqueue(wr(sim, 10));
-  s.enqueue(wr(sim, 30, true));
+  s.enqueue(wr(pool, 10));
+  s.enqueue(wr(pool, 30, true));
   EXPECT_EQ(s.dequeue()->first_lba(), 10u);
   EXPECT_EQ(s.dequeue()->first_lba(), 30u);
   EXPECT_FALSE(s.blocked());
@@ -29,20 +31,22 @@ TEST(EpochSchedulerTest, PassesThroughWithoutBarriers) {
 
 TEST(EpochSchedulerTest, BarrierBlocksQueueAndStagesLaterRequests) {
   Simulator sim;
+  RequestPool pool(sim);
   EpochScheduler s(std::make_unique<NoopScheduler>());
-  s.enqueue(wr(sim, 10, true));
-  s.enqueue(wr(sim, 30, true, /*barrier=*/true));
+  s.enqueue(wr(pool, 10, true));
+  s.enqueue(wr(pool, 30, true, /*barrier=*/true));
   EXPECT_TRUE(s.blocked());
-  s.enqueue(wr(sim, 50));  // arrives while blocked: staged
+  s.enqueue(wr(pool, 50));  // arrives while blocked: staged
   EXPECT_EQ(s.staged_count(), 1u);
   EXPECT_EQ(s.size(), 3u);
 }
 
 TEST(EpochSchedulerTest, BarrierFlagMovesToLastOrderPreservingRequest) {
   Simulator sim;
+  RequestPool pool(sim);
   EpochScheduler s(std::make_unique<NoopScheduler>());
-  s.enqueue(wr(sim, 10, true));
-  s.enqueue(wr(sim, 30, true, /*barrier=*/true));
+  s.enqueue(wr(pool, 10, true));
+  s.enqueue(wr(pool, 30, true, /*barrier=*/true));
   RequestPtr first = s.dequeue();
   EXPECT_EQ(first->first_lba(), 10u);
   EXPECT_FALSE(first->barrier) << "not the last ordered request yet";
@@ -58,14 +62,15 @@ TEST(EpochSchedulerTest, Fig5ScenarioReassignsBarrierAcrossReordering) {
   // issues orderless w3, w5, w6. Arrival: w1 w2 w3 w5 w4^b w6. The elevator
   // reorders; whichever ordered request leaves last carries the barrier.
   Simulator sim;
+  RequestPool pool(sim);
   EpochScheduler s(std::make_unique<ElevatorScheduler>());
   // LBAs chosen so the elevator dispatches w1 last (highest address).
-  RequestPtr w1 = wr(sim, 50, true);
-  RequestPtr w2 = wr(sim, 10, true);
-  RequestPtr w3 = wr(sim, 20);
-  RequestPtr w5 = wr(sim, 40);
-  RequestPtr w4 = wr(sim, 30, true, /*barrier=*/true);
-  RequestPtr w6 = wr(sim, 5);
+  RequestPtr w1 = wr(pool, 50, true);
+  RequestPtr w2 = wr(pool, 10, true);
+  RequestPtr w3 = wr(pool, 20);
+  RequestPtr w5 = wr(pool, 40);
+  RequestPtr w4 = wr(pool, 30, true, /*barrier=*/true);
+  RequestPtr w6 = wr(pool, 5);
   s.enqueue(w1);
   s.enqueue(w2);
   s.enqueue(w3);
@@ -92,10 +97,11 @@ TEST(EpochSchedulerTest, Fig5ScenarioReassignsBarrierAcrossReordering) {
 
 TEST(EpochSchedulerTest, OrderlessRequestsJoinFollowingEpoch) {
   Simulator sim;
+  RequestPool pool(sim);
   EpochScheduler s(std::make_unique<NoopScheduler>());
-  s.enqueue(wr(sim, 10, true, true));  // barrier epoch 0
-  s.enqueue(wr(sim, 30));              // staged orderless
-  s.enqueue(wr(sim, 50, true));        // staged ordered (next epoch)
+  s.enqueue(wr(pool, 10, true, true));  // barrier epoch 0
+  s.enqueue(wr(pool, 30));              // staged orderless
+  s.enqueue(wr(pool, 50, true));        // staged ordered (next epoch)
   RequestPtr b = s.dequeue();
   EXPECT_TRUE(b->barrier);
   // Unblocked: staged requests entered the base queue.
@@ -106,12 +112,13 @@ TEST(EpochSchedulerTest, OrderlessRequestsJoinFollowingEpoch) {
 
 TEST(EpochSchedulerTest, StagedBarrierReblocksQueue) {
   Simulator sim;
+  RequestPool pool(sim);
   EpochScheduler s(std::make_unique<NoopScheduler>());
   // Non-contiguous LBAs so nothing merges.
-  s.enqueue(wr(sim, 1, true, true));   // epoch 0 barrier
-  s.enqueue(wr(sim, 20, true));        // staged: epoch 1
-  s.enqueue(wr(sim, 40, true, true));  // staged: epoch 1 barrier
-  s.enqueue(wr(sim, 60, true));        // staged: epoch 2
+  s.enqueue(wr(pool, 1, true, true));   // epoch 0 barrier
+  s.enqueue(wr(pool, 20, true));        // staged: epoch 1
+  s.enqueue(wr(pool, 40, true, true));  // staged: epoch 1 barrier
+  s.enqueue(wr(pool, 60, true));        // staged: epoch 2
   RequestPtr b0 = s.dequeue();
   EXPECT_TRUE(b0->barrier);
   EXPECT_TRUE(s.blocked()) << "staged barrier re-blocked the queue";
@@ -128,11 +135,12 @@ TEST(EpochSchedulerTest, ChainOfStagedBarriersUnblocksEpochByEpoch) {
   // Three epochs staged behind one another: each dequeue of a barrier must
   // re-block the queue and admit exactly the next epoch's requests.
   Simulator sim;
+  RequestPool pool(sim);
   EpochScheduler s(std::make_unique<NoopScheduler>());
-  s.enqueue(wr(sim, 1, true, true));    // epoch 0 barrier
-  s.enqueue(wr(sim, 10, true, true));   // staged: epoch 1 barrier
-  s.enqueue(wr(sim, 20, true, true));   // staged: epoch 2 barrier
-  s.enqueue(wr(sim, 30, true));         // staged: epoch 3
+  s.enqueue(wr(pool, 1, true, true));    // epoch 0 barrier
+  s.enqueue(wr(pool, 10, true, true));   // staged: epoch 1 barrier
+  s.enqueue(wr(pool, 20, true, true));   // staged: epoch 2 barrier
+  s.enqueue(wr(pool, 30, true));         // staged: epoch 3
   EXPECT_EQ(s.staged_count(), 3u);
 
   RequestPtr b0 = s.dequeue();
@@ -159,11 +167,12 @@ TEST(EpochSchedulerTest, OrderlessStagedBehindReblockedBarrierEntersBase) {
   // orderless requests into the base queue (they are epoch-free) but hold
   // back everything behind the next staged barrier.
   Simulator sim;
+  RequestPool pool(sim);
   EpochScheduler s(std::make_unique<NoopScheduler>());
-  s.enqueue(wr(sim, 1, true, true));    // epoch 0 barrier
-  s.enqueue(wr(sim, 20));               // staged orderless
-  s.enqueue(wr(sim, 40, true, true));   // staged: epoch 1 barrier
-  s.enqueue(wr(sim, 60));               // staged behind the epoch-1 barrier
+  s.enqueue(wr(pool, 1, true, true));    // epoch 0 barrier
+  s.enqueue(wr(pool, 20));               // staged orderless
+  s.enqueue(wr(pool, 40, true, true));   // staged: epoch 1 barrier
+  s.enqueue(wr(pool, 60));               // staged behind the epoch-1 barrier
 
   RequestPtr b0 = s.dequeue();
   EXPECT_TRUE(b0->barrier);
@@ -182,10 +191,11 @@ TEST(EpochSchedulerTest, OrderlessStagedBehindReblockedBarrierEntersBase) {
 
 TEST(EpochSchedulerTest, SizeCountsBaseAndStagedThroughReblocking) {
   Simulator sim;
+  RequestPool pool(sim);
   EpochScheduler s(std::make_unique<NoopScheduler>());
-  s.enqueue(wr(sim, 1, true, true));
-  s.enqueue(wr(sim, 10, true, true));
-  s.enqueue(wr(sim, 20, true));
+  s.enqueue(wr(pool, 1, true, true));
+  s.enqueue(wr(pool, 10, true, true));
+  s.enqueue(wr(pool, 20, true));
   EXPECT_EQ(s.size(), 3u);
   (void)s.dequeue();  // epoch 0 barrier out; epoch-1 barrier re-blocks
   EXPECT_TRUE(s.blocked());
@@ -201,10 +211,11 @@ TEST(EpochSchedulerTest, StagedBarrierMayMergeIntoItsOwnEpoch) {
   // request ahead of it. That is legal — both belong to one epoch — and the
   // merged request carries the barrier out.
   Simulator sim;
+  RequestPool pool(sim);
   EpochScheduler s(std::make_unique<NoopScheduler>());
-  s.enqueue(wr(sim, 1, true, true));  // epoch 0 barrier
-  s.enqueue(wr(sim, 2, true));        // staged: epoch 1
-  s.enqueue(wr(sim, 3, true, true));  // staged: epoch 1 barrier (contiguous)
+  s.enqueue(wr(pool, 1, true, true));  // epoch 0 barrier
+  s.enqueue(wr(pool, 2, true));        // staged: epoch 1
+  s.enqueue(wr(pool, 3, true, true));  // staged: epoch 1 barrier (contiguous)
   RequestPtr b0 = s.dequeue();
   EXPECT_TRUE(b0->barrier);
   RequestPtr merged = s.dequeue();
@@ -216,8 +227,9 @@ TEST(EpochSchedulerTest, StagedBarrierMayMergeIntoItsOwnEpoch) {
 
 TEST(EpochSchedulerTest, BackToBackBarriers) {
   Simulator sim;
+  RequestPool pool(sim);
   EpochScheduler s(std::make_unique<NoopScheduler>());
-  for (int i = 0; i < 4; ++i) s.enqueue(wr(sim, 10 + i, true, true));
+  for (int i = 0; i < 4; ++i) s.enqueue(wr(pool, 10 + i, true, true));
   for (int i = 0; i < 4; ++i) {
     RequestPtr r = s.dequeue();
     ASSERT_NE(r, nullptr);
@@ -228,10 +240,11 @@ TEST(EpochSchedulerTest, BackToBackBarriers) {
 
 TEST(EpochSchedulerTest, MergingWithinEpochKeepsSingleBarrier) {
   Simulator sim;
+  RequestPool pool(sim);
   EpochScheduler s(std::make_unique<NoopScheduler>());
-  s.enqueue(wr(sim, 10, true));
-  s.enqueue(wr(sim, 11, true));       // merges with 10
-  s.enqueue(wr(sim, 20, true, true)); // barrier
+  s.enqueue(wr(pool, 10, true));
+  s.enqueue(wr(pool, 11, true));       // merges with 10
+  s.enqueue(wr(pool, 20, true, true)); // barrier
   RequestPtr merged = s.dequeue();
   EXPECT_EQ(merged->blocks.size(), 2u);
   EXPECT_FALSE(merged->barrier);
@@ -245,14 +258,15 @@ constexpr std::uint64_t kNoPending = ~std::uint64_t{0};
 
 TEST(EpochFenceTest, StampsEveryRequestAndClosesEpochsAtBarriers) {
   Simulator sim;
+  RequestPool pool(sim);
   EpochFence fence(sim);
   EpochScheduler s(std::make_unique<NoopScheduler>());
   s.set_fence(&fence);
-  RequestPtr w1 = wr(sim, 10, true);
-  RequestPtr b = wr(sim, 30, true, /*barrier=*/true);
-  RequestPtr w2 = wr(sim, 50, true);
-  RequestPtr orderless = wr(sim, 70);
-  RequestPtr rd = make_read_request(sim, 90);
+  RequestPtr w1 = wr(pool, 10, true);
+  RequestPtr b = wr(pool, 30, true, /*barrier=*/true);
+  RequestPtr w2 = wr(pool, 50, true);
+  RequestPtr orderless = wr(pool, 70);
+  RequestPtr rd = pool.make_read(90);
   s.enqueue(w1);
   s.enqueue(b);
   s.enqueue(w2);         // staged behind the barrier, but stamped at enqueue
@@ -273,13 +287,14 @@ TEST(EpochFenceTest, MinPendingTracksEnqueueToSubmission) {
   // particular, a request popped from the scheduler but not yet accepted by
   // the device must still count as pending.
   Simulator sim;
+  RequestPool pool(sim);
   EpochFence fence(sim);
   EpochScheduler s(std::make_unique<NoopScheduler>());
   s.set_fence(&fence);
   EXPECT_EQ(s.min_pending_fence_epoch(), kNoPending) << "idle queue";
 
-  s.enqueue(wr(sim, 10, true, /*barrier=*/true));  // epoch 0
-  s.enqueue(wr(sim, 30, true));                    // staged, epoch 1
+  s.enqueue(wr(pool, 10, true, /*barrier=*/true));  // epoch 0
+  s.enqueue(wr(pool, 30, true));                    // staged, epoch 1
   EXPECT_EQ(s.min_pending_fence_epoch(), 0u);
 
   RequestPtr b = s.dequeue();
@@ -298,10 +313,11 @@ TEST(EpochFenceTest, OrderlessWritesGateUntilSubmission) {
   // one (§3.3 keeps merges ordering-preserving), so every write must gate
   // peer barriers from enqueue until it reaches the device.
   Simulator sim;
+  RequestPool pool(sim);
   EpochFence fence(sim);
   EpochScheduler s(std::make_unique<NoopScheduler>());
   s.set_fence(&fence);
-  s.enqueue(wr(sim, 10));
+  s.enqueue(wr(pool, 10));
   EXPECT_EQ(s.min_pending_fence_epoch(), 0u);
   RequestPtr r = s.dequeue();
   EXPECT_EQ(s.min_pending_fence_epoch(), 0u) << "popped is not submitted";
@@ -311,10 +327,11 @@ TEST(EpochFenceTest, OrderlessWritesGateUntilSubmission) {
 
 TEST(EpochFenceTest, ReadsAreStampedButNeverGate) {
   Simulator sim;
+  RequestPool pool(sim);
   EpochFence fence(sim);
   EpochScheduler s(std::make_unique<NoopScheduler>());
   s.set_fence(&fence);
-  RequestPtr rd = make_read_request(sim, 10);
+  RequestPtr rd = pool.make_read(10);
   s.enqueue(rd);
   EXPECT_EQ(s.min_pending_fence_epoch(), kNoPending);
   RequestPtr r = s.dequeue();
@@ -331,13 +348,14 @@ TEST(EpochFenceTest, FencedBarrierIsHeldNotReassigned) {
   // Under a fence the barrier is therefore held aside: the older write
   // dispatches first with its true stamp, then the barrier with its own.
   Simulator sim;
+  RequestPool pool(sim);
   EpochFence fence(sim);
   EpochScheduler s(std::make_unique<ElevatorScheduler>());
   s.set_fence(&fence);
-  RequestPtr w = wr(sim, 50, true);  // stamped with epoch 0
+  RequestPtr w = wr(pool, 50, true);  // stamped with epoch 0
   s.enqueue(w);
   (void)fence.close_epoch();  // a peer queue's barrier closes epoch 0
-  RequestPtr b = wr(sim, 10, true, /*barrier=*/true);  // closes epoch 1
+  RequestPtr b = wr(pool, 10, true, /*barrier=*/true);  // closes epoch 1
   s.enqueue(b);
   EXPECT_EQ(b->fence_epoch, 1u);
   EXPECT_TRUE(s.blocked());
@@ -366,11 +384,12 @@ TEST(EpochFenceTest, HeldBarrierWaitsForOrderlessWritesToo) {
   // and letting the barrier jump it would let a lower-epoch peer barrier
   // gate on work stuck behind this queue's own gating barrier — a cycle.
   Simulator sim;
+  RequestPool pool(sim);
   EpochFence fence(sim);
   EpochScheduler s(std::make_unique<NoopScheduler>());
   s.set_fence(&fence);
-  s.enqueue(wr(sim, 10));                       // orderless, epoch 0
-  s.enqueue(wr(sim, 30, true, /*barrier=*/true));  // closes epoch 0
+  s.enqueue(wr(pool, 10));                       // orderless, epoch 0
+  s.enqueue(wr(pool, 30, true, /*barrier=*/true));  // closes epoch 0
   RequestPtr first = s.dequeue();
   EXPECT_EQ(first->first_lba(), 10u) << "orderless write leaves first";
   RequestPtr b = s.dequeue();
@@ -384,13 +403,14 @@ TEST(EpochFenceTest, MergingNeverCrossesFenceEpochs) {
   // data past the peer barrier or pulling new-epoch data below it. The
   // merge must be refused; both dispatch (and retire) independently.
   Simulator sim;
+  RequestPool pool(sim);
   EpochFence fence(sim);
   EpochScheduler s(std::make_unique<NoopScheduler>());
   s.set_fence(&fence);
-  RequestPtr w1 = wr(sim, 10, true);  // epoch 0
+  RequestPtr w1 = wr(pool, 10, true);  // epoch 0
   s.enqueue(w1);
   (void)fence.close_epoch();          // peer barrier closes epoch 0
-  RequestPtr w2 = wr(sim, 11, true);  // contiguous, but epoch 1
+  RequestPtr w2 = wr(pool, 11, true);  // contiguous, but epoch 1
   s.enqueue(w2);
   EXPECT_EQ(s.size(), 2u) << "cross-epoch merge refused";
   RequestPtr a = s.dequeue();
@@ -411,13 +431,14 @@ TEST(EpochFenceTest, FrontMergeAcrossEpochsRefused) {
   // (lower) stamp at carrier dequeue — before any data reaches the device —
   // and transfer the old-epoch payload under the new stamp. Refused.
   Simulator sim;
+  RequestPool pool(sim);
   EpochFence fence(sim);
   EpochScheduler s(std::make_unique<ElevatorScheduler>());
   s.set_fence(&fence);
-  RequestPtr w1 = wr(sim, 11, true);  // epoch 0
+  RequestPtr w1 = wr(pool, 11, true);  // epoch 0
   s.enqueue(w1);
   (void)fence.close_epoch();          // peer barrier closes epoch 0
-  RequestPtr w2 = wr(sim, 10, true);  // front-merge candidate, epoch 1
+  RequestPtr w2 = wr(pool, 10, true);  // front-merge candidate, epoch 1
   s.enqueue(w2);
   EXPECT_EQ(s.size(), 2u) << "cross-epoch front-merge refused";
   RequestPtr a = s.dequeue();
@@ -433,11 +454,12 @@ TEST(EpochFenceTest, OrderlessCarrierAbsorbingOrderedRetiresCleanly) {
   // absorbed one retires at dequeue and the carrier's at submission — no
   // untracked-stamp abort, no peer gate opening early.
   Simulator sim;
+  RequestPool pool(sim);
   EpochFence fence(sim);
   EpochScheduler s(std::make_unique<NoopScheduler>());
   s.set_fence(&fence);
-  RequestPtr carrier = wr(sim, 10);     // orderless, epoch 0
-  RequestPtr ordered = wr(sim, 11, true);  // merges into lba 10
+  RequestPtr carrier = wr(pool, 10);     // orderless, epoch 0
+  RequestPtr ordered = wr(pool, 11, true);  // merges into lba 10
   s.enqueue(carrier);
   s.enqueue(ordered);
   EXPECT_EQ(s.size(), 1u) << "same-epoch merge allowed";
@@ -455,11 +477,12 @@ TEST(EpochFenceTest, AbsorbedStampsRetireWithTheirCarrier) {
   // at dequeue (it can never be submitted on its own), and only the
   // carrier's own stamp stays pending until submission.
   Simulator sim;
+  RequestPool pool(sim);
   EpochFence fence(sim);
   EpochScheduler s(std::make_unique<NoopScheduler>());
   s.set_fence(&fence);
-  s.enqueue(wr(sim, 10, true));
-  s.enqueue(wr(sim, 11, true));  // merges into lba 10
+  s.enqueue(wr(pool, 10, true));
+  s.enqueue(wr(pool, 11, true));  // merges into lba 10
   EXPECT_EQ(s.min_pending_fence_epoch(), 0u);
   RequestPtr merged = s.dequeue();
   ASSERT_EQ(merged->blocks.size(), 2u);
@@ -469,13 +492,43 @@ TEST(EpochFenceTest, AbsorbedStampsRetireWithTheirCarrier) {
       << "absorbed stamp retired at dequeue, carrier stamp at submission";
 }
 
+TEST(EpochFenceTest, NestedFrontMergesRetireEveryStampOnce) {
+  // Front-merges absorb carriers that already hold merged requests; the
+  // surviving carrier leaves with four absorbed stamps, each retired once at
+  // dequeue, and its own at submission. A later-epoch write shows the
+  // epoch-0 count reaching exactly zero.
+  Simulator sim;
+  RequestPool pool(sim);
+  EpochFence fence(sim);
+  EpochScheduler s(std::make_unique<ElevatorScheduler>());
+  s.set_fence(&fence);
+  s.enqueue(wr(pool, 20, true));
+  s.enqueue(wr(pool, 21));        // back-merges into 20
+  s.enqueue(wr(pool, 19, true));  // front-merges, absorbing 20
+  s.enqueue(wr(pool, 18));        // front-merges, absorbing 19
+  s.enqueue(wr(pool, 22, true));  // back-merges into 18
+  (void)fence.close_epoch();      // a peer barrier closes epoch 0
+  s.enqueue(wr(pool, 100));       // epoch 1
+  RequestPtr carrier = s.dequeue();
+  ASSERT_EQ(carrier->first_lba(), 18u);
+  EXPECT_EQ(carrier->absorbed.size(), 4u) << "one flat list";
+  EXPECT_EQ(s.min_pending_fence_epoch(), 0u) << "carrier still pending";
+  s.note_submitted(*carrier);
+  EXPECT_EQ(s.min_pending_fence_epoch(), 1u) << "epoch 0 fully retired";
+  RequestPtr later = s.dequeue();
+  ASSERT_EQ(later->first_lba(), 100u);
+  s.note_submitted(*later);
+  EXPECT_EQ(s.min_pending_fence_epoch(), kNoPending);
+}
+
 TEST(EpochFenceTest, WithoutFenceNothingIsStampedOrTracked) {
   // Single-queue stacks attach no fence: requests keep epoch 0 and the
   // pending map stays empty — the bit-identity precondition.
   Simulator sim;
+  RequestPool pool(sim);
   EpochScheduler s(std::make_unique<NoopScheduler>());
-  s.enqueue(wr(sim, 10, true));
-  s.enqueue(wr(sim, 30, true, /*barrier=*/true));
+  s.enqueue(wr(pool, 10, true));
+  s.enqueue(wr(pool, 30, true, /*barrier=*/true));
   RequestPtr w = s.dequeue();
   RequestPtr b = s.dequeue();
   EXPECT_EQ(w->fence_epoch, 0u);

@@ -1,6 +1,6 @@
 // Tests for the slab/freelist RequestPool: recycling behaviour, embedded
 // completion events, allocation statistics, BlockList and RequestList
-// small-buffer storage, and the iterative trigger_absorbed worklist.
+// small-buffer storage, and the completion order of flat merge lists.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -105,6 +105,31 @@ TEST(RequestPoolTest, ValidatesContiguousBlocks) {
                bio::CheckFailure);
 }
 
+TEST(RequestPoolTest, ReleaseParksCarrierThenAbsorbedNewestFirst) {
+  // The free list hands back the most recently parked request first, so the
+  // release order decides which recycled object each later acquire gets.
+  Simulator sim;
+  RequestPool pool(sim);
+  RequestPtr carrier = pool.make_write({{0, 1}});
+  std::vector<Request*> absorbed;
+  for (Lba i = 1; i <= 3; ++i) {
+    RequestPtr r = pool.make_write({{i, 1}});
+    absorbed.push_back(r.get());
+    absorb(*carrier, std::move(r));
+  }
+  Request* const raw = carrier.get();
+  carrier.reset();
+  ASSERT_EQ(pool.free_count(), 4u) << "the carrier releases its list";
+  std::vector<RequestPtr> live;
+  std::vector<Request*> handed;
+  for (int i = 0; i < 4; ++i) {
+    live.push_back(pool.make_flush());
+    handed.push_back(live.back().get());
+  }
+  EXPECT_EQ(handed, (std::vector<Request*>{absorbed[0], absorbed[1],
+                                           absorbed[2], raw}));
+}
+
 TEST(BlockListTest, SpillsToHeapAndKeepsCapacityAcrossClears) {
   BlockList list;
   for (std::uint32_t i = 0; i < BlockList::kInlineBlocks; ++i)
@@ -144,39 +169,20 @@ TEST(RequestListTest, SpillKeepsOrderAndOwnership) {
   EXPECT_EQ(pool.free_count(), raw.size()) << "destroying it releases all";
 }
 
-TEST(TriggerAbsorbedTest, DeepChainDoesNotOverflowTheStack) {
-  // Regression: trigger_absorbed used to recurse once per absorption link;
-  // a long back-merge chain (one link per merged request) overflowed the
-  // real stack. 200k links * ~60B/frame would have needed ~12 MB of stack.
-  Simulator sim;
-  RequestPool pool(sim);
-  constexpr int kDepth = 200'000;
-  RequestPtr head = pool.make_write({{0, 1}});
-  Request* cur = head.get();
-  std::vector<RequestPtr> keep;  // keep every link alive independently
-  keep.reserve(kDepth);
-  for (int i = 1; i <= kDepth; ++i) {
-    RequestPtr next = pool.make_write({{Lba(i), 1}});
-    keep.push_back(next);
-    cur->absorbed.push_back(std::move(next));
-    cur = keep.back().get();
-  }
-  trigger_absorbed(*head);
-  for (const RequestPtr& r : keep) EXPECT_TRUE(r->completion.is_set());
-}
-
 TEST(TriggerAbsorbedTest, PreservesPreorderTriggerSequence) {
-  // The completion order must match the old recursion (preorder): parent's
-  // first absorbed subtree completely before the second.
+  // Completions fire in merge-tree preorder: a request absorbed together
+  // with its own absorbed list completes just before that list, and both
+  // before any later merge.
   Simulator sim;
   RequestPool pool(sim);
   RequestPtr root = pool.make_write({{0, 1}});
   RequestPtr a = pool.make_write({{1, 1}});
   RequestPtr a1 = pool.make_write({{2, 1}});
   RequestPtr b = pool.make_write({{3, 1}});
-  a->absorbed.push_back(a1);
-  root->absorbed.push_back(a);
-  root->absorbed.push_back(b);
+  absorb(*a, a1);
+  absorb(*root, a);
+  absorb(*root, b);
+  EXPECT_TRUE(a->absorbed.empty()) << "a's list moved into root's";
 
   std::vector<Lba> order;
   auto watch = [&](RequestPtr& r) -> sim::Task {

@@ -93,10 +93,8 @@ TEST_P(EpochPrefixTest, RandomWorkloadRandomCrashPoint) {
       const Lba lba = static_cast<Lba>(i % 32);
       const bool barrier = --until_barrier == 0;
       if (barrier) until_barrier = rng.uniform(1, 8);
-      std::vector<std::pair<Lba, Version>> payload;
-      payload.emplace_back(lba, blk.next_version());
-      blk.submit(blk::make_write_request(sim, std::move(payload),
-                                         /*ordered=*/true, barrier));
+      blk.submit(blk.pool().make_write({{lba, blk.next_version()}},
+                                       /*ordered=*/true, barrier));
       if (rng.chance(0.3)) co_await sim.delay(rng.uniform(1, 300) * 1_us);
     }
   };
@@ -271,10 +269,9 @@ TEST(OrderlessBaselineTest, LegacyStackCanLoseOrdering) {
       for (int i = 0; i < 60; ++i) {
         // Intent: barrier after every write (strict order), which the
         // legacy stack ignores.
-        std::vector<std::pair<Lba, Version>> payload;
-        payload.emplace_back(rng.uniform(0, 15), blk.next_version());
-        blk.submit(blk::make_write_request(sim, std::move(payload), true,
-                                           /*barrier=*/true));
+        const Lba lba = rng.uniform(0, 15);
+        blk.submit(blk.pool().make_write({{lba, blk.next_version()}}, true,
+                                         /*barrier=*/true));
       }
       co_return;
     };

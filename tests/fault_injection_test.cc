@@ -3,7 +3,9 @@
 // bounded retry -> fs::FsStatus -> api::Errno, pinned per stack kind.
 //   1. A transient program fault is invisible to the application: the block
 //      layer (legacy stacks) or the device FTL (barrier stacks) retries it
-//      and the covering sync returns kOk.
+//      and the covering sync returns kOk. On a page-cache miss, a transient
+//      read fault is retried once by the block layer and the read returns
+//      kOk; a hard media read error fails through unretried as kIo.
 //   2. A hard media fault on a data write surfaces as EIO on the next
 //      fsync of that fd exactly once (errseq), then clears: the redirtied
 //      page re-lands on the healthy retry.
@@ -91,6 +93,57 @@ TEST_P(TransientFaultTest, RetriedTransientWriteFaultKeepsSyncOk) {
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, TransientFaultTest,
                          testing::ValuesIn(kKinds));
+
+// ---- 1b. read faults on a page-cache miss ----------------------------------
+
+class ReadFaultTest : public testing::TestWithParam<StackKind> {};
+
+TEST_P(ReadFaultTest, TransientReadFaultIsRetriedOnce) {
+  StackFixture x(GetParam());
+  FaultPlan plan;
+  fs::FsStatus st = fs::FsStatus::kIo;
+  auto body = [&]() -> Task {
+    fs::Inode* f = nullptr;
+    co_await x.fs().create("a", f);
+    plan.add(FaultSpec{FaultKind::kTransientRead, /*at_op=*/0, flash::kAnyLba,
+                       /*torn_keep=*/0, /*count=*/1});
+    x.dev().install_fault_plan(&plan);
+    st = co_await x.fs().read(*f, 5, 1);  // never written: page-cache miss
+  };
+  x.sim().spawn("t", body());
+  x.sim().run();
+  EXPECT_EQ(st, fs::FsStatus::kOk);
+  EXPECT_EQ(plan.stats().transient_read, 1u);
+  EXPECT_EQ(x.stack->blk().stats().transient_faults, 1u);
+  EXPECT_EQ(x.stack->blk().stats().io_retries, 1u);
+  EXPECT_EQ(x.stack->blk().stats().io_failures, 0u);
+}
+
+TEST_P(ReadFaultTest, HardMediaReadFailsThroughWithoutRetry) {
+  StackFixture x(GetParam());
+  FaultPlan plan;
+  fs::FsStatus bad = fs::FsStatus::kOk;
+  fs::FsStatus next = fs::FsStatus::kIo;
+  auto body = [&]() -> Task {
+    fs::Inode* f = nullptr;
+    co_await x.fs().create("a", f);
+    plan.add(FaultSpec{FaultKind::kHardMedia, /*at_op=*/0, f->lba_of_page(5),
+                       /*torn_keep=*/0, /*count=*/1});
+    x.dev().install_fault_plan(&plan);
+    bad = co_await x.fs().read(*f, 5, 1);
+    next = co_await x.fs().read(*f, 6, 1);
+  };
+  x.sim().spawn("t", body());
+  x.sim().run();
+  EXPECT_EQ(bad, fs::FsStatus::kIo);
+  EXPECT_EQ(next, fs::FsStatus::kOk);
+  EXPECT_EQ(plan.stats().hard_media, 1u);
+  EXPECT_EQ(x.stack->blk().stats().hard_faults, 1u);
+  EXPECT_EQ(x.stack->blk().stats().io_failures, 1u);
+  EXPECT_EQ(x.stack->blk().stats().io_retries, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, ReadFaultTest, testing::ValuesIn(kKinds));
 
 // ---- 2. hard data fault: EIO once per fd, then clears ----------------------
 

@@ -202,7 +202,6 @@ TEST(FilesystemTest, Ext4OdFsyncSkipsFlush) {
 TEST(FilesystemTest, PdflushWritesBackDirtyPages) {
   core::StackConfig cfg = test_stack_config(core::StackKind::kExt4DR);
   cfg.fs.writeback_high_watermark = 8;
-  cfg.fs.writeback_low_watermark = 2;
   StackFixture x(core::StackKind::kExt4DR, &cfg);
   auto body = [&]() -> Task {
     Inode* f = nullptr;
@@ -219,7 +218,6 @@ TEST(FilesystemTest, PdflushWritesBackDirtyPages) {
 TEST(FilesystemTest, WriterThrottledAtDirtyLimit) {
   core::StackConfig cfg = test_stack_config(core::StackKind::kExt4DR);
   cfg.fs.writeback_high_watermark = 4;
-  cfg.fs.writeback_low_watermark = 1;
   StackFixture x(core::StackKind::kExt4DR, &cfg);
   auto body = [&]() -> Task {
     Inode* f = nullptr;
