@@ -136,7 +136,7 @@ sim::Task BlockLayer::dispatch_loop(std::uint32_t q) {
     const bool fault_aware = dev_.has_fault_plan();
     std::shared_ptr<flash::Command> cmd = to_command(r, fault_aware);
     cmd->port = q % dev_.port_count();
-    co_await submit_until_accepted(cmd);
+    if (!dev_.try_submit(cmd)) co_await submit_until_accepted(cmd);
     ++stats_.dispatched;
     if (fenced && r->is_write()) {
       // The write's stamp stops gating peer barriers; wake any gate
@@ -155,10 +155,10 @@ sim::Task BlockLayer::dispatch_loop(std::uint32_t q) {
 
 sim::Task BlockLayer::submit_until_accepted(
     const std::shared_ptr<flash::Command>& cmd) {
-  while (!dev_.try_submit(cmd)) {
+  do {
     ++stats_.busy_retries;
     co_await dev_.queue_activity().wait();
-  }
+  } while (!dev_.try_submit(cmd));
 }
 
 sim::Task BlockLayer::fanout(RequestPtr r) {
@@ -186,7 +186,7 @@ sim::Task BlockLayer::retry_watcher(RequestPtr r,
     // write's retry re-lands the full payload).
     r->cmd.status = flash::IoStatus::kOk;
     r->device_done.recycle();
-    co_await submit_until_accepted(cmd);
+    if (!dev_.try_submit(cmd)) co_await submit_until_accepted(cmd);
     co_await r->device_done.wait();
   }
   if (r->cmd.status != flash::IoStatus::kOk) {

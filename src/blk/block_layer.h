@@ -94,9 +94,13 @@ class BlockLayer {
   /// path routes by submission context).
   void submit_on(std::uint32_t queue, RequestPtr r);
 
-  /// Blocks while the request queue is congested (> kNrRequests pending).
-  /// Callers issuing fire-and-forget writes use this as get_request()
-  /// backpressure.
+  /// True while the request queue is congested (> kNrRequests pending,
+  /// until it drains to half).
+  bool congested() const noexcept { return congested_; }
+
+  /// Blocks while the queue is congested(). Callers issuing
+  /// fire-and-forget writes use this as get_request() backpressure, and
+  /// call it only while congested() holds.
   sim::Task throttle();
 
   /// Globally unique version tag for a 4 KiB block write.
@@ -154,8 +158,9 @@ class BlockLayer {
     return dev_.profile().barrier_mode != flash::BarrierMode::kNone;
   }
   sim::Task dispatch_loop(std::uint32_t queue);
-  /// Submits `cmd` to its device port; while the port's window is full,
-  /// waits for queue activity instead of polling and counts a busy retry.
+  /// For a `cmd` the device just refused (its port's window was full):
+  /// counts a busy retry and waits for queue activity instead of polling,
+  /// until a resubmission is accepted.
   sim::Task submit_until_accepted(const std::shared_ptr<flash::Command>& cmd);
   sim::Task fanout(RequestPtr r);
   /// Fault-aware dispatch interposer: owns the request's device round

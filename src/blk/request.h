@@ -188,6 +188,7 @@ class RequestList {
   static constexpr std::size_t kInline = 8;
 
   bool empty() const noexcept { return size_ == 0; }
+  std::size_t size() const noexcept { return size_; }
   const RequestPtr* begin() const noexcept { return data(); }
   const RequestPtr* end() const noexcept { return data() + size_; }
 

@@ -7,7 +7,7 @@ namespace bio::flash {
 WritebackCache::WritebackCache(sim::Simulator& sim,
                                std::size_t capacity_entries)
     : sim_(sim), capacity_(capacity_entries), space_(sim, capacity_entries),
-      drain_ready_(sim), drained_(sim) {
+      inserted_(sim), drained_(sim) {
   BIO_CHECK(capacity_ > 0);
   // In-order drains keep the live span within the capacity.
   ring_.resize(std::bit_ceil(capacity_));
@@ -20,21 +20,15 @@ void WritebackCache::grow() {
   ring_.swap(bigger);
 }
 
-sim::Task WritebackCache::insert(Lba lba, Version version, std::uint64_t epoch,
-                                 bool barrier) {
-  co_await space_.acquire();
+void WritebackCache::insert(Lba lba, Version version, std::uint64_t epoch,
+                            bool barrier) {
   if (next_order_ - drain_ == ring_.size()) grow();
   Entry& e = slot(next_order_);
   e = Entry{lba, version, epoch, next_order_++, barrier, false};
   ++dirty_;
   newest_[lba] = e.order + 1;
   if (recorder_ != nullptr) recorder_->push_back(e);
-  drain_ready_.notify_all();
-}
-
-sim::Task WritebackCache::claim_next(Entry& out) {
-  while (claim_ == next_order_) co_await drain_ready_.wait();
-  out = slot(claim_++);
+  inserted_.notify_all();
 }
 
 void WritebackCache::mark_drained(std::uint64_t order) {
@@ -45,10 +39,6 @@ void WritebackCache::mark_drained(std::uint64_t order) {
   while (drain_ < next_order_ && slot(drain_).drained) ++drain_;
   space_.release();
   drained_.notify_all();
-}
-
-sim::Task WritebackCache::wait_drained_through(std::uint64_t through) {
-  while (!drained_through(through)) co_await drained_.wait();
 }
 
 std::optional<Version> WritebackCache::lookup(Lba lba) const {

@@ -45,7 +45,7 @@ class WritebackCache {
     /// command); kept for analysis.
     bool barrier = false;
     /// Programmed to flash and its cache slot released (live state: false
-    /// in claim_next()'s and the recorder's copies).
+    /// in try_claim()'s and the recorder's copies).
     bool drained = false;
   };
 
@@ -56,13 +56,25 @@ class WritebackCache {
 
   WritebackCache(sim::Simulator& sim, std::size_t capacity_entries);
 
-  /// DMA landing point: blocks until a cache slot is free (this is how a
-  /// saturated device back-pressures the host), then records the entry.
-  sim::Task insert(Lba lba, Version version, std::uint64_t epoch,
-                   bool barrier);
+  /// Waits for a free cache slot: the DMA landing point blocks here while
+  /// the cache is full, which is how a saturated device back-pressures the
+  /// host. Each insert() fills one slot acquired this way.
+  sim::Semaphore::Awaiter acquire_slot() noexcept { return space_.acquire(); }
 
-  /// Oldest not-yet-claimed dirty entry, FIFO order. Blocks while empty.
-  sim::Task claim_next(Entry& out);
+  /// Records a transferred block in a slot taken with acquire_slot().
+  void insert(Lba lba, Version version, std::uint64_t epoch, bool barrier);
+
+  /// Claims the oldest not-yet-claimed dirty entry, FIFO order; false
+  /// while every entry is claimed.
+  bool try_claim(Entry& out) noexcept {
+    if (claim_ == next_order_) return false;
+    out = slot(claim_++);
+    return true;
+  }
+
+  /// Notified on every insert() (a drain loop waits here while it finds
+  /// nothing to claim).
+  sim::Notify& inserted() noexcept { return inserted_; }
 
   /// Marks `order` programmed to flash and releases its cache slot.
   void mark_drained(std::uint64_t order);
@@ -75,8 +87,9 @@ class WritebackCache {
     return drain_ == next_order_ || drain_ >= through;
   }
 
-  /// Blocks until drained_through(through) holds.
-  sim::Task wait_drained_through(std::uint64_t through);
+  /// Notified on every mark_drained() (a flush waits here until
+  /// drained_through() holds).
+  sim::Notify& drained() noexcept { return drained_; }
 
   /// Latest cached version for `lba`, if its newest write is still dirty.
   std::optional<Version> lookup(Lba lba) const;
@@ -107,11 +120,11 @@ class WritebackCache {
   sim::Simulator& sim_;
   std::size_t capacity_;
   sim::Semaphore space_;
-  sim::Notify drain_ready_;
+  sim::Notify inserted_;
   sim::Notify drained_;
 
   std::uint64_t next_order_ = 0;
-  /// Next order claim_next() hands out: [claim_, next_order_) is pending.
+  /// Next order try_claim() hands out: [claim_, next_order_) is pending.
   std::uint64_t claim_ = 0;
   /// Oldest undrained order (next_order_ when none): every entry below it
   /// is drained; entries above it may have drained out of order.

@@ -101,10 +101,6 @@ void StorageDevice::note_transferred(Slot& slot) {
   if (k == data_front_ || k == ordered_front_) frontier_stale_ = true;
 }
 
-sim::Task StorageDevice::wait_transfer_turn(SlotIter it) {
-  while (!transfer_eligible(*it)) co_await queue_event_.wait();
-}
-
 sim::Task StorageDevice::controller_loop() {
   for (;;) {
     for (auto& port : ports_) {
@@ -125,15 +121,14 @@ sim::Task StorageDevice::controller_loop() {
 sim::Task StorageDevice::handle(Port& port, SlotIter it) {
   switch (it->cmd->op) {
     case OpCode::kWrite:
-      co_await handle_write(port, it);
-      break;
+      return handle_write(port, it);
     case OpCode::kRead:
-      co_await handle_read(port, it);
-      break;
+      return handle_read(port, it);
     case OpCode::kFlush:
-      co_await handle_flush(port, it);
-      break;
+      return handle_flush(port, it);
   }
+  BIO_CHECK_MSG(false, "unknown command opcode");
+  return {};
 }
 
 void StorageDevice::complete(Port& port, SlotIter it) {
@@ -149,17 +144,15 @@ void StorageDevice::complete(Port& port, SlotIter it) {
   cmd->done->trigger();
 }
 
-sim::Task StorageDevice::gc_stall() {
-  while (log_.erasing()) co_await log_.erase_done().wait();
-}
-
 sim::Task StorageDevice::handle_write(Port& port, SlotIter it) {
   std::shared_ptr<Command> cmd = it->cmd;
-  co_await gc_stall();
+  // GC stall: the controller is busy while GC erases a segment, the
+  // classic pause behind the 99.99th-percentile latency tails (Table 1).
+  while (log_.erasing()) co_await log_.erase_done().wait();
   co_await sim_.delay(profile_.cmd_overhead);
   if (cmd->flush_before) co_await do_flush();
 
-  co_await wait_transfer_turn(it);
+  while (!transfer_eligible(*it)) co_await queue_event_.wait();
   co_await port.host_bus.acquire();
   co_await sim_.delay(profile_.dma_4k *
                       static_cast<sim::SimTime>(cmd->blocks.size()));
@@ -207,8 +200,9 @@ sim::Task StorageDevice::handle_write(Port& port, SlotIter it) {
                              profile_.barrier_mode != BarrierMode::kNone;
   for (std::size_t i = 0; i < land; ++i) {
     const bool last = i + 1 == cmd->blocks.size();
-    co_await cache_.insert(cmd->blocks[i].first, cmd->blocks[i].second,
-                           epoch_, honor_barrier && last);
+    co_await cache_.acquire_slot();
+    cache_.insert(cmd->blocks[i].first, cmd->blocks[i].second, epoch_,
+                  honor_barrier && last);
   }
   port.host_bus.release();
   const std::uint64_t through = cache_.next_order();
@@ -222,7 +216,7 @@ sim::Task StorageDevice::handle_write(Port& port, SlotIter it) {
     if (profile_.fua_implies_flush && !profile_.plp)
       co_await do_flush();  // SATA-style FUA: write + full flush
     else
-      co_await wait_persisted_through(through);
+      while (!persisted_through(through)) co_await cache_.drained().wait();
   }
 
   ++stats_.writes;
@@ -249,7 +243,7 @@ sim::Task StorageDevice::handle_read(Port& port, SlotIter it) {
   } else {
     co_await log_.read(cmd->read_lba);
   }
-  co_await wait_transfer_turn(it);
+  while (!transfer_eligible(*it)) co_await queue_event_.wait();
   co_await port.host_bus.acquire();
   co_await sim_.delay(profile_.dma_4k);
   port.host_bus.release();
@@ -260,7 +254,7 @@ sim::Task StorageDevice::handle_read(Port& port, SlotIter it) {
 }
 
 sim::Task StorageDevice::handle_flush(Port& port, SlotIter it) {
-  co_await gc_stall();
+  while (log_.erasing()) co_await log_.erase_done().wait();
   co_await sim_.delay(profile_.cmd_overhead);
   co_await do_flush();
   ++stats_.flushes;
@@ -276,7 +270,8 @@ sim::Task StorageDevice::do_flush() {
     flush_horizon_ = std::max(flush_horizon_, seq);
     co_return;
   }
-  co_await wait_persisted_through(cache_.next_order());
+  const std::uint64_t through = cache_.next_order();
+  while (!cache_.drained_through(through)) co_await cache_.drained().wait();
   flush_horizon_ = std::max(flush_horizon_, seq);
 }
 
@@ -284,21 +279,17 @@ bool StorageDevice::persisted_through(std::uint64_t through) const noexcept {
   return profile_.plp || cache_.drained_through(through);
 }
 
-sim::Task StorageDevice::wait_persisted_through(std::uint64_t through) {
-  if (profile_.plp) co_return;  // durable on arrival
-  co_await cache_.wait_drained_through(through);
-}
-
 // ---- drain ----------------------------------------------------------------
 
 sim::Task StorageDevice::drain_loop() {
   for (;;) {
     WritebackCache::Entry e;
-    co_await cache_.claim_next(e);
+    while (!cache_.try_claim(e)) co_await cache_.inserted().wait();
     SegmentLog::Reservation r;
     // Sequential reservation: log order == transfer order, which is what
     // in-order recovery truncation relies on.
-    co_await log_.reserve(e.lba, e.version, r);
+    while (!log_.try_reserve(e.lba, e.version, r))
+      co_await log_.space_freed().wait();
     co_await drain_slots_.acquire();
     sim_.spawn("dev:pgm", drain_one(e, r))->wake_latency = 0;
   }
@@ -306,7 +297,8 @@ sim::Task StorageDevice::drain_loop() {
 
 sim::Task StorageDevice::drain_one(WritebackCache::Entry e,
                                    SegmentLog::Reservation r) {
-  co_await log_.program_reserved(r);
+  co_await nand_.program(log_.chip_of(r));
+  log_.programmed(r);
   cache_.mark_drained(e.order);
   drain_slots_.release();
 }

@@ -153,8 +153,8 @@ class StorageDevice {
   }
 
   /// True when every cache entry with order < `through` has been persisted
-  /// (non-blocking form of wait_persisted_through; crash analysis and the
-  /// journal's checkpoint-release logic use it read-only).
+  /// (PLP short-circuits: the cache itself is durable). FUA writes wait on
+  /// it; crash analysis and the journal's checkpoint-release logic read it.
   bool persisted_through(std::uint64_t through) const noexcept;
 
   // ---- flush horizon ------------------------------------------------------
@@ -227,21 +227,15 @@ class StorageDevice {
   void refresh_frontier();
   /// Marks `slot`'s DMA transfer done and retires it from the frontier.
   void note_transferred(Slot& slot);
-  sim::Task wait_transfer_turn(SlotIter it);
   sim::Task controller_loop();
+  /// The command handler for `it`'s opcode (not a coroutine of its own).
   sim::Task handle(Port& port, SlotIter it);
   sim::Task handle_write(Port& port, SlotIter it);
   sim::Task handle_read(Port& port, SlotIter it);
   sim::Task handle_flush(Port& port, SlotIter it);
   void complete(Port& port, SlotIter it);
 
-  /// Waits until every cache entry with order < `through` is persistent
-  /// (PLP short-circuits: the cache itself is durable).
-  sim::Task wait_persisted_through(std::uint64_t through);
   sim::Task do_flush();
-  /// Stalls while GC erases a segment: the classic GC pause behind the
-  /// 99.99th-percentile latency tails (Table 1).
-  sim::Task gc_stall();
 
   /// Moves cache entries to flash in transfer order (every barrier mode,
   /// PLP included: the durable cache still has finite capacity).

@@ -103,26 +103,23 @@ void SegmentLog::fold() {
   }
 }
 
-sim::Task SegmentLog::reserve(Lba lba, Version version, Reservation& out) {
+bool SegmentLog::try_reserve(Lba lba, Version version, Reservation& out) {
   BIO_CHECK_MSG(started_, "SegmentLog::start() not called");
-  while (!space_available()) {
+  if (!space_available()) {
     gc_wake_.notify_all();
-    co_await space_freed_.wait();
+    return false;
   }
   const Alloc alloc = allocate_slot(lba, version);
   if (needs_gc()) gc_wake_.notify_all();
   out = Reservation{alloc.slot, alloc.record_index};
-}
-
-sim::Task SegmentLog::program_reserved(Reservation r) {
-  co_await nand_.program(chip_of(r.slot));
-  mark_programmed(r.record_index);
+  return true;
 }
 
 sim::Task SegmentLog::append(Lba lba, Version version) {
   Reservation r;
-  co_await reserve(lba, version, r);
-  co_await program_reserved(r);
+  while (!try_reserve(lba, version, r)) co_await space_freed_.wait();
+  co_await nand_.program(chip_of(r));
+  programmed(r);
 }
 
 sim::Task SegmentLog::read(Lba lba) {

@@ -48,7 +48,9 @@ class SegmentLog {
   /// Spawns the background GC thread. Call once before appends.
   void start();
 
-  /// A reserved log position (see reserve()/program_reserved()).
+  /// A reserved log position. Its page is programmed on chip_of() (many
+  /// concurrently: this is where the multi-channel parallelism comes
+  /// from), then recorded with programmed().
   struct Reservation {
     std::uint64_t slot = 0;
     std::uint64_t record_index = 0;
@@ -56,14 +58,22 @@ class SegmentLog {
 
   /// Reserves the next log position for (lba, version). Call sequentially:
   /// the reservation order defines the persist order that in-order recovery
-  /// preserves. May block waiting for GC to free a segment.
-  sim::Task reserve(Lba lba, Version version, Reservation& out);
+  /// preserves. Without a free slot it wakes GC and returns false; the
+  /// caller waits on space_freed() and tries again.
+  bool try_reserve(Lba lba, Version version, Reservation& out);
 
-  /// Programs a reserved slot; safe to run many concurrently (this is where
-  /// the multi-channel parallelism comes from).
-  sim::Task program_reserved(Reservation r);
+  /// Notified whenever GC frees a segment.
+  sim::Notify& space_freed() noexcept { return space_freed_; }
 
-  /// reserve() + program_reserved() in one step (convenience/tests).
+  /// The chip that programs `r`'s page.
+  std::uint32_t chip_of(const Reservation& r) const noexcept {
+    return chip_of(r.slot);
+  }
+
+  /// Records `r`'s page as programmed (in any order across reservations).
+  void programmed(const Reservation& r) { mark_programmed(r.record_index); }
+
+  /// Reserve, program and record in one step (convenience/tests).
   sim::Task append(Lba lba, Version version);
 
   /// Reads the page currently mapped to `lba` (no-op timing if unmapped).

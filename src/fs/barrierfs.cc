@@ -13,7 +13,8 @@ void BarrierFsJournal::start() {
 
 sim::Task BarrierFsJournal::dirty_metadata(flash::Lba block,
                                            std::uint64_t& txn_out) {
-  co_await throttle_running_txn(1);
+  while (running_txn_full(1))
+    co_await commit(running_->id, WaitMode::kDispatched);
   txn_out = running_->id;
   if (running_->buffers.contains(block)) co_return;
   if (conflict_blocks_.contains(block)) co_return;  // already queued

@@ -272,14 +272,6 @@ sim::TaskOf<bool> Filesystem::rename(const std::string& from,
 
 // ---- data path --------------------------------------------------------------
 
-sim::Task Filesystem::throttle_writer() {
-  // balance_dirty_pages(): writers stall once the dirty set is far past the
-  // background watermark, so buffered-write throughput converges to the
-  // device drain rate.
-  while (cache_.dirty_count() > 4 * cfg_.writeback_high_watermark)
-    co_await writeback_progress_.wait();
-}
-
 sim::Task Filesystem::write(Inode& f, std::uint32_t page,
                             std::uint32_t npages) {
   BIO_CHECK(npages > 0);
@@ -287,7 +279,11 @@ sim::Task Filesystem::write(Inode& f, std::uint32_t page,
   if (degraded_) co_return;  // EROFS: api::Vfs reports it; nothing dirties
   ++stats_.writes;
   co_await sim_.delay(kWriteSyscallCpu * static_cast<sim::SimTime>(npages));
-  co_await throttle_writer();
+  // balance_dirty_pages(): writers stall once the dirty set is far past the
+  // background watermark, so buffered-write throughput converges to the
+  // device drain rate.
+  while (cache_.dirty_count() > 4 * cfg_.writeback_high_watermark)
+    co_await writeback_progress_.wait();
 
   // Journal-handle discipline (jbd2_journal_get_write_access): the inode
   // buffer joins the running transaction BEFORE the metadata it carries
@@ -350,27 +346,20 @@ sim::TaskOf<FsStatus> Filesystem::read(Inode& f, std::uint32_t page,
 
 // ---- helpers ----------------------------------------------------------------
 
-sim::Task Filesystem::wait_stable_pages(Inode& f) {
+blk::RequestPtr Filesystem::unstable_carrier(Inode& f) {
   // WB_SYNC_ALL write_cache_pages semantics: before resubmitting a dirty
   // page whose previous writeback copy is still in flight, wait for that
   // copy to land. Without this, two versions of one page race through the
   // scheduler and the older one can be written second — a write-after-write
   // hazard no real page cache allows (one in-flight copy per page).
-  for (;;) {
-    blk::RequestPtr waiting;
-    // scratch_keys_ is only touched between suspension points (re-collected
-    // after every wait), so sharing it with submit_data stays safe.
-    cache_.dirty_pages_of(f.ino, scratch_keys_);
-    for (const PageCache::PageKey& key : scratch_keys_) {
-      const PageCache::PageState* st = cache_.find(key.ino, key.page);
-      if (st->writeback != nullptr && !st->writeback->completion.is_set()) {
-        waiting = st->writeback;
-        break;
-      }
-    }
-    if (waiting == nullptr) co_return;
-    co_await waiting->completion.wait();
+  // Suspension-free, so sharing scratch_keys_ with submit_data stays safe.
+  cache_.dirty_pages_of(f.ino, scratch_keys_);
+  for (const PageCache::PageKey& key : scratch_keys_) {
+    const PageCache::PageState* st = cache_.find(key.ino, key.page);
+    if (st->writeback != nullptr && !st->writeback->completion.is_set())
+      return st->writeback;
   }
+  return nullptr;
 }
 
 void Filesystem::submit_data(Inode& f, bool ordered, bool barrier_last,
@@ -426,10 +415,6 @@ std::uint32_t Filesystem::journal_overwrites(Inode& f,
   return static_cast<std::uint32_t>(scratch_blocks_.size());
 }
 
-sim::Task Filesystem::wait_requests(const blk::RequestList& reqs) {
-  for (const blk::RequestPtr& r : reqs) co_await r->completion.wait();
-}
-
 sim::Task Filesystem::ensure_data_durable(const Inode& f,
                                           const blk::RequestList& reqs) {
   if (cfg_.nobarrier) co_return;
@@ -471,11 +456,10 @@ FsStatus Filesystem::commit_outcome(std::uint64_t tid) const {
                                                            : FsStatus::kOk;
 }
 
-sim::Task Filesystem::wait_file_writebacks(Inode& f,
-                                           blk::RequestList& reqs) {
-  // Waits for pages of `f` already under writeback by someone else
-  // (pdflush, a concurrent writer's sync), skipping the requests this
-  // syscall itself just submitted — and FOLDS the foreign carriers into
+void Filesystem::collect_file_writebacks(Inode& f, blk::RequestList& reqs) {
+  // Pages of `f` already under writeback by someone else (pdflush, a
+  // concurrent writer's sync): the requests this syscall itself just
+  // submitted are skipped, and the foreign carriers are FOLDED into
   // `reqs`, so the caller's durability proof (ensure_data_durable) covers
   // them. Waiting their transfer alone is not enough: a concurrent sync's
   // commit flush may have entered the device before these carriers
@@ -493,11 +477,8 @@ sim::Task Filesystem::wait_file_writebacks(Inode& f,
     f.persist_floor =
         std::max(f.persist_floor, blk_.device().cache().next_order());
   }
-  for (const blk::RequestPtr& r : wb) {
-    if (std::find(reqs.begin(), reqs.end(), r) != reqs.end()) continue;
-    co_await r->completion.wait();
-    reqs.push_back(r);
-  }
+  for (const blk::RequestPtr& r : wb)
+    if (std::find(reqs.begin(), reqs.end(), r) == reqs.end()) reqs.push_back(r);
 }
 
 sim::TaskOf<FsStatus> Filesystem::commit_metadata(Inode& f,
@@ -551,12 +532,17 @@ sim::TaskOf<FsStatus> Filesystem::sync_durable(Inode& f, bool datasync) {
   // wait on transfer, a single sleep until the flush thread reports
   // durability.
   const bool wot = wait_on_transfer();
-  co_await wait_stable_pages(f);
+  while (const blk::RequestPtr r = unstable_carrier(f))
+    co_await r->completion.wait();
   blk::RequestList reqs;
   submit_data(f, /*ordered=*/!wot, /*barrier_last=*/false, reqs);
-  co_await wait_file_writebacks(f, reqs);
+  const std::size_t own = reqs.size();
+  collect_file_writebacks(f, reqs);
+  // Wait out the foreign carriers just folded in, in page order.
+  for (const blk::RequestPtr* r = reqs.begin() + own; r != reqs.end(); ++r)
+    co_await (*r)->completion.wait();
   if (wot) {
-    co_await wait_requests(reqs);
+    for (const blk::RequestPtr& r : reqs) co_await r->completion.wait();
     note_writeback_failures(f, reqs);
   }
   // fdatasync skips mtime-only dirt (Fig 11): it commits for an i_size
@@ -579,14 +565,15 @@ sim::TaskOf<FsStatus> Filesystem::sync_durable(Inode& f, bool datasync) {
     status = co_await wait_txn_durable(tid);
     if (status == FsStatus::kOk) co_await ensure_data_durable(f, reqs);
   } else if (!cfg_.nobarrier) {  // only EXT4-OD mounts nobarrier
-    co_await wait_requests(reqs);  // already settled under Wait-on-Transfer
+    // Already settled under Wait-on-Transfer.
+    for (const blk::RequestPtr& r : reqs) co_await r->completion.wait();
     co_await blk_.flush_and_wait();
   }
   if (!wot) {
     // The data transfers this call covers completed above on every path
     // but the failed-commit ones; settle them so a dead carrier is
     // recorded now, not swept silently later.
-    co_await wait_requests(reqs);
+    for (const blk::RequestPtr& r : reqs) co_await r->completion.wait();
     note_writeback_failures(f, reqs);
   }
   co_return status;
@@ -611,11 +598,13 @@ sim::TaskOf<FsStatus> Filesystem::sync_ordered(Inode& f, bool datasync) {
                 "fbarrier as osync)");
   const bool will_commit =
       datasync ? f.size_dirty : (f.meta_dirty || f.size_dirty);
-  co_await wait_stable_pages(f);
+  while (const blk::RequestPtr r = unstable_carrier(f))
+    co_await r->completion.wait();
   // Without a commit, the data's last request delimits the epoch itself.
   blk::RequestList reqs;
   submit_data(f, /*ordered=*/true, /*barrier_last=*/!will_commit, reqs);
-  co_await blk_.throttle();  // get_request() backpressure
+  // get_request() backpressure.
+  if (blk_.congested()) co_await blk_.throttle();
   if (will_commit) {
     // The journal commit (ORDERED|BARRIER JD and JC) delimits the epoch.
     // fbarrier wakes when the commit thread has dispatched both;
@@ -648,7 +637,8 @@ sim::TaskOf<FsStatus> Filesystem::osync_impl(Inode& f) {
   const std::size_t dirty_pages = cache_.dirty_count();
   co_await sim_.delay(kOsyncScanCpuPerPage *
                       static_cast<sim::SimTime>(dirty_pages + 1));
-  co_await wait_stable_pages(f);
+  while (const blk::RequestPtr r = unstable_carrier(f))
+    co_await r->completion.wait();
   // Selective data journaling adds one log block per overwrite page. The
   // batch is bounded to the journal's per-transaction payload limit and
   // split across transactions when a file carries more dirty overwrites
@@ -668,7 +658,10 @@ sim::TaskOf<FsStatus> Filesystem::osync_impl(Inode& f) {
     for (const PageCache::PageKey& key : scratch_keys_)
       if (cache_.find(key.ino, key.page)->overwrite) ++pending;
     if (pending == 0) break;
-    co_await journal_->throttle_running_txn(std::min(pending, limit));
+    const std::size_t adding = std::min(pending, limit);
+    while (journal_->running_txn_full(adding))
+      co_await journal_->commit(journal_->running_txn_id(),
+                                Journal::WaitMode::kDispatched);
     // Concurrent writers may have refilled the running transaction during
     // the throttle's commit-wait: cap the batch at the headroom actually
     // left, read in this same synchronous stretch as the add.
@@ -697,7 +690,7 @@ sim::TaskOf<FsStatus> Filesystem::osync_impl(Inode& f) {
   // The osync transaction's commit checksum covers the allocating writes
   // going in place: attach them so recovery can validate atomicity.
   for (const blk::RequestPtr& r : reqs) journal_->attach_data(r);
-  co_await wait_requests(reqs);
+  for (const blk::RequestPtr& r : reqs) co_await r->completion.wait();
   note_writeback_failures(f, reqs);
   FsStatus status = FsStatus::kOk;
   if (journaled > 0) {

@@ -180,10 +180,10 @@ class Filesystem {
   /// durably retiring `tid` (this call's commit died), kOk otherwise.
   FsStatus commit_outcome(std::uint64_t tid) const;
 
-  /// Waits until no dirty page of `f` still has an in-flight writeback
-  /// copy (stable resubmission; see the definition). Every sync path calls
-  /// this before submit_data.
-  sim::Task wait_stable_pages(Inode& f);
+  /// The in-flight writeback carrier of the first dirty page of `f` that
+  /// has one, or null (stable resubmission; see the definition). Every
+  /// sync path waits these out, one at a time, before submit_data.
+  blk::RequestPtr unstable_carrier(Inode& f);
 
   /// Submits write requests for the file's dirty pages (grouped into
   /// contiguous runs) and appends them to `reqs`. `ordered`/`barrier_last`
@@ -202,7 +202,6 @@ class Filesystem {
   /// content (MetaSnapshot) into the closing transaction.
   void snapshot_metadata(Txn& txn);
 
-  sim::Task wait_requests(const blk::RequestList& reqs);
   /// ext4_sync_file's "journal already committed" barrier: a durability
   /// syscall whose metadata transaction committed (and flushed) *before*
   /// this call's data transferred must still issue a flush, or the data
@@ -211,10 +210,10 @@ class Filesystem {
   /// persisted (its cache watermark drained — e.g. under the commit's own
   /// flush).
   sim::Task ensure_data_durable(const Inode& f, const blk::RequestList& reqs);
-  /// Waits out in-flight writeback carriers of `f` not already in `reqs`
-  /// and appends them to `reqs`, so the caller's later durability proof
-  /// (ensure_data_durable) covers foreign writebacks too.
-  sim::Task wait_file_writebacks(Inode& f, blk::RequestList& reqs);
+  /// Appends the in-flight writeback carriers of `f` not already in
+  /// `reqs` to it (the caller then waits them out), so its later
+  /// durability proof (ensure_data_durable) covers foreign writebacks too.
+  void collect_file_writebacks(Inode& f, blk::RequestList& reqs);
   /// True while `tid` names a transaction not yet durably retired — the
   /// "a concurrent syscall's commit still holds this inode's metadata"
   /// test behind the i_sync_tid / i_datasync_tid waits in fsync/fdatasync.
@@ -222,7 +221,6 @@ class Filesystem {
   sim::TaskOf<FsStatus> wait_txn_durable(std::uint64_t tid);
   sim::Task remove_name(const std::string& name, bool reclaim_now);
   sim::Task pdflush_loop();
-  sim::Task throttle_writer();
   flash::Lba dir_block_of(const std::string& name) const;
   sim::TaskOf<FsStatus> commit_metadata(Inode& f, Journal::WaitMode mode);
 

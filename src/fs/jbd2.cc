@@ -10,7 +10,8 @@ void Jbd2Journal::start() {
 
 sim::Task Jbd2Journal::dirty_metadata(flash::Lba block,
                                       std::uint64_t& txn_out) {
-  co_await throttle_running_txn(1);
+  while (running_txn_full(1))
+    co_await commit(running_->id, WaitMode::kDispatched);
   // EXT4 page-conflict rule: a buffer held by the committing transaction
   // may not join the running one; the application blocks until the commit
   // retires (§4.3). An abort triggers the committing transaction's event

@@ -26,12 +26,6 @@ void Journal::add_journaled_data(std::span<const blk::Block> pages) {
                                   pages.begin(), pages.end());
 }
 
-sim::Task Journal::throttle_running_txn(std::size_t adding) {
-  while (!aborted_ && !running_->empty() &&
-         running_payload() + adding > max_txn_payload())
-    co_await commit(running_->id, WaitMode::kDispatched);
-}
-
 bool Journal::is_retired(std::uint64_t tid) const {
   const Txn* t = find_txn(tid);
   return t != nullptr && t->state == Txn::State::kRetired;

@@ -185,15 +185,20 @@ class Journal {
   /// (ordered-mode data writeout dependency).
   void attach_data(blk::RequestPtr r);
 
-  /// jbd2-style transaction-size bound: while the running transaction's
-  /// projected JD record (descriptor + per-buffer/per-page log blocks)
-  /// plus `adding` more would outgrow max_txn_payload(), commit it and
-  /// wait for the swap. Without this, a group commit over many concurrent
-  /// writers can build a descriptor too large to ever fit next to its own
-  /// commit record in a small journal. No-op while the running txn is
-  /// empty (an atomically-oversized batch is a config error the reserve
-  /// path still asserts on).
-  sim::Task throttle_running_txn(std::size_t adding);
+  /// jbd2-style transaction-size bound: true while the running
+  /// transaction's projected JD record (descriptor + per-buffer/per-page
+  /// log blocks) plus `adding` more would outgrow max_txn_payload(). A
+  /// caller about to add commits it and waits for the swap
+  /// (WaitMode::kDispatched) until this clears. Without that, a group
+  /// commit over many concurrent writers can build a descriptor too large
+  /// to ever fit next to its own commit record in a small journal. False
+  /// while the running txn is empty (an atomically-oversized batch is a
+  /// config error the reserve path still asserts on) and once the journal
+  /// aborted.
+  bool running_txn_full(std::size_t adding) const noexcept {
+    return !aborted_ && !running_->empty() &&
+           running_payload() + adding > max_txn_payload();
+  }
 
   /// Log blocks one transaction may carry (jbd2's j_max_transaction_buffers
   /// analogue): half the journal area, so a JD and its JC always fit in one

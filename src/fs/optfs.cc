@@ -10,7 +10,8 @@ void OptFsJournal::start() {
 
 sim::Task OptFsJournal::dirty_metadata(flash::Lba block,
                                        std::uint64_t& txn_out) {
-  co_await throttle_running_txn(1);
+  while (running_txn_full(1))
+    co_await commit(running_->id, WaitMode::kDispatched);
   // OptFS keeps JBD's single committing transaction and its blocking
   // conflict rule — and, like it, stops waiting once an abort has
   // triggered the committing transaction's event without retiring it.

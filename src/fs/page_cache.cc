@@ -125,7 +125,8 @@ void PageCache::write(std::uint32_t ino, std::uint32_t page, flash::Lba lba,
   // request is still physically in the scheduler/device carrying the
   // previous version; forgetting it would let a sync path submit the new
   // version concurrently and the two copies could land out of order
-  // (write-after-write hazard). wait_stable_pages()/pdflush consult it.
+  // (write-after-write hazard). The sync paths' unstable_carrier() and
+  // pdflush consult it.
   dirtied_.notify_all();
 }
 

@@ -1,0 +1,76 @@
+// bench_delta regression tests: CI's perf guard (tools/bench_delta.py)
+// compares each perf_suite scenario's minimum ns/io over change runs with
+// its minimum over same-runner runs of the base commit, with no
+// cross-scenario normalization. The fixtures under tests/bench_delta/ are
+// one base run and three change runs; the last two are the cases that
+// normalizing by the median ratio got wrong. Shells out to the python
+// tool; skips when no python3 is on PATH.
+
+#include <gtest/gtest.h>
+
+#include <initializer_list>
+#include <string>
+
+#include "tool_test_util.h"
+
+namespace {
+
+using bio::testutil::have_python;
+using bio::testutil::run_tool;
+using bio::testutil::RunResult;
+
+/// The space-separated paths of fixture runs `names`.
+std::string runs(std::initializer_list<const char*> names) {
+  std::string out;
+  for (const char* n : names) out += std::string(" tests/bench_delta/") + n;
+  return out;
+}
+
+RunResult compare(const std::string& base, const std::string& change) {
+  return run_tool("tools/bench_delta.py --base" + base + " --change" + change);
+}
+
+TEST(BenchDeltaTest, OneScenarioSlowerFails) {
+  if (!have_python()) GTEST_SKIP() << "python3 not on PATH";
+  const RunResult res =
+      compare(runs({"base.json"}), runs({"one_slower.json"}));
+  EXPECT_EQ(res.exit_code, 1) << res.output;
+  EXPECT_NE(res.output.find("1 scenario(s)"), std::string::npos)
+      << res.output;
+}
+
+TEST(BenchDeltaTest, EveryScenarioSlowerFails) {
+  // A uniform 1.3x slowdown: the median-normalized guard divided it out.
+  if (!have_python()) GTEST_SKIP() << "python3 not on PATH";
+  const RunResult res =
+      compare(runs({"base.json"}), runs({"all_slower.json"}));
+  EXPECT_EQ(res.exit_code, 1) << res.output;
+  EXPECT_NE(res.output.find("4 scenario(s)"), std::string::npos)
+      << res.output;
+}
+
+TEST(BenchDeltaTest, UnevenSpeedupPasses) {
+  // Half the scenarios at 0.5x, half unchanged: the median-normalized guard
+  // read the unchanged half as 1.33x slower.
+  if (!have_python()) GTEST_SKIP() << "python3 not on PATH";
+  const RunResult res =
+      compare(runs({"base.json"}), runs({"half_faster.json"}));
+  EXPECT_EQ(res.exit_code, 0) << res.output;
+}
+
+TEST(BenchDeltaTest, ComparesMinimaOverRuns) {
+  // A slow run on either side is outvoted by a fast one.
+  if (!have_python()) GTEST_SKIP() << "python3 not on PATH";
+  const RunResult res = compare(runs({"all_slower.json", "base.json"}),
+                                runs({"one_slower.json", "base.json"}));
+  EXPECT_EQ(res.exit_code, 0) << res.output;
+}
+
+TEST(BenchDeltaTest, MalformedRunIsAUsageError) {
+  if (!have_python()) GTEST_SKIP() << "python3 not on PATH";
+  const RunResult res =
+      compare(runs({"base.json"}), runs({"missing.json"}));
+  EXPECT_EQ(res.exit_code, 2) << res.output;
+}
+
+}  // namespace

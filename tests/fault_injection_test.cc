@@ -94,6 +94,39 @@ TEST_P(TransientFaultTest, RetriedTransientWriteFaultKeepsSyncOk) {
 INSTANTIATE_TEST_SUITE_P(AllKinds, TransientFaultTest,
                          testing::ValuesIn(kKinds));
 
+TEST(TransientFaultRetryTest, RetryIntoAFullWindowWaitsForASlot) {
+  // The retry watcher re-dispatches a faulted command itself. 300
+  // scattered single-block writes keep the legacy device's NCQ window
+  // full for milliseconds, so the first write's retry (1 ms after its
+  // fault) finds no free slot and must wait for one, then land.
+  StackFixture x(StackKind::kExt4DR);
+  blk::BlockLayer& blk = x.stack->blk();
+  FaultPlan plan;
+  plan.add(FaultSpec{FaultKind::kTransientProgram, /*at_op=*/1,
+                     flash::kAnyLba, /*torn_keep=*/0, /*count=*/1});
+  x.dev().install_fault_plan(&plan);
+  std::vector<blk::RequestPtr> reqs;
+  std::uint64_t busy_at_retry = 0;
+  auto body = [&]() -> Task {
+    for (flash::Lba i = 0; i < 300; ++i) {
+      const flash::Lba lba = 400 + 2 * i;  // scattered: nothing merges
+      reqs.push_back(blk.pool().make_write({{lba, blk.next_version()}}));
+      blk.submit(reqs.back());
+    }
+    co_await x.sim().delay(blk::kIoRetryBackoff);
+    busy_at_retry = x.dev().queue_depth();
+    for (const blk::RequestPtr& r : reqs) co_await r->completion.wait();
+  };
+  x.sim().spawn("t", body());
+  x.sim().run();
+  EXPECT_EQ(plan.stats().total(), 1u) << "the fault must actually fire";
+  EXPECT_EQ(busy_at_retry, x.dev().queue_depth_limit());
+  EXPECT_EQ(blk.stats().io_retries, 1u);
+  EXPECT_EQ(blk.stats().io_failures, 0u);
+  for (const blk::RequestPtr& r : reqs) EXPECT_FALSE(r->failed());
+  EXPECT_EQ(x.dev().stats().writes, 301u);
+}
+
 // ---- 1b. read faults on a page-cache miss ----------------------------------
 
 class ReadFaultTest : public testing::TestWithParam<StackKind> {};

@@ -229,6 +229,33 @@ TEST(FilesystemTest, WriterThrottledAtDirtyLimit) {
   EXPECT_GT(app->blocks, 0u) << "balance_dirty_pages throttled the writer";
 }
 
+TEST(FilesystemTest, OrderedSyncWaitsOutACongestedQueue) {
+  // fdatabarrier returns right after dispatch, but not into a congested
+  // request queue: 150 scattered dirty pages submit 150 unmergeable
+  // requests (> kNrRequests), and the call sleeps until the dispatcher
+  // has drained the queue to half (get_request() backpressure).
+  StackFixture x(StackKind::kBfsDR);
+  blk::BlockLayer& blk = x.stack->blk();
+  bool congested_at_submit = false;
+  std::size_t backlog_at_return = 0;
+  auto body = [&]() -> Task {
+    Inode* f = nullptr;
+    co_await x.fs().create("a", f, 300);
+    for (std::uint32_t p = 0; p < 300; p += 2) co_await x.fs().write(*f, p, 1);
+    // The call's own submission congests the queue; nothing else does.
+    congested_at_submit = blk.congested();
+    const FsStatus st = co_await x.fs().fdatabarrier(*f);
+    backlog_at_return = blk.scheduler(0).size();
+    EXPECT_EQ(st, FsStatus::kOk);
+  };
+  const sim::Thread app = x.sim().spawn("t", body());
+  x.sim().run();
+  EXPECT_FALSE(congested_at_submit);
+  EXPECT_LE(backlog_at_return, blk::kNrRequests / 2);
+  EXPECT_GT(app->blocks, 0u) << "the throttle put the caller to sleep";
+  EXPECT_FALSE(blk.congested());
+}
+
 TEST(FilesystemTest, StatsCountSyscalls) {
   StackFixture x(StackKind::kBfsDR);
   auto body = [&]() -> Task {

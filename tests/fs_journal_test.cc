@@ -2,6 +2,8 @@
 // OptFS, incl. commit batching, page conflicts and dual-mode pipelining.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fs/barrierfs.h"
 #include "fs_test_util.h"
 
@@ -342,6 +344,36 @@ TEST(OptFsTest, SelectiveDataJournalingJournalsOverwrites) {
   EXPECT_EQ(order[0]->journaled_data.size(), 0u);
   EXPECT_EQ(order.back()->journaled_data.size(), 4u)
       << "4 overwritten pages journaled selectively";
+}
+
+TEST(JournalTest, FullRunningTxnCommitsBeforeABufferJoins) {
+  // jbd2's transaction-size bound (Journal::running_txn_full): in a
+  // 10-block journal one transaction carries at most max_txn_payload() = 4
+  // log blocks, so once the running one holds 3 buffers the next dirtied
+  // block commits it and joins a fresh one. Nothing else commits here: no
+  // sync runs.
+  for (StackKind kind :
+       {StackKind::kExt4DR, StackKind::kBfsDR, StackKind::kOptFs}) {
+    core::StackConfig cfg = test_stack_config(kind);
+    cfg.fs.journal_blocks = 10;
+    StackFixture x(kind, &cfg);
+    Journal& journal = x.fs().journal();
+    ASSERT_EQ(journal.max_txn_payload(), 4u);
+    std::size_t max_payload = 0;
+    std::uint64_t commits = 0;
+    auto body = [&]() -> Task {
+      for (const char* name : {"a", "b", "c", "d"}) {
+        Inode* f = nullptr;
+        co_await x.fs().create(name, f);
+        max_payload = std::max(max_payload, journal.running_payload());
+      }
+      commits = journal.stats().commits;
+    };
+    x.sim().spawn("t", body());
+    x.sim().run();
+    EXPECT_LE(max_payload, 4u) << core::to_string(kind);
+    EXPECT_GT(commits, 0u) << core::to_string(kind);
+  }
 }
 
 TEST(JournalTest, EmptyCommitDelimitsEpoch) {

@@ -8,35 +8,13 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
+#include "tool_test_util.h"
 
 namespace {
 
-struct RunResult {
-  int exit_code = -1;
-  std::string output;
-};
-
-RunResult run_tool(const std::string& args) {
-  const std::string cmd =
-      "cd \"" BIO_SOURCE_DIR "\" && python3 " + args + " 2>&1";
-  RunResult res;
-  FILE* pipe = popen(cmd.c_str(), "r");
-  if (pipe == nullptr) return res;
-  std::array<char, 4096> buf;
-  while (fgets(buf.data(), buf.size(), pipe) != nullptr) res.output += buf.data();
-  const int status = pclose(pipe);
-  res.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return res;
-}
-
-bool have_python() {
-  const int status = std::system("python3 -c 'pass' >/dev/null 2>&1");
-  return WIFEXITED(status) && WEXITSTATUS(status) == 0;
-}
+using bio::testutil::have_python;
+using bio::testutil::run_tool;
+using bio::testutil::RunResult;
 
 TEST(IolintTest, SelftestLedgerFixturesAndAllowlist) {
   if (!have_python()) GTEST_SKIP() << "python3 not on PATH";

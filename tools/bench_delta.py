@@ -1,36 +1,34 @@
 #!/usr/bin/env python3
 """Bench-delta guard: fail CI when a perf scenario's host ns/io regresses.
 
-Compares fresh BENCH_perf.json runs against a baseline run and flags any
-scenario whose ns/io regressed by more than 25%. It guards host time only:
-perf_suite's simulated fields and its shape rules are pinned by the
-golden_perf_suite ctest (bench/expected/perf_suite.txt).
+Compares perf_suite runs of a change against runs of its base commit made
+on the same machine in the same job, and flags any scenario whose ns/io
+regressed by more than 25%. It guards host time only: perf_suite's
+simulated fields and its shape rules are pinned by the golden_perf_suite
+ctest (bench/expected/perf_suite.txt).
 
-The baseline and the fresh runs come from different machines (the committed
-run is a Release run on a dev box; CI runs on a shared runner), so raw
-ns/io ratios carry a machine-speed factor. The guard removes it by
-normalizing every scenario's ratio by the median ratio across scenarios: a
-uniform slowdown (slower runner) passes, while one scenario regressing
-relative to the rest — the signature of an actual hot-path regression —
-fails.
+Both sides run on the same runner, alternating base and change runs, so
+each scenario is compared with the base directly: no cross-scenario
+normalization. (Dividing every ratio by the median ratio, as a committed
+baseline from another machine needed, makes an uneven speed-up read as a
+slowdown of the scenarios that gained least, and lets a uniform slowdown
+pass.)
 
 Run-to-run noise on a shared runner easily exceeds 25% per scenario, so
-both sides use per-scenario minima: the committed baseline is the
-per-scenario best of several runs, and the guard takes each scenario's
-minimum ns/io across the fresh runs (the standard noise-robust benchmark
-estimator) before comparing.
+both sides use per-scenario minima over their runs (the standard
+noise-robust benchmark estimator) before comparing.
 
 Usage:
-  tools/bench_delta.py <baseline.json> <fresh.json> [<fresh2.json> ...]
+  tools/bench_delta.py --base <base.json>... --change <change.json>...
 
 Exit codes: 0 ok, 1 regression found, 2 usage or schema error.
 """
 
+import argparse
 import json
-import statistics
 import sys
 
-THRESHOLD = 1.25  # normalized ns/io ratio above which a scenario regressed
+THRESHOLD = 1.25  # change/base ns/io ratio above which a scenario regressed
 
 
 def load_ns_per_io(path):
@@ -49,42 +47,50 @@ def load_ns_per_io(path):
             for s in doc.get("scenarios", []) if s.get("ns_per_io")}
 
 
-def main():
-    if len(sys.argv) < 3 or any(a.startswith("-") for a in sys.argv[1:]):
-        print("usage: bench_delta.py <baseline.json> <fresh.json> "
-              "[<fresh2.json> ...]", file=sys.stderr)
-        sys.exit(2)
-    base = load_ns_per_io(sys.argv[1])
-    fresh = {}
-    for path in sys.argv[2:]:
+def minima(paths):
+    """Per-scenario minimum ns/io over the runs in `paths`."""
+    out = {}
+    for path in paths:
         for name, ns in load_ns_per_io(path).items():
-            fresh[name] = min(ns, fresh.get(name, ns))
+            out[name] = min(ns, out.get(name, ns))
+    return out
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description="Fail when a perf_suite scenario's ns/io regresses "
+                    "against same-machine runs of the base commit.")
+    parser.add_argument("--base", nargs="+", required=True,
+                        metavar="JSON", help="perf_suite runs of the base")
+    parser.add_argument("--change", nargs="+", required=True,
+                        metavar="JSON", help="perf_suite runs of the change")
+    args = parser.parse_args()
+    base = minima(args.base)
+    change = minima(args.change)
 
     ratios = {}
-    for name, ns in fresh.items():
+    for name, ns in change.items():
         if name in base:
             ratios[name] = ns / base[name]
         else:
-            print(f"  new scenario (no baseline): {name}")
+            print(f"  new scenario (no base run): {name}")
     if not ratios:
         print("bench_delta: no comparable ns/io scenarios", file=sys.stderr)
         sys.exit(2)
 
-    med = statistics.median(ratios.values())
-    print(f"bench_delta: {len(ratios)} scenarios, median ns/io ratio "
-          f"{med:.3f} (machine-speed factor, divided out)")
+    print(f"bench_delta: {len(ratios)} scenarios, per-scenario min ns/io "
+          f"over {len(args.change)} change and {len(args.base)} base runs")
     regressed = []
     for name in sorted(ratios):
-        norm = ratios[name] / med
-        flag = "REGRESSED" if norm > THRESHOLD else "ok"
-        print(f"  {name:24s} ratio {ratios[name]:6.3f}  "
-              f"normalized {norm:6.3f}  {flag}")
-        if norm > THRESHOLD:
+        flag = "REGRESSED" if ratios[name] > THRESHOLD else "ok"
+        print(f"  {name:24s} base {base[name]:9.1f}  change "
+              f"{change[name]:9.1f}  ratio {ratios[name]:6.3f}  {flag}")
+        if ratios[name] > THRESHOLD:
             regressed.append(name)
     if regressed:
         print(f"bench_delta: FAIL: {len(regressed)} scenario(s) "
-              f">{(THRESHOLD - 1) * 100:.0f}% over the fleet-normalized "
-              f"baseline: {', '.join(regressed)}")
+              f">{(THRESHOLD - 1) * 100:.0f}% slower than the base: "
+              f"{', '.join(regressed)}")
         sys.exit(1)
     print("bench_delta: ok")
     sys.exit(0)
