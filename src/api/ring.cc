@@ -27,10 +27,6 @@ Syscall syscall_of(RingOp op) noexcept {
   }
 }
 
-bool is_sync_op(RingOp op) noexcept {
-  return syscall_of(op) != Syscall::kNone;
-}
-
 }  // namespace
 
 std::int32_t negated_errno(Errno e) {
@@ -89,11 +85,10 @@ Errno Ring::precheck(const Sqe& sqe) const {
     }
     return Errno::kOk;
   }
-  if (is_sync_op(sqe.op)) {
-    if (!journal_supports(syscall_of(sqe.op), jk.value())) return Errno::kInval;
-    return Errno::kOk;
-  }
-  return Errno::kInval;
+  // A sync op must name a call the fd's journal runs (every other op maps
+  // to kNone, which no journal runs).
+  return fs::supports(syscall_of(sqe.op), jk.value()) ? Errno::kOk
+                                                      : Errno::kInval;
 }
 
 std::uint32_t Ring::submit(std::uint32_t n) {

@@ -40,29 +40,4 @@ SyncPolicy SyncPolicy::for_stack(core::StackKind kind) noexcept {
   return {};
 }
 
-namespace {
-sim::TaskOf<fs::FsStatus> nothing_to_sync() { co_return fs::FsStatus::kOk; }
-}  // namespace
-
-sim::TaskOf<fs::FsStatus> issue(fs::Filesystem& filesystem, fs::Inode& f,
-                                Syscall call) {
-  switch (call) {
-    case Syscall::kNone:
-      break;
-    case Syscall::kFsync:
-      return filesystem.fsync(f);
-    case Syscall::kFdatasync:
-      return filesystem.fdatasync(f);
-    case Syscall::kFbarrier:
-      return filesystem.fbarrier(f);
-    case Syscall::kFdatabarrier:
-      return filesystem.fdatabarrier(f);
-    case Syscall::kOsync:
-      return filesystem.osync(f);
-    case Syscall::kDsync:
-      return filesystem.dsync(f);
-  }
-  return nothing_to_sync();
-}
-
 }  // namespace bio::api

@@ -23,21 +23,13 @@
 #include <cstdint>
 
 #include "core/stack.h"
-#include "fs/filesystem.h"
-#include "sim/task.h"
+#include "fs/types.h"
 
 namespace bio::api {
 
-/// A concrete synchronization syscall of the simulated filesystem.
-enum class Syscall : std::uint8_t {
-  kNone,          // no-op (e.g. fully relaxed policies)
-  kFsync,
-  kFdatasync,
-  kFbarrier,
-  kFdatabarrier,
-  kOsync,         // OptFS osync with Wait-on-Transfer
-  kDsync,         // OptFS dsync: data durable at return, metadata delayed
-};
+/// A concrete synchronization syscall; fs::supports says which journal
+/// runs which, fs::Filesystem::sync runs it.
+using fs::Syscall;
 
 /// What the application *means* at a call site.
 enum class SyncIntent : std::uint8_t {
@@ -77,12 +69,5 @@ struct SyncPolicy {
 
   friend bool operator==(const SyncPolicy&, const SyncPolicy&) = default;
 };
-
-/// The filesystem task that runs one concrete syscall against `f` — the
-/// only Syscall-to-filesystem switch, behind api::Vfs::sync. The task
-/// yields the filesystem's verdict: kIo when the call's own journal commit
-/// died, kRoFs on a degraded volume (kNone trivially succeeds).
-sim::TaskOf<fs::FsStatus> issue(fs::Filesystem& filesystem, fs::Inode& f,
-                                Syscall call);
 
 }  // namespace bio::api

@@ -5,23 +5,6 @@
 
 namespace bio::api {
 
-bool journal_supports(Syscall call, fs::JournalKind journal) {
-  switch (call) {
-    case Syscall::kFdatabarrier:
-      return journal == fs::JournalKind::kBarrierFs;
-    case Syscall::kFbarrier:  // BarrierFS native; OptFS maps it to osync
-      return journal != fs::JournalKind::kJbd2;
-    case Syscall::kOsync:
-    case Syscall::kDsync:
-      return journal == fs::JournalKind::kOptFs;
-    case Syscall::kNone:
-    case Syscall::kFsync:
-    case Syscall::kFdatasync:
-      return true;
-  }
-  return true;
-}
-
 // ---- mount table ------------------------------------------------------------
 
 Vfs::Vfs(fs::Filesystem& filesystem, SyncPolicy policy) {
@@ -223,15 +206,12 @@ sim::TaskOf<Status> Vfs::unlink(const std::string& name) {
   if (filesystem.degraded()) co_return fail(m, Errno::kRoFs);
   ++stats_.unlinks;
   ++m.stats.unlinks;
+  // Descriptors still open: remove the name only; the extent/ino recycle
+  // on the last close, so surviving fds never alias a new file.
   auto it = vnodes_.find(inode);
-  if (it != vnodes_.end()) {
-    // Descriptors are still open: remove the name only; the extent/ino
-    // recycle on the last close, so surviving fds never alias a new file.
-    it->second->unlinked = true;
-    co_await filesystem.unlink_deferred(t.value().rel);
-  } else {
-    co_await filesystem.unlink(t.value().rel);
-  }
+  const bool open = it != vnodes_.end();
+  if (open) it->second->unlinked = true;
+  co_await filesystem.unlink(t.value().rel, /*reclaim_now=*/!open);
   co_return Status{};
 }
 
@@ -378,16 +358,17 @@ sim::TaskOf<Status> Vfs::sync(Fd fd, Syscall call) {
   Mount& m = *e->mount;
   // A (per-file-overridable) policy row or a direct call may name a
   // syscall this descriptor's filesystem cannot run — dsync/osync outside
-  // OptFS, barrier calls outside BarrierFS. Surface the mismatch as a
-  // modelled EINVAL rather than letting the filesystem assert.
-  if (!journal_supports(call, vn.fs->config().journal))
+  // OptFS, barrier calls outside BarrierFS, kNone anywhere. Surface the
+  // mismatch as a modelled EINVAL rather than letting the filesystem
+  // assert.
+  if (!fs::supports(call, vn.fs->config().journal))
     co_return fail(m, Errno::kInval);
   // `gen` pins the descriptor incarnation across the suspension (fd-reuse
   // ABA, as in read/write); `seen` is its errseq sample at the start.
   const std::uint64_t gen = e->generation;
   const std::uint64_t seen = e->wb_err_seen;
   pin(vn);
-  const fs::FsStatus st = co_await issue(*vn.fs, *vn.inode, call);
+  const fs::FsStatus st = co_await vn.fs->sync(*vn.inode, call);
   const std::uint64_t err_seq = vn.inode->wb_err_seq;  // before unpin
   unpin(vn);
   switch (st) {

@@ -59,12 +59,6 @@ namespace bio::api {
 using Fd = std::int32_t;
 inline constexpr Fd kInvalidFd = -1;
 
-/// Which sync syscalls a journal flavour can run — the single capability
-/// matrix behind Vfs::sync and api::Ring's submit-time sqe validation, so
-/// a mismatch is a modelled EINVAL instead of a filesystem assert on a
-/// mixed-journal node.
-bool journal_supports(Syscall call, fs::JournalKind journal);
-
 struct OpenOptions {
   /// Create the file if it does not exist.
   bool create = false;
@@ -194,7 +188,7 @@ class Vfs {
 
   /// Runs one concrete sync syscall — every sync path (File sugar, policy
   /// intents, api::Ring) ends here. kInval when the descriptor's journal
-  /// cannot run `call` (journal_supports), kIo when this call's journal
+  /// cannot run `call` (fs::supports), kIo when this call's journal
   /// commit died (the abort degraded the volume), kRoFs when the volume
   /// was already degraded; otherwise a data-writeback failure recorded on
   /// the inode since this descriptor last looked is kIo exactly once per

@@ -55,34 +55,10 @@ VolumeConfig VolumeConfig::make(StackKind kind, flash::DeviceProfile device,
   return c;
 }
 
-StackConfig StackConfig::make(StackKind kind, flash::DeviceProfile device) {
-  return of_volume(VolumeConfig::make(kind, std::move(device)));
-}
-
-VolumeConfig StackConfig::volume(std::string name) const {
-  VolumeConfig v;
-  v.kind = kind;
-  v.name = std::move(name);
-  v.device = device;
-  v.blk = blk;
-  v.fs = fs;
-  return v;
-}
-
-StackConfig StackConfig::of_volume(const VolumeConfig& v) {
-  StackConfig c;
-  c.kind = v.kind;
-  c.device = v.device;
-  c.blk = v.blk;
-  c.fs = v.fs;
-  return c;
-}
-
-NodeConfig NodeConfig::from(const std::vector<StackConfig>& bases) {
-  NodeConfig cfg;
+NodeConfig NodeConfig::from(std::vector<VolumeConfig> bases) {
   for (std::size_t i = 0; i < bases.size(); ++i)
-    cfg.volumes.push_back(bases[i].volume("v" + std::to_string(i)));
-  return cfg;
+    bases[i].name = "v" + std::to_string(i);
+  return NodeConfig{std::move(bases)};
 }
 
 Volume::Volume(sim::Simulator& sim, VolumeConfig config)
@@ -98,17 +74,14 @@ void Volume::start() {
   fs_->start();
 }
 
-Stack::Stack(StackConfig config)
-    : config_(std::move(config)), sim_(kSimParams) {
-  volumes_.push_back(std::make_unique<Volume>(sim_, config_.volume()));
+Stack::Stack(VolumeConfig config) : sim_(kSimParams) {
+  volumes_.push_back(std::make_unique<Volume>(sim_, std::move(config)));
 }
 
 Stack::Stack(NodeConfig config) : sim_(kSimParams) {
   BIO_CHECK_MSG(!config.volumes.empty(), "node with zero volumes");
   for (VolumeConfig& v : config.volumes)
     volumes_.push_back(std::make_unique<Volume>(sim_, std::move(v)));
-  // Materialize the compat surface (config()/kind()) from volume 0.
-  config_ = StackConfig::of_volume(volumes_[0]->config());
 }
 
 Volume* Stack::find_volume(const std::string& name) noexcept {

@@ -91,31 +91,16 @@ class Volume {
   std::unique_ptr<fs::Filesystem> fs_;
 };
 
-/// Single-volume stack configuration (the historical shape: one kind, one
-/// device, one filesystem). Still the configuration every per-figure
-/// experiment uses.
-struct StackConfig {
-  StackKind kind = StackKind::kExt4DR;
-  flash::DeviceProfile device = flash::DeviceProfile::plain_ssd();
-  blk::BlockLayerConfig blk;
-  fs::FsConfig fs;
-
-  static StackConfig make(StackKind kind, flash::DeviceProfile device);
-
-  /// The same wiring as a volume of a multi-volume node.
-  VolumeConfig volume(std::string name = {}) const;
-  /// The inverse: a single-volume StackConfig over `v`'s wiring. The only
-  /// place the field lists of the two config shapes meet (volume() aside).
-  static StackConfig of_volume(const VolumeConfig& v);
-};
+/// Single-volume stack configuration: a volume whose name is usually left
+/// empty (the root mount). Every per-figure experiment uses it.
+using StackConfig = VolumeConfig;
 
 /// Multi-volume node configuration: one simulator, N volumes.
 struct NodeConfig {
   std::vector<VolumeConfig> volumes;
 
-  /// A node of `bases.size()` volumes named "v0", "v1", ... — one per
-  /// single-volume config.
-  static NodeConfig from(const std::vector<StackConfig>& bases);
+  /// A node of `bases.size()` volumes, renamed "v0", "v1", ...
+  static NodeConfig from(std::vector<VolumeConfig> bases);
 };
 
 /// A host node: one shared simulator plus one or more volumes. The
@@ -127,7 +112,7 @@ struct NodeConfig {
 class Stack {
  public:
   /// One-volume node (the historical constructor).
-  explicit Stack(StackConfig config);
+  explicit Stack(VolumeConfig config);
   /// Multi-volume node; requires at least one volume.
   explicit Stack(NodeConfig config);
 
@@ -150,10 +135,8 @@ class Stack {
   blk::BlockLayer& blk() noexcept { return volumes_[0]->blk(); }
   fs::Filesystem& fs() noexcept { return volumes_[0]->fs(); }
   StackKind kind() const noexcept { return volumes_[0]->kind(); }
-  const StackConfig& config() const noexcept { return config_; }
 
  private:
-  StackConfig config_;  // volume 0's wiring (compat surface)
   sim::Simulator sim_;
   std::vector<std::unique_ptr<Volume>> volumes_;
 };

@@ -148,21 +148,13 @@ Inode* Filesystem::lookup(const std::string& name) {
   return it == files_.end() ? nullptr : it->second.get();
 }
 
-sim::Task Filesystem::unlink(const std::string& name) {
-  co_await remove_name(name, /*reclaim_now=*/true);
-}
-
-sim::Task Filesystem::unlink_deferred(const std::string& name) {
-  co_await remove_name(name, /*reclaim_now=*/false);
-}
-
 void Filesystem::reclaim(Inode& f) {
   cache_.drop_file(f.ino);
   free_extents_.emplace_back(f.extent_base, f.extent_blocks);
   free_inos_.push_back(f.ino);
 }
 
-sim::Task Filesystem::remove_name(const std::string& name, bool reclaim_now) {
+sim::Task Filesystem::unlink(const std::string& name, bool reclaim_now) {
   auto it = files_.find(name);
   BIO_CHECK_MSG(it != files_.end(), "unlink of missing file: " + name);
   Inode& f = *it->second;
@@ -510,20 +502,51 @@ sim::TaskOf<FsStatus> Filesystem::wait_txn_durable(std::uint64_t tid) {
 
 // ---- synchronization ---------------------------------------------------------
 
-sim::TaskOf<FsStatus> Filesystem::fsync(Inode& f) {
-  if (degraded_) co_return FsStatus::kRoFs;
-  ++stats_.fsyncs;
-  const FsStatus status = cfg_.journal == JournalKind::kOptFs
-                              ? co_await osync(f)
-                              : co_await sync_durable(f, /*datasync=*/false);
-  co_return status;
+bool supports(Syscall call, JournalKind journal) noexcept {
+  switch (call) {
+    case Syscall::kFsync:
+    case Syscall::kFdatasync:
+      return true;
+    case Syscall::kFbarrier:  // BarrierFS native; OptFS runs it as osync
+      return journal != JournalKind::kJbd2;
+    case Syscall::kFdatabarrier:
+      return journal == JournalKind::kBarrierFs;
+    case Syscall::kOsync:
+    case Syscall::kDsync:
+      return journal == JournalKind::kOptFs;
+    case Syscall::kNone:
+      break;
+  }
+  return false;
 }
 
-sim::TaskOf<FsStatus> Filesystem::fdatasync(Inode& f) {
-  if (degraded_) co_return FsStatus::kRoFs;
-  ++stats_.fdatasyncs;
-  if (cfg_.journal == JournalKind::kOptFs) co_return co_await osync(f);
-  co_return co_await sync_durable(f, /*datasync=*/true);
+namespace {
+sim::TaskOf<FsStatus> finished(FsStatus status) { co_return status; }
+}  // namespace
+
+sim::TaskOf<FsStatus> Filesystem::sync(Inode& f, Syscall call) {
+  BIO_CHECK(supports(call, cfg_.journal));
+  if (degraded_) return finished(FsStatus::kRoFs);
+  switch (call) {
+    case Syscall::kFsync: ++stats_.fsyncs; break;
+    case Syscall::kFdatasync: ++stats_.fdatasyncs; break;
+    case Syscall::kFbarrier: ++stats_.fbarriers; break;
+    case Syscall::kFdatabarrier: ++stats_.fdatabarriers; break;
+    case Syscall::kDsync: ++stats_.dsyncs; return dsync_impl(f);
+    case Syscall::kOsync:
+    case Syscall::kNone:  // unsupported: the check above threw
+      break;
+  }
+  // OptFS runs fsync, fdatasync and fbarrier as osync, counted as both.
+  if (cfg_.journal == JournalKind::kOptFs) {
+    ++stats_.osyncs;
+    return osync_impl(f);
+  }
+  const bool datasync =
+      call == Syscall::kFdatasync || call == Syscall::kFdatabarrier;
+  return call == Syscall::kFsync || call == Syscall::kFdatasync
+             ? sync_durable(f, datasync)
+             : sync_ordered(f, datasync);
 }
 
 sim::TaskOf<FsStatus> Filesystem::sync_durable(Inode& f, bool datasync) {
@@ -579,23 +602,7 @@ sim::TaskOf<FsStatus> Filesystem::sync_durable(Inode& f, bool datasync) {
   co_return status;
 }
 
-sim::TaskOf<FsStatus> Filesystem::fbarrier(Inode& f) {
-  if (degraded_) co_return FsStatus::kRoFs;
-  ++stats_.fbarriers;
-  if (cfg_.journal == JournalKind::kOptFs) co_return co_await osync(f);
-  co_return co_await sync_ordered(f, /*datasync=*/false);
-}
-
-sim::TaskOf<FsStatus> Filesystem::fdatabarrier(Inode& f) {
-  if (degraded_) co_return FsStatus::kRoFs;
-  ++stats_.fdatabarriers;
-  co_return co_await sync_ordered(f, /*datasync=*/true);
-}
-
 sim::TaskOf<FsStatus> Filesystem::sync_ordered(Inode& f, bool datasync) {
-  BIO_CHECK_MSG(cfg_.journal == JournalKind::kBarrierFs,
-                "fbarrier()/fdatabarrier() require BarrierFS (OptFS runs "
-                "fbarrier as osync)");
   const bool will_commit =
       datasync ? f.size_dirty : (f.meta_dirty || f.size_dirty);
   while (const blk::RequestPtr r = unstable_carrier(f))
@@ -621,12 +628,6 @@ sim::TaskOf<FsStatus> Filesystem::sync_ordered(Inode& f, bool datasync) {
   const std::uint64_t tid = journal_->running_txn_id();
   co_await journal_->commit(tid, Journal::WaitMode::kNone);
   co_return commit_outcome(tid);
-}
-
-sim::TaskOf<FsStatus> Filesystem::osync(Inode& f) {
-  if (degraded_) co_return FsStatus::kRoFs;
-  ++stats_.osyncs;
-  co_return co_await osync_impl(f);
 }
 
 sim::TaskOf<FsStatus> Filesystem::osync_impl(Inode& f) {
@@ -715,11 +716,7 @@ sim::TaskOf<FsStatus> Filesystem::osync_impl(Inode& f) {
   co_return status;
 }
 
-sim::TaskOf<FsStatus> Filesystem::dsync(Inode& f) {
-  if (degraded_) co_return FsStatus::kRoFs;
-  ++stats_.dsyncs;
-  BIO_CHECK_MSG(cfg_.journal == JournalKind::kOptFs,
-                "dsync() requires OptFS");
+sim::TaskOf<FsStatus> Filesystem::dsync_impl(Inode& f) {
   // OptFS dsync (§5 substitution, OptFS paper): the osync protocol — the
   // journal commit itself never waits on a flush — followed by one cache
   // flush, so the data this call covered is on media at return while

@@ -3,7 +3,9 @@
 // One Filesystem owns a page cache, an inode table, an extent allocator and
 // a journal (JBD2, BarrierFS or OptFS per FsConfig::journal). The syscalls
 // are simulated-thread Tasks; their blocking structure (who waits for which
-// DMA/flush) is exactly the paper's, with one protocol body per sync class:
+// DMA/flush) is exactly the paper's. Every sync enters through sync(), the
+// one Syscall switch, which runs one protocol body per sync class; which
+// journal admits which call is fs::supports:
 //
 //            | data writes          | metadata commit        | no commit due
 //   ---------+----------------------+------------------------+--------------
@@ -14,8 +16,9 @@
 //   sync_ordered (BarrierFS only):
 //   fbarrier | submit ordered       | wait dispatch only     | barrier flag
 //   fdatabar.| submit ordered       | epoch delimit, no wait | barrier flag
-//   osync_impl (osync, dsync; OptFS's fsync/fdatasync/fbarrier run osync):
+//   osync_impl (osync; OptFS's fsync/fdatasync/fbarrier run osync):
 //   OptFS    | submit + wait (WoT)  | commit + wait transfer | —
+//   dsync_impl (OptFS dsync): osync_impl, then a cache flush
 //
 // The EXT4 and BarrierFS rows of sync_durable are one body: Eq. 2 versus
 // Eq. 3 is the single wait_on_transfer() test on the journal kind.
@@ -39,6 +42,11 @@
 namespace bio::fs {
 
 struct RecoveryReport;  // fs/recovery.h
+
+/// Which sync syscalls a journal flavour runs — the one capability matrix.
+/// Filesystem::sync requires it; api::Vfs::sync and api::Ring's submit-time
+/// sqe validation answer a mismatch with EINVAL. kNone is never a syscall.
+bool supports(Syscall call, JournalKind journal) noexcept;
 
 class Filesystem {
  public:
@@ -77,17 +85,16 @@ class Filesystem {
   sim::Task create(std::string name, Inode*& out,
                    std::uint32_t extent_blocks = 0);
   Inode* lookup(const std::string& name);
-  /// Removes a file; recycles its extent and inode. Dirties the directory.
-  sim::Task unlink(const std::string& name);
-  /// Removes the name but does NOT recycle the extent/ino: callers holding
-  /// open descriptors (api::Vfs) keep writing to the inode's storage and
-  /// call reclaim() on the last close, as the kernel does at iput().
-  sim::Task unlink_deferred(const std::string& name);
+  /// Removes a file and dirties the directory. With `reclaim_now` false
+  /// the extent/ino are NOT recycled: callers holding open descriptors
+  /// (api::Vfs) keep writing to the inode's storage and call reclaim() on
+  /// the last close, as the kernel does at iput().
+  sim::Task unlink(const std::string& name, bool reclaim_now = true);
   /// Moves a file to a new name. `from` must exist; an existing `to` is
   /// displaced *in the same transaction* (POSIX: the destination name
   /// atomically switches files, and a crash never exposes a state where
   /// it vanished). The displaced inode keeps living (open descriptors);
-  /// the caller owns its storage reclamation, as with unlink_deferred().
+  /// the caller owns its storage reclamation, as with a deferred unlink().
   /// Journal reservations happen before the namespace mutation so the
   /// rename replays atomically under crash recovery; returns false —
   /// with nothing changed — when a concurrent namespace operation won
@@ -114,29 +121,18 @@ class Filesystem {
                              std::uint32_t npages);
 
   // ---- synchronization (the paper's API) ----------------------------------
-  //
-  // Every sync returns an FsStatus: kRoFs when the volume was already
-  // degraded read-only at entry, kIo when the call's own journal commit
-  // died under it (the abort degrades the volume — errors=remount-ro).
-  // Failed *data* writebacks do not fail the call here; they redirty the
-  // pages and bump the inode's wb_err_seq, and api::Vfs turns an advanced
-  // sequence into EIO exactly once per fd (Linux errseq_t semantics).
 
-  sim::TaskOf<FsStatus> fsync(Inode& f);
-  sim::TaskOf<FsStatus> fdatasync(Inode& f);
-  /// Ordering-guarantee-only fsync (BarrierFS; osync on OptFS).
-  sim::TaskOf<FsStatus> fbarrier(Inode& f);
-  /// Ordering-guarantee-only fdatasync: returns right after dispatch.
-  sim::TaskOf<FsStatus> fdatabarrier(Inode& f);
-
-  /// OptFS osync(): ordering commit with Wait-on-Transfer, no flush.
-  sim::TaskOf<FsStatus> osync(Inode& f);
-
-  /// OptFS dsync(): osync plus a cache flush — the caller's *data* is on
-  /// media at return, while the metadata commit itself keeps osync's
-  /// asynchronous-durability protocol (no Wait-on-Flush inside the
-  /// journal; the trailing flush is what makes the data stick).
-  sim::TaskOf<FsStatus> dsync(Inode& f);
+  /// Runs one sync syscall on `f`; `call` must be one this journal
+  /// supports(). Not a coroutine: it counts the call's stat (on OptFS,
+  /// fsync, fdatasync and fbarrier also count an osync) and returns the
+  /// protocol body's task. The task yields kRoFs when the volume was
+  /// already degraded read-only at entry (nothing counted), kIo when the
+  /// call's own journal commit died under it (the abort degrades the
+  /// volume — errors=remount-ro). Failed *data* writebacks do not fail the
+  /// call here; they redirty the pages and bump the inode's wb_err_seq, and
+  /// api::Vfs turns an advanced sequence into EIO exactly once per fd
+  /// (Linux errseq_t semantics).
+  sim::TaskOf<FsStatus> sync(Inode& f, Syscall call);
 
   /// True once the journal aborted and degraded this volume read-only
   /// (errors=remount-ro). Reads keep working; api::Vfs fails writes and
@@ -167,9 +163,13 @@ class Filesystem {
   /// (BarrierFS): fbarrier wakes once JD and JC are dispatched,
   /// fdatabarrier right after its own dispatch.
   sim::TaskOf<FsStatus> sync_ordered(Inode& f, bool datasync);
-  /// The osync protocol body, shared by osync() and dsync() (which counts
-  /// under its own stat instead of osyncs).
+  /// OptFS osync: ordering commit with Wait-on-Transfer, no flush.
   sim::TaskOf<FsStatus> osync_impl(Inode& f);
+  /// OptFS dsync: osync_impl plus a cache flush — the caller's *data* is
+  /// on media at return, while the metadata commit itself keeps osync's
+  /// asynchronous-durability protocol (no Wait-on-Flush inside the
+  /// journal; the trailing flush is what makes the data stick).
+  sim::TaskOf<FsStatus> dsync_impl(Inode& f);
 
   /// Scans completed requests for IO failure: redirties the dead carriers'
   /// pages and advances f.wb_err_seq once per failed request. Called at
@@ -219,7 +219,6 @@ class Filesystem {
   /// test behind the i_sync_tid / i_datasync_tid waits in fsync/fdatasync.
   bool txn_in_flight(std::uint64_t tid) const;
   sim::TaskOf<FsStatus> wait_txn_durable(std::uint64_t tid);
-  sim::Task remove_name(const std::string& name, bool reclaim_now);
   sim::Task pdflush_loop();
   flash::Lba dir_block_of(const std::string& name) const;
   sim::TaskOf<FsStatus> commit_metadata(Inode& f, Journal::WaitMode mode);

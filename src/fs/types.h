@@ -28,6 +28,18 @@ enum class JournalKind : std::uint8_t {
   kOptFs,
 };
 
+/// A concrete synchronization syscall of the simulated filesystem. Which
+/// journal runs which is fs::supports (fs/filesystem.h).
+enum class Syscall : std::uint8_t {
+  kNone,          // no sync: the ring's and the trace's sentinel
+  kFsync,
+  kFdatasync,
+  kFbarrier,
+  kFdatabarrier,
+  kOsync,         // OptFS osync with Wait-on-Transfer
+  kDsync,         // OptFS dsync: data durable at return, metadata delayed
+};
+
 /// Outcome of a synchronization syscall (the filesystem's half of the
 /// errno story; api::Vfs maps these onto Errno::kIo / Errno::kRoFs).
 enum class [[nodiscard]] FsStatus : std::uint8_t {

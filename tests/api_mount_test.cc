@@ -76,10 +76,9 @@ TEST(MountTest, RootMountCoexistsWithNamedMounts) {
   // owns every name no named mount claims — the single-volume workloads'
   // names keep resolving while "/v1/..." routes to the second volume.
   core::NodeConfig cfg;
-  cfg.volumes.push_back(
-      fs::testutil::test_stack_config(StackKind::kBfsDR).volume(""));
-  cfg.volumes.push_back(
-      fs::testutil::test_stack_config(StackKind::kExt4DR).volume("v1"));
+  cfg.volumes.push_back(fs::testutil::test_stack_config(StackKind::kBfsDR));
+  cfg.volumes.push_back(fs::testutil::test_stack_config(StackKind::kExt4DR));
+  cfg.volumes[1].name = "v1";
   NodeFixture x({}, &cfg);
   Vfs vfs(*x.node);
   auto body = [&]() -> Task {

@@ -571,13 +571,13 @@ fs::Filesystem::Stats run_with_policy_rows(StackKind kind) {
     fs::Inode* f = nullptr;
     co_await x.fs().create("a", f, 64);
     co_await x.fs().write(*f, 0, 1);
-    EXPECT_EQ(co_await api::issue(x.fs(), *f, policy.order),
+    EXPECT_EQ(co_await x.fs().sync(*f, policy.order),
               fs::FsStatus::kOk);
     co_await x.fs().write(*f, 1, 1);
-    EXPECT_EQ(co_await api::issue(x.fs(), *f, policy.durability),
+    EXPECT_EQ(co_await x.fs().sync(*f, policy.durability),
               fs::FsStatus::kOk);
     co_await x.fs().write(*f, 2, 1);
-    EXPECT_EQ(co_await api::issue(x.fs(), *f, policy.full_sync),
+    EXPECT_EQ(co_await x.fs().sync(*f, policy.full_sync),
               fs::FsStatus::kOk);
   };
   x.sim().spawn("t", body());
@@ -639,13 +639,13 @@ TEST(SyncPolicyTest, DsyncVfsIntentsMatchDirectPolicyIssuance) {
       fs::Inode* f = nullptr;
       co_await x.fs().create("a", f, 64);
       co_await x.fs().write(*f, 0, 1);
-      EXPECT_EQ(co_await api::issue(x.fs(), *f, policy.order),
+      EXPECT_EQ(co_await x.fs().sync(*f, policy.order),
                 fs::FsStatus::kOk);
       co_await x.fs().write(*f, 1, 1);
-      EXPECT_EQ(co_await api::issue(x.fs(), *f, policy.durability),
+      EXPECT_EQ(co_await x.fs().sync(*f, policy.durability),
                 fs::FsStatus::kOk);
       co_await x.fs().write(*f, 2, 1);
-      EXPECT_EQ(co_await api::issue(x.fs(), *f, policy.full_sync),
+      EXPECT_EQ(co_await x.fs().sync(*f, policy.full_sync),
                 fs::FsStatus::kOk);
     };
     x.sim().spawn("t", body());

@@ -3,7 +3,7 @@
 // results depend on.
 //
 // Sync intents resolve through api::SyncPolicy (the paper's §5 table as
-// data); these tests issue the policy rows directly against the filesystem.
+// data); these tests run the policy rows directly on Filesystem::sync.
 #include <gtest/gtest.h>
 
 #include "api/sync_policy.h"
@@ -13,6 +13,7 @@ namespace bio::core {
 namespace {
 
 using namespace bio::sim::literals;
+using fs::Syscall;
 using fs::testutil::StackFixture;
 using fs::testutil::test_stack_config;
 using sim::Task;
@@ -20,7 +21,7 @@ using sim::Task;
 /// Issues the policy-resolved syscall for `kind`'s row and `intent`.
 sim::Task issue_intent(StackFixture& x, fs::Inode& f, api::SyncIntent intent) {
   const api::SyncPolicy policy = api::SyncPolicy::for_stack(x.stack->kind());
-  EXPECT_EQ(co_await api::issue(x.fs(), f, policy.resolve(intent)),
+  EXPECT_EQ(co_await x.fs().sync(f, policy.resolve(intent)),
             fs::FsStatus::kOk);
 }
 
@@ -106,7 +107,7 @@ TEST(NodeTest, VolumesRunIndependentWorkloadsOnOneClock) {
     co_await x.fs(v).create("a", f);
     for (int i = 0; i < 4; ++i) {
       co_await x.fs(v).write(*f, static_cast<std::uint32_t>(i), 1);
-      co_await x.fs(v).fsync(*f);
+      co_await x.fs(v).sync(*f, Syscall::kFsync);
     }
     EXPECT_TRUE(x.vol(v).device().durable_state().contains(
         f->lba_of_page(3)));
@@ -118,21 +119,6 @@ TEST(NodeTest, VolumesRunIndependentWorkloadsOnOneClock) {
   EXPECT_EQ(x.fs(1).stats().fsyncs, 4u);
   EXPECT_GT(x.vol(0).device().stats().writes, 0u);
   EXPECT_GT(x.vol(1).device().stats().writes, 0u);
-}
-
-TEST(StackConfigTest, VolumeConfigRoundTripsStackConfig) {
-  const StackConfig c =
-      StackConfig::make(StackKind::kBfsOD, flash::DeviceProfile::ufs());
-  const VolumeConfig v = c.volume("logs");
-  EXPECT_EQ(v.kind, c.kind);
-  EXPECT_EQ(v.name, "logs");
-  EXPECT_EQ(v.device.barrier_mode, c.device.barrier_mode);
-  EXPECT_EQ(v.blk.scheduler, c.blk.scheduler);
-  EXPECT_EQ(v.fs.journal, c.fs.journal);
-  const VolumeConfig direct =
-      VolumeConfig::make(StackKind::kBfsOD, flash::DeviceProfile::ufs());
-  EXPECT_EQ(direct.kind, v.kind);
-  EXPECT_EQ(direct.fs.journal, v.fs.journal);
 }
 
 TEST(StackTest, OrderPointMapsToFdatabarrierOnBfs) {
@@ -232,10 +218,10 @@ TEST(StackTest, SupercapMakesDurabilityCheap) {
       fs::Inode* f = nullptr;
       co_await x.fs().create("a", f);
       co_await x.fs().write(*f, 0, 1);
-      co_await x.fs().fsync(*f);
+      co_await x.fs().sync(*f, Syscall::kFsync);
       co_await x.fs().write(*f, 0, 1);
       const sim::SimTime t0 = x.sim().now();
-      co_await x.fs().fdatasync(*f);
+      co_await x.fs().sync(*f, Syscall::kFdatasync);
       latency = x.sim().now() - t0;
     };
     x.sim().spawn("t", body());

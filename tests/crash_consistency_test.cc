@@ -29,6 +29,7 @@ using core::StackKind;
 using flash::BarrierMode;
 using flash::Lba;
 using flash::Version;
+using fs::Syscall;
 using sim::Task;
 
 // ---- invariant checkers ----------------------------------------------------
@@ -314,7 +315,7 @@ TEST_P(HelloWorldTest, WorldNeverPersistsWithoutHello) {
     fs::Inode* f = nullptr;
     co_await x.fs().create("db", f, 64);
     co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().fsync(*f);  // settle create metadata
+    co_await x.fs().sync(*f, Syscall::kFsync);  // settle create metadata
     for (int i = 0; i < 40; ++i) {
       const std::uint32_t hp = static_cast<std::uint32_t>(
           rng.uniform(0, 30));
@@ -322,13 +323,13 @@ TEST_P(HelloWorldTest, WorldNeverPersistsWithoutHello) {
       Pair p;
       p.hello_lba = f->lba_of_page(hp);
       p.hello_v = x.fs().page_cache().find(f->ino, hp)->version;
-      co_await x.fs().fdatabarrier(*f);
+      co_await x.fs().sync(*f, Syscall::kFdatabarrier);
       const std::uint32_t wp = static_cast<std::uint32_t>(
           rng.uniform(31, 60));
       co_await x.fs().write(*f, wp, 1);
       p.world_lba = f->lba_of_page(wp);
       p.world_v = x.fs().page_cache().find(f->ino, wp)->version;
-      co_await x.fs().fdatabarrier(*f);
+      co_await x.fs().sync(*f, Syscall::kFdatabarrier);
       pairs.push_back(p);
       if (rng.chance(0.3)) co_await x.sim().delay(rng.uniform(1, 200) * 1_us);
     }
@@ -375,9 +376,9 @@ TEST_P(JournalCrashTest, CommittedTransactionsFormAPrefix) {
       co_await x.fs().write(
           *f, static_cast<std::uint32_t>(rng.uniform(0, 60)), 1);
       if (kind == StackKind::kBfsDR && rng.chance(0.5))
-        co_await x.fs().fbarrier(*f);
+        co_await x.fs().sync(*f, Syscall::kFbarrier);
       else
-        co_await x.fs().fsync(*f);
+        co_await x.fs().sync(*f, Syscall::kFsync);
     }
   };
   x.sim().spawn("app", body());
@@ -456,7 +457,7 @@ TEST_P(AckedFsyncTest, ReturnedFsyncIsDurableAtCrash) {
           static_cast<std::uint32_t>(rng.uniform(0, 50));
       co_await x.fs().write(*f, p, 1);
       const Version v = x.fs().page_cache().find(f->ino, p)->version;
-      co_await x.fs().fsync(*f);
+      co_await x.fs().sync(*f, Syscall::kFsync);
       acked.push_back({f->lba_of_page(p), v});
     }
   };

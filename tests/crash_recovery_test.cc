@@ -24,6 +24,7 @@ using namespace bio::sim::literals;
 using chk::CrashCheckResult;
 using chk::CrashSweepResult;
 using core::StackKind;
+using fs::Syscall;
 
 std::string join(const std::vector<std::string>& v) {
   std::string out;
@@ -267,7 +268,7 @@ TEST(RecoveryTest, QuiescedRecoveryMatchesLiveState) {
       fs::Inode* f = nullptr;
       co_await x.fs().create("file" + std::to_string(i), f, 32);
       co_await x.fs().write(*f, 0, static_cast<std::uint32_t>(4 + 2 * i));
-      co_await x.fs().fsync(*f);
+      co_await x.fs().sync(*f, Syscall::kFsync);
     }
   };
   x.sim().spawn("app", body());

@@ -2,6 +2,11 @@
 // allocation, reads, writeback.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "api/vfs.h"
 #include "fs_test_util.h"
 
 namespace bio::fs {
@@ -58,7 +63,7 @@ TEST(FilesystemTest, OverwriteDoesNotGrowSize) {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 4);
-    co_await x.fs().fsync(*f);
+    co_await x.fs().sync(*f, Syscall::kFsync);
     EXPECT_FALSE(f->size_dirty);
     co_await x.fs().write(*f, 1, 2);  // pure overwrite
     EXPECT_EQ(f->size_blocks, 4u);
@@ -76,7 +81,7 @@ TEST(FilesystemTest, TimestampQuantizedToTimerTick) {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().fsync(*f);
+    co_await x.fs().sync(*f, Syscall::kFsync);
     EXPECT_FALSE(f->meta_dirty);
     // Overwrite within the same 4ms tick: no metadata change.
     co_await x.fs().write(*f, 0, 1);
@@ -159,7 +164,7 @@ TEST(FilesystemTest, FsyncCleansDirtyPages) {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 4);
-    co_await x.fs().fsync(*f);
+    co_await x.fs().sync(*f, Syscall::kFsync);
     EXPECT_EQ(x.fs().page_cache().dirty_count(), 0u);
     EXPECT_FALSE(f->meta_dirty);
     EXPECT_FALSE(f->size_dirty);
@@ -177,7 +182,7 @@ TEST(FilesystemTest, FsyncMakesDataDurable) {
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 2);
     lba0 = f->lba_of_page(0);
-    co_await x.fs().fsync(*f);
+    co_await x.fs().sync(*f, Syscall::kFsync);
     auto durable = x.dev().durable_state();
     EXPECT_TRUE(durable.contains(lba0)) << "EXT4-DR fsync persisted data";
     EXPECT_TRUE(durable.contains(lba0 + 1));
@@ -192,7 +197,7 @@ TEST(FilesystemTest, Ext4OdFsyncSkipsFlush) {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().fsync(*f);
+    co_await x.fs().sync(*f, Syscall::kFsync);
   };
   x.sim().spawn("t", body());
   x.sim().run();
@@ -244,7 +249,7 @@ TEST(FilesystemTest, OrderedSyncWaitsOutACongestedQueue) {
     for (std::uint32_t p = 0; p < 300; p += 2) co_await x.fs().write(*f, p, 1);
     // The call's own submission congests the queue; nothing else does.
     congested_at_submit = blk.congested();
-    const FsStatus st = co_await x.fs().fdatabarrier(*f);
+    const FsStatus st = co_await x.fs().sync(*f, Syscall::kFdatabarrier);
     backlog_at_return = blk.scheduler(0).size();
     EXPECT_EQ(st, FsStatus::kOk);
   };
@@ -257,26 +262,59 @@ TEST(FilesystemTest, OrderedSyncWaitsOutACongestedQueue) {
 }
 
 TEST(FilesystemTest, StatsCountSyscalls) {
-  StackFixture x(StackKind::kBfsDR);
-  auto body = [&]() -> Task {
-    Inode* f = nullptr;
-    co_await x.fs().create("a", f);
-    co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().fsync(*f);
-    co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().fdatasync(*f);
-    co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().fbarrier(*f);
-    co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().fdatabarrier(*f);
+  // The whole sync table through Vfs::sync, one stack per journal: a
+  // supported call bumps exactly its own per-call counters (OptFS also
+  // counts the osync it runs fsync, fdatasync and fbarrier as); an
+  // unsupported one, kNone included, answers EINVAL and counts nothing.
+  using S = Filesystem::Stats;
+  using Counters = std::vector<std::uint64_t S::*>;  // empty: EINVAL
+  const Counters per_call = {&S::fsyncs,        &S::fdatasyncs, &S::fbarriers,
+                             &S::fdatabarriers, &S::osyncs,     &S::dsyncs};
+  struct Row {
+    Syscall call;
+    Counters jbd2, barrierfs, optfs;
   };
-  x.sim().spawn("t", body());
-  x.sim().run();
-  EXPECT_EQ(x.fs().stats().fsyncs, 1u);
-  EXPECT_EQ(x.fs().stats().fdatasyncs, 1u);
-  EXPECT_EQ(x.fs().stats().fbarriers, 1u);
-  EXPECT_EQ(x.fs().stats().fdatabarriers, 1u);
-  EXPECT_EQ(x.fs().stats().writes, 4u);
+  const Row rows[] = {
+      {Syscall::kNone, {}, {}, {}},
+      {Syscall::kFsync, {&S::fsyncs}, {&S::fsyncs}, {&S::fsyncs, &S::osyncs}},
+      {Syscall::kFdatasync, {&S::fdatasyncs}, {&S::fdatasyncs},
+       {&S::fdatasyncs, &S::osyncs}},
+      {Syscall::kFbarrier, {}, {&S::fbarriers}, {&S::fbarriers, &S::osyncs}},
+      {Syscall::kFdatabarrier, {}, {&S::fdatabarriers}, {}},
+      {Syscall::kOsync, {}, {}, {&S::osyncs}},
+      {Syscall::kDsync, {}, {}, {&S::dsyncs}},
+  };
+  for (StackKind kind :
+       {StackKind::kExt4DR, StackKind::kBfsDR, StackKind::kOptFs}) {
+    StackFixture x(kind);
+    api::Vfs vfs(*x.stack);
+    auto body = [&]() -> Task {
+      api::File f = api::must(co_await vfs.open("a", {.create = true}));
+      for (const Row& row : rows) {
+        const Counters& bumps = kind == StackKind::kExt4DR ? row.jbd2
+                                : kind == StackKind::kBfsDR ? row.barrierfs
+                                                            : row.optfs;
+        api::must(co_await f.pwrite(0, 1));
+        const S before = x.fs().stats();
+        const api::Status st = co_await f.sync(row.call);
+        const std::string cell =
+            std::string(core::to_string(kind)) + ' ' + api::to_string(row.call);
+        EXPECT_STREQ(api::to_string(st.error()),
+                     api::to_string(bumps.empty() ? api::Errno::kInval
+                                                  : api::Errno::kOk))
+            << cell;
+        for (std::uint64_t S::*counter : per_call)
+          EXPECT_EQ(x.fs().stats().*counter - before.*counter,
+                    static_cast<std::uint64_t>(
+                        std::count(bumps.begin(), bumps.end(), counter)))
+              << cell;
+      }
+      api::must(f.close());
+    };
+    x.sim().spawn("t", body());
+    x.sim().run();
+    EXPECT_EQ(x.fs().stats().writes, std::size(rows));
+  }
 }
 
 }  // namespace

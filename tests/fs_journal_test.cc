@@ -22,7 +22,7 @@ TEST(Jbd2Test, CommitWritesJdAndJc) {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().fsync(*f);
+    co_await x.fs().sync(*f, Syscall::kFsync);
   };
   x.sim().spawn("t", body());
   x.sim().run();
@@ -43,7 +43,7 @@ TEST(Jbd2Test, JournalRecordsLandInJournalRegion) {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().fsync(*f);
+    co_await x.fs().sync(*f, Syscall::kFsync);
   };
   x.sim().spawn("t", body());
   x.sim().run();
@@ -63,7 +63,7 @@ TEST(Jbd2Test, GroupCommitBatchesConcurrentFsyncs) {
     Inode* f = nullptr;
     co_await x.fs().create(name, f);
     co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().fsync(*f);
+    co_await x.fs().sync(*f, Syscall::kFsync);
     ++done;
   };
   x.sim().spawn("a", worker("a"));
@@ -81,7 +81,7 @@ TEST(Jbd2Test, NobarrierCommitIsNotDurable) {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().fsync(*f);
+    co_await x.fs().sync(*f, Syscall::kFsync);
     // Commit retired at transfer; JC may still be in the writeback cache.
     const Txn* txn = x.fs().journal().commit_order()[0];
     EXPECT_FALSE(txn->flushed);
@@ -96,9 +96,9 @@ TEST(Jbd2Test, SecondFsyncWithoutChangesJustFlushes) {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().fsync(*f);
+    co_await x.fs().sync(*f, Syscall::kFsync);
     const std::uint64_t commits = x.fs().journal().stats().commits;
-    co_await x.fs().fsync(*f);  // nothing dirty
+    co_await x.fs().sync(*f, Syscall::kFsync);  // nothing dirty
     EXPECT_EQ(x.fs().journal().stats().commits, commits)
         << "no new transaction for a clean file";
   };
@@ -118,7 +118,7 @@ TEST(Jbd2Test, PageConflictBlocksApplication) {
   x.sim().spawn("setup", setup());
   x.sim().run();
 
-  auto syncer = [&]() -> Task { co_await x.fs().fsync(*f); };
+  auto syncer = [&]() -> Task { co_await x.fs().sync(*f, Syscall::kFsync); };
   auto writer = [&]() -> Task {
     co_await x.sim().delay(50_us);  // land mid-commit
     co_await x.sim().delay(5_ms);   // cross a timer tick -> metadata dirty
@@ -132,7 +132,7 @@ TEST(Jbd2Test, PageConflictBlocksApplication) {
   auto writer2 = [&]() -> Task {
     co_await x.sim().delay(10_ms);
     co_await x.fs().write(*f, 0, 1);  // dirty inode (new tick)
-    auto t1 = x.fs().fsync(*f);       // commit in background thread
+    auto t1 = x.fs().sync(*f, Syscall::kFsync);       // commit in background thread
     co_await std::move(t1);
   };
   x.sim().spawn("w2", writer2());
@@ -148,7 +148,7 @@ TEST(BarrierFsTest, FsyncCommitsWithSingleApplicationWakeup) {
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 1);
     const std::uint64_t cs0 = app->context_switches;
-    co_await x.fs().fsync(*f);
+    co_await x.fs().sync(*f, Syscall::kFsync);
     EXPECT_EQ(app->context_switches - cs0, 1u)
         << "BarrierFS fsync: one sleep (until the flush thread reports "
            "durability), no Wait-on-Transfer";
@@ -164,10 +164,10 @@ TEST(BarrierFsTest, FdatasyncWithoutMetadataWakesTwice) {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().fsync(*f);
+    co_await x.fs().sync(*f, Syscall::kFsync);
     co_await x.fs().write(*f, 0, 1);  // same tick: data only
     const std::uint64_t cs0 = app->context_switches;
-    co_await x.fs().fdatasync(*f);
+    co_await x.fs().sync(*f, Syscall::kFdatasync);
     EXPECT_EQ(app->context_switches - cs0, 2u)
         << "§6.3: D transfer wait + flush wait";
   };
@@ -182,11 +182,11 @@ TEST(BarrierFsTest, FdatabarrierDoesNotBlock) {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().fsync(*f);
+    co_await x.fs().sync(*f, Syscall::kFsync);
     co_await x.fs().write(*f, 0, 1);  // data only
     const std::uint64_t cs0 = app->context_switches;
     const std::uint64_t blocks0 = app->blocks;
-    co_await x.fs().fdatabarrier(*f);
+    co_await x.fs().sync(*f, Syscall::kFdatabarrier);
     EXPECT_EQ(app->context_switches - cs0, 0u);
     EXPECT_EQ(app->blocks - blocks0, 0u)
         << "fdatabarrier returns after dispatch, no sleep at all";
@@ -205,12 +205,12 @@ TEST(BarrierFsTest, FdatabarrierEnforcesEpochOrdering) {
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 1);  // "Hello"
     hello_lba = f->lba_of_page(0);
-    co_await x.fs().fsync(*f);        // settle metadata
+    co_await x.fs().sync(*f, Syscall::kFsync);        // settle metadata
     co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().fdatabarrier(*f);
+    co_await x.fs().sync(*f, Syscall::kFdatabarrier);
     co_await x.fs().write(*f, 1, 1);  // "World" — next epoch
     world_lba = f->lba_of_page(1);
-    co_await x.fs().fdatasync(*f);
+    co_await x.fs().sync(*f, Syscall::kFdatasync);
   };
   x.sim().spawn("t", body());
   x.sim().run();
@@ -232,13 +232,13 @@ TEST(BarrierFsTest, FbarrierReturnsAfterDispatchNotDurability) {
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 1);
     sim::SimTime t0 = x.sim().now();
-    co_await x.fs().fbarrier(*f);
+    co_await x.fs().sync(*f, Syscall::kFbarrier);
     fbarrier_latency = x.sim().now() - t0;
 
     co_await x.sim().delay(5_ms);
     co_await x.fs().write(*f, 1, 1);
     t0 = x.sim().now();
-    co_await x.fs().fsync(*f);
+    co_await x.fs().sync(*f, Syscall::kFsync);
     fsync_latency = x.sim().now() - t0;
   };
   x.sim().spawn("t", body());
@@ -262,7 +262,7 @@ TEST(BarrierFsTest, PipelinedCommitsOverlap) {
     auto* bfs = dynamic_cast<BarrierFsJournal*>(&x.fs().journal());
     for (Inode* f : files) {
       co_await x.fs().write(*f, 0, 1);
-      co_await x.fs().fbarrier(*f);
+      co_await x.fs().sync(*f, Syscall::kFbarrier);
       max_committing = std::max(max_committing, bfs->committing_count());
     }
   };
@@ -279,14 +279,14 @@ TEST(BarrierFsTest, MultiTxnPageConflictDoesNotBlockApplication) {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().fbarrier(*f);  // inode buffer now in a committing txn
+    co_await x.fs().sync(*f, Syscall::kFbarrier);  // inode buffer now in a committing txn
     co_await x.sim().delay(5_ms);  // new tick so the write dirties metadata
     const std::uint64_t blocks0 = app->blocks;
     co_await x.fs().write(*f, 0, 1);  // conflicts with committing txn
     EXPECT_EQ(app->blocks - blocks0, 0u)
         << "BarrierFS: conflict goes to the conflict-page list, the "
            "application does not block (§4.3)";
-    co_await x.fs().fsync(*f);  // must still commit correctly
+    co_await x.fs().sync(*f, Syscall::kFsync);  // must still commit correctly
   };
   app = x.sim().spawn("app", body());
   x.sim().run();
@@ -299,10 +299,10 @@ TEST(BarrierFsTest, ConflictGatesNextCommitUntilResolved) {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().fbarrier(*f);
+    co_await x.fs().sync(*f, Syscall::kFbarrier);
     co_await x.sim().delay(5_ms);
     co_await x.fs().write(*f, 0, 1);  // conflict queued
-    co_await x.fs().fsync(*f);        // commit must wait for resolution
+    co_await x.fs().sync(*f, Syscall::kFsync);        // commit must wait for resolution
     // If we get here without deadlock the gating worked.
   };
   x.sim().spawn("t", body());
@@ -319,7 +319,7 @@ TEST(OptFsTest, OsyncCommitsWithoutFlush) {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().osync(*f);
+    co_await x.fs().sync(*f, Syscall::kOsync);
   };
   x.sim().spawn("t", body());
   x.sim().run();
@@ -333,9 +333,9 @@ TEST(OptFsTest, SelectiveDataJournalingJournalsOverwrites) {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 4);
-    co_await x.fs().osync(*f);  // allocating: written in place
+    co_await x.fs().sync(*f, Syscall::kOsync);  // allocating: written in place
     co_await x.fs().write(*f, 0, 4);  // overwrite
-    co_await x.fs().osync(*f);  // journaled, not written in place
+    co_await x.fs().sync(*f, Syscall::kOsync);  // journaled, not written in place
   };
   x.sim().spawn("t", body());
   x.sim().run();
@@ -382,9 +382,9 @@ TEST(JournalTest, EmptyCommitDelimitsEpoch) {
     Inode* f = nullptr;
     co_await x.fs().create("a", f);
     co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().fsync(*f);
+    co_await x.fs().sync(*f, Syscall::kFsync);
     // No dirty data, no dirty metadata: fdatabarrier still delimits.
-    co_await x.fs().fdatabarrier(*f);
+    co_await x.fs().sync(*f, Syscall::kFdatabarrier);
   };
   x.sim().spawn("t", body());
   x.sim().run();
@@ -401,7 +401,7 @@ TEST(JournalTest, JournalWrapsAroundCircularly) {
     for (int i = 0; i < 12; ++i) {
       co_await x.sim().delay(5_ms);  // new tick each round: metadata dirty
       co_await x.fs().write(*f, 0, 1);
-      co_await x.fs().fsync(*f);
+      co_await x.fs().sync(*f, Syscall::kFsync);
     }
   };
   x.sim().spawn("t", body());
