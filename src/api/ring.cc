@@ -97,10 +97,13 @@ std::uint32_t Ring::submit(std::uint32_t n) {
     // Take one whole chain: consecutive sqes glued by kSqeLink. Chains are
     // never split across submit() calls, so `n` landing mid-chain still
     // takes the chain's tail.
-    std::vector<Prepped> chain;
+    Chain chain;
+    if (!core_->spare_chains.empty()) {
+      chain = std::move(core_->spare_chains.back());
+      core_->spare_chains.pop_back();
+    }
     for (;;) {
-      Sqe sqe = sq_.front();
-      sq_.pop_front();
+      const Sqe sqe = sq_.pop_front();
       const bool linked = (sqe.flags & kSqeLink) != 0 && !sq_.empty();
       chain.push_back(Prepped{sqe, precheck(sqe)});
       if (!linked || ignore_links_) break;
@@ -112,11 +115,10 @@ std::uint32_t Ring::submit(std::uint32_t n) {
   return dispatched;
 }
 
-sim::Task Ring::chain_driver(std::shared_ptr<Core> core,
-                             std::vector<Prepped> chain) {
+sim::Task Ring::chain_driver(std::shared_ptr<Core> core, Chain chain) {
   bool cancelled = false;
   for (const Prepped& p : chain) {
-    if (core->closed) co_return;
+    if (core->closed) break;
     if (cancelled) {
       complete(*core, p.sqe, kECanceled);
       continue;
@@ -133,7 +135,7 @@ sim::Task Ring::chain_driver(std::shared_ptr<Core> core,
       ++core->buffers[static_cast<std::size_t>(p.sqe.buf_index)].in_flight;
     if (core->on_op_start) core->on_op_start(p.sqe);
     const std::int32_t res = co_await execute(*core, p.sqe);
-    if (core->closed) co_return;  // the Ring died while this op was in flight
+    if (core->closed) break;  // the Ring died while this op was in flight
     if (holds_buffer) {
       Buffer& b = core->buffers[static_cast<std::size_t>(p.sqe.buf_index)];
       --b.in_flight;
@@ -142,6 +144,8 @@ sim::Task Ring::chain_driver(std::shared_ptr<Core> core,
     complete(*core, p.sqe, res);
     if (res < 0) cancelled = true;
   }
+  chain.clear();
+  core->spare_chains.push_back(std::move(chain));
 }
 
 sim::TaskOf<std::int32_t> Ring::execute(Core& core, const Sqe& sqe) {
@@ -171,9 +175,7 @@ sim::TaskOf<Cqe> Ring::wait_cqe() {
   std::shared_ptr<Core> core = core_;
   while (!core->closed && core->cq.empty()) co_await core->cq_ready.wait();
   if (core->cq.empty()) co_return Cqe{0, kECanceled};
-  Cqe c = core->cq.front();
-  core->cq.pop_front();
-  co_return c;
+  co_return core->cq.pop_front();
 }
 
 std::size_t Ring::cq_ready() const noexcept { return core_->cq.size(); }

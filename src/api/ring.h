@@ -34,12 +34,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "api/vfs.h"
+#include "sim/reuse.h"
 #include "sim/sync.h"
 #include "sim/task.h"
 
@@ -167,6 +167,8 @@ class Ring {
     Errno precheck = Errno::kOk;
   };
 
+  using Chain = std::vector<Prepped>;
+
   /// State shared between the Ring handle and its in-flight drivers. The
   /// drivers own it jointly with the Ring (shared_ptr), so destroying the
   /// Ring mid-flight leaves them a live object whose `closed` flag tells
@@ -175,8 +177,10 @@ class Ring {
     Core(Vfs& v, sim::Simulator& s) : vfs(&v), sim(&s), cq_ready(s) {}
     Vfs* vfs;
     sim::Simulator* sim;
-    std::deque<Cqe> cq;
+    sim::FlatQueue<Cqe> cq;
     sim::Notify cq_ready;
+    /// Emptied chains of finished drivers, refilled by submit().
+    std::vector<Chain> spare_chains;
     std::vector<Buffer> buffers;
     std::uint32_t in_flight = 0;
     bool closed = false;
@@ -187,13 +191,14 @@ class Ring {
   /// Submit-time validation of one sqe (fail fast, satellite contract).
   Errno precheck(const Sqe& sqe) const;
 
-  static sim::Task chain_driver(std::shared_ptr<Core> core,
-                                std::vector<Prepped> chain);
+  /// Runs `chain` in order, then hands its emptied vector back to
+  /// core->spare_chains.
+  static sim::Task chain_driver(std::shared_ptr<Core> core, Chain chain);
   static sim::TaskOf<std::int32_t> execute(Core& core, const Sqe& sqe);
   static void complete(Core& core, const Sqe& sqe, std::int32_t res);
 
   std::shared_ptr<Core> core_;
-  std::deque<Sqe> sq_;
+  sim::FlatQueue<Sqe> sq_;
   bool ignore_links_ = false;
 };
 

@@ -127,17 +127,24 @@ void Vfs::unpin(Vnode& vn) {
 void Vfs::maybe_retire(Vnode& vn) {
   if (vn.refcount > 0 || vn.pins > 0) return;
   if (vn.unlinked) vn.fs->reclaim(*vn.inode);
-  vnodes_.erase(vn.inode);
+  sim::erase_keeping(vnodes_, spare_vnode_nodes_, vnodes_.find(vn.inode));
+  vn = Vnode{};
+  free_vnodes_.push_back(&vn);
 }
 
 Vfs::Vnode& Vfs::vnode_for(fs::Filesystem& filesystem, fs::Inode& inode) {
-  std::unique_ptr<Vnode>& slot = vnodes_[&inode];
-  if (slot == nullptr) {
-    slot = std::make_unique<Vnode>();
-    slot->inode = &inode;
-    slot->fs = &filesystem;
+  if (auto it = vnodes_.find(&inode); it != vnodes_.end()) return *it->second;
+  Vnode* vn = nullptr;
+  if (free_vnodes_.empty()) {
+    vn = &vnode_store_.emplace_back();
+  } else {
+    vn = free_vnodes_.back();
+    free_vnodes_.pop_back();
   }
-  return *slot;
+  vn->inode = &inode;
+  vn->fs = &filesystem;
+  sim::insert_reusing(vnodes_, spare_vnode_nodes_, &inode, vn);
+  return *vn;
 }
 
 Fd Vfs::alloc_fd(Vnode& vn, Mount& mount) {
@@ -175,6 +182,8 @@ sim::TaskOf<Result<File>> Vfs::open(std::string name, OpenOptions opts) {
                                opts.extent_blocks);
     ++stats_.creates;
     ++m.stats.creates;
+    // A concurrent unlink removed and reclaimed the new file meanwhile.
+    if (inode == nullptr) co_return fail(m, Errno::kNoEnt);
   }
   ++stats_.opens;
   ++m.stats.opens;

@@ -40,6 +40,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -51,6 +52,7 @@
 #include "api/sync_policy.h"
 #include "core/stack.h"
 #include "fs/filesystem.h"
+#include "sim/reuse.h"
 #include "sim/task.h"
 
 namespace bio::api {
@@ -314,12 +316,18 @@ class Vfs {
   /// Mount rows are stable (unique_ptr) so vnodes can point at them.
   std::vector<std::unique_ptr<Mount>> mounts_;
   std::vector<FdEntry> fds_;
+  using VnodeMap = std::unordered_map<const fs::Inode*, Vnode*>;
   /// Live vnodes keyed by inode *pointer*, not ino: a filesystem recycles
-  /// inos on unlink while open descriptors still pin the old (stable,
-  /// never-freed) Inode object, so the pointer is the only safe identity —
-  /// and distinct volumes' inodes are distinct objects, so one map serves
-  /// every mount.
-  std::unordered_map<const fs::Inode*, std::unique_ptr<Vnode>> vnodes_;
+  /// inos on unlink while open descriptors still pin the old Inode object
+  /// (which it recycles only after the last close reclaims it), so the
+  /// pointer is the only safe identity — and distinct volumes' inodes are
+  /// distinct objects, so one map serves every mount.
+  VnodeMap vnodes_;
+  sim::SpareNodes<VnodeMap> spare_vnode_nodes_;
+  /// Every vnode ever made (stable addresses); retired ones wait in
+  /// free_vnodes_ for the next open.
+  std::deque<Vnode> vnode_store_;
+  std::vector<Vnode*> free_vnodes_;
   std::size_t open_fds_ = 0;
   mutable Stats stats_;  // mutable: error ticks happen in const accessors
 };

@@ -38,12 +38,12 @@
 // behavior is exactly the classic sequencer, reassignment included.
 #pragma once
 
-#include <deque>
-#include <map>
+#include <algorithm>
 #include <memory>
 
 #include "blk/epoch_fence.h"
 #include "blk/io_scheduler.h"
+#include "sim/reuse.h"
 
 namespace bio::blk {
 
@@ -65,7 +65,7 @@ class EpochScheduler : public IoScheduler {
       // Every write gates peer barriers until it reaches the device; reads
       // and flushes carry the stamp for device-side fencing but have no
       // crash-state footprint, so they never gate.
-      if (r->is_write()) ++pending_[r->fence_epoch];
+      if (r->is_write()) add_stamp(r->fence_epoch);
     }
     if (blocked_) {
       staged_.push_back(std::move(r));
@@ -117,7 +117,7 @@ class EpochScheduler : public IoScheduler {
   /// Smallest fence epoch still pending in this queue (~0 when none): the
   /// quantity a peer barrier's submission gate compares its epoch against.
   std::uint64_t min_pending_fence_epoch() const noexcept {
-    return pending_.empty() ? ~std::uint64_t{0} : pending_.begin()->first;
+    return pending_.empty() ? ~std::uint64_t{0} : pending_.front().epoch;
   }
 
   std::size_t size() const override {
@@ -152,10 +152,28 @@ class EpochScheduler : public IoScheduler {
     base_->enqueue(std::move(r));
   }
 
+  /// Stamps arrive in nondecreasing epoch order (the fence's counter only
+  /// advances), so a new epoch always goes at the back.
+  void add_stamp(std::uint64_t epoch) {
+    if (!pending_.empty() && pending_.back().epoch == epoch) {
+      ++pending_.back().writes;
+      return;
+    }
+    BIO_CHECK(pending_.empty() || pending_.back().epoch < epoch);
+    pending_.push_back({epoch, 1});
+  }
+
   void retire_stamp(std::uint64_t epoch) {
-    auto it = pending_.find(epoch);
-    BIO_CHECK_MSG(it != pending_.end(), "retiring an untracked fence epoch");
-    if (--it->second == 0) pending_.erase(it);
+    auto it = std::lower_bound(
+        pending_.begin(), pending_.end(), epoch,
+        [](const Pending& p, std::uint64_t e) { return p.epoch < e; });
+    BIO_CHECK_MSG(it != pending_.end() && it->epoch == epoch && it->writes > 0,
+                  "retiring an untracked fence epoch");
+    --it->writes;
+    // Epochs retire out of order; drop the drained ones from the front so
+    // front() stays the minimum pending epoch.
+    while (!pending_.empty() && pending_.front().writes == 0)
+      pending_.pop_front();
   }
 
   /// Requests merged into `r` leave the queue with it; retire their stamps.
@@ -169,22 +187,23 @@ class EpochScheduler : public IoScheduler {
   /// Moves staged requests into the base scheduler, preserving their
   /// relative order, until a staged barrier re-blocks the queue.
   void feed() {
-    while (!staged_.empty() && !blocked_) {
-      RequestPtr s = std::move(staged_.front());
-      staged_.pop_front();
-      accept(std::move(s));
-    }
+    while (!staged_.empty() && !blocked_) accept(staged_.pop_front());
   }
 
   std::unique_ptr<IoScheduler> base_;
   EpochFence* fence_ = nullptr;
   bool blocked_ = false;
-  std::deque<RequestPtr> staged_;
+  sim::FlatQueue<RequestPtr> staged_;
   /// Fenced mode only: the blocking barrier, kept out of the base scheduler
   /// so the flag (and its closing-epoch stamp) never migrates.
   RequestPtr held_barrier_;
-  /// fence epoch -> number of this queue's pending writes stamped with it.
-  std::map<std::uint64_t, std::uint32_t> pending_;
+  /// This queue's pending writes per fence epoch, ascending by epoch. An
+  /// epoch whose writes all retired stays until it reaches the front.
+  struct Pending {
+    std::uint64_t epoch = 0;
+    std::uint32_t writes = 0;
+  };
+  sim::FlatQueue<Pending> pending_;
   std::uint64_t reassignments_ = 0;
 };
 

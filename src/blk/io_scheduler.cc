@@ -40,10 +40,8 @@ void NoopScheduler::enqueue(RequestPtr r) {
 
 RequestPtr NoopScheduler::dequeue() {
   if (queue_.empty()) return nullptr;
-  RequestPtr r = std::move(queue_.front());
-  queue_.pop_front();
   ++stats_.dispatched;
-  return r;
+  return queue_.pop_front();
 }
 
 bool NoopScheduler::has_ordered() const {
@@ -83,10 +81,8 @@ void ElevatorScheduler::enqueue(RequestPtr r) {
 
 RequestPtr ElevatorScheduler::dequeue() {
   if (!others_.empty()) {
-    RequestPtr r = std::move(others_.front());
-    others_.pop_front();
     ++stats_.dispatched;
-    return r;
+    return others_.pop_front();
   }
   if (writes_.empty()) return nullptr;
   // C-SCAN: first request at or above the head position, else wrap.

@@ -4,10 +4,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <vector>
 
 #include "blk/request.h"
+#include "sim/reuse.h"
 
 namespace bio::blk {
 
@@ -59,7 +60,7 @@ class NoopScheduler : public IoScheduler {
   const char* name() const override { return "noop"; }
 
  private:
-  std::deque<RequestPtr> queue_;
+  sim::FlatQueue<RequestPtr> queue_;
 };
 
 /// One-way elevator (C-SCAN) with front/back merging: dispatches writes in
@@ -76,8 +77,8 @@ class ElevatorScheduler : public IoScheduler {
   const char* name() const override { return "elevator"; }
 
  private:
-  std::deque<RequestPtr> writes_;  // kept sorted by first_lba
-  std::deque<RequestPtr> others_;  // reads + flushes, FIFO
+  std::vector<RequestPtr> writes_;  // kept sorted by first_lba
+  sim::FlatQueue<RequestPtr> others_;  // reads + flushes, FIFO
   flash::Lba head_pos_ = 0;
 };
 

@@ -17,14 +17,16 @@ sim::Task BarrierFsJournal::dirty_metadata(flash::Lba block,
     co_await commit(running_->id, WaitMode::kDispatched);
   txn_out = running_->id;
   if (running_->buffers.contains(block)) co_return;
-  if (conflict_blocks_.contains(block)) co_return;  // already queued
+  const std::size_t home = home_index(block);
+  if (conflict_[home]) co_return;  // already queued
   for (const Txn* t : committing_) {
     if (t->buffers.contains(block)) {
       // §4.3: the application does NOT block. The buffer waits on the
       // conflict-page list; the running transaction cannot commit until
       // the list drains, so the caller's txn id stays valid.
       ++stats_.conflicts;
-      conflict_blocks_.insert(block);
+      conflict_[home] = true;
+      ++conflict_count_;
       co_return;
     }
   }
@@ -66,15 +68,14 @@ sim::Task BarrierFsJournal::commit_loop() {
     while (commit_requests_.empty() && !aborted_)
       co_await commit_wake_.wait();
     if (aborted_) co_return;
-    const std::uint64_t tid = commit_requests_.front();
-    commit_requests_.pop_front();
+    const std::uint64_t tid = commit_requests_.pop_front();
     {
       Txn& txn = get_txn(tid);
       if (txn.state != Txn::State::kRunning) continue;  // already committed
     }
     // §4.3: the running transaction may close only with an empty
     // conflict-page list.
-    while (!conflict_blocks_.empty() && !aborted_)
+    while (conflict_count_ > 0 && !aborted_)
       co_await conflict_resolved_.wait();
     if (aborted_) co_return;
 
@@ -106,8 +107,7 @@ sim::Task BarrierFsJournal::commit_loop() {
 sim::Task BarrierFsJournal::flush_loop() {
   for (;;) {
     while (flush_queue_.empty()) co_await flush_wake_.wait();
-    Txn* txn = flush_queue_.front();
-    flush_queue_.pop_front();
+    Txn* txn = flush_queue_.pop_front();
 
     // Data plane: wait for the JC transfer (not its persistence!). Under
     // fault injection both journal writes carry a completion status; a
@@ -138,7 +138,10 @@ sim::Task BarrierFsJournal::flush_loop() {
 void BarrierFsJournal::resolve_conflicts(Txn& txn) {
   bool resolved_any = false;
   for (flash::Lba block : txn.buffers) {
-    if (conflict_blocks_.erase(block) > 0) {
+    const std::size_t home = home_index(block);
+    if (conflict_[home]) {
+      conflict_[home] = false;
+      --conflict_count_;
       running_->buffers.insert(block);
       resolved_any = true;
     }

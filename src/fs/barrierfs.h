@@ -21,8 +21,7 @@
 // retires.
 #pragma once
 
-#include <deque>
-#include <set>
+#include <vector>
 
 #include "fs/journal.h"
 
@@ -35,6 +34,7 @@ class BarrierFsJournal : public Journal {
       : Journal(sim, blk, cfg, layout),
         commit_wake_(sim),
         flush_wake_(sim),
+        conflict_(layout.max_inodes),
         conflict_resolved_(sim) {}
 
   void start() override;
@@ -42,21 +42,22 @@ class BarrierFsJournal : public Journal {
   sim::Task commit(std::uint64_t tid, WaitMode mode) override;
 
   std::size_t committing_count() const noexcept { return committing_.size(); }
-  std::size_t conflict_count() const noexcept {
-    return conflict_blocks_.size();
-  }
+  std::size_t conflict_count() const noexcept { return conflict_count_; }
 
  private:
   sim::Task commit_loop();
   sim::Task flush_loop();
   void resolve_conflicts(Txn& txn);
 
-  std::deque<std::uint64_t> commit_requests_;
+  sim::FlatQueue<std::uint64_t> commit_requests_;
   sim::Notify commit_wake_;
-  std::deque<Txn*> flush_queue_;
+  sim::FlatQueue<Txn*> flush_queue_;
   sim::Notify flush_wake_;
-  std::deque<Txn*> committing_;  // the committing transaction *list*
-  std::set<flash::Lba> conflict_blocks_;
+  std::vector<Txn*> committing_;  // the committing transaction *list*
+  /// The conflict-page list as a flag per inode-table block (by
+  /// home_index()), plus its length.
+  std::vector<bool> conflict_;
+  std::size_t conflict_count_ = 0;
   sim::Notify conflict_resolved_;
 };
 

@@ -1,6 +1,9 @@
 #include "fs/filesystem.h"
 
+#include <sanitizer/asan_interface.h>
+
 #include <algorithm>
+#include <tuple>
 
 #include "fs/barrierfs.h"
 #include "fs/jbd2.h"
@@ -32,6 +35,7 @@ Filesystem::Filesystem(sim::Simulator& sim, blk::BlockLayer& blk,
   root_.name = "/";
   next_ino_ = kDirShards;
   data_next_ = layout_.data_base();
+  by_ino_.resize(cfg_.max_inodes);
   shard_entries_.resize(kDirShards);
   journal_->set_close_hook([this](Txn& txn) { snapshot_metadata(txn); });
   // errors=remount-ro: a dead journal degrades the volume read-only.
@@ -53,9 +57,8 @@ void Filesystem::snapshot_metadata(Txn& txn) {
                           shard_entries_[idx].end());
     } else {
       snap.ino = idx;
-      auto it = by_ino_.find(idx);
-      if (it != by_ino_.end()) {
-        const Inode& f = *it->second;
+      if (const Inode* live = by_ino_[idx]; live != nullptr) {
+        const Inode& f = *live;
         snap.exists = true;
         snap.name = f.name;
         snap.extent_base = f.extent_base;
@@ -71,19 +74,63 @@ void Filesystem::mount(const RecoveryReport& recovered) {
   BIO_CHECK_MSG(files_.empty() && stats_.writes == 0,
                 "mount() over a used filesystem");
   for (const RecoveryReport::RecoveredFile& rf : recovered.files) {
-    auto inode = std::make_unique<Inode>();
-    inode->ino = rf.ino;
-    inode->name = rf.name;
-    inode->extent_base = rf.extent_base;
-    inode->extent_blocks = rf.extent_blocks;
-    inode->size_blocks = rf.size_blocks;
-    by_ino_.emplace(rf.ino, inode.get());
-    shard_entries_[static_cast<std::size_t>(
-        dir_block_of(rf.name) - layout_.inode_base())][rf.name] = rf.ino;
+    Inode& f = new_inode();
+    f.ino = rf.ino;
+    f.name = rf.name;
+    f.extent_base = rf.extent_base;
+    f.extent_blocks = rf.extent_blocks;
+    f.size_blocks = rf.size_blocks;
+    by_ino_[rf.ino] = &f;
+    shard_put(rf.name, rf.ino);
     next_ino_ = std::max(next_ino_, rf.ino + 1);
     data_next_ = std::max(data_next_, rf.extent_base + rf.extent_blocks);
-    files_.emplace(rf.name, std::move(inode));
+    files_.emplace(rf.name, &f);
   }
+}
+
+Filesystem::~Filesystem() {
+  for (Inode* f : free_inodes_) ASAN_UNPOISON_MEMORY_REGION(f, sizeof *f);
+}
+
+Inode& Filesystem::new_inode() {
+  if (free_inodes_.empty()) return inode_store_.emplace_back();
+  Inode& f = *free_inodes_.back();
+  free_inodes_.pop_back();
+  ASAN_UNPOISON_MEMORY_REGION(&f, sizeof f);
+  return f;
+}
+
+void Filesystem::release(Inode& f) {
+  --f.holds;
+  recycle_if_idle(f);
+}
+
+void Filesystem::recycle_if_idle(Inode& f) {
+  if (!f.reclaimed || f.holds > 0) return;
+  f = Inode{};
+  // Under ASan a free inode is poisoned: a late access through a stale
+  // pointer is reported as a use after free.
+  ASAN_POISON_MEMORY_REGION(&f, sizeof f);
+  free_inodes_.push_back(&f);
+}
+
+Filesystem::Shard& Filesystem::shard_of(const std::string& name) {
+  return shard_entries_[static_cast<std::size_t>(dir_block_of(name) -
+                                                 layout_.inode_base())];
+}
+
+void Filesystem::shard_put(const std::string& name, std::uint32_t ino) {
+  Shard& shard = shard_of(name);
+  if (auto it = shard.find(name); it != shard.end())
+    it->second = ino;
+  else
+    sim::insert_reusing(shard, spare_shard_nodes_, name, ino);
+}
+
+void Filesystem::shard_drop(const std::string& name) {
+  Shard& shard = shard_of(name);
+  if (auto it = shard.find(name); it != shard.end())
+    sim::erase_keeping(shard, spare_shard_nodes_, it);
 }
 
 flash::Lba Filesystem::dir_block_of(const std::string& name) const {
@@ -104,11 +151,9 @@ void Filesystem::start() {
 sim::Task Filesystem::create(std::string name, Inode*& out,
                              std::uint32_t extent_blocks) {
   BIO_CHECK_MSG(!files_.contains(name), "create of existing file: " + name);
-  auto inode = std::make_unique<Inode>();
-  Inode& f = *inode;
+  Inode& f = new_inode();
   if (!free_inos_.empty()) {
-    f.ino = free_inos_.front();
-    free_inos_.pop_front();
+    f.ino = free_inos_.pop_front();
   } else {
     f.ino = next_ino_++;
     BIO_CHECK_MSG(f.ino < cfg_.max_inodes, "out of inodes");
@@ -117,9 +162,7 @@ sim::Task Filesystem::create(std::string name, Inode*& out,
   const std::uint32_t want =
       extent_blocks != 0 ? extent_blocks : cfg_.default_extent_blocks;
   if (!free_extents_.empty() && free_extents_.front().second >= want) {
-    f.extent_base = free_extents_.front().first;
-    f.extent_blocks = free_extents_.front().second;
-    free_extents_.pop_front();
+    std::tie(f.extent_base, f.extent_blocks) = free_extents_.pop_front();
   } else {
     f.extent_base = data_next_;
     f.extent_blocks = want;
@@ -127,13 +170,12 @@ sim::Task Filesystem::create(std::string name, Inode*& out,
   }
   ++stats_.creates;
   out = &f;
-  files_.emplace(std::move(name), std::move(inode));
+  sim::insert_reusing(files_, spare_file_nodes_, std::move(name), &f);
   by_ino_[f.ino] = &f;
-  shard_entries_[static_cast<std::size_t>(dir_block_of(f.name) -
-                                          layout_.inode_base())][f.name] =
-      f.ino;
+  shard_put(f.name, f.ino);
 
   // Creating dirties the directory shard and the new inode.
+  ++f.holds;
   std::uint64_t tid = 0;
   co_await journal_->dirty_metadata(dir_block_of(f.name), tid);
   co_await journal_->dirty_metadata(layout_.inode_block(f.ino), tid);
@@ -141,31 +183,38 @@ sim::Task Filesystem::create(std::string name, Inode*& out,
   f.datasync_txn_id = tid;
   f.meta_dirty = true;
   f.size_dirty = true;
+  // An unlink of the new name reclaimed the file during the waits above:
+  // the caller gets no inode, which is about to go back to the free list.
+  if (f.reclaimed) out = nullptr;
+  release(f);
 }
 
 Inode* Filesystem::lookup(const std::string& name) {
   auto it = files_.find(name);
-  return it == files_.end() ? nullptr : it->second.get();
+  return it == files_.end() ? nullptr : it->second;
 }
 
 void Filesystem::reclaim(Inode& f) {
   cache_.drop_file(f.ino);
-  free_extents_.emplace_back(f.extent_base, f.extent_blocks);
+  free_extents_.push_back({f.extent_base, f.extent_blocks});
   free_inos_.push_back(f.ino);
+  f.reclaimed = true;
+  recycle_if_idle(f);
 }
 
 sim::Task Filesystem::unlink(const std::string& name, bool reclaim_now) {
   auto it = files_.find(name);
   BIO_CHECK_MSG(it != files_.end(), "unlink of missing file: " + name);
   Inode& f = *it->second;
+  // Held across the journal waits below: the last close may reclaim the
+  // inode meanwhile, and the free list must not hand it to a new file
+  // before this call's final update.
+  ++f.holds;
   if (reclaim_now) reclaim(f);
   const std::uint32_t dead_ino = f.ino;
-  by_ino_.erase(dead_ino);
-  shard_entries_[static_cast<std::size_t>(dir_block_of(name) -
-                                          layout_.inode_base())]
-      .erase(name);
-  unlinked_.push_back(std::move(it->second));  // keep alive: open handles
-  files_.erase(it);
+  by_ino_[dead_ino] = nullptr;
+  shard_drop(name);
+  sim::erase_keeping(files_, spare_file_nodes_, it);
   ++stats_.unlinks;
 
   std::uint64_t tid = 0;
@@ -176,6 +225,7 @@ sim::Task Filesystem::unlink(const std::string& name, bool reclaim_now) {
   // ext4 keeps the same inode/transaction linkage.
   f.txn_id = tid;
   f.meta_dirty = true;
+  release(f);
 }
 
 sim::TaskOf<bool> Filesystem::rename(const std::string& from,
@@ -184,7 +234,15 @@ sim::TaskOf<bool> Filesystem::rename(const std::string& from,
   BIO_CHECK_MSG(it != files_.end(), "rename of missing file: " + from);
   Inode& f = *it->second;
   auto tgt_it = files_.find(to);
-  Inode* target = tgt_it == files_.end() ? nullptr : tgt_it->second.get();
+  Inode* target = tgt_it == files_.end() ? nullptr : tgt_it->second;
+  // Both inodes are held across the reservations below, so the identity
+  // checks after each pass compare against objects no create can reuse.
+  ++f.holds;
+  if (target != nullptr) ++target->holds;
+  auto release_both = [&] {
+    release(f);
+    if (target != nullptr) release(*target);
+  };
   const flash::Lba old_shard = dir_block_of(from);
   const flash::Lba new_shard = dir_block_of(to);
   const flash::Lba ino_block = layout_.inode_block(f.ino);
@@ -218,12 +276,13 @@ sim::TaskOf<bool> Filesystem::rename(const std::string& from,
     // changed either name meanwhile. Back out (the reservations are just
     // journal membership — harmless) and let the caller re-resolve.
     auto now = files_.find(from);
-    if (now == files_.end() || now->second.get() != &f) co_return false;
-    it = now;
     auto tgt_now = files_.find(to);
-    if ((tgt_now == files_.end() ? nullptr : tgt_now->second.get()) !=
-        target)
+    if (now == files_.end() || now->second != &f ||
+        (tgt_now == files_.end() ? nullptr : tgt_now->second) != target) {
+      release_both();
       co_return false;
+    }
+    it = now;
     tgt_it = tgt_now;
 
     if (tid_new == tid_old && tid_ino == tid_old && tid_tgt == tid_old) {
@@ -236,15 +295,12 @@ sim::TaskOf<bool> Filesystem::rename(const std::string& from,
   if (target != nullptr) {
     // Displace the target: the name slot switches to `f` below; the old
     // inode lives on for open descriptors (caller reclaims its storage).
-    by_ino_.erase(target->ino);
-    unlinked_.push_back(std::move(tgt_it->second));
-    files_.erase(tgt_it);  // erasing one node leaves `it` valid
+    by_ino_[target->ino] = nullptr;
+    sim::erase_keeping(files_, spare_file_nodes_, tgt_it);  // `it` stays valid
     ++stats_.unlinks;
   }
-  shard_entries_[static_cast<std::size_t>(old_shard - layout_.inode_base())]
-      .erase(from);
-  shard_entries_[static_cast<std::size_t>(new_shard - layout_.inode_base())]
-      [to] = f.ino;
+  shard_drop(from);
+  shard_put(to, f.ino);
   f.name = to;
   auto node = files_.extract(it);  // rekey in place; no rehash hazards
   node.key() = to;
@@ -259,6 +315,7 @@ sim::TaskOf<bool> Filesystem::rename(const std::string& from,
     target->txn_id = tid;
     target->meta_dirty = true;
   }
+  release_both();
   co_return true;
 }
 
@@ -803,8 +860,8 @@ sim::Task Filesystem::pdflush_loop() {
           // iolint: txn-registered(add_journaled_data below joins this
           // batch to the running txn in the same synchronous stretch —
           // registration is deferred past the loop, never past a suspend)
-          if (auto fit = by_ino_.find(key.ino); fit != by_ino_.end())
-            fit->second->datasync_txn_id = journal_->running_txn_id();
+          if (Inode* owner = by_ino_[key.ino]; owner != nullptr)
+            owner->datasync_txn_id = journal_->running_txn_id();
           cache_.mark_clean(key);
           continue;
         }
@@ -846,8 +903,8 @@ sim::Task Filesystem::pdflush_loop() {
           // Background writeback failed: redirty and record the error on
           // the owner, so the owner's next fsync reports EIO (AS_EIO).
           cache_.redirty_failed(req_inos[i], reqs[i]);
-          if (auto fit = by_ino_.find(req_inos[i]); fit != by_ino_.end())
-            ++fit->second->wb_err_seq;
+          if (Inode* owner = by_ino_[req_inos[i]]; owner != nullptr)
+            ++owner->wb_err_seq;
         }
       }
       writeback_progress_.notify_all();

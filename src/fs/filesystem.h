@@ -36,6 +36,7 @@
 #include "fs/journal.h"
 #include "fs/page_cache.h"
 #include "fs/types.h"
+#include "sim/reuse.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
 
@@ -68,6 +69,7 @@ class Filesystem {
   };
 
   Filesystem(sim::Simulator& sim, blk::BlockLayer& blk, FsConfig cfg);
+  ~Filesystem();
 
   /// Spawns journal threads and pdflush. Call once after blk.start().
   void start();
@@ -81,7 +83,9 @@ class Filesystem {
   // ---- namespace ---------------------------------------------------------
 
   /// Creates a file with a contiguous extent (default size from config).
-  /// Dirties the directory and the new inode's metadata.
+  /// Dirties the directory and the new inode's metadata. `out` ends null
+  /// when a concurrent unlink of `name` reclaimed the file before create
+  /// returned.
   sim::Task create(std::string name, Inode*& out,
                    std::uint32_t extent_blocks = 0);
   Inode* lookup(const std::string& name);
@@ -101,6 +105,8 @@ class Filesystem {
   /// the race during those (suspending) reservations.
   sim::TaskOf<bool> rename(const std::string& from, const std::string& to);
   /// Recycles an unlinked inode's extent and ino (deferred reclamation).
+  /// The Inode object itself goes back to the free list once no namespace
+  /// call holds it; nothing may touch it after this call.
   void reclaim(Inode& f);
   /// True while create() can still allocate an inode (the fd-visible
   /// capacity check api::Vfs uses for its ENOSPC path).
@@ -223,6 +229,20 @@ class Filesystem {
   flash::Lba dir_block_of(const std::string& name) const;
   sim::TaskOf<FsStatus> commit_metadata(Inode& f, Journal::WaitMode mode);
 
+  /// A fresh Inode: a recycled one from the free list, else a new one.
+  Inode& new_inode();
+  /// Drops one namespace call's hold on `f` (Inode::holds).
+  void release(Inode& f);
+  /// Returns a reclaimed inode no namespace call holds to the free list.
+  void recycle_if_idle(Inode& f);
+
+  using Shard = std::map<std::string, std::uint32_t>;
+  /// The directory shard that owns `name`.
+  Shard& shard_of(const std::string& name);
+  /// Sets (or adds) `name`'s entry in its shard.
+  void shard_put(const std::string& name, std::uint32_t ino);
+  void shard_drop(const std::string& name);
+
   sim::Simulator& sim_;
   blk::BlockLayer& blk_;
   FsConfig cfg_;
@@ -230,20 +250,26 @@ class Filesystem {
   PageCache cache_;
   std::unique_ptr<Journal> journal_;
 
-  std::unordered_map<std::string, std::unique_ptr<Inode>> files_;
-  /// Unlinked inodes stay alive (open file descriptors may still reference
-  /// them, as with the kernel's inode refcount); their ino/extent are
-  /// recycled immediately.
-  std::vector<std::unique_ptr<Inode>> unlinked_;
-  /// Live files by ino (snapshot_metadata's inode-block lookup).
-  std::unordered_map<std::uint32_t, Inode*> by_ino_;
+  /// Every Inode this filesystem made (stable addresses). An unlinked
+  /// inode stays alive while open descriptors reference it, as with the
+  /// kernel's inode refcount; its ino and extent are recycled at
+  /// reclaim(), and the object joins free_inodes_ once no call holds it.
+  std::deque<Inode> inode_store_;
+  std::vector<Inode*> free_inodes_;
+  using FileMap = std::unordered_map<std::string, Inode*>;
+  FileMap files_;
+  sim::SpareNodes<FileMap> spare_file_nodes_;
+  /// Live files by ino, max_inodes slots (snapshot_metadata's inode-block
+  /// lookup); null where no live file has the ino.
+  std::vector<Inode*> by_ino_;
   /// Directory-shard contents by shard index: name -> ino (the logical
   /// content of the shard's directory block).
-  std::vector<std::map<std::string, std::uint32_t>> shard_entries_;
+  std::vector<Shard> shard_entries_;
+  sim::SpareNodes<Shard> spare_shard_nodes_;
   std::uint32_t next_ino_ = 1;  // ino 0 is the root directory
-  std::deque<std::uint32_t> free_inos_;
+  sim::FlatQueue<std::uint32_t> free_inos_;
   flash::Lba data_next_ = 0;
-  std::deque<std::pair<flash::Lba, std::uint32_t>> free_extents_;
+  sim::FlatQueue<std::pair<flash::Lba, std::uint32_t>> free_extents_;
   Inode root_;
 
   sim::Notify writeback_progress_;

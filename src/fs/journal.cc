@@ -12,7 +12,10 @@ Journal::Journal(sim::Simulator& sim, blk::BlockLayer& blk,
       blk_(blk),
       cfg_(cfg),
       layout_(layout),
+      inflight_ckpt_(layout.max_inodes),
+      deferred_ckpt_count_(layout.max_inodes),
       ckpt_wake_(sim),
+      released_ckpt_(layout.max_inodes),
       journal_space_(sim) {
   running_ = std::make_unique<Txn>(sim_, next_txn_id_++);
 }
@@ -70,6 +73,10 @@ Txn* Journal::close_running() {
   if (close_hook_) close_hook_(*txn);  // freeze metadata-buffer content
   txns_.emplace(txn->id, std::move(running_));
   running_ = std::make_unique<Txn>(sim_, next_txn_id_++);
+  if (!spare_block_sets_.empty()) {
+    running_->buffers = BlockSet(std::move(spare_block_sets_.back()));
+    spare_block_sets_.pop_back();
+  }
   ++stats_.commits;
   return txn;
 }
@@ -118,8 +125,12 @@ void Journal::advance_tail() {
 
 void Journal::release(Txn& txn) {
   // Recovery scans from sb_tail_txn_, so these records never replay again.
-  if (!txn.jd_blocks.empty()) records_.erase(txn.jd_blocks[0].second);
-  records_.erase(txn.jc_block.second);
+  auto erase_record = [this](flash::Version v) {
+    if (auto it = records_.find(v); it != records_.end())
+      sim::erase_keeping(records_, spare_record_nodes_, it);
+  };
+  if (!txn.jd_blocks.empty()) erase_record(txn.jd_blocks[0].second);
+  erase_record(txn.jc_block.second);
   // Both lists are in home-block order (the buffer set's).
   auto snap = txn.meta_snapshots.begin();
   for (const auto& [home, v] : txn.checkpoint_blocks) {
@@ -132,14 +143,16 @@ void Journal::release(Txn& txn) {
     // This copy is durable, and the buffer-lock rule transfers copies of
     // one home in issue order, so the previously released copy can never
     // again be the home's durable content.
-    auto [it, fresh] = released_ckpt_.try_emplace(home, v);
-    if (!fresh) {
-      checkpoint_versions_.erase(it->second);
-      it->second = v;
+    flash::Version& prev = released_ckpt_[home_index(home)];
+    if (prev != 0) {
+      if (auto it = checkpoint_versions_.find(prev);
+          it != checkpoint_versions_.end())
+        sim::erase_keeping(checkpoint_versions_, spare_ckpt_nodes_, it);
     }
+    prev = v;
   }
+  spare_block_sets_.push_back(txn.buffers.take_storage());
   auto drop = [](auto& c) { std::decay_t<decltype(c)>().swap(c); };
-  drop(txn.buffers);
   drop(txn.meta_snapshots);
   drop(txn.jd_blocks);
   drop(txn.checkpoint_blocks);
@@ -279,8 +292,9 @@ sim::Task Journal::reserve_jd(Txn& txn) {
   // home) is implied by the transaction: jd_blocks[1..] pair with the
   // metadata buffers in set order, then the journaled data pages —
   // fs::Recovery re-derives it from there.
-  records_.emplace(txn.jd_blocks[0].second,
-                   JournalRecord{JournalRecord::Type::kDescriptor, txn.id});
+  sim::insert_reusing(
+      records_, spare_record_nodes_, txn.jd_blocks[0].second,
+      JournalRecord{JournalRecord::Type::kDescriptor, txn.id});
 }
 
 sim::Task Journal::reserve_jc(Txn& txn) {
@@ -289,8 +303,8 @@ sim::Task Journal::reserve_jc(Txn& txn) {
   std::vector<blk::Block>& jc = scratch_jc_;
   co_await reserve_journal_blocks(txn, 1, jc);
   txn.jc_block = jc[0];
-  records_.emplace(jc[0].second,
-                   JournalRecord{JournalRecord::Type::kCommit, txn.id});
+  sim::insert_reusing(records_, spare_record_nodes_, jc[0].second,
+                      JournalRecord{JournalRecord::Type::kCommit, txn.id});
 }
 
 // ---- checkpoint ------------------------------------------------------------
@@ -305,19 +319,18 @@ sim::Task Journal::checkpoint_tracker() {
     // resurrecting the older content — jbd2's buffer lock forbids it).
     // Serialize: wait out the conflict, then submit.
     for (const blk::Block& b : p.deferred) {
+      const std::size_t home = home_index(b.first);
       for (;;) {
-        auto it = inflight_ckpt_.find(b.first);
-        if (it == inflight_ckpt_.end() || it->second->completion.is_set())
-          break;
-        co_await it->second->completion.wait();
+        const blk::RequestPtr& inflight = inflight_ckpt_[home];
+        if (inflight == nullptr || inflight->completion.is_set()) break;
+        co_await inflight->completion.wait();
       }
       const blk::Block payload[1] = {b};
       blk::RequestPtr r = blk_.pool().make_write(payload);
       blk_.submit(r);
-      inflight_ckpt_[b.first] = r;
-      auto dit = deferred_ckpt_count_.find(b.first);
-      BIO_CHECK(dit != deferred_ckpt_count_.end() && dit->second > 0);
-      --dit->second;
+      inflight_ckpt_[home] = r;
+      BIO_CHECK(deferred_ckpt_count_[home] > 0);
+      --deferred_ckpt_count_[home];
       p.reqs.push_back(std::move(r));
       ++stats_.checkpoint_writes;
     }
@@ -330,9 +343,9 @@ sim::Task Journal::checkpoint_tracker() {
     // recycle (a block checkpointed once and never again would otherwise
     // pin its request for the rest of the run).
     for (const blk::RequestPtr& r : p.reqs) {
-      auto it = inflight_ckpt_.find(r->blocks.front().first);
-      if (it != inflight_ckpt_.end() && it->second == r)
-        inflight_ckpt_.erase(it);
+      blk::RequestPtr& slot =
+          inflight_ckpt_[home_index(r->blocks.front().first)];
+      if (slot == r) slot.reset();
     }
     if (copy_failed) {
       // A home copy never landed. Marking the checkpoint done would let
@@ -358,24 +371,26 @@ void Journal::checkpoint(Txn& txn) {
   PendingCheckpoint p;
   p.txn = &txn;
   p.reqs.reserve(txn.buffers.size());
+  txn.checkpoint_blocks.reserve(txn.buffers.size());
   for (flash::Lba block : txn.buffers) {
     const flash::Version v = blk_.next_version();
-    checkpoint_versions_.emplace(v, CheckpointId{block, txn.id, false, {}});
+    sim::insert_reusing(checkpoint_versions_, spare_ckpt_nodes_, v,
+                        CheckpointId{block, txn.id, false, {}});
     txn.checkpoint_blocks.emplace_back(block, v);
-    auto it = inflight_ckpt_.find(block);
-    auto dit = deferred_ckpt_count_.find(block);
-    if ((it != inflight_ckpt_.end() && !it->second->completion.is_set()) ||
-        (dit != deferred_ckpt_count_.end() && dit->second > 0)) {
+    const std::size_t home = home_index(block);
+    const blk::RequestPtr& inflight = inflight_ckpt_[home];
+    if ((inflight != nullptr && !inflight->completion.is_set()) ||
+        deferred_ckpt_count_[home] > 0) {
       // An older copy of this block is still in flight (or queued behind
       // one): defer to the tracker (per-block serialization).
       p.deferred.emplace_back(block, v);
-      ++deferred_ckpt_count_[block];
+      ++deferred_ckpt_count_[home];
       continue;
     }
     const blk::Block payload[1] = {{block, v}};
     blk::RequestPtr r = blk_.pool().make_write(payload);
     blk_.submit(r);
-    inflight_ckpt_[block] = r;
+    inflight_ckpt_[home] = r;
     p.reqs.push_back(std::move(r));
     ++stats_.checkpoint_writes;
   }

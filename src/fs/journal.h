@@ -38,13 +38,14 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "blk/block_layer.h"
 #include "fs/types.h"
+#include "sim/reuse.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
 #include "sim/sync.h"
@@ -69,13 +70,49 @@ struct JournalRecord {
   std::uint64_t txn_id = 0;
 };
 
+/// A transaction's dirty metadata blocks: a set kept as a sorted vector.
+/// It iterates in ascending block order, the descriptor's tag-table order
+/// that recovery pairs log blocks with, and its storage passes from each
+/// released transaction to a new one (Journal::release, close_running).
+class BlockSet {
+ public:
+  BlockSet() = default;
+  /// An empty set over `storage`'s capacity.
+  explicit BlockSet(std::vector<flash::Lba> storage)
+      : blocks_(std::move(storage)) {
+    blocks_.clear();
+  }
+
+  bool contains(flash::Lba b) const noexcept {
+    return std::binary_search(blocks_.begin(), blocks_.end(), b);
+  }
+  /// False when `b` was already a member.
+  bool insert(flash::Lba b) {
+    auto it = std::lower_bound(blocks_.begin(), blocks_.end(), b);
+    if (it != blocks_.end() && *it == b) return false;
+    blocks_.insert(it, b);
+    return true;
+  }
+  std::size_t size() const noexcept { return blocks_.size(); }
+  bool empty() const noexcept { return blocks_.empty(); }
+  auto begin() const noexcept { return blocks_.begin(); }
+  auto end() const noexcept { return blocks_.end(); }
+  /// Empties the set and hands over its storage.
+  std::vector<flash::Lba> take_storage() noexcept {
+    return std::exchange(blocks_, {});
+  }
+
+ private:
+  std::vector<flash::Lba> blocks_;
+};
+
 struct Txn {
   enum class State : std::uint8_t { kRunning, kCommitting, kRetired };
 
   std::uint64_t id = 0;
   State state = State::kRunning;
   /// Dirty metadata blocks (inode table LBAs).
-  std::set<flash::Lba> buffers;
+  BlockSet buffers;
   /// Data-journaled pages (OptFS selective data journaling): extra log
   /// blocks in JD, with their payload identity.
   std::vector<blk::Block> journaled_data;
@@ -301,6 +338,13 @@ class Journal {
   /// spawns the completion tracker that eventually allows space release.
   void checkpoint(Txn& txn);
 
+  /// Slot of a metadata block (an inode-table LBA) in the per-home tables.
+  std::size_t home_index(flash::Lba block) const {
+    BIO_CHECK(block >= layout_.inode_base() &&
+              block < layout_.inode_base() + layout_.max_inodes);
+    return static_cast<std::size_t>(block - layout_.inode_base());
+  }
+
   /// Marks the txn retired, fires its events and records commit order.
   void retire(Txn& txn);
 
@@ -381,22 +425,35 @@ class Journal {
     std::vector<blk::Block> deferred;
   };
   std::deque<PendingCheckpoint> ckpt_queue_;
-  /// Latest in-place copy request per home block (conflict detection).
-  std::unordered_map<flash::Lba, blk::RequestPtr> inflight_ckpt_;
-  /// Blocks with queued-but-unsubmitted deferred copies: later checkpoints
-  /// of the same block must queue behind them, not jump ahead.
-  std::unordered_map<flash::Lba, std::uint32_t> deferred_ckpt_count_;
+  // Per-home tables, indexed by home_index(): one slot per inode-table
+  // block.
+  /// Latest in-place copy request per home block (conflict detection);
+  /// null once it completed and the tracker dropped it.
+  std::vector<blk::RequestPtr> inflight_ckpt_;
+  /// Queued-but-unsubmitted deferred copies per home block: later
+  /// checkpoints of the same block must queue behind them, not jump ahead.
+  std::vector<std::uint32_t> deferred_ckpt_count_;
   sim::Notify ckpt_wake_;
   bool ckpt_tracker_started_ = false;
   /// Capacity-retaining scratch for the 1-block JC reservation.
   std::vector<blk::Block> scratch_jc_;
 
-  // Content model of the journal area + in-place checkpoint copies.
-  std::unordered_map<flash::Version, JournalRecord> records_;
-  std::unordered_map<flash::Version, CheckpointId> checkpoint_versions_;
-  /// Version of each home block's newest released checkpoint copy: the
-  /// only released record of that home recovery can still find.
-  std::unordered_map<flash::Lba, flash::Version> released_ckpt_;
+  /// Storage of released transactions' block sets, for close_running.
+  std::vector<std::vector<flash::Lba>> spare_block_sets_;
+
+  // Content model of the journal area + in-place checkpoint copies. The
+  // two version-keyed maps churn (a record per journal block, an entry per
+  // checkpoint copy), so they refill their erased nodes.
+  using RecordMap = std::unordered_map<flash::Version, JournalRecord>;
+  RecordMap records_;
+  sim::SpareNodes<RecordMap> spare_record_nodes_;
+  using CheckpointMap = std::unordered_map<flash::Version, CheckpointId>;
+  CheckpointMap checkpoint_versions_;
+  sim::SpareNodes<CheckpointMap> spare_ckpt_nodes_;
+  /// Version of each home block's newest released checkpoint copy (0 =
+  /// none yet), by home_index(): the only released record of that home
+  /// recovery can still find.
+  std::vector<flash::Version> released_ckpt_;
   std::unordered_map<flash::Version, DataCheckpointId> data_checkpoint_versions_;
 
   // Circular space accounting.

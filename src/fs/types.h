@@ -166,6 +166,14 @@ struct Inode {
   /// it has seen; fsync reports EIO exactly once per fd per new failure.
   std::uint64_t wb_err_seq = 0;
 
+  /// Namespace calls (create, unlink, rename) suspended with this inode in
+  /// hand. The filesystem recycles a reclaimed inode only once none holds
+  /// it, so their late updates never land on a new file.
+  std::uint32_t holds = 0;
+  /// reclaim() gave the ino and extent back; the object follows once
+  /// `holds` drains.
+  bool reclaimed = false;
+
   flash::Lba lba_of_page(std::uint32_t page) const noexcept {
     return extent_base + page;
   }

@@ -66,7 +66,7 @@ void Simulator::schedule_resume(SimTime at, std::coroutine_handle<> h,
   const std::uintptr_t aux = reinterpret_cast<std::uintptr_t>(thr) |
                              (is_wakeup ? kWakeupBit : 0);
   if (at == now_)
-    ready_.push({h.address(), aux});
+    ready_.push_back({h.address(), aux});
   else
     queue_.push(Scheduled{at, next_seq_++, h.address(), aux});
 }
@@ -87,7 +87,7 @@ bool Simulator::dispatch_next(SimTime t) {
     const Scheduled ev = queue_.pop();
     resume(ev.frame, ev.aux);
   } else if (!ready_.empty()) {
-    const ReadyQueue::Entry e = ready_.pop();
+    const Ready e = ready_.pop_front();
     resume(e.frame, e.aux);
   } else if (!queue_.empty() && queue_.top().at <= t) {
     const Scheduled ev = queue_.pop();

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "sim/check.h"
+#include "sim/reuse.h"
 #include "sim/task.h"
 #include "sim/time.h"
 
@@ -292,39 +293,10 @@ class Simulator {
     std::vector<Scheduled> v_;
   };
 
-  /// FIFO of the resumes scheduled for the current instant, as (frame, aux)
-  /// pairs in a power-of-two ring with free-running indices. It doubles
-  /// when full and otherwise keeps its capacity, so a warm run allocates
-  /// nothing per event.
-  class ReadyQueue {
-   public:
-    struct Entry {
-      void* frame;
-      std::uintptr_t aux;
-    };
-    bool empty() const noexcept { return head_ == tail_; }
-    void clear() noexcept { head_ = tail_ = 0; }
-
-    void push(const Entry& e) {
-      if (tail_ - head_ == ring_.size()) grow();
-      ring_[tail_++ & mask_] = e;
-    }
-
-    Entry pop() noexcept { return ring_[head_++ & mask_]; }
-
-   private:
-    /// Called only when full: unwraps the ring, then doubles it.
-    void grow() {
-      std::rotate(ring_.begin(), ring_.begin() + (head_ & mask_), ring_.end());
-      tail_ -= head_;
-      head_ = 0;
-      ring_.resize(ring_.empty() ? 64 : 2 * ring_.size());
-      mask_ = ring_.size() - 1;
-    }
-    std::vector<Entry> ring_;
-    std::size_t head_ = 0;
-    std::size_t tail_ = 0;
-    std::size_t mask_ = 0;
+  /// A resume scheduled for the current instant.
+  struct Ready {
+    void* frame;
+    std::uintptr_t aux;
   };
 
   /// Dispatches the next resume due at or before `t` in (at, seq) order;
@@ -346,7 +318,9 @@ class Simulator {
   /// Resumes scheduled before the instant they are due at.
   EventHeap queue_;
   /// Resumes due now, scheduled during this instant.
-  ReadyQueue ready_;
+  /// FIFO of the resumes scheduled for the current instant. It keeps its
+  /// capacity, so a warm run allocates nothing per event.
+  FlatQueue<Ready> ready_;
   ThreadCtx* current_ = nullptr;
   /// Context pool: as many contexts as were ever live or pinned at once
   /// (a deque, so addresses stay stable as it grows); the recycled ones are

@@ -99,7 +99,15 @@ constexpr double kExt4FramesPerTxnBudget = 53.0;
 // stretch of txns may leave behind no more than a few bytes each.
 constexpr std::uint64_t kRetainedTxns = 20'000;
 constexpr double kRetainedBytesPerTxnBudget = 16.0;
-constexpr double kRetainedBytesPerFlowopBudget = 64.0;
+// The ring varmail unlinks and creates mails all the time; its reclaimed
+// inodes and vnodes are recycled, so a run twice as long retains 8.9 (q1)
+// and 10.1 (q4) B more per extra flowop. While every unlinked inode stayed
+// parked until the filesystem died, it retained 17.5 and 23.3 B.
+constexpr double kRetainedBytesPerFlowopBudget = 16.0;
+// Allocations per extra flowop of the same runs: 0.17 (q1) and 0.16 (q4)
+// with the namespace, ring, checkpoint and block-set storage reused; 2.83
+// and 2.86 when each of those allocated per op.
+constexpr double kAllocsPerFlowopBudget = 0.25;
 
 /// One SQLite PERSIST insert (wl/sqlite.cc's persist_txn): undo log,
 /// order point, journal header, order point, two B-tree pages, order
@@ -200,14 +208,17 @@ TEST(AllocBudget, SqlitePersistOnExt4Dr) {
 
 struct VarmailRun {
   std::int64_t retained = 0;
+  std::uint64_t allocs = 0;
   std::uint64_t flowops = 0;
 };
 
 /// perf_suite's ring-qd8 scenario (16 ring clients at QD 8 over 400 mails
 /// on BFS-DR) at `nr_queues` block-layer queues: the live bytes the stack
-/// holds once the run drained, and the flowops it ran.
+/// holds once the run drained, the operator-new calls the run made, and
+/// the flowops it ran.
 VarmailRun varmail_run(std::uint32_t nr_queues, std::uint32_t iterations) {
   const std::int64_t before = live_bytes();
+  const std::uint64_t calls_before = new_calls();
   core::StackConfig cfg = core::StackConfig::make(
       core::StackKind::kBfsDR, flash::DeviceProfile::plain_ssd());
   cfg.blk.nr_queues = nr_queues;
@@ -218,7 +229,8 @@ VarmailRun varmail_run(std::uint32_t nr_queues, std::uint32_t iterations) {
   p.iterations = iterations;
   p.ring_qd = 8;
   const wl::VarmailResult r = wl::run_varmail(stack, p, sim::Rng(47));
-  return VarmailRun{live_bytes() - before, r.ops_done};
+  return VarmailRun{live_bytes() - before, new_calls() - calls_before,
+                    r.ops_done};
 }
 
 /// Bytes retained per flowop between a run and one twice as long.
@@ -241,6 +253,23 @@ TEST(AllocBudget, VarmailRingRetainsNoPerOpStateQ1) {
 TEST(AllocBudget, VarmailRingRetainsNoPerOpStateQ4) {
   SKIP_WITHOUT_COUNTER();
   expect_varmail_budget(4);
+}
+
+// Allocations per extra flowop of the same runs, by the same difference
+// method: the setup and the warm-up of every pool and table cancel out.
+TEST(AllocBudget, VarmailRingAllocs) {
+  SKIP_WITHOUT_COUNTER();
+  for (const std::uint32_t nr_queues : {1u, 4u}) {
+    const VarmailRun shorter = varmail_run(nr_queues, 60);
+    const VarmailRun longer = varmail_run(nr_queues, 120);
+    ASSERT_GT(longer.flowops, shorter.flowops);
+    const std::uint64_t allocs = longer.allocs - shorter.allocs;
+    const std::uint64_t ops = longer.flowops - shorter.flowops;
+    EXPECT_LE(static_cast<double>(allocs) / static_cast<double>(ops),
+              kAllocsPerFlowopBudget)
+        << allocs << " more allocations over " << ops
+        << " more flowops at q" << nr_queues;
+  }
 }
 
 // The largest extent the stack accepts: 2^30 pages (4 TiB). Writing its

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "api/ring.h"
@@ -152,6 +153,110 @@ TEST(VfsTest, OpenFdSurvivesInoRecycling) {
   };
   x.sim().spawn("t", body());
   x.sim().run();
+}
+
+TEST(VfsTest, LastCloseDuringUnlinkWaitDoesNotRecycleTheHeldInode) {
+  // The filesystem recycles Inode objects. unlink updates the inode after
+  // its journal waits, and the last close may reclaim the file while
+  // unlink sits in one: the reclaimed object must not reach a create
+  // until that unlink has finished with it. EXT4-DR's page-conflict rule
+  // parks the unlink behind the committing transaction that holds the
+  // victim's directory block.
+  StackFixture x(StackKind::kExt4DR);
+  Vfs vfs(*x.stack);
+  File victim;
+  File other;
+  const fs::Inode* victim_inode = nullptr;
+  auto setup = [&]() -> Task {
+    victim = must(co_await vfs.open("victim", {.create = true}));
+    other = must(co_await vfs.open("other", {.create = true}));
+    victim_inode = x.fs().lookup("victim");
+  };
+  x.sim().spawn("setup", setup());
+  x.sim().run();
+
+  const std::uint64_t commits = x.fs().journal().stats().commits;
+  bool unlink_returned = false;
+  // Commits the running transaction, which holds both creates.
+  auto syncer = [&]() -> Task { must(co_await other.fsync()); };
+  auto unlinker = [&]() -> Task {
+    while (x.fs().journal().stats().commits == commits)
+      co_await x.sim().delay(100);
+    must(co_await vfs.unlink("victim"));
+    unlink_returned = true;
+  };
+  auto closer = [&]() -> Task {
+    while (x.fs().stats().unlinks == 0) co_await x.sim().delay(100);
+    must(victim.close());  // the last close reclaims the unlinked file
+    EXPECT_FALSE(unlink_returned)
+        << "the close and the create must race the unlink's journal wait "
+           "for this test to bite";
+    // create picks its Inode before its first suspension.
+    File fresh = must(co_await vfs.open("fresh", {.create = true}));
+    EXPECT_NE(x.fs().lookup("fresh"), victim_inode)
+        << "an inode a suspended unlink holds went to a new file";
+    must(fresh.close());
+  };
+  x.sim().spawn("sync", syncer());
+  x.sim().spawn("unlink", unlinker());
+  x.sim().spawn("close", closer());
+  x.sim().run();
+  EXPECT_TRUE(unlink_returned);
+
+  // Once the unlink let go of it, the reclaimed object is free again.
+  auto after = [&]() -> Task {
+    File later = must(co_await vfs.open("later", {.create = true}));
+    EXPECT_EQ(x.fs().lookup("later"), victim_inode)
+        << "the reclaimed inode went back to the free list";
+    must(later.close());
+    must(other.close());
+  };
+  x.sim().spawn("after", after());
+  x.sim().run();
+}
+
+TEST(VfsTest, CreateUndoneByConcurrentUnlinkIsEnoent) {
+  // create publishes the new name before its journal waits. An unlink of
+  // that name meanwhile reclaims the file, which no descriptor holds yet:
+  // open must not hand out a descriptor on the reclaimed inode. EXT4-DR's
+  // page-conflict rule parks the create behind the committing transaction
+  // that holds the inode block of the ino it recycles.
+  StackFixture x(StackKind::kExt4DR);
+  Vfs vfs(*x.stack);
+  File other;
+  auto setup = [&]() -> Task {
+    other = must(co_await vfs.open("other", {.create = true}));
+    File old = must(co_await vfs.open("old", {.create = true}));
+    must(old.close());
+    must(co_await vfs.unlink("old"));  // the next create reuses its ino
+  };
+  x.sim().spawn("setup", setup());
+  x.sim().run();
+
+  const std::uint64_t commits = x.fs().journal().stats().commits;
+  std::optional<Result<File>> created;
+  auto syncer = [&]() -> Task { must(co_await other.fsync()); };
+  auto creator = [&]() -> Task {
+    while (x.fs().journal().stats().commits == commits)
+      co_await x.sim().delay(100);
+    created = co_await vfs.open("x", {.create = true});
+  };
+  auto unlinker = [&]() -> Task {
+    while (x.fs().lookup("x") == nullptr) co_await x.sim().delay(100);
+    EXPECT_FALSE(created.has_value())
+        << "the unlink must race the create's journal wait for this test "
+           "to bite";
+    must(co_await vfs.unlink("x"));
+  };
+  x.sim().spawn("sync", syncer());
+  x.sim().spawn("create", creator());
+  x.sim().spawn("unlink", unlinker());
+  x.sim().run();
+  ASSERT_TRUE(created.has_value());
+  EXPECT_EQ(created->error(), Errno::kNoEnt);
+  EXPECT_EQ(x.fs().lookup("x"), nullptr);
+  EXPECT_EQ(vfs.open_fds(), 1u) << "only `other` is open";
+  must(other.close());
 }
 
 TEST(VfsTest, ConcurrentAppendersGetDisjointPages) {

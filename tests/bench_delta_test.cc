@@ -1,10 +1,12 @@
 // bench_delta regression tests: CI's perf guard (tools/bench_delta.py)
 // compares each perf_suite scenario's minimum ns/io over change runs with
 // its minimum over same-runner runs of the base commit, with no
-// cross-scenario normalization. The fixtures under tests/bench_delta/ are
-// one base run and three change runs; the last two are the cases that
-// normalizing by the median ratio got wrong. Shells out to the python
-// tool; skips when no python3 is on PATH.
+// cross-scenario normalization, and its allocations per op when the base
+// runs carry them. The fixtures under tests/bench_delta/ are one base run
+// and three change runs for ns/io (the last two are the cases that
+// normalizing by the median ratio got wrong), and a base and a change run
+// with allocation counts. Shells out to the python tool; skips when no
+// python3 is on PATH.
 
 #include <gtest/gtest.h>
 
@@ -64,6 +66,33 @@ TEST(BenchDeltaTest, ComparesMinimaOverRuns) {
   const RunResult res = compare(runs({"all_slower.json", "base.json"}),
                                 runs({"one_slower.json", "base.json"}));
   EXPECT_EQ(res.exit_code, 0) << res.output;
+}
+
+TEST(BenchDeltaTest, MoreAllocationsPerOpFails) {
+  // Against the base, the change allocates 0.83% more per op on one
+  // scenario (0.1 more), 0.04 more on another (3x), and 5% and 0.1 more on
+  // a third: only the third exceeds both bounds.
+  if (!have_python()) GTEST_SKIP() << "python3 not on PATH";
+  const RunResult res =
+      compare(runs({"allocs_base.json"}), runs({"more_allocs.json"}));
+  EXPECT_EQ(res.exit_code, 1) << res.output;
+  EXPECT_NE(res.output.find("1 scenario(s) allocate more per op"),
+            std::string::npos)
+      << res.output;
+  EXPECT_NE(res.output.find("more per op than the base (>2% and >0.05 "
+                            "more): sync-BFS-DR"),
+            std::string::npos)
+      << res.output;
+}
+
+TEST(BenchDeltaTest, BaseWithoutAllocationCountsSkipsThatCheck) {
+  if (!have_python()) GTEST_SKIP() << "python3 not on PATH";
+  const RunResult res =
+      compare(runs({"base.json"}), runs({"more_allocs.json"}));
+  EXPECT_EQ(res.exit_code, 0) << res.output;
+  EXPECT_NE(res.output.find("carry no global_allocs_per_op"),
+            std::string::npos)
+      << res.output;
 }
 
 TEST(BenchDeltaTest, MalformedRunIsAUsageError) {

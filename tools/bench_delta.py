@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Bench-delta guard: fail CI when a perf scenario's host ns/io regresses.
+"""Bench-delta guard: fail CI when a perf scenario's host cost regresses.
 
 Compares perf_suite runs of a change against runs of its base commit made
 on the same machine in the same job, and flags any scenario whose ns/io
-regressed by more than 25%. It guards host time only: perf_suite's
+regressed by more than 25%, or whose global allocations per op grew by
+more than 2% and by more than 0.05. It guards host cost only: perf_suite's
 simulated fields and its shape rules are pinned by the golden_perf_suite
 ctest (bench/expected/perf_suite.txt).
 
@@ -16,7 +17,12 @@ pass.)
 
 Run-to-run noise on a shared runner easily exceeds 25% per scenario, so
 both sides use per-scenario minima over their runs (the standard
-noise-robust benchmark estimator) before comparing.
+noise-robust benchmark estimator) before comparing. Allocations per op are
+an exact count, the same in every run, so their bounds need no noise
+allowance: 2% is BENCHMARK.json's host_allocs_per_op bound, and 0.05 per
+op keeps a scenario that allocates almost nothing from failing on one
+extra allocation. A base run without global_allocs_per_op (one made before
+perf_suite wrote the field) skips that check with a note.
 
 Usage:
   tools/bench_delta.py --base <base.json>... --change <change.json>...
@@ -29,10 +35,12 @@ import json
 import sys
 
 THRESHOLD = 1.25  # change/base ns/io ratio above which a scenario regressed
+ALLOCS_RATIO = 1.02  # change/base allocs/op ratio ...
+ALLOCS_SLACK = 0.05  # ... and allocs/op difference above which both fail
 
 
-def load_ns_per_io(path):
-    """{scenario name: ns_per_io} for every scenario that reports one."""
+def load_metric(path, key):
+    """{scenario name: value of `key`} for every scenario that reports one."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -43,23 +51,41 @@ def load_ns_per_io(path):
         print(f"bench_delta: {path}: unexpected schema "
               f"{doc.get('schema')!r}", file=sys.stderr)
         sys.exit(2)
-    return {s["name"]: s["ns_per_io"]
-            for s in doc.get("scenarios", []) if s.get("ns_per_io")}
+    return {s["name"]: s[key]
+            for s in doc.get("scenarios", []) if s.get(key) is not None}
 
 
-def minima(paths):
-    """Per-scenario minimum ns/io over the runs in `paths`."""
+def minima(paths, key="ns_per_io"):
+    """Per-scenario minimum of `key` over the runs in `paths`."""
     out = {}
     for path in paths:
-        for name, ns in load_ns_per_io(path).items():
-            out[name] = min(ns, out.get(name, ns))
+        for name, v in load_metric(path, key).items():
+            out[name] = min(v, out.get(name, v))
     return out
+
+
+def more_allocs(base_paths, change_paths):
+    """Scenarios whose allocs/op exceed the base's by both bounds."""
+    base = minima(base_paths, "global_allocs_per_op")
+    if not base:
+        print("  note: the base runs carry no global_allocs_per_op; "
+              "allocations per op not compared")
+        return []
+    change = minima(change_paths, "global_allocs_per_op")
+    grown = []
+    for name in sorted(set(base) & set(change)):
+        b, c = base[name], change[name]
+        if c > b * ALLOCS_RATIO and c > b + ALLOCS_SLACK:
+            print(f"  {name:24s} allocs/op base {b:8.3f}  change {c:8.3f}  "
+                  "MORE")
+            grown.append(name)
+    return grown
 
 
 def main():
     parser = argparse.ArgumentParser(
-        description="Fail when a perf_suite scenario's ns/io regresses "
-                    "against same-machine runs of the base commit.")
+        description="Fail when a perf_suite scenario's ns/io or allocs/op "
+                    "regresses against same-machine runs of the base commit.")
     parser.add_argument("--base", nargs="+", required=True,
                         metavar="JSON", help="perf_suite runs of the base")
     parser.add_argument("--change", nargs="+", required=True,
@@ -87,10 +113,16 @@ def main():
               f"{change[name]:9.1f}  ratio {ratios[name]:6.3f}  {flag}")
         if ratios[name] > THRESHOLD:
             regressed.append(name)
+    grown = more_allocs(args.base, args.change)
     if regressed:
         print(f"bench_delta: FAIL: {len(regressed)} scenario(s) "
               f">{(THRESHOLD - 1) * 100:.0f}% slower than the base: "
               f"{', '.join(regressed)}")
+    if grown:
+        print(f"bench_delta: FAIL: {len(grown)} scenario(s) allocate more "
+              f"per op than the base (>{(ALLOCS_RATIO - 1) * 100:.0f}% and "
+              f">{ALLOCS_SLACK} more): {', '.join(grown)}")
+    if regressed or grown:
         sys.exit(1)
     print("bench_delta: ok")
     sys.exit(0)
