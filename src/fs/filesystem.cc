@@ -53,6 +53,9 @@ void Filesystem::snapshot_metadata(Txn& txn) {
         static_cast<std::uint32_t>(block - layout_.inode_base());
     if (idx < shard_entries_.size()) {
       snap.is_directory = true;
+      // Assigning over a dropped snapshot's entries reuses its storage and
+      // its names' buffers.
+      snap.entries = journal_->take_dir_entries();
       snap.entries.assign(shard_entries_[idx].begin(),
                           shard_entries_[idx].end());
     } else {

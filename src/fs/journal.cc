@@ -1,10 +1,18 @@
 #include "fs/journal.h"
 
 #include <algorithm>
+#include <map>
 #include <type_traits>
 #include <utility>
 
 namespace bio::fs {
+
+namespace {
+/// Orders Txn::checkpoint_blocks entries against a home block.
+constexpr auto kByHome = [](const auto& e, flash::Lba b) {
+  return e.first < b;
+};
+}  // namespace
 
 Journal::Journal(sim::Simulator& sim, blk::BlockLayer& blk,
                  const FsConfig& cfg, const Layout& layout)
@@ -17,7 +25,7 @@ Journal::Journal(sim::Simulator& sim, blk::BlockLayer& blk,
       ckpt_wake_(sim),
       released_ckpt_(layout.max_inodes),
       journal_space_(sim) {
-  running_ = std::make_unique<Txn>(sim_, next_txn_id_++);
+  running_ = txns_.emplace_back(std::make_unique<Txn>(sim_, 1)).get();
 }
 
 void Journal::attach_data(blk::RequestPtr r) {
@@ -27,17 +35,6 @@ void Journal::attach_data(blk::RequestPtr r) {
 void Journal::add_journaled_data(std::span<const blk::Block> pages) {
   running_->journaled_data.insert(running_->journaled_data.end(),
                                   pages.begin(), pages.end());
-}
-
-bool Journal::is_retired(std::uint64_t tid) const {
-  const Txn* t = find_txn(tid);
-  return t != nullptr && t->state == Txn::State::kRetired;
-}
-
-const Txn* Journal::find_txn(std::uint64_t tid) const {
-  if (running_ && running_->id == tid) return running_.get();
-  auto it = txns_.find(tid);
-  return it == txns_.end() ? nullptr : it->second.get();
 }
 
 const JournalRecord* Journal::find_record(flash::Version version) const {
@@ -58,21 +55,31 @@ const Journal::DataCheckpointId* Journal::find_data_checkpoint(
 }
 
 Txn& Journal::get_txn(std::uint64_t tid) {
-  if (running_ && running_->id == tid) return *running_;
-  auto it = txns_.find(tid);
-  BIO_CHECK_MSG(it != txns_.end(),
+  BIO_CHECK_MSG(find_txn(tid) != nullptr,
                 "unknown transaction id " + std::to_string(tid) +
                     " (running=" + std::to_string(running_->id) + ")");
-  return *it->second;
+  return *txns_[tid - 1];
+}
+
+MetaSnapshot::Entries Journal::take_dir_entries() {
+  if (spare_dir_entries_.empty()) return {};
+  MetaSnapshot::Entries entries = std::move(spare_dir_entries_.back());
+  spare_dir_entries_.pop_back();
+  return entries;
+}
+
+void Journal::keep_dir_entries(MetaSnapshot& snap) {
+  if (snap.entries.capacity() > 0)
+    spare_dir_entries_.push_back(std::move(snap.entries));
 }
 
 Txn* Journal::close_running() {
   if (running_->empty()) ++stats_.empty_commits;
-  Txn* txn = running_.get();
+  Txn* txn = running_;
   txn->state = Txn::State::kCommitting;
   if (close_hook_) close_hook_(*txn);  // freeze metadata-buffer content
-  txns_.emplace(txn->id, std::move(running_));
-  running_ = std::make_unique<Txn>(sim_, next_txn_id_++);
+  running_ =
+      txns_.emplace_back(std::make_unique<Txn>(sim_, txns_.size() + 1)).get();
   if (!spare_block_sets_.empty()) {
     running_->buffers = BlockSet(std::move(spare_block_sets_.back()));
     spare_block_sets_.pop_back();
@@ -86,12 +93,21 @@ Txn* Journal::close_running() {
 bool Journal::checkpoint_durable(const Txn& txn) const {
   if (!txn.checkpoint_done) return false;
   if (!txn.journaled_data.empty() && !txn.data_checkpointed) return false;
+  const bool plp = blk_.device().profile().plp;
+  const std::uint64_t horizon = blk_.device().flush_horizon();
+  if (txn.covering_txn != 0) {
+    // The skipped homes live on only in the covering transaction's journal
+    // copies: it must have retired (its JD and JC transferred) before a
+    // flush that has since completed.
+    const Txn& cover = *find_txn(txn.covering_txn);
+    if (cover.state != Txn::State::kRetired) return false;
+    if (!plp && horizon <= cover.retire_flush_stamp) return false;
+  }
   if (txn.checkpoint_blocks.empty() && txn.journaled_data.empty())
     return true;  // nothing was copied in place
-  if (blk_.device().profile().plp) return true;
   // A full flush whose entry sequence postdates the checkpoint completion
   // snapshotted the cache after those writes transferred.
-  return blk_.device().flush_horizon() > txn.checkpoint_flush_stamp;
+  return plp || horizon > txn.checkpoint_flush_stamp;
 }
 
 void Journal::advance_tail() {
@@ -119,7 +135,7 @@ void Journal::advance_tail() {
     advanced = true;
   }
   for (std::uint64_t id = old_tail; id < sb_tail_txn_; ++id)
-    release(*txns_.at(id));
+    release(get_txn(id));
   if (advanced) journal_space_.notify_all();
 }
 
@@ -146,11 +162,16 @@ void Journal::release(Txn& txn) {
     flash::Version& prev = released_ckpt_[home_index(home)];
     if (prev != 0) {
       if (auto it = checkpoint_versions_.find(prev);
-          it != checkpoint_versions_.end())
+          it != checkpoint_versions_.end()) {
+        keep_dir_entries(it->second.content);
         sim::erase_keeping(checkpoint_versions_, spare_ckpt_nodes_, it);
+      }
     }
     prev = v;
   }
+  // The snapshots not moved into records are the skipped homes' (their
+  // covering transaction's supersede them) and already moved-from ones.
+  for (auto& entry : txn.meta_snapshots) keep_dir_entries(entry.second);
   spare_block_sets_.push_back(txn.buffers.take_storage());
   auto drop = [](auto& c) { std::decay_t<decltype(c)>().swap(c); };
   drop(txn.meta_snapshots);
@@ -273,12 +294,17 @@ sim::Task Journal::reserve_journal_blocks(Txn& txn, std::size_t n,
     BIO_CHECK_MSG(live_spans_.front().txn != &txn,
                   "transaction larger than the journal");
     Txn& oldest = *live_spans_.front().txn;
-    if (oldest.state == Txn::State::kRetired && oldest.checkpoint_done) {
-      co_await force_tail_advance();
-    } else {
+    if (oldest.state != Txn::State::kRetired || !oldest.checkpoint_done) {
       // Wait for the oldest transaction to retire / its checkpoint writes
       // to land; retire() and checkpoint_tracker() notify.
       co_await journal_space_.wait();
+    } else if (oldest.covering_txn != 0 && !is_retired(oldest.covering_txn)) {
+      // The covering transaction may need this very space to commit. The
+      // tracker notifies once the copies have landed.
+      copy_skipped_homes(oldest);
+      co_await journal_space_.wait();
+    } else {
+      co_await force_tail_advance();
     }
   }
 }
@@ -363,6 +389,33 @@ sim::Task Journal::checkpoint_tracker() {
   }
 }
 
+void Journal::copy_home(PendingCheckpoint& p, Txn& txn, flash::Lba block) {
+  const flash::Version v = blk_.next_version();
+  sim::insert_reusing(checkpoint_versions_, spare_ckpt_nodes_, v,
+                      CheckpointId{block, txn.id, false, {}});
+  // Kept in home order: release() walks it beside meta_snapshots.
+  txn.checkpoint_blocks.emplace(
+      std::lower_bound(txn.checkpoint_blocks.begin(),
+                       txn.checkpoint_blocks.end(), block, kByHome),
+      block, v);
+  const std::size_t home = home_index(block);
+  const blk::RequestPtr& inflight = inflight_ckpt_[home];
+  if ((inflight != nullptr && !inflight->completion.is_set()) ||
+      deferred_ckpt_count_[home] > 0) {
+    // An older copy of this block is still in flight (or queued behind
+    // one): defer to the tracker (per-block serialization).
+    p.deferred.emplace_back(block, v);
+    ++deferred_ckpt_count_[home];
+    return;
+  }
+  const blk::Block payload[1] = {{block, v}};
+  blk::RequestPtr r = blk_.pool().make_write(payload);
+  blk_.submit(r);
+  inflight_ckpt_[home] = r;
+  p.reqs.push_back(std::move(r));
+  ++stats_.checkpoint_writes;
+}
+
 void Journal::checkpoint(Txn& txn) {
   // In-place metadata writes, orderless and asynchronous: checkpointing is
   // not on anyone's critical path once the journal copy is safe. Completion
@@ -373,26 +426,16 @@ void Journal::checkpoint(Txn& txn) {
   p.reqs.reserve(txn.buffers.size());
   txn.checkpoint_blocks.reserve(txn.buffers.size());
   for (flash::Lba block : txn.buffers) {
-    const flash::Version v = blk_.next_version();
-    sim::insert_reusing(checkpoint_versions_, spare_ckpt_nodes_, v,
-                        CheckpointId{block, txn.id, false, {}});
-    txn.checkpoint_blocks.emplace_back(block, v);
-    const std::size_t home = home_index(block);
-    const blk::RequestPtr& inflight = inflight_ckpt_[home];
-    if ((inflight != nullptr && !inflight->completion.is_set()) ||
-        deferred_ckpt_count_[home] > 0) {
-      // An older copy of this block is still in flight (or queued behind
-      // one): defer to the tracker (per-block serialization).
-      p.deferred.emplace_back(block, v);
-      ++deferred_ckpt_count_[home];
+    // The running transaction already holds this home (BarrierFS moved it
+    // off the conflict-page list at this retire): its commit journals newer
+    // content and its own checkpoint copies that, so this copy would be
+    // superseded before it could matter.
+    if (running_->buffers.contains(block)) {
+      txn.covering_txn = running_->id;
+      ++stats_.checkpoint_skips;
       continue;
     }
-    const blk::Block payload[1] = {{block, v}};
-    blk::RequestPtr r = blk_.pool().make_write(payload);
-    blk_.submit(r);
-    inflight_ckpt_[home] = r;
-    p.reqs.push_back(std::move(r));
-    ++stats_.checkpoint_writes;
+    copy_home(p, txn, block);
   }
   if (txn.journaled_data.empty()) txn.data_checkpointed = true;
   if (p.reqs.empty() && p.deferred.empty()) {
@@ -400,6 +443,10 @@ void Journal::checkpoint(Txn& txn) {
     txn.checkpoint_flush_stamp = 0;  // nothing to persist
     return;
   }
+  track(std::move(p));
+}
+
+void Journal::track(PendingCheckpoint p) {
   if (!ckpt_tracker_started_) {
     ckpt_tracker_started_ = true;
     sim_.spawn("jnl:ckpt", checkpoint_tracker());
@@ -408,8 +455,26 @@ void Journal::checkpoint(Txn& txn) {
   ckpt_wake_.notify_all();
 }
 
+void Journal::copy_skipped_homes(Txn& txn) {
+  // The covering transaction has not retired, so no copy of its newer
+  // content was issued yet; any it issues later queues behind these.
+  PendingCheckpoint p;
+  p.txn = &txn;
+  for (flash::Lba block : txn.buffers) {
+    const auto copied =
+        std::lower_bound(txn.checkpoint_blocks.begin(),
+                         txn.checkpoint_blocks.end(), block, kByHome);
+    if (copied == txn.checkpoint_blocks.end() || copied->first != block)
+      copy_home(p, txn, block);
+  }
+  txn.covering_txn = 0;
+  txn.checkpoint_done = false;
+  track(std::move(p));
+}
+
 void Journal::retire(Txn& txn) {
   txn.state = Txn::State::kRetired;
+  txn.retire_flush_stamp = blk_.device().flush_sequence();
   commit_order_.push_back(&txn);
   checkpoint(txn);
   txn.durable.trigger();
@@ -424,8 +489,7 @@ void Journal::abort_journal(Txn& txn) {
   // treat it as committed.
   txn.dispatched.trigger();
   txn.durable.trigger();
-  for (auto& [id, t] : txns_) {
-    (void)id;
+  for (const std::unique_ptr<Txn>& t : txns_) {
     if (t->state == Txn::State::kCommitting) {
       t->dispatched.trigger();
       t->durable.trigger();

@@ -20,6 +20,13 @@
 // writes did (flush horizon — fsync traffic pays for it), or the journal
 // issues one itself (jbd2's update-log-tail flush).
 //
+// A home block the running transaction already holds at retire gets no
+// in-place copy: that transaction journals newer content and checkpoints
+// it itself (jbd2 keeps a buffer on its newest transaction's checkpoint
+// list only). The skipping transaction's span then waits for the covering
+// transaction to retire and for a flush entered after that, or, when a
+// reservation stalls on it, copies the skipped homes in place after all.
+//
 // Every journal block carries a JournalRecord describing its content
 // (descriptor tag table / log copy / commit record), keyed by the block's
 // version — the simulation's payload identity. fs::Recovery replays a
@@ -36,7 +43,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -158,15 +164,25 @@ struct Txn {
   bool flushed = false;
 
   // ---- checkpoint lifetime (journal-space release gating) -----------------
-  /// In-place metadata copies issued at retire: (home lba, device version).
-  std::vector<std::pair<flash::Lba, flash::Version>> checkpoint_blocks;
+  // (The flags come first: they fill the padding after `flushed`.)
   /// All checkpoint writes have completed their transfer.
   bool checkpoint_done = false;
+  /// Journaled data has been copied in place (lazy, on space pressure).
+  bool data_checkpointed = false;
+  /// In-place metadata copies issued at retire: (home lba, device version),
+  /// in home order. Homes of `buffers` missing here were skipped.
+  std::vector<std::pair<flash::Lba, flash::Version>> checkpoint_blocks;
+  /// Id of the transaction that held this one's skipped homes at retire
+  /// (0 = none skipped). Its journal copies supersede the skipped ones, so
+  /// this span may be released only once that transaction's records are
+  /// durable (Journal::checkpoint_durable).
+  std::uint64_t covering_txn = 0;
+  /// Device flush sequence at retirement: a completed flush with a later
+  /// entry sequence made this transaction's JD and JC durable.
+  std::uint64_t retire_flush_stamp = 0;
   /// Device flush sequence observed when the checkpoint writes completed;
   /// a completed flush with a later entry sequence proves durability.
   std::uint64_t checkpoint_flush_stamp = 0;
-  /// Journaled data has been copied in place (lazy, on space pressure).
-  bool data_checkpointed = false;
 
   explicit Txn(sim::Simulator& sim, std::uint64_t txn_id)
       : id(txn_id), dispatched(sim), durable(sim) {}
@@ -184,6 +200,9 @@ class Journal {
     std::uint64_t conflicts = 0;
     std::uint64_t journal_blocks_written = 0;
     std::uint64_t checkpoint_writes = 0;
+    /// In-place copies not written at retire because the running
+    /// transaction already held the home (BarrierFS conflict pages).
+    std::uint64_t checkpoint_skips = 0;
     std::uint64_t journal_wraps = 0;
     /// reserve_journal_blocks() had to wait for journal space.
     std::uint64_t journal_stalls = 0;
@@ -260,7 +279,10 @@ class Journal {
   bool running_has_updates() const noexcept { return !running_->empty(); }
   std::uint64_t running_txn_id() const noexcept { return running_->id; }
 
-  bool is_retired(std::uint64_t tid) const;
+  bool is_retired(std::uint64_t tid) const {
+    const Txn* t = find_txn(tid);
+    return t != nullptr && t->state == Txn::State::kRetired;
+  }
 
   const Stats& stats() const noexcept { return stats_; }
 
@@ -271,7 +293,11 @@ class Journal {
     return commit_order_;
   }
 
-  const Txn* find_txn(std::uint64_t tid) const;
+  /// Any transaction by id (running, committing, retired or a released
+  /// shell); nullptr for an id never opened.
+  const Txn* find_txn(std::uint64_t tid) const noexcept {
+    return tid - 1 < txns_.size() ? txns_[tid - 1].get() : nullptr;  // 0 wraps
+  }
 
   // ---- recovery surface ----------------------------------------------------
 
@@ -308,6 +334,10 @@ class Journal {
   /// (MetaSnapshots) when a transaction closes.
   using CloseHook = std::function<void(Txn&)>;
   void set_close_hook(CloseHook hook) { close_hook_ = std::move(hook); }
+
+  /// Entry storage of a dropped directory snapshot, names included, for the
+  /// close hook to assign over (empty when none is left).
+  MetaSnapshot::Entries take_dir_entries();
 
   // ---- abort (errors=remount-ro, journal half) ----------------------------
 
@@ -364,10 +394,12 @@ class Journal {
   FsConfig cfg_;
   Layout layout_;
 
-  std::unique_ptr<Txn> running_;
-  std::map<std::uint64_t, std::unique_ptr<Txn>> txns_;  // committed + retired
+  /// Every transaction ever opened, indexed by id - 1 (ids are dense from
+  /// 1): the retired ones' shells stay, since commit waiters and recovery
+  /// may still look them up.
+  std::deque<std::unique_ptr<Txn>> txns_;
+  Txn* running_ = nullptr;  // txns_.back()
   std::vector<const Txn*> commit_order_;
-  std::uint64_t next_txn_id_ = 1;
   flash::Lba journal_head_ = 0;
   Stats stats_;
   bool started_ = false;
@@ -377,11 +409,20 @@ class Journal {
  private:
   /// One reserved stretch of the journal area (offsets, not LBAs). A txn
   /// owns up to two: JD and JC (a wrap may separate them). Txn shells are
-  /// owned by txns_ and never freed, so the raw pointer is stable.
+  /// kept in txns_ for the run, so the raw pointer is stable.
   struct JournalSpan {
     Txn* txn = nullptr;
     std::uint32_t start = 0;
     std::uint32_t len = 0;
+  };
+
+  /// One transaction's in-place copies, queued for checkpoint_tracker().
+  struct PendingCheckpoint {
+    Txn* txn = nullptr;
+    std::vector<blk::RequestPtr> reqs;
+    /// Copies whose home block had an older copy in flight at submit time;
+    /// the tracker serializes and submits them (buffer-lock rule).
+    std::vector<blk::Block> deferred;
   };
 
   /// Reserves `n` contiguous journal blocks for `txn` (wrapping like JBD2:
@@ -391,8 +432,30 @@ class Journal {
                                    std::vector<blk::Block>& out);
 
   /// True once `txn`'s in-place copies are provably durable (checkpoint
-  /// writes completed + a later full flush, or a PLP device).
+  /// writes completed + a later full flush, or a PLP device), and, when it
+  /// skipped homes, its covering transaction retired before a completed
+  /// flush (or on a PLP device). A transaction that copied nothing in place
+  /// but skipped homes is not done: recovery reads sb_tail_txn() the
+  /// instant it moves, and only the covering journal copies hold them.
   bool checkpoint_durable(const Txn& txn) const;
+
+  /// In-place copy of `block` with content `txn`'s snapshot: submitted now,
+  /// or, while an older copy of that home is in flight or queued, deferred
+  /// to the tracker (buffer-lock rule).
+  void copy_home(PendingCheckpoint& p, Txn& txn, flash::Lba block);
+
+  /// Queues `p` for checkpoint_tracker(), which sets checkpoint_done once
+  /// its copies have landed.
+  void track(PendingCheckpoint p);
+
+  /// Stall path for a front span whose covering transaction has not
+  /// retired, and may need this very space to commit: copies the skipped
+  /// homes in place from `txn`'s snapshots after all (jbd2's
+  /// log_do_checkpoint), so the span needs only those copies and a flush.
+  void copy_skipped_homes(Txn& txn);
+
+  /// Returns a dropped snapshot's directory entries to the spare list.
+  void keep_dir_entries(MetaSnapshot& snap);
 
   /// Releases every leading span whose txn is retired with a durable
   /// checkpoint; advances tail and the superblock pointer, then releases
@@ -417,13 +480,6 @@ class Journal {
   sim::Task checkpoint_tracker();
 
   CloseHook close_hook_;
-  struct PendingCheckpoint {
-    Txn* txn = nullptr;
-    std::vector<blk::RequestPtr> reqs;
-    /// Copies whose home block had an older copy in flight at submit time;
-    /// the tracker serializes and submits them (buffer-lock rule).
-    std::vector<blk::Block> deferred;
-  };
   std::deque<PendingCheckpoint> ckpt_queue_;
   // Per-home tables, indexed by home_index(): one slot per inode-table
   // block.
@@ -440,6 +496,8 @@ class Journal {
 
   /// Storage of released transactions' block sets, for close_running.
   std::vector<std::vector<flash::Lba>> spare_block_sets_;
+  /// Entry storage of dropped directory snapshots, for take_dir_entries().
+  std::vector<MetaSnapshot::Entries> spare_dir_entries_;
 
   // Content model of the journal area + in-place checkpoint copies. The
   // two version-keyed maps churn (a record per journal block, an entry per

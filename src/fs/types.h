@@ -118,7 +118,8 @@ struct MetaSnapshot {
   /// by name (flat vector: snapshots are taken per commit, so node-based
   /// containers would dominate the journal's allocation profile).
   bool is_directory = false;
-  std::vector<std::pair<std::string, std::uint32_t>> entries;
+  using Entries = std::vector<std::pair<std::string, std::uint32_t>>;
+  Entries entries;
 
   /// Inode block: geometry + size at commit time. `exists` is false once
   /// the inode has been freed (unlink committed).

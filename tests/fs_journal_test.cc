@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "fs/barrierfs.h"
+#include "fs/recovery.h"
 #include "fs_test_util.h"
 
 namespace bio::fs {
@@ -313,6 +315,93 @@ TEST(BarrierFsTest, ConflictGatesNextCommitUntilResolved) {
   EXPECT_FALSE(order.back()->buffers.empty());
 }
 
+TEST(BarrierFsTest, SkippedHomeHoldsTheTailUntilAFlushAfterItsCover) {
+  // T journals an append (the inode block alone) for an fsync. A second
+  // writer dirties that block while T commits, so it waits on the
+  // conflict-page list and joins the running R at T's retire: T skips its
+  // only in-place copy. R then retires through fdatabarrier, without a
+  // flush, so its journal copy of the block may still sit in the device
+  // cache. The superblock tail must not pass T until a flush completes
+  // after R's retire, or a cut in between loses T's acked i_size.
+  StackFixture x(StackKind::kBfsDR);
+  Journal& j = x.fs().journal();
+  Inode* f = nullptr;
+  std::uint64_t t = 0;
+  std::uint64_t r = 0;
+  bool acked = false;
+  // The cut: the durable image and the journal's state when the empty
+  // commit after R's retire has reserved its space.
+  std::unordered_map<flash::Lba, flash::Version> image;
+  std::uint64_t tail_at_cut = 0;
+  std::uint64_t horizon_at_cut = 0;
+  auto appender = [&]() -> Task {
+    co_await x.fs().create("a", f, 32);
+    co_await x.fs().write(*f, 0, 4);
+    co_await x.fs().sync(*f, Syscall::kFsync);
+    co_await x.sim().delay(5_ms);
+    co_await x.fs().write(*f, 4, 1);  // i_size 5
+    t = f->txn_id;
+    co_await x.fs().sync(*f, Syscall::kFsync);
+    acked = true;
+  };
+  auto racer = [&]() -> Task {
+    while (t == 0 || j.running_txn_id() == t) co_await x.sim().delay(1_us);
+    co_await x.fs().write(*f, 5, 1);  // T holds the block: conflict list
+    r = f->txn_id;
+    while (!acked) co_await x.sim().delay(1_us);
+    co_await x.fs().sync(*f, Syscall::kFdatabarrier);  // commits R
+    while (!j.is_retired(r)) co_await x.sim().delay(1_us);
+    // Nothing is dirty: an empty commit, whose reservation moves the tail
+    // as far as the release rule allows.
+    // iolint: stable-across-suspend(names the empty transaction this
+    // fdatabarrier commits, whose dispatch the loop below waits for)
+    const std::uint64_t e = j.running_txn_id();
+    co_await x.fs().sync(*f, Syscall::kFdatabarrier);
+    while (!j.find_txn(e)->dispatched.is_set())
+      co_await x.sim().delay(1_us);
+    image = x.dev().durable_state();
+    tail_at_cut = j.sb_tail_txn();
+    horizon_at_cut = x.dev().flush_horizon();
+  };
+  x.sim().spawn("appender", appender());
+  x.sim().spawn("racer", racer());
+  x.sim().run();
+
+  ASSERT_TRUE(acked);
+  ASSERT_GT(r, t);
+  const Txn& skipper = *j.find_txn(t);
+  const Txn& cover = *j.find_txn(r);
+  EXPECT_EQ(j.stats().checkpoint_skips, 1u);
+  EXPECT_EQ(skipper.covering_txn, r);
+  EXPECT_TRUE(skipper.checkpoint_blocks.empty())
+      << "T copied nothing in place: only the release rule holds its span";
+  EXPECT_LE(horizon_at_cut, cover.retire_flush_stamp)
+      << "no flush completed after R retired";
+  EXPECT_EQ(tail_at_cut, t) << "the tail reaches T but may not pass it";
+  const auto jc = image.find(cover.jc_block.first);
+  EXPECT_TRUE(jc == image.end() || jc->second != cover.jc_block.second)
+      << "R's commit record is not durable at the cut";
+
+  // The cut recovers T's acked i_size from T's own log copy.
+  const Recovery recovery(j, x.fs().layout(), x.fs().config());
+  const RecoveryReport report = recovery.recover(image);
+  EXPECT_TRUE(report.clean());
+  ASSERT_EQ(report.files.size(), 1u);
+  EXPECT_GE(report.files.front().size_blocks, 5u);
+
+  // Only a flush after R's retire lets a later reservation release T.
+  EXPECT_LE(x.dev().flush_horizon(), cover.retire_flush_stamp);
+  EXPECT_EQ(j.sb_tail_txn(), t);
+  auto flusher = [&]() -> Task {
+    co_await x.fs().sync(*f, Syscall::kFsync);  // nothing dirty: a flush
+    co_await x.fs().sync(*f, Syscall::kFdatabarrier);
+  };
+  x.sim().spawn("flusher", flusher());
+  x.sim().run();
+  EXPECT_GT(x.dev().flush_horizon(), cover.retire_flush_stamp);
+  EXPECT_GT(j.sb_tail_txn(), t);
+}
+
 TEST(OptFsTest, OsyncCommitsWithoutFlush) {
   StackFixture x(StackKind::kOptFs);
   auto body = [&]() -> Task {
@@ -373,6 +462,45 @@ TEST(JournalTest, FullRunningTxnCommitsBeforeABufferJoins) {
     x.sim().run();
     EXPECT_LE(max_payload, 4u) << core::to_string(kind);
     EXPECT_GT(commits, 0u) << core::to_string(kind);
+  }
+}
+
+TEST(JournalTest, StalledSpanCopiesItsSkippedHomes) {
+  // The same creates in a 10-block journal. On BarrierFS a create dirties
+  // the directory shard the committing transaction holds, so that
+  // transaction skips the shard's in-place copy, and its span stays live
+  // until the covering transaction retires. That transaction needs the
+  // very space to commit: the stalled reservation must copy the skipped
+  // home in place instead of waiting. EXT4 and OptFS block the writer
+  // until retire, so they never skip.
+  for (StackKind kind :
+       {StackKind::kExt4DR, StackKind::kBfsDR, StackKind::kOptFs}) {
+    core::StackConfig cfg = test_stack_config(kind);
+    cfg.fs.journal_blocks = 10;
+    StackFixture x(kind, &cfg);
+    Journal& journal = x.fs().journal();
+    bool done = false;
+    auto body = [&]() -> Task {
+      for (const char* name : {"a", "b", "c", "d", "e", "f"}) {
+        Inode* f = nullptr;
+        co_await x.fs().create(name, f);
+      }
+      done = true;
+    };
+    x.sim().spawn("t", body());
+    // Bounded: a reservation that only flushes while the covering
+    // transaction waits for its space would spin forever.
+    x.sim().run_until(100_ms);
+    const Journal::Stats& s = journal.stats();
+    const std::string k = core::to_string(kind);
+    EXPECT_TRUE(done) << k;
+    EXPECT_GE(s.commits, 2u) << k;
+    if (kind == StackKind::kBfsDR) {
+      EXPECT_GT(s.checkpoint_skips, 0u);
+      EXPECT_GT(s.journal_stalls, 0u);
+    } else {
+      EXPECT_EQ(s.checkpoint_skips, 0u) << k;
+    }
   }
 }
 
