@@ -12,7 +12,7 @@
 // diffs stdout against bench/expected/perf_suite.txt.
 //
 // stderr and the JSON carry the host metrics (tools/bench_delta.py guards
-// ns/io):
+// ns/op):
 //   * ns/io, ns/op       — wall nanoseconds per simulated device IO / op
 //   * events/sec         — simulator event-loop dispatch rate
 //   * requests/sec       — block-layer request throughput (wall clock)

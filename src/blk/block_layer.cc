@@ -116,7 +116,9 @@ std::shared_ptr<flash::Command> BlockLayer::to_command(const RequestPtr& r,
 sim::Task BlockLayer::dispatch_loop(std::uint32_t q) {
   Queue& queue = *queues_[q];
   for (;;) {
-    RequestPtr r = queue.scheduler->dequeue();
+    RequestPtr r = mutant_ == DispatchMutant::kStrand
+                       ? nullptr
+                       : queue.scheduler->dequeue();
     if (r == nullptr) {
       co_await queue.work.wait();
       continue;
@@ -124,6 +126,16 @@ sim::Task BlockLayer::dispatch_loop(std::uint32_t q) {
     // Cross-queue fence protocol; fence_ is null on single-queue stacks and
     // every branch below collapses away.
     const bool fenced = fence_ != nullptr;
+    if (mutant_ == DispatchMutant::kDrop) {
+      if (fenced && r->is_write()) {
+        queue.epoch->note_submitted(*r);
+        fence_->progress().notify_all();
+      }
+      r->cmd.status = flash::IoStatus::kOk;
+      r->completion.trigger();
+      trigger_absorbed(*r);
+      continue;
+    }
     if (fenced && r->barrier) {
       // Submission gate: the device fences transfers by (fence_epoch, seq),
       // but it cannot fence requests it has not seen. Hold the barrier until

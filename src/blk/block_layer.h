@@ -94,6 +94,11 @@ class BlockLayer {
   /// path routes by submission context).
   void submit_on(std::uint32_t queue, RequestPtr r);
 
+  /// Requests queued in the schedulers, not yet dispatched to the device,
+  /// across every queue (congestion accounting; the crash checker's
+  /// quiescence test).
+  std::size_t backlog() const;
+
   /// True while the request queue is congested (> kNrRequests pending,
   /// until it drains to half).
   bool congested() const noexcept { return congested_; }
@@ -140,6 +145,23 @@ class BlockLayer {
     swallow_io_errors_ = swallow;
   }
 
+  /// TEST ONLY: what the dispatch loops do with a queued request. The
+  /// mutants are the deliberate bugs the crash checker's quiescence facts
+  /// must catch.
+  enum class DispatchMutant : std::uint8_t {
+    kNone,
+    /// Leave every request in its scheduler: the device idles below a
+    /// backlog that never drains.
+    kStrand,
+    /// Complete every request without sending it to the device: the host
+    /// sees the write done, media never sees it.
+    kDrop,
+  };
+  void set_dispatch_mutant_for_test(DispatchMutant m) noexcept {
+    mutant_ = m;
+    for (auto& q : queues_) q->work.notify_all();
+  }
+
  private:
   /// One software queue: its own scheduler instance and dispatch wakeup.
   struct Queue {
@@ -169,8 +191,6 @@ class BlockLayer {
   sim::Task retry_watcher(RequestPtr r, std::shared_ptr<flash::Command> cmd);
   std::shared_ptr<flash::Command> to_command(const RequestPtr& r,
                                              bool fault_aware) const;
-  /// Pending requests across every queue (congestion accounting).
-  std::size_t backlog() const;
   /// Barrier submission gate: every peer queue has drained (submitted to
   /// the device) its requests stamped <= the barrier's epoch, so the
   /// device's (fence_epoch, seq) transfer fencing sees everything it must
@@ -189,6 +209,7 @@ class BlockLayer {
   Stats stats_;
   bool started_ = false;
   bool swallow_io_errors_ = false;
+  DispatchMutant mutant_ = DispatchMutant::kNone;
 };
 
 }  // namespace bio::blk

@@ -28,6 +28,9 @@ using flash::Lba;
 // over 120 seeds of full runs on the four clean stacks is 76).
 constexpr std::uint32_t kMaxFaults = 4;
 constexpr std::uint64_t kExpectedWriteOps = 76;
+// How long past the cut a block-layer backlog over an idle device may take
+// to drain: its dispatch thread's wake-up takes microseconds.
+constexpr sim::SimTime kDrainHorizon = 10_ms;
 
 core::StackConfig checker_config(StackKind kind, const SweepSpec& spec) {
   flash::DeviceProfile dev;
@@ -230,7 +233,7 @@ fs::RecoveryReport verify_volume(
     bool fault) {
   res.workload_finished = trace.finished();
   res.volume_degraded = vol.fs().degraded();
-  res.quiesced = trace.finished() &&
+  res.quiesced = trace.finished() && vol.blk().backlog() == 0 &&
                  vol.device().cache().dirty_count() == 0 &&
                  vol.device().queue_depth() == 0 &&
                  (!fault || (!res.volume_degraded &&
@@ -509,6 +512,7 @@ std::string fields_lost_by_repro(const SweepSpec& spec) {
   check(spec.swallow_io_errors == parsed.swallow_io_errors,
         "swallow_io_errors");
   check(spec.ignore_links == parsed.ignore_links, "ignore_links");
+  check(spec.dispatch_mutant == parsed.dispatch_mutant, "dispatch_mutant");
   return lost;
 }
 
@@ -639,6 +643,21 @@ std::vector<CrashCheckResult> run_check(const SweepSpec& spec,
       wl::spawn_vfs_writers(stack->volume(i), vfs, prefix_of(i), params,
                             seed_of(i), fault, traces[i]);
   }
+  if (spec.dispatch_mutant != blk::BlockLayer::DispatchMutant::kNone) {
+    // The mutant strikes once every workload is done: run to that instant
+    // in 1 us steps (the events run in the same order), then arm it.
+    auto finished = [&traces] {
+      return std::all_of(traces.begin(), traces.end(),
+                         [](const wl::ConcurrentTrace& t) {
+                           return t.finished();
+                         });
+    };
+    while (stack->sim().now() < crash_at && !finished())
+      stack->sim().run_until(std::min(crash_at, stack->sim().now() + 1_us));
+    for (std::size_t i = 0; i < n; ++i)
+      stack->volume(i).blk().set_dispatch_mutant_for_test(
+          spec.dispatch_mutant);
+  }
   stack->sim().run_until(crash_at);  // one power cut hits every volume
 
   std::vector<CrashCheckResult> results(n);
@@ -654,6 +673,30 @@ std::vector<CrashCheckResult> run_check(const SweepSpec& spec,
     r.io_failures = vol.blk().stats().io_failures;
     reports.push_back(
         verify_volume(r, vol, traces[i], xfers[i], spec.volumes[i], fault));
+  }
+
+  // 8. A queue that never drains: requests left in the block layer over an
+  //    idle device after the workload finished are not quiescence
+  //    (verify_volume), but the dispatch thread must still send them. The
+  //    images are recovered, so run on past the cut to find out.
+  auto waiting = [&](std::size_t i) {
+    core::Volume& vol = stack->volume(i);
+    return traces[i].finished() && vol.blk().backlog() > 0 &&
+           vol.device().queue_depth() == 0;
+  };
+  bool any_waiting = false;
+  for (std::size_t i = 0; i < n; ++i) any_waiting = any_waiting || waiting(i);
+  if (any_waiting) {
+    stack->sim().run_until(crash_at + kDrainHorizon);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!waiting(i)) continue;
+      const std::size_t queued = stack->volume(i).blk().backlog();
+      results[i].violations.push_back(
+          "block layer: " + std::to_string(queued) +
+          " requests still queued over an idle device " +
+          std::to_string(kDrainHorizon / 1_ms) +
+          " ms after the cut — backlog never drained");
+    }
   }
 
   // ---- remount a fresh (fault-free) node over the recovered images --------

@@ -86,6 +86,11 @@ struct SweepSpec {
   /// TEST ONLY (kRing): rings ignore their link flags — the injected
   /// ordering bug the chain contract must catch.
   bool ignore_links = false;
+  /// TEST ONLY: BlockLayer::set_dispatch_mutant_for_test on every volume
+  /// from the instant every workload finished — the stranded or dropped
+  /// queue the quiescence checks must catch.
+  blk::BlockLayer::DispatchMutant dispatch_mutant =
+      blk::BlockLayer::DispatchMutant::kNone;
 
   friend bool operator==(const SweepSpec&, const SweepSpec&) = default;
 };
@@ -100,9 +105,13 @@ struct CrashCheckResult {
 
   // Scenario facts (for reporting and targeted assertions).
   bool workload_finished = false;
-  /// The workload finished and the device drained at the cut (fault mode
-  /// also needs a live journal and a clean page cache): everything any
-  /// returned sync covered must have reached media.
+  /// The workload finished, and the block layer and the device drained at
+  /// the cut (fault mode also needs a live journal and a clean page
+  /// cache): everything any returned sync covered must have reached media.
+  /// A request still queued in the block layer is not quiescence: the
+  /// device idles between two dispatches while the dispatch thread wakes.
+  /// A queue that never drains is a violation of its own (run_check runs
+  /// on past the cut to tell the two apart).
   bool quiesced = false;
   std::uint32_t files_recovered = 0;
   std::uint32_t txns_replayed = 0;

@@ -8,10 +8,20 @@
 namespace bio::fs {
 
 namespace {
-/// Orders Txn::checkpoint_blocks entries against a home block.
-constexpr auto kByHome = [](const auto& e, flash::Lba b) {
-  return e.first < b;
-};
+/// Moves a spare container's storage into `into`, when one is left.
+template <typename V>
+void take_spare(std::vector<V>& spare, V& into) {
+  if (spare.empty()) return;
+  into = std::move(spare.back());
+  spare.pop_back();
+}
+
+/// Empties `from` and keeps its storage in `spare`.
+template <typename V>
+void keep_spare(std::vector<V>& spare, V& from) {
+  from.clear();
+  if (from.capacity() > 0) spare.push_back(std::exchange(from, {}));
+}
 }  // namespace
 
 Journal::Journal(sim::Simulator& sim, blk::BlockLayer& blk,
@@ -21,6 +31,7 @@ Journal::Journal(sim::Simulator& sim, blk::BlockLayer& blk,
       cfg_(cfg),
       layout_(layout),
       inflight_ckpt_(layout.max_inodes),
+      pending_ckpt_(layout.max_inodes),
       deferred_ckpt_count_(layout.max_inodes),
       ckpt_wake_(sim),
       released_ckpt_(layout.max_inodes),
@@ -84,6 +95,15 @@ Txn* Journal::close_running() {
     running_->buffers = BlockSet(std::move(spare_block_sets_.back()));
     spare_block_sets_.pop_back();
   }
+  take_spare(spare_blocks_, running_->jd_blocks);
+  take_spare(spare_blocks_, running_->checkpoint_blocks);
+  take_spare(spare_snapshots_, running_->meta_snapshots);
+  if (!waiter_donors_.empty()) {
+    Txn& donor = *waiter_donors_.back();
+    waiter_donors_.pop_back();
+    running_->dispatched.swap_waiter_storage(donor.dispatched);
+    running_->durable.swap_waiter_storage(donor.durable);
+  }
   ++stats_.commits;
   return txn;
 }
@@ -95,14 +115,12 @@ bool Journal::checkpoint_durable(const Txn& txn) const {
   if (!txn.journaled_data.empty() && !txn.data_checkpointed) return false;
   const bool plp = blk_.device().profile().plp;
   const std::uint64_t horizon = blk_.device().flush_horizon();
-  if (txn.covering_txn != 0) {
-    // The skipped homes live on only in the covering transaction's journal
-    // copies: it must have retired (its JD and JC transferred) before a
-    // flush that has since completed.
-    const Txn& cover = *find_txn(txn.covering_txn);
-    if (cover.state != Txn::State::kRetired) return false;
-    if (!plp && horizon <= cover.retire_flush_stamp) return false;
-  }
+  // The dropped homes live on only in the covering transaction's journal
+  // copies: it retired (its JD and JC transferred) when it dropped them,
+  // and a flush entered after that must have completed.
+  if (txn.covering_txn != 0 && !plp &&
+      horizon <= find_txn(txn.covering_txn)->retire_flush_stamp)
+    return false;
   if (txn.checkpoint_blocks.empty() && txn.journaled_data.empty())
     return true;  // nothing was copied in place
   // A full flush whose entry sequence postdates the checkpoint completion
@@ -169,18 +187,16 @@ void Journal::release(Txn& txn) {
     }
     prev = v;
   }
-  // The snapshots not moved into records are the skipped homes' (their
+  // The snapshots not moved into records are the dropped homes' (their
   // covering transaction's supersede them) and already moved-from ones.
   for (auto& entry : txn.meta_snapshots) keep_dir_entries(entry.second);
   spare_block_sets_.push_back(txn.buffers.take_storage());
+  keep_spare(spare_snapshots_, txn.meta_snapshots);
+  keep_spare(spare_blocks_, txn.jd_blocks);
+  keep_spare(spare_blocks_, txn.checkpoint_blocks);
   auto drop = [](auto& c) { std::decay_t<decltype(c)>().swap(c); };
-  drop(txn.meta_snapshots);
-  drop(txn.jd_blocks);
-  drop(txn.checkpoint_blocks);
   drop(txn.journaled_data);
   drop(txn.covered_data);
-  txn.jd_req.reset();
-  txn.jc_req.reset();
 }
 
 sim::Task Journal::force_tail_advance() {
@@ -294,14 +310,13 @@ sim::Task Journal::reserve_journal_blocks(Txn& txn, std::size_t n,
     BIO_CHECK_MSG(live_spans_.front().txn != &txn,
                   "transaction larger than the journal");
     Txn& oldest = *live_spans_.front().txn;
+    // The head needs this span now, so its pending copies cannot wait to
+    // fall due; on BarrierFS the transaction that would drop them may need
+    // this very space to commit.
+    if (oldest.pending_homes > 0) issue_checkpoint(oldest);
     if (oldest.state != Txn::State::kRetired || !oldest.checkpoint_done) {
       // Wait for the oldest transaction to retire / its checkpoint writes
       // to land; retire() and checkpoint_tracker() notify.
-      co_await journal_space_.wait();
-    } else if (oldest.covering_txn != 0 && !is_retired(oldest.covering_txn)) {
-      // The covering transaction may need this very space to commit. The
-      // tracker notifies once the copies have landed.
-      copy_skipped_homes(oldest);
       co_await journal_space_.wait();
     } else {
       co_await force_tail_advance();
@@ -385,68 +400,47 @@ sim::Task Journal::checkpoint_tracker() {
     // The stamp may postdate the actual completion (the tracker drains in
     // retire order) — only ever conservative for the durability proof.
     p.txn->checkpoint_flush_stamp = blk_.device().flush_sequence();
+    keep_spare(spare_ckpt_reqs_, p.reqs);
     journal_space_.notify_all();
   }
 }
 
-void Journal::copy_home(PendingCheckpoint& p, Txn& txn, flash::Lba block) {
-  const flash::Version v = blk_.next_version();
-  sim::insert_reusing(checkpoint_versions_, spare_ckpt_nodes_, v,
-                      CheckpointId{block, txn.id, false, {}});
-  // Kept in home order: release() walks it beside meta_snapshots.
-  txn.checkpoint_blocks.emplace(
-      std::lower_bound(txn.checkpoint_blocks.begin(),
-                       txn.checkpoint_blocks.end(), block, kByHome),
-      block, v);
-  const std::size_t home = home_index(block);
-  const blk::RequestPtr& inflight = inflight_ckpt_[home];
-  if ((inflight != nullptr && !inflight->completion.is_set()) ||
-      deferred_ckpt_count_[home] > 0) {
-    // An older copy of this block is still in flight (or queued behind
-    // one): defer to the tracker (per-block serialization).
-    p.deferred.emplace_back(block, v);
-    ++deferred_ckpt_count_[home];
-    return;
-  }
-  const blk::Block payload[1] = {{block, v}};
-  blk::RequestPtr r = blk_.pool().make_write(payload);
-  blk_.submit(r);
-  inflight_ckpt_[home] = r;
-  p.reqs.push_back(std::move(r));
-  ++stats_.checkpoint_writes;
-}
-
-void Journal::checkpoint(Txn& txn) {
+void Journal::issue_checkpoint(Txn& txn) {
   // In-place metadata writes, orderless and asynchronous: checkpointing is
   // not on anyone's critical path once the journal copy is safe. Completion
   // is tracked (checkpoint_tracker) because the journal space the records
   // occupy may only be reused once these copies are durable.
   PendingCheckpoint p;
   p.txn = &txn;
-  p.reqs.reserve(txn.buffers.size());
-  txn.checkpoint_blocks.reserve(txn.buffers.size());
+  take_spare(spare_ckpt_reqs_, p.reqs);
+  p.reqs.reserve(txn.pending_homes);
+  txn.checkpoint_blocks.reserve(txn.pending_homes);
   for (flash::Lba block : txn.buffers) {
-    // The running transaction already holds this home (BarrierFS moved it
-    // off the conflict-page list at this retire): its commit journals newer
-    // content and its own checkpoint copies that, so this copy would be
-    // superseded before it could matter.
-    if (running_->buffers.contains(block)) {
-      txn.covering_txn = running_->id;
-      ++stats_.checkpoint_skips;
+    const std::size_t home = home_index(block);
+    if (pending_ckpt_[home] != txn.id) continue;  // a newer txn dropped it
+    pending_ckpt_[home] = 0;
+    const flash::Version v = blk_.next_version();
+    sim::insert_reusing(checkpoint_versions_, spare_ckpt_nodes_, v,
+                        CheckpointId{block, txn.id, false, {}});
+    // In buffer (home) order: release() walks it beside meta_snapshots.
+    txn.checkpoint_blocks.emplace_back(block, v);
+    const blk::RequestPtr& inflight = inflight_ckpt_[home];
+    if ((inflight != nullptr && !inflight->completion.is_set()) ||
+        deferred_ckpt_count_[home] > 0) {
+      // An older copy of this block is still in flight (or queued behind
+      // one): defer to the tracker (per-block serialization).
+      p.deferred.emplace_back(block, v);
+      ++deferred_ckpt_count_[home];
       continue;
     }
-    copy_home(p, txn, block);
+    const blk::Block payload[1] = {{block, v}};
+    blk::RequestPtr r = blk_.pool().make_write(payload);
+    blk_.submit(r);
+    inflight_ckpt_[home] = r;
+    p.reqs.push_back(std::move(r));
+    ++stats_.checkpoint_writes;
   }
-  if (txn.journaled_data.empty()) txn.data_checkpointed = true;
-  if (p.reqs.empty() && p.deferred.empty()) {
-    txn.checkpoint_done = true;
-    txn.checkpoint_flush_stamp = 0;  // nothing to persist
-    return;
-  }
-  track(std::move(p));
-}
-
-void Journal::track(PendingCheckpoint p) {
+  txn.pending_homes = 0;
   if (!ckpt_tracker_started_) {
     ckpt_tracker_started_ = true;
     sim_.spawn("jnl:ckpt", checkpoint_tracker());
@@ -455,29 +449,54 @@ void Journal::track(PendingCheckpoint p) {
   ckpt_wake_.notify_all();
 }
 
-void Journal::copy_skipped_homes(Txn& txn) {
-  // The covering transaction has not retired, so no copy of its newer
-  // content was issued yet; any it issues later queues behind these.
-  PendingCheckpoint p;
-  p.txn = &txn;
-  for (flash::Lba block : txn.buffers) {
-    const auto copied =
-        std::lower_bound(txn.checkpoint_blocks.begin(),
-                         txn.checkpoint_blocks.end(), block, kByHome);
-    if (copied == txn.checkpoint_blocks.end() || copied->first != block)
-      copy_home(p, txn, block);
+void Journal::issue_due_checkpoints() {
+  const std::uint32_t cap = cfg_.journal_blocks;
+  const auto head = static_cast<std::uint32_t>(journal_head_ % cap);
+  while (!due_queue_.empty()) {
+    Txn& txn = *due_queue_.front();
+    if (txn.pending_homes > 0) {
+      // Blocks reserved since this JC: the ring distance from its end to
+      // the head, wrap waste included (its span is live, so under a lap).
+      const auto jc_end = static_cast<std::uint32_t>(
+          (txn.jc_block.first - layout_.journal_base() + 1) % cap);
+      if ((head + cap - jc_end) % cap < max_txn_payload()) break;
+      issue_checkpoint(txn);
+    }
+    due_queue_.pop_front();
   }
-  txn.covering_txn = 0;
-  txn.checkpoint_done = false;
-  track(std::move(p));
 }
 
 void Journal::retire(Txn& txn) {
   txn.state = Txn::State::kRetired;
+  // The commit loops are done with the JD and JC requests: back to the
+  // pool, not pinned while the span waits for its copies.
+  txn.jd_req.reset();
+  txn.jc_req.reset();
   txn.retire_flush_stamp = blk_.device().flush_sequence();
   commit_order_.push_back(&txn);
-  checkpoint(txn);
+  // Every home becomes a pending copy of this transaction, dropping an
+  // older transaction's pending copy of it: this commit journaled newer
+  // content, which its own copy will carry.
+  for (flash::Lba block : txn.buffers) {
+    std::uint64_t& owner = pending_ckpt_[home_index(block)];
+    if (owner != 0) {
+      Txn& older = *txns_[owner - 1];
+      older.covering_txn = txn.id;
+      ++stats_.checkpoint_drops;
+      // A transaction with pending copies has issued none yet.
+      if (--older.pending_homes == 0) older.checkpoint_done = true;
+    }
+    owner = txn.id;
+    ++txn.pending_homes;
+  }
+  if (txn.journaled_data.empty()) txn.data_checkpointed = true;
+  if (txn.pending_homes == 0)
+    txn.checkpoint_done = true;
+  else
+    due_queue_.push_back(&txn);
+  issue_due_checkpoints();
   txn.durable.trigger();
+  waiter_donors_.push_back(&txn);
   journal_space_.notify_all();
 }
 

@@ -20,12 +20,14 @@
 // writes did (flush horizon — fsync traffic pays for it), or the journal
 // issues one itself (jbd2's update-log-tail flush).
 //
-// A home block the running transaction already holds at retire gets no
-// in-place copy: that transaction journals newer content and checkpoints
-// it itself (jbd2 keeps a buffer on its newest transaction's checkpoint
-// list only). The skipping transaction's span then waits for the covering
-// transaction to retire and for a flush entered after that, or, when a
-// reservation stalls on it, copies the skipped homes in place after all.
+// Checkpointing is lazy, as in jbd2 (DESIGN.md §5). A retiring transaction
+// issues no in-place copy: each of its homes becomes a pending copy, and
+// it drops every older transaction's pending copy of a home it holds (a
+// buffer sits on its newest transaction's checkpoint list only). A copy
+// nobody drops is issued once its transaction's JC is max_txn_payload()
+// blocks behind the head, or at once when a reservation stalls on its
+// span. A span with dropped copies also waits for the newest dropper to
+// retire before a flush that has completed.
 //
 // Every journal block carries a JournalRecord describing its content
 // (descriptor tag table / log copy / commit record), keyed by the block's
@@ -147,10 +149,12 @@ struct Txn {
   /// Journal records as written (for crash analysis).
   std::vector<std::pair<flash::Lba, flash::Version>> jd_blocks;
   std::pair<flash::Lba, flash::Version> jc_block{0, 0};
-  /// The in-flight JC request (BarrierFS flush thread waits on it).
+  /// The in-flight JC request (BarrierFS flush thread waits on it); reset
+  /// at retire.
   blk::RequestPtr jc_req;
   /// The in-flight JD request (BarrierFS submits it without waiting; the
-  /// flush thread later checks it for IO failure before retiring).
+  /// flush thread later checks it for IO failure before retiring); reset
+  /// at retire.
   blk::RequestPtr jd_req;
 
   /// JD and JC have been dispatched (fbarrier()'s wake-up point).
@@ -164,18 +168,22 @@ struct Txn {
   bool flushed = false;
 
   // ---- checkpoint lifetime (journal-space release gating) -----------------
-  // (The flags come first: they fill the padding after `flushed`.)
-  /// All checkpoint writes have completed their transfer.
+  // (The flags and the count come first: they fill the padding after
+  // `flushed`.)
+  /// Retired, no copy pending, and every issued copy has transferred.
   bool checkpoint_done = false;
   /// Journaled data has been copied in place (lazy, on space pressure).
   bool data_checkpointed = false;
-  /// In-place metadata copies issued at retire: (home lba, device version),
-  /// in home order. Homes of `buffers` missing here were skipped.
+  /// Homes whose in-place copy is pending: neither issued nor dropped.
+  std::uint32_t pending_homes = 0;
+  /// In-place metadata copies issued (due, or on a stall): (home lba,
+  /// device version), in home order. Homes of `buffers` missing here were
+  /// dropped.
   std::vector<std::pair<flash::Lba, flash::Version>> checkpoint_blocks;
-  /// Id of the transaction that held this one's skipped homes at retire
-  /// (0 = none skipped). Its journal copies supersede the skipped ones, so
-  /// this span may be released only once that transaction's records are
-  /// durable (Journal::checkpoint_durable).
+  /// Id of the newest transaction whose retire dropped one of this one's
+  /// pending copies (0 = none dropped). Its journal copies supersede the
+  /// dropped ones, so this span may be released only once that
+  /// transaction's records are durable (Journal::checkpoint_durable).
   std::uint64_t covering_txn = 0;
   /// Device flush sequence at retirement: a completed flush with a later
   /// entry sequence made this transaction's JD and JC durable.
@@ -200,9 +208,9 @@ class Journal {
     std::uint64_t conflicts = 0;
     std::uint64_t journal_blocks_written = 0;
     std::uint64_t checkpoint_writes = 0;
-    /// In-place copies not written at retire because the running
-    /// transaction already held the home (BarrierFS conflict pages).
-    std::uint64_t checkpoint_skips = 0;
+    /// Pending in-place copies dropped before they were issued, because a
+    /// newer transaction retired holding the home (jbd2's cs_dropped).
+    std::uint64_t checkpoint_drops = 0;
     std::uint64_t journal_wraps = 0;
     /// reserve_journal_blocks() had to wait for journal space.
     std::uint64_t journal_stalls = 0;
@@ -364,10 +372,6 @@ class Journal {
   /// commit record. May stall like reserve_jd.
   sim::Task reserve_jc(Txn& txn);
 
-  /// Issues asynchronous in-place metadata writes for a retired txn and
-  /// spawns the completion tracker that eventually allows space release.
-  void checkpoint(Txn& txn);
-
   /// Slot of a metadata block (an inode-table LBA) in the per-home tables.
   std::size_t home_index(flash::Lba block) const {
     BIO_CHECK(block >= layout_.inode_base() &&
@@ -375,7 +379,8 @@ class Journal {
     return static_cast<std::size_t>(block - layout_.inode_base());
   }
 
-  /// Marks the txn retired, fires its events and records commit order.
+  /// Marks the txn retired, fires its events and records commit order. Its
+  /// homes become pending copies, dropping older pending copies of them.
   void retire(Txn& txn);
 
   /// Declares the journal dead after `txn`'s JD or JC write failed: wakes
@@ -416,7 +421,8 @@ class Journal {
     std::uint32_t len = 0;
   };
 
-  /// One transaction's in-place copies, queued for checkpoint_tracker().
+  /// One transaction's issued in-place copies, queued for
+  /// checkpoint_tracker().
   struct PendingCheckpoint {
     Txn* txn = nullptr;
     std::vector<blk::RequestPtr> reqs;
@@ -432,27 +438,25 @@ class Journal {
                                    std::vector<blk::Block>& out);
 
   /// True once `txn`'s in-place copies are provably durable (checkpoint
-  /// writes completed + a later full flush, or a PLP device), and, when it
-  /// skipped homes, its covering transaction retired before a completed
-  /// flush (or on a PLP device). A transaction that copied nothing in place
-  /// but skipped homes is not done: recovery reads sb_tail_txn() the
-  /// instant it moves, and only the covering journal copies hold them.
+  /// writes completed + a later full flush, or a PLP device), and, when
+  /// copies were dropped, its covering transaction retired before a
+  /// completed flush (or on a PLP device). A transaction that copied
+  /// nothing in place but had copies dropped is not done: recovery reads
+  /// sb_tail_txn() the instant it moves, and only the covering journal
+  /// copies hold those homes.
   bool checkpoint_durable(const Txn& txn) const;
 
-  /// In-place copy of `block` with content `txn`'s snapshot: submitted now,
-  /// or, while an older copy of that home is in flight or queued, deferred
-  /// to the tracker (buffer-lock rule).
-  void copy_home(PendingCheckpoint& p, Txn& txn, flash::Lba block);
+  /// Issues every pending copy of `txn` from its snapshots (jbd2's
+  /// log_do_checkpoint) and queues them for checkpoint_tracker(), which
+  /// sets checkpoint_done once they landed. A copy whose home has an older
+  /// copy in flight or queued is deferred to the tracker (buffer-lock
+  /// rule).
+  void issue_checkpoint(Txn& txn);
 
-  /// Queues `p` for checkpoint_tracker(), which sets checkpoint_done once
-  /// its copies have landed.
-  void track(PendingCheckpoint p);
-
-  /// Stall path for a front span whose covering transaction has not
-  /// retired, and may need this very space to commit: copies the skipped
-  /// homes in place from `txn`'s snapshots after all (jbd2's
-  /// log_do_checkpoint), so the span needs only those copies and a flush.
-  void copy_skipped_homes(Txn& txn);
+  /// Issues the pending copies of every retired transaction whose JC is at
+  /// least max_txn_payload() blocks behind the head: half a lap is left
+  /// for the copies and a flush before the head needs the span.
+  void issue_due_checkpoints();
 
   /// Returns a dropped snapshot's directory entries to the spare list.
   void keep_dir_entries(MetaSnapshot& snap);
@@ -486,6 +490,13 @@ class Journal {
   /// Latest in-place copy request per home block (conflict detection);
   /// null once it completed and the tracker dropped it.
   std::vector<blk::RequestPtr> inflight_ckpt_;
+  /// Id of the retired transaction whose copy of the home is pending (0 =
+  /// none): the newest retired holder, as a buffer sits on one checkpoint
+  /// list only.
+  std::vector<std::uint64_t> pending_ckpt_;
+  /// Retired transactions with pending copies, in retire order, which is
+  /// the order their JCs fall behind the head.
+  sim::FlatQueue<Txn*> due_queue_;
   /// Queued-but-unsubmitted deferred copies per home block: later
   /// checkpoints of the same block must queue behind them, not jump ahead.
   std::vector<std::uint32_t> deferred_ckpt_count_;
@@ -494,8 +505,18 @@ class Journal {
   /// Capacity-retaining scratch for the 1-block JC reservation.
   std::vector<blk::Block> scratch_jc_;
 
-  /// Storage of released transactions' block sets, for close_running.
+  // Per-commit storage handed from released transactions to new ones
+  // (close_running), so a commit allocates nothing once the lists fill.
   std::vector<std::vector<flash::Lba>> spare_block_sets_;
+  /// jd_blocks and checkpoint_blocks storage.
+  std::vector<std::vector<blk::Block>> spare_blocks_;
+  std::vector<std::vector<std::pair<flash::Lba, MetaSnapshot>>>
+      spare_snapshots_;
+  /// PendingCheckpoint::reqs storage, handed back by the tracker.
+  std::vector<std::vector<blk::RequestPtr>> spare_ckpt_reqs_;
+  /// Retired transactions whose set events still own their waiter lists'
+  /// storage, for the next transaction's events.
+  std::vector<Txn*> waiter_donors_;
   /// Entry storage of dropped directory snapshots, for take_dir_entries().
   std::vector<MetaSnapshot::Entries> spare_dir_entries_;
 

@@ -46,9 +46,13 @@ sim::Task OptFsJournal::commit_loop() {
       co_await r->completion.wait();
     // Freeze the transferred data payload into the commit checksum's
     // coverage, then drop the requests (they are pooled and must recycle).
+    // A write that failed for good is left out: its caller gets EIO, and a
+    // checksum over a block that never landed would discard this
+    // transaction and every later one at recovery, acked dsyncs included.
     for (const blk::RequestPtr& r : txn->data_reqs)
-      txn->covered_data.insert(txn->covered_data.end(), r->blocks.begin(),
-                               r->blocks.end());
+      if (!r->failed())
+        txn->covered_data.insert(txn->covered_data.end(), r->blocks.begin(),
+                                 r->blocks.end());
     txn->data_reqs.clear();
 
     // Checksummed JD + JC dispatched together, one combined wait: the

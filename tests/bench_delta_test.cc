@@ -1,11 +1,12 @@
 // bench_delta regression tests: CI's perf guard (tools/bench_delta.py)
-// compares each perf_suite scenario's minimum ns/io over change runs with
-// its minimum over same-runner runs of the base commit, with no
+// compares each perf_suite scenario's minimum host ns/op over change runs
+// with its minimum over same-runner runs of the base commit, with no
 // cross-scenario normalization, and its allocations per op when the base
 // runs carry them. The fixtures under tests/bench_delta/ are one base run
-// and three change runs for ns/io (the last two are the cases that
-// normalizing by the median ratio got wrong), and a base and a change run
-// with allocation counts. Shells out to the python tool; skips when no
+// and three change runs for ns/op (the last two are the cases that
+// normalizing by the median ratio got wrong), a base and a change run
+// with allocation counts, and a base and a change run where the change
+// does fewer IOs per op. Shells out to the python tool; skips when no
 // python3 is on PATH.
 
 #include <gtest/gtest.h>
@@ -93,6 +94,15 @@ TEST(BenchDeltaTest, BaseWithoutAllocationCountsSkipsThatCheck) {
   EXPECT_NE(res.output.find("carry no global_allocs_per_op"),
             std::string::npos)
       << res.output;
+}
+
+TEST(BenchDeltaTest, FewerIosPerOpIsNotASlowdown) {
+  // The change issues 30% fewer IOs for the same ops, and each op costs
+  // 7% less host time: 1.4x per IO, 0.93x per op. The ops are the work.
+  if (!have_python()) GTEST_SKIP() << "python3 not on PATH";
+  const RunResult res =
+      compare(runs({"fewer_ios_base.json"}), runs({"fewer_ios.json"}));
+  EXPECT_EQ(res.exit_code, 0) << res.output;
 }
 
 TEST(BenchDeltaTest, MalformedRunIsAUsageError) {

@@ -148,6 +148,66 @@ TEST(JournalWrapTest, SpacePressureStallsInsteadOfClobbering) {
       << "tail advanced without making checkpoints durable";
 }
 
+// ---- 3b. quiescence is a drained stack, not an idle device ----------------
+
+TEST(QuiescenceTest, QueuedBlockRequestsAreNotQuiescence) {
+  // single:BFS-DR point 1 (seed 2) at 42,520 us: the writer is done and
+  // the device is idle, but three requests still sit in the block layer,
+  // so the delayed-durability fact may not apply yet. Judged by the device
+  // alone, this cut reported four order-point writes "not durable after
+  // quiescence"; 20 us later they were dispatched, and nothing was lost.
+  const chk::SweepSpec spec{.volumes = {StackKind::kBfsDR}};
+  const CrashCheckResult mid = chk::run_check(spec, 2, 42'520 * 1_us).front();
+  EXPECT_TRUE(mid.workload_finished);
+  EXPECT_FALSE(mid.quiesced);
+  EXPECT_TRUE(mid.ok()) << join(mid.violations);
+  const CrashCheckResult late =
+      chk::run_check(spec, 2, 400'000 * 1_us).front();
+  EXPECT_TRUE(late.quiesced);
+  EXPECT_TRUE(late.ok()) << join(late.violations);
+}
+
+/// Violations of `r` whose text contains `kind`.
+int count_kind(const CrashCheckResult& r, const std::string& kind) {
+  int n = 0;
+  for (const std::string& v : r.violations)
+    if (v.find(kind) != std::string::npos) ++n;
+  return n;
+}
+
+using Mutant = blk::BlockLayer::DispatchMutant;
+
+TEST(QuiescenceTest, DroppedQueueFailsDelayedDurabilityAtQuiescence) {
+  // Control for the drained-stack predicate: the same point, with the
+  // block layer completing every request queued after the writer finished
+  // without sending it to the device. The queue drains, so the late cut is
+  // true quiescence, and the order-point writes that never reached media
+  // must be reported.
+  chk::SweepSpec spec{.volumes = {StackKind::kBfsDR}};
+  spec.dispatch_mutant = Mutant::kDrop;
+  const CrashCheckResult r = chk::run_check(spec, 2, 400'000 * 1_us).front();
+  EXPECT_TRUE(r.quiesced);
+  EXPECT_GT(count_kind(r, "not durable after quiescence"), 0)
+      << join(r.violations);
+}
+
+TEST(QuiescenceTest, StrandedQueueIsReported) {
+  // The same point, with the block layer keeping every request queued
+  // after the writer finished: the device idles below a backlog that never
+  // drains. No cut is quiescence, so the delayed-durability facts never
+  // apply; the drain check past the cut must report the queue instead.
+  chk::SweepSpec spec{.volumes = {StackKind::kBfsDR}};
+  spec.dispatch_mutant = Mutant::kStrand;
+  for (const sim::SimTime cut : {42'520 * 1_us, 400'000 * 1_us}) {
+    const CrashCheckResult r = chk::run_check(spec, 2, cut).front();
+    EXPECT_TRUE(r.workload_finished) << cut;
+    EXPECT_FALSE(r.quiesced) << cut;
+    EXPECT_EQ(count_kind(r, "backlog never drained"), 1)
+        << cut << join(r.violations);
+    EXPECT_EQ(count_kind(r, "not durable after quiescence"), 0) << cut;
+  }
+}
+
 // ---- 4. OptFS osync: prefix now, everything after the delay ----------------
 
 TEST(OptFsOsyncCrashTest, DelayedDurabilityPrefixSemantics) {

@@ -97,7 +97,7 @@ std::vector<std::string> samples_of(const SweepSpec& spec, int points) {
 TEST(ReproPrintTest, ReproPrintedOnlyWhenTheGrammarCarriesTheSpec) {
   // A default-shaped spec round-trips: every sample ends in its --repro.
   for (const std::string& line :
-       samples_of({.volumes = {StackKind::kExt4OD}}, 23))
+       samples_of({.volumes = {StackKind::kExt4OD}}, 103))
     EXPECT_NE(line.find("(replay: --repro EXT4-OD:1:"), std::string::npos)
         << line;
   // The swallowed-EIO control sets a field the grammar drops: a printed
@@ -172,7 +172,7 @@ TEST_P(FirstFailureReplayTest, PrintedReproReplaysTheFirstViolation) {
 INSTANTIATE_TEST_SUITE_P(
     Ext4Od, FirstFailureReplayTest,
     testing::Values(
-        ReplayCase{"Single", {.volumes = {StackKind::kExt4OD}}, 23},
+        ReplayCase{"Single", {.volumes = {StackKind::kExt4OD}}, 103},
         ReplayCase{"Fault",
                    {.flavour = Flavour::kFault,
                     .volumes = {StackKind::kExt4OD}},
@@ -180,7 +180,7 @@ INSTANTIATE_TEST_SUITE_P(
         ReplayCase{"Conc",
                    {.flavour = Flavour::kConc,
                     .volumes = {StackKind::kExt4OD}},
-                   7},
+                   17},
         ReplayCase{"Ring",
                    {.flavour = Flavour::kRing,
                     .volumes = {StackKind::kExt4OD}},

@@ -82,6 +82,39 @@ TEST(FaultCrashSweepTest, AbortMidCommitReleasesConflictingWriters) {
   EXPECT_TRUE(r.ok()) << r.violations.front();
 }
 
+// An osync's data write fails for good: the osync returns EIO, and the
+// writer's later dsyncs return success. OptFS's commit checksum covers
+// only the data writes that landed, so recovery replays every committed
+// transaction. While the checksum also covered the failed write, it never
+// matched: recovery discarded that transaction and every later one, so
+// acked dsyncs' writes were lost. Point 123 discarded 14 transactions and
+// lost acked writes; q4 point 317 discarded one.
+TEST(FaultCrashSweepTest, OptFsChecksumSkipsDataWritesThatFailedForGood) {
+  struct Point {
+    std::uint32_t nr_queues;
+    int point;
+    bool later_dsync_acked;
+  };
+  for (const Point p : {Point{1, 123, true}, Point{4, 317, false}}) {
+    const chk::CrashCheckResult r =
+        chk::run_check({.flavour = kFault,
+                        .volumes = {StackKind::kOptFs},
+                        .nr_queues = p.nr_queues},
+                       1 + p.point, chk::sweep_crash_at(1, p.point))
+            .front();
+    const std::string at = "q" + std::to_string(p.nr_queues) + " point " +
+                           std::to_string(p.point);
+    EXPECT_EQ(r.io_failures, 1u) << at;
+    EXPECT_EQ(r.syncs_failed, 1u) << at;
+    EXPECT_FALSE(r.volume_degraded) << at;
+    EXPECT_EQ(r.txns_discarded, 0u) << at;
+    if (p.later_dsync_acked) {
+      EXPECT_GT(r.acked_pages_checked, 0u) << at;
+    }
+    EXPECT_TRUE(r.ok()) << at << ": " << r.violations.front();
+  }
+}
+
 // Host-side bounded retry runs on legacy devices; barrier-mode devices
 // absorb transient program faults in the FTL instead (the retry would
 // re-enter a later epoch and void the ordering contract).

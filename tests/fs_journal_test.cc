@@ -315,15 +315,18 @@ TEST(BarrierFsTest, ConflictGatesNextCommitUntilResolved) {
   EXPECT_FALSE(order.back()->buffers.empty());
 }
 
-TEST(BarrierFsTest, SkippedHomeHoldsTheTailUntilAFlushAfterItsCover) {
+TEST(BarrierFsTest, DroppedCopyHoldsTheTailUntilAFlushAfterItsCover) {
   // T journals an append (the inode block alone) for an fsync. A second
   // writer dirties that block while T commits, so it waits on the
-  // conflict-page list and joins the running R at T's retire: T skips its
-  // only in-place copy. R then retires through fdatabarrier, without a
-  // flush, so its journal copy of the block may still sit in the device
-  // cache. The superblock tail must not pass T until a flush completes
-  // after R's retire, or a cut in between loses T's acked i_size.
-  StackFixture x(StackKind::kBfsDR);
+  // conflict-page list and joins the running R at T's retire. R then
+  // retires through fdatabarrier, without a flush, and drops T's pending
+  // copy of the block, so R's journal copy, which may still sit in the
+  // device cache, is the only newer one. The superblock tail must not pass
+  // T until a flush completes after R's retire, or a cut in between loses
+  // T's acked i_size.
+  core::StackConfig cfg = test_stack_config(StackKind::kBfsDR);
+  cfg.fs.journal_blocks = 32;  // the create's copies fall due quickly
+  StackFixture x(StackKind::kBfsDR, &cfg);
   Journal& j = x.fs().journal();
   Inode* f = nullptr;
   std::uint64_t t = 0;
@@ -338,6 +341,14 @@ TEST(BarrierFsTest, SkippedHomeHoldsTheTailUntilAFlushAfterItsCover) {
     co_await x.fs().create("a", f, 32);
     co_await x.fs().write(*f, 0, 4);
     co_await x.fs().sync(*f, Syscall::kFsync);
+    // Rewrites until the tail has passed the create's transaction: its
+    // directory copy falls due and a later fsync's flush makes it durable.
+    const std::uint64_t created = f->txn_id;
+    for (int i = 0; i < 50 && j.sb_tail_txn() <= created; ++i) {
+      co_await x.sim().delay(5_ms);  // new tick: the write dirties the inode
+      co_await x.fs().write(*f, 0, 1);
+      co_await x.fs().sync(*f, Syscall::kFsync);
+    }
     co_await x.sim().delay(5_ms);
     co_await x.fs().write(*f, 4, 1);  // i_size 5
     t = f->txn_id;
@@ -349,6 +360,10 @@ TEST(BarrierFsTest, SkippedHomeHoldsTheTailUntilAFlushAfterItsCover) {
     co_await x.fs().write(*f, 5, 1);  // T holds the block: conflict list
     r = f->txn_id;
     while (!acked) co_await x.sim().delay(1_us);
+    // T's retire dropped the pending copy of the rewrite before it, whose
+    // span now waits for a flush after T's retire: this one, so the tail
+    // can reach T.
+    co_await x.stack->blk().flush_and_wait();
     co_await x.fs().sync(*f, Syscall::kFdatabarrier);  // commits R
     while (!j.is_retired(r)) co_await x.sim().delay(1_us);
     // Nothing is dirty: an empty commit, whose reservation moves the tail
@@ -369,12 +384,13 @@ TEST(BarrierFsTest, SkippedHomeHoldsTheTailUntilAFlushAfterItsCover) {
 
   ASSERT_TRUE(acked);
   ASSERT_GT(r, t);
-  const Txn& skipper = *j.find_txn(t);
+  const Txn& older = *j.find_txn(t);
   const Txn& cover = *j.find_txn(r);
-  EXPECT_EQ(j.stats().checkpoint_skips, 1u);
-  EXPECT_EQ(skipper.covering_txn, r);
-  EXPECT_TRUE(skipper.checkpoint_blocks.empty())
+  EXPECT_EQ(older.covering_txn, r);
+  EXPECT_EQ(older.pending_homes, 0u);
+  EXPECT_TRUE(older.checkpoint_blocks.empty())
       << "T copied nothing in place: only the release rule holds its span";
+  EXPECT_EQ(j.stats().journal_stalls, 0u) << "a stall would have flushed";
   EXPECT_LE(horizon_at_cut, cover.retire_flush_stamp)
       << "no flush completed after R retired";
   EXPECT_EQ(tail_at_cut, t) << "the tail reaches T but may not pass it";
@@ -465,14 +481,11 @@ TEST(JournalTest, FullRunningTxnCommitsBeforeABufferJoins) {
   }
 }
 
-TEST(JournalTest, StalledSpanCopiesItsSkippedHomes) {
-  // The same creates in a 10-block journal. On BarrierFS a create dirties
-  // the directory shard the committing transaction holds, so that
-  // transaction skips the shard's in-place copy, and its span stays live
-  // until the covering transaction retires. That transaction needs the
-  // very space to commit: the stalled reservation must copy the skipped
-  // home in place instead of waiting. EXT4 and OptFS block the writer
-  // until retire, so they never skip.
+TEST(JournalTest, StalledSpanCopiesItsPendingHomes) {
+  // The same creates in a 10-block journal: no copy falls due before the
+  // head needs its span. The stalled reservation must issue the front
+  // span's pending copies at once and flush, not wait: on BarrierFS the
+  // transaction that would drop them may need the very space to commit.
   for (StackKind kind :
        {StackKind::kExt4DR, StackKind::kBfsDR, StackKind::kOptFs}) {
     core::StackConfig cfg = test_stack_config(kind);
@@ -488,21 +501,104 @@ TEST(JournalTest, StalledSpanCopiesItsSkippedHomes) {
       done = true;
     };
     x.sim().spawn("t", body());
-    // Bounded: a reservation that only flushes while the covering
-    // transaction waits for its space would spin forever.
+    // Bounded: a reservation that only waits for the front span's copies
+    // to fall due would wait forever.
     x.sim().run_until(100_ms);
     const Journal::Stats& s = journal.stats();
     const std::string k = core::to_string(kind);
     EXPECT_TRUE(done) << k;
     EXPECT_GE(s.commits, 2u) << k;
-    if (kind == StackKind::kBfsDR) {
-      EXPECT_GT(s.checkpoint_skips, 0u);
-      EXPECT_GT(s.journal_stalls, 0u);
-    } else {
-      EXPECT_EQ(s.checkpoint_skips, 0u) << k;
-    }
+    EXPECT_GT(s.journal_stalls, 0u) << k;
+    EXPECT_GT(s.checkpoint_writes, 0u) << k;
+    EXPECT_GT(s.checkpoint_flushes, 0u) << k;
   }
 }
+
+class LazyCheckpointTest : public testing::TestWithParam<StackKind> {};
+
+TEST_P(LazyCheckpointTest, NewerCommitDropsTheCopyAndTheRestFallsDueAtHalfALap) {
+  // T1 creates "a": the directory shard and the inode block. Each later
+  // fsync journals the inode block alone, so its retire drops the previous
+  // transaction's pending copy of it: the inode block gets no copy at all.
+  // The shard's copy, which nothing drops, is issued exactly once, at the
+  // first retire that finds T1's JC max_txn_payload() blocks behind the
+  // head.
+  const StackKind kind = GetParam();
+  core::StackConfig cfg = test_stack_config(kind);
+  cfg.fs.journal_blocks = 32;
+  StackFixture x(kind, &cfg);
+  Journal& j = x.fs().journal();
+  const std::size_t due = j.max_txn_payload();
+  Inode* f = nullptr;
+  std::uint64_t t1 = 0;
+  std::vector<flash::Lba> homes;  // T1's: the shard, then the inode block
+  std::vector<std::uint64_t> rewrites;
+  // Blocks reserved after T1's JC, and the checkpoint writes, once each
+  // rewrite's fsync returned.
+  std::vector<std::size_t> behind;
+  std::vector<std::uint64_t> writes;
+  auto body = [&]() -> Task {
+    co_await x.fs().create("a", f, 32);
+    co_await x.fs().write(*f, 0, 1);
+    co_await x.fs().sync(*f, Syscall::kFsync);
+    t1 = f->txn_id;
+    homes.assign(j.find_txn(t1)->buffers.begin(),
+                 j.find_txn(t1)->buffers.end());
+    std::size_t blocks = 0;
+    for (int i = 0; i < 10; ++i) {
+      co_await x.sim().delay(5_ms);  // new tick: the write dirties the inode
+      co_await x.fs().write(*f, 0, 1);
+      co_await x.fs().sync(*f, Syscall::kFsync);
+      const Txn& txn = *j.find_txn(f->txn_id);
+      rewrites.push_back(txn.id);
+      blocks += txn.jd_blocks.size() + 1;
+      behind.push_back(blocks);
+      writes.push_back(j.stats().checkpoint_writes);
+    }
+  };
+  x.sim().spawn("t", body());
+  x.sim().run();
+
+  const std::string k = core::to_string(kind);
+  ASSERT_EQ(rewrites.size(), 10u) << k;
+  ASSERT_EQ(homes.size(), 2u) << k << ": the shard and the inode block";
+  const flash::Lba shard = homes[0];
+  const flash::Lba inode = homes[1];
+  // The inode block: every retire dropped the previous pending copy, so it
+  // was never written in place.
+  EXPECT_EQ(j.find_txn(t1)->covering_txn, rewrites.front()) << k;
+  for (std::size_t i = 0; i + 1 < rewrites.size(); ++i) {
+    const Txn& txn = *j.find_txn(rewrites[i]);
+    EXPECT_EQ(txn.covering_txn, rewrites[i + 1]) << k;
+    EXPECT_TRUE(txn.checkpoint_blocks.empty()) << k;
+  }
+  EXPECT_EQ(j.stats().checkpoint_drops, rewrites.size()) << k;
+  EXPECT_EQ(j.find_txn(rewrites.back())->pending_homes, 1u) << k;
+  const auto image = x.dev().durable_state();
+  EXPECT_FALSE(image.contains(inode)) << k;
+  // The shard: one copy, T1's, issued at the first retire half a journal
+  // on.
+  ASSERT_TRUE(image.contains(shard)) << k;
+  const Journal::CheckpointId* copy = j.find_checkpoint(image.at(shard));
+  ASSERT_NE(copy, nullptr) << k;
+  EXPECT_EQ(copy->home_lba, shard) << k;
+  EXPECT_EQ(copy->txn_id, t1) << k;
+  EXPECT_EQ(j.stats().checkpoint_writes, 1u) << k;
+  for (std::size_t i = 0; i < behind.size(); ++i)
+    EXPECT_EQ(writes[i], behind[i] >= due ? 1u : 0u)
+        << k << ": rewrite " << i << ", " << behind[i] << " blocks behind";
+  EXPECT_GE(behind.back(), due) << k << ": the copy never fell due";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Stacks, LazyCheckpointTest,
+    testing::Values(StackKind::kExt4DR, StackKind::kBfsDR),
+    [](const testing::TestParamInfo<StackKind>& info) {
+      std::string name = core::to_string(info.param);
+      for (auto& c : name)
+        if (c == '-') c = '_';
+      return name;
+    });
 
 TEST(JournalTest, EmptyCommitDelimitsEpoch) {
   StackFixture x(StackKind::kBfsDR);

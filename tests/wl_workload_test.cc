@@ -178,9 +178,20 @@ TEST(OltpTest, RunsTransactionsAcrossThreads) {
   EXPECT_GT(r.tx_per_sec, 0.0);
 }
 
-TEST(OltpTest, OptFsSuffersFromDataJournaling) {
+/// The overwrite-heavy OLTP run on EXT4-OD and on OptFS, both on a
+/// `journal_blocks` journal: (EXT4-OD tx/s, OptFS tx/s), and the OptFS
+/// journal it left.
+struct OltpPair {
+  double od_tx_per_sec = 0;
+  double opt_tx_per_sec = 0;
+  std::uint64_t journaled = 0;  // data blocks in OptFS's unreleased txns
+  std::uint64_t wraps = 0;
+};
+
+OltpPair run_oltp_pair(std::uint32_t journal_blocks) {
   auto cfg_od = small_config(StackKind::kExt4OD);
   auto cfg_opt = small_config(StackKind::kOptFs);
+  cfg_od.fs.journal_blocks = cfg_opt.fs.journal_blocks = journal_blocks;
   Stack ext4od(cfg_od);
   Stack optfs(cfg_opt);
   OltpParams p;
@@ -189,15 +200,35 @@ TEST(OltpTest, OptFsSuffersFromDataJournaling) {
   p.table_pages = 256;
   p.rows_pages_per_tx = 6;   // heavy overwrite traffic
   p.checkpoint_every = 2;    // frequent checkpoints -> data journaling
-  auto r_od = run_oltp_insert(ext4od, p, sim::Rng(13));
-  auto r_opt = run_oltp_insert(optfs, p, sim::Rng(13));
-  EXPECT_LT(r_opt.tx_per_sec, r_od.tx_per_sec)
-      << "selective data journaling should hurt OptFS on overwrites";
-  // And the journal really carried data blocks:
-  std::uint64_t journaled = 0;
+  OltpPair out;
+  out.od_tx_per_sec = run_oltp_insert(ext4od, p, sim::Rng(13)).tx_per_sec;
+  out.opt_tx_per_sec = run_oltp_insert(optfs, p, sim::Rng(13)).tx_per_sec;
   for (const fs::Txn* t : optfs.fs().journal().commit_order())
-    journaled += t->journaled_data.size();
-  EXPECT_GT(journaled, 0u);
+    out.journaled += t->journaled_data.size();
+  out.wraps = optfs.fs().journal().stats().journal_wraps;
+  return out;
+}
+
+TEST(OltpTest, OptFsSuffersFromDataJournaling) {
+  // Journaled data is copied in place only when the journal needs its
+  // space (lazy checkpointing), so data journaling's second write is paid
+  // by a run that wraps the journal: a 256-block one.
+  const OltpPair r = run_oltp_pair(256);
+  EXPECT_GT(r.wraps, 0u);
+  EXPECT_GT(r.journaled, 0u) << "the journal carried no data blocks";
+  EXPECT_LT(r.opt_tx_per_sec, r.od_tx_per_sec)
+      << "selective data journaling should hurt OptFS on overwrites";
+}
+
+TEST(OltpTest, OptFsDefersDataJournalingWithinALap) {
+  // The same run on small_config's 1024-block journal stays within one
+  // lap: OptFS journals its data, but no reservation needs the space, so
+  // none of it is copied in place before the run ends and OptFS outruns
+  // EXT4-OD here (1,846 against 997 tx/s; ROADMAP item 7 notes the
+  // deferred cost).
+  const OltpPair r = run_oltp_pair(1024);
+  EXPECT_EQ(r.wraps, 0u);
+  EXPECT_GT(r.journaled, 0u) << "the journal carried no data blocks";
 }
 
 TEST(FxmarkTest, ScalesWithCores) {

@@ -2,11 +2,18 @@
 """Bench-delta guard: fail CI when a perf scenario's host cost regresses.
 
 Compares perf_suite runs of a change against runs of its base commit made
-on the same machine in the same job, and flags any scenario whose ns/io
-regressed by more than 25%, or whose global allocations per op grew by
-more than 2% and by more than 0.05. It guards host cost only: perf_suite's
-simulated fields and its shape rules are pinned by the golden_perf_suite
-ctest (bench/expected/perf_suite.txt).
+on the same machine in the same job, and flags any scenario whose host
+ns/op regressed by more than 25%, or whose global allocations per op grew
+by more than 2% and by more than 0.05. It guards host cost only:
+perf_suite's simulated fields and its shape rules are pinned by the
+golden_perf_suite ctest (bench/expected/perf_suite.txt).
+
+A scenario's op count is its fixed work (syscalls, flowops, requests);
+its simulated IO count is an outcome of the stack. Host time per op is
+therefore the cost of the same work on both sides. Per IO it is not: a
+change that removes IOs (say, checkpoint copies) while making each op
+cheaper reads as a regression per IO, and one that adds IOs reads as a
+gain.
 
 Both sides run on the same runner, alternating base and change runs, so
 each scenario is compared with the base directly: no cross-scenario
@@ -34,7 +41,7 @@ import argparse
 import json
 import sys
 
-THRESHOLD = 1.25  # change/base ns/io ratio above which a scenario regressed
+THRESHOLD = 1.25  # change/base ns/op ratio above which a scenario regressed
 ALLOCS_RATIO = 1.02  # change/base allocs/op ratio ...
 ALLOCS_SLACK = 0.05  # ... and allocs/op difference above which both fail
 
@@ -55,7 +62,7 @@ def load_metric(path, key):
             for s in doc.get("scenarios", []) if s.get(key) is not None}
 
 
-def minima(paths, key="ns_per_io"):
+def minima(paths, key="ns_per_op"):
     """Per-scenario minimum of `key` over the runs in `paths`."""
     out = {}
     for path in paths:
@@ -84,7 +91,7 @@ def more_allocs(base_paths, change_paths):
 
 def main():
     parser = argparse.ArgumentParser(
-        description="Fail when a perf_suite scenario's ns/io or allocs/op "
+        description="Fail when a perf_suite scenario's ns/op or allocs/op "
                     "regresses against same-machine runs of the base commit.")
     parser.add_argument("--base", nargs="+", required=True,
                         metavar="JSON", help="perf_suite runs of the base")
@@ -101,10 +108,10 @@ def main():
         else:
             print(f"  new scenario (no base run): {name}")
     if not ratios:
-        print("bench_delta: no comparable ns/io scenarios", file=sys.stderr)
+        print("bench_delta: no comparable ns/op scenarios", file=sys.stderr)
         sys.exit(2)
 
-    print(f"bench_delta: {len(ratios)} scenarios, per-scenario min ns/io "
+    print(f"bench_delta: {len(ratios)} scenarios, per-scenario min ns/op "
           f"over {len(args.change)} change and {len(args.base)} base runs")
     regressed = []
     for name in sorted(ratios):
