@@ -36,21 +36,9 @@ Status Vfs::mount(std::string name, fs::Filesystem& filesystem,
   return {};
 }
 
-Status Vfs::remount(const std::string& name, fs::Filesystem& filesystem) {
-  Mount* m = find_mount(name);
-  if (m == nullptr) return fail(Errno::kNoEnt);
-  m->filesystem = &filesystem;
-  return {};
-}
-
 const Vfs::Stats* Vfs::stats_of(const std::string& name) const noexcept {
   const Mount* m = find_mount(name);
   return m == nullptr ? nullptr : &m->stats;
-}
-
-fs::Filesystem* Vfs::filesystem_of(const std::string& name) noexcept {
-  Mount* m = find_mount(name);
-  return m == nullptr ? nullptr : m->filesystem;
 }
 
 sim::Simulator& Vfs::simulator() noexcept {

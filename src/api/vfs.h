@@ -18,9 +18,7 @@
 // "/" component matches no mount fails with ENOENT; rename() across two
 // mounts fails with EXDEV — a file never silently migrates between
 // volumes. Each mount carries its own SyncPolicy row (per-volume
-// resolution) and its own Stats; remount() swaps a mount's filesystem for
-// new opens while descriptors opened earlier keep addressing the
-// filesystem they were opened on.
+// resolution) and its own Stats.
 //
 // Synchronization intents (order point vs durability point vs full sync)
 // are resolved through a pluggable SyncPolicy — by default the paper's
@@ -143,16 +141,10 @@ class Vfs {
   /// prefix. kExist if the name (or a second root) is already mounted.
   Status mount(std::string name, fs::Filesystem& filesystem,
                SyncPolicy policy);
-  /// Swaps the mount's filesystem: new opens resolve against `filesystem`,
-  /// while descriptors opened earlier keep addressing the filesystem they
-  /// were opened on (their vnodes pin it). kNoEnt for an unknown mount.
-  Status remount(const std::string& name, fs::Filesystem& filesystem);
   std::size_t mount_count() const noexcept { return mounts_.size(); }
   /// Per-mount statistics (namespace ops and errors attributed to the
   /// mount), or nullptr for an unknown mount name.
   const Stats* stats_of(const std::string& name) const noexcept;
-  /// The mount's current filesystem, or nullptr for an unknown name.
-  fs::Filesystem* filesystem_of(const std::string& name) noexcept;
 
   // ---- namespace ---------------------------------------------------------
 
@@ -211,9 +203,8 @@ class Vfs {
   Status set_policy(Fd fd, SyncPolicy policy);
   Result<SyncPolicy> policy_of(Fd fd) const;
 
-  /// The journal flavour behind the descriptor (the filesystem it was
-  /// opened on, not what a later remount swapped in) — the capability
-  /// lookup api::Ring's submit-time validation runs per sqe.
+  /// The journal flavour behind the descriptor — the capability lookup
+  /// api::Ring's submit-time validation runs per sqe.
   Result<fs::JournalKind> journal_kind(Fd fd) const;
 
   /// The inode number behind the descriptor (fstat's st_ino). Lets a
@@ -229,8 +220,8 @@ class Vfs {
   sim::Simulator& simulator() noexcept;
 
  private:
-  /// One mount-table row. `filesystem` is what new opens resolve against
-  /// (remount swaps it); vnodes capture the filesystem at open time.
+  /// One mount-table row: opens of its names resolve against
+  /// `filesystem`.
   struct Mount {
     std::string name;  // "" = root mount
     fs::Filesystem* filesystem = nullptr;
@@ -246,8 +237,7 @@ class Vfs {
   /// In-core open-file object: one per file with >= 1 open descriptor.
   struct Vnode {
     fs::Inode* inode = nullptr;
-    /// The filesystem the file was opened on — NOT mount->filesystem,
-    /// which remount() may have swapped since.
+    /// The filesystem the file lives on.
     fs::Filesystem* fs = nullptr;
     std::uint32_t refcount = 0;
     /// In-flight syscalls currently suspended against this vnode; blocks
@@ -291,8 +281,7 @@ class Vfs {
   FdEntry* entry(Fd fd);
   const FdEntry* entry(Fd fd) const;
   Mount* find_mount(std::string_view name) const noexcept;
-  /// `filesystem` is the one the caller resolved *before* any suspension —
-  /// not mount->filesystem, which a concurrent remount may have swapped.
+  /// The vnode of `inode`, which lives on `filesystem`; made on first open.
   Vnode& vnode_for(fs::Filesystem& filesystem, fs::Inode& inode);
   Fd alloc_fd(Vnode& vn, Mount& mount);
   /// Error funnel: ticks node-wide errors, and the mount's when known.

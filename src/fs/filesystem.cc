@@ -7,7 +7,6 @@
 
 #include "fs/barrierfs.h"
 #include "fs/jbd2.h"
-#include "fs/optfs.h"
 #include "fs/recovery.h"
 
 namespace bio::fs {
@@ -22,13 +21,11 @@ Filesystem::Filesystem(sim::Simulator& sim, blk::BlockLayer& blk,
       writeback_progress_(sim) {
   switch (cfg_.journal) {
     case JournalKind::kJbd2:
+    case JournalKind::kOptFs:
       journal_ = std::make_unique<Jbd2Journal>(sim_, blk_, cfg_, layout_);
       break;
     case JournalKind::kBarrierFs:
       journal_ = std::make_unique<BarrierFsJournal>(sim_, blk_, cfg_, layout_);
-      break;
-    case JournalKind::kOptFs:
-      journal_ = std::make_unique<OptFsJournal>(sim_, blk_, cfg_, layout_);
       break;
   }
   root_.ino = 0;

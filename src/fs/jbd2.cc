@@ -33,13 +33,17 @@ sim::Task Jbd2Journal::commit(std::uint64_t tid, WaitMode mode) {
     commit_pending_ = true;
     commit_wake_.notify_all();
   }
-  if (mode == WaitMode::kDurable)
+  // OptFS's osync semantics: both wait modes return at the retire, at
+  // transaction transfer (durability is always deferred).
+  if (mode == WaitMode::kDurable || (optfs_ && mode == WaitMode::kDispatched))
     co_await txn.durable.wait();
   else if (mode == WaitMode::kDispatched)
     co_await txn.dispatched.wait();
 }
 
 sim::Task Jbd2Journal::jbd_loop() {
+  // nobarrier and OptFS write JC plain: nothing is durable at retire.
+  const bool plain_jc = optfs_ || cfg_.nobarrier;
   for (;;) {
     while (!commit_pending_) co_await commit_wake_.wait();
     commit_pending_ = false;
@@ -47,20 +51,31 @@ sim::Task Jbd2Journal::jbd_loop() {
     committing_ = txn;
 
     // Ordered mode: every data block attached to this transaction must be
-    // transferred before the journal describes it.
+    // transferred before the journal describes it. OptFS freezes the
+    // transferred payload into the commit checksum's coverage; a write
+    // that failed for good is left out: its caller gets EIO, and a
+    // checksum over a block that never landed would discard this
+    // transaction and every later one at recovery, acked dsyncs included.
     for (const blk::RequestPtr& r : txn->data_reqs)
       co_await r->completion.wait();
+    if (optfs_)
+      for (const blk::RequestPtr& r : txn->data_reqs)
+        if (!r->failed())
+          txn->covered_data.insert(txn->covered_data.end(),
+                                   r->blocks.begin(), r->blocks.end());
     txn->data_reqs.clear();  // pooled requests must recycle
 
-    // JD: descriptor + one log block per buffer (+ journaled data).
+    // JD: descriptor + one log block per buffer (+ journaled data), a
+    // pooled request with no payload copy. OptFS's checksum covers JC too.
     co_await reserve_jd(*txn);
-    if (cfg_.journal_checksum)
+    if (optfs_ || cfg_.journal_checksum)
       co_await sim_.delay(kChecksumCpuPerBlock *
-                          static_cast<sim::SimTime>(txn->jd_blocks.size()));
-    {  // Wait-on-Transfer (pooled request; no payload copy)
-      blk::RequestPtr jd_req = blk_.pool().make_write(
-          std::span<const blk::Block>(txn->jd_blocks));
-      blk_.submit(jd_req);
+                          static_cast<sim::SimTime>(txn->jd_blocks.size() +
+                                                    (optfs_ ? 1 : 0)));
+    blk::RequestPtr jd_req = blk_.pool().make_write(
+        std::span<const blk::Block>(txn->jd_blocks));
+    blk_.submit(jd_req);
+    if (!optfs_) {  // Wait-on-Transfer; OptFS waits for JD and JC together
       co_await jd_req->completion.wait();
       if (jd_req->failed()) {
         // A failed journal write is fatal (errors=remount-ro): the txn
@@ -69,39 +84,33 @@ sim::Task Jbd2Journal::jbd_loop() {
         abort_journal(*txn);
         co_return;
       }
+      jd_req.reset();
     }
 
-    // JC. Default: FLUSH|FUA. Checksum: FUA then one flush. nobarrier:
-    // plain write, nothing durable.
+    // JC. Default: FLUSH|FUA. Checksum: FUA then one flush. nobarrier and
+    // OptFS: a plain write. OptFS holds it on the transaction until
+    // retire, EXT4 to the end of this commit.
     co_await reserve_jc(*txn);
     const blk::Block jc[1] = {txn->jc_block};
-    blk::RequestPtr jc_req;
-    if (cfg_.nobarrier) {
-      jc_req = blk_.pool().make_write(std::span<const blk::Block>(jc));
-      blk_.submit(jc_req);
-      co_await jc_req->completion.wait();
-      txn->flushed = false;
-    } else if (cfg_.journal_checksum) {
-      jc_req = blk_.pool().make_write(std::span<const blk::Block>(jc), false,
-                                      false, /*flush=*/false, /*fua=*/true);
-      blk_.submit(jc_req);
-      co_await jc_req->completion.wait();
-      if (!jc_req->failed()) co_await blk_.flush_and_wait();
-      txn->flushed = true;
-    } else {
-      jc_req = blk_.pool().make_write(std::span<const blk::Block>(jc), false,
-                                      false, /*flush=*/true, /*fua=*/true);
-      blk_.submit(jc_req);
-      co_await jc_req->completion.wait();
-      txn->flushed = true;
-    }
-    if (jc_req->failed()) {
-      // The commit record never landed: the transaction is not committed.
+    blk::RequestPtr ext4_jc;
+    blk::RequestPtr& jc_req = optfs_ ? txn->jc_req : ext4_jc;
+    jc_req = blk_.pool().make_write(
+        std::span<const blk::Block>(jc), false, false,
+        /*flush=*/!plain_jc && !cfg_.journal_checksum, /*fua=*/!plain_jc);
+    blk_.submit(jc_req);
+    if (optfs_) co_await jd_req->completion.wait();
+    co_await jc_req->completion.wait();
+    if (!plain_jc && cfg_.journal_checksum && !jc_req->failed())
+      co_await blk_.flush_and_wait();
+    if (jc_req->failed() || (jd_req != nullptr && jd_req->failed())) {
+      // The commit record (or OptFS's JD) never landed: the transaction is
+      // not committed, and the dead journal takes no further commits.
       committing_ = nullptr;
       abort_journal(*txn);
       co_return;
     }
     txn->dispatched.trigger();
+    txn->flushed = !plain_jc;
     committing_ = nullptr;
     retire(*txn);
   }

@@ -113,19 +113,10 @@ Txn* Journal::close_running() {
 bool Journal::checkpoint_durable(const Txn& txn) const {
   if (!txn.checkpoint_done) return false;
   if (!txn.journaled_data.empty() && !txn.data_checkpointed) return false;
-  const bool plp = blk_.device().profile().plp;
-  const std::uint64_t horizon = blk_.device().flush_horizon();
-  // The dropped homes live on only in the covering transaction's journal
-  // copies: it retired (its JD and JC transferred) when it dropped them,
-  // and a flush entered after that must have completed.
-  if (txn.covering_txn != 0 && !plp &&
-      horizon <= find_txn(txn.covering_txn)->retire_flush_stamp)
-    return false;
-  if (txn.checkpoint_blocks.empty() && txn.journaled_data.empty())
-    return true;  // nothing was copied in place
-  // A full flush whose entry sequence postdates the checkpoint completion
-  // snapshotted the cache after those writes transferred.
-  return plp || horizon > txn.checkpoint_flush_stamp;
+  // A full flush whose entry sequence postdates the stamp snapshotted the
+  // cache after the copies, or the dropper's journal records, transferred.
+  return !txn.flush_owed || blk_.device().profile().plp ||
+         blk_.device().flush_horizon() > txn.flush_stamp;
 }
 
 void Journal::advance_tail() {
@@ -188,7 +179,7 @@ void Journal::release(Txn& txn) {
     prev = v;
   }
   // The snapshots not moved into records are the dropped homes' (their
-  // covering transaction's supersede them) and already moved-from ones.
+  // droppers' journal copies supersede them) and already moved-from ones.
   for (auto& entry : txn.meta_snapshots) keep_dir_entries(entry.second);
   spare_block_sets_.push_back(txn.buffers.take_storage());
   keep_spare(spare_snapshots_, txn.meta_snapshots);
@@ -245,11 +236,9 @@ sim::Task Journal::force_tail_advance() {
     abort_journal(*live_spans_.front().txn);
     co_return;
   }
-  // The data copies postdate the recorded checkpoint stamp; require a flush
-  // entered after *their* completion before the space counts as durable.
-  for (Txn* txn : copied)
-    txn->checkpoint_flush_stamp = std::max(txn->checkpoint_flush_stamp,
-                                           blk_.device().flush_sequence());
+  // The data copies postdate the stamp; require a flush entered after
+  // *their* completion before the space counts as durable.
+  for (Txn* txn : copied) owe_flush(*txn);
   ++stats_.checkpoint_flushes;
   co_await blk_.flush_and_wait();
   advance_tail();
@@ -399,7 +388,7 @@ sim::Task Journal::checkpoint_tracker() {
     p.txn->checkpoint_done = true;
     // The stamp may postdate the actual completion (the tracker drains in
     // retire order) — only ever conservative for the durability proof.
-    p.txn->checkpoint_flush_stamp = blk_.device().flush_sequence();
+    owe_flush(*p.txn);
     keep_spare(spare_ckpt_reqs_, p.reqs);
     journal_space_.notify_all();
   }
@@ -472,16 +461,16 @@ void Journal::retire(Txn& txn) {
   // pool, not pinned while the span waits for its copies.
   txn.jd_req.reset();
   txn.jc_req.reset();
-  txn.retire_flush_stamp = blk_.device().flush_sequence();
-  commit_order_.push_back(&txn);
   // Every home becomes a pending copy of this transaction, dropping an
   // older transaction's pending copy of it: this commit journaled newer
-  // content, which its own copy will carry.
+  // content, which its own copy will carry. Until a flush that enters
+  // after this retire completes, this transaction's JD and JC may still
+  // sit in the device cache, and the older span must wait for it.
   for (flash::Lba block : txn.buffers) {
     std::uint64_t& owner = pending_ckpt_[home_index(block)];
     if (owner != 0) {
       Txn& older = *txns_[owner - 1];
-      older.covering_txn = txn.id;
+      owe_flush(older);
       ++stats_.checkpoint_drops;
       // A transaction with pending copies has issued none yet.
       if (--older.pending_homes == 0) older.checkpoint_done = true;
@@ -504,8 +493,8 @@ void Journal::abort_journal(Txn& txn) {
   if (aborted_) return;
   aborted_ = true;
   // Wake everyone. The failed txn stays kCommitting forever — it never
-  // enters commit_order_, so neither the live checkers nor recovery ever
-  // treat it as committed.
+  // retires, so neither the live checkers nor recovery ever treat it as
+  // committed.
   txn.dispatched.trigger();
   txn.durable.trigger();
   for (const std::unique_ptr<Txn>& t : txns_) {

@@ -1,5 +1,6 @@
-// Journaling core shared by the three journal implementations (JBD2,
-// BarrierFS dual-mode, OptFS).
+// Journaling core shared by the two journal classes: Jbd2Journal, the
+// single committer (EXT4's protocols and OptFS's), and BarrierFsJournal
+// (dual mode).
 //
 // A transaction collects dirty metadata blocks (and, in ordered mode, the
 // data requests that must reach the device before the journal description
@@ -26,8 +27,10 @@
 // buffer sits on its newest transaction's checkpoint list only). A copy
 // nobody drops is issued once its transaction's JC is max_txn_payload()
 // blocks behind the head, or at once when a reservation stalls on its
-// span. A span with dropped copies also waits for the newest dropper to
-// retire before a flush that has completed.
+// span. A span is released once a flush has completed that entered after
+// the last event that left its homes in the device cache: its copies
+// completing, or a retire dropping one (the dropper's journal copy is
+// then the home's only newer one).
 //
 // Every journal block carries a JournalRecord describing its content
 // (descriptor tag table / log copy / commit record), keyed by the block's
@@ -149,8 +152,8 @@ struct Txn {
   /// Journal records as written (for crash analysis).
   std::vector<std::pair<flash::Lba, flash::Version>> jd_blocks;
   std::pair<flash::Lba, flash::Version> jc_block{0, 0};
-  /// The in-flight JC request (BarrierFS flush thread waits on it); reset
-  /// at retire.
+  /// The in-flight JC request (BarrierFS's flush thread waits on it; OptFS
+  /// holds it until retire); reset at retire.
   blk::RequestPtr jc_req;
   /// The in-flight JD request (BarrierFS submits it without waiting; the
   /// flush thread later checks it for IO failure before retiring); reset
@@ -168,29 +171,25 @@ struct Txn {
   bool flushed = false;
 
   // ---- checkpoint lifetime (journal-space release gating) -----------------
-  // (The flags and the count come first: they fill the padding after
-  // `flushed`.)
+  // (The flags come first: they fill the padding after `flushed`.)
   /// Retired, no copy pending, and every issued copy has transferred.
   bool checkpoint_done = false;
   /// Journaled data has been copied in place (lazy, on space pressure).
   bool data_checkpointed = false;
+  /// The span's release waits for a flush above `flush_stamp`.
+  bool flush_owed = false;
   /// Homes whose in-place copy is pending: neither issued nor dropped.
   std::uint32_t pending_homes = 0;
   /// In-place metadata copies issued (due, or on a stall): (home lba,
   /// device version), in home order. Homes of `buffers` missing here were
   /// dropped.
   std::vector<std::pair<flash::Lba, flash::Version>> checkpoint_blocks;
-  /// Id of the newest transaction whose retire dropped one of this one's
-  /// pending copies (0 = none dropped). Its journal copies supersede the
-  /// dropped ones, so this span may be released only once that
-  /// transaction's records are durable (Journal::checkpoint_durable).
-  std::uint64_t covering_txn = 0;
-  /// Device flush sequence at retirement: a completed flush with a later
-  /// entry sequence made this transaction's JD and JC durable.
-  std::uint64_t retire_flush_stamp = 0;
-  /// Device flush sequence observed when the checkpoint writes completed;
-  /// a completed flush with a later entry sequence proves durability.
-  std::uint64_t checkpoint_flush_stamp = 0;
+  /// Device flush sequence that a completed flush's entry sequence must
+  /// exceed before this span's homes are durable (Journal::owe_flush):
+  /// raised when a retire drops one of its pending copies (the dropper's
+  /// JD and JC have transferred, and its journal copy may still sit in the
+  /// device cache) and when its in-place metadata or data copies complete.
+  std::uint64_t flush_stamp = 0;
 
   explicit Txn(sim::Simulator& sim, std::uint64_t txn_id)
       : id(txn_id), dispatched(sim), durable(sim) {}
@@ -294,15 +293,10 @@ class Journal {
 
   const Stats& stats() const noexcept { return stats_; }
 
-  /// Retired transactions in commit order with their journal records —
-  /// input for the crash-consistency checkers. Those behind sb_tail_txn()
-  /// are shells: their payload and block lists were released.
-  const std::vector<const Txn*>& commit_order() const noexcept {
-    return commit_order_;
-  }
-
   /// Any transaction by id (running, committing, retired or a released
-  /// shell); nullptr for an id never opened.
+  /// shell); nullptr for an id never opened. Transactions retire in id
+  /// order, and those behind sb_tail_txn() are shells: their payload and
+  /// block lists were released.
   const Txn* find_txn(std::uint64_t tid) const noexcept {
     return tid - 1 < txns_.size() ? txns_[tid - 1].get() : nullptr;  // 0 wraps
   }
@@ -379,8 +373,8 @@ class Journal {
     return static_cast<std::size_t>(block - layout_.inode_base());
   }
 
-  /// Marks the txn retired, fires its events and records commit order. Its
-  /// homes become pending copies, dropping older pending copies of them.
+  /// Marks the txn retired and fires its events. Its homes become pending
+  /// copies, dropping older pending copies of them.
   void retire(Txn& txn);
 
   /// Declares the journal dead after `txn`'s JD or JC write failed: wakes
@@ -404,7 +398,6 @@ class Journal {
   /// may still look them up.
   std::deque<std::unique_ptr<Txn>> txns_;
   Txn* running_ = nullptr;  // txns_.back()
-  std::vector<const Txn*> commit_order_;
   flash::Lba journal_head_ = 0;
   Stats stats_;
   bool started_ = false;
@@ -437,14 +430,18 @@ class Journal {
   sim::Task reserve_journal_blocks(Txn& txn, std::size_t n,
                                    std::vector<blk::Block>& out);
 
-  /// True once `txn`'s in-place copies are provably durable (checkpoint
-  /// writes completed + a later full flush, or a PLP device), and, when
-  /// copies were dropped, its covering transaction retired before a
-  /// completed flush (or on a PLP device). A transaction that copied
-  /// nothing in place but had copies dropped is not done: recovery reads
-  /// sb_tail_txn() the instant it moves, and only the covering journal
-  /// copies hold those homes.
+  /// True once `txn` retired with no copy pending, its journaled data (if
+  /// any) was copied in place, and any flush it owes has completed (or the
+  /// device has PLP). A transaction that copied nothing in place but had
+  /// copies dropped owes one: recovery reads sb_tail_txn() the instant it
+  /// moves, and only the dropper's journal copies hold those homes.
   bool checkpoint_durable(const Txn& txn) const;
+
+  /// Holds `txn`'s span until a flush that enters from now on completes.
+  void owe_flush(Txn& txn) const {
+    txn.flush_owed = true;
+    txn.flush_stamp = blk_.device().flush_sequence();  // never decreases
+  }
 
   /// Issues every pending copy of `txn` from its snapshots (jbd2's
   /// log_do_checkpoint) and queues them for checkpoint_tracker(), which

@@ -74,16 +74,6 @@ struct Ctx {
   std::vector<sim::Thread> chaos;
 };
 
-/// The policy row a file's intents resolve through: setup pins the dsync
-/// row on shared file 0 of OptFS volumes; every other file runs the
-/// stack's substitution-table row.
-api::SyncPolicy policy_of(const Ctx& ctx, const FileTrace& f) {
-  return (ctx.vol.kind() == core::StackKind::kOptFs && f.shared &&
-          &f == &ctx.trace.files.front())
-             ? api::SyncPolicy::optfs_dsync()
-             : api::SyncPolicy::for_stack(ctx.vol.kind());
-}
-
 /// A sync about to start on `f`: the snapshot of what it may promise.
 TraceSync begin_sync(ConcurrentTrace& trace, const FileTrace& f,
                      api::Syscall call, std::uint32_t writer) {
@@ -157,8 +147,9 @@ sim::Task do_sync(Ctx* ctx, FileTrace* f, api::Fd fd, SyncPick pick,
                   std::uint32_t writer) {
   TraceSync s = begin_sync(
       ctx->trace, *f,
-      pick.is_intent ? policy_of(*ctx, *f).resolve(pick.intent)
-                     : pick.direct,
+      pick.is_intent
+          ? api::must(ctx->vfs.policy_of(fd)).resolve(pick.intent)
+          : pick.direct,
       writer);
   const api::Status st = pick.is_intent
                             ? co_await ctx->vfs.sync(fd, pick.intent)

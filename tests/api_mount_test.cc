@@ -1,10 +1,9 @@
 // Tests for the api::Vfs mount table over a multi-volume core::Stack node:
 // path routing ("/v0/file" -> volume 0's namespace), unknown-prefix ENOENT,
-// cross-volume rename EXDEV, per-volume SyncPolicy resolution, per-volume
-// statistics isolation, and descriptors surviving another volume's remount.
+// cross-volume rename EXDEV, per-volume SyncPolicy resolution and per-volume
+// statistics isolation.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -271,77 +270,6 @@ TEST(MountTest, SameFilesystemUnderTwoMountsKeepsPerMountSemantics) {
   EXPECT_EQ(vfs.stats_of("relaxed")->opens, 1u);
   EXPECT_EQ(vfs.stats_of("relaxed")->closes, 1u)
       << "closes must land on the mount the fd was opened through";
-}
-
-// ---- remount ----------------------------------------------------------------
-
-TEST(MountTest, FdSurvivesAnotherVolumesRemount) {
-  NodeFixture x(kHetero);
-  Vfs vfs(*x.node);
-  File f0;
-  auto setup = [&]() -> Task {
-    f0 = must(co_await vfs.open("/v0/keep", {.create = true}));
-    must(co_await f0.pwrite(0, 2));
-    File f1 = must(co_await vfs.open("/v1/old", {.create = true}));
-    must(f1.close());
-  };
-  x.sim().spawn("setup", setup());
-  x.sim().run();
-
-  // Remount volume 1 with a fresh filesystem over the same block layer.
-  auto fresh = std::make_unique<fs::Filesystem>(
-      x.sim(), x.vol(1).blk(), x.vol(1).config().fs);
-  fresh->start();
-  must(vfs.remount("v1", *fresh));
-  EXPECT_EQ(vfs.remount("ghost", *fresh).error(), Errno::kNoEnt);
-
-  auto after = [&]() -> Task {
-    // The fd opened on volume 0 is untouched by volume 1's remount.
-    must(co_await f0.pwrite(2, 1));
-    must(co_await f0.fsync());
-    EXPECT_EQ(must(f0.size_blocks()), 3u);
-    // New opens on v1 resolve against the fresh filesystem: the old
-    // namespace is gone.
-    EXPECT_EQ((co_await vfs.open("/v1/old")).error(), Errno::kNoEnt);
-    File n = must(co_await vfs.open("/v1/new", {.create = true}));
-    must(co_await n.pwrite(0, 1));
-    must(n.close());
-    must(f0.close());
-  };
-  x.sim().spawn("after", after());
-  x.sim().run();
-  EXPECT_NE(fresh->lookup("new"), nullptr);
-  EXPECT_EQ(x.fs(0).lookup("keep")->size_blocks, 3u);
-}
-
-TEST(MountTest, FdOpenedBeforeRemountKeepsItsFilesystem) {
-  NodeFixture x(kHetero);
-  Vfs vfs(*x.node);
-  File old_fd;
-  auto setup = [&]() -> Task {
-    old_fd = must(co_await vfs.open("/v1/file", {.create = true}));
-    must(co_await old_fd.pwrite(0, 1));
-  };
-  x.sim().spawn("setup", setup());
-  x.sim().run();
-  const std::uint64_t old_writes = x.fs(1).stats().writes;
-
-  auto fresh = std::make_unique<fs::Filesystem>(
-      x.sim(), x.vol(1).blk(), x.vol(1).config().fs);
-  fresh->start();
-  must(vfs.remount("v1", *fresh));
-  EXPECT_EQ(vfs.filesystem_of("v1"), fresh.get());
-
-  auto after = [&]() -> Task {
-    // The pre-remount descriptor keeps writing to the filesystem it was
-    // opened on — not to the fresh one.
-    must(co_await old_fd.pwrite(1, 1));
-    must(old_fd.close());
-  };
-  x.sim().spawn("after", after());
-  x.sim().run();
-  EXPECT_GT(x.fs(1).stats().writes, old_writes);
-  EXPECT_EQ(fresh->stats().writes, 0u);
 }
 
 }  // namespace

@@ -387,11 +387,12 @@ TEST_P(JournalCrashTest, CommittedTransactionsFormAPrefix) {
   // trails its retire by at least a checkpoint write and a flush, far more
   // than one step.
   const sim::SimTime crash_at = rng.uniform(1'000, 200'000) * 1_us;
-  const auto& order = x.fs().journal().commit_order();
+  std::vector<const fs::Txn*> order;
   std::vector<std::vector<std::pair<Lba, Version>>> jd_of;
   for (sim::SimTime t = 0; t < crash_at;) {
     t = std::min(t + 50_us, crash_at);
     x.sim().run_until(t);
+    order = fs::testutil::retired_txns(x.fs().journal());
     for (std::size_t i = jd_of.size(); i < order.size(); ++i) {
       ASSERT_FALSE(order[i]->jd_blocks.empty())
           << "txn " << order[i]->id << " released before it was recorded";

@@ -15,6 +15,7 @@ namespace {
 using namespace bio::sim::literals;
 using core::StackKind;
 using sim::Task;
+using testutil::retired_txns;
 using testutil::StackFixture;
 using testutil::test_stack_config;
 
@@ -30,8 +31,8 @@ TEST(Jbd2Test, CommitWritesJdAndJc) {
   x.sim().run();
   const Journal& j = x.fs().journal();
   EXPECT_EQ(j.stats().commits, 1u);
-  ASSERT_EQ(j.commit_order().size(), 1u);
-  const Txn* txn = j.commit_order()[0];
+  ASSERT_EQ(retired_txns(j).size(), 1u);
+  const Txn* txn = retired_txns(j)[0];
   // Buffers: root dir block + inode block.
   EXPECT_EQ(txn->buffers.size(), 2u);
   EXPECT_EQ(txn->jd_blocks.size(), 3u) << "descriptor + 2 log blocks";
@@ -49,7 +50,7 @@ TEST(Jbd2Test, JournalRecordsLandInJournalRegion) {
   };
   x.sim().spawn("t", body());
   x.sim().run();
-  const Txn* txn = x.fs().journal().commit_order()[0];
+  const Txn* txn = retired_txns(x.fs().journal())[0];
   const Layout& lo = x.fs().layout();
   for (const auto& [lba, ver] : txn->jd_blocks) {
     EXPECT_GE(lba, lo.journal_base());
@@ -77,21 +78,6 @@ TEST(Jbd2Test, GroupCommitBatchesConcurrentFsyncs) {
   EXPECT_LE(x.fs().journal().stats().commits, 2u);
 }
 
-TEST(Jbd2Test, NobarrierCommitIsNotDurable) {
-  StackFixture x(StackKind::kExt4OD);
-  auto body = [&]() -> Task {
-    Inode* f = nullptr;
-    co_await x.fs().create("a", f);
-    co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().sync(*f, Syscall::kFsync);
-    // Commit retired at transfer; JC may still be in the writeback cache.
-    const Txn* txn = x.fs().journal().commit_order()[0];
-    EXPECT_FALSE(txn->flushed);
-  };
-  x.sim().spawn("t", body());
-  x.sim().run();
-}
-
 TEST(Jbd2Test, SecondFsyncWithoutChangesJustFlushes) {
   StackFixture x(StackKind::kExt4DR);
   auto body = [&]() -> Task {
@@ -106,6 +92,87 @@ TEST(Jbd2Test, SecondFsyncWithoutChangesJustFlushes) {
   };
   x.sim().spawn("t", body());
   x.sim().run();
+}
+
+// ---- one commit per single-committer protocol --------------------------
+
+/// What one commit of a create's transaction does: the device flush
+/// entries it adds, the retired transaction's `flushed`, and the device
+/// write commands the run made, whose only writes are that commit's JD and
+/// JC.
+struct OneCommit {
+  std::uint64_t flush_entries = 0;
+  bool flushed = false;
+  std::uint64_t device_writes = 0;
+  std::uint64_t blocks_written = 0;
+  std::size_t journal_blocks = 0;  // JD + JC
+};
+
+OneCommit run_one_commit(core::StackConfig cfg) {
+  StackFixture x(cfg.kind, &cfg);
+  Journal& j = x.fs().journal();
+  OneCommit out;
+  Inode* f = nullptr;
+  auto body = [&]() -> Task {
+    co_await x.fs().create("a", f);
+    const std::uint64_t entries = x.dev().flush_sequence();
+    co_await j.commit(f->txn_id, Journal::WaitMode::kDurable);
+    out.flush_entries = x.dev().flush_sequence() - entries;
+  };
+  x.sim().spawn("t", body());
+  x.sim().run();
+  EXPECT_EQ(j.stats().commits, 1u);
+  EXPECT_TRUE(j.is_retired(f->txn_id));
+  const Txn& txn = *j.find_txn(f->txn_id);
+  out.flushed = txn.flushed;
+  out.device_writes = x.dev().stats().writes;
+  out.blocks_written = x.dev().stats().blocks_written;
+  out.journal_blocks = txn.jd_blocks.size() + 1;
+  return out;
+}
+
+TEST(Jbd2Test, DefaultCommitFlushesOnceThroughItsJc) {
+  // JD, wait for its transfer, then JC with FLUSH|FUA: the JC's pre-flush
+  // is the commit's one flush entry.
+  const OneCommit c = run_one_commit(test_stack_config(StackKind::kExt4DR));
+  EXPECT_EQ(c.flush_entries, 1u);
+  EXPECT_TRUE(c.flushed);
+  EXPECT_EQ(c.device_writes, 2u) << "Wait-on-Transfer: JD, then JC";
+}
+
+TEST(Jbd2Test, NobarrierCommitAddsNoFlush) {
+  // EXT4-OD: JC is a plain write; the commit retires at its transfer, and
+  // JC may still sit in the device cache.
+  const OneCommit c = run_one_commit(test_stack_config(StackKind::kExt4OD));
+  EXPECT_EQ(c.flush_entries, 0u);
+  EXPECT_FALSE(c.flushed);
+  EXPECT_EQ(c.device_writes, 2u) << "Wait-on-Transfer: JD, then JC";
+}
+
+TEST(Jbd2Test, ChecksumCommitWritesAFuaJcThenFlushes) {
+  // The mobile EXT4 setup (journal_checksum): JC is FUA-only, then one
+  // flush. UFS emulates FUA as write + flush, so the JC adds one flush
+  // entry and the trailing flush the other.
+  const core::StackConfig cfg =
+      core::StackConfig::make(StackKind::kExt4DR, flash::DeviceProfile::ufs());
+  ASSERT_TRUE(cfg.fs.journal_checksum);
+  ASSERT_TRUE(cfg.device.fua_implies_flush);
+  const OneCommit c = run_one_commit(cfg);
+  EXPECT_EQ(c.flush_entries, 2u);
+  EXPECT_TRUE(c.flushed);
+  EXPECT_EQ(c.device_writes, 2u) << "Wait-on-Transfer: JD, then JC";
+}
+
+TEST(Jbd2Test, OptFsCommitDispatchesJdAndJcTogetherWithoutAFlush) {
+  // OptFS: checksummed JD and JC go out back-to-back and are waited
+  // together; nothing is flushed. JC is submitted before JD is
+  // dispatched, so the elevator merges the two adjacent records: both are
+  // in the device, in one command, before either completes.
+  const OneCommit c = run_one_commit(test_stack_config(StackKind::kOptFs));
+  EXPECT_EQ(c.flush_entries, 0u);
+  EXPECT_FALSE(c.flushed);
+  EXPECT_EQ(c.device_writes, 1u);
+  EXPECT_EQ(c.blocks_written, c.journal_blocks);
 }
 
 TEST(Jbd2Test, PageConflictBlocksApplication) {
@@ -309,7 +376,7 @@ TEST(BarrierFsTest, ConflictGatesNextCommitUntilResolved) {
   };
   x.sim().spawn("t", body());
   x.sim().run();
-  const auto& order = x.fs().journal().commit_order();
+  const auto order = retired_txns(x.fs().journal());
   ASSERT_GE(order.size(), 2u);
   // The conflicted buffer must appear in the later transaction too.
   EXPECT_FALSE(order.back()->buffers.empty());
@@ -337,6 +404,9 @@ TEST(BarrierFsTest, DroppedCopyHoldsTheTailUntilAFlushAfterItsCover) {
   std::unordered_map<flash::Lba, flash::Version> image;
   std::uint64_t tail_at_cut = 0;
   std::uint64_t horizon_at_cut = 0;
+  // The device's flush sequence when R retires: nothing flushes between
+  // the racer's flush and R's fdatabarrier commit.
+  std::uint64_t seq_at_r = 0;
   auto appender = [&]() -> Task {
     co_await x.fs().create("a", f, 32);
     co_await x.fs().write(*f, 0, 4);
@@ -364,6 +434,7 @@ TEST(BarrierFsTest, DroppedCopyHoldsTheTailUntilAFlushAfterItsCover) {
     // span now waits for a flush after T's retire: this one, so the tail
     // can reach T.
     co_await x.stack->blk().flush_and_wait();
+    seq_at_r = x.dev().flush_sequence();
     co_await x.fs().sync(*f, Syscall::kFdatabarrier);  // commits R
     while (!j.is_retired(r)) co_await x.sim().delay(1_us);
     // Nothing is dirty: an empty commit, whose reservation moves the tail
@@ -386,12 +457,14 @@ TEST(BarrierFsTest, DroppedCopyHoldsTheTailUntilAFlushAfterItsCover) {
   ASSERT_GT(r, t);
   const Txn& older = *j.find_txn(t);
   const Txn& cover = *j.find_txn(r);
-  EXPECT_EQ(older.covering_txn, r);
+  EXPECT_TRUE(older.flush_owed);
+  EXPECT_EQ(older.flush_stamp, seq_at_r)
+      << "R's retire, which dropped T's copy, set T's stamp";
   EXPECT_EQ(older.pending_homes, 0u);
   EXPECT_TRUE(older.checkpoint_blocks.empty())
       << "T copied nothing in place: only the release rule holds its span";
   EXPECT_EQ(j.stats().journal_stalls, 0u) << "a stall would have flushed";
-  EXPECT_LE(horizon_at_cut, cover.retire_flush_stamp)
+  EXPECT_LE(horizon_at_cut, older.flush_stamp)
       << "no flush completed after R retired";
   EXPECT_EQ(tail_at_cut, t) << "the tail reaches T but may not pass it";
   const auto jc = image.find(cover.jc_block.first);
@@ -406,7 +479,7 @@ TEST(BarrierFsTest, DroppedCopyHoldsTheTailUntilAFlushAfterItsCover) {
   EXPECT_GE(report.files.front().size_blocks, 5u);
 
   // Only a flush after R's retire lets a later reservation release T.
-  EXPECT_LE(x.dev().flush_horizon(), cover.retire_flush_stamp);
+  EXPECT_LE(x.dev().flush_horizon(), older.flush_stamp);
   EXPECT_EQ(j.sb_tail_txn(), t);
   auto flusher = [&]() -> Task {
     co_await x.fs().sync(*f, Syscall::kFsync);  // nothing dirty: a flush
@@ -414,7 +487,7 @@ TEST(BarrierFsTest, DroppedCopyHoldsTheTailUntilAFlushAfterItsCover) {
   };
   x.sim().spawn("flusher", flusher());
   x.sim().run();
-  EXPECT_GT(x.dev().flush_horizon(), cover.retire_flush_stamp);
+  EXPECT_GT(x.dev().flush_horizon(), older.flush_stamp);
   EXPECT_GT(j.sb_tail_txn(), t);
 }
 
@@ -444,7 +517,7 @@ TEST(OptFsTest, SelectiveDataJournalingJournalsOverwrites) {
   };
   x.sim().spawn("t", body());
   x.sim().run();
-  const auto& order = x.fs().journal().commit_order();
+  const auto order = retired_txns(x.fs().journal());
   ASSERT_GE(order.size(), 2u);
   EXPECT_EQ(order[0]->journaled_data.size(), 0u);
   EXPECT_EQ(order.back()->journaled_data.size(), 4u)
@@ -533,10 +606,11 @@ TEST_P(LazyCheckpointTest, NewerCommitDropsTheCopyAndTheRestFallsDueAtHalfALap) 
   std::uint64_t t1 = 0;
   std::vector<flash::Lba> homes;  // T1's: the shard, then the inode block
   std::vector<std::uint64_t> rewrites;
-  // Blocks reserved after T1's JC, and the checkpoint writes, once each
-  // rewrite's fsync returned.
+  // Blocks reserved after T1's JC, the checkpoint writes and the device's
+  // flush sequence, once each rewrite's fsync returned.
   std::vector<std::size_t> behind;
   std::vector<std::uint64_t> writes;
+  std::vector<std::uint64_t> flush_seq;
   auto body = [&]() -> Task {
     co_await x.fs().create("a", f, 32);
     co_await x.fs().write(*f, 0, 1);
@@ -554,6 +628,7 @@ TEST_P(LazyCheckpointTest, NewerCommitDropsTheCopyAndTheRestFallsDueAtHalfALap) 
       blocks += txn.jd_blocks.size() + 1;
       behind.push_back(blocks);
       writes.push_back(j.stats().checkpoint_writes);
+      flush_seq.push_back(x.dev().flush_sequence());
     }
   };
   x.sim().spawn("t", body());
@@ -565,11 +640,17 @@ TEST_P(LazyCheckpointTest, NewerCommitDropsTheCopyAndTheRestFallsDueAtHalfALap) 
   const flash::Lba shard = homes[0];
   const flash::Lba inode = homes[1];
   // The inode block: every retire dropped the previous pending copy, so it
-  // was never written in place.
-  EXPECT_EQ(j.find_txn(t1)->covering_txn, rewrites.front()) << k;
+  // was never written in place. A drop owes the older span a flush after
+  // the dropper's retire, and each rewrite's fsync flushes before its
+  // retire: rewrite i's stamp comes from rewrite i + 1's retire.
+  EXPECT_TRUE(j.find_txn(t1)->flush_owed) << k;
+  EXPECT_EQ(j.find_txn(t1)->pending_homes, 0u) << k;
   for (std::size_t i = 0; i + 1 < rewrites.size(); ++i) {
     const Txn& txn = *j.find_txn(rewrites[i]);
-    EXPECT_EQ(txn.covering_txn, rewrites[i + 1]) << k;
+    EXPECT_TRUE(txn.flush_owed) << k;
+    EXPECT_GT(txn.flush_stamp, flush_seq[i]) << k << ": rewrite " << i;
+    EXPECT_LE(txn.flush_stamp, flush_seq[i + 1]) << k << ": rewrite " << i;
+    EXPECT_EQ(txn.pending_homes, 0u) << k;
     EXPECT_TRUE(txn.checkpoint_blocks.empty()) << k;
   }
   EXPECT_EQ(j.stats().checkpoint_drops, rewrites.size()) << k;

@@ -41,6 +41,16 @@ struct StackFixture {
   flash::StorageDevice& dev() { return stack->device(); }
 };
 
+/// The journal's retired transactions in commit order: transactions retire
+/// in id order, so these are the ids from 1 up to the first one that has
+/// not retired.
+inline std::vector<const Txn*> retired_txns(const Journal& journal) {
+  std::vector<const Txn*> out;
+  for (std::uint64_t id = 1; journal.is_retired(id); ++id)
+    out.push_back(journal.find_txn(id));
+  return out;
+}
+
 /// NodeConfig with one test-sized volume per kind, named "v0", "v1", ...
 inline core::NodeConfig test_node_config(
     const std::vector<core::StackKind>& kinds) {

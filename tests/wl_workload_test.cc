@@ -203,7 +203,7 @@ OltpPair run_oltp_pair(std::uint32_t journal_blocks) {
   OltpPair out;
   out.od_tx_per_sec = run_oltp_insert(ext4od, p, sim::Rng(13)).tx_per_sec;
   out.opt_tx_per_sec = run_oltp_insert(optfs, p, sim::Rng(13)).tx_per_sec;
-  for (const fs::Txn* t : optfs.fs().journal().commit_order())
+  for (const fs::Txn* t : fs::testutil::retired_txns(optfs.fs().journal()))
     out.journaled += t->journaled_data.size();
   out.wraps = optfs.fs().journal().stats().journal_wraps;
   return out;
