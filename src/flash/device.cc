@@ -264,15 +264,16 @@ sim::Task StorageDevice::handle_flush(Port& port, SlotIter it) {
 sim::Task StorageDevice::do_flush() {
   const std::uint64_t seq = ++flush_entries_;
   co_await sim_.delay(profile_.flush_overhead);
+  // The snapshot: every entry transferred so far.
+  const std::uint64_t through = cache_.next_order();
   if (profile_.plp) {
     // Power-safe cache: a flush only acknowledges.
     co_await sim_.delay(profile_.plp_flush_latency);
-    flush_horizon_ = std::max(flush_horizon_, seq);
-    co_return;
+  } else {
+    while (!cache_.drained_through(through)) co_await cache_.drained().wait();
   }
-  const std::uint64_t through = cache_.next_order();
-  while (!cache_.drained_through(through)) co_await cache_.drained().wait();
   flush_horizon_ = std::max(flush_horizon_, seq);
+  flushed_through_ = std::max(flushed_through_, through);
 }
 
 bool StorageDevice::persisted_through(std::uint64_t through) const noexcept {

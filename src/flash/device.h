@@ -172,6 +172,12 @@ class StorageDevice {
   std::uint64_t flush_sequence() const noexcept { return flush_entries_; }
   /// Highest entry sequence among *completed* flushes (0 = none yet).
   std::uint64_t flush_horizon() const noexcept { return flush_horizon_; }
+  /// Cache order that completed flushes covered: every entry with a lower
+  /// order had transferred when one of them took its snapshot, and was
+  /// durable when it completed (0 = none yet). Unlike persisted_through(),
+  /// it answers "did a flush cover this?" on a PLP cache too, where the
+  /// snapshot is the next_order() at that instant.
+  std::uint64_t flushed_through() const noexcept { return flushed_through_; }
 
   /// Records every block transferred from now on, in arrival order with
   /// its epoch tag, into `recorder` (invariant checks and debug dumps; the
@@ -271,6 +277,7 @@ class StorageDevice {
   // Flush-horizon counters (see accessors above).
   std::uint64_t flush_entries_ = 0;
   std::uint64_t flush_horizon_ = 0;
+  std::uint64_t flushed_through_ = 0;
 
   Stats stats_;
   bool started_ = false;

@@ -11,6 +11,7 @@ SegmentLog::SegmentLog(sim::Simulator& sim, NandArray& nand)
       geom_(nand.geometry()),
       space_freed_(sim),
       gc_wake_(sim),
+      gc_inflight_(sim, kGcInflight),
       erase_done_(sim) {
   segments_.resize(geom_.segments());
   for (auto& seg : segments_)
@@ -199,32 +200,31 @@ sim::Task SegmentLog::gc_loop() {
 
     ++gc_.runs;
     // Relocate valid pages (bounded concurrency), then erase the segment.
-    sim::Semaphore inflight(sim_, kGcInflight);
-    std::vector<sim::Thread> workers;
     const std::uint64_t base =
         static_cast<std::uint64_t>(victim) * geom_.pages_per_segment();
     for (std::uint32_t off = 0; off < geom_.pages_per_segment(); ++off) {
       if (!segments_[victim].slots[off].valid) continue;
       // iolint: detached-owner(the join loop below waits every worker
-      // before the semaphore and segment state go away)
-      sim::Thread w = sim_.spawn("gc", relocate_slot(base + off, inflight));
+      // before the victim segment is reused)
+      sim::Thread w = sim_.spawn("gc", relocate_slot(base + off));
       w->wake_latency = 0;
-      workers.push_back(std::move(w));
+      gc_workers_.push_back(std::move(w));
     }
-    for (const sim::Thread& w : workers) co_await sim_.join(w);
+    for (const sim::Thread& w : gc_workers_) co_await sim_.join(w);
+    gc_workers_.clear();
     BIO_CHECK_MSG(segments_[victim].valid_count == 0,
                   "GC victim still has valid pages after relocation");
 
     // Erase the victim's block on every chip, in parallel. The controller
     // is busy during the erase burst: host commands stall (tail source).
     erasing_ = true;
-    std::vector<sim::Thread> erasers;
     for (std::uint32_t c = 0; c < nand_.chip_count(); ++c) {
       sim::Thread w = sim_.spawn("gc:erase", nand_.erase(c));
       w->wake_latency = 0;
-      erasers.push_back(std::move(w));
+      gc_erasers_.push_back(std::move(w));
     }
-    for (const sim::Thread& w : erasers) co_await sim_.join(w);
+    for (const sim::Thread& w : gc_erasers_) co_await sim_.join(w);
+    gc_erasers_.clear();
 
     erasing_ = false;
     erase_done_.notify_all();
@@ -239,9 +239,8 @@ sim::Task SegmentLog::gc_loop() {
   }
 }
 
-sim::Task SegmentLog::relocate_slot(SlotId victim_slot,
-                                    sim::Semaphore& inflight) {
-  co_await inflight.acquire();
+sim::Task SegmentLog::relocate_slot(SlotId victim_slot) {
+  co_await gc_inflight_.acquire();
   const Lba lba =
       segments_[victim_slot / geom_.pages_per_segment()]
           .slots[victim_slot % geom_.pages_per_segment()]
@@ -249,7 +248,7 @@ sim::Task SegmentLog::relocate_slot(SlotId victim_slot,
   const LbaState* st = lbas_.find(lba);
   if (st == nullptr || !st->has_mapping || st->slot != victim_slot) {
     // Overwritten while GC was scanning: nothing to move.
-    inflight.release();
+    gc_inflight_.release();
     co_return;
   }
   // Synchronous slot assignment keeps log order consistent with mapping
@@ -265,7 +264,7 @@ sim::Task SegmentLog::relocate_slot(SlotId victim_slot,
   co_await nand_.program(chip_of(alloc.slot));
   mark_programmed(alloc.record_index);
   ++gc_.pages_copied;
-  inflight.release();
+  gc_inflight_.release();
 }
 
 }  // namespace bio::flash

@@ -189,7 +189,7 @@ class SegmentLog {
   void fold();
 
   sim::Task gc_loop();
-  sim::Task relocate_slot(SlotId victim_slot, sim::Semaphore& inflight);
+  sim::Task relocate_slot(SlotId victim_slot);
   /// GC starts when free segments drop to this count.
   static constexpr std::uint32_t kGcLowWatermark = 3;
   /// Concurrent GC page relocations.
@@ -219,6 +219,11 @@ class SegmentLog {
 
   sim::Notify space_freed_;
   sim::Notify gc_wake_;
+  // gc_loop's per-run scratch, kept across runs with its storage: the
+  // relocation workers, the bound on their concurrency and the erasers.
+  std::vector<sim::Thread> gc_workers_;
+  sim::Semaphore gc_inflight_;
+  std::vector<sim::Thread> gc_erasers_;
   bool erasing_ = false;
   sim::Notify erase_done_;
   GcStats gc_;

@@ -124,7 +124,11 @@ sim::Task BarrierFsJournal::flush_loop() {
       co_return;
     }
     if (txn->needs_flush) {
-      co_await blk_.flush_and_wait();
+      // One flush makes durable every commit whose JD and JC it found in
+      // the cache: a transaction that transferred before the snapshot of
+      // a flush that has since completed (one issued for an earlier
+      // transaction in the committing list, say) needs none of its own.
+      if (!flush_covered(*txn)) co_await blk_.flush_and_wait();
       txn->flushed = true;
     }
     resolve_conflicts(*txn);
@@ -133,6 +137,14 @@ sim::Task BarrierFsJournal::flush_loop() {
     committing_.erase(it);
     retire(*txn);
   }
+}
+
+bool BarrierFsJournal::flush_covered(const Txn& txn) const {
+  // persist_through == 0: never stamped (absorbed into another carrier).
+  const std::uint64_t covered = blk_.device().flushed_through();
+  const std::uint64_t jd = txn.jd_req->cmd.persist_through;
+  const std::uint64_t jc = txn.jc_req->cmd.persist_through;
+  return jd != 0 && jc != 0 && jd <= covered && jc <= covered;
 }
 
 void BarrierFsJournal::resolve_conflicts(Txn& txn) {

@@ -6,7 +6,8 @@
 //     transfer or flush. D and JD form one epoch; JC forms the next
 //     (Eq. 3: D -> JD^bar -> JC^bar [-> xfer -> flush only for fsync]).
 //   * flush thread — per committed transaction, waits for the JC transfer,
-//     issues a flush only when a caller demanded durability, resolves page
+//     issues a flush only when a caller demanded durability and no flush
+//     that has completed already covered its JD and JC, resolves page
 //     conflicts and retires the transaction.
 //
 // Because the commit thread never waits on the storage, multiple committing
@@ -47,6 +48,9 @@ class BarrierFsJournal : public Journal {
  private:
   sim::Task commit_loop();
   sim::Task flush_loop();
+  /// True when a completed flush's snapshot held `txn`'s transferred JD
+  /// and JC (StorageDevice::flushed_through()).
+  bool flush_covered(const Txn& txn) const;
   void resolve_conflicts(Txn& txn);
 
   sim::FlatQueue<std::uint64_t> commit_requests_;

@@ -505,6 +505,20 @@ FsStatus Filesystem::commit_outcome(std::uint64_t tid) const {
                                                            : FsStatus::kOk;
 }
 
+void Filesystem::sweep_writebacks(Inode& f, blk::RequestList* inflight) {
+  bool swept = false;
+  bool swept_failed = false;
+  cache_.writebacks_of(f.ino, inflight, &swept, &swept_failed);
+  if (swept_failed) ++f.wb_err_seq;  // pages were redirtied by the sweep
+  if (swept) {
+    // No sync can wait on the dropped carriers any more; their data
+    // transferred no later than the cache's current order. Raise the floor
+    // a later durability proof must clear.
+    f.persist_floor =
+        std::max(f.persist_floor, blk_.device().cache().next_order());
+  }
+}
+
 void Filesystem::collect_file_writebacks(Inode& f, blk::RequestList& reqs) {
   // Pages of `f` already under writeback by someone else (pdflush, a
   // concurrent writer's sync): the requests this syscall itself just
@@ -514,18 +528,8 @@ void Filesystem::collect_file_writebacks(Inode& f, blk::RequestList& reqs) {
   // commit flush may have entered the device before these carriers
   // transferred, leaving their data in the volatile cache when this
   // syscall acks durability.
-  bool swept = false;
-  bool swept_failed = false;
   blk::RequestList wb;
-  cache_.writebacks_of(f.ino, wb, &swept, &swept_failed);
-  if (swept_failed) ++f.wb_err_seq;  // pages were redirtied by the sweep
-  if (swept) {
-    // Completed carriers were dropped before we could wait on them; their
-    // data transferred no later than the cache's current order. Raise the
-    // floor the durability proof must clear.
-    f.persist_floor =
-        std::max(f.persist_floor, blk_.device().cache().next_order());
-  }
+  sweep_writebacks(f, &wb);
   for (const blk::RequestPtr& r : wb)
     if (std::find(reqs.begin(), reqs.end(), r) == reqs.end()) reqs.push_back(r);
 }
@@ -667,6 +671,7 @@ sim::TaskOf<FsStatus> Filesystem::sync_ordered(Inode& f, bool datasync) {
   // Without a commit, the data's last request delimits the epoch itself.
   blk::RequestList reqs;
   submit_data(f, /*ordered=*/true, /*barrier_last=*/!will_commit, reqs);
+  sweep_writebacks(f, nullptr);
   // get_request() backpressure.
   if (blk_.congested()) co_await blk_.throttle();
   if (will_commit) {
@@ -750,6 +755,7 @@ sim::TaskOf<FsStatus> Filesystem::osync_impl(Inode& f) {
   for (const blk::RequestPtr& r : reqs) journal_->attach_data(r);
   for (const blk::RequestPtr& r : reqs) co_await r->completion.wait();
   note_writeback_failures(f, reqs);
+  sweep_writebacks(f, nullptr);
   FsStatus status = FsStatus::kOk;
   if (journaled > 0) {
     f.meta_dirty = false;
@@ -782,10 +788,8 @@ sim::TaskOf<FsStatus> Filesystem::dsync_impl(Inode& f) {
   // Writebacks of this file still in flight from concurrent order points
   // must transfer before the flush below, or their (covered) data sits in
   // the volatile cache past this call's durable return.
-  bool swept_failed = false;
   blk::RequestList wb;
-  cache_.writebacks_of(f.ino, wb, nullptr, &swept_failed);
-  if (swept_failed) ++f.wb_err_seq;
+  sweep_writebacks(f, &wb);
   for (const blk::RequestPtr& r : wb) co_await r->completion.wait();
   note_writeback_failures(f, wb);
   co_await blk_.flush_and_wait();

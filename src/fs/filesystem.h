@@ -216,8 +216,14 @@ class Filesystem {
   /// persisted (its cache watermark drained — e.g. under the commit's own
   /// flush).
   sim::Task ensure_data_durable(const Inode& f, const blk::RequestList& reqs);
-  /// Appends the in-flight writeback carriers of `f` not already in
-  /// `reqs` to it (the caller then waits them out), so its later
+  /// Every sync body's writeback sweep: drops `f`'s completed writeback
+  /// carriers (they go back to the request pool), raising f.persist_floor
+  /// to the cache's current order when it drops any and advancing
+  /// f.wb_err_seq when one of them failed; appends the in-flight ones to
+  /// `inflight` unless it is null.
+  void sweep_writebacks(Inode& f, blk::RequestList* inflight);
+  /// Sweeps, then appends the in-flight writeback carriers of `f` not
+  /// already in `reqs` to it (the caller then waits them out), so its later
   /// durability proof (ensure_data_durable) covers foreign writebacks too.
   void collect_file_writebacks(Inode& f, blk::RequestList& reqs);
   /// True while `tid` names a transaction not yet durably retired — the

@@ -148,7 +148,7 @@ std::vector<PageCache::PageKey> PageCache::dirty_pages_of(
   return out;
 }
 
-void PageCache::writebacks_of(std::uint32_t ino, blk::RequestList& out,
+void PageCache::writebacks_of(std::uint32_t ino, blk::RequestList* out,
                               bool* swept_completed, bool* swept_failed) {
   if (swept_completed != nullptr) *swept_completed = false;
   if (swept_failed != nullptr) *swept_failed = false;
@@ -160,14 +160,14 @@ void PageCache::writebacks_of(std::uint32_t ino, blk::RequestList& out,
           const Ref r{ino, page, f, node, leaf};
           blk::RequestPtr& wb = r.state().writeback;
           if (!wb->completion.is_set()) {
-            out.push_back(wb);
+            if (out != nullptr) out->push_back(wb);
             return;
           }
           // Lazy completion sweep: the carrier already finished (waiting on
           // its set event would be a no-op), so drop the stale reference.
           // This keeps the wait list O(in-flight) and releases the request
           // back to the pool instead of pinning it until the page is
-          // rewritten. The caller is told (`swept_completed`): a durability
+          // rewritten. The caller is told (`swept_completed`): every sync
           // path must raise the inode's persist floor, because "completed"
           // only means *transferred* — the data may still sit in the
           // volatile cache. A carrier that completed with an IO failure

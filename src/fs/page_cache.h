@@ -64,14 +64,14 @@ class PageCache {
   void dirty_pages_of(std::uint32_t ino, std::vector<PageKey>& out) const;
   std::vector<PageKey> dirty_pages_of(std::uint32_t ino) const;
 
-  /// Appends to `out` the in-flight writeback carriers of `ino`'s pages;
-  /// lazily sweeps carriers that already completed (and reports the sweep
-  /// via `swept_completed`, so durability paths can raise the inode's
+  /// Appends to `out` (unless null) the in-flight writeback carriers of
+  /// `ino`'s pages; sweeps carriers that already completed (and reports
+  /// the sweep via `swept_completed`, so sync paths can raise the inode's
   /// persist floor). A swept carrier that completed with an IO failure
   /// redirties its pages (the buffered content is still here — versions
   /// are identity, not bytes) and is reported via `swept_failed`, so the
   /// caller can advance the inode's wb_err_seq.
-  void writebacks_of(std::uint32_t ino, blk::RequestList& out,
+  void writebacks_of(std::uint32_t ino, blk::RequestList* out,
                      bool* swept_completed = nullptr,
                      bool* swept_failed = nullptr);
 

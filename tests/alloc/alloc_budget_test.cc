@@ -105,6 +105,12 @@ constexpr double kCheckpointWritesPerTxnBudget = 0.002;
 // stretch of txns may leave behind no more than a few bytes each.
 constexpr std::uint64_t kRetainedTxns = 20'000;
 constexpr double kRetainedBytesPerTxnBudget = 16.0;
+// The block layer's request pool stops growing once the in-flight set is
+// covered: every sync sweeps its file's finished writeback carriers back to
+// the pool. BFS-DR constructs 7 requests in the whole run and EXT4-DR 5;
+// while fdatabarrier left them on the pages, the database file's 256 pages
+// each pinned its last carrier, and BFS-DR constructed 259.
+constexpr std::uint64_t kFreshRequestsBudget = 32;
 // The ring varmail unlinks and creates mails all the time; its reclaimed
 // inodes and vnodes are recycled, so a run twice as long retains few bytes
 // more per extra flowop: from 120 to 240 iterations 9.9 (q1) and 10.3 (q4).
@@ -160,11 +166,15 @@ struct SqliteBudget {
   std::uint64_t frames = ~std::uint64_t{0};
   /// Live bytes gained across the kRetainedTxns after those.
   std::int64_t retained = 0;
+  /// Requests the block layer's pool had constructed by the end of the
+  /// retained txns.
+  std::uint64_t fresh_requests = ~std::uint64_t{0};
 };
 
 /// Sets up the files, runs the warm-up, then counts operator-new calls
 /// across the measured txns and the live bytes the retained txns keep.
-sim::Task sqlite_client(api::Vfs& vfs, SqliteBudget& out) {
+sim::Task sqlite_client(api::Vfs& vfs, const blk::RequestPool& pool,
+                        SqliteBudget& out) {
   api::File db = api::must(
       co_await vfs.open("app.db", {.create = true, .extent_blocks = kDbPages}));
   for (std::uint32_t off = 0; off < kDbPages; off += blk::kMaxMergedBlocks) {
@@ -190,6 +200,7 @@ sim::Task sqlite_client(api::Vfs& vfs, SqliteBudget& out) {
   for (std::uint64_t i = 0; i < kRetainedTxns; ++i)
     co_await persist_txn(db, journal, rng, cursor);
   out.retained = live_bytes() - live;
+  out.fresh_requests = pool.stats().fresh_requests;
 }
 
 SqliteBudget sqlite_budget(core::StackKind kind) {
@@ -200,7 +211,7 @@ SqliteBudget sqlite_budget(core::StackKind kind) {
   SqliteBudget out;
   // iolint: detached-owner(run() below drains the client; vfs and out
   // outlive the run in this scope)
-  stack.sim().spawn("sqlite", sqlite_client(vfs, out));
+  stack.sim().spawn("sqlite", sqlite_client(vfs, stack.blk().pool(), out));
   stack.sim().run();
   out.checkpoint_writes = stack.fs().journal().stats().checkpoint_writes;
   return out;
@@ -219,6 +230,9 @@ void expect_sqlite_budget(core::StackKind kind, double frames_per_txn_budget) {
                 static_cast<double>(kRetainedTxns),
             kRetainedBytesPerTxnBudget)
       << b.retained << " B retained over " << kRetainedTxns << " txns";
+  EXPECT_LE(b.fresh_requests, kFreshRequestsBudget)
+      << b.fresh_requests << " requests constructed over " << kWarmupTxns
+      << " + " << kMeasuredTxns << " + " << kRetainedTxns << " txns";
   const std::uint64_t txns = kWarmupTxns + kMeasuredTxns + kRetainedTxns;
   EXPECT_LE(static_cast<double>(b.checkpoint_writes) /
                 static_cast<double>(txns),

@@ -261,6 +261,101 @@ TEST(FilesystemTest, OrderedSyncWaitsOutACongestedQueue) {
   EXPECT_FALSE(blk.congested());
 }
 
+/// Pages of `f` whose writeback carrier has completed but is still held.
+std::size_t pages_holding_completed_carriers(PageCache& cache,
+                                             const Inode& f) {
+  std::size_t n = 0;
+  for (std::uint32_t p = 0; p < f.extent_blocks; ++p) {
+    const PageCache::PageState* st = cache.find(f.ino, p);
+    if (st != nullptr && st->writeback != nullptr &&
+        st->writeback->completion.is_set())
+      ++n;
+  }
+  return n;
+}
+
+TEST(FilesystemTest, OrderedSyncReleasesCompletedCarriers) {
+  // A file that only ever gets fdatabarrier order points (SQLite's
+  // database file on BarrierFS): each ordered sync sweeps the carriers
+  // that finished since the last one, so no page keeps a finished request
+  // out of the pool until it is rewritten.
+  StackFixture x(StackKind::kBfsDR);
+  std::size_t held_before = 0;
+  std::size_t held_after = 0;
+  auto body = [&]() -> Task {
+    Inode* f = nullptr;
+    co_await x.fs().create("a", f, 16);
+    for (std::uint32_t round = 0; round < 4; ++round) {
+      for (std::uint32_t p = round; p < 16; p += 4)
+        co_await x.fs().write(*f, p, 1);
+      EXPECT_EQ(co_await x.fs().sync(*f, Syscall::kFdatabarrier),
+                FsStatus::kOk);
+    }
+    // Let the device drain: every carrier has completed.
+    while (x.stack->blk().backlog() > 0 || x.dev().queue_depth() > 0 ||
+           x.dev().cache().dirty_count() > 0)
+      co_await x.sim().delay(100_us);
+    held_before = pages_holding_completed_carriers(x.fs().page_cache(), *f);
+    EXPECT_EQ(co_await x.fs().sync(*f, Syscall::kFdatabarrier), FsStatus::kOk);
+    held_after = pages_holding_completed_carriers(x.fs().page_cache(), *f);
+  };
+  x.sim().spawn("t", body());
+  x.sim().run();
+  EXPECT_EQ(held_before, 16u) << "every page kept its last carrier";
+  EXPECT_EQ(held_after, 0u) << "the ordered sync swept no carrier";
+}
+
+TEST(FilesystemTest, OrderedSyncSweepRaisesTheFloorAFsyncMustClear) {
+  // The carrier an fdatabarrier swept can no longer be waited on: the
+  // inode's persist floor is what tells a later fsync that the data may
+  // still sit in the volatile cache. Here the fsync commits a transaction
+  // that an earlier flush already made durable, before the carrier
+  // transferred, so only the floor makes it flush.
+  core::StackConfig cfg = core::StackConfig::make(
+      StackKind::kBfsDR, flash::DeviceProfile::plain_ssd());
+  StackFixture x(cfg.kind, &cfg);
+  bool transferred_unpersisted = false;
+  bool durable = false;
+  auto body = [&]() -> Task {
+    Inode* f = nullptr;
+    co_await x.fs().create("a", f, 4);
+    co_await x.fs().write(*f, 0, 1);
+    EXPECT_EQ(co_await x.fs().sync(*f, Syscall::kFsync), FsStatus::kOk);
+    // A new timer tick: the overwrite dirties the inode (mtime) in the
+    // running transaction, which commits durably with its own flush while
+    // the page stays dirty and the inode's flags stay set.
+    co_await x.sim().delay(kTimerTick);
+    co_await x.fs().write(*f, 0, 1);
+    EXPECT_TRUE(f->meta_dirty);
+    co_await x.fs().journal().commit(f->txn_id, Journal::WaitMode::kDurable);
+    // The page goes out under an order point, transfers, and is swept by
+    // the next one.
+    EXPECT_EQ(co_await x.fs().sync(*f, Syscall::kFdatabarrier), FsStatus::kOk);
+    const PageCache::PageState* page = x.fs().page_cache().find(f->ino, 0);
+    const flash::Version version = page->version;
+    const blk::RequestPtr carrier = page->writeback;
+    if (carrier == nullptr) {
+      ADD_FAILURE() << "the order point wrote nothing back";
+      co_return;
+    }
+    co_await carrier->completion.wait();
+    const std::uint64_t through = carrier->cmd.persist_through;
+    EXPECT_EQ(co_await x.fs().sync(*f, Syscall::kFdatabarrier), FsStatus::kOk);
+    EXPECT_TRUE(x.fs().page_cache().find(f->ino, 0)->writeback == nullptr)
+        << "the order point kept the finished carrier";
+    transferred_unpersisted = !x.dev().persisted_through(through);
+    EXPECT_EQ(co_await x.fs().sync(*f, Syscall::kFsync), FsStatus::kOk);
+    const auto state = x.dev().durable_state();
+    const auto it = state.find(f->lba_of_page(0));
+    durable = it != state.end() && it->second == version;
+  };
+  x.sim().spawn("t", body());
+  x.sim().run();
+  ASSERT_TRUE(transferred_unpersisted)
+      << "the carrier drained before the fsync: nothing left to prove";
+  EXPECT_TRUE(durable) << "fsync acked data still in the volatile cache";
+}
+
 TEST(FilesystemTest, StatsCountSyscalls) {
   // The whole sync table through Vfs::sync, one stack per journal: a
   // supported call bumps exactly its own per-call counters (OptFS also

@@ -341,6 +341,79 @@ TEST(BarrierFsTest, PipelinedCommitsOverlap) {
       << "dual-mode journaling: >1 committing transaction in flight";
 }
 
+// Dual-mode journaling's flush thread: a transaction whose JD and JC a
+// completed flush's snapshot already held needs no flush of its own.
+// Concurrent fsyncs of distinct files, staggered by think times so that
+// they do not all join one group commit, pipeline their commits in the
+// committing list, so a flush issued for one transaction often finds the
+// next ones' records in the cache.
+TEST(BarrierFsTest, OneFlushRetiresEveryTransactionItCovered) {
+  core::StackConfig cfg = core::StackConfig::make(
+      StackKind::kBfsDR, flash::DeviceProfile::plain_ssd());
+  StackFixture x(cfg.kind, &cfg);
+  constexpr int kWriters = 8;
+  constexpr int kFsyncs = 10;
+  int acked = 0;
+  int lost = 0;
+  auto writer = [&](int w) -> Task {
+    Inode* f = nullptr;
+    co_await x.fs().create("f" + std::to_string(w), f);
+    for (int i = 0; i < kFsyncs; ++i) {
+      co_await x.sim().delay(static_cast<sim::SimTime>(w + 1) * 100_us);
+      const auto page = static_cast<std::uint32_t>(i);
+      co_await x.fs().write(*f, page, 1);
+      const flash::Version version =
+          x.fs().page_cache().find(f->ino, page)->version;
+      EXPECT_EQ(co_await x.fs().sync(*f, Syscall::kFsync), FsStatus::kOk);
+      ++acked;
+      const auto durable = x.dev().durable_state();
+      const auto it = durable.find(f->lba_of_page(page));
+      if (it == durable.end() || it->second != version) ++lost;
+    }
+  };
+  for (int w = 0; w < kWriters; ++w)
+    x.sim().spawn("w" + std::to_string(w), writer(w));
+  x.sim().run();
+  ASSERT_EQ(acked, kWriters * kFsyncs);
+  EXPECT_EQ(lost, 0) << "fsyncs returned before their data was durable";
+  const Journal& j = x.fs().journal();
+  EXPECT_LT(x.dev().stats().flushes, j.stats().commits)
+      << "every commit paid a flush of its own";
+  std::size_t durable_waits = 0;
+  for (const Txn* txn : retired_txns(j)) {
+    if (!txn->needs_flush) continue;
+    ++durable_waits;
+    EXPECT_TRUE(txn->flushed) << "txn " << txn->id;
+  }
+  EXPECT_GT(durable_waits, 0u);
+}
+
+// On a power-safe cache persisted_through() always holds, yet a flush
+// still has to be issued for a transaction no completed flush covered:
+// coverage is what a flush's snapshot held, not what the cache keeps.
+TEST(BarrierFsTest, UncoveredCommitStillFlushesOnSupercap) {
+  core::StackConfig cfg = core::StackConfig::make(
+      StackKind::kBfsDR, flash::DeviceProfile::supercap_ssd());
+  StackFixture x(cfg.kind, &cfg);
+  Inode* f = nullptr;
+  std::uint64_t flush_entries = 0;
+  auto body = [&]() -> Task {
+    co_await x.fs().create("a", f);
+    co_await x.fs().write(*f, 0, 1);
+    co_await x.fs().sync(*f, Syscall::kFsync);
+    co_await x.fs().write(*f, 1, 1);
+    const std::uint64_t entries = x.dev().flush_sequence();
+    co_await x.fs().sync(*f, Syscall::kFsync);
+    flush_entries = x.dev().flush_sequence() - entries;
+  };
+  x.sim().spawn("t", body());
+  x.sim().run();
+  const Txn& txn = *x.fs().journal().find_txn(f->txn_id);
+  EXPECT_TRUE(txn.needs_flush);
+  EXPECT_TRUE(txn.flushed);
+  EXPECT_EQ(flush_entries, 1u);
+}
+
 TEST(BarrierFsTest, MultiTxnPageConflictDoesNotBlockApplication) {
   StackFixture x(StackKind::kBfsDR);
   sim::Thread app;

@@ -29,7 +29,7 @@ struct Fixture {
   /// The carriers cache.writebacks_of(ino) reports (and sweeps).
   std::vector<RequestPtr> writebacks(std::uint32_t ino) {
     blk::RequestList out;
-    cache.writebacks_of(ino, out);
+    cache.writebacks_of(ino, &out);
     return {out.begin(), out.end()};
   }
 };
@@ -353,7 +353,7 @@ void expect_same_sweep(PageCache& cache, ReferenceCache& ref,
   blk::RequestList got;
   bool got_completed = false;
   bool got_failed = false;
-  cache.writebacks_of(ino, got, &got_completed, &got_failed);
+  cache.writebacks_of(ino, &got, &got_completed, &got_failed);
   std::vector<RequestPtr> want;
   bool want_completed = false;
   bool want_failed = false;
