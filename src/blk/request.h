@@ -187,6 +187,21 @@ class RequestList {
  public:
   static constexpr std::size_t kInline = 8;
 
+  RequestList() = default;
+  /// An empty list that spills into `storage`, keeping its capacity.
+  explicit RequestList(std::vector<RequestPtr> storage)
+      : heap_(std::move(storage)) {
+    heap_.clear();
+  }
+
+  /// Empties the list and hands over its spill storage.
+  std::vector<RequestPtr> take_storage() noexcept {
+    for (RequestPtr& r : inline_) r.reset();
+    size_ = 0;
+    heap_.clear();
+    return std::exchange(heap_, {});
+  }
+
   bool empty() const noexcept { return size_ == 0; }
   std::size_t size() const noexcept { return size_; }
   const RequestPtr* begin() const noexcept { return data(); }

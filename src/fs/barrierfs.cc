@@ -34,6 +34,7 @@ sim::Task BarrierFsJournal::dirty_metadata(flash::Lba block,
 }
 
 sim::Task BarrierFsJournal::commit(std::uint64_t tid, WaitMode mode) {
+  if (is_released(tid)) co_return;  // retired, and durable
   Txn& txn = get_txn(tid);
   if (txn.state == Txn::State::kRunning) {
     if (std::find(commit_requests_.begin(), commit_requests_.end(), tid) ==
@@ -50,6 +51,9 @@ sim::Task BarrierFsJournal::commit(std::uint64_t tid, WaitMode mode) {
       break;
     case WaitMode::kDurable:
       txn.needs_flush = true;
+      // The transaction may retire and be released before this waiter
+      // runs again; the hold keeps its object from being reused meanwhile.
+      hold(txn);
       co_await txn.durable.wait();
       // A retired txn may still owe the caller its durability flush; one
       // that never retired (journal abort woke us) owes nothing but EIO.
@@ -59,6 +63,7 @@ sim::Task BarrierFsJournal::commit(std::uint64_t tid, WaitMode mode) {
         co_await blk_.flush_and_wait();
         txn.flushed = true;
       }
+      let_go(txn);
       break;
   }
 }
@@ -69,10 +74,9 @@ sim::Task BarrierFsJournal::commit_loop() {
       co_await commit_wake_.wait();
     if (aborted_) co_return;
     const std::uint64_t tid = commit_requests_.pop_front();
-    {
-      Txn& txn = get_txn(tid);
-      if (txn.state != Txn::State::kRunning) continue;  // already committed
-    }
+    const Txn* queued = find_txn(tid);
+    if (queued == nullptr || queued->state != Txn::State::kRunning)
+      continue;  // already committed
     // §4.3: the running transaction may close only with an empty
     // conflict-page list.
     while (conflict_count_ > 0 && !aborted_)

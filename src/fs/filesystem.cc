@@ -43,7 +43,7 @@ void Filesystem::snapshot_metadata(Txn& txn) {
   // Freeze the logical content of every dirtied metadata block: this is
   // what the transaction's journal log copies (and later its in-place
   // checkpoint copies) "contain", and what fs::Recovery reinstalls.
-  txn.meta_snapshots.reserve(txn.buffers.size());
+  sim::reserve_reused(txn.meta_snapshots, txn.buffers.size());
   for (flash::Lba block : txn.buffers) {  // set order: stays sorted
     MetaSnapshot snap;
     const std::uint32_t idx =
@@ -53,8 +53,9 @@ void Filesystem::snapshot_metadata(Txn& txn) {
       // Assigning over a dropped snapshot's entries reuses its storage and
       // its names' buffers.
       snap.entries = journal_->take_dir_entries();
-      snap.entries.assign(shard_entries_[idx].begin(),
-                          shard_entries_[idx].end());
+      const Shard& shard = shard_entries_[idx];
+      sim::reserve_reused(snap.entries, shard.size());
+      snap.entries.assign(shard.begin(), shard.end());
     } else {
       snap.ino = idx;
       if (const Inode* live = by_ino_[idx]; live != nullptr) {
@@ -528,10 +529,42 @@ void Filesystem::collect_file_writebacks(Inode& f, blk::RequestList& reqs) {
   // commit flush may have entered the device before these carriers
   // transferred, leaving their data in the volatile cache when this
   // syscall acks durability.
-  blk::RequestList wb;
+  blk::RequestList wb = request_list();
   sweep_writebacks(f, &wb);
-  for (const blk::RequestPtr& r : wb)
-    if (std::find(reqs.begin(), reqs.end(), r) == reqs.end()) reqs.push_back(r);
+  // `wb` names a carrier once per page, in page order. A carrier's pages
+  // are contiguous, and no page is resubmitted while its carrier is in
+  // flight, so a carrier's entries are adjacent; and this call's own runs
+  // (all of `reqs` so far) were cut from the dirty pages in page order, so
+  // they appear in `reqs`' order unless completed (then swept, not
+  // listed). One pass drops both kinds of repeat.
+  const std::size_t own = reqs.size();
+  std::size_t next_own = 0;
+  const blk::RequestPtr* prev = nullptr;
+  for (const blk::RequestPtr& r : wb) {
+    if (prev != nullptr && r == *prev) continue;
+    prev = &r;
+    while (next_own < own && reqs.begin()[next_own]->completion.is_set())
+      ++next_own;
+    if (next_own < own && r == reqs.begin()[next_own]) {
+      ++next_own;
+      continue;
+    }
+    reqs.push_back(r);
+  }
+  recycle(wb);
+}
+
+blk::RequestList Filesystem::request_list() {
+  if (spare_request_storage_.empty()) return {};
+  blk::RequestList list(std::move(spare_request_storage_.back()));
+  spare_request_storage_.pop_back();
+  return list;
+}
+
+void Filesystem::recycle(blk::RequestList& list) {
+  std::vector<blk::RequestPtr> storage = list.take_storage();
+  if (storage.capacity() > 0)
+    spare_request_storage_.push_back(std::move(storage));
 }
 
 sim::TaskOf<FsStatus> Filesystem::commit_metadata(Inode& f,
@@ -618,7 +651,7 @@ sim::TaskOf<FsStatus> Filesystem::sync_durable(Inode& f, bool datasync) {
   const bool wot = wait_on_transfer();
   while (const blk::RequestPtr r = unstable_carrier(f))
     co_await r->completion.wait();
-  blk::RequestList reqs;
+  blk::RequestList reqs = request_list();
   submit_data(f, /*ordered=*/!wot, /*barrier_last=*/false, reqs);
   const std::size_t own = reqs.size();
   collect_file_writebacks(f, reqs);
@@ -660,6 +693,7 @@ sim::TaskOf<FsStatus> Filesystem::sync_durable(Inode& f, bool datasync) {
     for (const blk::RequestPtr& r : reqs) co_await r->completion.wait();
     note_writeback_failures(f, reqs);
   }
+  recycle(reqs);
   co_return status;
 }
 

@@ -225,7 +225,14 @@ class Filesystem {
   /// Sweeps, then appends the in-flight writeback carriers of `f` not
   /// already in `reqs` to it (the caller then waits them out), so its later
   /// durability proof (ensure_data_durable) covers foreign writebacks too.
+  /// `reqs` holds the data runs submit_data just appended, and nothing else.
   void collect_file_writebacks(Inode& f, blk::RequestList& reqs);
+  /// A request list over spare spill storage, and back: a large fsync's
+  /// lists hold a request per data run, past RequestList's inline entries.
+  /// A list takes storage when its sync starts and gives it back, emptied,
+  /// when the sync ends; syncs suspend, so each needs its own.
+  blk::RequestList request_list();
+  void recycle(blk::RequestList& list);
   /// True while `tid` names a transaction not yet durably retired — the
   /// "a concurrent syscall's commit still holds this inode's metadata"
   /// test behind the i_sync_tid / i_datasync_tid waits in fsync/fdatasync.
@@ -290,6 +297,8 @@ class Filesystem {
   /// safe and keeps the per-fsync heap traffic at zero.
   std::vector<PageCache::PageKey> scratch_keys_;
   std::vector<blk::Block> scratch_blocks_;
+  /// Spill storage of request_list()s not in use.
+  std::vector<std::vector<blk::RequestPtr>> spare_request_storage_;
 };
 
 }  // namespace bio::fs

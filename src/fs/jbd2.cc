@@ -28,6 +28,7 @@ sim::Task Jbd2Journal::dirty_metadata(flash::Lba block,
 }
 
 sim::Task Jbd2Journal::commit(std::uint64_t tid, WaitMode mode) {
+  if (is_released(tid)) co_return;  // retired, and durable
   Txn& txn = get_txn(tid);
   if (txn.state == Txn::State::kRunning) {
     commit_pending_ = true;

@@ -1,5 +1,7 @@
 #include "fs/journal.h"
 
+#include <sanitizer/asan_interface.h>
+
 #include <algorithm>
 #include <map>
 #include <type_traits>
@@ -7,22 +9,32 @@
 
 namespace bio::fs {
 
-namespace {
-/// Moves a spare container's storage into `into`, when one is left.
-template <typename V>
-void take_spare(std::vector<V>& spare, V& into) {
-  if (spare.empty()) return;
-  into = std::move(spare.back());
-  spare.pop_back();
+void Txn::reuse(std::uint64_t txn_id) {
+  id = txn_id;
+  state = State::kRunning;
+  buffers.clear();
+  journaled_data.clear();
+  data_reqs.clear();
+  covered_data.clear();
+  meta_snapshots.clear();
+  jd_blocks.clear();
+  jc_block = {0, 0};
+  jc_req.reset();
+  jd_req.reset();
+  // Both fired at retire, which woke every waiter.
+  dispatched.reset();
+  durable.reset();
+  needs_flush = false;
+  flushed = false;
+  checkpoint_done = false;
+  data_checkpointed = false;
+  flush_owed = false;
+  pending_homes = 0;
+  checkpoint_blocks.clear();
+  checkpoint_reqs.clear();
+  deferred_copies.clear();
+  flush_stamp = 0;
 }
-
-/// Empties `from` and keeps its storage in `spare`.
-template <typename V>
-void keep_spare(std::vector<V>& spare, V& from) {
-  from.clear();
-  if (from.capacity() > 0) spare.push_back(std::exchange(from, {}));
-}
-}  // namespace
 
 Journal::Journal(sim::Simulator& sim, blk::BlockLayer& blk,
                  const FsConfig& cfg, const Layout& layout)
@@ -34,9 +46,14 @@ Journal::Journal(sim::Simulator& sim, blk::BlockLayer& blk,
       pending_ckpt_(layout.max_inodes),
       deferred_ckpt_count_(layout.max_inodes),
       ckpt_wake_(sim),
+      records_(cfg.journal_blocks),
       released_ckpt_(layout.max_inodes),
       journal_space_(sim) {
-  running_ = txns_.emplace_back(std::make_unique<Txn>(sim_, 1)).get();
+  running_ = &open_txn(1);
+}
+
+Journal::~Journal() {
+  for (Txn* t : free_txns_) ASAN_UNPOISON_MEMORY_REGION(t, sizeof *t);
 }
 
 void Journal::attach_data(blk::RequestPtr r) {
@@ -48,9 +65,26 @@ void Journal::add_journaled_data(std::span<const blk::Block> pages) {
                                   pages.begin(), pages.end());
 }
 
-const JournalRecord* Journal::find_record(flash::Version version) const {
-  auto it = records_.find(version);
-  return it == records_.end() ? nullptr : &it->second;
+const JournalRecord* Journal::find_record(flash::Lba block,
+                                          flash::Version version) const {
+  const flash::Lba base = layout_.journal_base();
+  if (block < base || block - base >= records_.size()) return nullptr;
+  const RecordSlot& slot = records_[block - base];
+  return slot.version != 0 && slot.version == version ? &slot.record
+                                                      : nullptr;
+}
+
+void Journal::put_record(const blk::Block& block, JournalRecord::Type type,
+                         std::uint64_t txn_id) {
+  records_[block.first - layout_.journal_base()] =
+      RecordSlot{block.second, JournalRecord{type, txn_id}};
+}
+
+void Journal::erase_record(const blk::Block& block) {
+  RecordSlot& slot = records_[block.first - layout_.journal_base()];
+  BIO_CHECK_MSG(slot.version == block.second,
+                "journal block rewritten before its transaction's release");
+  slot.version = 0;
 }
 
 const Journal::CheckpointId* Journal::find_checkpoint(
@@ -67,9 +101,34 @@ const Journal::DataCheckpointId* Journal::find_data_checkpoint(
 
 Txn& Journal::get_txn(std::uint64_t tid) {
   BIO_CHECK_MSG(find_txn(tid) != nullptr,
-                "unknown transaction id " + std::to_string(tid) +
-                    " (running=" + std::to_string(running_->id) + ")");
-  return *txns_[tid - 1];
+                "no live transaction " + std::to_string(tid) + " (tail=" +
+                    std::to_string(sb_tail_txn_) +
+                    ", running=" + std::to_string(running_->id) + ")");
+  return *live_txns_[tid - sb_tail_txn_];
+}
+
+Txn& Journal::open_txn(std::uint64_t id) {
+  Txn* txn = nullptr;
+  if (free_txns_.empty()) {
+    txn = &txn_store_.emplace_back(sim_, id);
+  } else {
+    txn = free_txns_.back();
+    free_txns_.pop_back();
+    ASAN_UNPOISON_MEMORY_REGION(txn, sizeof *txn);
+    txn->reuse(id);
+  }
+  live_txns_.push_back(txn);
+  return *txn;
+}
+
+void Journal::let_go(Txn& txn) {
+  BIO_CHECK(txn.holds > 0);
+  if (--txn.holds == 0 && is_released(txn.id)) free_txn(txn);
+}
+
+void Journal::free_txn(Txn& txn) {
+  free_txns_.push_back(&txn);
+  ASAN_POISON_MEMORY_REGION(&txn, sizeof txn);
 }
 
 MetaSnapshot::Entries Journal::take_dir_entries() {
@@ -89,21 +148,7 @@ Txn* Journal::close_running() {
   Txn* txn = running_;
   txn->state = Txn::State::kCommitting;
   if (close_hook_) close_hook_(*txn);  // freeze metadata-buffer content
-  running_ =
-      txns_.emplace_back(std::make_unique<Txn>(sim_, txns_.size() + 1)).get();
-  if (!spare_block_sets_.empty()) {
-    running_->buffers = BlockSet(std::move(spare_block_sets_.back()));
-    spare_block_sets_.pop_back();
-  }
-  take_spare(spare_blocks_, running_->jd_blocks);
-  take_spare(spare_blocks_, running_->checkpoint_blocks);
-  take_spare(spare_snapshots_, running_->meta_snapshots);
-  if (!waiter_donors_.empty()) {
-    Txn& donor = *waiter_donors_.back();
-    waiter_donors_.pop_back();
-    running_->dispatched.swap_waiter_storage(donor.dispatched);
-    running_->durable.swap_waiter_storage(donor.durable);
-  }
+  running_ = &open_txn(txn->id + 1);
   ++stats_.commits;
   return txn;
 }
@@ -120,7 +165,6 @@ bool Journal::checkpoint_durable(const Txn& txn) const {
 }
 
 void Journal::advance_tail() {
-  const std::uint64_t old_tail = sb_tail_txn_;
   bool advanced = false;
   while (!live_spans_.empty()) {
     const JournalSpan& front = live_spans_.front();
@@ -143,19 +187,16 @@ void Journal::advance_tail() {
     ++stats_.tail_advances;
     advanced = true;
   }
-  for (std::uint64_t id = old_tail; id < sb_tail_txn_; ++id)
-    release(get_txn(id));
+  // The running transaction is never behind the tail.
+  while (live_txns_.front()->id < sb_tail_txn_)
+    release(*live_txns_.pop_front());
   if (advanced) journal_space_.notify_all();
 }
 
 void Journal::release(Txn& txn) {
   // Recovery scans from sb_tail_txn_, so these records never replay again.
-  auto erase_record = [this](flash::Version v) {
-    if (auto it = records_.find(v); it != records_.end())
-      sim::erase_keeping(records_, spare_record_nodes_, it);
-  };
-  if (!txn.jd_blocks.empty()) erase_record(txn.jd_blocks[0].second);
-  erase_record(txn.jc_block.second);
+  erase_record(txn.jd_blocks[0]);
+  erase_record(txn.jc_block);
   // Both lists are in home-block order (the buffer set's).
   auto snap = txn.meta_snapshots.begin();
   for (const auto& [home, v] : txn.checkpoint_blocks) {
@@ -181,13 +222,15 @@ void Journal::release(Txn& txn) {
   // The snapshots not moved into records are the dropped homes' (their
   // droppers' journal copies supersede them) and already moved-from ones.
   for (auto& entry : txn.meta_snapshots) keep_dir_entries(entry.second);
-  spare_block_sets_.push_back(txn.buffers.take_storage());
-  keep_spare(spare_snapshots_, txn.meta_snapshots);
-  keep_spare(spare_blocks_, txn.jd_blocks);
-  keep_spare(spare_blocks_, txn.checkpoint_blocks);
   auto drop = [](auto& c) { std::decay_t<decltype(c)>().swap(c); };
   drop(txn.journaled_data);
   drop(txn.covered_data);
+  // Only a transaction whose copies were all issued or dropped is
+  // released, and older ones left the due queue at their own release, so
+  // a queued one sits at the front.
+  if (!due_queue_.empty() && due_queue_.front() == &txn)
+    due_queue_.pop_front();
+  if (txn.holds == 0) free_txn(txn);
 }
 
 sim::Task Journal::force_tail_advance() {
@@ -269,7 +312,7 @@ sim::Task Journal::reserve_journal_blocks(Txn& txn, std::size_t n,
         ++stats_.journal_wraps;
       }
       out.clear();
-      out.reserve(n);
+      sim::reserve_reused(out, n);
       for (std::size_t i = 0; i < n; ++i)
         out.emplace_back(layout_.journal_base() + journal_head_ + i,
                          blk_.next_version());
@@ -322,9 +365,7 @@ sim::Task Journal::reserve_jd(Txn& txn) {
   // home) is implied by the transaction: jd_blocks[1..] pair with the
   // metadata buffers in set order, then the journaled data pages —
   // fs::Recovery re-derives it from there.
-  sim::insert_reusing(
-      records_, spare_record_nodes_, txn.jd_blocks[0].second,
-      JournalRecord{JournalRecord::Type::kDescriptor, txn.id});
+  put_record(txn.jd_blocks[0], JournalRecord::Type::kDescriptor, txn.id);
 }
 
 sim::Task Journal::reserve_jc(Txn& txn) {
@@ -333,8 +374,7 @@ sim::Task Journal::reserve_jc(Txn& txn) {
   std::vector<blk::Block>& jc = scratch_jc_;
   co_await reserve_journal_blocks(txn, 1, jc);
   txn.jc_block = jc[0];
-  sim::insert_reusing(records_, spare_record_nodes_, jc[0].second,
-                      JournalRecord{JournalRecord::Type::kCommit, txn.id});
+  put_record(txn.jc_block, JournalRecord::Type::kCommit, txn.id);
 }
 
 // ---- checkpoint ------------------------------------------------------------
@@ -342,13 +382,13 @@ sim::Task Journal::reserve_jc(Txn& txn) {
 sim::Task Journal::checkpoint_tracker() {
   for (;;) {
     while (ckpt_queue_.empty()) co_await ckpt_wake_.wait();
-    PendingCheckpoint p = std::move(ckpt_queue_.front());
-    ckpt_queue_.pop_front();
+    // Not released (nor reused) before this loop marks its checkpoint done.
+    Txn& txn = *ckpt_queue_.pop_front();
     // Deferred copies: their home block had an older copy in flight at
     // submit time (two concurrent writes to one block can land inverted,
     // resurrecting the older content — jbd2's buffer lock forbids it).
     // Serialize: wait out the conflict, then submit.
-    for (const blk::Block& b : p.deferred) {
+    for (const blk::Block& b : txn.deferred_copies) {
       const std::size_t home = home_index(b.first);
       for (;;) {
         const blk::RequestPtr& inflight = inflight_ckpt_[home];
@@ -361,18 +401,18 @@ sim::Task Journal::checkpoint_tracker() {
       inflight_ckpt_[home] = r;
       BIO_CHECK(deferred_ckpt_count_[home] > 0);
       --deferred_ckpt_count_[home];
-      p.reqs.push_back(std::move(r));
+      txn.checkpoint_reqs.push_back(std::move(r));
       ++stats_.checkpoint_writes;
     }
     bool copy_failed = false;
-    for (const blk::RequestPtr& r : p.reqs) {
+    for (const blk::RequestPtr& r : txn.checkpoint_reqs) {
       co_await r->completion.wait();
       if (r->failed()) copy_failed = true;
     }
     // Drop completed conflict-detection entries so the pooled requests can
     // recycle (a block checkpointed once and never again would otherwise
     // pin its request for the rest of the run).
-    for (const blk::RequestPtr& r : p.reqs) {
+    for (const blk::RequestPtr& r : txn.checkpoint_reqs) {
       blk::RequestPtr& slot =
           inflight_ckpt_[home_index(r->blocks.front().first)];
       if (slot == r) slot.reset();
@@ -382,14 +422,15 @@ sim::Task Journal::checkpoint_tracker() {
       // the journal reuse the span recovery still needs to replay this
       // transaction — acked data loss. jbd2's checkpoint-IO-error path:
       // abort, degrade read-only, keep the log intact for recovery.
-      abort_journal(*p.txn);
+      abort_journal(txn);
+      txn.checkpoint_reqs.clear();
       co_return;
     }
-    p.txn->checkpoint_done = true;
+    txn.checkpoint_done = true;
     // The stamp may postdate the actual completion (the tracker drains in
     // retire order) — only ever conservative for the durability proof.
-    owe_flush(*p.txn);
-    keep_spare(spare_ckpt_reqs_, p.reqs);
+    owe_flush(txn);
+    txn.checkpoint_reqs.clear();  // back to the pool
     journal_space_.notify_all();
   }
 }
@@ -399,11 +440,8 @@ void Journal::issue_checkpoint(Txn& txn) {
   // not on anyone's critical path once the journal copy is safe. Completion
   // is tracked (checkpoint_tracker) because the journal space the records
   // occupy may only be reused once these copies are durable.
-  PendingCheckpoint p;
-  p.txn = &txn;
-  take_spare(spare_ckpt_reqs_, p.reqs);
-  p.reqs.reserve(txn.pending_homes);
-  txn.checkpoint_blocks.reserve(txn.pending_homes);
+  sim::reserve_reused(txn.checkpoint_reqs, txn.pending_homes);
+  sim::reserve_reused(txn.checkpoint_blocks, txn.pending_homes);
   for (flash::Lba block : txn.buffers) {
     const std::size_t home = home_index(block);
     if (pending_ckpt_[home] != txn.id) continue;  // a newer txn dropped it
@@ -418,7 +456,7 @@ void Journal::issue_checkpoint(Txn& txn) {
         deferred_ckpt_count_[home] > 0) {
       // An older copy of this block is still in flight (or queued behind
       // one): defer to the tracker (per-block serialization).
-      p.deferred.emplace_back(block, v);
+      txn.deferred_copies.emplace_back(block, v);
       ++deferred_ckpt_count_[home];
       continue;
     }
@@ -426,7 +464,7 @@ void Journal::issue_checkpoint(Txn& txn) {
     blk::RequestPtr r = blk_.pool().make_write(payload);
     blk_.submit(r);
     inflight_ckpt_[home] = r;
-    p.reqs.push_back(std::move(r));
+    txn.checkpoint_reqs.push_back(std::move(r));
     ++stats_.checkpoint_writes;
   }
   txn.pending_homes = 0;
@@ -434,7 +472,7 @@ void Journal::issue_checkpoint(Txn& txn) {
     ckpt_tracker_started_ = true;
     sim_.spawn("jnl:ckpt", checkpoint_tracker());
   }
-  ckpt_queue_.push_back(std::move(p));
+  ckpt_queue_.push_back(&txn);
   ckpt_wake_.notify_all();
 }
 
@@ -469,7 +507,7 @@ void Journal::retire(Txn& txn) {
   for (flash::Lba block : txn.buffers) {
     std::uint64_t& owner = pending_ckpt_[home_index(block)];
     if (owner != 0) {
-      Txn& older = *txns_[owner - 1];
+      Txn& older = get_txn(owner);  // pending copies: not released
       owe_flush(older);
       ++stats_.checkpoint_drops;
       // A transaction with pending copies has issued none yet.
@@ -485,7 +523,6 @@ void Journal::retire(Txn& txn) {
     due_queue_.push_back(&txn);
   issue_due_checkpoints();
   txn.durable.trigger();
-  waiter_donors_.push_back(&txn);
   journal_space_.notify_all();
 }
 
@@ -497,7 +534,7 @@ void Journal::abort_journal(Txn& txn) {
   // committed.
   txn.dispatched.trigger();
   txn.durable.trigger();
-  for (const std::unique_ptr<Txn>& t : txns_) {
+  for (Txn* t : live_txns_) {
     if (t->state == Txn::State::kCommitting) {
       t->dispatched.trigger();
       t->durable.trigger();

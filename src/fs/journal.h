@@ -32,23 +32,23 @@
 // completing, or a retire dropping one (the dropper's journal copy is
 // then the home's only newer one).
 //
-// Every journal block carries a JournalRecord describing its content
-// (descriptor tag table / log copy / commit record), keyed by the block's
-// version — the simulation's payload identity. fs::Recovery replays a
-// crashed device image through these records.
+// Every descriptor and commit block carries a JournalRecord describing its
+// content, valid while the block holds the version it was written with —
+// the simulation's payload identity. fs::Recovery replays a crashed device
+// image through these records.
 //
-// Only the live stretch between tail and head keeps its payload. When the
-// tail moves past a transaction (DESIGN.md §5), its journal records are
+// Only the live stretch between tail and head exists. When the tail moves
+// past a transaction (DESIGN.md §5) it is released: its journal records are
 // erased, each checkpoint copy's MetaSnapshot moves into that copy's
-// checkpoint record, and the transaction shrinks to its shell (id, state,
-// events, flags), which commit waiters may still hold.
+// checkpoint record, and its Txn object is reused for a later transaction
+// once no commit waiter holds it (Txn::holds). Ids below the tail read as
+// retired and have no Txn.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -63,14 +63,14 @@
 
 namespace bio::fs {
 
-/// Content description of one journal-area block, keyed by the block's
-/// write version. This is the "what would a scan read here" model: the
-/// durable image gives (lba -> version); looking the version up here gives
-/// the record that version carried. Only descriptor and commit blocks have
-/// records — log blocks are located through their transaction's descriptor
-/// (jd_blocks[1..] paired with buffers, then journaled_data) and validated
-/// by version, and the commit checksum's in-place data coverage lives in
-/// Txn::covered_data.
+/// Content description of one journal-area block, valid while the block
+/// holds the version it was written with. This is the "what would a scan
+/// read here" model: the durable image gives (lba -> version); looking the
+/// pair up here gives the record that version carried. Only descriptor and
+/// commit blocks have records — log blocks are located through their
+/// transaction's descriptor (jd_blocks[1..] paired with buffers, then
+/// journaled_data) and validated by version, and the commit checksum's
+/// in-place data coverage lives in Txn::covered_data.
 struct JournalRecord {
   enum class Type : std::uint8_t {
     kDescriptor,  // tag table: the txn's log blocks and their homes
@@ -83,17 +83,10 @@ struct JournalRecord {
 
 /// A transaction's dirty metadata blocks: a set kept as a sorted vector.
 /// It iterates in ascending block order, the descriptor's tag-table order
-/// that recovery pairs log blocks with, and its storage passes from each
-/// released transaction to a new one (Journal::release, close_running).
+/// that recovery pairs log blocks with, and keeps its storage when the
+/// journal reuses its transaction.
 class BlockSet {
  public:
-  BlockSet() = default;
-  /// An empty set over `storage`'s capacity.
-  explicit BlockSet(std::vector<flash::Lba> storage)
-      : blocks_(std::move(storage)) {
-    blocks_.clear();
-  }
-
   bool contains(flash::Lba b) const noexcept {
     return std::binary_search(blocks_.begin(), blocks_.end(), b);
   }
@@ -108,10 +101,7 @@ class BlockSet {
   bool empty() const noexcept { return blocks_.empty(); }
   auto begin() const noexcept { return blocks_.begin(); }
   auto end() const noexcept { return blocks_.end(); }
-  /// Empties the set and hands over its storage.
-  std::vector<flash::Lba> take_storage() noexcept {
-    return std::exchange(blocks_, {});
-  }
+  void clear() noexcept { blocks_.clear(); }
 
  private:
   std::vector<flash::Lba> blocks_;
@@ -180,10 +170,19 @@ struct Txn {
   bool flush_owed = false;
   /// Homes whose in-place copy is pending: neither issued nor dropped.
   std::uint32_t pending_homes = 0;
+  /// Commit waiters suspended with this transaction in hand: the journal
+  /// reuses a released transaction's object only once none holds it.
+  std::uint32_t holds = 0;
   /// In-place metadata copies issued (due, or on a stall): (home lba,
   /// device version), in home order. Homes of `buffers` missing here were
   /// dropped.
   std::vector<std::pair<flash::Lba, flash::Version>> checkpoint_blocks;
+  /// The checkpoint tracker's share of those copies: the requests it waits
+  /// for (submitted ones first, then the deferred ones as it submits them)
+  /// and the copies whose home had an older copy in flight at issue, which
+  /// it submits once that one completed (buffer-lock rule).
+  std::vector<blk::RequestPtr> checkpoint_reqs;
+  std::vector<blk::Block> deferred_copies;
   /// Device flush sequence that a completed flush's entry sequence must
   /// exceed before this span's homes are durable (Journal::owe_flush):
   /// raised when a retire drops one of its pending copies (the dropper's
@@ -193,6 +192,11 @@ struct Txn {
 
   explicit Txn(sim::Simulator& sim, std::uint64_t txn_id)
       : id(txn_id), dispatched(sim), durable(sim) {}
+
+  /// Opens this released, unheld object as transaction `txn_id`: every
+  /// field back to its initial value, every list empty but keeping its
+  /// storage.
+  void reuse(std::uint64_t txn_id);
 
   bool empty() const noexcept {
     return buffers.empty() && journaled_data.empty();
@@ -228,7 +232,7 @@ class Journal {
 
   Journal(sim::Simulator& sim, blk::BlockLayer& blk, const FsConfig& cfg,
           const Layout& layout);
-  virtual ~Journal() = default;
+  virtual ~Journal();
 
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
@@ -286,26 +290,35 @@ class Journal {
   bool running_has_updates() const noexcept { return !running_->empty(); }
   std::uint64_t running_txn_id() const noexcept { return running_->id; }
 
+  /// True for an id behind sb_tail_txn(): the tail released it, so it
+  /// retired and is durable, and its Txn is gone. Transactions retire and
+  /// are released in id order.
+  bool is_released(std::uint64_t tid) const noexcept {
+    return tid != 0 && tid < sb_tail_txn_;
+  }
+
   bool is_retired(std::uint64_t tid) const {
+    if (is_released(tid)) return true;
     const Txn* t = find_txn(tid);
     return t != nullptr && t->state == Txn::State::kRetired;
   }
 
   const Stats& stats() const noexcept { return stats_; }
 
-  /// Any transaction by id (running, committing, retired or a released
-  /// shell); nullptr for an id never opened. Transactions retire in id
-  /// order, and those behind sb_tail_txn() are shells: their payload and
-  /// block lists were released.
+  /// A live transaction by id (running, committing, or retired but not yet
+  /// released); nullptr for a released id or one never opened.
   const Txn* find_txn(std::uint64_t tid) const noexcept {
-    return tid - 1 < txns_.size() ? txns_[tid - 1].get() : nullptr;  // 0 wraps
+    return tid >= sb_tail_txn_ && tid - sb_tail_txn_ < live_txns_.size()
+               ? live_txns_[tid - sb_tail_txn_]
+               : nullptr;
   }
 
   // ---- recovery surface ----------------------------------------------------
 
-  /// Content record of the journal block written with `version`, or nullptr
-  /// (fs::Recovery's "read one journal block" primitive).
-  const JournalRecord* find_record(flash::Version version) const;
+  /// Content record of journal block `block` while it holds `version`, or
+  /// nullptr (fs::Recovery's "read one journal block" primitive).
+  const JournalRecord* find_record(flash::Lba block,
+                                   flash::Version version) const;
 
   /// Resolves an in-place metadata write version to (home lba, txn id) —
   /// the identity of a checkpoint copy found in the durable image.
@@ -357,6 +370,11 @@ class Journal {
   /// Closes the running transaction (empty or not) and opens a new one.
   Txn* close_running();
 
+  /// A commit waiter keeps `txn` across a suspension: its object is not
+  /// reused, even once released, until the waiter lets go.
+  static void hold(Txn& txn) noexcept { ++txn.holds; }
+  void let_go(Txn& txn);
+
   /// Reserves the JD blocks (descriptor + per-buffer and per-data-page log
   /// blocks) for `txn` into txn.jd_blocks and registers their content
   /// records. May stall on journal-space pressure (tail advance).
@@ -386,6 +404,7 @@ class Journal {
   /// write never replays as committed").
   void abort_journal(Txn& txn);
 
+  /// A live transaction by id (find_txn, which must not be null).
   Txn& get_txn(std::uint64_t tid);
 
   sim::Simulator& sim_;
@@ -393,11 +412,14 @@ class Journal {
   FsConfig cfg_;
   Layout layout_;
 
-  /// Every transaction ever opened, indexed by id - 1 (ids are dense from
-  /// 1): the retired ones' shells stay, since commit waiters and recovery
-  /// may still look them up.
-  std::deque<std::unique_ptr<Txn>> txns_;
-  Txn* running_ = nullptr;  // txns_.back()
+  /// Every Txn object; released ones that no waiter holds wait in
+  /// free_txns_ for reuse (open_txn).
+  std::deque<Txn> txn_store_;
+  std::vector<Txn*> free_txns_;
+  /// The live transactions, ids sb_tail_txn_ to running_->id (ids are
+  /// dense from 1).
+  sim::FlatQueue<Txn*> live_txns_;
+  Txn* running_ = nullptr;  // live_txns_.back()
   flash::Lba journal_head_ = 0;
   Stats stats_;
   bool started_ = false;
@@ -406,23 +428,33 @@ class Journal {
 
  private:
   /// One reserved stretch of the journal area (offsets, not LBAs). A txn
-  /// owns up to two: JD and JC (a wrap may separate them). Txn shells are
-  /// kept in txns_ for the run, so the raw pointer is stable.
+  /// owns up to two: JD and JC (a wrap may separate them). A span is
+  /// dropped before its transaction is released.
   struct JournalSpan {
     Txn* txn = nullptr;
     std::uint32_t start = 0;
     std::uint32_t len = 0;
   };
 
-  /// One transaction's issued in-place copies, queued for
-  /// checkpoint_tracker().
-  struct PendingCheckpoint {
-    Txn* txn = nullptr;
-    std::vector<blk::RequestPtr> reqs;
-    /// Copies whose home block had an older copy in flight at submit time;
-    /// the tracker serializes and submits them (buffer-lock rule).
-    std::vector<blk::Block> deferred;
+  /// Content record of one journal block, valid while the block holds
+  /// `version` (0: none). A block is rewritten only after its transaction
+  /// was released, which clears the slot.
+  struct RecordSlot {
+    flash::Version version = 0;
+    JournalRecord record;
   };
+
+  /// The live transaction `id`, from a released object or a new one.
+  Txn& open_txn(std::uint64_t id);
+  /// Puts a released transaction no waiter holds on free_txns_ (under ASan
+  /// a free object is poisoned: a late access through a stale pointer is
+  /// reported as a use after free).
+  void free_txn(Txn& txn);
+
+  /// Registers the record `block` carries.
+  void put_record(const blk::Block& block, JournalRecord::Type type,
+                  std::uint64_t txn_id);
+  void erase_record(const blk::Block& block);
 
   /// Reserves `n` contiguous journal blocks for `txn` (wrapping like JBD2:
   /// records never straddle the end). Suspends while the space is still
@@ -463,10 +495,11 @@ class Journal {
   /// the payload of every transaction the pointer moved past.
   void advance_tail();
 
-  /// Drops a transaction behind the superblock tail to its shell: erases
-  /// its journal records, moves each checkpoint copy's MetaSnapshot into
-  /// the copy's record (superseding the home block's previously released
-  /// copy) and frees the payload containers.
+  /// Releases a transaction behind the superblock tail: erases its journal
+  /// records, moves each checkpoint copy's MetaSnapshot into the copy's
+  /// record (superseding the home block's previously released copy), frees
+  /// its journaled and covered data lists and frees its object for reuse
+  /// unless a waiter holds it.
   void release(Txn& txn);
 
   /// Tail-advance slow path: copy journaled data in place (lazy OptFS
@@ -475,13 +508,13 @@ class Journal {
   sim::Task force_tail_advance();
 
   /// One persistent tracker instead of a waiter per transaction: drains
-  /// (txn, checkpoint requests) pairs in retire order and marks
+  /// the transactions whose copies were issued, in issue order, and marks
   /// checkpoint_done. Completed events resolve without suspension, so the
   /// loop adds no simulated latency in the common case.
   sim::Task checkpoint_tracker();
 
   CloseHook close_hook_;
-  std::deque<PendingCheckpoint> ckpt_queue_;
+  sim::FlatQueue<Txn*> ckpt_queue_;
   // Per-home tables, indexed by home_index(): one slot per inode-table
   // block.
   /// Latest in-place copy request per home block (conflict detection);
@@ -501,28 +534,14 @@ class Journal {
   bool ckpt_tracker_started_ = false;
   /// Capacity-retaining scratch for the 1-block JC reservation.
   std::vector<blk::Block> scratch_jc_;
-
-  // Per-commit storage handed from released transactions to new ones
-  // (close_running), so a commit allocates nothing once the lists fill.
-  std::vector<std::vector<flash::Lba>> spare_block_sets_;
-  /// jd_blocks and checkpoint_blocks storage.
-  std::vector<std::vector<blk::Block>> spare_blocks_;
-  std::vector<std::vector<std::pair<flash::Lba, MetaSnapshot>>>
-      spare_snapshots_;
-  /// PendingCheckpoint::reqs storage, handed back by the tracker.
-  std::vector<std::vector<blk::RequestPtr>> spare_ckpt_reqs_;
-  /// Retired transactions whose set events still own their waiter lists'
-  /// storage, for the next transaction's events.
-  std::vector<Txn*> waiter_donors_;
   /// Entry storage of dropped directory snapshots, for take_dir_entries().
   std::vector<MetaSnapshot::Entries> spare_dir_entries_;
 
   // Content model of the journal area + in-place checkpoint copies. The
-  // two version-keyed maps churn (a record per journal block, an entry per
-  // checkpoint copy), so they refill their erased nodes.
-  using RecordMap = std::unordered_map<flash::Version, JournalRecord>;
-  RecordMap records_;
-  sim::SpareNodes<RecordMap> spare_record_nodes_;
+  // records sit in a table indexed by journal block; the version-keyed
+  // checkpoint map churns (an entry per copy), so it refills its erased
+  // nodes.
+  std::vector<RecordSlot> records_;
   using CheckpointMap = std::unordered_map<flash::Version, CheckpointId>;
   CheckpointMap checkpoint_versions_;
   sim::SpareNodes<CheckpointMap> spare_ckpt_nodes_;
@@ -533,7 +552,7 @@ class Journal {
   std::unordered_map<flash::Version, DataCheckpointId> data_checkpoint_versions_;
 
   // Circular space accounting.
-  std::deque<JournalSpan> live_spans_;
+  sim::FlatQueue<JournalSpan> live_spans_;
   std::uint32_t journal_tail_ = 0;  // offset of the oldest live block
   std::uint32_t journal_used_ = 0;  // blocks between tail and head (+ waste)
   std::uint64_t sb_tail_txn_ = 1;

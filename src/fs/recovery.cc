@@ -31,7 +31,7 @@ RecoveryReport Recovery::recover(
   for (flash::Lba off = 0; off < cfg_.journal_blocks; ++off) {
     const auto v = durable_version(jbase + off);
     if (!v) continue;
-    const JournalRecord* rec = journal_.find_record(*v);
+    const JournalRecord* rec = journal_.find_record(jbase + off, *v);
     if (rec == nullptr) continue;  // pre-journal content (never written)
     switch (rec->type) {
       case JournalRecord::Type::kDescriptor:

@@ -9,6 +9,8 @@
 //   * insert_reusing / erase_keeping: node-based maps (std::map,
 //     std::unordered_map) keep their erased nodes as C++17 node handles and
 //     refill them on the next insert.
+//   * reserve_reused: a vector reused for lists of varying length grows
+//     with headroom, so it does not reallocate for each new longest list.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +30,10 @@ class FlatQueue {
   }
 
   const T& front() const noexcept { return items_[head_]; }
+  /// The i-th queued item, front first.
+  const T& operator[](std::size_t i) const noexcept {
+    return items_[head_ + i];
+  }
   T& back() noexcept { return items_.back(); }
 
   void push_back(T v) { items_.push_back(std::move(v)); }
@@ -61,6 +67,13 @@ class FlatQueue {
   std::vector<T> items_;
   std::size_t head_ = 0;
 };
+
+/// Makes room for `n` items in a vector that is reused for lists of
+/// varying length: when it must grow, it grows to half again `n`.
+template <typename V>
+void reserve_reused(V& v, std::size_t n) {
+  if (v.capacity() < n) v.reserve(n + n / 2);
+}
 
 /// Spare nodes of a node-based map, kept by erase_keeping.
 template <typename Map>

@@ -57,11 +57,6 @@ class WaitQueue {
   bool wake_one(Simulator& sim);
   /// Forgets every parked waiter without waking it.
   void clear() noexcept { waiters_.clear(); }
-  /// Swaps list storage with `other`; neither may have a parked waiter.
-  void swap_storage(WaitQueue& other) noexcept {
-    BIO_CHECK(waiters_.empty() && other.waiters_.empty());
-    waiters_.swap(other.waiters_);
-  }
 
  private:
   struct Waiter {

@@ -49,12 +49,6 @@ class Event {
     set_ = false;
   }
 
-  /// Swaps waiter-list storage with `other`; neither may have a waiter. A
-  /// set event never parks again, so its drained list can serve another.
-  void swap_waiter_storage(Event& other) noexcept {
-    waiters_.swap_storage(other.waiters_);
-  }
-
   struct Awaiter {
     Event& event;
     bool await_ready() const noexcept { return event.set_; }

@@ -382,21 +382,26 @@ TEST_P(JournalCrashTest, CommittedTransactionsFormAPrefix) {
     }
   };
   x.sim().spawn("app", body());
-  // The journal frees a transaction's descriptor list once its tail moves
-  // past it, so record each list as the transaction retires: a release
-  // trails its retire by at least a checkpoint write and a flush, far more
-  // than one step.
+  // The journal releases a transaction once its tail moves past it and
+  // reuses its object, so record each transaction's records as it retires:
+  // a release trails its retire by at least a checkpoint write and a
+  // flush, far more than one step.
   const sim::SimTime crash_at = rng.uniform(1'000, 200'000) * 1_us;
-  std::vector<const fs::Txn*> order;
-  std::vector<std::vector<std::pair<Lba, Version>>> jd_of;
+  struct Committed {
+    std::uint64_t id = 0;
+    std::vector<std::pair<Lba, Version>> jd;
+    std::pair<Lba, Version> jc;
+  };
+  std::vector<Committed> order;  // ids 1, 2, ...
+  const fs::Journal& j = x.fs().journal();
   for (sim::SimTime t = 0; t < crash_at;) {
     t = std::min(t + 50_us, crash_at);
     x.sim().run_until(t);
-    order = fs::testutil::retired_txns(x.fs().journal());
-    for (std::size_t i = jd_of.size(); i < order.size(); ++i) {
-      ASSERT_FALSE(order[i]->jd_blocks.empty())
-          << "txn " << order[i]->id << " released before it was recorded";
-      jd_of.push_back(order[i]->jd_blocks);
+    for (std::uint64_t id = order.size() + 1; j.is_retired(id); ++id) {
+      const fs::Txn* txn = j.find_txn(id);
+      ASSERT_NE(txn, nullptr)
+          << "txn " << id << " released before it was recorded";
+      order.push_back(Committed{id, txn->jd_blocks, txn->jc_block});
     }
   }
 
@@ -406,15 +411,14 @@ TEST_P(JournalCrashTest, CommittedTransactionsFormAPrefix) {
     return it != durable.end() && it->second >= blockv.second;
   };
   bool seen_missing = false;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const fs::Txn* txn = order[i];
-    const bool jc_durable = has(txn->jc_block);
+  for (const Committed& txn : order) {
+    const bool jc_durable = has(txn.jc);
     if (jc_durable) {
       EXPECT_FALSE(seen_missing)
-          << "txn " << txn->id << " durable after a lost predecessor — "
+          << "txn " << txn.id << " durable after a lost predecessor — "
              "commit order violated";
-      for (const auto& jd : jd_of[i])
-        EXPECT_TRUE(has(jd)) << "txn " << txn->id
+      for (const auto& jd : txn.jd)
+        EXPECT_TRUE(has(jd)) << "txn " << txn.id
                              << ": commit record durable but a descriptor/"
                                 "log block is missing (atomicity broken)";
     } else {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
 #include "fs/barrierfs.h"
@@ -414,6 +415,99 @@ TEST(BarrierFsTest, UncoveredCommitStillFlushesOnSupercap) {
   EXPECT_EQ(flush_entries, 1u);
 }
 
+// The journal reuses a released transaction's object, but not while a
+// durability waiter holds it: BarrierFS's commit reads the transaction's
+// `flushed` and `state` when it wakes. Here the waiter sleeps (a long wake
+// latency) through its transaction T's flush, retire and release, and
+// through ten later fbarrier commits, which retire without a flush. Reused
+// without the hold, T's object would carry one of those by the time the
+// waiter wakes, and the waiter would flush for it and mark it flushed.
+TEST(BarrierFsTest, DurabilityWaiterHoldsItsTransactionThroughReuse) {
+  core::StackConfig cfg = test_stack_config(StackKind::kBfsDR);
+  cfg.fs.journal_blocks = 32;  // the tail releases T within a few commits
+  StackFixture x(StackKind::kBfsDR, &cfg);
+  Journal& j = x.fs().journal();
+  Inode* f = nullptr;
+  std::uint64_t t = 0;
+  const Txn* t_object = nullptr;
+  std::uint64_t first_after = 0;  // the first transaction opened after T's
+  bool reused_while_held = false;
+  bool woke = false;
+  bool released_at_wake = false;
+  std::uint64_t flushes_before_wake = 0;
+  std::uint64_t flushes_at_wake = 0;
+  std::uint64_t later_txns = 0;
+  std::uint64_t later_flushes = 0;
+  auto waiter = [&]() -> Task {
+    co_await j.commit(t, Journal::WaitMode::kDurable);
+    flushes_at_wake = x.dev().flush_sequence();
+    released_at_wake = j.is_released(t);
+    woke = true;
+  };
+  auto occupies_t_object = [&] {
+    for (std::uint64_t id = j.sb_tail_txn(); id <= j.running_txn_id(); ++id)
+      if (j.find_txn(id) == t_object) return true;
+    return false;
+  };
+  auto app = [&]() -> Task {
+    co_await x.fs().create("a", f);
+    co_await x.fs().write(*f, 0, 1);
+    co_await x.fs().sync(*f, Syscall::kFsync);
+    co_await x.sim().delay(5_ms);  // new tick: the write dirties the inode
+    co_await x.fs().write(*f, 0, 1);
+    t = f->txn_id;
+    t_object = j.find_txn(t);
+    sim::Thread w = x.sim().spawn("waiter", waiter());
+    w->wake_latency = 1_s;
+    // iolint: stable-across-suspend(names the first transaction opened
+    // after T's, whatever runs later)
+    first_after = j.running_txn_id() + 1;
+    for (int i = 0; i < 100 && !j.is_released(t); ++i) {
+      co_await x.sim().delay(5_ms);
+      co_await x.fs().write(*f, 0, 1);
+      co_await x.fs().sync(*f, Syscall::kFbarrier);
+    }
+    for (int i = 0; i < 10; ++i) {
+      co_await x.sim().delay(5_ms);
+      co_await x.fs().write(*f, 0, 1);
+      co_await x.fs().sync(*f, Syscall::kFbarrier);
+      reused_while_held = reused_while_held || occupies_t_object();
+    }
+    while (!j.is_retired(j.running_txn_id() - 1)) co_await x.sim().delay(1_us);
+    reused_while_held = reused_while_held || occupies_t_object();
+    flushes_before_wake = x.dev().flush_sequence();
+    EXPECT_FALSE(woke) << "the waiter woke before the scenario was set up";
+    while (!woke) co_await x.sim().delay(1_ms);
+    // The later transactions still live all retired through fbarrier,
+    // without a flush: a durability waiter on each still owes one.
+    const std::uint64_t before = x.dev().flush_sequence();
+    for (std::uint64_t id = std::max(first_after, j.sb_tail_txn());
+         id < j.running_txn_id(); ++id) {
+      co_await j.commit(id, Journal::WaitMode::kDurable);
+      ++later_txns;
+    }
+    later_flushes = x.dev().flush_sequence() - before;
+    // Let go, T's object is the next one the journal reuses.
+    co_await x.sim().delay(5_ms);
+    co_await x.fs().write(*f, 0, 1);
+    co_await x.fs().sync(*f, Syscall::kFbarrier);
+  };
+  x.sim().spawn("app", app());
+  x.sim().run();
+
+  ASSERT_TRUE(woke);
+  EXPECT_TRUE(released_at_wake);
+  EXPECT_FALSE(reused_while_held);
+  EXPECT_EQ(flushes_at_wake, flushes_before_wake)
+      << "the waiter flushed again for a transaction the flush thread had "
+         "flushed";
+  EXPECT_GT(later_txns, 0u);
+  EXPECT_EQ(later_flushes, later_txns)
+      << "a later durability waiter skipped its flush";
+  EXPECT_EQ(j.find_txn(j.running_txn_id()), t_object)
+      << "T's object never went back to the journal";
+}
+
 TEST(BarrierFsTest, MultiTxnPageConflictDoesNotBlockApplication) {
   StackFixture x(StackKind::kBfsDR);
   sim::Thread app;
@@ -551,8 +645,10 @@ TEST(BarrierFsTest, DroppedCopyHoldsTheTailUntilAFlushAfterItsCover) {
   ASSERT_EQ(report.files.size(), 1u);
   EXPECT_GE(report.files.front().size_blocks, 5u);
 
-  // Only a flush after R's retire lets a later reservation release T.
-  EXPECT_LE(x.dev().flush_horizon(), older.flush_stamp);
+  // Only a flush after R's retire lets a later reservation release T (and
+  // free T's object for reuse: keep its stamp).
+  const std::uint64_t t_stamp = older.flush_stamp;
+  EXPECT_LE(x.dev().flush_horizon(), t_stamp);
   EXPECT_EQ(j.sb_tail_txn(), t);
   auto flusher = [&]() -> Task {
     co_await x.fs().sync(*f, Syscall::kFsync);  // nothing dirty: a flush
@@ -560,8 +656,10 @@ TEST(BarrierFsTest, DroppedCopyHoldsTheTailUntilAFlushAfterItsCover) {
   };
   x.sim().spawn("flusher", flusher());
   x.sim().run();
-  EXPECT_GT(x.dev().flush_horizon(), older.flush_stamp);
+  EXPECT_GT(x.dev().flush_horizon(), t_stamp);
   EXPECT_GT(j.sb_tail_txn(), t);
+  EXPECT_EQ(j.find_txn(t), nullptr) << "a released transaction has no Txn";
+  EXPECT_TRUE(j.is_retired(t));
 }
 
 TEST(OptFsTest, OsyncCommitsWithoutFlush) {
@@ -684,6 +782,23 @@ TEST_P(LazyCheckpointTest, NewerCommitDropsTheCopyAndTheRestFallsDueAtHalfALap) 
   std::vector<std::size_t> behind;
   std::vector<std::uint64_t> writes;
   std::vector<std::uint64_t> flush_seq;
+  // The checkpoint state of T1 and of each rewrite, read while the
+  // transaction is live (the tail releases them before the run ends): T1's
+  // once its shard copy was issued, rewrite i's once rewrite i + 1 retired,
+  // which settled it.
+  struct CheckpointState {
+    bool flush_owed = false;
+    std::uint64_t flush_stamp = 0;
+    std::uint32_t pending_homes = 0;
+    bool copied = false;
+  };
+  auto state_of = [&j](std::uint64_t id) {
+    const Txn& txn = *j.find_txn(id);
+    return CheckpointState{txn.flush_owed, txn.flush_stamp, txn.pending_homes,
+                           !txn.checkpoint_blocks.empty()};
+  };
+  std::optional<CheckpointState> t1_state;
+  std::vector<CheckpointState> rewrite_state;
   auto body = [&]() -> Task {
     co_await x.fs().create("a", f, 32);
     co_await x.fs().write(*f, 0, 1);
@@ -702,6 +817,8 @@ TEST_P(LazyCheckpointTest, NewerCommitDropsTheCopyAndTheRestFallsDueAtHalfALap) 
       behind.push_back(blocks);
       writes.push_back(j.stats().checkpoint_writes);
       flush_seq.push_back(x.dev().flush_sequence());
+      if (i > 0) rewrite_state.push_back(state_of(rewrites[i - 1]));
+      if (!t1_state && writes.back() > 0) t1_state = state_of(t1);
     }
   };
   x.sim().spawn("t", body());
@@ -716,15 +833,17 @@ TEST_P(LazyCheckpointTest, NewerCommitDropsTheCopyAndTheRestFallsDueAtHalfALap) 
   // was never written in place. A drop owes the older span a flush after
   // the dropper's retire, and each rewrite's fsync flushes before its
   // retire: rewrite i's stamp comes from rewrite i + 1's retire.
-  EXPECT_TRUE(j.find_txn(t1)->flush_owed) << k;
-  EXPECT_EQ(j.find_txn(t1)->pending_homes, 0u) << k;
+  ASSERT_TRUE(t1_state.has_value()) << k << ": T1's copy never fell due";
+  EXPECT_TRUE(t1_state->flush_owed) << k;
+  EXPECT_EQ(t1_state->pending_homes, 0u) << k;
+  ASSERT_EQ(rewrite_state.size(), rewrites.size() - 1) << k;
   for (std::size_t i = 0; i + 1 < rewrites.size(); ++i) {
-    const Txn& txn = *j.find_txn(rewrites[i]);
+    const CheckpointState& txn = rewrite_state[i];
     EXPECT_TRUE(txn.flush_owed) << k;
     EXPECT_GT(txn.flush_stamp, flush_seq[i]) << k << ": rewrite " << i;
     EXPECT_LE(txn.flush_stamp, flush_seq[i + 1]) << k << ": rewrite " << i;
     EXPECT_EQ(txn.pending_homes, 0u) << k;
-    EXPECT_TRUE(txn.checkpoint_blocks.empty()) << k;
+    EXPECT_FALSE(txn.copied) << k;
   }
   EXPECT_EQ(j.stats().checkpoint_drops, rewrites.size()) << k;
   EXPECT_EQ(j.find_txn(rewrites.back())->pending_homes, 1u) << k;

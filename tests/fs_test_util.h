@@ -41,12 +41,13 @@ struct StackFixture {
   flash::StorageDevice& dev() { return stack->device(); }
 };
 
-/// The journal's retired transactions in commit order: transactions retire
-/// in id order, so these are the ids from 1 up to the first one that has
-/// not retired.
+/// The journal's retired transactions that the tail has not released, in
+/// commit order: transactions retire and are released in id order, so
+/// these are the ids from sb_tail_txn() up to the first one that has not
+/// retired.
 inline std::vector<const Txn*> retired_txns(const Journal& journal) {
   std::vector<const Txn*> out;
-  for (std::uint64_t id = 1; journal.is_retired(id); ++id)
+  for (std::uint64_t id = journal.sb_tail_txn(); journal.is_retired(id); ++id)
     out.push_back(journal.find_txn(id));
   return out;
 }
