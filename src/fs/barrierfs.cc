@@ -51,19 +51,19 @@ sim::Task BarrierFsJournal::commit(std::uint64_t tid, WaitMode mode) {
       break;
     case WaitMode::kDurable:
       txn.needs_flush = true;
-      // The transaction may retire and be released before this waiter
-      // runs again; the hold keeps its object from being reused meanwhile.
-      hold(txn);
       co_await txn.durable.wait();
+      // The tail may have released the transaction while this waiter
+      // slept, and the journal reused its object: a released id is
+      // durable, and `txn` is only still ours while the id is live.
+      if (is_released(tid)) break;
       // A retired txn may still owe the caller its durability flush; one
       // that never retired (journal abort woke us) owes nothing but EIO.
       if (!txn.flushed && txn.state == Txn::State::kRetired) {
         // The flush thread retired this txn for ordering only (we joined
         // after its flush decision); issue the durability flush ourselves.
         co_await blk_.flush_and_wait();
-        txn.flushed = true;
+        if (!is_released(tid)) txn.flushed = true;
       }
-      let_go(txn);
       break;
   }
 }

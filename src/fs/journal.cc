@@ -10,30 +10,19 @@
 namespace bio::fs {
 
 void Txn::reuse(std::uint64_t txn_id) {
-  id = txn_id;
-  state = State::kRunning;
+  static_cast<TxnScalars&>(*this) = TxnScalars{.id = txn_id};
   buffers.clear();
   journaled_data.clear();
   data_reqs.clear();
   covered_data.clear();
   meta_snapshots.clear();
   jd_blocks.clear();
-  jc_block = {0, 0};
-  jc_req.reset();
-  jd_req.reset();
-  // Both fired at retire, which woke every waiter.
-  dispatched.reset();
-  durable.reset();
-  needs_flush = false;
-  flushed = false;
-  checkpoint_done = false;
-  data_checkpointed = false;
-  flush_owed = false;
-  pending_homes = 0;
   checkpoint_blocks.clear();
   checkpoint_reqs.clear();
   deferred_copies.clear();
-  flush_stamp = 0;
+  // Both fired at retire, which woke every waiter.
+  dispatched.reset();
+  durable.reset();
 }
 
 Journal::Journal(sim::Simulator& sim, blk::BlockLayer& blk,
@@ -119,16 +108,6 @@ Txn& Journal::open_txn(std::uint64_t id) {
   }
   live_txns_.push_back(txn);
   return *txn;
-}
-
-void Journal::let_go(Txn& txn) {
-  BIO_CHECK(txn.holds > 0);
-  if (--txn.holds == 0 && is_released(txn.id)) free_txn(txn);
-}
-
-void Journal::free_txn(Txn& txn) {
-  free_txns_.push_back(&txn);
-  ASAN_POISON_MEMORY_REGION(&txn, sizeof txn);
 }
 
 MetaSnapshot::Entries Journal::take_dir_entries() {
@@ -230,7 +209,8 @@ void Journal::release(Txn& txn) {
   // a queued one sits at the front.
   if (!due_queue_.empty() && due_queue_.front() == &txn)
     due_queue_.pop_front();
-  if (txn.holds == 0) free_txn(txn);
+  free_txns_.push_back(&txn);
+  ASAN_POISON_MEMORY_REGION(&txn, sizeof txn);
 }
 
 sim::Task Journal::force_tail_advance() {

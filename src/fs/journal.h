@@ -40,9 +40,10 @@
 // Only the live stretch between tail and head exists. When the tail moves
 // past a transaction (DESIGN.md §5) it is released: its journal records are
 // erased, each checkpoint copy's MetaSnapshot moves into that copy's
-// checkpoint record, and its Txn object is reused for a later transaction
-// once no commit waiter holds it (Txn::holds). Ids below the tail read as
-// retired and have no Txn.
+// checkpoint record, and its Txn object is reused for a later transaction.
+// Ids below the tail read as retired and have no Txn: a commit waiter that
+// slept through its transaction's release looks the id up again instead
+// of reading the object.
 #pragma once
 
 #include <algorithm>
@@ -107,11 +108,51 @@ class BlockSet {
   std::vector<flash::Lba> blocks_;
 };
 
-struct Txn {
+/// A transaction's state that owns no storage. Every field starts at its
+/// initial value, and Txn::reuse resets them all with one assignment, so
+/// a field added here cannot carry a released transaction's value into a
+/// later one.
+struct TxnScalars {
   enum class State : std::uint8_t { kRunning, kCommitting, kRetired };
 
   std::uint64_t id = 0;
   State state = State::kRunning;
+  /// A durability waiter requires a flush before retirement (read by the
+  /// BarrierFS flush thread only).
+  bool needs_flush = false;
+  /// A flush was actually issued before retirement.
+  bool flushed = false;
+
+  /// JC as written (for crash analysis).
+  std::pair<flash::Lba, flash::Version> jc_block{0, 0};
+  /// The in-flight JC request (BarrierFS's flush thread waits on it; OptFS
+  /// holds it until retire); reset at retire.
+  blk::RequestPtr jc_req = nullptr;
+  /// The in-flight JD request (BarrierFS submits it without waiting; the
+  /// flush thread later checks it for IO failure before retiring); reset
+  /// at retire.
+  blk::RequestPtr jd_req = nullptr;
+
+  // ---- checkpoint lifetime (journal-space release gating) -----------------
+  /// Retired, no copy pending, and every issued copy has transferred.
+  bool checkpoint_done = false;
+  /// Journaled data has been copied in place (lazy, on space pressure).
+  bool data_checkpointed = false;
+  /// The span's release waits for a flush above `flush_stamp`.
+  bool flush_owed = false;
+  /// Homes whose in-place copy is pending: neither issued nor dropped.
+  std::uint32_t pending_homes = 0;
+  /// Device flush sequence that a completed flush's entry sequence must
+  /// exceed before this span's homes are durable (Journal::owe_flush):
+  /// raised when a retire drops one of its pending copies (the dropper's
+  /// JD and JC have transferred, and its journal copy may still sit in the
+  /// device cache) and when its in-place metadata or data copies complete.
+  std::uint64_t flush_stamp = 0;
+};
+
+/// One transaction: its scalar state (TxnScalars), its lists, which keep
+/// their storage when the journal reuses the object, and its two events.
+struct Txn : TxnScalars {
   /// Dirty metadata blocks (inode table LBAs).
   BlockSet buffers;
   /// Data-journaled pages (OptFS selective data journaling): extra log
@@ -139,40 +180,10 @@ struct Txn {
                                                             : nullptr;
   }
 
-  /// Journal records as written (for crash analysis).
+  /// JD as written: the descriptor block, then the log blocks (for crash
+  /// analysis).
   std::vector<std::pair<flash::Lba, flash::Version>> jd_blocks;
-  std::pair<flash::Lba, flash::Version> jc_block{0, 0};
-  /// The in-flight JC request (BarrierFS's flush thread waits on it; OptFS
-  /// holds it until retire); reset at retire.
-  blk::RequestPtr jc_req;
-  /// The in-flight JD request (BarrierFS submits it without waiting; the
-  /// flush thread later checks it for IO failure before retiring); reset
-  /// at retire.
-  blk::RequestPtr jd_req;
 
-  /// JD and JC have been dispatched (fbarrier()'s wake-up point).
-  sim::Event dispatched;
-  /// Transaction retired; for durability-mode commits this means durable.
-  sim::Event durable;
-  /// A durability waiter requires a flush before retirement (read by the
-  /// BarrierFS flush thread only).
-  bool needs_flush = false;
-  /// A flush was actually issued before retirement.
-  bool flushed = false;
-
-  // ---- checkpoint lifetime (journal-space release gating) -----------------
-  // (The flags come first: they fill the padding after `flushed`.)
-  /// Retired, no copy pending, and every issued copy has transferred.
-  bool checkpoint_done = false;
-  /// Journaled data has been copied in place (lazy, on space pressure).
-  bool data_checkpointed = false;
-  /// The span's release waits for a flush above `flush_stamp`.
-  bool flush_owed = false;
-  /// Homes whose in-place copy is pending: neither issued nor dropped.
-  std::uint32_t pending_homes = 0;
-  /// Commit waiters suspended with this transaction in hand: the journal
-  /// reuses a released transaction's object only once none holds it.
-  std::uint32_t holds = 0;
   /// In-place metadata copies issued (due, or on a stall): (home lba,
   /// device version), in home order. Homes of `buffers` missing here were
   /// dropped.
@@ -183,19 +194,17 @@ struct Txn {
   /// it submits once that one completed (buffer-lock rule).
   std::vector<blk::RequestPtr> checkpoint_reqs;
   std::vector<blk::Block> deferred_copies;
-  /// Device flush sequence that a completed flush's entry sequence must
-  /// exceed before this span's homes are durable (Journal::owe_flush):
-  /// raised when a retire drops one of its pending copies (the dropper's
-  /// JD and JC have transferred, and its journal copy may still sit in the
-  /// device cache) and when its in-place metadata or data copies complete.
-  std::uint64_t flush_stamp = 0;
+
+  /// JD and JC have been dispatched (fbarrier()'s wake-up point).
+  sim::Event dispatched;
+  /// Transaction retired; for durability-mode commits this means durable.
+  sim::Event durable;
 
   explicit Txn(sim::Simulator& sim, std::uint64_t txn_id)
-      : id(txn_id), dispatched(sim), durable(sim) {}
+      : TxnScalars{.id = txn_id}, dispatched(sim), durable(sim) {}
 
-  /// Opens this released, unheld object as transaction `txn_id`: every
-  /// field back to its initial value, every list empty but keeping its
-  /// storage.
+  /// Opens this released object as transaction `txn_id`: its scalars back
+  /// to their initial values, every list empty but keeping its storage.
   void reuse(std::uint64_t txn_id);
 
   bool empty() const noexcept {
@@ -370,11 +379,6 @@ class Journal {
   /// Closes the running transaction (empty or not) and opens a new one.
   Txn* close_running();
 
-  /// A commit waiter keeps `txn` across a suspension: its object is not
-  /// reused, even once released, until the waiter lets go.
-  static void hold(Txn& txn) noexcept { ++txn.holds; }
-  void let_go(Txn& txn);
-
   /// Reserves the JD blocks (descriptor + per-buffer and per-data-page log
   /// blocks) for `txn` into txn.jd_blocks and registers their content
   /// records. May stall on journal-space pressure (tail advance).
@@ -412,8 +416,8 @@ class Journal {
   FsConfig cfg_;
   Layout layout_;
 
-  /// Every Txn object; released ones that no waiter holds wait in
-  /// free_txns_ for reuse (open_txn).
+  /// Every Txn object; released ones wait in free_txns_ for reuse
+  /// (open_txn).
   std::deque<Txn> txn_store_;
   std::vector<Txn*> free_txns_;
   /// The live transactions, ids sb_tail_txn_ to running_->id (ids are
@@ -446,10 +450,6 @@ class Journal {
 
   /// The live transaction `id`, from a released object or a new one.
   Txn& open_txn(std::uint64_t id);
-  /// Puts a released transaction no waiter holds on free_txns_ (under ASan
-  /// a free object is poisoned: a late access through a stale pointer is
-  /// reported as a use after free).
-  void free_txn(Txn& txn);
 
   /// Registers the record `block` carries.
   void put_record(const blk::Block& block, JournalRecord::Type type,
@@ -498,8 +498,9 @@ class Journal {
   /// Releases a transaction behind the superblock tail: erases its journal
   /// records, moves each checkpoint copy's MetaSnapshot into the copy's
   /// record (superseding the home block's previously released copy), frees
-  /// its journaled and covered data lists and frees its object for reuse
-  /// unless a waiter holds it.
+  /// its journaled and covered data lists and puts its object on
+  /// free_txns_ (under ASan a free object is poisoned: a late access
+  /// through a stale pointer is reported as a use after free).
   void release(Txn& txn);
 
   /// Tail-advance slow path: copy journaled data in place (lazy OptFS

@@ -415,14 +415,16 @@ TEST(BarrierFsTest, UncoveredCommitStillFlushesOnSupercap) {
   EXPECT_EQ(flush_entries, 1u);
 }
 
-// The journal reuses a released transaction's object, but not while a
-// durability waiter holds it: BarrierFS's commit reads the transaction's
-// `flushed` and `state` when it wakes. Here the waiter sleeps (a long wake
-// latency) through its transaction T's flush, retire and release, and
-// through ten later fbarrier commits, which retire without a flush. Reused
-// without the hold, T's object would carry one of those by the time the
-// waiter wakes, and the waiter would flush for it and mark it flushed.
-TEST(BarrierFsTest, DurabilityWaiterHoldsItsTransactionThroughReuse) {
+// The journal reuses a released transaction's object even while a
+// durability waiter still sleeps on it: BarrierFS's commit reads the
+// transaction's `flushed` and `state` when it wakes only if the id is
+// still live. Here the waiter sleeps (a long wake latency) through its
+// transaction T's flush, retire and release, and through later fbarrier
+// commits, which retire without a flush, until T's object carries one of
+// them that has retired. Read through the waiter's reference, that object
+// would make the waiter flush for the later transaction and mark it
+// flushed, and a durability waiter on that one would then skip its flush.
+TEST(BarrierFsTest, DurabilityWaiterWakesAfterItsTransactionWasReused) {
   core::StackConfig cfg = test_stack_config(StackKind::kBfsDR);
   cfg.fs.journal_blocks = 32;  // the tail releases T within a few commits
   StackFixture x(StackKind::kBfsDR, &cfg);
@@ -431,23 +433,24 @@ TEST(BarrierFsTest, DurabilityWaiterHoldsItsTransactionThroughReuse) {
   std::uint64_t t = 0;
   const Txn* t_object = nullptr;
   std::uint64_t first_after = 0;  // the first transaction opened after T's
-  bool reused_while_held = false;
+  std::uint64_t carrier = 0;      // the later transaction in T's object
+  bool carrier_owes_flush = false;
   bool woke = false;
   bool released_at_wake = false;
   std::uint64_t flushes_before_wake = 0;
   std::uint64_t flushes_at_wake = 0;
   std::uint64_t later_txns = 0;
   std::uint64_t later_flushes = 0;
+  auto carrier_of_t_object = [&]() -> std::uint64_t {
+    for (std::uint64_t id = j.sb_tail_txn(); id <= j.running_txn_id(); ++id)
+      if (id != t && j.find_txn(id) == t_object) return id;
+    return 0;
+  };
   auto waiter = [&]() -> Task {
     co_await j.commit(t, Journal::WaitMode::kDurable);
     flushes_at_wake = x.dev().flush_sequence();
     released_at_wake = j.is_released(t);
     woke = true;
-  };
-  auto occupies_t_object = [&] {
-    for (std::uint64_t id = j.sb_tail_txn(); id <= j.running_txn_id(); ++id)
-      if (j.find_txn(id) == t_object) return true;
-    return false;
   };
   auto app = [&]() -> Task {
     co_await x.fs().create("a", f);
@@ -462,20 +465,17 @@ TEST(BarrierFsTest, DurabilityWaiterHoldsItsTransactionThroughReuse) {
     // iolint: stable-across-suspend(names the first transaction opened
     // after T's, whatever runs later)
     first_after = j.running_txn_id() + 1;
-    for (int i = 0; i < 100 && !j.is_released(t); ++i) {
+    for (int i = 0; i < 100 && (carrier == 0 || !j.is_retired(carrier));
+         ++i) {
       co_await x.sim().delay(5_ms);
       co_await x.fs().write(*f, 0, 1);
       co_await x.fs().sync(*f, Syscall::kFbarrier);
-    }
-    for (int i = 0; i < 10; ++i) {
-      co_await x.sim().delay(5_ms);
-      co_await x.fs().write(*f, 0, 1);
-      co_await x.fs().sync(*f, Syscall::kFbarrier);
-      reused_while_held = reused_while_held || occupies_t_object();
+      if (carrier == 0) carrier = carrier_of_t_object();
     }
     while (!j.is_retired(j.running_txn_id() - 1)) co_await x.sim().delay(1_us);
-    reused_while_held = reused_while_held || occupies_t_object();
     flushes_before_wake = x.dev().flush_sequence();
+    carrier_owes_flush = carrier != 0 && carrier_of_t_object() == carrier &&
+                         !j.find_txn(carrier)->flushed;
     EXPECT_FALSE(woke) << "the waiter woke before the scenario was set up";
     while (!woke) co_await x.sim().delay(1_ms);
     // The later transactions still live all retired through fbarrier,
@@ -487,25 +487,91 @@ TEST(BarrierFsTest, DurabilityWaiterHoldsItsTransactionThroughReuse) {
       ++later_txns;
     }
     later_flushes = x.dev().flush_sequence() - before;
-    // Let go, T's object is the next one the journal reuses.
-    co_await x.sim().delay(5_ms);
-    co_await x.fs().write(*f, 0, 1);
-    co_await x.fs().sync(*f, Syscall::kFbarrier);
   };
   x.sim().spawn("app", app());
   x.sim().run();
 
   ASSERT_TRUE(woke);
   EXPECT_TRUE(released_at_wake);
-  EXPECT_FALSE(reused_while_held);
+  EXPECT_TRUE(carrier_owes_flush)
+      << "T's object carried no retired, unflushed transaction when the "
+         "waiter woke";
   EXPECT_EQ(flushes_at_wake, flushes_before_wake)
       << "the waiter flushed again for a transaction the flush thread had "
          "flushed";
   EXPECT_GT(later_txns, 0u);
   EXPECT_EQ(later_flushes, later_txns)
       << "a later durability waiter skipped its flush";
-  EXPECT_EQ(j.find_txn(j.running_txn_id()), t_object)
-      << "T's object never went back to the journal";
+}
+
+// A commit on a transaction the tail has released returns at once: the
+// release rule made its homes durable (their in-place copies, or a newer
+// transaction's journal copies, with a flush completed after either). Here
+// `a`'s i_size change joins a transaction T that `b`'s fbarrier commits
+// without a flush. More fbarrier commits of `b` fill the journal until a
+// stall's flush lets the tail pass T, and `a`'s fsync then commits T's
+// released id. Nothing else flushes: only the release rule makes T's
+// in-place copy of `a`'s inode durable before the fsync.
+TEST(BarrierFsTest, FsyncOnAReleasedTransactionKeepsItsMetadataAndData) {
+  core::StackConfig cfg = test_stack_config(StackKind::kBfsDR);
+  cfg.fs.journal_blocks = 32;  // the tail releases T within a few commits
+  StackFixture x(StackKind::kBfsDR, &cfg);
+  Journal& j = x.fs().journal();
+  const Recovery recovery(j, x.fs().layout(), x.fs().config());
+  Inode* a = nullptr;
+  Inode* b = nullptr;
+  std::uint64_t t = 0;
+  flash::Version page1 = 0;
+  bool released_at_fsync = false;
+  FsStatus status = FsStatus::kIo;
+  std::optional<RecoveryReport> at_fsync;   // a cut as the fsync starts
+  std::optional<RecoveryReport> at_return;  // and one as it returns
+  auto body = [&]() -> Task {
+    co_await x.fs().create("a", a);
+    co_await x.fs().create("b", b);
+    co_await x.fs().write(*a, 0, 1);
+    co_await x.fs().sync(*a, Syscall::kFsync);
+    co_await x.sim().delay(5_ms);  // new tick: the writes dirty the inodes
+    co_await x.fs().write(*a, 1, 1);  // i_size 2
+    page1 = x.fs().page_cache().find(a->ino, 1)->version;
+    t = a->txn_id;
+    co_await x.fs().write(*b, 0, 1);
+    co_await x.fs().sync(*b, Syscall::kFbarrier);  // commits T: no flush
+    // Each write grows `b`, so each commit carries its inode. No pause:
+    // the device programs what its cache holds within milliseconds, and
+    // the cut must come before it does for the flush to matter.
+    for (std::uint32_t page = 1;
+         page < cfg.fs.default_extent_blocks && !j.is_released(t); ++page) {
+      co_await x.fs().write(*b, page, 1);
+      co_await x.fs().sync(*b, Syscall::kFbarrier);
+    }
+    released_at_fsync = j.is_released(t) && a->meta_dirty && a->txn_id == t;
+    at_fsync = recovery.recover(x.dev().durable_state());
+    status = co_await x.fs().sync(*a, Syscall::kFsync);
+    at_return = recovery.recover(x.dev().durable_state());
+  };
+  x.sim().spawn("app", body());
+  x.sim().run();
+
+  ASSERT_TRUE(released_at_fsync)
+      << "the fsync did not commit a released transaction's id";
+  EXPECT_EQ(status, FsStatus::kOk);
+  auto size_of_a = [](const RecoveryReport& r) -> std::uint32_t {
+    for (const RecoveryReport::RecoveredFile& f : r.files)
+      if (f.name == "a") return f.size_blocks;
+    return 0;
+  };
+  // Before the fsync runs, the release rule alone holds T's i_size.
+  ASSERT_TRUE(at_fsync.has_value());
+  EXPECT_TRUE(at_fsync->clean());
+  EXPECT_EQ(size_of_a(*at_fsync), 2u);
+  // At its return, the acked i_size and page 1 both survive.
+  ASSERT_TRUE(at_return.has_value());
+  EXPECT_TRUE(at_return->clean());
+  EXPECT_EQ(size_of_a(*at_return), 2u);
+  const auto data = at_return->data.find(a->lba_of_page(1));
+  ASSERT_NE(data, at_return->data.end()) << "page 1 did not survive";
+  EXPECT_EQ(data->second, page1);
 }
 
 TEST(BarrierFsTest, MultiTxnPageConflictDoesNotBlockApplication) {

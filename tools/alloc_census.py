@@ -25,8 +25,9 @@ median over reps) when the reps allocate alike, which they do once the
 first rep warmed the thread-local frame pool.
 
 Usage:
-  tools/alloc_census.py <workload> [--seed N] [--seconds S] [--rev REV]
-                        [--scratch DIR] [--top K]
+  tools/alloc_census.py <workload> [--seed N] [--rev REV] [--scratch DIR]
+
+It runs BENCHMARK.json's run length and prints every site.
 
 --scratch keeps the copy and its build in DIR for the next call (an
 incremental rebuild); without it a temporary directory is used and removed.
@@ -249,19 +250,13 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("workload")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int,
-                    help="run length (default: BENCHMARK.json's run_seconds)")
     ap.add_argument("--rev", help="census this commit instead of the "
                     "working tree")
     ap.add_argument("--scratch", help="keep the copy and its build here")
-    ap.add_argument("--top", type=int, default=25,
-                    help="sites to print (default 25)")
     a = ap.parse_args()
 
-    seconds = a.seconds
-    if seconds is None:
-        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-        seconds = int(spec["run_seconds"])
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = int(spec["run_seconds"])
     scratch = Path(a.scratch).resolve() if a.scratch else None
     if scratch is not None and (scratch == ROOT or ROOT in scratch.parents):
         print("alloc_census: --scratch must be outside the checkout",
@@ -304,13 +299,9 @@ def main() -> int:
               f"e2e host_allocs_per_op {e2e:.5f}")
         if lost:
             print(f"  {lost} calls found the stack table full (not shown)")
-        ranked = sorted(sites.items(), key=lambda kv: (-kv[1], kv[0]))
-        for site, count in ranked[:a.top]:
+        for site, count in sorted(sites.items(),
+                                  key=lambda kv: (-kv[1], kv[0])):
             print(f"  {count / ops:9.5f}  {count:8d}  {site}")
-        rest = ranked[a.top:]
-        if rest:
-            n = sum(c for _, c in rest)
-            print(f"  {n / ops:9.5f}  {n:8d}  ({len(rest)} more sites)")
     except subprocess.CalledProcessError as e:
         print(f"alloc_census: {' '.join(map(str, e.cmd))} failed "
               f"(exit {e.returncode}); build log in the scratch copy's "
