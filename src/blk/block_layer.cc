@@ -15,14 +15,13 @@ BlockLayer::BlockLayer(sim::Simulator& sim, flash::StorageDevice& dev,
   queues_.reserve(config_.nr_queues);
   for (std::uint32_t q = 0; q < config_.nr_queues; ++q) {
     auto queue = std::make_unique<Queue>(sim);
-    std::unique_ptr<IoScheduler> base = make_scheduler(config_.scheduler);
     if (order_preserving()) {
-      auto epoch = std::make_unique<EpochScheduler>(std::move(base));
+      auto epoch = std::make_unique<EpochScheduler>();
       epoch->set_fence(fence_.get());
       queue->epoch = epoch.get();
       queue->scheduler = std::move(epoch);
     } else {
-      queue->scheduler = std::move(base);
+      queue->scheduler = std::make_unique<ElevatorScheduler>();
     }
     queues_.push_back(std::move(queue));
   }

@@ -1,17 +1,19 @@
 // Host block layer: scheduler + dispatch thread in front of the device.
 //
-// The device decides the ordering mode. In front of a barrier-compliant
-// device (BarrierMode other than kNone) the layer is order-preserving: every
-// queue wraps its base scheduler in the epoch scheduler (§3.3), and the
-// dispatcher translates REQ_ORDERED/REQ_BARRIER into the device protocol of
-// §3.4: barrier writes are dispatched with SCSI ORDERED priority
-// (transfer-order fence), everything else SIMPLE. The caller is never
+// The device decides the ordering mode, and with it the one choice of
+// scheduler. In front of a barrier-compliant device (BarrierMode other than
+// kNone) the layer is order-preserving: every queue runs the epoch scheduler
+// over its elevator (§3.3), and the dispatcher translates
+// REQ_ORDERED/REQ_BARRIER into the device protocol of §3.4: barrier writes
+// are dispatched with SCSI ORDERED priority (transfer-order fence),
+// everything else SIMPLE. The caller is never
 // blocked per-request — Wait-on-Transfer, when a filesystem wants it, is an
 // explicit `co_await r->completion->wait()`.
 //
-// In front of a legacy device the ordering flags are stripped: the stack
-// behaves like the orderless kernel the paper starts from, and ordering is
-// whatever the filesystem enforces with waits and flushes.
+// In front of a legacy device every queue runs the bare elevator and the
+// ordering flags are stripped: the stack behaves like the orderless kernel
+// the paper starts from, and ordering is whatever the filesystem enforces
+// with waits and flushes.
 //
 // Multi-queue (blk-mq) mode: with nr_queues > 1 the layer keeps one software
 // queue (scheduler + dispatch thread) per submission context, routed by the
@@ -25,7 +27,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "blk/epoch_fence.h"
@@ -51,9 +52,6 @@ inline constexpr std::uint32_t kMaxIoRetries = 3;
 inline constexpr sim::SimTime kIoRetryBackoff = 1'000'000;  // 1 ms
 
 struct BlockLayerConfig {
-  /// Base scheduler: "noop" or "elevator". On a barrier-compliant device
-  /// each queue wraps it in the epoch scheduler.
-  std::string scheduler = "noop";
   /// Software submission queues (blk-mq). Each queue has its own scheduler
   /// instance and dispatch thread and feeds device port q % port_count.
   /// 1 = the classic single-queue block layer, bit-identical.
@@ -166,8 +164,9 @@ class BlockLayer {
   /// One software queue: its own scheduler instance and dispatch wakeup.
   struct Queue {
     explicit Queue(sim::Simulator& sim) : work(sim) {}
+    /// The elevator, or the epoch scheduler over its elevator.
     std::unique_ptr<IoScheduler> scheduler;
-    /// Borrowed view of `scheduler` when the epoch scheduler wraps it (the
+    /// Borrowed view of `scheduler` when it is the epoch scheduler (the
     /// fence bookkeeping — stamp retirement, pending-epoch queries — goes
     /// through it).
     EpochScheduler* epoch = nullptr;

@@ -1,10 +1,10 @@
 // Epoch-based IO scheduling with barrier reassignment (§3.3, Fig 5).
 //
-// Requests between two barriers form an *epoch*. The wrapper:
+// Requests between two barriers form an *epoch*. The scheduler:
 //   1. strips the barrier flag from an incoming barrier write and stops
 //      accepting new requests (they stage outside the queue),
-//   2. lets the wrapped scheduler freely reorder/merge what is inside
-//      (all of it belongs to one epoch, plus orderless requests),
+//   2. lets its elevator freely reorder/merge what is inside (all of it
+//      belongs to one epoch, plus orderless requests),
 //   3. re-attaches the barrier flag to the *last order-preserving request
 //      that leaves the queue* (epoch-based barrier reassignment), then
 //      unblocks and feeds the staged requests in.
@@ -39,7 +39,6 @@
 #pragma once
 
 #include <algorithm>
-#include <memory>
 
 #include "blk/epoch_fence.h"
 #include "blk/io_scheduler.h"
@@ -47,13 +46,8 @@
 
 namespace bio::blk {
 
-class EpochScheduler : public IoScheduler {
+class EpochScheduler final : public IoScheduler {
  public:
-  explicit EpochScheduler(std::unique_ptr<IoScheduler> base)
-      : base_(std::move(base)) {
-    BIO_CHECK(base_ != nullptr);
-  }
-
   /// Attaches the cross-queue fence (multi-queue stacks only; may be null).
   void set_fence(EpochFence* fence) noexcept { fence_ = fence; }
 
@@ -76,11 +70,11 @@ class EpochScheduler : public IoScheduler {
 
   RequestPtr dequeue() override {
     // Fenced mode: the held barrier leaves once everything enqueued before
-    // it has left. Waiting for the base to fully drain (not just its
+    // it has left. Waiting for the elevator to fully drain (not just its
     // ordered requests) keeps the gate wait-graph acyclic: when a popped
     // barrier gates on its peers, its own queue has no pending stamps below
     // its epoch left behind it.
-    if (held_barrier_ != nullptr && base_->size() == 0) {
+    if (held_barrier_ != nullptr && elevator_.size() == 0) {
       RequestPtr r = std::move(held_barrier_);
       held_barrier_ = nullptr;
       ++stats_.dispatched;
@@ -88,12 +82,12 @@ class EpochScheduler : public IoScheduler {
       feed();
       return r;
     }
-    RequestPtr r = base_->dequeue();
+    RequestPtr r = elevator_.dequeue();
     if (r == nullptr) return nullptr;
     ++stats_.dispatched;
     if (fence_ != nullptr) retire_absorbed(*r);
     if (blocked_ && held_barrier_ == nullptr && r->ordered &&
-        !base_->has_ordered()) {
+        !elevator_.has_ordered()) {
       // Classic (no-fence) path: this is the last order-preserving request
       // of the closing epoch — it becomes the new barrier (Fig 5, w1 in the
       // paper's example).
@@ -121,19 +115,17 @@ class EpochScheduler : public IoScheduler {
   }
 
   std::size_t size() const override {
-    return base_->size() + staged_.size() + (held_barrier_ != nullptr ? 1 : 0);
+    return elevator_.size() + staged_.size() +
+           (held_barrier_ != nullptr ? 1 : 0);
   }
-  bool has_ordered() const override {
-    return base_->has_ordered() || held_barrier_ != nullptr;
-  }
-  const char* name() const override { return "epoch"; }
 
   bool blocked() const noexcept { return blocked_; }
   std::size_t staged_count() const noexcept { return staged_.size(); }
   std::uint64_t barrier_reassignments() const noexcept {
     return reassignments_;
   }
-  const IoScheduler& base() const noexcept { return *base_; }
+  /// The elevator under the epochs (its merge counts).
+  const ElevatorScheduler& base() const noexcept { return elevator_; }
 
  private:
   void accept(RequestPtr r) {
@@ -149,7 +141,7 @@ class EpochScheduler : public IoScheduler {
       // order-preserving requests (the flag is re-attached at dequeue).
       r->barrier = false;
     }
-    base_->enqueue(std::move(r));
+    elevator_.enqueue(std::move(r));
   }
 
   /// Stamps arrive in nondecreasing epoch order (the fence's counter only
@@ -177,25 +169,26 @@ class EpochScheduler : public IoScheduler {
   }
 
   /// Requests merged into `r` leave the queue with it; retire their stamps.
-  /// Merging is write-only and never crosses fence epochs (try_back_merge),
-  /// so every absorbed stamp equals the carrier's — which stays pending
-  /// until note_submitted. The absorbed list is flat (blk::absorb).
+  /// Merging is write-only and never crosses fence epochs (the elevator's
+  /// try_back_merge), so every absorbed stamp equals the carrier's — which
+  /// stays pending until note_submitted. The absorbed list is flat
+  /// (blk::absorb).
   void retire_absorbed(const Request& r) {
     for (const RequestPtr& a : r.absorbed) retire_stamp(a->fence_epoch);
   }
 
-  /// Moves staged requests into the base scheduler, preserving their
-  /// relative order, until a staged barrier re-blocks the queue.
+  /// Moves staged requests into the elevator, preserving their relative
+  /// order, until a staged barrier re-blocks the queue.
   void feed() {
     while (!staged_.empty() && !blocked_) accept(staged_.pop_front());
   }
 
-  std::unique_ptr<IoScheduler> base_;
+  ElevatorScheduler elevator_;
   EpochFence* fence_ = nullptr;
   bool blocked_ = false;
   sim::FlatQueue<RequestPtr> staged_;
-  /// Fenced mode only: the blocking barrier, kept out of the base scheduler
-  /// so the flag (and its closing-epoch stamp) never migrates.
+  /// Fenced mode only: the blocking barrier, kept out of the elevator so
+  /// the flag (and its closing-epoch stamp) never migrates.
   RequestPtr held_barrier_;
   /// This queue's pending writes per fence epoch, ascending by epoch. An
   /// epoch whose writes all retired stays until it reaches the front.

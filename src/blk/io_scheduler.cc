@@ -1,17 +1,16 @@
 #include "blk/io_scheduler.h"
 
 #include <algorithm>
-#include <string>
 
 namespace bio::blk {
 
-bool IoScheduler::try_back_merge(Request& back, const Request& r) {
+bool ElevatorScheduler::try_back_merge(Request& back, const Request& r) {
   if (!back.is_write() || !r.is_write()) return false;
   // Flush/FUA attributes pin a request's identity; never merge across them.
   if (back.flush || back.fua || r.flush || r.fua) return false;
-  // Barrier flags never reach a base scheduler (the epoch wrapper strips
-  // them), but be defensive: a barrier must stay the last block of its
-  // epoch, so nothing may merge behind it.
+  // Barrier flags never reach the epoch scheduler's elevator (it strips
+  // them or holds the barrier aside), but be defensive: a barrier must stay
+  // the last block of its epoch, so nothing may merge behind it.
   if (back.barrier || r.barrier) return false;
   // Under the cross-queue fence a merged request transfers as one command
   // with one stamp, so merging across fence epochs would either promote
@@ -24,32 +23,6 @@ bool IoScheduler::try_back_merge(Request& back, const Request& r) {
   back.ordered = back.ordered || r.ordered;  // §3.3: merge keeps ordering
   return true;
 }
-
-// ---- NoopScheduler ---------------------------------------------------------
-
-void NoopScheduler::enqueue(RequestPtr r) {
-  ++stats_.enqueued;
-  if (!queue_.empty() && r->is_write() &&
-      try_back_merge(*queue_.back(), *r)) {
-    ++stats_.merges;
-    absorb(*queue_.back(), std::move(r));
-    return;
-  }
-  queue_.push_back(std::move(r));
-}
-
-RequestPtr NoopScheduler::dequeue() {
-  if (queue_.empty()) return nullptr;
-  ++stats_.dispatched;
-  return queue_.pop_front();
-}
-
-bool NoopScheduler::has_ordered() const {
-  return std::any_of(queue_.begin(), queue_.end(),
-                     [](const RequestPtr& r) { return r->ordered; });
-}
-
-// ---- ElevatorScheduler -----------------------------------------------------
 
 void ElevatorScheduler::enqueue(RequestPtr r) {
   ++stats_.enqueued;
@@ -100,13 +73,6 @@ RequestPtr ElevatorScheduler::dequeue() {
 bool ElevatorScheduler::has_ordered() const {
   return std::any_of(writes_.begin(), writes_.end(),
                      [](const RequestPtr& r) { return r->ordered; });
-}
-
-std::unique_ptr<IoScheduler> make_scheduler(const std::string& kind) {
-  if (kind == "noop") return std::make_unique<NoopScheduler>();
-  if (kind == "elevator") return std::make_unique<ElevatorScheduler>();
-  BIO_CHECK_MSG(false, "unknown scheduler kind: " + kind);
-  return nullptr;
 }
 
 }  // namespace bio::blk

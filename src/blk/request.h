@@ -28,6 +28,7 @@
 #include "flash/command.h"
 #include "flash/types.h"
 #include "sim/check.h"
+#include "sim/reuse.h"
 #include "sim/sync.h"
 
 namespace bio::blk {
@@ -71,7 +72,7 @@ class BlockList {
     if (size_ <= kInlineBlocks) {
       // Spill: move the inline prefix into the heap vector.
       heap_.clear();
-      heap_.reserve(size_ + n);
+      sim::reserve_reused(heap_, size_ + n);
       heap_.insert(heap_.end(), inline_.begin(), inline_.begin() + size_);
     }
     heap_.insert(heap_.end(), p, p + n);

@@ -35,7 +35,6 @@ VolumeConfig VolumeConfig::make(StackKind kind, flash::DeviceProfile device,
     case StackKind::kExt4DR:
     case StackKind::kExt4OD:
       c.device = device.with_barrier(flash::BarrierMode::kNone);
-      c.blk.scheduler = "elevator";
       c.fs.journal = fs::JournalKind::kJbd2;
       c.fs.nobarrier = kind == StackKind::kExt4OD;
       c.fs.journal_checksum = mobile;  // §6.3: smartphone EXT4 setup
@@ -43,12 +42,10 @@ VolumeConfig VolumeConfig::make(StackKind kind, flash::DeviceProfile device,
     case StackKind::kBfsDR:
     case StackKind::kBfsOD:
       c.device = device.with_barrier(flash::BarrierMode::kInOrderRecovery);
-      c.blk.scheduler = "elevator";
       c.fs.journal = fs::JournalKind::kBarrierFs;
       break;
     case StackKind::kOptFs:
       c.device = device.with_barrier(flash::BarrierMode::kNone);
-      c.blk.scheduler = "elevator";
       c.fs.journal = fs::JournalKind::kOptFs;
       break;
   }

@@ -35,18 +35,18 @@ struct SyncPick {
   api::Syscall direct = api::Syscall::kFsync;
 };
 
-std::vector<SyncPick> sync_matrix(core::StackKind kind) {
+/// The three intents, then every syscall the volume's journal supports, in
+/// `Syscall` order (fs::supports is the one capability matrix).
+std::vector<SyncPick> sync_matrix(const core::Volume& vol) {
+  const fs::JournalKind journal = vol.config().fs.journal;
   std::vector<SyncPick> m = {
       {true, api::SyncIntent::kOrder, {}},
       {true, api::SyncIntent::kDurability, {}},
       {true, api::SyncIntent::kFullSync, {}},
-      {false, {}, api::Syscall::kFsync},
-      {false, {}, api::Syscall::kFdatasync},
   };
-  if (kind == core::StackKind::kBfsDR || kind == core::StackKind::kBfsOD) {
-    m.push_back({false, {}, api::Syscall::kFbarrier});
-    m.push_back({false, {}, api::Syscall::kFdatabarrier});
-  }
+  for (auto c = api::Syscall::kFsync; c <= api::Syscall::kDsync;
+       c = static_cast<api::Syscall>(static_cast<std::uint8_t>(c) + 1))
+    if (fs::supports(c, journal)) m.push_back({false, {}, c});
   return m;
 }
 
@@ -631,7 +631,7 @@ void spawn_vfs_writers(core::Volume& vol, api::Vfs& vfs, std::string prefix,
                        ConcurrentTrace& trace) {
   spawn_writers(std::make_unique<Ctx>(
       Ctx{vol, vfs, std::move(prefix), params, seed, trace,
-          sync_matrix(vol.kind()), 0, /*ring=*/false, fault_tolerant,
+          sync_matrix(vol), 0, /*ring=*/false, fault_tolerant,
           /*ignore_links=*/false, false, {}}));
 }
 
@@ -641,7 +641,7 @@ void spawn_ring_writers(core::Volume& vol, api::Vfs& vfs, std::string prefix,
                         ConcurrentTrace& trace) {
   spawn_writers(std::make_unique<Ctx>(
       Ctx{vol, vfs, std::move(prefix), params, seed, trace,
-          sync_matrix(vol.kind()), 0, /*ring=*/true, /*fault_tolerant=*/false,
+          sync_matrix(vol), 0, /*ring=*/true, /*fault_tolerant=*/false,
           ignore_links, false, {}}));
 }
 

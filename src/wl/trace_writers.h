@@ -3,11 +3,11 @@
 // N writer coroutines share one volume: a few files every writer touches
 // plus one private file each, every writer through its *own* descriptors
 // (independent fds over shared inodes), each file pinned by an anchor
-// descriptor opened at setup. Writers interleave pwrite/append with the
-// sync-syscall matrix the stack supports (fsync/fdatasync everywhere,
-// fbarrier/fdatabarrier on BarrierFS, osync/dsync on OptFS via policy
-// rows, plus the order/durability/full-sync intents), rename/replace-
-// rename/unlink namespace churn and fd churn (close/reopen, and close()
+// descriptor opened at setup. Writers interleave pwrite/append with every
+// sync syscall fs::supports admits (fsync/fdatasync everywhere, fbarrier
+// and fdatabarrier on BarrierFS, fbarrier, osync and dsync on OptFS) and
+// the order/durability/full-sync intents, rename/replace-rename/unlink
+// namespace churn and fd churn (close/reopen, and close()
 // racing an in-flight sync).
 //
 // Two submission backends share everything else — setup, file layout,

@@ -85,14 +85,16 @@ TEST(BlockLayerTest, BarrierWriteReachesDeviceAsOrderedBarrier) {
 
 TEST(BlockLayerModeTest, LegacyDeviceGetsTheOrderlessStack) {
   // A kNone device ignores barriers, so the layer runs the orderless stack:
-  // no epoch wrapper on any queue, no fence even with several queues, and
-  // ordering attributes stripped before dispatch.
+  // the bare elevator on every queue, no fence even with several queues,
+  // and ordering attributes stripped before dispatch.
   for (std::uint32_t nr_queues : {1u, 4u}) {
     BlockLayerConfig cfg;
     cfg.nr_queues = nr_queues;
     Stack s(cfg, BarrierMode::kNone);
     for (std::uint32_t q = 0; q < nr_queues; ++q)
-      EXPECT_STREQ(s.blk.scheduler(q).name(), "noop") << "q" << q;
+      EXPECT_NE(dynamic_cast<const ElevatorScheduler*>(&s.blk.scheduler(q)),
+                nullptr)
+          << "q" << q;
     EXPECT_EQ(s.blk.epoch_fence(), nullptr) << nr_queues << " queues";
     auto body = [&]() -> Task {
       co_await s.blk.write_and_wait(one_block(1, 1), true, /*barrier=*/true);
@@ -105,15 +107,17 @@ TEST(BlockLayerModeTest, LegacyDeviceGetsTheOrderlessStack) {
 }
 
 TEST(BlockLayerModeTest, BarrierDeviceGetsTheEpochScheduler) {
-  // A barrier-compliant device: every queue wraps its base scheduler in the
-  // epoch scheduler, and several queues share a fence.
+  // A barrier-compliant device: every queue runs the epoch scheduler over
+  // its elevator, and several queues share a fence.
   for (std::uint32_t nr_queues : {1u, 4u}) {
     BlockLayerConfig cfg;
     cfg.nr_queues = nr_queues;
     Stack s(cfg, BarrierMode::kInOrderRecovery);
     ASSERT_EQ(s.blk.nr_queues(), nr_queues);
     for (std::uint32_t q = 0; q < nr_queues; ++q)
-      EXPECT_STREQ(s.blk.scheduler(q).name(), "epoch") << "q" << q;
+      EXPECT_NE(dynamic_cast<const EpochScheduler*>(&s.blk.scheduler(q)),
+                nullptr)
+          << "q" << q;
     // A single queue has nothing to fence across.
     EXPECT_EQ(s.blk.epoch_fence() != nullptr, nr_queues > 1)
         << nr_queues << " queues";

@@ -20,7 +20,7 @@ RequestPtr wr(RequestPool& pool, Lba lba, bool ordered = false,
 TEST(EpochSchedulerTest, PassesThroughWithoutBarriers) {
   Simulator sim;
   RequestPool pool(sim);
-  EpochScheduler s(std::make_unique<NoopScheduler>());
+  EpochScheduler s;
   s.enqueue(wr(pool, 10));
   s.enqueue(wr(pool, 30, true));
   EXPECT_EQ(s.dequeue()->first_lba(), 10u);
@@ -32,7 +32,7 @@ TEST(EpochSchedulerTest, PassesThroughWithoutBarriers) {
 TEST(EpochSchedulerTest, BarrierBlocksQueueAndStagesLaterRequests) {
   Simulator sim;
   RequestPool pool(sim);
-  EpochScheduler s(std::make_unique<NoopScheduler>());
+  EpochScheduler s;
   s.enqueue(wr(pool, 10, true));
   s.enqueue(wr(pool, 30, true, /*barrier=*/true));
   EXPECT_TRUE(s.blocked());
@@ -44,7 +44,7 @@ TEST(EpochSchedulerTest, BarrierBlocksQueueAndStagesLaterRequests) {
 TEST(EpochSchedulerTest, BarrierFlagMovesToLastOrderPreservingRequest) {
   Simulator sim;
   RequestPool pool(sim);
-  EpochScheduler s(std::make_unique<NoopScheduler>());
+  EpochScheduler s;
   s.enqueue(wr(pool, 10, true));
   s.enqueue(wr(pool, 30, true, /*barrier=*/true));
   RequestPtr first = s.dequeue();
@@ -63,7 +63,7 @@ TEST(EpochSchedulerTest, Fig5ScenarioReassignsBarrierAcrossReordering) {
   // reorders; whichever ordered request leaves last carries the barrier.
   Simulator sim;
   RequestPool pool(sim);
-  EpochScheduler s(std::make_unique<ElevatorScheduler>());
+  EpochScheduler s;
   // LBAs chosen so the elevator dispatches w1 last (highest address).
   RequestPtr w1 = wr(pool, 50, true);
   RequestPtr w2 = wr(pool, 10, true);
@@ -98,7 +98,7 @@ TEST(EpochSchedulerTest, Fig5ScenarioReassignsBarrierAcrossReordering) {
 TEST(EpochSchedulerTest, OrderlessRequestsJoinFollowingEpoch) {
   Simulator sim;
   RequestPool pool(sim);
-  EpochScheduler s(std::make_unique<NoopScheduler>());
+  EpochScheduler s;
   s.enqueue(wr(pool, 10, true, true));  // barrier epoch 0
   s.enqueue(wr(pool, 30));              // staged orderless
   s.enqueue(wr(pool, 50, true));        // staged ordered (next epoch)
@@ -113,7 +113,7 @@ TEST(EpochSchedulerTest, OrderlessRequestsJoinFollowingEpoch) {
 TEST(EpochSchedulerTest, StagedBarrierReblocksQueue) {
   Simulator sim;
   RequestPool pool(sim);
-  EpochScheduler s(std::make_unique<NoopScheduler>());
+  EpochScheduler s;
   // Non-contiguous LBAs so nothing merges.
   s.enqueue(wr(pool, 1, true, true));   // epoch 0 barrier
   s.enqueue(wr(pool, 20, true));        // staged: epoch 1
@@ -136,7 +136,7 @@ TEST(EpochSchedulerTest, ChainOfStagedBarriersUnblocksEpochByEpoch) {
   // re-block the queue and admit exactly the next epoch's requests.
   Simulator sim;
   RequestPool pool(sim);
-  EpochScheduler s(std::make_unique<NoopScheduler>());
+  EpochScheduler s;
   s.enqueue(wr(pool, 1, true, true));    // epoch 0 barrier
   s.enqueue(wr(pool, 10, true, true));   // staged: epoch 1 barrier
   s.enqueue(wr(pool, 20, true, true));   // staged: epoch 2 barrier
@@ -168,7 +168,7 @@ TEST(EpochSchedulerTest, OrderlessStagedBehindReblockedBarrierEntersBase) {
   // back everything behind the next staged barrier.
   Simulator sim;
   RequestPool pool(sim);
-  EpochScheduler s(std::make_unique<NoopScheduler>());
+  EpochScheduler s;
   s.enqueue(wr(pool, 1, true, true));    // epoch 0 barrier
   s.enqueue(wr(pool, 20));               // staged orderless
   s.enqueue(wr(pool, 40, true, true));   // staged: epoch 1 barrier
@@ -192,7 +192,7 @@ TEST(EpochSchedulerTest, OrderlessStagedBehindReblockedBarrierEntersBase) {
 TEST(EpochSchedulerTest, SizeCountsBaseAndStagedThroughReblocking) {
   Simulator sim;
   RequestPool pool(sim);
-  EpochScheduler s(std::make_unique<NoopScheduler>());
+  EpochScheduler s;
   s.enqueue(wr(pool, 1, true, true));
   s.enqueue(wr(pool, 10, true, true));
   s.enqueue(wr(pool, 20, true));
@@ -212,7 +212,7 @@ TEST(EpochSchedulerTest, StagedBarrierMayMergeIntoItsOwnEpoch) {
   // merged request carries the barrier out.
   Simulator sim;
   RequestPool pool(sim);
-  EpochScheduler s(std::make_unique<NoopScheduler>());
+  EpochScheduler s;
   s.enqueue(wr(pool, 1, true, true));  // epoch 0 barrier
   s.enqueue(wr(pool, 2, true));        // staged: epoch 1
   s.enqueue(wr(pool, 3, true, true));  // staged: epoch 1 barrier (contiguous)
@@ -228,7 +228,7 @@ TEST(EpochSchedulerTest, StagedBarrierMayMergeIntoItsOwnEpoch) {
 TEST(EpochSchedulerTest, BackToBackBarriers) {
   Simulator sim;
   RequestPool pool(sim);
-  EpochScheduler s(std::make_unique<NoopScheduler>());
+  EpochScheduler s;
   for (int i = 0; i < 4; ++i) s.enqueue(wr(pool, 10 + i, true, true));
   for (int i = 0; i < 4; ++i) {
     RequestPtr r = s.dequeue();
@@ -241,7 +241,7 @@ TEST(EpochSchedulerTest, BackToBackBarriers) {
 TEST(EpochSchedulerTest, MergingWithinEpochKeepsSingleBarrier) {
   Simulator sim;
   RequestPool pool(sim);
-  EpochScheduler s(std::make_unique<NoopScheduler>());
+  EpochScheduler s;
   s.enqueue(wr(pool, 10, true));
   s.enqueue(wr(pool, 11, true));       // merges with 10
   s.enqueue(wr(pool, 20, true, true)); // barrier
@@ -260,7 +260,7 @@ TEST(EpochFenceTest, StampsEveryRequestAndClosesEpochsAtBarriers) {
   Simulator sim;
   RequestPool pool(sim);
   EpochFence fence(sim);
-  EpochScheduler s(std::make_unique<NoopScheduler>());
+  EpochScheduler s;
   s.set_fence(&fence);
   RequestPtr w1 = wr(pool, 10, true);
   RequestPtr b = wr(pool, 30, true, /*barrier=*/true);
@@ -289,7 +289,7 @@ TEST(EpochFenceTest, MinPendingTracksEnqueueToSubmission) {
   Simulator sim;
   RequestPool pool(sim);
   EpochFence fence(sim);
-  EpochScheduler s(std::make_unique<NoopScheduler>());
+  EpochScheduler s;
   s.set_fence(&fence);
   EXPECT_EQ(s.min_pending_fence_epoch(), kNoPending) << "idle queue";
 
@@ -315,7 +315,7 @@ TEST(EpochFenceTest, OrderlessWritesGateUntilSubmission) {
   Simulator sim;
   RequestPool pool(sim);
   EpochFence fence(sim);
-  EpochScheduler s(std::make_unique<NoopScheduler>());
+  EpochScheduler s;
   s.set_fence(&fence);
   s.enqueue(wr(pool, 10));
   EXPECT_EQ(s.min_pending_fence_epoch(), 0u);
@@ -329,7 +329,7 @@ TEST(EpochFenceTest, ReadsAreStampedButNeverGate) {
   Simulator sim;
   RequestPool pool(sim);
   EpochFence fence(sim);
-  EpochScheduler s(std::make_unique<NoopScheduler>());
+  EpochScheduler s;
   s.set_fence(&fence);
   RequestPtr rd = pool.make_read(10);
   s.enqueue(rd);
@@ -350,7 +350,7 @@ TEST(EpochFenceTest, FencedBarrierIsHeldNotReassigned) {
   Simulator sim;
   RequestPool pool(sim);
   EpochFence fence(sim);
-  EpochScheduler s(std::make_unique<ElevatorScheduler>());
+  EpochScheduler s;
   s.set_fence(&fence);
   RequestPtr w = wr(pool, 50, true);  // stamped with epoch 0
   s.enqueue(w);
@@ -386,7 +386,7 @@ TEST(EpochFenceTest, HeldBarrierWaitsForOrderlessWritesToo) {
   Simulator sim;
   RequestPool pool(sim);
   EpochFence fence(sim);
-  EpochScheduler s(std::make_unique<NoopScheduler>());
+  EpochScheduler s;
   s.set_fence(&fence);
   s.enqueue(wr(pool, 10));                       // orderless, epoch 0
   s.enqueue(wr(pool, 30, true, /*barrier=*/true));  // closes epoch 0
@@ -405,7 +405,7 @@ TEST(EpochFenceTest, MergingNeverCrossesFenceEpochs) {
   Simulator sim;
   RequestPool pool(sim);
   EpochFence fence(sim);
-  EpochScheduler s(std::make_unique<NoopScheduler>());
+  EpochScheduler s;
   s.set_fence(&fence);
   RequestPtr w1 = wr(pool, 10, true);  // epoch 0
   s.enqueue(w1);
@@ -433,7 +433,7 @@ TEST(EpochFenceTest, FrontMergeAcrossEpochsRefused) {
   Simulator sim;
   RequestPool pool(sim);
   EpochFence fence(sim);
-  EpochScheduler s(std::make_unique<ElevatorScheduler>());
+  EpochScheduler s;
   s.set_fence(&fence);
   RequestPtr w1 = wr(pool, 11, true);  // epoch 0
   s.enqueue(w1);
@@ -456,7 +456,7 @@ TEST(EpochFenceTest, OrderlessCarrierAbsorbingOrderedRetiresCleanly) {
   Simulator sim;
   RequestPool pool(sim);
   EpochFence fence(sim);
-  EpochScheduler s(std::make_unique<NoopScheduler>());
+  EpochScheduler s;
   s.set_fence(&fence);
   RequestPtr carrier = wr(pool, 10);     // orderless, epoch 0
   RequestPtr ordered = wr(pool, 11, true);  // merges into lba 10
@@ -479,7 +479,7 @@ TEST(EpochFenceTest, AbsorbedStampsRetireWithTheirCarrier) {
   Simulator sim;
   RequestPool pool(sim);
   EpochFence fence(sim);
-  EpochScheduler s(std::make_unique<NoopScheduler>());
+  EpochScheduler s;
   s.set_fence(&fence);
   s.enqueue(wr(pool, 10, true));
   s.enqueue(wr(pool, 11, true));  // merges into lba 10
@@ -500,7 +500,7 @@ TEST(EpochFenceTest, NestedFrontMergesRetireEveryStampOnce) {
   Simulator sim;
   RequestPool pool(sim);
   EpochFence fence(sim);
-  EpochScheduler s(std::make_unique<ElevatorScheduler>());
+  EpochScheduler s;
   s.set_fence(&fence);
   s.enqueue(wr(pool, 20, true));
   s.enqueue(wr(pool, 21));        // back-merges into 20
@@ -526,7 +526,7 @@ TEST(EpochFenceTest, WithoutFenceNothingIsStampedOrTracked) {
   // pending map stays empty — the bit-identity precondition.
   Simulator sim;
   RequestPool pool(sim);
-  EpochScheduler s(std::make_unique<NoopScheduler>());
+  EpochScheduler s;
   s.enqueue(wr(pool, 10, true));
   s.enqueue(wr(pool, 30, true, /*barrier=*/true));
   RequestPtr w = s.dequeue();

@@ -1,4 +1,4 @@
-// Tests for the base IO schedulers (NOOP, elevator) and request merging.
+// Tests for the elevator and request merging.
 #include <gtest/gtest.h>
 
 #include "blk/io_scheduler.h"
@@ -18,87 +18,6 @@ RequestPtr wr(RequestPool& pool, Lba lba, std::size_t n = 1,
   for (std::size_t i = 0; i < n; ++i) blocks.emplace_back(lba + i, 1);
   return pool.make_write(std::span<const Block>(blocks), ordered, barrier,
                          flush, fua);
-}
-
-TEST(NoopSchedulerTest, FifoOrder) {
-  Simulator sim;
-  RequestPool pool(sim);
-  NoopScheduler s;
-  s.enqueue(wr(pool, 100));
-  s.enqueue(wr(pool, 50));
-  s.enqueue(wr(pool, 75));
-  EXPECT_EQ(s.dequeue()->first_lba(), 100u);
-  EXPECT_EQ(s.dequeue()->first_lba(), 50u);
-  EXPECT_EQ(s.dequeue()->first_lba(), 75u);
-  EXPECT_EQ(s.dequeue(), nullptr);
-}
-
-TEST(NoopSchedulerTest, BackMergesContiguousWrites) {
-  Simulator sim;
-  RequestPool pool(sim);
-  NoopScheduler s;
-  s.enqueue(wr(pool, 10, 2));  // 10,11
-  s.enqueue(wr(pool, 12, 3));  // 12,13,14 -> merges
-  EXPECT_EQ(s.size(), 1u);
-  RequestPtr r = s.dequeue();
-  EXPECT_EQ(r->blocks.size(), 5u);
-  EXPECT_EQ(r->last_lba(), 14u);
-  EXPECT_EQ(r->absorbed.size(), 1u);
-  EXPECT_EQ(s.stats().merges, 1u);
-}
-
-TEST(NoopSchedulerTest, NonContiguousDoesNotMerge) {
-  Simulator sim;
-  RequestPool pool(sim);
-  NoopScheduler s;
-  s.enqueue(wr(pool, 10));
-  s.enqueue(wr(pool, 12));
-  EXPECT_EQ(s.size(), 2u);
-}
-
-TEST(NoopSchedulerTest, NoMergeAcrossFlushOrFua) {
-  Simulator sim;
-  RequestPool pool(sim);
-  NoopScheduler s;
-  s.enqueue(wr(pool, 10, 1, false, false, /*flush=*/true));
-  s.enqueue(wr(pool, 11));
-  EXPECT_EQ(s.size(), 2u);
-  s.enqueue(wr(pool, 12, 1, false, false, false, /*fua=*/true));
-  EXPECT_EQ(s.size(), 3u);
-}
-
-TEST(NoopSchedulerTest, MergeInheritsOrderPreservation) {
-  Simulator sim;
-  RequestPool pool(sim);
-  NoopScheduler s;
-  s.enqueue(wr(pool, 10, 1, /*ordered=*/false));
-  s.enqueue(wr(pool, 11, 1, /*ordered=*/true));
-  RequestPtr r = s.dequeue();
-  EXPECT_TRUE(r->ordered) << "§3.3: merged request is order-preserving if "
-                             "any constituent is";
-}
-
-TEST(NoopSchedulerTest, MergeRespectsSizeCap) {
-  Simulator sim;
-  RequestPool pool(sim);
-  NoopScheduler s;
-  s.enqueue(wr(pool, 0, kMaxMergedBlocks - 1));
-  s.enqueue(wr(pool, kMaxMergedBlocks - 1, 1));  // fits exactly
-  EXPECT_EQ(s.size(), 1u);
-  s.enqueue(wr(pool, kMaxMergedBlocks, 1));  // would exceed the cap
-  EXPECT_EQ(s.size(), 2u);
-}
-
-TEST(NoopSchedulerTest, HasOrderedTracksQueueContents) {
-  Simulator sim;
-  RequestPool pool(sim);
-  NoopScheduler s;
-  EXPECT_FALSE(s.has_ordered());
-  s.enqueue(wr(pool, 10, 1, /*ordered=*/true));
-  s.enqueue(wr(pool, 20));
-  EXPECT_TRUE(s.has_ordered());
-  (void)s.dequeue();  // removes the ordered one (FIFO)
-  EXPECT_FALSE(s.has_ordered());
 }
 
 TEST(ElevatorSchedulerTest, DispatchesInAscendingLbaOrder) {
@@ -187,10 +106,81 @@ TEST(ElevatorSchedulerTest, ReadsDispatchBeforeWrites) {
   EXPECT_EQ(r->op, ReqOp::kRead);
 }
 
-TEST(MakeSchedulerTest, FactoryKnowsKinds) {
-  EXPECT_STREQ(make_scheduler("noop")->name(), "noop");
-  EXPECT_STREQ(make_scheduler("elevator")->name(), "elevator");
-  EXPECT_THROW((void)make_scheduler("cfq?"), bio::CheckFailure);
+TEST(ElevatorSchedulerTest, BackMergesContiguousWrites) {
+  Simulator sim;
+  RequestPool pool(sim);
+  ElevatorScheduler s;
+  s.enqueue(wr(pool, 10, 2));  // 10,11
+  s.enqueue(wr(pool, 12, 3));  // 12,13,14 -> merges
+  EXPECT_EQ(s.size(), 1u);
+  RequestPtr r = s.dequeue();
+  EXPECT_EQ(r->blocks.size(), 5u);
+  EXPECT_EQ(r->last_lba(), 14u);
+  EXPECT_EQ(r->absorbed.size(), 1u);
+  EXPECT_EQ(s.stats().merges, 1u);
+}
+
+TEST(ElevatorSchedulerTest, NonContiguousDoesNotMerge) {
+  Simulator sim;
+  RequestPool pool(sim);
+  ElevatorScheduler s;
+  s.enqueue(wr(pool, 10));
+  s.enqueue(wr(pool, 12));
+  s.enqueue(wr(pool, 8));  // neither neighbour touches it
+  EXPECT_EQ(s.size(), 3u);
+  EXPECT_EQ(s.stats().merges, 0u);
+}
+
+TEST(ElevatorSchedulerTest, NoMergeAcrossFlushOrFua) {
+  Simulator sim;
+  RequestPool pool(sim);
+  ElevatorScheduler s;
+  s.enqueue(wr(pool, 10, 1, false, false, /*flush=*/true));
+  s.enqueue(wr(pool, 11));  // would back-merge behind the flush write
+  EXPECT_EQ(s.size(), 2u);
+  s.enqueue(wr(pool, 12, 1, false, false, false, /*fua=*/true));
+  EXPECT_EQ(s.size(), 3u);
+  s.enqueue(wr(pool, 9));  // would front-merge ahead of the flush write
+  EXPECT_EQ(s.size(), 4u);
+  EXPECT_EQ(s.stats().merges, 0u);
+}
+
+TEST(ElevatorSchedulerTest, MergeInheritsOrderPreservation) {
+  // §3.3: a merged request is order-preserving if any constituent is, on
+  // either side of the merge.
+  Simulator sim;
+  RequestPool pool(sim);
+  ElevatorScheduler s;
+  s.enqueue(wr(pool, 10, 1, /*ordered=*/false));
+  s.enqueue(wr(pool, 11, 1, /*ordered=*/true));  // back-merges
+  s.enqueue(wr(pool, 21, 1, /*ordered=*/true));
+  s.enqueue(wr(pool, 20, 1, /*ordered=*/false));  // front-merges
+  ASSERT_EQ(s.size(), 2u);
+  EXPECT_TRUE(s.dequeue()->ordered) << "back-merge";
+  EXPECT_TRUE(s.dequeue()->ordered) << "front-merge";
+}
+
+TEST(ElevatorSchedulerTest, MergeRespectsSizeCap) {
+  Simulator sim;
+  RequestPool pool(sim);
+  ElevatorScheduler s;
+  s.enqueue(wr(pool, 0, kMaxMergedBlocks - 1));
+  s.enqueue(wr(pool, kMaxMergedBlocks - 1, 1));  // fits exactly
+  EXPECT_EQ(s.size(), 1u);
+  s.enqueue(wr(pool, kMaxMergedBlocks, 1));  // would exceed the cap
+  EXPECT_EQ(s.size(), 2u);
+}
+
+TEST(ElevatorSchedulerTest, HasOrderedTracksQueueContents) {
+  Simulator sim;
+  RequestPool pool(sim);
+  ElevatorScheduler s;
+  EXPECT_FALSE(s.has_ordered());
+  s.enqueue(wr(pool, 10, 1, /*ordered=*/true));
+  s.enqueue(wr(pool, 20));
+  EXPECT_TRUE(s.has_ordered());
+  (void)s.dequeue();  // removes the ordered one (lowest LBA)
+  EXPECT_FALSE(s.has_ordered());
 }
 
 TEST(RequestTest, BarrierImpliesOrdered) {

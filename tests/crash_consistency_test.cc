@@ -76,9 +76,7 @@ TEST_P(EpochPrefixTest, RandomWorkloadRandomCrashPoint) {
   flash::StorageDevice dev(sim, profile);
   flash::WritebackCache::TransferRecorder xfers;
   dev.install_transfer_recorder(&xfers);
-  blk::BlockLayerConfig bcfg;
-  bcfg.scheduler = "elevator";  // stress: reordering base scheduler
-  blk::BlockLayer blk(sim, dev, bcfg);
+  blk::BlockLayer blk(sim, dev, {});  // the elevator reorders each epoch
   dev.start();
   blk.start();
 
@@ -260,9 +258,7 @@ TEST(OrderlessBaselineTest, LegacyStackCanLoseOrdering) {
     flash::StorageDevice dev(sim, profile);
     flash::WritebackCache::TransferRecorder xfers;
     dev.install_transfer_recorder(&xfers);
-    blk::BlockLayerConfig bcfg;
-    bcfg.scheduler = "elevator";  // the legacy stack reorders (CFQ-like)
-    blk::BlockLayer blk(sim, dev, bcfg);
+    blk::BlockLayer blk(sim, dev, {});  // the legacy stack reorders
     dev.start();
     blk.start();
     sim::Rng rng(static_cast<std::uint64_t>(seed));
