@@ -14,10 +14,12 @@
 //   BFS-OD  | fdatabarrier  | fdatabarrier*    | fbarrier  (*relaxed, §6.4)
 //   OptFS   | osync         | osync            | osync
 //
-// SyncPolicy carries one row of that table as a value; workloads resolve
-// intents through it (usually via api::Vfs/File) instead of hardcoding
-// switch statements. New rows — per-file overrides, OptFS osync variants —
-// are new values, not new branches in core/stack.cc.
+// SyncPolicy carries one row of that table as a value. api::Vfs holds one
+// row per volume, for_stack(kind), and resolves the intents of every file
+// on the volume through it, so workloads do not hardcode switch
+// statements. A call site that needs a syscall the row does not name
+// (OptFS's dsync, say) calls it directly: File::sync(Syscall) and its
+// sugar.
 #pragma once
 
 #include <cstdint>
@@ -47,16 +49,6 @@ struct SyncPolicy {
 
   /// The substitution-table row for a paper stack configuration.
   static SyncPolicy for_stack(core::StackKind kind) noexcept;
-
-  /// The OptFS dsync variant (OptFS §5 / PAPER.md §5): ordering stays
-  /// osync, but durability points actually put the *data* on media before
-  /// returning — metadata durability alone stays delayed. A new row, not a
-  /// new branch anywhere in core/.
-  static SyncPolicy optfs_dsync() noexcept {
-    return {.order = Syscall::kOsync,
-            .durability = Syscall::kDsync,
-            .full_sync = Syscall::kDsync};
-  }
 
   Syscall resolve(SyncIntent intent) const noexcept {
     switch (intent) {

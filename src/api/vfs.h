@@ -1,30 +1,29 @@
 // Handle-based VFS: the POSIX-shaped syscall surface applications use.
 //
-// A Vfs owns a file-descriptor table over one *or more* mounted
-// fs::Filesystems (the volumes of a core::Stack node). Each open() returns
-// a descriptor with its own file offset; descriptors referencing the same
-// file share a vnode whose refcount keeps the file usable after unlink()
-// until the last close(), like the kernel's struct file / inode split. All
-// syscalls return typed errno-style outcomes (sim::TaskOf<Result<..>> /
-// TaskOf<Status>) instead of void, so workloads can exercise
-// ENOENT/EBADF/ENOSPC paths without crashing the simulation.
+// A Vfs owns a file-descriptor table over the volumes of one core::Stack
+// node, each mounted exactly once. Each open() returns a descriptor;
+// descriptors referencing the same file share a vnode whose refcount keeps
+// the file usable after unlink() until the last close(), like the kernel's
+// struct file / inode split. All syscalls return typed errno-style
+// outcomes (sim::TaskOf<Result<..>> / TaskOf<Status>) instead of void, so
+// workloads can exercise ENOENT/EBADF/ENOSPC paths without crashing the
+// simulation.
 //
-// Mount table and path routing: a volume mounted as "data" owns every name
-// of the form "/data/<file>"; an unnamed (root) mount owns every other
-// name — including "/not-a-mount/..." paths, which it takes verbatim, the
-// way a root filesystem owns any path below no other mount point. That is
-// how the historical single-filesystem constructors keep every existing
-// workload running unchanged. Without a root mount, a name whose first
-// "/" component matches no mount fails with ENOENT; rename() across two
-// mounts fails with EXDEV — a file never silently migrates between
-// volumes. Each mount carries its own SyncPolicy row (per-volume
-// resolution) and its own Stats.
+// Mount table and path routing: a volume named "data" owns every name of
+// the form "/data/<file>"; an unnamed volume is the root mount and owns
+// every other name — including "/not-a-mount/..." paths, which it takes
+// verbatim, the way a root filesystem owns any path below no other mount
+// point. That is how a single-volume stack keeps every workload's plain
+// names. Without a root mount, a name whose first "/" component matches no
+// mount fails with ENOENT; rename() across two mounts fails with EXDEV — a
+// file never silently migrates between volumes.
 //
 // Synchronization intents (order point vs durability point vs full sync)
-// are resolved through a pluggable SyncPolicy — by default the paper's
-// substitution-table row for each volume's stack kind, overridable per
-// file — so a workload written against Vfs runs unchanged on every
-// StackKind (and on every mix of kinds behind one node).
+// resolve through one SyncPolicy row per volume: the paper's
+// substitution-table row for the volume's stack kind. A workload written
+// against Vfs therefore runs unchanged on every StackKind (and on every
+// mix of kinds behind one node); a call site that needs a particular
+// syscall calls it directly (File::fdatabarrier(), sync(Syscall), ...).
 //
 //   api::Vfs vfs(node);  // mounts every volume: "/db/...", "/log/..."
 //   api::File f = (co_await vfs.open("/db/app.db", {.create = true})).value();
@@ -39,8 +38,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -86,8 +83,6 @@ class File {
                                            std::uint32_t npages);
   sim::TaskOf<Result<std::uint32_t>> pwrite(std::uint32_t page,
                                             std::uint32_t npages);
-  sim::TaskOf<Result<std::uint32_t>> read(std::uint32_t npages);
-  sim::TaskOf<Result<std::uint32_t>> write(std::uint32_t npages);
   sim::TaskOf<Result<std::uint32_t>> append(std::uint32_t npages);
   sim::TaskOf<Status> sync(Syscall call);
   sim::TaskOf<Status> sync(SyncIntent intent);
@@ -103,7 +98,6 @@ class File {
 
   Result<std::uint32_t> size_blocks() const;
   Result<std::uint32_t> extent_blocks() const;
-  Status set_policy(SyncPolicy policy);
 
  private:
   friend class Vfs;
@@ -125,26 +119,15 @@ class Vfs {
     std::uint64_t errors = 0;
   };
 
-  /// Single-filesystem Vfs: one root mount owning every name.
-  Vfs(fs::Filesystem& filesystem, SyncPolicy policy);
-  /// Mounts every volume of the node: an unnamed volume becomes the root
-  /// mount, a named volume owns "/<name>/...". Policies default to the
-  /// substitution-table row for each volume's kind.
+  /// Mounts every volume of the node once: an unnamed volume becomes the
+  /// root mount, a named volume owns "/<name>/...", and each resolves
+  /// intents through SyncPolicy::for_stack(its kind). A volume name that
+  /// contains '/' or repeats another volume's name (two unnamed volumes
+  /// included) could never be routed: CheckFailure.
   explicit Vfs(core::Stack& stack);
 
   Vfs(const Vfs&) = delete;
   Vfs& operator=(const Vfs&) = delete;
-
-  // ---- mount table -------------------------------------------------------
-
-  /// Adds a mount: `name` empty for the root mount, else the "/name/..."
-  /// prefix. kExist if the name (or a second root) is already mounted.
-  Status mount(std::string name, fs::Filesystem& filesystem,
-               SyncPolicy policy);
-  std::size_t mount_count() const noexcept { return mounts_.size(); }
-  /// Per-mount statistics (namespace ops and errors attributed to the
-  /// mount), or nullptr for an unknown mount name.
-  const Stats* stats_of(const std::string& name) const noexcept;
 
   // ---- namespace ---------------------------------------------------------
 
@@ -171,10 +154,6 @@ class Vfs {
   /// Positional buffered write; kNoSpc beyond the file's reserved extent.
   sim::TaskOf<Result<std::uint32_t>> pwrite(Fd fd, std::uint32_t page,
                                             std::uint32_t npages);
-  /// Read at the fd's offset; advances it by the pages read.
-  sim::TaskOf<Result<std::uint32_t>> read(Fd fd, std::uint32_t npages);
-  /// Write at the fd's offset; advances it by the pages written.
-  sim::TaskOf<Result<std::uint32_t>> write(Fd fd, std::uint32_t npages);
   /// O_APPEND-style write at EOF; leaves the fd offset at the new EOF.
   sim::TaskOf<Result<std::uint32_t>> append(Fd fd, std::uint32_t npages);
 
@@ -188,19 +167,19 @@ class Vfs {
   /// the inode since this descriptor last looked is kIo exactly once per
   /// fd (Linux errseq_t).
   sim::TaskOf<Status> sync(Fd fd, Syscall call);
-  /// Resolves `intent` through the file's policy (per-file override if
-  /// set, else the file's mount's policy) and runs the concrete syscall.
+  /// Resolves `intent` through the policy row of the descriptor's volume
+  /// and runs the concrete syscall.
   sim::TaskOf<Status> sync(Fd fd, SyncIntent intent);
 
   // ---- descriptor metadata ----------------------------------------------
 
   Result<std::uint32_t> size_blocks(Fd fd) const;
   Result<std::uint32_t> extent_blocks(Fd fd) const;
+  /// The page after the descriptor's last append (0 before any): where
+  /// that append landed ends here.
   Result<std::uint64_t> offset(Fd fd) const;
-  Status seek(Fd fd, std::uint64_t page);  // SEEK_SET, in pages
 
-  /// Per-file policy override; applies to every fd sharing the vnode.
-  Status set_policy(Fd fd, SyncPolicy policy);
+  /// The policy row of the descriptor's volume.
   Result<SyncPolicy> policy_of(Fd fd) const;
 
   /// The journal flavour behind the descriptor — the capability lookup
@@ -220,25 +199,24 @@ class Vfs {
   sim::Simulator& simulator() noexcept;
 
  private:
-  /// One mount-table row: opens of its names resolve against
-  /// `filesystem`.
+  /// One mount-table row, one per volume: opens of its names resolve
+  /// against `fs`, and intents on its files through `policy`.
   struct Mount {
     std::string name;  // "" = root mount
-    fs::Filesystem* filesystem = nullptr;
+    fs::Filesystem* fs = nullptr;
     SyncPolicy policy;
-    Stats stats;
   };
   /// A routed name: the owning mount and the volume-relative file name.
   struct Target {
-    Mount* mount = nullptr;
+    const Mount* mount = nullptr;
     std::string rel;
   };
 
   /// In-core open-file object: one per file with >= 1 open descriptor.
   struct Vnode {
     fs::Inode* inode = nullptr;
-    /// The filesystem the file lives on.
-    fs::Filesystem* fs = nullptr;
+    /// The volume the file lives on.
+    const Mount* mount = nullptr;
     std::uint32_t refcount = 0;
     /// In-flight syscalls currently suspended against this vnode; blocks
     /// retirement/reclamation the way in-flight kernel IO pins the file.
@@ -249,15 +227,9 @@ class Vfs {
     /// High-water mark of append reservations; keeps concurrent appenders
     /// on disjoint pages even though the write itself suspends.
     std::uint32_t append_cursor = 0;
-    std::optional<SyncPolicy> policy;
   };
   struct FdEntry {
     Vnode* vnode = nullptr;  // nullptr = free slot
-    /// The mount the descriptor was opened through — the kernel's
-    /// struct file -> vfsmount edge. Policy resolution and stats
-    /// attribution live here, so one file reached through two mounts of
-    /// the same filesystem keeps per-mount semantics.
-    Mount* mount = nullptr;
     std::uint64_t offset = 0;
     /// Bumped on every close: an IO that suspended against an earlier
     /// incarnation of this slot must not touch the offset of a descriptor
@@ -280,13 +252,12 @@ class Vfs {
   /// the EBADF funnel for every syscall (callers tick errors via fail()).
   FdEntry* entry(Fd fd);
   const FdEntry* entry(Fd fd) const;
-  Mount* find_mount(std::string_view name) const noexcept;
-  /// The vnode of `inode`, which lives on `filesystem`; made on first open.
-  Vnode& vnode_for(fs::Filesystem& filesystem, fs::Inode& inode);
-  Fd alloc_fd(Vnode& vn, Mount& mount);
-  /// Error funnel: ticks node-wide errors, and the mount's when known.
+  const Mount* find_mount(std::string_view name) const noexcept;
+  /// The vnode of `inode`, which lives on `mount`; made on first open.
+  Vnode& vnode_for(const Mount& mount, fs::Inode& inode);
+  Fd alloc_fd(Vnode& vn);
+  /// Error funnel: ticks the node-wide error count.
   Errno fail(Errno e) const;
-  Errno fail(Mount& m, Errno e) const;
   /// Drops one descriptor reference (close path).
   void unref(Vnode& vn);
   /// Marks a syscall in flight against `vn` across its suspension points:
@@ -302,8 +273,9 @@ class Vfs {
   /// reclaims storage if the file was unlinked meanwhile.
   void maybe_retire(Vnode& vn);
 
-  /// Mount rows are stable (unique_ptr) so vnodes can point at them.
-  std::vector<std::unique_ptr<Mount>> mounts_;
+  /// Filled once by the constructor and never resized, so vnodes can
+  /// point at its rows.
+  std::vector<Mount> mounts_;
   std::vector<FdEntry> fds_;
   using VnodeMap = std::unordered_map<const fs::Inode*, Vnode*>;
   /// Live vnodes keyed by inode *pointer*, not ino: a filesystem recycles
@@ -343,16 +315,6 @@ inline sim::TaskOf<Result<std::uint32_t>> File::pwrite(std::uint32_t page,
   if (vfs_ == nullptr)
     return detail::ready_error<Result<std::uint32_t>>(Errno::kBadF);
   return vfs_->pwrite(fd_, page, npages);
-}
-inline sim::TaskOf<Result<std::uint32_t>> File::read(std::uint32_t npages) {
-  if (vfs_ == nullptr)
-    return detail::ready_error<Result<std::uint32_t>>(Errno::kBadF);
-  return vfs_->read(fd_, npages);
-}
-inline sim::TaskOf<Result<std::uint32_t>> File::write(std::uint32_t npages) {
-  if (vfs_ == nullptr)
-    return detail::ready_error<Result<std::uint32_t>>(Errno::kBadF);
-  return vfs_->write(fd_, npages);
 }
 inline sim::TaskOf<Result<std::uint32_t>> File::append(std::uint32_t npages) {
   if (vfs_ == nullptr)
@@ -399,10 +361,6 @@ inline Result<std::uint32_t> File::size_blocks() const {
 inline Result<std::uint32_t> File::extent_blocks() const {
   if (vfs_ == nullptr) return Errno::kBadF;
   return vfs_->extent_blocks(fd_);
-}
-inline Status File::set_policy(SyncPolicy policy) {
-  if (vfs_ == nullptr) return Errno::kBadF;
-  return vfs_->set_policy(fd_, policy);
 }
 
 }  // namespace bio::api

@@ -595,11 +595,6 @@ sim::Task setup_and_run(std::unique_ptr<Ctx> ctx) {
     trace.files[ctx->shared_files + w].rel_names.push_back(
         "w" + std::to_string(w) + ".p0");
   co_await create_and_settle(*ctx);
-  // OptFS: shared file 0 runs the dsync policy row, so the matrix's
-  // durability intent actually exercises dsync's data-durable-at-return.
-  if (ctx->vol.kind() == core::StackKind::kOptFs)
-    api::must(ctx->vfs.set_policy(trace.files[0].anchor.fd(),
-                                  api::SyncPolicy::optfs_dsync()));
 
   sim::Rng base(ctx->seed * 0x9e3779b97f4a7c15ULL + 1);
   std::vector<sim::Thread> threads;

@@ -64,8 +64,9 @@ struct TraceWrite {
 /// One *returned* sync syscall (syncs cut short by the power cut, or that
 /// returned an error, are never recorded — they promised nothing).
 struct TraceSync {
-  /// The concrete syscall that ran (intents pre-resolved through the file's
-  /// policy row, so the checker can classify semantics per stack kind).
+  /// The concrete syscall that ran (intents pre-resolved through the
+  /// volume's policy row, so the checker can classify semantics per stack
+  /// kind).
   api::Syscall call = api::Syscall::kFsync;
   std::uint64_t start_tick = 0;
   std::uint64_t done_tick = 0;

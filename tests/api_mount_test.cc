@@ -1,7 +1,7 @@
 // Tests for the api::Vfs mount table over a multi-volume core::Stack node:
 // path routing ("/v0/file" -> volume 0's namespace), unknown-prefix ENOENT,
-// cross-volume rename EXDEV, per-volume SyncPolicy resolution and per-volume
-// statistics isolation.
+// the volume-name checks, cross-volume rename EXDEV, per-volume SyncPolicy
+// resolution and per-volume statistics isolation.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,7 +15,6 @@ namespace {
 
 using core::StackKind;
 using fs::testutil::NodeFixture;
-using fs::testutil::StackFixture;
 using sim::Task;
 
 const std::vector<StackKind> kHetero = {StackKind::kBfsDR,
@@ -26,7 +25,6 @@ const std::vector<StackKind> kHetero = {StackKind::kBfsDR,
 TEST(MountTest, PathsRouteToTheirVolumeNamespaces) {
   NodeFixture x(kHetero);
   Vfs vfs(*x.node);
-  ASSERT_EQ(vfs.mount_count(), 2u);
   auto body = [&]() -> Task {
     // The same relative name on both volumes: two distinct files.
     File a = must(co_await vfs.open("/v0/data", {.create = true}));
@@ -98,19 +96,29 @@ TEST(MountTest, RootMountCoexistsWithNamedMounts) {
   x.sim().run();
 }
 
-TEST(MountTest, DuplicateMountNameIsEexist) {
-  StackFixture x(StackKind::kExt4DR);
-  Vfs vfs(*x.stack);  // root mount
-  EXPECT_EQ(vfs.mount("", x.stack->fs(),
-                      SyncPolicy::for_stack(StackKind::kExt4DR))
-                .error(),
-            Errno::kExist);
-  must(vfs.mount("extra", x.stack->fs(),
-                 SyncPolicy::for_stack(StackKind::kExt4DR)));
-  EXPECT_EQ(vfs.mount("extra", x.stack->fs(),
-                      SyncPolicy::for_stack(StackKind::kExt4DR))
-                .error(),
-            Errno::kExist);
+TEST(MountTest, UnroutableVolumeNamesFailTheMount) {
+  // Each name routes to one volume, and a name is one path component: a
+  // repeated name (two unnamed volumes are two root mounts) or an embedded
+  // '/' could never be routed, so the Vfs refuses the node.
+  const auto node_named = [](std::vector<std::string> names) {
+    core::NodeConfig cfg;
+    for (std::string& name : names) {
+      cfg.volumes.push_back(
+          fs::testutil::test_stack_config(StackKind::kExt4DR));
+      cfg.volumes.back().name = std::move(name);
+    }
+    return cfg;
+  };
+  for (const std::vector<std::string>& names :
+       {std::vector<std::string>{"a", "a"}, {"", ""}, {"a", "b/c"}}) {
+    const core::NodeConfig cfg = node_named(names);
+    NodeFixture x({}, &cfg);
+    EXPECT_THROW({ Vfs vfs(*x.node); }, CheckFailure)
+        << names[0] << ", " << names[1];
+  }
+  const core::NodeConfig cfg = node_named({"", "a"});
+  NodeFixture x({}, &cfg);
+  EXPECT_NO_THROW({ Vfs vfs(*x.node); }) << "a root and a named mount";
 }
 
 // ---- rename -----------------------------------------------------------------
@@ -226,50 +234,8 @@ TEST(MountTest, PerVolumeStatisticsStayIsolated) {
   EXPECT_EQ(x.fs(1).stats().writes, 0u);
   EXPECT_EQ(x.fs(1).stats().fsyncs, 0u);
   EXPECT_EQ(x.fs(1).stats().creates, 0u);
-  // Mount-level Vfs stats mirror the split, including the error tick.
-  const Vfs::Stats* v0 = vfs.stats_of("v0");
-  const Vfs::Stats* v1 = vfs.stats_of("v1");
-  ASSERT_NE(v0, nullptr);
-  ASSERT_NE(v1, nullptr);
-  EXPECT_EQ(v0->opens, 1u);
-  EXPECT_EQ(v0->creates, 1u);
-  EXPECT_EQ(v0->unlinks, 1u);
-  EXPECT_EQ(v0->closes, 1u);
-  EXPECT_EQ(v1->opens, 0u);
-  EXPECT_EQ(v1->errors, 1u);
-  EXPECT_EQ(vfs.stats().opens, 1u) << "node-wide stats aggregate all mounts";
-  EXPECT_EQ(vfs.stats_of("ghost"), nullptr);
-}
-
-TEST(MountTest, SameFilesystemUnderTwoMountsKeepsPerMountSemantics) {
-  // One filesystem bind-mounted twice with different policies: the mount
-  // travels with the *descriptor* (struct file -> vfsmount), so a file
-  // already open through the first mount still gets the second mount's
-  // policy and stats when reached through it.
-  StackFixture x(StackKind::kBfsDR);
-  Vfs vfs(*x.stack);  // root mount: the BFS-DR row
-  must(vfs.mount("relaxed", x.stack->fs(),
-                 SyncPolicy::for_stack(StackKind::kBfsOD)));
-  auto body = [&]() -> Task {
-    File a = must(co_await vfs.open("f", {.create = true}));
-    File b = must(co_await vfs.open("/relaxed/f"));  // same file, same vnode
-    must(co_await a.pwrite(0, 1));
-    must(co_await a.durability_point());  // BFS-DR row: fdatasync
-    must(co_await b.pwrite(1, 1));
-    must(co_await b.durability_point());  // BFS-OD row: fdatabarrier
-    must(a.close());
-    must(b.close());
-  };
-  x.sim().spawn("t", body());
-  x.sim().run();
-  EXPECT_EQ(x.fs().stats().fdatasyncs, 1u);
-  EXPECT_EQ(x.fs().stats().fdatabarriers, 1u)
-      << "the second mount's policy must win for its own descriptor";
-  EXPECT_EQ(vfs.stats_of("")->opens, 1u);
-  EXPECT_EQ(vfs.stats_of("")->closes, 1u);
-  EXPECT_EQ(vfs.stats_of("relaxed")->opens, 1u);
-  EXPECT_EQ(vfs.stats_of("relaxed")->closes, 1u)
-      << "closes must land on the mount the fd was opened through";
+  EXPECT_EQ(vfs.stats().opens, 1u) << "node-wide stats count every mount";
+  EXPECT_EQ(vfs.stats().errors, 1u);
 }
 
 }  // namespace

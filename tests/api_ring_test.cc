@@ -290,8 +290,8 @@ TEST_P(RingSyncParityTest, RingSyncMatchesDirectVfsSync) {
   // For every sync syscall the stack's journal runs, the same workload —
   // 3 x (pwrite 4 pages + sync) — once through direct Vfs::sync awaits and
   // once through ring_op_for(call) sqes must drive the identical syscall
-  // path: same fs-level counters, same journal commits. OptFS files carry
-  // the dsync row, and a dsync cqe must find the written pages on media.
+  // path: same fs-level counters, same journal commits. A dsync cqe must
+  // find the written pages on media.
   const StackKind kind = GetParam();
   std::vector<api::Syscall> calls = {api::Syscall::kFsync,
                                      api::Syscall::kFdatasync};
@@ -309,8 +309,6 @@ TEST_P(RingSyncParityTest, RingSyncMatchesDirectVfsSync) {
     api::Vfs vfs(*x.stack);
     auto body = [&]() -> sim::Task {
       api::File f = api::must(co_await vfs.open("a", {.create = true}));
-      if (kind == StackKind::kOptFs)
-        api::must(f.set_policy(api::SyncPolicy::optfs_dsync()));
       Ring ring(vfs);  // idle in the direct run
       for (std::uint64_t i = 0; i < 3; ++i) {
         if (via_ring) {

@@ -1,7 +1,7 @@
-// Tests for the handle-based VFS layer: descriptor lifecycle, per-fd
-// offsets, errno paths, and the SyncPolicy substitution table — including
-// parity between Vfs-resolved intents and direct policy-row issuance for
-// every StackKind.
+// Tests for the handle-based VFS layer: descriptor lifecycle, appends,
+// errno paths, and the SyncPolicy substitution table — including parity
+// between Vfs-resolved intents and direct policy-row issuance for every
+// StackKind.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -63,8 +63,6 @@ TEST(VfsTest, EveryFdSyscallReturnsEbadfAfterClose) {
 
     EXPECT_EQ((co_await vfs.pwrite(fd, 0, 1)).error(), Errno::kBadF);
     EXPECT_EQ((co_await vfs.pread(fd, 0, 1)).error(), Errno::kBadF);
-    EXPECT_EQ((co_await vfs.read(fd, 1)).error(), Errno::kBadF);
-    EXPECT_EQ((co_await vfs.write(fd, 1)).error(), Errno::kBadF);
     EXPECT_EQ((co_await vfs.append(fd, 1)).error(), Errno::kBadF);
     EXPECT_EQ((co_await vfs.sync(fd, Syscall::kFsync)).error(), Errno::kBadF);
     EXPECT_EQ((co_await vfs.sync(fd, Syscall::kFdatasync)).error(),
@@ -73,7 +71,6 @@ TEST(VfsTest, EveryFdSyscallReturnsEbadfAfterClose) {
               Errno::kBadF);
     EXPECT_EQ(vfs.size_blocks(fd).error(), Errno::kBadF);
     EXPECT_EQ(vfs.offset(fd).error(), Errno::kBadF);
-    EXPECT_EQ(vfs.seek(fd, 0).error(), Errno::kBadF);
     EXPECT_EQ(vfs.close(fd).error(), Errno::kBadF) << "double close";
     EXPECT_EQ(vfs.close(-1).error(), Errno::kBadF);
     EXPECT_EQ(vfs.close(99).error(), Errno::kBadF);
@@ -294,10 +291,8 @@ TEST(VfsTest, HugeOffsetsFailCleanlyInsteadOfWrapping) {
     must(co_await f.pwrite(0, 2));
     // uint32 page+npages would wrap to 1 and pass the bounds check.
     EXPECT_EQ((co_await f.pwrite(0xFFFFFFFFu, 2)).error(), Errno::kNoSpc);
-    // A seek past 2^32 pages must not truncate to a low page.
-    must(vfs.seek(f.fd(), std::uint64_t{1} << 32));
-    EXPECT_EQ(must(co_await f.read(1)), 0u) << "far offset reads EOF";
-    EXPECT_EQ((co_await f.write(1)).error(), Errno::kNoSpc);
+    EXPECT_EQ(must(co_await f.pread(0xFFFFFFFFu, 2)), 0u)
+        << "a far page reads EOF";
     must(f.close());
   };
   x.sim().spawn("t", body());
@@ -351,23 +346,23 @@ TEST(VfsTest, CloseDuringInflightIoDefersReclamation) {
 }
 
 TEST(VfsTest, FdReuseDuringInflightIoDoesNotCorruptNewOffset) {
-  // Thread A suspends inside write(fd); thread B closes the fd and reopens
-  // the SAME file into the recycled slot. A's completion must not advance
-  // the new descriptor's offset (generation check, fd-reuse ABA).
+  // Thread A suspends inside append(fd); thread B closes the fd and reopens
+  // the SAME file into the recycled slot. A's completion must not move the
+  // new descriptor's offset (generation check, fd-reuse ABA).
   StackFixture x(StackKind::kExt4DR);
   Vfs vfs(*x.stack);
   Fd fd = kInvalidFd;
   auto setup = [&]() -> Task {
     File f = must(co_await vfs.open("shared",
                                     {.create = true, .extent_blocks = 16}));
-    must(co_await f.pwrite(0, 8));  // pre-size so offset-writes stay inside
+    must(co_await f.pwrite(0, 8));
     fd = f.fd();
   };
   x.sim().spawn("setup", setup());
   x.sim().run();
 
   auto writer = [&]() -> Task {
-    (void)co_await vfs.write(fd, 2);  // suspends; fd is recycled meanwhile
+    (void)co_await vfs.append(fd, 2);  // suspends; fd is recycled meanwhile
   };
   auto recycler = [&]() -> Task {
     must(vfs.close(fd));
@@ -468,12 +463,12 @@ TEST(VfsTest, DoubleCloseIsEbadfOnEveryPath) {
   EXPECT_GE(vfs.stats().errors, 3u);
 }
 
-// ---- seek / short-read boundary semantics -----------------------------------
+// ---- short-read boundary semantics ------------------------------------------
 
-TEST(VfsTest, SeekPastEofReadsShortAndNeverTouchesUnmappedPages) {
-  // seek(2) past EOF (even past the extent) is legal; the following read
-  // returns 0 at/past EOF and a short count across it — and the device
-  // never sees a read of an unmapped page.
+TEST(VfsTest, PreadPastEofIsShortAndNeverTouchesUnmappedPages) {
+  // A pread at or past EOF (even past the extent) returns 0 and one across
+  // it a short count — and the device never sees a read of an unmapped
+  // page.
   StackFixture x(StackKind::kExt4DR);
   Vfs vfs(*x.stack);
   auto body = [&]() -> Task {
@@ -483,30 +478,13 @@ TEST(VfsTest, SeekPastEofReadsShortAndNeverTouchesUnmappedPages) {
     const std::uint64_t reads0 = x.fs().stats().reads;
     const std::uint64_t dev_reads0 = x.dev().stats().reads;
 
-    // At EOF exactly: 0, offset unchanged.
-    must(vfs.seek(f.fd(), 4));
-    EXPECT_EQ(must(co_await f.read(2)), 0u);
-    EXPECT_EQ(must(vfs.offset(f.fd())), 4u);
-
-    // Past EOF but inside the extent: still 0.
-    must(vfs.seek(f.fd(), 9));
-    EXPECT_EQ(must(co_await f.read(1)), 0u);
-
-    // Past the extent entirely, and a 64-bit offset far past any page the
-    // cast-to-page path could alias back into range: still 0, no crash.
-    must(vfs.seek(f.fd(), 64));
-    EXPECT_EQ(must(co_await f.read(4)), 0u);
-    must(vfs.seek(f.fd(), (1ull << 33) + 5));
-    EXPECT_EQ(must(co_await f.read(4)), 0u);
-
-    // Short read across EOF: 3 pages from offset 1, not 8.
-    must(vfs.seek(f.fd(), 1));
-    EXPECT_EQ(must(co_await f.read(8)), 3u);
-    EXPECT_EQ(must(vfs.offset(f.fd())), 4u);
-
-    // pread mirrors the same boundaries positionally.
+    // At EOF exactly, past it inside the extent, past the extent: 0.
     EXPECT_EQ(must(co_await f.pread(4, 2)), 0u);
+    EXPECT_EQ(must(co_await f.pread(9, 1)), 0u);
     EXPECT_EQ(must(co_await f.pread(100, 2)), 0u);
+
+    // Short reads across EOF: 3 pages from page 1, not 8; 2 from page 2.
+    EXPECT_EQ(must(co_await f.pread(1, 8)), 3u);
     EXPECT_EQ(must(co_await f.pread(2, 8)), 2u);
 
     // Nothing above may have read an unmapped page: every filesystem read
@@ -516,12 +494,10 @@ TEST(VfsTest, SeekPastEofReadsShortAndNeverTouchesUnmappedPages) {
     EXPECT_EQ(x.dev().stats().reads, dev_reads0)
         << "cache-resident pages: the device must see no read";
 
-    // Writing through a past-EOF offset is ENOSPC beyond the extent but
-    // legal inside it (sparse-ish allocating write).
-    must(vfs.seek(f.fd(), 64));
-    EXPECT_EQ((co_await f.write(1)).error(), Errno::kNoSpc);
-    must(vfs.seek(f.fd(), 12));
-    EXPECT_EQ(must(co_await f.write(2)), 2u);
+    // Writing past EOF is ENOSPC beyond the extent but legal inside it
+    // (sparse-ish allocating write).
+    EXPECT_EQ((co_await f.pwrite(64, 1)).error(), Errno::kNoSpc);
+    EXPECT_EQ(must(co_await f.pwrite(12, 2)), 2u);
     EXPECT_EQ(must(f.size_blocks()), 14u);
     must(f.close());
   };
@@ -577,53 +553,7 @@ TEST(VfsTest, WriteBeyondExtentAndInodeExhaustionAreEnospc) {
   x.sim().run();
 }
 
-// ---- per-fd offsets ---------------------------------------------------------
-
-TEST(VfsTest, PerFdOffsetsAreIndependentAcrossSimulatedThreads) {
-  StackFixture x(StackKind::kBfsDR);
-  Vfs vfs(*x.stack);
-  Fd fd_a = kInvalidFd;
-  Fd fd_b = kInvalidFd;
-  auto setup = [&]() -> Task {
-    fd_a = must(co_await vfs.open("shared",
-                                  {.create = true, .extent_blocks = 64}))
-               .fd();
-    fd_b = must(co_await vfs.open("shared")).fd();
-  };
-  x.sim().spawn("setup", setup());
-  x.sim().run();
-
-  auto writer = [&vfs](Fd fd, int n) -> Task {
-    for (int i = 0; i < n; ++i) must(co_await vfs.write(fd, 1));
-  };
-  x.sim().spawn("a", writer(fd_a, 3));
-  x.sim().spawn("b", writer(fd_b, 5));
-  x.sim().run();
-
-  EXPECT_EQ(must(vfs.offset(fd_a)), 3u)
-      << "fd A's offset must not see fd B's writes";
-  EXPECT_EQ(must(vfs.offset(fd_b)), 5u);
-  EXPECT_EQ(must(vfs.size_blocks(fd_a)), 5u)
-      << "both descriptors share one inode";
-}
-
-TEST(VfsTest, ReadAdvancesOffsetAndIsShortAtEof) {
-  StackFixture x(StackKind::kExt4DR);
-  Vfs vfs(*x.stack);
-  auto body = [&]() -> Task {
-    File f = must(
-        co_await vfs.open("a", {.create = true, .extent_blocks = 16}));
-    must(co_await f.pwrite(0, 3));
-    EXPECT_EQ(must(co_await f.read(2)), 2u);
-    EXPECT_EQ(must(co_await f.read(2)), 1u) << "short read at EOF";
-    EXPECT_EQ(must(co_await f.read(2)), 0u) << "at EOF";
-    must(vfs.seek(f.fd(), 1));
-    EXPECT_EQ(must(co_await f.read(8)), 2u);
-    must(f.close());
-  };
-  x.sim().spawn("t", body());
-  x.sim().run();
-}
+// ---- appends ----------------------------------------------------------------
 
 TEST(VfsTest, AppendWritesAtEofThroughAnyDescriptor) {
   StackFixture x(StackKind::kBfsDR);
@@ -724,78 +654,22 @@ TEST(SyncPolicyTest, VfsIntentsMatchDirectPolicyIssuance) {
   }
 }
 
-// ---- the OptFS dsync row ----------------------------------------------------
-
-TEST(SyncPolicyTest, DsyncRowMatchesOptFsSubstitution) {
-  const SyncPolicy dsync = SyncPolicy::optfs_dsync();
-  EXPECT_EQ(dsync.order, Syscall::kOsync)
-      << "ordering stays the optimistic osync";
-  EXPECT_EQ(dsync.durability, Syscall::kDsync);
-  EXPECT_EQ(dsync.full_sync, Syscall::kDsync);
-}
-
-TEST(SyncPolicyTest, DsyncVfsIntentsMatchDirectPolicyIssuance) {
-  // Parity between direct row issuance and Vfs-resolved intents, as the
-  // main table's parity test does — for the dsync row on the OptFS stack.
-  auto direct = []() {
-    StackFixture x(StackKind::kOptFs);
-    const SyncPolicy policy = SyncPolicy::optfs_dsync();
-    auto body = [&]() -> Task {
-      fs::Inode* f = nullptr;
-      co_await x.fs().create("a", f, 64);
-      co_await x.fs().write(*f, 0, 1);
-      EXPECT_EQ(co_await x.fs().sync(*f, policy.order),
-                fs::FsStatus::kOk);
-      co_await x.fs().write(*f, 1, 1);
-      EXPECT_EQ(co_await x.fs().sync(*f, policy.durability),
-                fs::FsStatus::kOk);
-      co_await x.fs().write(*f, 2, 1);
-      EXPECT_EQ(co_await x.fs().sync(*f, policy.full_sync),
-                fs::FsStatus::kOk);
-    };
-    x.sim().spawn("t", body());
-    x.sim().run();
-    return x.fs().stats();
-  }();
-  auto via_vfs = []() {
-    StackFixture x(StackKind::kOptFs);
-    Vfs vfs(x.fs(), SyncPolicy::optfs_dsync());
-    auto body = [&]() -> Task {
-      File f = must(
-          co_await vfs.open("a", {.create = true, .extent_blocks = 64}));
-      must(co_await f.pwrite(0, 1));
-      must(co_await f.order_point());
-      must(co_await f.pwrite(1, 1));
-      must(co_await f.durability_point());
-      must(co_await f.pwrite(2, 1));
-      must(co_await f.sync_file());
-    };
-    x.sim().spawn("t", body());
-    x.sim().run();
-    return x.fs().stats();
-  }();
-  EXPECT_EQ(direct.osyncs, via_vfs.osyncs);
-  EXPECT_EQ(direct.dsyncs, via_vfs.dsyncs);
-  EXPECT_EQ(via_vfs.dsyncs, 2u) << "durability and full-sync use dsync";
-  EXPECT_EQ(direct.writes, via_vfs.writes);
-  EXPECT_EQ(direct.fsyncs, 0u);
-  EXPECT_EQ(via_vfs.fsyncs, 0u);
-}
+// ---- the OptFS dsync syscall ------------------------------------------------
 
 TEST(SyncPolicyTest, DsyncMakesDataDurableAtReturnWhereOsyncDoesNot) {
-  // The row's point: osync's durability is delayed (data may sit in the
-  // device cache at return), dsync's data is on media at return while
-  // metadata keeps the optimistic protocol.
-  auto durable_after_durability_point = [](SyncPolicy policy,
-                                           bool& cache_dirty) {
+  // The OptFS row's durability point is osync, whose durability is delayed
+  // (data may sit in the device cache at return); a call site that needs
+  // the data on media calls dsync directly, which keeps the optimistic
+  // protocol for metadata only.
+  auto durable_at_return = [](Syscall call, bool& cache_dirty) {
     StackFixture x(StackKind::kOptFs);
-    Vfs vfs(x.fs(), policy);
+    Vfs vfs(*x.stack);
     bool durable = false;
     auto body = [&]() -> Task {
       File f = must(
           co_await vfs.open("a", {.create = true, .extent_blocks = 16}));
       must(co_await f.pwrite(0, 4));
-      must(co_await f.durability_point());
+      must(co_await f.sync(call));
       const fs::Inode* inode = x.fs().lookup("a");
       durable = true;
       for (std::uint32_t p = 0; p < 4; ++p)
@@ -810,75 +684,12 @@ TEST(SyncPolicyTest, DsyncMakesDataDurableAtReturnWhereOsyncDoesNot) {
   };
   bool osync_cache_dirty = false;
   bool dsync_cache_dirty = false;
-  EXPECT_FALSE(durable_after_durability_point(
-      SyncPolicy::for_stack(StackKind::kOptFs), osync_cache_dirty))
+  EXPECT_FALSE(durable_at_return(
+      SyncPolicy::for_stack(StackKind::kOptFs).durability, osync_cache_dirty))
       << "osync must not flush — durability is delayed by design";
   EXPECT_TRUE(osync_cache_dirty);
-  EXPECT_TRUE(durable_after_durability_point(SyncPolicy::optfs_dsync(),
-                                             dsync_cache_dirty))
+  EXPECT_TRUE(durable_at_return(Syscall::kDsync, dsync_cache_dirty))
       << "dsync data must be on media at return";
-}
-
-TEST(SyncPolicyTest, IncompatiblePolicyRowIsEinvalNotAbort) {
-  // The dsync row on a non-OptFS stack: policy-resolved intents must
-  // surface the mismatch as a modelled errno, not a simulation abort.
-  StackFixture x(StackKind::kExt4DR);
-  Vfs vfs(*x.stack);
-  auto body = [&]() -> Task {
-    File f = must(
-        co_await vfs.open("a", {.create = true, .extent_blocks = 8}));
-    must(f.set_policy(SyncPolicy::optfs_dsync()));
-    must(co_await f.pwrite(0, 1));
-    EXPECT_EQ((co_await f.durability_point()).error(), Errno::kInval);
-    EXPECT_EQ((co_await f.sync_file()).error(), Errno::kInval);
-    // The osync order point is equally foreign to JBD2.
-    EXPECT_EQ((co_await f.order_point()).error(), Errno::kInval);
-    // Direct barrier syscalls hit the same capability matrix.
-    EXPECT_EQ((co_await f.fbarrier()).error(), Errno::kInval);
-    EXPECT_EQ((co_await f.fdatabarrier()).error(), Errno::kInval);
-    // Restoring the stack's own row makes the file syncable again.
-    must(f.set_policy(SyncPolicy::for_stack(StackKind::kExt4DR)));
-    must(co_await f.durability_point());
-    must(f.close());
-  };
-  x.sim().spawn("t", body());
-  x.sim().run();
-  EXPECT_EQ(x.fs().stats().dsyncs, 0u);
-}
-
-TEST(SyncPolicyTest, PerFileOverrideBeatsVfsDefault) {
-  StackFixture x(StackKind::kBfsDR);
-  Vfs vfs(*x.stack);
-  auto body = [&]() -> Task {
-    File f = must(
-        co_await vfs.open("a", {.create = true, .extent_blocks = 16}));
-    // Demote this one file to the BFS-OD row: durability relaxed to
-    // ordering — the per-call-site flexibility the paper's §5 argues for.
-    must(f.set_policy(SyncPolicy::for_stack(StackKind::kBfsOD)));
-    must(co_await f.pwrite(0, 1));
-    must(co_await f.durability_point());
-  };
-  x.sim().spawn("t", body());
-  x.sim().run();
-  EXPECT_EQ(x.fs().stats().fdatabarriers, 1u)
-      << "override must resolve durability to fdatabarrier";
-  EXPECT_EQ(x.fs().stats().fdatasyncs, 0u);
-}
-
-TEST(SyncPolicyTest, OverrideIsSharedAcrossFdsOfOneFile) {
-  StackFixture x(StackKind::kBfsDR);
-  Vfs vfs(*x.stack);
-  auto body = [&]() -> Task {
-    File a = must(
-        co_await vfs.open("a", {.create = true, .extent_blocks = 16}));
-    File b = must(co_await vfs.open("a"));
-    must(a.set_policy(SyncPolicy::for_stack(StackKind::kBfsOD)));
-    EXPECT_EQ(must(vfs.policy_of(b.fd())),
-              SyncPolicy::for_stack(StackKind::kBfsOD))
-        << "policy lives on the vnode, not the descriptor";
-  };
-  x.sim().spawn("t", body());
-  x.sim().run();
 }
 
 // ---- ring chaos: close() and destruction racing in-flight sqes --------------
