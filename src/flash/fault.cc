@@ -16,12 +16,12 @@ FaultPlan FaultPlan::random(std::uint64_t seed,
   const std::uint64_t n = rng.uniform(1, std::max<std::uint32_t>(max_faults, 1));
   for (std::uint64_t i = 0; i < n; ++i) {
     FaultSpec s;
-    const std::uint64_t roll = rng.uniform(0, 9);
+    // Write-path kinds only: the fault sweep's writers read through the
+    // page cache, so a kTransientRead spec would never reach a device read.
+    const std::uint64_t roll = rng.uniform(0, 7);
     if (roll < 4) {
       s.kind = FaultKind::kTransientProgram;
     } else if (roll < 6) {
-      s.kind = FaultKind::kTransientRead;
-    } else if (roll < 8) {
       s.kind = FaultKind::kHardMedia;
     } else {
       s.kind = FaultKind::kTornWrite;

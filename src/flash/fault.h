@@ -75,7 +75,8 @@ class FaultPlan {
 
   void add(const FaultSpec& spec) { specs_.push_back(spec); }
 
-  /// Deterministic random plan: 1..max_faults specs spread over roughly
+  /// Deterministic random plan: 1..max_faults write-path specs
+  /// (transient program, hard media, torn write) spread over roughly
   /// `expected_write_ops` write ordinals. Same seed, same plan.
   static FaultPlan random(std::uint64_t seed, std::uint64_t expected_write_ops,
                           std::uint32_t max_faults = 6);
