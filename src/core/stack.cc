@@ -81,12 +81,6 @@ Stack::Stack(NodeConfig config) : sim_(kSimParams) {
     volumes_.push_back(std::make_unique<Volume>(sim_, std::move(v)));
 }
 
-Volume* Stack::find_volume(const std::string& name) noexcept {
-  for (const std::unique_ptr<Volume>& v : volumes_)
-    if (v->name() == name) return v.get();
-  return nullptr;
-}
-
 void Stack::start() {
   for (const std::unique_ptr<Volume>& v : volumes_) v->start();
 }

@@ -127,8 +127,6 @@ class Stack {
   const std::vector<std::unique_ptr<Volume>>& volumes() const noexcept {
     return volumes_;
   }
-  /// The volume mounted as `name`, or nullptr.
-  Volume* find_volume(const std::string& name) noexcept;
 
   // Single-volume accessors: volume 0 (the one-mount special case).
   flash::StorageDevice& device() noexcept { return volumes_[0]->device(); }

@@ -75,27 +75,6 @@ class TimeSeries {
   const std::vector<Point>& points() const noexcept { return points_; }
   bool empty() const noexcept { return points_.empty(); }
 
-  double mean_value() const {
-    if (points_.empty()) return 0.0;
-    double total = 0.0;
-    for (const Point& p : points_) total += p.value;
-    return total / static_cast<double>(points_.size());
-  }
-
-  /// Time-weighted average assuming the value holds until the next point.
-  /// `end` closes the last interval.
-  double time_weighted_mean(SimTime end) const {
-    if (points_.empty()) return 0.0;
-    double area = 0.0;
-    for (std::size_t i = 0; i < points_.size(); ++i) {
-      const SimTime next = i + 1 < points_.size() ? points_[i + 1].at : end;
-      if (next > points_[i].at)
-        area += points_[i].value * static_cast<double>(next - points_[i].at);
-    }
-    const SimTime span = end > points_.front().at ? end - points_.front().at : 0;
-    return span == 0 ? points_.back().value : area / static_cast<double>(span);
-  }
-
   double max_value() const {
     double m = 0.0;
     for (const Point& p : points_) m = std::max(m, p.value);

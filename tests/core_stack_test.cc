@@ -93,9 +93,7 @@ TEST(NodeTest, MultiVolumeNodeSharesOneSimulator) {
   EXPECT_EQ(node.volume(1).config().device.barrier_mode,
             flash::BarrierMode::kNone);
   EXPECT_EQ(node.volume(2).config().fs.journal, fs::JournalKind::kOptFs);
-  // Name lookup and the volume-0 compat accessors.
-  EXPECT_EQ(node.find_volume("v1"), &node.volume(1));
-  EXPECT_EQ(node.find_volume("nope"), nullptr);
+  // The volume-0 compat accessors.
   EXPECT_EQ(node.kind(), StackKind::kBfsDR);
   EXPECT_EQ(&node.fs(), &node.volume(0).fs());
 }

@@ -51,24 +51,11 @@ TEST(LatencyRecorderTest, ClearResets) {
   EXPECT_TRUE(r.empty());
 }
 
-TEST(TimeSeriesTest, MeanOfPoints) {
+TEST(TimeSeriesTest, MaxOfPoints) {
   TimeSeries ts;
   ts.record(0, 2.0);
   ts.record(10, 4.0);
-  EXPECT_DOUBLE_EQ(ts.mean_value(), 3.0);
   EXPECT_DOUBLE_EQ(ts.max_value(), 4.0);
-}
-
-TEST(TimeSeriesTest, TimeWeightedMeanWeighsDurations) {
-  TimeSeries ts;
-  ts.record(0, 1.0);    // holds for 90
-  ts.record(90, 11.0);  // holds for 10
-  EXPECT_DOUBLE_EQ(ts.time_weighted_mean(100), 0.9 * 1.0 + 0.1 * 11.0);
-}
-
-TEST(TimeSeriesTest, TimeWeightedMeanEmptyIsZero) {
-  TimeSeries ts;
-  EXPECT_DOUBLE_EQ(ts.time_weighted_mean(100), 0.0);
 }
 
 TEST(RngTest, DeterministicForSameSeed) {
