@@ -14,12 +14,11 @@
 //   BFS-OD  | fdatabarrier  | fdatabarrier*    | fbarrier  (*relaxed, §6.4)
 //   OptFS   | osync         | osync            | osync
 //
-// SyncPolicy carries one row of that table as a value. api::Vfs holds one
-// row per volume, for_stack(kind), and resolves the intents of every file
-// on the volume through it, so workloads do not hardcode switch
-// statements. A call site that needs a syscall the row does not name
-// (OptFS's dsync, say) calls it directly: File::sync(Syscall) and its
-// sugar.
+// SyncPolicy carries one row of that table as a value. api::Vfs resolves
+// the intents of every file through its volume's row, for_stack(kind), so
+// workloads do not hardcode switch statements. A call site that needs a
+// syscall the row does not name (OptFS's dsync, say) calls it directly:
+// File::sync(Syscall) and its sugar.
 #pragma once
 
 #include <cstdint>

@@ -7,31 +7,30 @@ namespace bio::api {
 
 // ---- mount table ------------------------------------------------------------
 
-Vfs::Vfs(core::Stack& stack) {
-  mounts_.reserve(stack.volume_count());
+Vfs::Vfs(core::Stack& stack) : node_(stack) {
   for (const std::unique_ptr<core::Volume>& v : stack.volumes()) {
     // A mount name is one path component (resolve() matches only the
-    // first), and one name routes to one volume.
+    // first), and one name routes to one volume: find_mount() returns the
+    // first volume of that name.
     BIO_CHECK_MSG(v->name().find('/') == std::string::npos,
                   "volume name '" + v->name() + "' contains '/'");
-    BIO_CHECK_MSG(find_mount(v->name()) == nullptr,
+    BIO_CHECK_MSG(find_mount(v->name()) == v.get(),
                   "volume name '" + v->name() + "' is mounted twice");
-    mounts_.push_back({v->name(), &v->fs(), SyncPolicy::for_stack(v->kind())});
   }
 }
 
-const Vfs::Mount* Vfs::find_mount(std::string_view name) const noexcept {
-  for (const Mount& m : mounts_)
-    if (m.name == name) return &m;
+core::Volume* Vfs::find_mount(std::string_view name) const noexcept {
+  for (const std::unique_ptr<core::Volume>& v : node_.volumes())
+    if (v->name() == name) return v.get();
   return nullptr;
 }
 
-sim::Simulator& Vfs::simulator() noexcept { return mounts_.front().fs->sim(); }
+sim::Simulator& Vfs::simulator() noexcept { return node_.sim(); }
 
 Result<fs::JournalKind> Vfs::journal_kind(Fd fd) const {
   const FdEntry* e = entry(fd);
   if (e == nullptr) return fail(Errno::kBadF);
-  return e->vnode->mount->fs->config().journal;
+  return e->vnode->volume->fs().config().journal;
 }
 
 Result<std::uint32_t> Vfs::ino_of(Fd fd) const {
@@ -46,9 +45,9 @@ Result<Vfs::Target> Vfs::resolve(const std::string& name) const {
     const std::size_t sep = name.find('/', 1);
     if (sep != std::string::npos) {
       const std::string_view comp(name.data() + 1, sep - 1);
-      if (const Mount* m = find_mount(comp); m != nullptr && !comp.empty()) {
+      if (core::Volume* v = find_mount(comp); v != nullptr && !comp.empty()) {
         if (sep + 1 == name.size()) return Errno::kInval;  // "/vol/"
-        return Target{m, name.substr(sep + 1)};
+        return Target{v, name.substr(sep + 1)};
       }
     } else {
       // "/vol" denotes the mount point itself, not a file in it.
@@ -57,7 +56,7 @@ Result<Vfs::Target> Vfs::resolve(const std::string& name) const {
     }
   }
   // No mount component matched: the root mount owns the whole name.
-  if (const Mount* root = find_mount(""); root != nullptr)
+  if (core::Volume* root = find_mount(""); root != nullptr)
     return Target{root, name};
   return Errno::kNoEnt;
 }
@@ -92,13 +91,13 @@ void Vfs::unpin(Vnode& vn) {
 
 void Vfs::maybe_retire(Vnode& vn) {
   if (vn.refcount > 0 || vn.pins > 0) return;
-  if (vn.unlinked) vn.mount->fs->reclaim(*vn.inode);
+  if (vn.unlinked) vn.volume->fs().reclaim(*vn.inode);
   sim::erase_keeping(vnodes_, spare_vnode_nodes_, vnodes_.find(vn.inode));
   vn = Vnode{};
   free_vnodes_.push_back(&vn);
 }
 
-Vfs::Vnode& Vfs::vnode_for(const Mount& mount, fs::Inode& inode) {
+Vfs::Vnode& Vfs::vnode_for(core::Volume& volume, fs::Inode& inode) {
   if (auto it = vnodes_.find(&inode); it != vnodes_.end()) return *it->second;
   Vnode* vn = nullptr;
   if (free_vnodes_.empty()) {
@@ -108,7 +107,7 @@ Vfs::Vnode& Vfs::vnode_for(const Mount& mount, fs::Inode& inode) {
     free_vnodes_.pop_back();
   }
   vn->inode = &inode;
-  vn->mount = &mount;
+  vn->volume = &volume;
   sim::insert_reusing(vnodes_, spare_vnode_nodes_, &inode, vn);
   return *vn;
 }
@@ -134,8 +133,8 @@ Fd Vfs::alloc_fd(Vnode& vn) {
 sim::TaskOf<Result<File>> Vfs::open(std::string name, OpenOptions opts) {
   Result<Target> t = resolve(name);
   if (!t.ok()) co_return fail(t.error());
-  const Mount& m = *t.value().mount;
-  fs::Filesystem& filesystem = *m.fs;
+  core::Volume& volume = *t.value().volume;
+  fs::Filesystem& filesystem = volume.fs();
   fs::Inode* inode = filesystem.lookup(t.value().rel);
   if (inode != nullptr) {
     if (opts.create && opts.exclusive) co_return fail(Errno::kExist);
@@ -150,7 +149,7 @@ sim::TaskOf<Result<File>> Vfs::open(std::string name, OpenOptions opts) {
     if (inode == nullptr) co_return fail(Errno::kNoEnt);
   }
   ++stats_.opens;
-  co_return File(this, alloc_fd(vnode_for(m, *inode)));
+  co_return File(this, alloc_fd(vnode_for(volume, *inode)));
 }
 
 Status Vfs::close(Fd fd) {
@@ -169,7 +168,7 @@ Status Vfs::close(Fd fd) {
 sim::TaskOf<Status> Vfs::unlink(const std::string& name) {
   Result<Target> t = resolve(name);
   if (!t.ok()) co_return fail(t.error());
-  fs::Filesystem& filesystem = *t.value().mount->fs;
+  fs::Filesystem& filesystem = t.value().volume->fs();
   fs::Inode* inode = filesystem.lookup(t.value().rel);
   if (inode == nullptr) co_return fail(Errno::kNoEnt);
   if (filesystem.degraded()) co_return fail(Errno::kRoFs);
@@ -189,8 +188,8 @@ sim::TaskOf<Status> Vfs::rename(const std::string& from,
   if (!tf.ok()) co_return fail(tf.error());
   Result<Target> tt = resolve(to);
   if (!tt.ok()) co_return fail(tt.error());
-  if (tf.value().mount != tt.value().mount) co_return fail(Errno::kXDev);
-  fs::Filesystem& filesystem = *tf.value().mount->fs;
+  if (tf.value().volume != tt.value().volume) co_return fail(Errno::kXDev);
+  fs::Filesystem& filesystem = tf.value().volume->fs();
   const std::string& rel_from = tf.value().rel;
   const std::string& rel_to = tt.value().rel;
   if (filesystem.lookup(rel_from) == nullptr) co_return fail(Errno::kNoEnt);
@@ -237,7 +236,7 @@ sim::TaskOf<Result<std::uint32_t>> Vfs::pread(Fd fd, std::uint32_t page,
   if (page >= inode.size_blocks) co_return std::uint32_t{0};  // at/past EOF
   const std::uint32_t n = std::min(npages, inode.size_blocks - page);
   pin(vn);
-  const fs::FsStatus st = co_await vn.mount->fs->read(inode, page, n);
+  const fs::FsStatus st = co_await vn.volume->fs().read(inode, page, n);
   unpin(vn);
   if (st == fs::FsStatus::kIo) co_return fail(Errno::kIo);
   co_return n;
@@ -255,7 +254,7 @@ sim::TaskOf<Result<std::uint32_t>> Vfs::pwrite(Fd fd, std::uint32_t page,
     co_return fail(Errno::kNoSpc);
   // errors=remount-ro: a degraded volume rejects writes (reads keep
   // working). Checked here so append() inherits it too.
-  fs::Filesystem& filesystem = *vn.mount->fs;
+  fs::Filesystem& filesystem = vn.volume->fs();
   if (filesystem.degraded()) co_return fail(Errno::kRoFs);
   pin(vn);
   co_await filesystem.write(inode, page, npages);
@@ -290,7 +289,7 @@ sim::TaskOf<Status> Vfs::sync(Fd fd, Syscall call) {
   FdEntry* e = entry(fd);
   if (e == nullptr) co_return fail(Errno::kBadF);
   Vnode& vn = *e->vnode;
-  fs::Filesystem& filesystem = *vn.mount->fs;
+  fs::Filesystem& filesystem = vn.volume->fs();
   // A direct call may name a syscall this descriptor's filesystem cannot
   // run — dsync/osync outside OptFS, barrier calls outside BarrierFS,
   // kNone anywhere. Surface the mismatch as a modelled EINVAL rather than
@@ -361,7 +360,7 @@ Result<std::uint64_t> Vfs::offset(Fd fd) const {
 Result<SyncPolicy> Vfs::policy_of(Fd fd) const {
   const FdEntry* e = entry(fd);
   if (e == nullptr) return fail(Errno::kBadF);
-  return e->vnode->mount->policy;
+  return SyncPolicy::for_stack(e->vnode->volume->kind());
 }
 
 }  // namespace bio::api

@@ -175,8 +175,7 @@ class Vfs {
 
   Result<std::uint32_t> size_blocks(Fd fd) const;
   Result<std::uint32_t> extent_blocks(Fd fd) const;
-  /// The page after the descriptor's last append (0 before any): where
-  /// that append landed ends here.
+  /// The page just past this descriptor's last append (0 before any).
   Result<std::uint64_t> offset(Fd fd) const;
 
   /// The policy row of the descriptor's volume.
@@ -199,16 +198,9 @@ class Vfs {
   sim::Simulator& simulator() noexcept;
 
  private:
-  /// One mount-table row, one per volume: opens of its names resolve
-  /// against `fs`, and intents on its files through `policy`.
-  struct Mount {
-    std::string name;  // "" = root mount
-    fs::Filesystem* fs = nullptr;
-    SyncPolicy policy;
-  };
-  /// A routed name: the owning mount and the volume-relative file name.
+  /// A routed name: the owning volume and the volume-relative file name.
   struct Target {
-    const Mount* mount = nullptr;
+    core::Volume* volume = nullptr;
     std::string rel;
   };
 
@@ -216,7 +208,7 @@ class Vfs {
   struct Vnode {
     fs::Inode* inode = nullptr;
     /// The volume the file lives on.
-    const Mount* mount = nullptr;
+    core::Volume* volume = nullptr;
     std::uint32_t refcount = 0;
     /// In-flight syscalls currently suspended against this vnode; blocks
     /// retirement/reclamation the way in-flight kernel IO pins the file.
@@ -252,9 +244,10 @@ class Vfs {
   /// the EBADF funnel for every syscall (callers tick errors via fail()).
   FdEntry* entry(Fd fd);
   const FdEntry* entry(Fd fd) const;
-  const Mount* find_mount(std::string_view name) const noexcept;
-  /// The vnode of `inode`, which lives on `mount`; made on first open.
-  Vnode& vnode_for(const Mount& mount, fs::Inode& inode);
+  /// The volume mounted as `name` ("" = the root mount), or nullptr.
+  core::Volume* find_mount(std::string_view name) const noexcept;
+  /// The vnode of `inode`, which lives on `volume`; made on first open.
+  Vnode& vnode_for(core::Volume& volume, fs::Inode& inode);
   Fd alloc_fd(Vnode& vn);
   /// Error funnel: ticks the node-wide error count.
   Errno fail(Errno e) const;
@@ -273,9 +266,8 @@ class Vfs {
   /// reclaims storage if the file was unlinked meanwhile.
   void maybe_retire(Vnode& vn);
 
-  /// Filled once by the constructor and never resized, so vnodes can
-  /// point at its rows.
-  std::vector<Mount> mounts_;
+  /// The mount table: one mount per volume of this node.
+  core::Stack& node_;
   std::vector<FdEntry> fds_;
   using VnodeMap = std::unordered_map<const fs::Inode*, Vnode*>;
   /// Live vnodes keyed by inode *pointer*, not ino: a filesystem recycles
