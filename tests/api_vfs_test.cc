@@ -514,6 +514,7 @@ TEST(VfsTest, DefaultConstructedFileReturnsEbadfNotCrash) {
     EXPECT_EQ((co_await f.pwrite(0, 1)).error(), Errno::kBadF);
     EXPECT_EQ((co_await f.append(1)).error(), Errno::kBadF);
     EXPECT_EQ((co_await f.fsync()).error(), Errno::kBadF);
+    EXPECT_EQ((co_await f.fbarrier()).error(), Errno::kBadF);
     EXPECT_EQ((co_await f.sync_file()).error(), Errno::kBadF);
     EXPECT_EQ(f.size_blocks().error(), Errno::kBadF);
     EXPECT_EQ(f.close().error(), Errno::kBadF);
