@@ -147,7 +147,6 @@ class Filesystem {
   bool degraded() const noexcept { return degraded_; }
 
   Journal& journal() noexcept { return *journal_; }
-  sim::Simulator& sim() noexcept { return sim_; }
   const Stats& stats() const noexcept { return stats_; }
   const FsConfig& config() const noexcept { return cfg_; }
   const Layout& layout() const noexcept { return layout_; }
