@@ -186,9 +186,6 @@ def copy_tree(dest: Path, rev: str | None) -> None:
                       stdout=subprocess.PIPE, stderr=subprocess.DEVNULL
                       ).stdout
     run(["tar", "-C", str(dest), "-xf", "-"], input=archive)
-    census = dest / "iobench" / "alloc_count.cc"
-    if not census.is_file() or census.read_text() != CENSUS_ALLOC_COUNT:
-        census.write_text(CENSUS_ALLOC_COUNT)
 
 
 def build(copy: Path) -> Path:
@@ -269,6 +266,9 @@ def main() -> int:
     try:
         copy = scratch / "tree"
         copy_tree(copy, a.rev)
+        census = copy / "iobench" / "alloc_count.cc"
+        if census.read_text() != CENSUS_ALLOC_COUNT:
+            census.write_text(CENSUS_ALLOC_COUNT)
         binary = build(copy)
         out = scratch / "census.txt"
         env = dict(os.environ, ALLOC_CENSUS_OUT=str(out))
