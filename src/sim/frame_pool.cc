@@ -1,7 +1,6 @@
 #include "sim/frame_pool.h"
 
 #include <cstdlib>
-#include <mutex>
 #include <new>
 #include <vector>
 
@@ -22,20 +21,6 @@ constexpr std::size_t kMaxPerClass = 1024;
 // 16 bytes keeps the returned pointer aligned for coroutine frames.
 constexpr std::size_t kHeader = 16;
 
-// Retired-pool aggregate: folded under the registry mutex when a thread's
-// pool is destroyed. Heap-allocated and never freed so a thread_local
-// destructor running late in process teardown (after static destructors)
-// still has a live registry to fold into.
-struct Registry {
-  std::mutex mu;
-  FramePoolStats retired;
-};
-
-Registry& registry() {
-  static Registry* r = new Registry;
-  return *r;
-}
-
 struct Pool {
   std::vector<void*> free_lists[kNumClasses];
   FramePoolStats stats;
@@ -43,9 +28,6 @@ struct Pool {
   ~Pool() {
     for (auto& list : free_lists)
       for (void* p : list) std::free(p);
-    Registry& r = registry();
-    const std::lock_guard<std::mutex> lock(r.mu);
-    r.retired += stats;
   }
 };
 
@@ -57,17 +39,6 @@ Pool& pool() {
 }  // namespace
 
 const FramePoolStats& frame_pool_stats() noexcept { return pool().stats; }
-
-FramePoolStats frame_pool_aggregate_stats() {
-  Registry& r = registry();
-  FramePoolStats agg;
-  {
-    const std::lock_guard<std::mutex> lock(r.mu);
-    agg = r.retired;
-  }
-  agg += pool().stats;
-  return agg;
-}
 
 namespace detail {
 

@@ -8,11 +8,8 @@
 //
 // The pool — freelists AND stats — is thread_local: each host thread
 // (sim::HostPool sweep workers included) recycles its own frames with no
-// shared counters on the hot path, matching the one-simulator-per-thread
-// execution model. Reporting across threads goes through the aggregate
-// snapshot below: a worker folds its stats into a process-wide retired
-// aggregate when it exits, so after a pool has joined its workers the
-// calling thread sees the whole run's totals.
+// shared state at all, matching the one-simulator-per-thread execution
+// model. A worker's stats go with it when it exits.
 #pragma once
 
 #include <cstddef>
@@ -27,24 +24,10 @@ struct FramePoolStats {
   std::uint64_t reuses = 0;
   /// Fell through to the heap (cold class or oversize frame).
   std::uint64_t fresh = 0;
-
-  FramePoolStats& operator+=(const FramePoolStats& o) noexcept {
-    allocs += o.allocs;
-    reuses += o.reuses;
-    fresh += o.fresh;
-    return *this;
-  }
 };
 
 /// Stats for the calling thread's pool only.
 const FramePoolStats& frame_pool_stats() noexcept;
-
-/// Aggregate snapshot: the calling thread's pool plus every pool whose
-/// thread has already exited. Live *foreign* threads are deliberately
-/// excluded — their counters are hot-path thread_local state and reading
-/// them here would race; a joining executor (sim::HostPool) retires its
-/// workers before reporting, so after the join this is the exact total.
-FramePoolStats frame_pool_aggregate_stats();
 
 namespace detail {
 void* frame_alloc(std::size_t n);

@@ -6,8 +6,7 @@
 // host-side process state, which the pool's contract keeps clean:
 //
 //   * the sim/frame_pool coroutine-frame recycler is thread_local (each
-//     worker recycles its own frames; retired workers fold their stats
-//     into the aggregate snapshot — see frame_pool_aggregate_stats());
+//     worker recycles its own frames and keeps its own stats);
 //   * blk::RequestPool and every other pool/counter hang off the Stack a
 //     unit builds, so they are thread-private by construction;
 //   * deterministic seed partitioning is the CALLER's job: each unit

@@ -100,8 +100,7 @@ bool Simulator::dispatch_next(SimTime t) {
 }
 
 void Simulator::run() {
-  stopped_ = false;
-  while (!stopped_ && dispatch_next(kSimTimeMax)) {
+  while (!failure_ && dispatch_next(kSimTimeMax)) {
   }
   if (failure_) {
     std::exception_ptr e = std::exchange(failure_, nullptr);
@@ -110,11 +109,10 @@ void Simulator::run() {
 }
 
 void Simulator::run_until(SimTime t) {
-  stopped_ = false;
   if (now_ <= t) {
-    while (!stopped_ && dispatch_next(t)) {
+    while (!failure_ && dispatch_next(t)) {
     }
-    // stop() may have left resumes due at or before `t`: time must not
+    // A failure may have left resumes due at or before `t`: time must not
     // pass them, or it would later run backwards.
     if (ready_.empty() && (queue_.empty() || queue_.top().at > t)) now_ = t;
   }
@@ -125,10 +123,7 @@ void Simulator::run_until(SimTime t) {
 }
 
 void Simulator::on_top_level_done(ThreadCtx* thr, std::exception_ptr error) {
-  if (error) {
-    if (!failure_) failure_ = error;
-    stopped_ = true;
-  }
+  if (error && !failure_) failure_ = error;
   if (thr == nullptr) return;
   thr->frame_ = {};
   thr->finished = true;

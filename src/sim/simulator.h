@@ -151,17 +151,13 @@ class Simulator {
   /// frame pools cover the peak number of live threads.
   Thread spawn(std::string name, Task task);
 
-  /// Runs until the event queue drains or stop() is called. Rethrows the
-  /// first exception that escaped any simulated thread.
+  /// Runs until the event queue drains or a simulated thread fails.
+  /// Rethrows the first exception that escaped any simulated thread.
   void run();
 
   /// Processes all events with timestamp <= `t`, then sets now() = t unless
-  /// stop() left some of them pending. Dispatches nothing if t < now().
+  /// a failure left some of them pending. Dispatches nothing if t < now().
   void run_until(SimTime t);
-
-  /// Makes run()/run_until() return after the current event completes; the
-  /// rest stay pending, and the next run resumes them in order.
-  void stop() noexcept { stopped_ = true; }
 
   bool has_pending_events() const noexcept {
     return !queue_.empty() || !ready_.empty();
@@ -314,7 +310,6 @@ class Simulator {
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_dispatched_ = 0;
-  bool stopped_ = false;
   /// Resumes scheduled before the instant they are due at.
   EventHeap queue_;
   /// Resumes due now, scheduled during this instant.

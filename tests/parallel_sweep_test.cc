@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "chk/crash_check.h"
-#include "sim/frame_pool.h"
 #include "sim/host_pool.h"
 
 namespace bio {
@@ -205,23 +204,6 @@ TEST(HostPool, WorkerExceptionPropagates) {
                             if (i == 7) throw std::runtime_error("boom");
                           }),
       std::runtime_error);
-}
-
-TEST(FramePool, AggregateFoldsRetiredWorkerStats) {
-  const sim::FramePoolStats before = sim::frame_pool_aggregate_stats();
-  // Run simulator work on pool workers: their thread_local frame pools
-  // retire into the aggregate when for_each_index joins them.
-  const sim::HostPool pool(4);
-  // iolint: detached-owner(for_each_index joins its workers before
-  // returning; the capture cannot outlive this frame)
-  pool.for_each_index(4, [](int i) {
-    chk::run_check({.volumes = {StackKind::kBfsDR}},
-                   static_cast<std::uint64_t>(i) + 1, 5'000'000);
-  });
-  const sim::FramePoolStats after = sim::frame_pool_aggregate_stats();
-  EXPECT_GT(after.allocs, before.allocs)
-      << "worker frame allocations never reached the aggregate";
-  EXPECT_EQ(after.allocs, after.reuses + after.fresh);
 }
 
 }  // namespace
