@@ -111,15 +111,15 @@ std::string describe(const wl::TraceWrite& w) {
 /// run_check recorded, log prefix). This is how the checker's findings get
 /// root-caused down the stack.
 void debug_dump_write(const char* what, const wl::TraceWrite& w,
-                      const flash::StorageDevice::DurableImage& image,
+                      const std::unordered_map<Lba, flash::Version>& image,
                       core::Volume& vol,
                       const flash::WritebackCache::TransferRecorder& xfers) {
   if (std::getenv("BIO_CHK_DEBUG") == nullptr) return;
-  auto img = image.blocks.find(w.lba);
+  auto img = image.find(w.lba);
   const auto mapped = vol.device().log().mapped_version(w.lba);
   std::fprintf(stderr, "DBG %s lba=%llu v=%llu image=%lld mapped=%lld\n",
                what, (unsigned long long)w.lba, (unsigned long long)w.version,
-               img == image.blocks.end() ? -1 : (long long)img->second,
+               img == image.end() ? -1 : (long long)img->second,
                mapped.has_value() ? (long long)*mapped : -1);
   for (const auto& e : xfers)
     if (e.lba == w.lba)
@@ -135,7 +135,7 @@ void debug_dump_write(const char* what, const wl::TraceWrite& w,
 /// Captures the durable image and recovers it from the volume's own
 /// journal, filling the recovery facts of `res`.
 struct Recovered {
-  flash::StorageDevice::DurableImage image;
+  std::unordered_map<Lba, flash::Version> image;
   fs::RecoveryReport report;
 };
 
@@ -144,10 +144,10 @@ Recovered recover_volume(CrashCheckResult& res, core::Volume& vol) {
   res.journal_stalls = vol.fs().journal().stats().journal_stalls;
   res.checkpoint_flushes = vol.fs().journal().stats().checkpoint_flushes;
   Recovered r;
-  r.image = vol.device().capture_durable_image();
+  r.image = vol.device().durable_state();
   const fs::Recovery recovery(vol.fs().journal(), vol.fs().layout(),
                               vol.fs().config());
-  r.report = recovery.recover(r.image.blocks);
+  r.report = recovery.recover(r.image);
   res.files_recovered = static_cast<std::uint32_t>(r.report.files.size());
   res.txns_replayed = r.report.txns_replayed;
   res.txns_discarded = r.report.txns_discarded;

@@ -99,10 +99,6 @@ class StorageDevice {
       n += static_cast<std::uint32_t>(p->window.size());
     return n;
   }
-  /// Per-port NCQ window limit.
-  std::uint32_t queue_depth_limit() const noexcept {
-    return profile_.queue_depth;
-  }
 
   /// Commands admitted through port `port` since start() (per-channel
   /// pipeline utilisation; the mq perf scenarios assert spread).
@@ -134,23 +130,12 @@ class StorageDevice {
   /// A tag-aware host driver waits on this instead of polling when busy.
   sim::Notify& queue_activity() noexcept { return queue_event_; }
 
-  /// Non-destructive crash analysis: the state recovery would reconstruct
-  /// if power failed at the current simulated instant.
+  /// Non-destructive crash analysis: the block-level image recovery would
+  /// reconstruct if power failed at the current simulated instant.
+  /// Versions are the payload identity — the simulation stores no bytes,
+  /// so (lba -> version) *is* the disk content, and higher layers
+  /// (fs::Recovery) interpret it through their own content records.
   std::unordered_map<Lba, Version> durable_state() const;
-
-  /// A captured durable image: the block-level state a power cut at
-  /// `captured_at` would leave behind. Versions are the payload identity —
-  /// the simulation stores no bytes, so (lba -> version) *is* the disk
-  /// content, and higher layers (fs::Recovery) interpret it through their
-  /// own content records.
-  struct DurableImage {
-    std::unordered_map<Lba, Version> blocks;
-    sim::SimTime captured_at = 0;
-    std::uint64_t epoch = 0;
-  };
-  DurableImage capture_durable_image() const {
-    return DurableImage{durable_state(), sim_.now(), epoch_};
-  }
 
   /// True when every cache entry with order < `through` has been persisted
   /// (PLP short-circuits: the cache itself is durable). FUA writes wait on

@@ -116,13 +116,6 @@ bool SegmentLog::try_reserve(Lba lba, Version version, Reservation& out) {
   return true;
 }
 
-sim::Task SegmentLog::append(Lba lba, Version version) {
-  Reservation r;
-  while (!try_reserve(lba, version, r)) co_await space_freed_.wait();
-  co_await nand_.program(chip_of(r));
-  programmed(r);
-}
-
 sim::Task SegmentLog::read(Lba lba) {
   const LbaState* st = lbas_.find(lba);
   if (st == nullptr || !st->has_mapping) co_return;  // unmapped: zeroes

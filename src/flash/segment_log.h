@@ -45,7 +45,7 @@ class SegmentLog {
 
   SegmentLog(sim::Simulator& sim, NandArray& nand);
 
-  /// Spawns the background GC thread. Call once before appends.
+  /// Spawns the background GC thread. Call once before reservations.
   void start();
 
   /// A reserved log position. Its page is programmed on chip_of() (many
@@ -72,9 +72,6 @@ class SegmentLog {
 
   /// Records `r`'s page as programmed (in any order across reservations).
   void programmed(const Reservation& r) { mark_programmed(r.record_index); }
-
-  /// Reserve, program and record in one step (convenience/tests).
-  sim::Task append(Lba lba, Version version);
 
   /// Reads the page currently mapped to `lba` (no-op timing if unmapped).
   sim::Task read(Lba lba);

@@ -85,7 +85,7 @@ class Recovery {
       : journal_(journal), layout_(layout), cfg_(cfg) {}
 
   /// Runs the full scan/validate/truncate/replay pipeline over `image`
-  /// (a StorageDevice::durable_state() / capture_durable_image() result).
+  /// (a StorageDevice::durable_state() result).
   RecoveryReport recover(
       const std::unordered_map<flash::Lba, flash::Version>& image) const;
 

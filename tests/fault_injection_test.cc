@@ -127,7 +127,7 @@ TEST(TransientFaultRetryTest, RetryIntoAFullWindowWaitsForASlot) {
   x.sim().spawn("t", body());
   x.sim().run();
   EXPECT_EQ(plan.stats().total(), 1u) << "the fault must actually fire";
-  EXPECT_EQ(busy_at_retry, x.dev().queue_depth_limit());
+  EXPECT_EQ(busy_at_retry, x.dev().profile().queue_depth);
   EXPECT_EQ(blk.stats().io_retries, 1u);
   EXPECT_EQ(blk.stats().io_failures, 0u);
   for (const blk::RequestPtr& r : reqs) EXPECT_FALSE(r->failed());
@@ -364,7 +364,7 @@ TEST_P(JournalFaultTest, JournalAbortDegradesReadOnlyAndRemountRecovers) {
   const fs::Recovery recovery(x.fs().journal(), x.fs().layout(),
                               x.fs().config());
   const fs::RecoveryReport report =
-      recovery.recover(x.dev().capture_durable_image().blocks);
+      recovery.recover(x.dev().durable_state());
   EXPECT_TRUE(report.clean());
 
   auto y = std::make_unique<core::Stack>(cfg);

@@ -41,11 +41,20 @@ Task program(Fixture& f, SegmentLog::Reservation r) {
   f.log.programmed(r);
 }
 
+/// The drain's whole write path for one page: reserve (waiting for GC to
+/// free a segment when the log is full), program, record.
+Task append(Fixture& f, Lba lba, Version version) {
+  SegmentLog::Reservation r;
+  while (!f.log.try_reserve(lba, version, r))
+    co_await f.log.space_freed().wait();
+  co_await program(f, r);
+}
+
 TEST(SegmentLogTest, AppendBecomesDurableInOrder) {
   Fixture f;
   auto body = [&]() -> Task {
-    co_await f.log.append(10, 1);
-    co_await f.log.append(20, 2);
+    co_await append(f, 10, 1);
+    co_await append(f, 20, 2);
   };
   f.sim.spawn("t", body());
   f.sim.run();
@@ -58,9 +67,9 @@ TEST(SegmentLogTest, AppendBecomesDurableInOrder) {
 TEST(SegmentLogTest, OverwriteLastWriteWins) {
   Fixture f;
   auto body = [&]() -> Task {
-    co_await f.log.append(10, 1);
-    co_await f.log.append(10, 2);
-    co_await f.log.append(10, 3);
+    co_await append(f, 10, 1);
+    co_await append(f, 10, 2);
+    co_await append(f, 10, 3);
   };
   f.sim.spawn("t", body());
   f.sim.run();
@@ -110,7 +119,7 @@ TEST(SegmentLogTest, GcReclaimsInvalidatedSegments) {
   // capacity; GC must reclaim continuously or appends would deadlock.
   auto body = [&]() -> Task {
     for (int i = 0; i < 400; ++i)
-      co_await f.log.append(static_cast<Lba>(i % 8), static_cast<Version>(i));
+      co_await append(f, static_cast<Lba>(i % 8), static_cast<Version>(i));
   };
   f.sim.spawn("t", body());
   f.sim.run();
@@ -125,8 +134,8 @@ TEST(SegmentLogTest, GcPreservesLastWriteWinsInDurableState) {
   Fixture f;
   auto body = [&]() -> Task {
     for (int i = 0; i < 300; ++i)
-      co_await f.log.append(static_cast<Lba>(i % 16),
-                            static_cast<Version>(i + 1));
+      co_await append(f, static_cast<Lba>(i % 16),
+                      static_cast<Version>(i + 1));
   };
   f.sim.spawn("t", body());
   f.sim.run();
@@ -153,7 +162,7 @@ TEST(SegmentLogTest, PrefilledDeviceStillAppends) {
   f.log.prefill(0.7, 32, rng);
   auto body = [&]() -> Task {
     for (int i = 0; i < 64; ++i)
-      co_await f.log.append(static_cast<Lba>(i % 32), 1000 + i);
+      co_await append(f, static_cast<Lba>(i % 32), 1000 + i);
   };
   f.sim.spawn("t", body());
   f.sim.run();
@@ -171,7 +180,7 @@ TEST(SegmentLogTest, ReadUnmappedLbaCompletesInstantly) {
 TEST(SegmentLogTest, ReadMappedLbaCostsFlashRead) {
   Fixture f;
   auto body = [&]() -> Task {
-    co_await f.log.append(5, 1);
+    co_await append(f, 5, 1);
     co_await f.log.read(5);
   };
   f.sim.spawn("t", body());
