@@ -221,10 +221,4 @@ sim::Task BlockLayer::flush_and_wait() {
   co_await r->completion.wait();
 }
 
-sim::Task BlockLayer::read_and_wait(flash::Lba lba) {
-  RequestPtr r = pool_.make_read(lba);
-  submit(r);
-  co_await r->completion.wait();
-}
-
 }  // namespace bio::blk

@@ -119,7 +119,6 @@ class BlockLayer {
                            bool barrier = false, bool flush = false,
                            bool fua = false);
   sim::Task flush_and_wait();
-  sim::Task read_and_wait(flash::Lba lba);
 
   const Stats& stats() const noexcept { return stats_; }
   const IoScheduler& scheduler(std::uint32_t queue) const {

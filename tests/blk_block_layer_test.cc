@@ -61,7 +61,9 @@ TEST(BlockLayerTest, ReadCompletes) {
   Stack s;
   auto body = [&]() -> Task {
     co_await s.blk.write_and_wait(one_block(5, 1));
-    co_await s.blk.read_and_wait(5);
+    RequestPtr r = s.blk.pool().make_read(5);
+    s.blk.submit(r);
+    co_await r->completion.wait();
   };
   s.sim.spawn("t", body());
   s.sim.run();
