@@ -141,13 +141,6 @@ void PageCache::dirty_pages_of(std::uint32_t ino,
   });
 }
 
-std::vector<PageCache::PageKey> PageCache::dirty_pages_of(
-    std::uint32_t ino) const {
-  std::vector<PageKey> out;
-  dirty_pages_of(ino, out);
-  return out;
-}
-
 void PageCache::writebacks_of(std::uint32_t ino, blk::RequestList* out,
                               bool* swept_completed, bool* swept_failed) {
   if (swept_completed != nullptr) *swept_completed = false;
@@ -273,13 +266,6 @@ void PageCache::all_dirty(std::size_t limit,
             });
     }
   }
-}
-
-std::vector<PageCache::PageKey> PageCache::all_dirty(
-    std::size_t limit) const {
-  std::vector<PageKey> out;
-  all_dirty(limit, out);
-  return out;
 }
 
 bool PageCache::check_index_invariants() const {

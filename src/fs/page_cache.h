@@ -62,7 +62,6 @@ class PageCache {
   /// Dirty pages of one file, ascending page order (appended to `out`,
   /// which is cleared first — callers reuse scratch buffers).
   void dirty_pages_of(std::uint32_t ino, std::vector<PageKey>& out) const;
-  std::vector<PageKey> dirty_pages_of(std::uint32_t ino) const;
 
   /// Appends to `out` (unless null) the in-flight writeback carriers of
   /// `ino`'s pages; sweeps carriers that already completed (and reports
@@ -100,7 +99,6 @@ class PageCache {
   /// Up to `limit` dirty pages (global), in (ino, page) order — pdflush's
   /// view. Reads the dirty-ino bitmap and the files' dirty masks.
   void all_dirty(std::size_t limit, std::vector<PageKey>& out) const;
-  std::vector<PageKey> all_dirty(std::size_t limit) const;
 
   /// Notified whenever a write dirties a page (pdflush wake-up).
   sim::Notify& dirtied() noexcept { return dirtied_; }

@@ -19,6 +19,22 @@ namespace {
 using blk::RequestPtr;
 using PageKey = PageCache::PageKey;
 
+/// The dirty pages of `ino`, through the scratch-buffer call the sync
+/// paths make.
+std::vector<PageKey> dirty_pages_of(const PageCache& cache,
+                                    std::uint32_t ino) {
+  std::vector<PageKey> out;
+  cache.dirty_pages_of(ino, out);
+  return out;
+}
+
+/// pdflush's view at `limit`, through its scratch-buffer call.
+std::vector<PageKey> all_dirty(const PageCache& cache, std::size_t limit) {
+  std::vector<PageKey> out;
+  cache.all_dirty(limit, out);
+  return out;
+}
+
 struct Fixture {
   sim::Simulator sim;
   blk::RequestPool pool{sim};
@@ -61,12 +77,12 @@ TEST(PageCacheTest, DirtyPagesOfIsPerFileAndOrdered) {
   x.cache.write(7, 1, 701, 2, false);
   x.cache.write(9, 0, 900, 3, false);
   x.cache.write(7, 3, 703, 4, false);
-  const std::vector<PageKey> dirty = x.cache.dirty_pages_of(7);
+  const std::vector<PageKey> dirty = dirty_pages_of(x.cache, 7);
   ASSERT_EQ(dirty.size(), 3u);
   EXPECT_EQ(dirty[0].page, 1u);
   EXPECT_EQ(dirty[1].page, 3u);
   EXPECT_EQ(dirty[2].page, 5u);
-  EXPECT_TRUE(x.cache.dirty_pages_of(8).empty());
+  EXPECT_TRUE(dirty_pages_of(x.cache, 8).empty());
 }
 
 TEST(PageCacheTest, AllDirtyHonoursLimitAndGlobalOrder) {
@@ -75,7 +91,7 @@ TEST(PageCacheTest, AllDirtyHonoursLimitAndGlobalOrder) {
   x.cache.write(1, 9, 19, 2, false);
   x.cache.write(1, 0, 10, 3, false);
   x.cache.write(3, 4, 34, 4, false);
-  const std::vector<PageKey> all = x.cache.all_dirty(3);
+  const std::vector<PageKey> all = all_dirty(x.cache, 3);
   ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ((std::pair{all[0].ino, all[0].page}), (std::pair{1u, 0u}));
   EXPECT_EQ((std::pair{all[1].ino, all[1].page}), (std::pair{1u, 9u}));
@@ -144,7 +160,7 @@ TEST(PageCacheTest, MarkCleanMaintainsCountAndIndex) {
   EXPECT_EQ(x.cache.dirty_count(), 1u);
   x.cache.mark_clean(PageKey{1, 0});  // idempotent on a clean page
   EXPECT_EQ(x.cache.dirty_count(), 1u);
-  EXPECT_EQ(x.cache.dirty_pages_of(1).size(), 1u);
+  EXPECT_EQ(dirty_pages_of(x.cache, 1).size(), 1u);
   EXPECT_TRUE(x.cache.check_index_invariants());
 }
 
@@ -161,7 +177,7 @@ TEST(PageCacheTest, DropFileMidWritebackPurgesEverything) {
   x.cache.drop_file(1);
   EXPECT_EQ(x.cache.dirty_count(), 1u) << "only ino 2's page remains dirty";
   EXPECT_EQ(x.cache.total_pages(), 1u);
-  EXPECT_TRUE(x.cache.dirty_pages_of(1).empty());
+  EXPECT_TRUE(dirty_pages_of(x.cache, 1).empty());
   EXPECT_TRUE(x.writebacks(1).empty());
   EXPECT_EQ(x.cache.find(1, 0), nullptr);
   EXPECT_TRUE(x.cache.check_index_invariants());
@@ -180,8 +196,8 @@ TEST(PageCacheTest, DropFileIsScopedToOneIno) {
   EXPECT_EQ(x.cache.dirty_count(), 12u);
   x.cache.drop_file(2);
   EXPECT_EQ(x.cache.dirty_count(), 8u);
-  EXPECT_EQ(x.cache.dirty_pages_of(1).size(), 4u);
-  EXPECT_EQ(x.cache.dirty_pages_of(3).size(), 4u);
+  EXPECT_EQ(dirty_pages_of(x.cache, 1).size(), 4u);
+  EXPECT_EQ(dirty_pages_of(x.cache, 3).size(), 4u);
   EXPECT_TRUE(x.cache.check_index_invariants());
 }
 
@@ -328,10 +344,11 @@ void expect_same(const PageCache& cache, const ReferenceCache& ref,
   ASSERT_TRUE(cache.check_index_invariants());
   ASSERT_EQ(cache.dirty_count(), ref.dirty_count());
   for (std::uint32_t ino : kDiffInos)
-    ASSERT_EQ(keys_pages(cache.dirty_pages_of(ino)),
+    ASSERT_EQ(keys_pages(dirty_pages_of(cache, ino)),
               keys_pages(ref.dirty_pages_of(ino)))
         << "ino " << ino;
-  ASSERT_EQ(cache.all_dirty(limit), ref.all_dirty(limit)) << "limit " << limit;
+  ASSERT_EQ(all_dirty(cache, limit), ref.all_dirty(limit))
+      << "limit " << limit;
   for (std::uint32_t ino : kDiffInos) {
     for (std::uint32_t page : kDiffPages) {
       const PageCache::PageState* got = cache.find(ino, page);
