@@ -80,8 +80,8 @@ Errno Ring::precheck(const Sqe& sqe) const {
     if (sqe.npages == 0) return Errno::kInval;
     if (sqe.buf_index >= 0) {
       const auto idx = static_cast<std::size_t>(sqe.buf_index);
-      if (idx >= core_->buffers.size()) return Errno::kInval;
-      if (sqe.npages > core_->buffers[idx].pages) return Errno::kInval;
+      if (idx >= core_->buffer_pages.size()) return Errno::kInval;
+      if (sqe.npages > core_->buffer_pages[idx]) return Errno::kInval;
     }
     return Errno::kOk;
   }
@@ -130,17 +130,9 @@ sim::Task Ring::chain_driver(std::shared_ptr<Core> core, Chain chain) {
       cancelled = true;
       continue;
     }
-    const bool holds_buffer = is_data_op(p.sqe.op) && p.sqe.buf_index >= 0;
-    if (holds_buffer)
-      ++core->buffers[static_cast<std::size_t>(p.sqe.buf_index)].in_flight;
     if (core->on_op_start) core->on_op_start(p.sqe);
     const std::int32_t res = co_await execute(*core, p.sqe);
     if (core->closed) break;  // the Ring died while this op was in flight
-    if (holds_buffer) {
-      Buffer& b = core->buffers[static_cast<std::size_t>(p.sqe.buf_index)];
-      --b.in_flight;
-      ++b.issues;
-    }
     complete(*core, p.sqe, res);
     if (res < 0) cancelled = true;
   }
@@ -184,34 +176,13 @@ std::uint32_t Ring::in_flight() const noexcept { return core_->in_flight; }
 
 Status Ring::register_buffers(
     const std::vector<std::uint32_t>& pages_per_buffer) {
-  if (!core_->buffers.empty()) return Errno::kInval;
+  if (!core_->buffer_pages.empty()) return Errno::kInval;
   if (core_->in_flight > 0) return Errno::kInval;
   if (pages_per_buffer.empty()) return Errno::kInval;
   for (std::uint32_t pages : pages_per_buffer)
     if (pages == 0) return Errno::kInval;
-  core_->buffers.reserve(pages_per_buffer.size());
-  for (std::uint32_t pages : pages_per_buffer)
-    core_->buffers.push_back(Buffer{pages, 0, 0});
+  core_->buffer_pages = pages_per_buffer;
   return Status{};
-}
-
-Status Ring::unregister_buffers() {
-  if (core_->buffers.empty()) return Errno::kInval;
-  if (core_->in_flight > 0) return Errno::kInval;
-  core_->buffers.clear();
-  return Status{};
-}
-
-std::size_t Ring::buffers_registered() const noexcept {
-  return core_->buffers.size();
-}
-
-std::uint64_t Ring::buffer_issues(std::size_t i) const noexcept {
-  return i < core_->buffers.size() ? core_->buffers[i].issues : 0;
-}
-
-bool Ring::buffer_in_flight(std::size_t i) const noexcept {
-  return i < core_->buffers.size() && core_->buffers[i].in_flight > 0;
 }
 
 void Ring::set_on_op_start(StartHook hook) {

@@ -19,12 +19,12 @@
 // capability matrix behind Vfs::sync) produces an error cqe for that sqe —
 // never a mid-flight assert — and cancels its chain successors.
 //
-// Fixed buffers follow the NCQ slot protocol: register_buffers() carves
-// numbered slots once, data sqes reference a slot index instead of carrying
-// a buffer, and each slot tracks in-flight ownership from issue to
-// completion, so slots are reused across submits without per-op buffer
-// traffic. Registration changes require a quiescent ring (no sqe between
-// submit and cqe), as with io_uring buffer registration.
+// Fixed buffers: register_buffers() carves numbered slots once, and data
+// sqes reference a slot index instead of carrying a buffer. The ring
+// validates the reference at submit time (the slot exists and holds the
+// op's pages); it does not track which op holds a slot. Registration
+// requires a quiescent ring (no sqe between submit and cqe) and happens
+// once, as with io_uring buffer registration.
 //
 // Destruction with ops still in flight is safe: drivers share the ring
 // state through a shared_ptr and check a closed flag after every
@@ -62,9 +62,9 @@ enum class RingOp : std::uint8_t {
 inline constexpr std::uint8_t kSqeLink = 0x1;
 
 /// Submission-queue entry. `page`/`npages` are 4 KiB-page offset/length for
-/// data ops (ignored by syncs); `buf_index` >= 0 names a registered buffer
-/// slot the data op occupies from issue to completion (-1 = unregistered
-/// IO). `user_data` is echoed verbatim in the completion.
+/// data ops (ignored by syncs); `buf_index` >= 0 names the registered buffer
+/// slot the data op uses (-1 = unregistered IO). `user_data` is echoed
+/// verbatim in the completion.
 struct Sqe {
   RingOp op = RingOp::kNop;
   Fd fd = kInvalidFd;
@@ -130,19 +130,12 @@ class Ring {
   /// Sqes dispatched whose completion has not yet been queued.
   std::uint32_t in_flight() const noexcept;
 
-  // ---- fixed buffers (NCQ slot protocol) ---------------------------------
+  // ---- fixed buffers -----------------------------------------------------
 
   /// Registers `pages_per_buffer.size()` buffer slots, slot i holding
   /// pages_per_buffer[i] pages. kInval while buffers are registered
   /// already, while any sqe is in flight, or for an empty/zero-page table.
   Status register_buffers(const std::vector<std::uint32_t>& pages_per_buffer);
-  /// Drops the registration. kInval while any sqe is in flight.
-  Status unregister_buffers();
-  std::size_t buffers_registered() const noexcept;
-  /// Times slot `i` carried an op to completion (slot-reuse visibility).
-  std::uint64_t buffer_issues(std::size_t i) const noexcept;
-  /// True while slot `i` is owned by an in-flight op.
-  bool buffer_in_flight(std::size_t i) const noexcept;
 
   // ---- observation -------------------------------------------------------
 
@@ -155,12 +148,6 @@ class Ring {
   void set_ignore_links_for_test(bool ignore) noexcept;
 
  private:
-  struct Buffer {
-    std::uint32_t pages = 0;
-    std::uint32_t in_flight = 0;
-    std::uint64_t issues = 0;
-  };
-
   /// One validated submission: the sqe plus its submit-time verdict.
   struct Prepped {
     Sqe sqe;
@@ -181,7 +168,8 @@ class Ring {
     sim::Notify cq_ready;
     /// Emptied chains of finished drivers, refilled by submit().
     std::vector<Chain> spare_chains;
-    std::vector<Buffer> buffers;
+    /// Pages per registered buffer slot.
+    std::vector<std::uint32_t> buffer_pages;
     std::uint32_t in_flight = 0;
     bool closed = false;
     StartHook on_op_start;

@@ -212,60 +212,54 @@ TEST(RingTest, SubmitTimeValidationFailsFastWithErrorCqes) {
   EXPECT_EQ(fs_ops_started, 1u);
 }
 
-// ---- 5. registered buffers: NCQ slot reuse across submits ------------------
+// ---- 5. registered buffers: checked at registration and at submit ---------
 
-TEST(RingTest, RegisteredBuffersReuseAcrossSubmits) {
+TEST(RingTest, RegisteredBuffersAreValidatedAtSubmit) {
   fs::testutil::StackFixture x(StackKind::kBfsDR);
   api::Vfs vfs(*x.stack);
-  bool saw_in_flight = false;
-  std::vector<std::int32_t> unregistered_res;
+  std::vector<std::int32_t> slot_res;
+  std::vector<std::int32_t> bad_res;
   auto body = [&]() -> sim::Task {
     api::File f =
         api::must(co_await vfs.open("a", {.create = true}));
     Ring ring(vfs);
+    // Registration requires a quiescent ring.
+    EXPECT_TRUE(ring.push(make_sqe(RingOp::kWrite, f.fd(), 1, 0, 1)));
+    EXPECT_EQ(ring.submit(), 1u);
+    EXPECT_FALSE(ring.register_buffers({4, 2}).ok());
+    EXPECT_EQ((co_await ring.wait_cqe()).res, 1);
+    // An empty table or a zero-page slot is refused.
+    EXPECT_FALSE(ring.register_buffers({}).ok());
+    EXPECT_FALSE(ring.register_buffers({4, 0}).ok());
     api::must(ring.register_buffers({4, 2}));
-    EXPECT_EQ(ring.buffers_registered(), 2u);
-    // Re-registering and oversized use are submit-time errors.
+    // Registration happens once.
     EXPECT_FALSE(ring.register_buffers({1}).ok());
-    // The slot is claimed for the duration of the op it backs.
-    ring.set_on_op_start([&](const Sqe&) {
-      saw_in_flight = saw_in_flight || ring.buffer_in_flight(0);
-    });
 
+    // One slot backs an op in each of three submits.
     for (int round = 0; round < 3; ++round) {
       EXPECT_TRUE(ring.push(make_sqe(RingOp::kWrite, f.fd(),
-                                     static_cast<std::uint64_t>(round) + 1,
+                                     static_cast<std::uint64_t>(round) + 2,
                                      0, 3, 0, /*buf_index=*/0)));
       EXPECT_EQ(ring.submit(), 1u);
-      // Registration changes require quiescence while the op holds slot 0.
-      EXPECT_FALSE(ring.unregister_buffers().ok());
-      Cqe c = co_await ring.wait_cqe();
-      EXPECT_EQ(c.res, 3);
+      slot_res.push_back((co_await ring.wait_cqe()).res);
     }
-    EXPECT_EQ(ring.buffer_issues(0), 3u);  // slot reused, not re-carved
-    EXPECT_EQ(ring.buffer_issues(1), 0u);
 
-    // npages beyond the slot's capacity fails fast.
+    // npages beyond the slot's capacity and a slot past the table fail
+    // fast.
     EXPECT_TRUE(ring.push(make_sqe(RingOp::kWrite, f.fd(), 10, 0, 3, 0,
                                    /*buf_index=*/1)));
-    EXPECT_EQ(ring.submit(), 1u);
-    Cqe c = co_await ring.wait_cqe();
-    EXPECT_EQ(c.res, -22);
-
-    // Quiescent now: unregister works, after which slot refs are EINVAL.
-    api::must(ring.unregister_buffers());
     EXPECT_TRUE(ring.push(make_sqe(RingOp::kWrite, f.fd(), 11, 0, 1, 0,
-                                   /*buf_index=*/0)));
-    EXPECT_EQ(ring.submit(), 1u);
-    unregistered_res.push_back((co_await ring.wait_cqe()).res);
+                                   /*buf_index=*/2)));
+    EXPECT_EQ(ring.submit(), 2u);
+    for (int i = 0; i < 2; ++i)
+      bad_res.push_back((co_await ring.wait_cqe()).res);
     api::must(f.close());
   };
   x.sim().spawn("app", body());
   x.sim().run();
 
-  EXPECT_TRUE(saw_in_flight) << "slot ownership never observed in flight";
-  ASSERT_EQ(unregistered_res.size(), 1u);
-  EXPECT_EQ(unregistered_res.front(), -22);
+  EXPECT_EQ(slot_res, (std::vector<std::int32_t>{3, 3, 3}));
+  EXPECT_EQ(bad_res, (std::vector<std::int32_t>{-22, -22}));
 }
 
 // ---- 6. sync parity: each ring sync op == its Vfs::sync, all four stacks --
