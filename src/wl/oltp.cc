@@ -9,6 +9,9 @@ namespace bio::wl {
 
 namespace {
 
+/// Redo-log pages each transaction appends.
+constexpr std::uint32_t kRedoPagesPerTx = 1;
+
 struct Shared {
   api::File table;
   api::File redo;
@@ -22,10 +25,10 @@ struct Shared {
 sim::Task oltp_thread(const OltpParams& p, Shared& s, sim::Rng rng) {
   for (std::uint64_t i = 0; i < p.transactions_per_thread; ++i) {
     // 1. redo log (group-commit style: append + durable sync).
-    if (s.redo_cursor + p.redo_pages_per_tx >= api::must(s.redo.extent_blocks()))
+    if (s.redo_cursor + kRedoPagesPerTx >= api::must(s.redo.extent_blocks()))
       s.redo_cursor = 0;
-    api::must(co_await s.redo.pwrite(s.redo_cursor, p.redo_pages_per_tx));
-    s.redo_cursor += p.redo_pages_per_tx;
+    api::must(co_await s.redo.pwrite(s.redo_cursor, kRedoPagesPerTx));
+    s.redo_cursor += kRedoPagesPerTx;
     api::must(co_await s.redo.durability_point());
 
     // 2. binlog.

@@ -1,7 +1,7 @@
 // sysbench OLTP-insert model over a MySQL/InnoDB-like IO pattern (§6.5).
 //
 // Per transaction:
-//   1. append redo-log records      -> durability sync on the redo log
+//   1. append one redo-log page     -> durability sync on the redo log
 //   2. append binlog entry          -> durability sync on the binlog
 //   3. dirty B-tree pages in the buffer pool (random overwrites)
 // Every `checkpoint_every` transactions the table file is synced (fuzzy
@@ -21,7 +21,6 @@ struct OltpParams {
   std::uint64_t transactions_per_thread = 100;
   std::uint32_t table_pages = 8192;
   std::uint32_t rows_pages_per_tx = 3;  // dirty table pages per insert
-  std::uint32_t redo_pages_per_tx = 1;
   std::uint32_t checkpoint_every = 16;
 };
 
