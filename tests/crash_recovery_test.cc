@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "api/vfs.h"
@@ -360,6 +361,72 @@ TEST(RecoveryTest, EmptyImageRecoversEmptyFilesystem) {
   EXPECT_TRUE(report.clean());
   EXPECT_TRUE(report.files.empty());
   EXPECT_EQ(report.txns_replayed, 0u);
+}
+
+/// Runs two fsync'd transactions on an EXT4-DR volume over `device`, then
+/// recovers a durable image that lost the newest transaction's first log
+/// block (jd_blocks[1]; jd_blocks[0] is its descriptor) while its commit
+/// record survived: a torn descriptor chain.
+fs::RecoveryReport recover_torn_descriptor_chain(
+    const flash::DeviceProfile& device) {
+  core::StackConfig cfg = core::StackConfig::make(StackKind::kExt4DR, device);
+  fs::testutil::StackFixture x(StackKind::kExt4DR, &cfg);
+  auto body = [&]() -> sim::Task {
+    for (int i = 0; i < 2; ++i) {
+      fs::Inode* f = nullptr;
+      co_await x.fs().create("file" + std::to_string(i), f, 32);
+      co_await x.fs().write(*f, 0, 4);
+      co_await x.fs().sync(*f, Syscall::kFsync);
+    }
+  };
+  x.sim().spawn("app", body());
+  x.sim().run_until(500'000 * 1_us);  // far past completion: fully drained
+
+  const std::vector<const fs::Txn*> txns =
+      fs::testutil::retired_txns(x.fs().journal());
+  if (txns.size() != 2 || txns.back()->jd_blocks.size() < 2) {
+    ADD_FAILURE() << "expected two retired transactions with log blocks, got "
+                  << txns.size();
+    return {};
+  }
+  std::unordered_map<flash::Lba, flash::Version> image =
+      x.dev().durable_state();
+  const auto [log_block, version] = txns.back()->jd_blocks[1];
+  EXPECT_EQ(image.at(log_block), version);
+  image.erase(log_block);
+  const fs::Recovery recovery(x.fs().journal(), x.fs().layout(),
+                              x.fs().config());
+  return recovery.recover(image);
+}
+
+TEST(RecoveryTest, ChecksummedJournalDiscardsATornDescriptorChain) {
+  // UFS turns on journal_checksum: the commit checksum fails, so the torn
+  // transaction is detected and discarded, and nothing replays corruptly.
+  ASSERT_TRUE(core::StackConfig::make(StackKind::kExt4DR,
+                                      flash::DeviceProfile::ufs())
+                  .fs.journal_checksum);
+  const fs::RecoveryReport report =
+      recover_torn_descriptor_chain(flash::DeviceProfile::ufs());
+  EXPECT_EQ(report.txns_replayed, 1u);
+  EXPECT_EQ(report.txns_discarded, 1u);
+  EXPECT_TRUE(report.tail_truncated);
+  EXPECT_TRUE(report.corruption_detected);
+  EXPECT_TRUE(report.clean());
+}
+
+TEST(RecoveryTest, UnchecksummedJournalReplaysATornDescriptorChain) {
+  // Without a checksum JBD2 cannot notice the missing log block: it replays
+  // both transactions, and the stale copy destroys one home block.
+  ASSERT_FALSE(core::StackConfig::make(StackKind::kExt4DR,
+                                       flash::DeviceProfile::plain_ssd())
+                   .fs.journal_checksum);
+  const fs::RecoveryReport report =
+      recover_torn_descriptor_chain(flash::DeviceProfile::plain_ssd());
+  EXPECT_EQ(report.txns_replayed, 2u);
+  EXPECT_EQ(report.txns_discarded, 0u);
+  EXPECT_FALSE(report.corruption_detected);
+  EXPECT_EQ(report.corrupted_blocks.size(), 1u);
+  EXPECT_FALSE(report.clean());
 }
 
 // ---- 6. remount is part of every checker pass, but verify it directly ------
