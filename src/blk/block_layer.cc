@@ -159,7 +159,12 @@ sim::Task BlockLayer::dispatch_loop(std::uint32_t q) {
       congested_ = false;
       drained_.notify_all();
     }
-    if (fault_aware) sim_.spawn("blk:retry", retry_watcher(r, std::move(cmd)));
+    if (fault_aware) {
+      // The block layer's interrupt context, like the device's threads: a
+      // plan changes what fails, not when completions reach their waiters.
+      sim_.spawn("blk:retry", retry_watcher(r, std::move(cmd)))
+          ->wake_latency = 0;
+    }
     if (!r->absorbed.empty()) sim_.spawn("blk:fanout", fanout(r));
   }
 }

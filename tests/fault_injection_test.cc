@@ -15,6 +15,8 @@
 //   4. api::Ring reports failures as negative cqe res and cancels the
 //      linked remainder of the chain.
 //   5. Errno/to_string stays exhaustive (compile-time switch coverage).
+//   6. A plan changes what fails, not when requests complete: an installed
+//      plan that fires nothing leaves every simulated time unchanged.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -27,6 +29,7 @@
 #include "flash/fault.h"
 #include "fs/recovery.h"
 #include "fs_test_util.h"
+#include "wl/random_write.h"
 
 namespace bio {
 namespace {
@@ -480,6 +483,39 @@ TEST(ErrnoTest, ToStringCoversEveryEnumerator) {
     }
   }
 }
+
+// ---- 6. a plan that fires nothing moves no completion ----------------------
+
+class EmptyFaultPlanTest : public testing::TestWithParam<StackKind> {};
+
+TEST_P(EmptyFaultPlanTest, EmptyPlanLeavesSyncLatenciesUnchanged) {
+  // 400 write + full-sync ops on a plain SSD, once with no plan and once
+  // with an installed plan that holds no fault: nothing fails, so every
+  // completion must reach its waiters at the same simulated instant.
+  wl::RandomWriteParams p;
+  p.mode = wl::RandomWriteParams::Mode::kSyncFile;
+  p.ops = 400;
+  auto run = [&](bool install) {
+    FaultPlan plan;
+    core::Stack stack(core::StackConfig::make(
+        GetParam(), flash::DeviceProfile::plain_ssd()));
+    if (install) stack.device().install_fault_plan(&plan);
+    return wl::run_random_write(stack, p, sim::Rng(1));
+  };
+  const wl::RandomWriteResult bare = run(false);
+  const wl::RandomWriteResult planned = run(true);
+  EXPECT_EQ(planned.ops_done, bare.ops_done);
+  EXPECT_EQ(planned.elapsed, bare.elapsed);
+  ASSERT_EQ(planned.sync_latency.count(), bare.sync_latency.count());
+  for (const double pct : {0.0, 50.0, 99.0, 100.0})
+    EXPECT_EQ(planned.sync_latency.percentile(pct),
+              bare.sync_latency.percentile(pct))
+        << "p" << pct;
+}
+
+INSTANTIATE_TEST_SUITE_P(Stacks, EmptyFaultPlanTest,
+                         testing::Values(StackKind::kExt4DR,
+                                         StackKind::kBfsDR));
 
 }  // namespace
 }  // namespace bio
