@@ -3,8 +3,7 @@
 // bugs, stays silent on the fixed forms, allowlist mechanics) and the
 // repo-wide lint itself (src/ + tests/ carry zero un-allowlisted
 // findings).  Both shell out to the python tool; when no python3 is on
-// PATH the tests skip rather than fail, matching the CI lint leg's
-// exit-77 convention for optional tooling.
+// PATH the tests skip rather than fail.
 
 #include <gtest/gtest.h>
 

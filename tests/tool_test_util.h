@@ -1,7 +1,7 @@
 // Shared helpers for tests that shell out to the repo's python tools
 // (tools/iolint, tools/bench_delta.py). They run from the source tree, not
 // the build tree; when no python3 is on PATH the callers skip rather than
-// fail, matching the CI lint leg's exit-77 convention for optional tooling.
+// fail.
 #pragma once
 
 #include <sys/wait.h>

@@ -1,9 +1,8 @@
-"""iolint command line: config, file gathering, frontend selection,
-check dispatch, allowlist diffing, reporting.
+"""iolint command line: config, file gathering, check dispatch,
+allowlist diffing, reporting.
 
 Exit codes: 0 clean, 1 findings (or expect-mode mismatch), 2 usage/config
-error, 77 requested frontend unavailable (skip convention, used by CI's
-optional libclang verification leg).
+error.
 """
 
 from __future__ import annotations
@@ -149,10 +148,6 @@ def main(argv=None) -> int:
     ap.add_argument("--expect-mode", action="store_true",
                     help="fixture mode: findings must exactly match "
                          "`iolint-expect: <check>` markers")
-    ap.add_argument("--frontend", choices=["auto", "builtin", "clang"],
-                    default="builtin",
-                    help="token source (default: builtin — the reference "
-                         "frontend; clang requires python clang.cindex)")
     ap.add_argument("--list-checks", action="store_true")
     ap.add_argument("-q", "--quiet", action="store_true")
     args = ap.parse_args(argv)
@@ -183,25 +178,6 @@ def main(argv=None) -> int:
     checks_cfg = cfg.get("checks", {})
     allow_entries = list(cfg.get("allowlist", {}).get("entries", []))
 
-    # Frontend selection.
-    tokenize = None
-    frontend_name = "builtin"
-    if args.frontend in ("auto", "clang"):
-        from . import frontend_clang  # noqa: PLC0415
-        tokenize, info = frontend_clang.load(
-            top.get("libclang_versions", []))
-        if tokenize is None:
-            if args.frontend == "clang":
-                print(f"iolint: clang frontend requested but {info}",
-                      file=sys.stderr)
-                return 77
-            if not args.quiet:
-                print(f"iolint: {info}; using builtin frontend")
-        else:
-            frontend_name = "clang"
-            if not args.quiet:
-                print(f"iolint: frontend {info}")
-
     files = gather_files(root, top, args.paths)
     if not files:
         print("iolint: no files to scan", file=sys.stderr)
@@ -212,10 +188,7 @@ def main(argv=None) -> int:
         with open(os.path.join(root, rel), encoding="utf-8",
                   errors="replace") as f:
             text = f.read()
-        toks = tokenize(rel, text) if tokenize else None
-        sources.append(parse_source(
-            rel, text, tokens=toks,
-            frontend=frontend_name if toks is not None else "builtin"))
+        sources.append(parse_source(rel, text))
 
     # Cross-file symbol harvest (status-returning function names).  A name
     # also declared with a non-status return somewhere is ambiguous at the
@@ -266,8 +239,7 @@ def main(argv=None) -> int:
         grand = len(active)
         print(f"iolint: {len(files)} files, {grand} finding(s)"
               f"{' [' + summary + ']' if summary else ''}"
-              f"{f', {len(findings) - grand} allowlisted' if grand != len(findings) else ''}"
-              f" (frontend: {frontend_name})")
+              f"{f', {len(findings) - grand} allowlisted' if grand != len(findings) else ''}")
     for e in stale:
         msg = (f"stale allowlist entry (no longer fires — delete it so the "
                f"grandfather list shrinks): {e}")

@@ -14,10 +14,8 @@ vocabulary from a token stream and nothing more:
                        `;` / `{` / `}` at paren depth 0, each carrying its
                        tokens, line span, brace depth and enclosing loops
 
-The token stream can come from two frontends: the built-in lexer below
-(deterministic, stdlib-only — the reference frontend) or libclang via
-`frontend_clang.py` when the `clang.cindex` bindings are installed.  Both
-produce the same Token tuples, so checks never know which frontend ran.
+The token stream comes from the built-in lexer below (deterministic,
+stdlib-only).
 
 The model is deliberately linear: statements are examined in source order,
 loops are tracked as index ranges so checks can reason about "next
@@ -89,7 +87,7 @@ class Annotation:
 
 
 def lex(text: str):
-    """Built-in frontend: (tokens, annotations, expects) from raw source.
+    """The lexer: (tokens, annotations, expects) from raw source.
 
     Comments are consumed here and mined for `iolint:` annotations and
     `iolint-expect:` fixture markers; preprocessor directives are skipped
@@ -478,7 +476,6 @@ class SourceFile:
     annotations: dict[int, list[Annotation]]
     expects: dict[int, list[str]]
     functions: list[FunctionDef]
-    frontend: str = "builtin"
 
     def annotation_between(self, name: str, first_line: int,
                            last_line: int) -> Annotation | None:
@@ -491,16 +488,11 @@ class SourceFile:
         return None
 
 
-def parse_source(path: str, text: str, tokens=None,
-                 frontend: str = "builtin") -> SourceFile:
-    """Builds the full model. `tokens` may be supplied by an alternative
-    frontend (libclang); annotations/expects always come from the built-in
-    comment scan, which both frontends share."""
-    own_tokens, annotations, expects = lex(text)
-    toks = tokens if tokens is not None else own_tokens
-    return SourceFile(path=path, tokens=toks, annotations=annotations,
-                      expects=expects, functions=extract_functions(toks),
-                      frontend=frontend)
+def parse_source(path: str, text: str) -> SourceFile:
+    """Builds the full model."""
+    tokens, annotations, expects = lex(text)
+    return SourceFile(path=path, tokens=tokens, annotations=annotations,
+                      expects=expects, functions=extract_functions(tokens))
 
 
 # ---------------------------------------------------------------------------

@@ -102,18 +102,6 @@ def main() -> int:
         finally:
             os.unlink(tmp_cfg)
 
-    # Optional: the clang frontend (when python clang.cindex + a pinned
-    # libclang are importable) must agree with the built-in frontend.
-    code3, out3 = run_iolint("--expect-mode", "--frontend", "clang",
-                             rel_fixtures)
-    if code3 == 77:
-        print("clang frontend unavailable (exit 77) — builtin frontend "
-              "remains the reference; skipping the agreement run")
-    else:
-        check(code3 == 0,
-              f"clang frontend agrees with builtin (got {code3}):\n"
-              f"{out3.strip()}")
-
     if _failures:
         print(f"iolint selftest: {len(_failures)} failure(s)")
         return 1
