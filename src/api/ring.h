@@ -19,12 +19,12 @@
 // capability matrix behind Vfs::sync) produces an error cqe for that sqe —
 // never a mid-flight assert — and cancels its chain successors.
 //
-// Fixed buffers: register_buffers() carves numbered slots once, and data
-// sqes reference a slot index instead of carrying a buffer. The ring
-// validates the reference at submit time (the slot exists and holds the
-// op's pages); it does not track which op holds a slot. Registration
-// requires a quiescent ring (no sqe between submit and cqe) and happens
-// once, as with io_uring buffer registration.
+// Fixed buffers: register_buffers() carves numbered slots once, on a
+// quiescent ring (no sqe between submit and cqe), as with io_uring buffer
+// registration, and data sqes reference a slot index instead of carrying
+// a buffer. Submit-time validation checks that the slot exists and holds
+// the op's pages; in-flight ops may share a slot, since the simulation
+// moves no bytes.
 //
 // Destruction with ops still in flight is safe: drivers share the ring
 // state through a shared_ptr and check a closed flag after every
