@@ -1,6 +1,7 @@
 #include "flash/device.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace bio::flash {
 
@@ -29,7 +30,6 @@ void StorageDevice::start() {
   qd_last_change_ = sim_.now();
   log_.start();
   // Device-internal actors are hardware: no host scheduler wake latency.
-  sim_.spawn("dev:ctl", controller_loop())->wake_latency = 0;
   sim_.spawn("dev:drain", drain_loop())->wake_latency = 0;
 }
 
@@ -46,17 +46,21 @@ bool StorageDevice::try_submit(std::shared_ptr<Command> cmd) {
   if (port.free_slots.empty()) port.free_slots.emplace_back();
   port.window.splice(port.window.end(), port.free_slots,
                      port.free_slots.begin());
-  port.window.back() = Slot{std::move(cmd), false, false};
+  const SlotIter it = std::prev(port.window.end());
+  *it = Slot{std::move(cmd), false};
   // A new data command may precede the current minima (a lower fence epoch
-  // on another port), so the frontier moves here too.
-  const Command& c = *port.window.back().cmd;
+  // on another port), so the frontier moves here too. That only pushes back
+  // other commands' transfer turns, so no waiter needs a notify.
+  const Command& c = *it->cmd;
   if (c.op != OpCode::kFlush) {
     data_front_ = std::min(data_front_, key_of(c));
     if (c.priority == Priority::kOrdered)
       ordered_front_ = std::min(ordered_front_, key_of(c));
   }
   note_qd_change();
-  queue_event_.notify_all();
+  // iolint: detached-owner(ports_ live on the device, which outlives every
+  // command handler; complete() recycles only this handler's own slot)
+  sim_.spawn("dev:cmd", handle(port, it))->wake_latency = 0;
   return true;
 }
 
@@ -99,23 +103,6 @@ void StorageDevice::note_transferred(Slot& slot) {
   // Retiring a command that is not a minimum leaves both minima as they are.
   const FenceKey k = key_of(*slot.cmd);
   if (k == data_front_ || k == ordered_front_) frontier_stale_ = true;
-}
-
-sim::Task StorageDevice::controller_loop() {
-  for (;;) {
-    for (auto& port : ports_) {
-      for (auto it = port->window.begin(); it != port->window.end(); ++it) {
-        if (!it->started) {
-          it->started = true;
-          // iolint: detached-owner(ports_ live on the device, which outlives
-          // every command handler; complete() recycles only this handler's
-          // own slot)
-          sim_.spawn("dev:cmd", handle(*port, it))->wake_latency = 0;
-        }
-      }
-    }
-    co_await queue_event_.wait();
-  }
 }
 
 sim::Task StorageDevice::handle(Port& port, SlotIter it) {

@@ -1,13 +1,14 @@
 // The barrier-compliant storage device (§3.2).
 //
-// Commands enter a bounded NCQ; the controller starts every *eligible*
-// command concurrently. Eligibility implements the SCSI priority semantics
-// the order-preserving dispatch relies on (§3.4):
-//   * HEAD_OF_QUEUE commands start immediately.
-//   * An ORDERED command starts only after every earlier data command has
-//     finished its DMA transfer.
-//   * A SIMPLE command starts only after every earlier ORDERED data command
+// Commands enter a bounded NCQ, and each command's handler starts at
+// submission: command processing overlaps freely, and only the DMA
+// transfers wait their turn. Transfer eligibility implements the SCSI
+// priority semantics the order-preserving dispatch relies on (§3.4):
+//   * HEAD_OF_QUEUE commands transfer immediately.
+//   * An ORDERED command transfers only after every earlier data command
 //     has finished its DMA transfer.
+//   * A SIMPLE command transfers only after every earlier ORDERED data
+//     command has finished its DMA transfer.
 //   * FLUSH commands neither wait for nor fence data commands: they snapshot
 //     the cache at service time (durability is their only contract), which
 //     is what lets Dual-Mode Journaling keep the queue busy while a flush is
@@ -37,7 +38,10 @@
 // may transfer iff nothing precedes it in the first, a SIMPLE one iff
 // nothing precedes it in the second. A submission lowers the frontier in
 // place; a DMA transfer that retires a minimum marks it stale, and the next
-// eligibility check rescans the windows once.
+// eligibility check rescans the windows once. A submission can only push
+// back other commands' turns, so queue_activity() fires on transfers and
+// completions alone: those are all that a waiting handler or a busy host
+// waits for.
 #pragma once
 
 #include <cstdint>
@@ -79,12 +83,13 @@ class StorageDevice {
 
   StorageDevice(sim::Simulator& sim, DeviceProfile profile);
 
-  /// Spawns the controller, drain and GC threads. Call once.
+  /// Spawns the drain and GC threads. Call once.
   void start();
 
-  /// Queues a command on port `cmd->port % port_count()`; returns false
-  /// (device busy) when that port's NCQ window is full. The dispatcher
-  /// retries a busy command once queue_activity() fires (Fig 6(b)).
+  /// Queues a command on port `cmd->port % port_count()` and starts its
+  /// handler; returns false (device busy) when that port's NCQ window is
+  /// full. The dispatcher retries a busy command once queue_activity()
+  /// fires (Fig 6(b)).
   bool try_submit(std::shared_ptr<Command> cmd);
 
   /// Hardware submission ports (one per flash channel).
@@ -126,8 +131,9 @@ class StorageDevice {
   bool has_fault_plan() const noexcept { return fault_plan_ != nullptr; }
   const FaultPlan* fault_plan() const noexcept { return fault_plan_; }
 
-  /// Notified on every queue transition (submission, transfer, completion).
-  /// A tag-aware host driver waits on this instead of polling when busy.
+  /// Notified on every DMA transfer and completion (a submission frees no
+  /// slot and grants no transfer turn). A tag-aware host driver waits on
+  /// this instead of polling when busy.
   sim::Notify& queue_activity() noexcept { return queue_event_; }
 
   /// Non-destructive crash analysis: the block-level image recovery would
@@ -187,7 +193,6 @@ class StorageDevice {
  private:
   struct Slot {
     std::shared_ptr<Command> cmd;
-    bool started = false;
     bool dma_done = false;
   };
   using SlotIter = std::list<Slot>::iterator;
@@ -218,7 +223,6 @@ class StorageDevice {
   void refresh_frontier();
   /// Marks `slot`'s DMA transfer done and retires it from the frontier.
   void note_transferred(Slot& slot);
-  sim::Task controller_loop();
   /// The command handler for `it`'s opcode (not a coroutine of its own).
   sim::Task handle(Port& port, SlotIter it);
   sim::Task handle_write(Port& port, SlotIter it);
