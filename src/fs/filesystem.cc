@@ -534,17 +534,16 @@ void Filesystem::collect_file_writebacks(Inode& f, blk::RequestList& reqs) {
   // `wb` names a carrier once per page, in page order. A carrier's pages
   // are contiguous, and no page is resubmitted while its carrier is in
   // flight, so a carrier's entries are adjacent; and this call's own runs
-  // (all of `reqs` so far) were cut from the dirty pages in page order, so
-  // they appear in `reqs`' order unless completed (then swept, not
-  // listed). One pass drops both kinds of repeat.
+  // (all of `reqs` so far, submitted in the caller's same synchronous
+  // stretch, so none has completed) were cut from the dirty pages in page
+  // order, so they appear in `reqs`' order. One pass drops both kinds of
+  // repeat.
   const std::size_t own = reqs.size();
   std::size_t next_own = 0;
   const blk::RequestPtr* prev = nullptr;
   for (const blk::RequestPtr& r : wb) {
     if (prev != nullptr && r == *prev) continue;
     prev = &r;
-    while (next_own < own && reqs.begin()[next_own]->completion.is_set())
-      ++next_own;
     if (next_own < own && r == reqs.begin()[next_own]) {
       ++next_own;
       continue;

@@ -186,10 +186,7 @@ void PageCache::begin_writeback(const PageKey& key, blk::RequestPtr req) {
   PageState& st = r.state();
   if (st.dirty) clear_dirty(r);
   st.writeback = std::move(req);
-  if (st.writeback != nullptr)
-    set_tag(r, kWriteback);
-  else
-    clear_tag(r, kWriteback);
+  set_tag(r, kWriteback);
 }
 
 std::size_t PageCache::redirty_failed(std::uint32_t ino,

@@ -74,7 +74,8 @@ class PageCache {
                      bool* swept_completed = nullptr,
                      bool* swept_failed = nullptr);
 
-  /// Marks `key` as under writeback by `req` (clears dirty).
+  /// Marks `key` as under writeback by `req`, a request the caller just
+  /// built (clears dirty).
   void begin_writeback(const PageKey& key, blk::RequestPtr req);
 
   /// Failed-writeback path: redirties every page of `ino` whose current
