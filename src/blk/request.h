@@ -54,13 +54,10 @@ class BlockList {
     return size_ <= kInlineBlocks ? inline_.data() : heap_.data();
   }
 
-  const Block& operator[](std::size_t i) const noexcept { return data()[i]; }
   const Block& front() const noexcept { return data()[0]; }
   const Block& back() const noexcept { return data()[size_ - 1]; }
   const Block* begin() const noexcept { return data(); }
   const Block* end() const noexcept { return data() + size_; }
-
-  void push_back(const Block& b) { append(&b, 1); }
 
   void append(const Block* p, std::size_t n) {
     if (size_ + n <= kInlineBlocks) {

@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <initializer_list>
 #include <memory>
 #include <new>
 #include <span>
@@ -91,13 +90,6 @@ class RequestPool {
     r->fua = fua;
     r->blocks.assign(blocks);
     return r;
-  }
-
-  RequestPtr make_write(std::initializer_list<Block> blocks,
-                        bool ordered = false, bool barrier = false,
-                        bool flush = false, bool fua = false) {
-    return make_write(std::span<const Block>(blocks.begin(), blocks.size()),
-                      ordered, barrier, flush, fua);
   }
 
   RequestPtr make_read(flash::Lba lba) {

@@ -17,6 +17,13 @@ using flash::Version;
 using sim::Simulator;
 using sim::Task;
 
+/// A one-block write request (the pool builds requests from spans).
+RequestPtr write_of(RequestPool& pool, Lba lba, Version v,
+                    bool ordered = false, bool barrier = false) {
+  const Block block[1] = {{lba, v}};
+  return pool.make_write(block, ordered, barrier);
+}
+
 struct Stack {
   Simulator sim;
   StorageDevice dev;
@@ -130,8 +137,9 @@ TEST(BlockLayerTest, MergedRequestFansOutCompletions) {
   Stack s;
   int completions = 0;
   auto body = [&]() -> Task {
-    RequestPtr a = s.blk.pool().make_write({{10, 1}, {11, 2}});
-    RequestPtr b = s.blk.pool().make_write({{12, 3}});
+    const Block ab[] = {{10, 1}, {11, 2}};
+    RequestPtr a = s.blk.pool().make_write(ab);
+    RequestPtr b = write_of(s.blk.pool(), 12, 3);
     s.blk.submit(a);
     s.blk.submit(b);  // merges into a at the scheduler
     co_await a->completion.wait();
@@ -154,7 +162,7 @@ TEST(BlockLayerTest, BusyDeviceEventuallyDispatchesEverything) {
     for (int i = 0; i < 20; ++i) {
       // Distinct non-contiguous LBAs: no merging, 20 commands through a
       // QD=4 device.
-      reqs.push_back(s.blk.pool().make_write({{Lba(i * 2), Version(i)}}));
+      reqs.push_back(write_of(s.blk.pool(), Lba(i * 2), Version(i)));
       s.blk.submit(reqs.back());
     }
     for (auto& r : reqs) {
@@ -175,13 +183,13 @@ TEST(BlockLayerTest, EpochOrderingPreservedThroughFullStack) {
   s.dev.install_transfer_recorder(&h);
   auto body = [&]() -> Task {
     // Epoch 0: lba 1,2 + barrier on 3. Epoch 1: lba 4.
-    RequestPtr w1 = s.blk.pool().make_write({{1, 1}}, true);
-    RequestPtr w2 = s.blk.pool().make_write({{2, 2}}, true);
-    RequestPtr w3 = s.blk.pool().make_write({{3, 3}}, true, true);
+    RequestPtr w1 = write_of(s.blk.pool(), 1, 1, true);
+    RequestPtr w2 = write_of(s.blk.pool(), 2, 2, true);
+    RequestPtr w3 = write_of(s.blk.pool(), 3, 3, true, true);
     s.blk.submit(w1);
     s.blk.submit(w2);
     s.blk.submit(w3);
-    RequestPtr w4 = s.blk.pool().make_write({{4, 4}}, true);
+    RequestPtr w4 = write_of(s.blk.pool(), 4, 4, true);
     s.blk.submit(w4);
     co_await w4->completion.wait();
     co_await w3->completion.wait();
@@ -222,9 +230,9 @@ TEST(BlockLayerMqTest, BarrierOnQueue0FencesLaterWriteOnQueue1) {
   flash::WritebackCache::TransferRecorder h;
   s.dev.install_transfer_recorder(&h);
   auto body = [&]() -> Task {
-    RequestPtr pre = s.blk.pool().make_write({{1, 1}}, /*ordered=*/true);
-    RequestPtr b = s.blk.pool().make_write({{2, 2}}, true, /*barrier=*/true);
-    RequestPtr post = s.blk.pool().make_write({{3, 3}}, true);
+    RequestPtr pre = write_of(s.blk.pool(), 1, 1, /*ordered=*/true);
+    RequestPtr b = write_of(s.blk.pool(), 2, 2, true, /*barrier=*/true);
+    RequestPtr post = write_of(s.blk.pool(), 3, 3, true);
     s.blk.submit_on(1, pre);   // peer queue, same epoch as the barrier
     s.blk.submit_on(0, b);     // closes epoch 0
     s.blk.submit_on(1, post);  // enqueued after the barrier: epoch 1
@@ -251,9 +259,9 @@ TEST(BlockLayerMqTest, OrderlessPeerWriteEnqueuedBeforeBarrierTransfersBelow) {
   Stack s(mq_config(4));
   flash::WritebackCache::TransferRecorder h;
   s.dev.install_transfer_recorder(&h);
-  RequestPtr pre = s.blk.pool().make_write({{1, 1}});  // orderless
-  RequestPtr b = s.blk.pool().make_write({{2, 2}}, true, /*barrier=*/true);
-  RequestPtr post = s.blk.pool().make_write({{3, 3}});  // orderless
+  RequestPtr pre = write_of(s.blk.pool(), 1, 1);  // orderless
+  RequestPtr b = write_of(s.blk.pool(), 2, 2, true, /*barrier=*/true);
+  RequestPtr post = write_of(s.blk.pool(), 3, 3);  // orderless
   auto body = [&]() -> Task {
     s.blk.submit_on(1, pre);   // peer queue, enqueued before the barrier
     s.blk.submit_on(0, b);     // closes epoch 0
@@ -279,7 +287,7 @@ TEST(BlockLayerMqTest, IdleQueuesNeverStallABarrier) {
   Stack s(mq_config(4));
   sim::SimTime done_at = 0;
   auto body = [&]() -> Task {
-    RequestPtr b = s.blk.pool().make_write({{1, 1}}, true, /*barrier=*/true);
+    RequestPtr b = write_of(s.blk.pool(), 1, 1, true, /*barrier=*/true);
     s.blk.submit_on(0, b);
     co_await b->completion.wait();
     done_at = s.sim.now();
@@ -296,9 +304,9 @@ TEST(BlockLayerMqTest, QueuesMapToDevicePorts) {
   // port q % 2, so queues 0 and 2 share port 0 and queue 1 drives port 1.
   Stack s(mq_config(4));
   auto body = [&]() -> Task {
-    RequestPtr a = s.blk.pool().make_write({{1, 1}});
-    RequestPtr b = s.blk.pool().make_write({{2, 2}});
-    RequestPtr c = s.blk.pool().make_write({{3, 3}});
+    RequestPtr a = write_of(s.blk.pool(), 1, 1);
+    RequestPtr b = write_of(s.blk.pool(), 2, 2);
+    RequestPtr c = write_of(s.blk.pool(), 3, 3);
     s.blk.submit_on(0, a);
     s.blk.submit_on(1, b);
     s.blk.submit_on(2, c);

@@ -14,7 +14,8 @@ using sim::Simulator;
 
 RequestPtr wr(RequestPool& pool, Lba lba, bool ordered = false,
               bool barrier = false) {
-  return pool.make_write({{lba, 1}}, ordered, barrier);
+  const Block block[1] = {{lba, 1}};
+  return pool.make_write(block, ordered, barrier);
 }
 
 TEST(EpochSchedulerTest, PassesThroughWithoutBarriers) {

@@ -16,12 +16,18 @@ using flash::Lba;
 using flash::Version;
 using sim::Simulator;
 
+/// A one-block write request (the pool builds requests from spans).
+RequestPtr write_of(RequestPool& pool, Lba lba, Version v) {
+  const Block block[1] = {{lba, v}};
+  return pool.make_write(block);
+}
+
 TEST(RequestPoolTest, RecyclesReleasedRequests) {
   Simulator sim;
   RequestPool pool(sim);
   Request* raw;
   {
-    RequestPtr r = pool.make_write({{10, 1}});
+    RequestPtr r = write_of(pool, 10, 1);
     raw = r.get();
     EXPECT_EQ(pool.stats().acquired, 1u);
     EXPECT_EQ(pool.stats().fresh_requests, 1u);
@@ -42,10 +48,10 @@ TEST(RequestPoolTest, SteadyStateCostsNoAllocations) {
   Simulator sim;
   RequestPool pool(sim);
   // Warm-up: one request teaches the pool its slab + control-block sizes.
-  { RequestPtr r = pool.make_write({{1, 1}}); }
+  { RequestPtr r = write_of(pool, 1, 1); }
   const auto warm = pool.stats();
   for (int i = 0; i < 1000; ++i) {
-    RequestPtr r = pool.make_write({{Lba(i), Version(i)}});
+    RequestPtr r = write_of(pool, Lba(i), Version(i));
     r->completion.trigger();
   }
   const auto& s = pool.stats();
@@ -75,7 +81,7 @@ TEST(RequestPoolTest, ConcurrentRequestsGetDistinctSlots) {
   RequestPool pool(sim);
   std::vector<RequestPtr> live;
   for (int i = 0; i < 64; ++i)
-    live.push_back(pool.make_write({{Lba(i * 2), 1}}));
+    live.push_back(write_of(pool, Lba(i * 2), 1));
   for (int i = 0; i < 64; ++i)
     for (int j = i + 1; j < 64; ++j) EXPECT_NE(live[i].get(), live[j].get());
   EXPECT_EQ(pool.slab_size(), 64u);
@@ -90,7 +96,7 @@ TEST(RequestPoolTest, PoolOutlivesHandleWhileRequestsLive) {
   RequestPtr r;
   {
     RequestPool pool(sim);
-    r = pool.make_write({{7, 3}});
+    r = write_of(pool, 7, 3);
   }
   EXPECT_EQ(r->first_lba(), 7u);
   r->completion.trigger();
@@ -110,10 +116,10 @@ TEST(RequestPoolTest, ReleaseParksCarrierThenAbsorbedNewestFirst) {
   // release order decides which recycled object each later acquire gets.
   Simulator sim;
   RequestPool pool(sim);
-  RequestPtr carrier = pool.make_write({{0, 1}});
+  RequestPtr carrier = write_of(pool, 0, 1);
   std::vector<Request*> absorbed;
   for (Lba i = 1; i <= 3; ++i) {
-    RequestPtr r = pool.make_write({{i, 1}});
+    RequestPtr r = write_of(pool, i, 1);
     absorbed.push_back(r.get());
     absorb(*carrier, std::move(r));
   }
@@ -130,21 +136,27 @@ TEST(RequestPoolTest, ReleaseParksCarrierThenAbsorbedNewestFirst) {
                                            absorbed[2], raw}));
 }
 
+/// Appends one block through the run append the block layer merges with.
+void append_one(BlockList& list, Lba lba, Version v) {
+  const Block block{lba, v};
+  list.append(&block, 1);
+}
+
 TEST(BlockListTest, SpillsToHeapAndKeepsCapacityAcrossClears) {
   BlockList list;
   for (std::uint32_t i = 0; i < BlockList::kInlineBlocks; ++i)
-    list.push_back({i, 1});
+    append_one(list, i, 1);
   EXPECT_EQ(list.take_heap_allocs(), 0u) << "inline fill must not allocate";
-  list.push_back({BlockList::kInlineBlocks, 1});
+  append_one(list, BlockList::kInlineBlocks, 1);
   EXPECT_EQ(list.size(), BlockList::kInlineBlocks + 1);
   EXPECT_GT(list.take_heap_allocs(), 0u) << "spill must be counted";
   for (std::uint32_t i = 0; i < list.size(); ++i)
-    EXPECT_EQ(list[i].first, Lba(i)) << "spill must preserve order";
+    EXPECT_EQ(list.begin()[i].first, Lba(i)) << "spill must preserve order";
 
   const std::size_t n = list.size();
   list.clear();
   EXPECT_TRUE(list.empty());
-  for (std::uint32_t i = 0; i < n; ++i) list.push_back({i, 2});
+  for (std::uint32_t i = 0; i < n; ++i) append_one(list, i, 2);
   EXPECT_EQ(list.take_heap_allocs(), 0u)
       << "re-filling to the old size must reuse the retained capacity";
 }
@@ -157,7 +169,7 @@ TEST(RequestListTest, SpillKeepsOrderAndOwnership) {
     RequestList list;
     EXPECT_TRUE(list.empty());
     for (Lba i = 0; i < 3 * RequestList::kInline; ++i) {
-      RequestPtr r = pool.make_write({{i, 1}});
+      RequestPtr r = write_of(pool, i, 1);
       raw.push_back(r.get());
       list.push_back(std::move(r));
     }
@@ -175,10 +187,10 @@ TEST(TriggerAbsorbedTest, PreservesPreorderTriggerSequence) {
   // before any later merge.
   Simulator sim;
   RequestPool pool(sim);
-  RequestPtr root = pool.make_write({{0, 1}});
-  RequestPtr a = pool.make_write({{1, 1}});
-  RequestPtr a1 = pool.make_write({{2, 1}});
-  RequestPtr b = pool.make_write({{3, 1}});
+  RequestPtr root = write_of(pool, 0, 1);
+  RequestPtr a = write_of(pool, 1, 1);
+  RequestPtr a1 = write_of(pool, 2, 1);
+  RequestPtr b = write_of(pool, 3, 1);
   absorb(*a, a1);
   absorb(*root, a);
   absorb(*root, b);

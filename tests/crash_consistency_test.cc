@@ -32,6 +32,13 @@ using flash::Version;
 using fs::Syscall;
 using sim::Task;
 
+/// A one-block write request (the pool builds requests from spans).
+blk::RequestPtr write_of(blk::RequestPool& pool, Lba lba, Version v,
+                         bool ordered, bool barrier) {
+  const blk::Block block[1] = {{lba, v}};
+  return pool.make_write(block, ordered, barrier);
+}
+
 // ---- invariant checkers ----------------------------------------------------
 
 /// Epoch prefix: if any entry of epoch e persisted (its version or a later
@@ -92,8 +99,8 @@ TEST_P(EpochPrefixTest, RandomWorkloadRandomCrashPoint) {
       const Lba lba = static_cast<Lba>(i % 32);
       const bool barrier = --until_barrier == 0;
       if (barrier) until_barrier = rng.uniform(1, 8);
-      blk.submit(blk.pool().make_write({{lba, blk.next_version()}},
-                                       /*ordered=*/true, barrier));
+      blk.submit(write_of(blk.pool(), lba, blk.next_version(),
+                          /*ordered=*/true, barrier));
       if (rng.chance(0.3)) co_await sim.delay(rng.uniform(1, 300) * 1_us);
     }
   };
@@ -267,8 +274,8 @@ TEST(OrderlessBaselineTest, LegacyStackCanLoseOrdering) {
         // Intent: barrier after every write (strict order), which the
         // legacy stack ignores.
         const Lba lba = rng.uniform(0, 15);
-        blk.submit(blk.pool().make_write({{lba, blk.next_version()}}, true,
-                                         /*barrier=*/true));
+        blk.submit(write_of(blk.pool(), lba, blk.next_version(), true,
+                            /*barrier=*/true));
       }
       co_return;
     };

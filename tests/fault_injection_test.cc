@@ -120,7 +120,8 @@ TEST(TransientFaultRetryTest, RetryIntoAFullWindowWaitsForASlot) {
   auto body = [&]() -> Task {
     for (flash::Lba i = 0; i < 300; ++i) {
       const flash::Lba lba = 400 + 2 * i;  // scattered: nothing merges
-      reqs.push_back(blk.pool().make_write({{lba, blk.next_version()}}));
+      const blk::Block block[1] = {{lba, blk.next_version()}};
+      reqs.push_back(blk.pool().make_write(block));
       blk.submit(reqs.back());
     }
     co_await x.sim().delay(blk::kIoRetryBackoff);

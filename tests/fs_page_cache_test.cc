@@ -19,6 +19,12 @@ namespace {
 using blk::RequestPtr;
 using PageKey = PageCache::PageKey;
 
+/// A one-block write request (the pool builds requests from spans).
+RequestPtr write_of(blk::RequestPool& pool, flash::Lba lba, flash::Version v) {
+  const blk::Block block[1] = {{lba, v}};
+  return pool.make_write(block);
+}
+
 /// The dirty pages of `ino`, through the scratch-buffer call the sync
 /// paths make.
 std::vector<PageKey> dirty_pages_of(const PageCache& cache,
@@ -40,7 +46,7 @@ struct Fixture {
   blk::RequestPool pool{sim};
   PageCache cache{sim};
 
-  RequestPtr wb_request(flash::Lba lba) { return pool.make_write({{lba, 1}}); }
+  RequestPtr wb_request(flash::Lba lba) { return write_of(pool, lba, 1); }
 
   /// The carriers cache.writebacks_of(ino) reports (and sweeps).
   std::vector<RequestPtr> writebacks(std::uint32_t ino) {
@@ -416,7 +422,7 @@ void run_differential(std::uint64_t seed, int steps) {
         // One carrier for up to three cached pages of one file.
         const std::vector<std::uint32_t> cached = ref.pages_of(ino);
         if (cached.empty()) break;
-        RequestPtr r = pool.make_write({{1000 + cached.front(), version}});
+        RequestPtr r = write_of(pool, 1000 + cached.front(), version);
         for (std::uint64_t n = rng.uniform(1, 3); n > 0; --n) {
           const PageKey key{ino, pick(cached)};
           cache.begin_writeback(key, r);
