@@ -414,6 +414,50 @@ TEST(RecoveryTest, ChecksummedJournalDiscardsATornDescriptorChain) {
   EXPECT_TRUE(report.clean());
 }
 
+TEST(RecoveryTest, OptFsDiscardsACommitWhoseCoveredDataDidNotSurvive) {
+  // OptFS's commit checksum also covers the in-place data an osync orders
+  // (Txn::covered_data). An image whose JD and JC survived without one of
+  // those data blocks fails the checksum: recovery discards that
+  // transaction and every later one, and replays nothing corruptly.
+  fs::testutil::StackFixture x(StackKind::kOptFs);
+  auto body = [&]() -> sim::Task {
+    for (int i = 0; i < 3; ++i) {
+      fs::Inode* f = nullptr;
+      co_await x.fs().create("file" + std::to_string(i), f, 32);
+      co_await x.fs().write(*f, 0, 4);
+      co_await x.fs().sync(*f, Syscall::kOsync);
+    }
+  };
+  x.sim().spawn("app", body());
+  x.sim().run_until(500'000 * 1_us);  // far past completion: fully drained
+
+  const std::vector<const fs::Txn*> txns =
+      fs::testutil::retired_txns(x.fs().journal());
+  // One transaction per osync; the middle one loses a covered block.
+  ASSERT_EQ(txns.size(), 3u);
+  const std::size_t victim = 1;
+  const fs::Txn& txn = *txns[victim];
+  ASSERT_FALSE(txn.covered_data.empty()) << "the osync covered no data";
+  std::unordered_map<flash::Lba, flash::Version> image =
+      x.dev().durable_state();
+  for (const auto& [block, version] : txn.jd_blocks)
+    EXPECT_EQ(image.at(block), version) << "JD block " << block;
+  EXPECT_EQ(image.at(txn.jc_block.first), txn.jc_block.second);
+  const auto [data_block, version] = txn.covered_data.front();
+  EXPECT_GE(image.at(data_block), version);
+  image.erase(data_block);
+
+  const fs::Recovery recovery(x.fs().journal(), x.fs().layout(),
+                              x.fs().config());
+  const fs::RecoveryReport report = recovery.recover(image);
+  EXPECT_EQ(report.scan_start_txn, txns.front()->id);
+  EXPECT_EQ(report.txns_replayed, victim);
+  EXPECT_EQ(report.txns_discarded, txns.size() - victim);
+  EXPECT_TRUE(report.corruption_detected);
+  EXPECT_TRUE(report.tail_truncated);
+  EXPECT_TRUE(report.clean());
+}
+
 TEST(RecoveryTest, UnchecksummedJournalReplaysATornDescriptorChain) {
   // Without a checksum JBD2 cannot notice the missing log block: it replays
   // both transactions, and the stale copy destroys one home block.

@@ -728,6 +728,118 @@ TEST(BarrierFsTest, DroppedCopyHoldsTheTailUntilAFlushAfterItsCover) {
   EXPECT_TRUE(j.is_retired(t));
 }
 
+TEST(BarrierFsTest, CopyOfAHomeWithAnOlderCopyInFlightWaitsForIt) {
+  // jbd2's buffer lock: two in-place copies of one home never fly at once,
+  // or they could land inverted and resurrect the older content. A and B
+  // each journal file f's inode block. Between them, X's fsync flush holds
+  // the flush thread while B and three fillers commit, so when X retires,
+  // A's JC lies half a lap behind the head: A's copy of the block is
+  // issued. B's JC completed during that flush, and the fillers put it
+  // half a lap behind too, so B retires in the same instant and falls due
+  // at its own retire, with A's copy still in flight. B's copy must wait
+  // for the checkpoint tracker, which submits it once A's has completed.
+  core::StackConfig cfg = test_stack_config(StackKind::kBfsDR);
+  cfg.fs.journal_blocks = 40;
+  StackFixture x(StackKind::kBfsDR, &cfg);
+  Journal& j = x.fs().journal();
+  Inode* f = nullptr;
+  flash::Lba home = 0;
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  std::uint32_t next_unused = 32;  // inode blocks no file uses
+  // Dirties `n` inode blocks no file uses; `tid` gets their transaction.
+  auto dirty_unused = [&](int n, std::uint64_t& tid) -> Task {
+    for (int i = 0; i < n; ++i) {
+      co_await j.dirty_metadata(x.fs().layout().inode_block(next_unused++),
+                                tid);
+    }
+  };
+  auto durable_commit = [&](std::uint64_t tid) -> Task {
+    co_await j.commit(tid, Journal::WaitMode::kDurable);
+  };
+  auto body = [&]() -> Task {
+    co_await x.fs().create("f", f, 8);
+    co_await x.fs().write(*f, 0, 1);
+    co_await x.fs().sync(*f, Syscall::kFsync);
+    home = x.fs().layout().inode_block(f->ino);
+    co_await x.sim().delay(5_ms);
+    co_await x.fs().write(*f, 1, 1);  // i_size 2
+    a = f->txn_id;
+    co_await j.commit(a, Journal::WaitMode::kDispatched);
+    std::uint64_t xid = 0;
+    co_await dirty_unused(1, xid);
+    x.sim().spawn("fsync", durable_commit(xid));
+    while (j.running_txn_id() == xid) co_await x.sim().delay(1_us);
+    co_await x.fs().write(*f, 2, 1);  // i_size 3
+    b = f->txn_id;
+    co_await j.commit(b, Journal::WaitMode::kDispatched);
+    for (int k = 0; k < 3; ++k) {
+      std::uint64_t filler = 0;
+      co_await dirty_unused(6, filler);
+      co_await j.commit(filler, Journal::WaitMode::kDispatched);
+    }
+    // Flushes and empty commits until the tail passes B: recovery then
+    // reads the block from its in-place copy, not from B's log copy.
+    for (int i = 0; i < 20 && !j.is_released(b); ++i) {
+      co_await x.sim().delay(1_ms);
+      co_await x.fs().sync(*f, Syscall::kFsync);
+      co_await x.fs().sync(*f, Syscall::kFdatabarrier);
+    }
+  };
+  // B's state the instant it retired, and A's copy of the block.
+  std::vector<blk::Block> deferred;
+  bool b_copy_at_retire = false;
+  blk::RequestPtr a_copy;
+  // Whether A's copy had completed when B's copy was first seen submitted.
+  std::optional<bool> a_done_at_b_submit;
+  auto copy_of = [&](const Txn& txn) -> blk::RequestPtr {
+    for (const blk::RequestPtr& r : txn.checkpoint_reqs)
+      if (r->blocks.front().first == home) return r;
+    return nullptr;
+  };
+  auto watch = [&]() -> Task {
+    while (b == 0 || !j.is_retired(b)) co_await x.sim().delay(1_us);
+    deferred = j.find_txn(b)->deferred_copies;
+    b_copy_at_retire = copy_of(*j.find_txn(b)) != nullptr;
+    a_copy = copy_of(*j.find_txn(a));
+    if (a_copy == nullptr) co_return;
+    // B stays live until its copies complete, so it outlives this loop.
+    while (copy_of(*j.find_txn(b)) == nullptr) co_await x.sim().delay(1_us);
+    a_done_at_b_submit = a_copy->completion.is_set();
+  };
+  x.sim().spawn("t", body());
+  x.sim().spawn("watch", watch());
+  x.sim().run();
+
+  EXPECT_EQ(j.stats().journal_stalls, 0u) << "copies fell due, none stalled";
+  ASSERT_NE(a_copy, nullptr) << "A's copy was not in flight at B's retire";
+  EXPECT_FALSE(b_copy_at_retire)
+      << "B submitted its copy while A's was in flight";
+  ASSERT_TRUE(a_done_at_b_submit.has_value()) << "B's copy never submitted";
+  EXPECT_TRUE(*a_done_at_b_submit)
+      << "B's copy was submitted before A's completed";
+  ASSERT_EQ(deferred.size(), 1u) << "B's copy of the block was not deferred";
+  EXPECT_EQ(deferred.front().first, home);
+  const flash::Version a_version = a_copy->blocks.front().second;
+  EXPECT_LT(a_version, deferred.front().second);
+
+  // The home holds B's copy, and recovery, scanning from past B, reads B's
+  // i_size from it.
+  ASSERT_TRUE(j.is_released(b)) << "the tail never passed B";
+  const auto image = x.dev().durable_state();
+  ASSERT_TRUE(image.contains(home));
+  EXPECT_EQ(image.at(home), deferred.front().second);
+  const Journal::CheckpointId* copy = j.find_checkpoint(image.at(home));
+  ASSERT_NE(copy, nullptr);
+  EXPECT_EQ(copy->txn_id, b);
+  const RecoveryReport report =
+      Recovery(j, x.fs().layout(), x.fs().config()).recover(image);
+  EXPECT_TRUE(report.clean());
+  EXPECT_GT(report.scan_start_txn, b);
+  ASSERT_EQ(report.files.size(), 1u);
+  EXPECT_EQ(report.files.front().size_blocks, 3u);
+}
+
 TEST(OptFsTest, OsyncCommitsWithoutFlush) {
   StackFixture x(StackKind::kOptFs);
   auto body = [&]() -> Task {
