@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Traffic census: which library functions does the traffic never run?
+"""Traffic census: which library code does the traffic never run?
 
 Before deleting code as dead or test-only, measure it. This script builds a
 scratch copy of the tree with gcov instrumentation, never the checkout:
@@ -16,17 +16,24 @@ scratch copy of the tree with gcov instrumentation, never the checkout:
 
 Header functions appear once per object that uses them, and the library
 is compiled twice (the root build and iobench), so counts are summed per
-(source file, demangled name). A src/ function the traffic never ran is
-test-only when the tests ran it and dead when nothing did. Lambdas are
-listed under their enclosing function's name, so a zero there may be a
-lambda (an error reporter that never fired), not the function. An inline
-function no object ever uses is never emitted, so it is not listed at all.
+(source file, demangled name), and line counts per (source file, line). A
+src/ function the traffic never ran is test-only when the tests ran it and
+dead when nothing did. Lambdas are listed under their enclosing function's
+name, so a zero there may be a lambda (an error reporter that never
+fired), not the function. An inline function no object ever uses is never
+emitted, so it is not listed at all.
 
 Usage:
   tools/traffic_census.py [--rev REV] [--scratch DIR]
 
 It prints, per source file, the functions the traffic never runs: the
-test-only ones with their count in the tests, then the dead ones.
+test-only ones with their count in the tests, then the dead ones; then
+the ranges of executable lines that neither the traffic nor the tests
+ran (a range spans only lines gcov counts, so comments and blank lines
+inside it are not executable lines; closing braces, to which gcov
+charges exception cleanup, are left out). GCC 12's gcov attributes no
+lines inside coroutine bodies, so those bodies are unmeasured: a dead
+branch in one never shows up here.
 
 --scratch keeps the copy and its builds in DIR for the next call (an
 incremental rebuild); without it a temporary directory is used and removed.
@@ -63,8 +70,10 @@ def build(copy: Path, log) -> None:
         stderr=subprocess.STDOUT)
 
 
-def counts(copy: Path) -> dict[tuple[str, str], int]:
-    """(src/ file, demangled name) -> calls, summed over every object."""
+def counts(copy: Path) -> tuple[dict[tuple[str, str], int],
+                                dict[tuple[str, int], int]]:
+    """(src/ file, demangled name) -> calls and (src/ file, line) ->
+    executions, each summed over every object."""
     gcda = sorted(str(p) for d in ("cov", "cov-iob")
                   for p in (copy / d).rglob("*.gcda"))
     text = subprocess.run(["xargs", "gcov", "-j", "-t"],
@@ -73,6 +82,7 @@ def counts(copy: Path) -> dict[tuple[str, str], int]:
                           text=True).stdout
     prefix = str(copy) + "/"
     total: dict[tuple[str, str], int] = defaultdict(int)
+    lines: dict[tuple[str, int], int] = defaultdict(int)
     for line in text.splitlines():
         if not line.startswith("{"):
             continue
@@ -83,7 +93,39 @@ def counts(copy: Path) -> dict[tuple[str, str], int]:
                 continue
             for fn in f["functions"]:
                 total[(rel, fn["demangled_name"])] += fn["execution_count"]
-    return total
+            for ln in f["lines"]:
+                lines[(rel, ln["line_number"])] += ln["count"]
+    return total, lines
+
+
+def dead_ranges(lines: dict[tuple[str, int], int],
+                tree: Path) -> dict[str, list[str]]:
+    """Per file, the runs of executable lines that never ran, as "a-b".
+
+    A line holding only a closing brace is left out: gcov charges a
+    function's exception cleanup to it, which no run takes, and a function
+    that never ran is listed as dead already."""
+    by_file: dict[str, list[tuple[int, int]]] = defaultdict(list)
+    for (path, number), n in lines.items():
+        by_file[path].append((number, n))
+    out: dict[str, list[str]] = {}
+    for path, numbered in by_file.items():
+        text = (tree / path).read_text().splitlines()
+        runs: list[list[int]] = []
+        run_open = False
+        for number, n in sorted(numbered):
+            if text[number - 1].strip() in ("}", "};"):
+                continue
+            if n > 0:
+                run_open = False
+            elif run_open:
+                runs[-1][1] = number
+            else:
+                runs.append([number, number])
+                run_open = True
+        if runs:
+            out[path] = [str(a) if a == b else f"{a}-{b}" for a, b in runs]
+    return out
 
 
 def main() -> int:
@@ -125,12 +167,12 @@ def main() -> int:
         for mode in ("--smoke", "--parity"):
             run([sys.executable, "iobench/run.py", mode], cwd=copy, env=env,
                 **quiet)
-        traffic = counts(copy)
+        traffic, _ = counts(copy)
 
         # A failing test still counts what it ran.
         for test in ("bio_tests", "alloc_budget_test"):
             subprocess.run([str(cov / test)], cwd=cov, **quiet)
-        tested = counts(copy)
+        tested, tested_lines = counts(copy)
     except subprocess.CalledProcessError as e:
         print(f"traffic_census: {' '.join(map(str, e.cmd))} failed "
               f"(exit {e.returncode}); build log in the scratch copy's "
@@ -149,19 +191,24 @@ def main() -> int:
             test_only.append((name, n))
         else:
             dead.append(name)
+    dead_lines = dead_ranges(tested_lines, copy)
     ran = sum(1 for n in traffic.values() if n > 0)
     n_test_only = sum(len(t) for t, _ in by_file.values())
     n_dead = sum(len(d) for _, d in by_file.values())
     print(f"traffic census ({a.rev or 'working tree'}): {len(tested)} src/ "
           f"functions, {ran} run by the traffic, {n_test_only} test-only, "
-          f"{n_dead} dead")
-    for path in sorted(by_file):
-        test_only, dead = by_file[path]
+          f"{n_dead} dead; {sum(map(len, dead_lines.values()))} dead line "
+          f"ranges (GCC 12's gcov attributes no lines inside coroutine "
+          f"bodies: those bodies are unmeasured)")
+    for path in sorted(set(by_file) | set(dead_lines)):
+        test_only, dead = by_file.get(path, ([], []))
         print(path)
         for name, n in sorted(test_only):
             print(f"  test-only {n:9d}  {name}")
         for name in sorted(dead):
             print(f"  dead                 {name}")
+        if path in dead_lines:
+            print(f"  dead lines           {', '.join(dead_lines[path])}")
     return 0
 
 
