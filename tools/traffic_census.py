@@ -6,9 +6,9 @@ scratch copy of the tree with gcov instrumentation, never the checkout:
 
   1. copies the working tree (tracked and untracked, not ignored files) or
      `--rev`'s tree to the scratch directory and configures it, and
-     iobench, as Debug builds with --coverage -O0 (iobench/run.py keeps an
-     existing cache, so the pre-configured cov-iob/iobench makes it build
-     and run the coverage binary);
+     iobench, as Debug builds with --coverage -fprofile-update=atomic -O0
+     (iobench/run.py keeps an existing cache, so the pre-configured
+     cov-iob/iobench makes it build and run the coverage binary);
   2. runs the traffic: every figure bench, perf_suite,
      `crash_consistency --smoke` and iobench's `--smoke` and `--parity`,
      then reads every object's function counts (`gcov -j -t`);
@@ -55,7 +55,11 @@ from pathlib import Path
 
 from alloc_census import ROOT, copy_tree, run
 
-COVERAGE_FLAGS = "-DCMAKE_CXX_FLAGS=--coverage -O0"
+# Atomic counter updates: the crash sweeps and HostPool tests run the same
+# code on several host threads. Plain increments lose counts there, and
+# gcov derives some line counts from others, so a lost count can list a
+# line that ran as never run (it differed from run to run).
+COVERAGE_FLAGS = "-DCMAKE_CXX_FLAGS=--coverage -fprofile-update=atomic -O0"
 
 
 def build(copy: Path, log) -> None:
@@ -173,6 +177,8 @@ def main() -> int:
         for test in ("bio_tests", "alloc_budget_test"):
             subprocess.run([str(cov / test)], cwd=cov, **quiet)
         tested, tested_lines = counts(copy)
+        # Reads the copy's sources, so before a temporary copy goes.
+        dead_lines = dead_ranges(tested_lines, copy)
     except subprocess.CalledProcessError as e:
         print(f"traffic_census: {' '.join(map(str, e.cmd))} failed "
               f"(exit {e.returncode}); build log in the scratch copy's "
@@ -191,7 +197,6 @@ def main() -> int:
             test_only.append((name, n))
         else:
             dead.append(name)
-    dead_lines = dead_ranges(tested_lines, copy)
     ran = sum(1 for n in traffic.values() if n > 0)
     n_test_only = sum(len(t) for t, _ in by_file.values())
     n_dead = sum(len(d) for _, d in by_file.values())
